@@ -11,27 +11,17 @@ Two guarantees the rest of the pipeline leans on:
     (hard-negative mining uses this for its consistency check);
   - default parameters (degree 16, build breadth 200, search breadth 64)
     target recall@10 >= 0.95 against exact search on random unit vectors.
-
-Serialized format (little-endian): magic "SLHA1", header with dims/params,
-per-node levels, then adjacency lists. Vectors are not stored; an index is
-always reloaded against the embedding cache it was built from.
 """
 from __future__ import annotations
 
 import heapq
 import math
-import struct
-from pathlib import Path
 
 import numpy as np
 
 from .embed import EmbeddingCache
-from .errors import FormatError, ValidationError
+from .errors import ValidationError
 from .retrieval import DenseIndex, RankedHits, dense_search
-from .util import atomic_write_bytes
-
-ANN_MAGIC = b"SLHA1"
-_ANN_HEADER = struct.Struct("<5sBIQIIIQqi")
 
 
 class AnnIndex:
@@ -42,7 +32,6 @@ class AnnIndex:
         build_breadth: int = 200,
         search_breadth: int = 64,
         seed: int = 0,
-        _build: bool = True,
     ):
         if graph_degree < 2:
             raise ValidationError("graph_degree must be >= 2")
@@ -59,8 +48,7 @@ class AnnIndex:
         self._neighbors: list[list[list[int]]] = []
         self._entry = -1
         self._max_level = -1
-        if _build:
-            self._build_graph()
+        self._build_graph()
 
     def __len__(self) -> int:
         return len(self.cache)
@@ -178,76 +166,3 @@ def ann_search(index: AnnIndex, vector, k: int, breadth: int | None = None) -> R
     ids = index._dense._ids[candidate_ids]
     order = np.lexsort((ids, -scores))[:k]
     return RankedHits(hits=[(str(ids[i]), float(scores[i])) for i in order])
-
-
-def save_ann(index: AnnIndex, path: str | Path) -> None:
-    parts = [
-        _ANN_HEADER.pack(
-            ANN_MAGIC,
-            1,
-            index.dim,
-            len(index),
-            index.graph_degree,
-            index.build_breadth,
-            index.search_breadth,
-            index.seed,
-            index._entry,
-            index._max_level,
-        ),
-        np.ascontiguousarray(index._levels, dtype="<i4").tobytes(),
-    ]
-    for node in range(len(index)):
-        for layer_links in index._neighbors[node]:
-            parts.append(struct.pack("<I", len(layer_links)))
-            parts.append(np.asarray(layer_links, dtype="<u4").tobytes())
-    atomic_write_bytes(path, b"".join(parts))
-
-
-def load_ann(path: str | Path, cache: EmbeddingCache) -> AnnIndex:
-    path = Path(path)
-    if not path.exists():
-        raise FormatError(f"index file not found: {path}")
-    blob = path.read_bytes()
-    if len(blob) < _ANN_HEADER.size or blob[:5] != ANN_MAGIC:
-        raise FormatError(f"bad index magic in {path}")
-    (_, version, dim, count, degree, build_breadth, search_breadth, seed, entry, max_level) = (
-        _ANN_HEADER.unpack_from(blob)
-    )
-    if version != 1:
-        raise FormatError(f"unsupported index version {version}")
-    if dim != cache.dim or count != len(cache):
-        raise ValidationError(
-            f"index ({count} x {dim}) does not match cache ({len(cache)} x {cache.dim})"
-        )
-    offset = _ANN_HEADER.size
-    levels = np.frombuffer(blob, dtype="<i4", count=count, offset=offset).copy()
-    offset += count * 4
-    neighbors: list[list[list[int]]] = []
-    for node in range(count):
-        layers = []
-        for _ in range(int(levels[node]) + 1):
-            if offset + 4 > len(blob):
-                raise FormatError(f"index file {path} is truncated")
-            (degree_here,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            end = offset + degree_here * 4
-            if end > len(blob):
-                raise FormatError(f"index file {path} is truncated")
-            layers.append(np.frombuffer(blob, dtype="<u4", count=degree_here, offset=offset).tolist())
-            offset = end
-        neighbors.append(layers)
-    if offset != len(blob):
-        raise FormatError(f"index file {path} has trailing bytes")
-    index = AnnIndex(
-        cache,
-        graph_degree=degree,
-        build_breadth=build_breadth,
-        search_breadth=search_breadth,
-        seed=seed,
-        _build=False,
-    )
-    index._levels = levels
-    index._neighbors = neighbors
-    index._entry = entry
-    index._max_level = max_level
-    return index

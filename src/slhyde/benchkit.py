@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bm25 import Bm25Index, bm25_search
-from .corpus import CorpusStore, Document, Query, RelevanceJudgments, write_corpus, write_qrels, write_queries
+from .corpus import (
+    CorpusStore, Document, Query, RelevanceJudgments, _iter_jsonl, write_corpus, write_qrels, write_queries
+)
 from .errors import SlhydeError, ValidationError
 from .textgen import SamplingConfig, generate, load_template, render_prompt
 from .util import atomic_write_text, dump_json
@@ -499,20 +501,16 @@ def load_raw_queries(path: str | Path) -> list[RawQuery]:
     if not path.is_file():
         raise ValidationError(f"raw queries file not found: {path}")
     queries = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            if "_id" not in record or "text" not in record:
-                raise ValidationError(f"raw query missing _id or text (line {lineno})")
-            queries.append(
-                RawQuery(
-                    id=str(record["_id"]),
-                    text=str(record["text"]),
-                    answer=str(record["answer"]) if record.get("answer") else None,
-                )
+    for lineno, record in _iter_jsonl(path):
+        if "_id" not in record or "text" not in record:
+            raise ValidationError(f"raw query missing _id or text (line {lineno})")
+        queries.append(
+            RawQuery(
+                id=str(record["_id"]),
+                text=str(record["text"]),
+                answer=str(record["answer"]) if record.get("answer") else None,
             )
+        )
     return queries
 
 
@@ -522,12 +520,8 @@ def load_raw_texts(path: str | Path) -> list[tuple[str, str]]:
     if not path.is_file():
         raise ValidationError(f"raw texts file not found: {path}")
     texts = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            if "_id" not in record or "text" not in record:
-                raise ValidationError(f"raw text missing _id or text (line {lineno})")
-            texts.append((str(record["_id"]), str(record["text"])))
+    for lineno, record in _iter_jsonl(path):
+        if "_id" not in record or "text" not in record:
+            raise ValidationError(f"raw text missing _id or text (line {lineno})")
+        texts.append((str(record["_id"]), str(record["text"])))
     return texts

@@ -13,16 +13,12 @@ from __future__ import annotations
 
 import math
 import re
-import struct
 from collections import Counter
-from pathlib import Path
 
 from .corpus import CorpusStore
-from .errors import FormatError, ValidationError
+from .errors import ValidationError
 from .retrieval import RankedHits
-from .util import atomic_write_bytes
 
-BM25_MAGIC = b"SLHB1"
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 TOKENIZERS = ("cjk", "simple")
@@ -147,82 +143,3 @@ def bm25_search(index: Bm25Index, query_text: str, k: int) -> RankedHits:
             scores[pos] = scores.get(pos, 0.0) + idf * tf * (k1 + 1.0) / denom
     ranked = sorted(scores.items(), key=lambda item: (-item[1], index.ids[item[0]]))
     return RankedHits(hits=[(index.ids[pos], score) for pos, score in ranked[:k]])
-
-
-def save_bm25(index: Bm25Index, path: str | Path) -> None:
-    def _pack_str(s: str) -> bytes:
-        raw = s.encode("utf-8")
-        return struct.pack("<I", len(raw)) + raw
-
-    parts = [BM25_MAGIC, struct.pack("<dd", index.k1, index.b), _pack_str(index.tokenizer)]
-    parts.append(struct.pack("<Q", len(index.ids)))
-    for doc_id, doc_len in zip(index.ids, index.doc_lens):
-        parts.append(_pack_str(doc_id))
-        parts.append(struct.pack("<I", doc_len))
-    parts.append(struct.pack("<Q", len(index.postings)))
-    for term in sorted(index.postings):
-        plist = index.postings[term]
-        parts.append(_pack_str(term))
-        parts.append(struct.pack("<I", len(plist)))
-        for pos, tf in plist:
-            parts.append(struct.pack("<II", pos, tf))
-    atomic_write_bytes(path, b"".join(parts))
-
-
-def load_bm25(path: str | Path) -> Bm25Index:
-    path = Path(path)
-    if not path.exists():
-        raise FormatError(f"index file not found: {path}")
-    blob = path.read_bytes()
-    if len(blob) < 5 or blob[:5] != BM25_MAGIC:
-        raise FormatError(f"bad index magic in {path}")
-    offset = 5
-
-    def _need(nbytes: int):
-        nonlocal offset
-        if offset + nbytes > len(blob):
-            raise FormatError(f"index file {path} is truncated")
-
-    def _read_str() -> str:
-        nonlocal offset
-        _need(4)
-        (length,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        _need(length)
-        raw = blob[offset : offset + length]
-        offset += length
-        return raw.decode("utf-8")
-
-    _need(16)
-    k1, b = struct.unpack_from("<dd", blob, offset)
-    offset += 16
-    tokenizer = _read_str()
-    _need(8)
-    (ndocs,) = struct.unpack_from("<Q", blob, offset)
-    offset += 8
-    ids, doc_lens = [], []
-    for _ in range(ndocs):
-        ids.append(_read_str())
-        _need(4)
-        (doc_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        doc_lens.append(doc_len)
-    _need(8)
-    (nterms,) = struct.unpack_from("<Q", blob, offset)
-    offset += 8
-    postings: dict[str, list[tuple[int, int]]] = {}
-    for _ in range(nterms):
-        term = _read_str()
-        _need(4)
-        (df,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        _need(df * 8)
-        plist = []
-        for _ in range(df):
-            pos, tf = struct.unpack_from("<II", blob, offset)
-            offset += 8
-            plist.append((pos, tf))
-        postings[term] = plist
-    if offset != len(blob):
-        raise FormatError(f"index file {path} has trailing bytes")
-    return Bm25Index(ids, postings, doc_lens, k1=k1, b=b, tokenizer=tokenizer)

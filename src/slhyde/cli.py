@@ -17,6 +17,7 @@ import os
 import shutil
 import statistics
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
@@ -58,11 +59,10 @@ EXIT_DEGRADED = 3
 
 @contextmanager
 def staged_outputs(out_dir: Path):
-    """Write into a sibling staging dir; promote per-file on success only."""
-    staging = out_dir.parent / (out_dir.name + ".staging")
-    if staging.exists():
-        shutil.rmtree(staging)
-    staging.mkdir(parents=True)
+    """Write into a unique sibling staging dir (concurrent runs never share one);
+    promote per-file on success only."""
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(dir=out_dir.parent, prefix=out_dir.name + ".staging-"))
     try:
         yield staging
     except BaseException:
@@ -116,6 +116,34 @@ def cmd_embed_corpus(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _run_queries(
+    config: RunConfig, emb, index, queries, k: int, gen=None, fusion=None, seed_parts=((),)
+) -> list[dict]:
+    """One {query_id: RankedHits} per entry of `seed_parts`: dense without `gen`, else HyDE.
+
+    Query q of the run for seed parts p samples with derive_seed(config.seed, *p, q.id).
+    """
+
+    def one_run(parts) -> dict:
+        if gen is None:
+            return {q.id: dense_search(index, embed_text(emb, q.text), k) for q in queries}
+        return {
+            q.id: hyde_search(
+                q, gen, emb, index, fusion, k, _sampling(config, derive_seed(config.seed, *parts, q.id))
+            )
+            for q in queries
+        }
+
+    if config.parallelism > 1:
+        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+            return list(pool.map(one_run, seed_parts))
+    return [one_run(parts) for parts in seed_parts]
+
+
+def _degraded(run: dict) -> bool:
+    return any(hits.meta.get("degraded") for hits in run.values())
+
+
 def cmd_search(config: RunConfig, k: int | None = None) -> int:
     emb = build_embedder_client(config)
     k = k or max(config.eval.k_values)
@@ -123,10 +151,8 @@ def cmd_search(config: RunConfig, k: int | None = None) -> int:
         write_resolved_config(config, staging)
         for dataset in config.all_datasets():
             store, cache = _dataset_cache(config, emb, dataset)
-            index = DenseIndex(cache)
-            queries = load_queries(dataset.queries)
-            runs = {q.id: dense_search(index, embed_text(emb, q.text), k) for q in queries}
-            write_trec_run(runs, staging / f"run_{dataset.name}.trec", tag="dense")
+            [run] = _run_queries(config, emb, DenseIndex(cache), load_queries(dataset.queries), k)
+            write_trec_run(run, staging / f"run_{dataset.name}.trec", tag="dense")
     return EXIT_OK
 
 
@@ -140,33 +166,35 @@ def cmd_hyde_search(config: RunConfig, k: int | None = None, trace: bool = False
         for dataset in config.all_datasets():
             fusion = _fusion_for(config, dataset)
             store, cache = _dataset_cache(config, emb, dataset)
-            index = DenseIndex(cache)
             queries = load_queries(dataset.queries)
-            runs = {}
-            trace_lines = []
-            for query in queries:
-                sampling = _sampling(config, derive_seed(config.seed, "hyde", dataset.name, query.id))
-                hits = hyde_search(query, gen, emb, index, fusion, k, sampling)
-                degraded = degraded or bool(hits.meta.get("degraded"))
-                runs[query.id] = hits
-                if trace:
-                    trace_lines.append(
-                        jsonl_line(
-                            {
-                                "query_id": query.id,
-                                "hypothetical_texts": hits.meta.get("hypothetical_texts", []),
-                                "hits": [[doc_id, score] for doc_id, score in hits],
-                            }
-                        )
-                    )
-            write_trec_run(runs, staging / f"run_{dataset.name}.trec", tag="hyde")
+            [run] = _run_queries(
+                config, emb, DenseIndex(cache), queries, k, gen, fusion, [("hyde", dataset.name)]
+            )
+            degraded = degraded or _degraded(run)
+            write_trec_run(run, staging / f"run_{dataset.name}.trec", tag="hyde")
             if trace:
+                trace_lines = [
+                    jsonl_line(
+                        {
+                            "query_id": query_id,
+                            "hypothetical_texts": hits.meta.get("hypothetical_texts", []),
+                            "hits": [[doc_id, score] for doc_id, score in hits],
+                        }
+                    )
+                    for query_id, hits in run.items()
+                ]
                 atomic_write_text(staging / f"trace_{dataset.name}.jsonl", "".join(trace_lines))
     return EXIT_DEGRADED if degraded else EXIT_OK
 
 
-def _evaluate_dataset(config: RunConfig, gen, emb, dataset, mode: str):
-    """Per-dataset evaluation; returns per-metric per-query means plus run stats."""
+def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str]):
+    """Search one dataset's judged queries and score every run.
+
+    Returns (runs, table): runs holds one {query_id: RankedHits} per repeat
+    (the dense run itself when `gen` is None); table maps each metric to one
+    {query_id: value} per column, the dense run first and then each of runs.
+    Queries without a positive judgment have no value (they are skipped).
+    """
     if not dataset.qrels:
         raise ValidationError(f"dataset {dataset.name!r} has no qrels path; evaluate requires one")
     queries = load_queries(dataset.queries)
@@ -182,142 +210,83 @@ def _evaluate_dataset(config: RunConfig, gen, emb, dataset, mode: str):
         raise ValidationError(f"dataset {dataset.name!r} has no judged queries to evaluate")
 
     max_k = max(list(config.eval.k_values) + [config.eval.primary_k])
-    fusion = _fusion_for(config, dataset)
-    degraded = False
+    [dense] = _run_queries(config, emb, index, eval_queries, max_k)
+    runs = [dense]
+    if gen is not None:
+        seed_parts = [("eval", dataset.name, run_index) for run_index in range(config.eval.repeats)]
+        fusion = _fusion_for(config, dataset)
+        runs = _run_queries(config, emb, index, eval_queries, max_k, gen, fusion, seed_parts)
 
-    dense_hits = {q.id: dense_search(index, embed_text(emb, q.text), max_k) for q in eval_queries}
-    repeats = config.eval.repeats if mode == "hyde" else 1
-    run_hits: list[dict] = []
-    if mode == "retriever":
-        run_hits.append(dense_hits)
-    else:
-        def _one_run(run_index: int):
-            hits_by_query = {}
-            for query in eval_queries:
-                sampling = _sampling(
-                    config, derive_seed(config.seed, "eval", dataset.name, run_index, query.id)
-                )
-                hits = hyde_search(query, gen, emb, index, fusion, max_k, sampling)
-                hits_by_query[query.id] = hits
-            return hits_by_query
+    def scored(run: dict, metric: str) -> dict[str, float]:
+        kind, _, k = metric.partition("@")
+        fn = ndcg_at_k if kind == "ndcg" else recall_at_k
+        values = {qid: fn(hits, qrels.grades_for(qid), int(k)) for qid, hits in run.items()}
+        return {qid: value for qid, value in values.items() if value is not None}
 
-        if config.parallelism > 1:
-            with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-                run_hits = list(pool.map(_one_run, range(repeats)))
-        else:
-            run_hits = [_one_run(r) for r in range(repeats)]
-        for hits_by_query in run_hits:
-            degraded = degraded or any(h.meta.get("degraded") for h in hits_by_query.values())
+    return runs, {metric: [scored(run, metric) for run in [dense, *runs]] for metric in metrics}
 
-    def _metric_fn(name: str):
-        kind, _, k_raw = name.partition("@")
-        k_val = int(k_raw)
-        return (lambda hits, judged: ndcg_at_k(hits, judged, k_val)) if kind == "ndcg" else (
-            lambda hits, judged: recall_at_k(hits, judged, k_val)
-        )
 
-    metric_names = [f"ndcg@{config.eval.primary_k}"] + [f"recall@{k}" for k in config.eval.k_values]
-    metric_names = list(dict.fromkeys(metric_names))
-    per_metric: dict[str, dict] = {}
-    for name in metric_names:
-        fn = _metric_fn(name)
-        per_run_values: list[dict[str, float]] = []
-        skipped = 0
-        for hits_by_query in run_hits:
-            values = {}
-            for query in eval_queries:
-                value = fn(hits_by_query[query.id], qrels.grades_for(query.id))
-                if value is not None:
-                    values[query.id] = value
-            per_run_values.append(values)
-        skipped = len(eval_queries) - len(per_run_values[0]) if per_run_values else 0
-        # per-query mean across runs, for query-level pairing
-        query_ids = sorted(set().union(*[set(v) for v in per_run_values]))
-        per_query_mean = {
-            qid: sum(values[qid] for values in per_run_values if qid in values)
-            / sum(1 for values in per_run_values if qid in values)
-            for qid in query_ids
-        }
-        run_means = [sum(v.values()) / len(v) for v in per_run_values if v]
-        baseline_values = {}
-        for query in eval_queries:
-            value = fn(dense_hits[query.id], qrels.grades_for(query.id))
-            if value is not None:
-                baseline_values[query.id] = value
-        per_metric[name] = {
-            "per_query": per_query_mean,
-            "run_means": run_means,
-            "spread": statistics.stdev(run_means) if len(run_means) > 1 else 0.0,
-            "baseline_per_query": baseline_values,
-            "skipped": skipped,
-        }
-    return per_metric, run_hits, degraded
+def _mean(values: dict[str, float]) -> float:
+    return sum(values.values()) / len(values)
 
 
 def cmd_evaluate(config: RunConfig, mode: str = "hyde") -> int:
     gen = build_generator_client(config) if mode == "hyde" else None
     emb = build_embedder_client(config)
-    degraded = False
-    all_metrics: dict[str, dict] = {}
-    run_files: dict[str, list[dict]] = {}
-    for dataset in config.all_datasets():
-        per_metric, run_hits, dataset_degraded = _evaluate_dataset(config, gen, emb, dataset, mode)
-        degraded = degraded or dataset_degraded
-        all_metrics[dataset.name] = per_metric
-        run_files[dataset.name] = run_hits
-
     primary = f"ndcg@{config.eval.primary_k}"
+    metrics = list(dict.fromkeys([primary] + [f"recall@{k}" for k in config.eval.k_values]))
+    runs_by_dataset: dict[str, list[dict]] = {}
+    tables: dict[str, dict] = {}
+    for dataset in config.all_datasets():
+        runs_by_dataset[dataset.name], tables[dataset.name] = _evaluate_dataset(
+            config, gen, emb, dataset, metrics
+        )
+
+    run_pairing = mode == "hyde" and config.eval.pairing == "run"
+    compare = mode == "hyde" and config.eval.compare_to_dense
     reports = {}
-    for metric_name in next(iter(all_metrics.values())).keys():
-        system = {name: all_metrics[name][metric_name]["per_query"] for name in all_metrics}
-        baseline = None
-        if mode == "hyde" and config.eval.compare_to_dense:
-            baseline = {name: all_metrics[name][metric_name]["baseline_per_query"] for name in all_metrics}
-        if config.eval.pairing == "run" and mode == "hyde":
-            system = {name: all_metrics[name][metric_name]["run_means"] for name in all_metrics}
-            if baseline is not None:
-                baseline = {
-                    name: [
-                        sum(all_metrics[name][metric_name]["baseline_per_query"].values())
-                        / len(all_metrics[name][metric_name]["baseline_per_query"])
-                    ]
-                    * len(all_metrics[name][metric_name]["run_means"])
-                    for name in all_metrics
+    per_run: dict[str, dict] = {name: {} for name in tables}
+    for metric in metrics:
+        system, baseline = {}, {}
+        for name, table in tables.items():
+            dense, *runs = table[metric]
+            run_means = [_mean(values) for values in runs if values]
+            per_run[name][metric] = {
+                "run_means": run_means,
+                "spread": statistics.stdev(run_means) if len(run_means) > 1 else 0.0,
+            }
+            if run_pairing:
+                system[name] = run_means
+            else:
+                # every run scores the same queries: skips depend on qrels only
+                system[name] = {
+                    qid: sum(run[qid] for run in runs) / len(runs) for qid in sorted(runs[0])
                 }
-        report = build_report(system, baseline, metric=metric_name, pairing=config.eval.pairing)
-        for name in all_metrics:
-            report.datasets[name].skipped = all_metrics[name][metric_name]["skipped"]
-        reports[metric_name] = report
+            if compare:
+                baseline[name] = [_mean(dense)] * len(run_means) if run_pairing else dense
+        report = build_report(
+            system, baseline if compare else None, metric=metric, pairing=config.eval.pairing
+        )
+        for name, table in tables.items():
+            report.datasets[name].skipped = len(runs_by_dataset[name][0]) - len(table[metric][1])
+        reports[metric] = report
 
     payload = {
         "mode": mode,
         "repeats": config.eval.repeats if mode == "hyde" else 1,
         "reports": {name: report_to_dict(report) for name, report in reports.items()},
-        "per_run": {
-            ds: {
-                metric: {
-                    "run_means": values["run_means"],
-                    "spread": values["spread"],
-                }
-                for metric, values in metrics.items()
-            }
-            for ds, metrics in all_metrics.items()
-        },
-        "degraded": degraded,
+        "per_run": per_run,
+        "degraded": any(_degraded(run) for runs in runs_by_dataset.values() for run in runs),
     }
     with staged_outputs(Path(config.out_dir)) as staging:
         write_resolved_config(config, staging)
         atomic_write_text(staging / "report.json", dump_json(payload))
         atomic_write_text(staging / "report.txt", render_report_text(reports[primary]))
-        for dataset_name, hits_list in run_files.items():
-            for run_index, hits_by_query in enumerate(hits_list):
-                write_trec_run(
-                    hits_by_query,
-                    staging / f"run_{dataset_name}_r{run_index}.trec",
-                    tag=mode,
-                )
+        for dataset_name, runs in runs_by_dataset.items():
+            for run_index, run in enumerate(runs):
+                write_trec_run(run, staging / f"run_{dataset_name}_r{run_index}.trec", tag=mode)
     print(render_report_text(reports[primary]), end="")
-    return EXIT_DEGRADED if degraded else EXIT_OK
+    return EXIT_DEGRADED if payload["degraded"] else EXIT_OK
 
 
 def cmd_build_sft(config: RunConfig) -> int:

@@ -18,7 +18,6 @@ from .corpus import Query
 from .embed import embed_text, embed_texts
 from .errors import (
     DegenerateOutputError,
-    SlhydeError,
     TransportError,
     ValidationError,
 )
@@ -120,18 +119,13 @@ def hyde_search(
         hits.meta.update(strategy=cfg.strategy.value, n=cfg.n, degraded=True, mode="query_only")
         return hits
 
-    if cfg.strategy in (FusionStrategy.MEAN_POOL, FusionStrategy.MEAN_POOL_K):
-        pseudo_vecs = embed_texts(emb, texts)
-        fused = fuse(query_vec, pseudo_vecs, query_text=query.text, texts=texts)
-        hits = dense_search(index, fused.vector, k)
+    # Every strategy searches with the mean of the rows it selects.
+    if cfg.strategy is FusionStrategy.CONCAT:
+        rows = embed_texts(emb, [query.text + " " + texts[0]])
     elif cfg.strategy is FusionStrategy.DOC_ONLY:
-        pseudo_vecs = embed_texts(emb, texts)
-        vector = np.mean(pseudo_vecs, axis=0)
-        hits = dense_search(index, vector, k)
-    elif cfg.strategy is FusionStrategy.CONCAT:
-        vector = embed_text(emb, query.text + " " + texts[0])
-        hits = dense_search(index, vector, k)
-    else:  # pragma: no cover - enum is closed
-        raise SlhydeError(f"unhandled strategy {cfg.strategy}")
+        rows = embed_texts(emb, texts)
+    else:
+        rows = np.vstack([query_vec, embed_texts(emb, texts)])
+    hits = dense_search(index, np.mean(rows, axis=0), k)
     hits.meta.update(strategy=cfg.strategy.value, n=cfg.n, hypothetical_texts=texts)
     return hits

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import scipy.stats
+from scipy.special import stdtr
 
 from .errors import ParseError, ValidationError
 from .retrieval import RankedHits
@@ -74,7 +74,7 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
             return 0.0, 1.0
         return math.copysign(math.inf, mean), 0.0
     t_stat = mean / math.sqrt(var / n)
-    p_value = 2.0 * float(scipy.stats.t.sf(abs(t_stat), df=n - 1))
+    p_value = 2.0 * float(stdtr(n - 1, -abs(t_stat)))
     return t_stat, p_value
 
 

@@ -13,17 +13,17 @@ computes reference InfoNCE loss values on given embeddings.
 """
 from __future__ import annotations
 
-import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .ann import AnnIndex, ann_search
-from .corpus import Document
+from .corpus import Document, _iter_jsonl
 from .embed import embed_text
 from .errors import RunError, SlhydeError, ValidationError
 from .retrieval import DenseIndex, rank_of
@@ -75,8 +75,6 @@ class RetrieverTriplet:
 @dataclass(frozen=True)
 class LossConfig:
     tau: float = 0.02
-    include_in_batch: bool = False
-    batch: tuple = ()
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -288,15 +286,12 @@ def infonce_from_scores(
     positive_score: float,
     negative_scores,
     cfg: LossConfig,
-    batch_scores=(),
 ) -> float:
     """InfoNCE over raw similarity scores at temperature cfg.tau (log-sum-exp stable)."""
     if cfg.tau <= 0:
         raise ValidationError("tau must be > 0")
     logits = [positive_score / cfg.tau]
     logits.extend(s / cfg.tau for s in negative_scores)
-    if cfg.include_in_batch:
-        logits.extend(s / cfg.tau for s in batch_scores)
     logits = np.asarray(logits, dtype=np.float64)
     peak = float(np.max(logits))
     lse = peak + float(np.log(np.sum(np.exp(logits - peak))))
@@ -310,7 +305,7 @@ def contrastive_loss(
     cfg: LossConfig,
 ) -> float:
     """InfoNCE on vectors: scores are inner products of the fused query vector
-    with (unit-normalized) document vectors; in-batch candidates come from cfg.batch."""
+    with (unit-normalized) document vectors."""
     q = np.asarray(query_fused, dtype=np.float64).ravel()
     pos = np.asarray(positive, dtype=np.float64).ravel()
     if pos.shape != q.shape:
@@ -321,14 +316,7 @@ def contrastive_loss(
         if vec.shape != q.shape:
             raise ValidationError("negative vector dim mismatch")
         neg_scores.append(float(q @ vec))
-    batch_scores = []
-    if cfg.include_in_batch:
-        for vec in cfg.batch:
-            vec = np.asarray(vec, dtype=np.float64).ravel()
-            if vec.shape != q.shape:
-                raise ValidationError("batch vector dim mismatch")
-            batch_scores.append(float(q @ vec))
-    return infonce_from_scores(float(q @ pos), neg_scores, cfg, batch_scores)
+    return infonce_from_scores(float(q @ pos), neg_scores, cfg)
 
 
 def dataset_reference_loss(
@@ -392,6 +380,10 @@ TRIPLET_RECORD_SCHEMA = {
     },
 }
 
+# Compiled once: jsonschema.validate re-checks the schema itself on every call.
+_SFT_VALIDATOR = validator_for(SFT_RECORD_SCHEMA)(SFT_RECORD_SCHEMA)
+_TRIPLET_VALIDATOR = validator_for(TRIPLET_RECORD_SCHEMA)(TRIPLET_RECORD_SCHEMA)
+
 
 def emit_sft_jsonl(
     examples: list[SftExample],
@@ -417,27 +409,26 @@ def emit_sft_jsonl(
     atomic_write_text(path, "".join(lines))
 
 
+def _validated_records(path: str | Path, validator, kind: str):
+    """Schema-checked JSONL records; bad JSON is a ParseError with the line."""
+    for lineno, record in _iter_jsonl(Path(path)):
+        error = best_match(validator.iter_errors(record))
+        if error is not None:
+            raise ValidationError(f"bad {kind} record at line {lineno}: {error.message}")
+        yield record
+
+
 def load_sft_jsonl(path: str | Path) -> list[SftExample]:
-    examples = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            try:
-                jsonschema.validate(record, SFT_RECORD_SCHEMA)
-            except jsonschema.ValidationError as exc:
-                raise ValidationError(f"bad SFT record at line {lineno}: {exc.message}") from None
-            examples.append(
-                SftExample(
-                    query=record["input"],
-                    response=record["output"],
-                    doc_id=record["meta"]["doc_id"],
-                    rank=record["meta"]["rank"],
-                    num_candidates=record["meta"]["L"],
-                )
-            )
-    return examples
+    return [
+        SftExample(
+            query=record["input"],
+            response=record["output"],
+            doc_id=record["meta"]["doc_id"],
+            rank=record["meta"]["rank"],
+            num_candidates=record["meta"]["L"],
+        )
+        for record in _validated_records(path, _SFT_VALIDATOR, "SFT")
+    ]
 
 
 def emit_triplets_jsonl(triplets: list[RetrieverTriplet], path: str | Path) -> None:
@@ -458,26 +449,16 @@ def emit_triplets_jsonl(triplets: list[RetrieverTriplet], path: str | Path) -> N
 
 
 def load_triplets_jsonl(path: str | Path) -> list[RetrieverTriplet]:
-    triplets = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            try:
-                jsonschema.validate(record, TRIPLET_RECORD_SCHEMA)
-            except jsonschema.ValidationError as exc:
-                raise ValidationError(f"bad triplet record at line {lineno}: {exc.message}") from None
-            triplets.append(
-                RetrieverTriplet(
-                    query=record["query"],
-                    pseudo=record["pseudo"],
-                    positive=record["pos"],
-                    negatives=tuple(record["neg"]),
-                    scores=record["meta"].get("scores", {}),
-                )
-            )
-    return triplets
+    return [
+        RetrieverTriplet(
+            query=record["query"],
+            pseudo=record["pseudo"],
+            positive=record["pos"],
+            negatives=tuple(record["neg"]),
+            scores=record["meta"].get("scores", {}),
+        )
+        for record in _validated_records(path, _TRIPLET_VALIDATOR, "triplet")
+    ]
 
 
 def validate_sft_file(path: str | Path) -> int:

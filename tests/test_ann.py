@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from slhyde.ann import AnnIndex, ann_search, load_ann, save_ann
+from slhyde.ann import AnnIndex, ann_search
 from slhyde.embed import EmbeddingCache
-from slhyde.errors import FormatError, ValidationError
+from slhyde.errors import ValidationError
 from slhyde.retrieval import DenseIndex, dense_search
 
 
@@ -67,40 +67,3 @@ class TestAnnSearch:
         b = AnnIndex(cache, seed=42)
         query = np.random.default_rng(7).normal(size=24)
         assert ann_search(a, query, k=5).hits == ann_search(b, query, k=5).hits
-
-
-class TestAnnSerialization:
-    def test_round_trip_preserves_search(self, tmp_path):
-        cache = _cache(120, 16, seed=8)
-        index = AnnIndex(cache, seed=1)
-        path = tmp_path / "graph.ann"
-        save_ann(index, path)
-        loaded = load_ann(path, cache)
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            query = rng.normal(size=16)
-            assert ann_search(index, query, k=7).hits == ann_search(loaded, query, k=7).hits
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "graph.ann"
-        path.write_bytes(b"NOPE!" + b"\x00" * 64)
-        with pytest.raises(FormatError, match="magic"):
-            load_ann(path, _cache(4, 8))
-
-    def test_truncated_file(self, tmp_path):
-        cache = _cache(60, 8, seed=10)
-        index = AnnIndex(cache, seed=1)
-        path = tmp_path / "graph.ann"
-        save_ann(index, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) - 9])
-        with pytest.raises(FormatError):
-            load_ann(path, cache)
-
-    def test_cache_mismatch(self, tmp_path):
-        cache = _cache(60, 8, seed=11)
-        index = AnnIndex(cache, seed=1)
-        path = tmp_path / "graph.ann"
-        save_ann(index, path)
-        with pytest.raises(ValidationError):
-            load_ann(path, _cache(61, 8, seed=11))

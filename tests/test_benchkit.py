@@ -16,7 +16,7 @@ from slhyde.benchkit import (
 )
 from slhyde.bm25 import Bm25Index
 from slhyde.corpus import CorpusStore, Document, load_corpus, load_qrels, load_queries
-from slhyde.errors import ValidationError
+from slhyde.errors import ParseError, ValidationError
 from slhyde.textgen import MockGeneratorClient
 
 
@@ -384,6 +384,18 @@ class TestRawLoaders:
         path = tmp_path / "texts.jsonl"
         path.write_text(json.dumps({"_id": "t1", "text": "body"}) + "\n")
         assert load_raw_texts(path) == [("t1", "body")]
+
+    def test_malformed_raw_queries_line_is_parse_error(self, tmp_path):
+        path = tmp_path / "raw.jsonl"
+        path.write_text(json.dumps({"_id": "q1", "text": "question"}) + "\n[1, 2\n")
+        with pytest.raises(ParseError, match="raw.jsonl.*line 2"):
+            load_raw_queries(path)
+
+    def test_malformed_raw_texts_line_is_parse_error(self, tmp_path):
+        path = tmp_path / "texts.jsonl"
+        path.write_text('{"_id": "t1", "text": }\n')
+        with pytest.raises(ParseError, match="texts.jsonl.*line 1"):
+            load_raw_texts(path)
 
     def test_missing_files(self, tmp_path):
         with pytest.raises(ValidationError):

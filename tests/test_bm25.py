@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from slhyde.bm25 import Bm25Index, bm25_search, load_bm25, save_bm25, tokenize
+from slhyde.bm25 import Bm25Index, bm25_search, tokenize
 from slhyde.corpus import CorpusStore, Document
-from slhyde.errors import FormatError, ValidationError
+from slhyde.errors import ValidationError
 
 
 def _store(texts):
@@ -108,31 +108,3 @@ class TestBm25Search:
         store = CorpusStore([Document(id="d0", text="body words", title="zyzzyva title")])
         index = Bm25Index.build(store)
         assert bm25_search(index, "zyzzyva", k=1).doc_ids() == ["d0"]
-
-
-class TestBm25Serialization:
-    def test_round_trip_preserves_scores(self, tmp_path):
-        store = _store(["alpha beta gamma", "beta gamma delta", "delta epsilon"])
-        index = Bm25Index.build(store, k1=1.1, b=0.3, tokenizer="simple")
-        path = tmp_path / "lex.bm25"
-        save_bm25(index, path)
-        loaded = load_bm25(path)
-        assert loaded.k1 == index.k1 and loaded.b == index.b
-        assert loaded.tokenizer == index.tokenizer
-        for query in ("alpha", "beta gamma", "delta"):
-            assert bm25_search(loaded, query, k=3).hits == bm25_search(index, query, k=3).hits
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "lex.bm25"
-        path.write_bytes(b"XXXXX" + b"\x00" * 16)
-        with pytest.raises(FormatError, match="magic"):
-            load_bm25(path)
-
-    def test_truncated(self, tmp_path):
-        store = _store(["alpha beta", "gamma"])
-        index = Bm25Index.build(store)
-        path = tmp_path / "lex.bm25"
-        save_bm25(index, path)
-        path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(FormatError):
-            load_bm25(path)

@@ -6,14 +6,17 @@ import pytest
 import yaml
 
 from slhyde.cli import main
-from slhyde.config import load_config, write_resolved_config
+from slhyde.config import build_embedder_client, build_generator_client, load_config, write_resolved_config
 from slhyde.corpus import CorpusStore, load_qrels, write_corpus, write_qrels, write_queries
-from slhyde.corpus import RelevanceJudgments
+from slhyde.corpus import RelevanceJudgments, load_corpus, load_queries
 from slhyde.embed import MockEmbedderClient, cache_embeddings, embed_text, load_cache
 from slhyde.errors import ValidationError
-from slhyde.metrics import load_trec_run, ndcg_at_k
+from slhyde.hyde import FusionConfig, hyde_search
+from slhyde.metrics import build_report, load_trec_run, ndcg_at_k, recall_at_k, report_to_dict
 from slhyde.retrieval import DenseIndex, dense_search
 from slhyde.selflearn import validate_sft_file, validate_triplets_file
+from slhyde.textgen import SamplingConfig
+from slhyde.util import derive_seed
 
 from conftest import queries_for_docs, synthetic_docs
 
@@ -49,6 +52,61 @@ def make_config(tmp_path, dataset_dir, out_dir, **extra):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(config))
     return path
+
+
+def _direct_hyde_report(config_path, metric, cache_dir):
+    """`evaluate --mode hyde` recomputed from dense_search, hyde_search, the metric and build_report."""
+    config = load_config(config_path)
+    gen, emb = build_generator_client(config), build_embedder_client(config)
+    fusion = FusionConfig(
+        strategy=config.fusion.strategy, n=config.fusion.n, template=config.fusion.template
+    )
+    kind, _, k = metric.partition("@")
+    score = ndcg_at_k if kind == "ndcg" else recall_at_k
+    max_k = max(config.eval.k_values + [config.eval.primary_k])
+    system, baseline = {}, {}
+    for ds in config.all_datasets():
+        index = DenseIndex(cache_embeddings(emb, load_corpus(ds.corpus), cache_dir / f"{ds.name}.emb"))
+        qrels = load_qrels(ds.qrels)
+        queries = load_queries(ds.queries)
+        dense = {}
+        for q in queries:
+            hits = dense_search(index, embed_text(emb, q.text), max_k)
+            dense[q.id] = score(hits, qrels.grades_for(q.id), int(k))
+        runs = []
+        for run_index in range(config.eval.repeats):
+            run = {}
+            for q in queries:
+                sampling = SamplingConfig(
+                    temperature=config.sampling.temperature,
+                    max_output_tokens=config.sampling.max_output_tokens,
+                    seed=derive_seed(config.seed, "eval", ds.name, run_index, q.id),
+                )
+                hits = hyde_search(q, gen, emb, index, fusion, max_k, sampling)
+                run[q.id] = score(hits, qrels.grades_for(q.id), int(k))
+            runs.append(run)
+        if config.eval.pairing == "run":
+            system[ds.name] = [sum(run.values()) / len(run) for run in runs]
+            baseline[ds.name] = [sum(dense.values()) / len(dense)] * len(runs)
+        else:
+            system[ds.name] = {qid: sum(run[qid] for run in runs) / len(runs) for qid in dense}
+            baseline[ds.name] = dense
+    compare = baseline if config.eval.compare_to_dense else None
+    return report_to_dict(build_report(system, compare, metric=metric, pairing=config.eval.pairing))
+
+
+def _assert_same_report(actual, expected):
+    assert set(actual["datasets"]) == set(expected["datasets"])
+    for name, result in expected["datasets"].items():
+        assert actual["datasets"][name]["mean"] == pytest.approx(result["mean"], abs=1e-12)
+        assert actual["datasets"][name]["values"] == pytest.approx(result["values"], abs=1e-12)
+        assert actual["datasets"][name]["skipped"] == 0
+    assert actual["average"] == pytest.approx(expected["average"], abs=1e-12)
+    assert ("comparison" in actual) == ("comparison" in expected)
+    if "comparison" in expected:
+        for key in ("baseline_means", "improvement_pct", "p_values"):
+            assert actual["comparison"][key] == pytest.approx(expected["comparison"][key], abs=1e-12)
+        assert actual["comparison"]["pairing"] == expected["comparison"]["pairing"]
 
 
 def _out_bytes(out_dir):
@@ -215,6 +273,56 @@ class TestEvaluateCommand:
         assert (out / "run_synthetic_r1.trec").exists()
         text = (out / "report.txt").read_text()
         assert "improve%" in text
+
+    def test_run_pairing_matches_direct_computation(self, tmp_path):
+        dataset = tmp_path / "data"
+        make_dataset(dataset)
+        out = tmp_path / "run"
+        config_path = make_config(
+            tmp_path,
+            dataset,
+            out,
+            eval={"k_values": [5, 10], "primary_k": 10, "repeats": 3, "pairing": "run"},
+        )
+        assert main(["evaluate", "--config", str(config_path), "--mode", "hyde"]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        for metric in ("ndcg@10", "recall@5", "recall@10"):
+            report = payload["reports"][metric]
+            _assert_same_report(report, _direct_hyde_report(config_path, metric, tmp_path))
+            assert report["comparison"]["pairing"] == "run"
+            run_means = payload["per_run"]["synthetic"][metric]["run_means"]
+            assert report["datasets"]["synthetic"]["values"] == run_means
+
+    def test_two_datasets_without_dense_comparison(self, tmp_path):
+        make_dataset(tmp_path / "alpha", n_docs=12, seed=1)
+        make_dataset(tmp_path / "beta", n_docs=12, seed=2)
+        datasets = [
+            {
+                "name": name,
+                "corpus": str(tmp_path / name / "corpus.jsonl"),
+                "queries": str(tmp_path / name / "queries.jsonl"),
+                "qrels": str(tmp_path / name / "qrels.tsv"),
+            }
+            for name in ("alpha", "beta")
+        ]
+        out = tmp_path / "run"
+        config_path = make_config(
+            tmp_path,
+            tmp_path / "alpha",
+            out,
+            datasets=datasets,
+            eval={"k_values": [10], "primary_k": 10, "repeats": 2, "compare_to_dense": False},
+        )
+        assert main(["evaluate", "--config", str(config_path), "--mode", "hyde"]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        for metric in ("ndcg@10", "recall@10"):
+            report = payload["reports"][metric]
+            _assert_same_report(report, _direct_hyde_report(config_path, metric, tmp_path))
+            assert "comparison" not in report
+        assert "improve%" not in (out / "report.txt").read_text()
+        assert sorted(p.name for p in out.glob("*.trec")) == [
+            f"run_{name}_r{r}.trec" for name in ("alpha", "beta") for r in range(2)
+        ]
 
     def test_missing_qrels_is_validation_exit(self, tmp_path):
         dataset = tmp_path / "data"
@@ -458,4 +566,29 @@ class TestExitCodes:
         config_path = make_config(tmp_path, dataset, out)
         assert main(["evaluate", "--config", str(config_path)]) == 1
         assert not (out / "report.json").exists()
-        assert not out.with_name(out.name + ".staging").exists()
+        assert not list(tmp_path.glob("run.staging*"))
+
+    def test_other_runs_staging_dir_survives(self, tmp_path):
+        dataset = tmp_path / "data"
+        make_dataset(dataset)
+        out = tmp_path / "run"
+        config_path = make_config(tmp_path, dataset, out)
+        other = tmp_path / "run.staging"
+        other.mkdir()
+        (other / "sentinel").write_text("in use")
+        assert main(["search", "--config", str(config_path)]) == 0
+        assert (other / "sentinel").read_text() == "in use"
+        assert (out / "run_synthetic.trec").exists()
+        assert [p.name for p in tmp_path.glob("run.staging*")] == ["run.staging"]
+
+    def test_malformed_input_line_is_validation_exit(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "texts.jsonl").write_text(json.dumps({"_id": "t0", "text": "body"}) + "\n{broken\n")
+        (raw / "queries.jsonl").write_text(json.dumps({"_id": "q0", "text": "question"}) + "\n")
+        config_path = make_config(tmp_path, raw, tmp_path / "bench")
+        argv = ["construct-benchmark", "--config", str(config_path)]
+        argv += ["--texts", str(raw / "texts.jsonl"), "--queries", str(raw / "queries.jsonl")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "texts.jsonl" in err and "(line 2)" in err

@@ -7,7 +7,7 @@ import pytest
 from slhyde.ann import AnnIndex
 from slhyde.corpus import CorpusStore, Document
 from slhyde.embed import MockEmbedderClient, cache_embeddings, embed_text
-from slhyde.errors import RunError, SlhydeError, ValidationError
+from slhyde.errors import ParseError, RunError, SlhydeError, ValidationError
 from slhyde.retrieval import DenseIndex, dense_search, rank_of
 from slhyde.selflearn import (
     HypotheticalCandidate,
@@ -355,17 +355,6 @@ class TestContrastiveLoss:
             scaled = contrastive_loss(q * scale, pos, negs, LossConfig(tau=0.1 * scale))
             assert scaled == pytest.approx(base, rel=1e-12)
 
-    def test_in_batch_negatives_increase_loss(self):
-        q = np.array([1.0, 0.0])
-        pos = np.array([0.9, 0.1])
-        neg = np.array([0.3, 0.7])
-        batch = (np.array([0.8, 0.2]),)
-        without = contrastive_loss(q, pos, [neg], LossConfig(tau=0.1))
-        with_batch = contrastive_loss(q, pos, [neg], LossConfig(tau=0.1, include_in_batch=True, batch=batch))
-        assert with_batch > without
-        ignored = contrastive_loss(q, pos, [neg], LossConfig(tau=0.1, include_in_batch=False, batch=batch))
-        assert ignored == pytest.approx(without, abs=1e-15)
-
     def test_dataset_reference_loss(self, tmp_path):
         emb = MockEmbedderClient(dim=64)
         docs = synthetic_docs(12, seed=51)
@@ -430,8 +419,21 @@ class TestEmission:
         record = json.loads(lines[0])
         del record["meta"]["rank"]
         path.write_text(json.dumps(record) + "\n" + lines[1] + "\n")
-        with pytest.raises(ValidationError, match="line 1"):
+        with pytest.raises(ValidationError, match="line 1: 'rank' is a required property"):
             validate_sft_file(path)
+
+    def test_malformed_sft_line_is_parse_error(self, tmp_path):
+        path = tmp_path / "sft.jsonl"
+        emit_sft_jsonl(self._examples(2), path)
+        path.write_text(path.read_text() + "{not json\n")
+        with pytest.raises(ParseError, match="sft.jsonl.*line 3"):
+            load_sft_jsonl(path)
+
+    def test_malformed_triplet_line_is_parse_error(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"query": "q", \n')
+        with pytest.raises(ParseError, match="t.jsonl.*line 1"):
+            load_triplets_jsonl(path)
 
     def test_triplet_schema_validates(self, tmp_path):
         path = tmp_path / "t.jsonl"
