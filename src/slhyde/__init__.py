@@ -33,7 +33,7 @@ from .errors import (
     TransportError,
     ValidationError,
 )
-from .hyde import FusedQuery, FusionConfig, FusionStrategy, fuse, hyde_search
+from .hyde import FusionConfig, FusionStrategy, fuse, hyde_search
 from .retrieval import DenseIndex, RankedHits, dense_search, rank_of
 from .textgen import (
     MockGeneratorClient,

@@ -5,12 +5,15 @@ lives on layer 0, a geometrically thinning subset lives on higher layers,
 and queries greedily descend from the top layer before a best-first sweep
 of layer 0. Similarity is the inner product (vectors are unit-normalized).
 
-Two guarantees the rest of the pipeline leans on:
-  - a query breadth at or above the number of indexed vectors falls back to
-    an exact scan, so wide-breadth searches equal dense_search exactly
-    (hard-negative mining uses this for its consistency check);
-  - default parameters (degree 16, build breadth 200, search breadth 64)
-    target recall@10 >= 0.95 against exact search on random unit vectors.
+A query breadth at or above the number of indexed vectors falls back to an
+exact scan, so wide-breadth searches equal dense_search exactly (hard-negative
+mining uses this for its consistency check).
+
+Recall falls with corpus size. With the default parameters (degree 16, build
+breadth 200, search breadth 64), recall@10 against exact search over 100
+random queries on random 256-d unit vectors measured 0.989 at 1,000 vectors,
+0.909 at 2,000 and 0.73 at 5,000. The tests check recall >= 0.95 only up to
+1,000 vectors.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import numpy as np
 
 from .embed import EmbeddingCache
 from .errors import ValidationError
-from .retrieval import DenseIndex, RankedHits, dense_search
+from .retrieval import DenseIndex, RankedHits, _top_k, dense_search
 
 
 class AnnIndex:
@@ -163,6 +166,4 @@ def ann_search(index: AnnIndex, vector, k: int, breadth: int | None = None) -> R
     candidate_ids = [nid for _, nid in found]
     # Rescore the candidate set in float64 and apply the dense tie rule.
     scores = index._dense._matrix[candidate_ids] @ v64
-    ids = index._dense._ids[candidate_ids]
-    order = np.lexsort((ids, -scores))[:k]
-    return RankedHits(hits=[(str(ids[i]), float(scores[i])) for i in order])
+    return _top_k(index._dense._ids[candidate_ids], scores, k)

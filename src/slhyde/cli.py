@@ -146,7 +146,7 @@ def _degraded(run: dict) -> bool:
 
 def cmd_search(config: RunConfig, k: int | None = None) -> int:
     emb = build_embedder_client(config)
-    k = k or max(config.eval.k_values)
+    k = k if k is not None else max(config.eval.k_values)
     with staged_outputs(Path(config.out_dir)) as staging:
         write_resolved_config(config, staging)
         for dataset in config.all_datasets():
@@ -159,7 +159,7 @@ def cmd_search(config: RunConfig, k: int | None = None) -> int:
 def cmd_hyde_search(config: RunConfig, k: int | None = None, trace: bool = False) -> int:
     gen = build_generator_client(config)
     emb = build_embedder_client(config)
-    k = k or max(config.eval.k_values)
+    k = k if k is not None else max(config.eval.k_values)
     degraded = False
     with staged_outputs(Path(config.out_dir)) as staging:
         write_resolved_config(config, staging)

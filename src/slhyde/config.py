@@ -164,6 +164,8 @@ class RunConfig:
                 )
         if self.eval.primary_k < 1 or self.eval.repeats < 1:
             raise ValidationError("eval.primary_k and eval.repeats must be >= 1")
+        if not self.eval.k_values or min(self.eval.k_values) < 1:
+            raise ValidationError("eval.k_values must be a non-empty list of values >= 1")
         if self.selflearn.tau <= 0:
             raise ValidationError("selflearn.tau must be > 0")
         if self.clients == "remote":

@@ -269,16 +269,14 @@ def load_cache(path: str | Path, expect_dim: int | None = None) -> EmbeddingCach
     return EmbeddingCache(ids=ids, matrix=matrix)
 
 
-def cache_embeddings(
-    client, store: CorpusStore, path: str | Path, refresh: bool = False
-) -> EmbeddingCache:
+def cache_embeddings(client, store: CorpusStore, path: str | Path) -> EmbeddingCache:
     """Embed a corpus into a cache file, reusing an existing valid cache.
 
     A cache is reused only when its ids match the store order and its dim
     matches the client; anything unreadable or stale is rebuilt with a warning.
     """
     path = Path(path)
-    if not refresh and path.exists():
+    if path.exists():
         try:
             cache = load_cache(path)
         except FormatError as exc:

@@ -1,21 +1,26 @@
 """Hypothetical-document retrieval: generate, fuse, search.
 
-The fused query vector is the plain arithmetic mean of the query embedding
-and the hypothetical-document embeddings and is deliberately NOT
-renormalized: document vectors are unit length and ranking is an argsort of
-inner products, so rescaling the query vector cannot change the ordering
-(see the retrieval module's scale-invariance property).
+`fuse(emb, texts)` is the one place a retrieval vector is built from text:
+it embeds the texts with a single embed_texts call (one embedder request)
+and returns the plain arithmetic mean of the rows. HyDE searches with the
+fuse of the query and its hypothetical documents, and the self-learning
+module mines negatives with the fuse of (query, pseudo-document).
+
+The mean is deliberately NOT renormalized: document vectors are unit length
+and ranking is an argsort of inner products, so rescaling the query vector
+cannot change the ordering (see the retrieval module's scale-invariance
+property).
 """
 from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Query
-from .embed import embed_text, embed_texts
+from .embed import embed_texts
 from .errors import (
     DegenerateOutputError,
     TransportError,
@@ -67,28 +72,9 @@ class FusionConfig:
         object.__setattr__(self, "n", n)
 
 
-@dataclass
-class FusedQuery:
-    """Fused query vector plus the texts it came from."""
-
-    vector: np.ndarray
-    query_text: str = ""
-    hypothetical_texts: list[str] = field(default_factory=list)
-
-
-def fuse(query_vec: np.ndarray, pseudo_vecs, *, query_text: str = "", texts=()) -> FusedQuery:
-    """Arithmetic mean of the query vector and N hypothetical vectors, unnormalized."""
-    query_vec = np.asarray(query_vec, dtype=np.float32).ravel()
-    stacked = [query_vec]
-    for vec in pseudo_vecs:
-        vec = np.asarray(vec, dtype=np.float32).ravel()
-        if vec.shape[0] != query_vec.shape[0]:
-            raise ValidationError(
-                f"dim mismatch: query {query_vec.shape[0]}, hypothetical {vec.shape[0]}"
-            )
-        stacked.append(vec)
-    fused = np.mean(np.stack(stacked), axis=0)
-    return FusedQuery(vector=fused, query_text=query_text, hypothetical_texts=list(texts))
+def fuse(emb, texts: list[str]) -> np.ndarray:
+    """Unnormalized mean of the rows of one embed_texts(emb, texts) call."""
+    return np.mean(embed_texts(emb, texts), axis=0)
 
 
 def hyde_search(
@@ -103,29 +89,28 @@ def hyde_search(
     """Generate hypothetical documents for the query, fuse, and search.
 
     Generation failures degrade to query-only retrieval; the result's meta
-    carries degraded=True so callers can flag the run.
+    carries degraded=True so callers can flag the run. Generation runs before
+    any embedding, so when the embedder fails the generator has already been
+    called.
     """
-    query_vec = embed_text(emb, query.text)
+    meta = {"strategy": cfg.strategy.value, "n": cfg.n}
+    texts = [query.text]
     if cfg.n == 0:
-        hits = dense_search(index, query_vec, k)
-        hits.meta.update(strategy=cfg.strategy.value, n=0, mode="query_only")
-        return hits
-
-    try:
-        texts = generate_hypothetical(gen, query.text, cfg.template, cfg.n, sampling)
-    except (TransportError, DegenerateOutputError) as exc:
-        logger.warning("generation failed for query %s (%s); falling back to query-only", query.id, exc)
-        hits = dense_search(index, query_vec, k)
-        hits.meta.update(strategy=cfg.strategy.value, n=cfg.n, degraded=True, mode="query_only")
-        return hits
-
-    # Every strategy searches with the mean of the rows it selects.
-    if cfg.strategy is FusionStrategy.CONCAT:
-        rows = embed_texts(emb, [query.text + " " + texts[0]])
-    elif cfg.strategy is FusionStrategy.DOC_ONLY:
-        rows = embed_texts(emb, texts)
+        meta["mode"] = "query_only"
     else:
-        rows = np.vstack([query_vec, embed_texts(emb, texts)])
-    hits = dense_search(index, np.mean(rows, axis=0), k)
-    hits.meta.update(strategy=cfg.strategy.value, n=cfg.n, hypothetical_texts=texts)
+        try:
+            hypothetical = generate_hypothetical(gen, query.text, cfg.template, cfg.n, sampling)
+        except (TransportError, DegenerateOutputError) as exc:
+            logger.warning("generation failed for query %s (%s); falling back to query-only", query.id, exc)
+            meta.update(degraded=True, mode="query_only")
+        else:
+            meta["hypothetical_texts"] = hypothetical
+            if cfg.strategy is FusionStrategy.CONCAT:
+                texts = [query.text + " " + hypothetical[0]]
+            elif cfg.strategy is FusionStrategy.DOC_ONLY:
+                texts = hypothetical
+            else:
+                texts = [query.text, *hypothetical]
+    hits = dense_search(index, fuse(emb, texts), k)
+    hits.meta.update(meta)
     return hits

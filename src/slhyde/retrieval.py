@@ -66,15 +66,19 @@ def _scores(index: DenseIndex, vector) -> np.ndarray:
     return index._matrix @ _as_query_vector(index, vector)
 
 
+def _top_k(ids: np.ndarray, scores: np.ndarray, k: int) -> RankedHits:
+    """The k best (id, score) pairs: score descending, ties by ascending id."""
+    order = np.lexsort((ids, -scores))[:k]
+    return RankedHits(hits=[(str(ids[i]), float(scores[i])) for i in order])
+
+
 def dense_search(index: DenseIndex, vector, k: int) -> RankedHits:
     """Top-k by inner product; ties broken by ascending doc id."""
     if k < 1:
         raise ValidationError("k must be >= 1")
     if len(index) == 0:
         return RankedHits(hits=[])
-    scores = _scores(index, vector)
-    order = np.lexsort((index._ids, -scores))[: min(k, len(index))]
-    return RankedHits(hits=[(str(index._ids[i]), float(scores[i])) for i in order])
+    return _top_k(index._ids, _scores(index, vector), k)
 
 
 def rank_of(index: DenseIndex, vector, target: str) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +24,11 @@ from jsonschema.validators import validator_for
 
 from .ann import AnnIndex, ann_search
 from .corpus import Document, _iter_jsonl
-from .embed import embed_text
+from .embed import embed_texts
 from .errors import RunError, SlhydeError, ValidationError
+from .hyde import fuse
 from .retrieval import DenseIndex, rank_of
-from .textgen import SamplingConfig, generate_pseudo_docs, generate_query_for_doc
+from .textgen import SamplingConfig, generate_hypothetical, generate_pseudo_docs, generate_query_for_doc
 from .util import atomic_write_text, derive_seed, jsonl_line
 
 logger = logging.getLogger(__name__)
@@ -91,7 +92,7 @@ class SftBuildResult:
 
 def score_candidates(
     candidates: list[str],
-    query_vec: np.ndarray,
+    query: str,
     emb,
     index: DenseIndex,
     target_id: str,
@@ -102,17 +103,17 @@ def score_candidates(
     rank_scoring="candidate" retrieves with the candidate embedding alone
     (the literal reading); "fused" averages in the query embedding, matching
     the inference-time fusion. Both are exposed because the source procedure
-    is ambiguous on this point.
+    is ambiguous on this point. The query and every candidate are embedded
+    in one embed_texts call.
     """
     if rank_scoring not in ("candidate", "fused"):
         raise ValidationError(f"unknown rank_scoring {rank_scoring!r}")
-    scored = []
-    for text in candidates:
-        vec = embed_text(emb, text)
-        if rank_scoring == "fused":
-            vec = (vec + query_vec) / 2.0
-        scored.append(HypotheticalCandidate(text=text, rank=rank_of(index, vec, target_id)))
-    return scored
+    rows = embed_texts(emb, [query, *candidates])
+    vectors = rows[1:] if rank_scoring == "candidate" else (rows[1:] + rows[0]) / 2.0
+    return [
+        HypotheticalCandidate(text=text, rank=rank_of(index, vec, target_id))
+        for text, vec in zip(candidates, vectors)
+    ]
 
 
 def select_best(candidates: list[HypotheticalCandidate]) -> tuple[int, HypotheticalCandidate]:
@@ -147,20 +148,11 @@ def build_generator_dataset(
     base = sampling or SamplingConfig()
 
     def _one(doc: Document) -> SftExample | None:
-        query_cfg = SamplingConfig(
-            temperature=base.temperature,
-            max_output_tokens=base.max_output_tokens,
-            seed=derive_seed(seed, "query", doc.id),
-        )
-        cand_cfg = SamplingConfig(
-            temperature=base.temperature,
-            max_output_tokens=base.max_output_tokens,
-            seed=derive_seed(seed, "candidates", doc.id),
-        )
+        query_cfg = replace(base, seed=derive_seed(seed, "query", doc.id))
+        cand_cfg = replace(base, seed=derive_seed(seed, "candidates", doc.id))
         query = generate_query_for_doc(gen, doc, query_cfg)
         candidate_texts = generate_pseudo_docs(gen, query, doc, candidates_per_doc, cand_cfg)
-        query_vec = embed_text(emb, query)
-        scored = score_candidates(candidate_texts, query_vec, emb, index, doc.id, rank_scoring)
+        scored = score_candidates(candidate_texts, query, emb, index, doc.id, rank_scoring)
         best_index, best = select_best(scored)
         return SftExample(
             query=query,
@@ -220,9 +212,7 @@ def mine_hard_negatives(
         raise ValidationError("m must be >= 1")
     if len(ann) <= m:
         raise ValidationError(f"corpus of {len(ann)} is too small to mine {m} negatives")
-    query_vec = embed_text(emb, query_text)
-    pseudo_vec = embed_text(emb, pseudo_text)
-    fused = (query_vec + pseudo_vec) / 2.0
+    fused = fuse(emb, [query_text, pseudo_text])
     hits = ann_search(ann, fused, k=m + 1, breadth=breadth)
     negatives = [(doc_id, score) for doc_id, score in hits if doc_id != positive][:m]
     if len(negatives) < m:
@@ -242,7 +232,6 @@ def build_retriever_dataset(
     template: str = "Q2P",
     seed: int = 0,
     sampling: SamplingConfig | None = None,
-    breadth: int | None = None,
     parallelism: int = 1,
 ) -> list[RetrieverTriplet]:
     """One triplet per SFT example.
@@ -251,23 +240,15 @@ def build_retriever_dataset(
     pseudo-document; otherwise the generator rewrites the query fresh, which
     is the deployment-form path for a tuned generator.
     """
-    from .textgen import generate_hypothetical  # local import to keep module load light
-
     base = sampling or SamplingConfig()
 
     def _one(example: SftExample) -> RetrieverTriplet:
         if reuse_pseudo:
             pseudo = example.response
         else:
-            cfg = SamplingConfig(
-                temperature=base.temperature,
-                max_output_tokens=base.max_output_tokens,
-                seed=derive_seed(seed, "pseudo", example.doc_id),
-            )
+            cfg = replace(base, seed=derive_seed(seed, "pseudo", example.doc_id))
             pseudo = generate_hypothetical(gen, example.query, template, 1, cfg)[0]
-        negatives = mine_hard_negatives(
-            example.query, pseudo, example.doc_id, emb, ann, m=m, breadth=breadth
-        )
+        negatives = mine_hard_negatives(example.query, pseudo, example.doc_id, emb, ann, m=m)
         return RetrieverTriplet(
             query=example.query,
             pseudo=pseudo,
@@ -329,9 +310,7 @@ def dataset_reference_loss(
     cfg = cfg or LossConfig()
     losses = []
     for triplet in triplets:
-        query_vec = embed_text(emb, triplet.query)
-        pseudo_vec = embed_text(emb, triplet.pseudo)
-        fused = (query_vec + pseudo_vec) / 2.0
+        fused = fuse(emb, [triplet.query, triplet.pseudo])
         positive = cache.row(triplet.positive)
         negatives = [cache.row(doc_id) for doc_id in triplet.negatives]
         losses.append(contrastive_loss(fused, positive, negatives, cfg))

@@ -5,12 +5,16 @@ import string
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from slhyde.corpus import CorpusStore, Document, Query
 from slhyde.embed import MockEmbedderClient, cache_embeddings
 from slhyde.retrieval import DenseIndex
 
 LETTERS = np.array(list(string.ascii_lowercase))
+
+# Short texts that are never blank, for property tests that embed them.
+WORDS = st.text(alphabet="abcdefghij klmnop", min_size=1, max_size=40).filter(str.strip)
 
 
 def random_token(rng: np.random.Generator, length: int = 8) -> str:

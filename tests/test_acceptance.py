@@ -149,16 +149,17 @@ def test_c3_fusion_reduction_and_invariance(tmp_path):
     violations = 0
     for _ in range(1000):
         q_vec = rng.normal(size=64)
-        q_vec = (q_vec / np.linalg.norm(q_vec)).astype(np.float32)
+        vectors = {"query": (q_vec / np.linalg.norm(q_vec)).astype(np.float32)}
         n_pseudo = int(rng.integers(1, 5))
-        pseudo = []
-        for _ in range(n_pseudo):
+        pseudo = [f"pseudo {i}" for i in range(n_pseudo)]
+        for text in pseudo:
             vec = rng.normal(size=64)
-            pseudo.append((vec / np.linalg.norm(vec)).astype(np.float32))
-        fused = fuse(q_vec, pseudo).vector
+            vectors[text] = (vec / np.linalg.norm(vec)).astype(np.float32)
+        pinned = MockEmbedderClient(dim=64, overrides=vectors)
+        fused = fuse(pinned, ["query", *pseudo])
         base = dense_search(index, fused, k=50).doc_ids()
         order = rng.permutation(n_pseudo)
-        permuted = fuse(q_vec, [pseudo[i] for i in order]).vector
+        permuted = fuse(pinned, ["query", *(pseudo[i] for i in order)])
         if dense_search(index, permuted, k=50).doc_ids() != base:
             violations += 1
         scale = float(rng.uniform(1e-3, 1e3))

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import shutil
 
 import pytest
 import yaml
@@ -592,3 +593,46 @@ class TestExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "texts.jsonl" in err and "(line 2)" in err
+
+    @pytest.mark.parametrize("command", ["search", "hyde-search"])
+    def test_nonpositive_k_flag_is_validation_exit(self, tmp_path, command):
+        dataset = tmp_path / "data"
+        make_dataset(dataset)
+        out = tmp_path / "run"
+        config_path = make_config(tmp_path, dataset, out)
+        assert main([command, "--config", str(config_path), "--k", "0"]) == 1
+        assert not (out / "run_synthetic.trec").exists()
+
+    @pytest.mark.parametrize("k_values", [[], [0, 10]])
+    def test_bad_k_values_is_validation_exit(self, tmp_path, k_values):
+        dataset = tmp_path / "data"
+        make_dataset(dataset)
+        eval_section = {"k_values": k_values, "primary_k": 10, "repeats": 2}
+        config_path = make_config(tmp_path, dataset, tmp_path / "run", eval=eval_section)
+        assert main(["search", "--config", str(config_path)]) == 1
+
+
+def _tree_bytes(root) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestParallelismDeterminism:
+    def test_outputs_identical_at_parallelism_1_and_2(self, tmp_path):
+        dataset = tmp_path / "data"
+        make_dataset(dataset)
+        out = tmp_path / "run"
+        config_path = make_config(tmp_path, dataset, out, fusion={"strategy": "mean_pool_k", "n": 3})
+        trees = []
+        for parallelism in ("1", "2"):
+            flags = ["--config", str(config_path), "--parallelism", parallelism]
+            assert main(["hyde-search", "--trace", *flags]) == 0
+            assert main(["evaluate", "--mode", "hyde", *flags]) == 0
+            assert main(["build-sft-data", *flags]) == 0
+            assert main(["build-retriever-data", *flags]) == 0
+            tree = _tree_bytes(out)
+            resolved = yaml.safe_load(tree.pop("resolved_config.yaml"))
+            assert resolved.pop("parallelism") == int(parallelism)
+            trees.append((tree, resolved))
+            shutil.rmtree(out)
+        assert trees[0] == trees[1]
+        assert {"trace_synthetic.jsonl", "run_synthetic_r1.trec", "sft.jsonl", "triplets.jsonl"} <= set(trees[0][0])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from slhyde.corpus import CorpusStore, Query
 from slhyde.embed import MockEmbedderClient, cache_embeddings, embed_text
@@ -8,40 +10,43 @@ from slhyde.hyde import FusionConfig, fuse, hyde_search
 from slhyde.retrieval import DenseIndex, dense_search, rank_of
 from slhyde.textgen import MockGeneratorClient, SamplingConfig, load_template, render_prompt
 
-from conftest import synthetic_docs
+from conftest import WORDS, synthetic_docs
+
+
+def _pinned(vectors: dict[str, np.ndarray]) -> MockEmbedderClient:
+    """Embedder that maps each given text to its vector (unit-normalized)."""
+    dim = len(next(iter(vectors.values())))
+    return MockEmbedderClient(dim=dim, overrides=vectors)
 
 
 class TestFuse:
     def test_mean_of_two(self):
-        fused = fuse(np.array([1.0, 0.0]), [np.array([0.0, 1.0])])
-        assert np.allclose(fused.vector, [0.5, 0.5])
+        emb = _pinned({"q": np.array([1.0, 0.0]), "p": np.array([0.0, 1.0])})
+        assert np.allclose(fuse(emb, ["q", "p"]), [0.5, 0.5])
 
     def test_identity_when_all_equal(self):
         u = np.array([0.6, 0.8], dtype=np.float32)
-        fused = fuse(u, [u, u, u])
-        assert np.allclose(fused.vector, u, atol=1e-7)
+        emb = _pinned({"q": u, "a": u, "b": u, "c": u})
+        assert np.allclose(fuse(emb, ["q", "a", "b", "c"]), u, atol=1e-7)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
-        q = rng.normal(size=16).astype(np.float32)
-        pseudos = [rng.normal(size=16).astype(np.float32) for _ in range(4)]
-        forward = fuse(q, pseudos).vector
-        backward = fuse(q, list(reversed(pseudos))).vector
+        vectors = {"q": rng.normal(size=16).astype(np.float32)}
+        vectors.update({f"p{i}": rng.normal(size=16).astype(np.float32) for i in range(4)})
+        emb = _pinned(vectors)
+        pseudos = [f"p{i}" for i in range(4)]
+        forward = fuse(emb, ["q", *pseudos])
+        backward = fuse(emb, ["q", *reversed(pseudos)])
         assert np.allclose(forward, backward, atol=1e-6)
 
     def test_not_renormalized(self):
-        fused = fuse(np.array([1.0, 0.0]), [np.array([1.0, 0.0])])
-        assert np.allclose(fused.vector, [1.0, 0.0])
-        fused2 = fuse(np.array([1.0, 0.0]), [np.array([0.0, 1.0])])
-        assert abs(float(np.linalg.norm(fused2.vector)) - 1.0) > 0.1  # mean, not unit
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValidationError):
-            fuse(np.zeros(4), [np.zeros(5)])
+        emb = _pinned({"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0])})
+        assert np.allclose(fuse(emb, ["x", "x"]), [1.0, 0.0])
+        assert abs(float(np.linalg.norm(fuse(emb, ["x", "y"]))) - 1.0) > 0.1  # mean, not unit
 
     def test_query_only_reduction(self):
-        q = np.array([0.3, 0.4], dtype=np.float32)
-        assert np.array_equal(fuse(q, []).vector, q)
+        emb = _pinned({"q": np.array([0.3, 0.4], dtype=np.float32)})
+        assert np.array_equal(fuse(emb, ["q"]), embed_text(emb, "q"))
 
 
 class TestFusionConfig:
@@ -154,3 +159,65 @@ class TestHydeSearch:
             k=40,
         )
         assert forward.doc_ids() == backward.doc_ids()
+
+
+FUSION_SETTINGS = [
+    ("mean_pool", 1),
+    ("mean_pool", 0),
+    ("mean_pool", 3),
+    ("doc_only", 1),
+    ("doc_only", 2),
+    ("concat", 1),
+    ("mean_pool_k", 5),
+]
+
+
+class TestOneRequestPerSearch:
+    @pytest.mark.parametrize("strategy,n", FUSION_SETTINGS)
+    def test_each_strategy_makes_one_embedder_request(self, hyde_setup, strategy, n):
+        emb, docs, store, index = hyde_setup
+        query = Query(id="q", text="probe text")
+        emb.calls = 0
+        hyde_search(query, MockGeneratorClient(), emb, index, FusionConfig(strategy=strategy, n=n), k=5)
+        assert emb.calls == 1
+
+    def test_degraded_search_makes_one_embedder_request(self, hyde_setup):
+        emb, docs, store, index = hyde_setup
+        emb.calls = 0
+        gen = MockGeneratorClient(fail_times=99, max_retries=1)
+        hits = hyde_search(Query(id="q", text="probe text"), gen, emb, index, FusionConfig(n=1), k=5)
+        assert hits.meta["degraded"] is True
+        assert emb.calls == 1
+
+
+def _per_text_vector(emb, query_text: str, strategy: str, n: int, meta: dict) -> np.ndarray:
+    """Reference fused vector: one embed_text call per text, then the mean of
+    the rows the strategy selects."""
+    if n == 0 or meta.get("degraded"):
+        return embed_text(emb, query_text)
+    texts = meta["hypothetical_texts"]
+    if strategy == "concat":
+        rows = [embed_text(emb, query_text + " " + texts[0])]
+    elif strategy == "doc_only":
+        rows = [embed_text(emb, t) for t in texts]
+    else:
+        rows = [embed_text(emb, query_text)] + [embed_text(emb, t) for t in texts]
+    return np.mean(np.stack(rows), axis=0)
+
+
+class TestMatchesPerTextPath:
+    @given(
+        query_text=WORDS,
+        setting=st.sampled_from(FUSION_SETTINGS),
+        seed=st.integers(min_value=0, max_value=2**31),
+        fail_times=st.sampled_from([0, 3]),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_hyde_search_bitwise_equals_per_text_reference(self, hyde_setup, query_text, setting, seed, fail_times):
+        emb, docs, store, index = hyde_setup
+        strategy, n = setting
+        gen = MockGeneratorClient(fail_times=fail_times, max_retries=2)
+        query, cfg = Query(id="q", text=query_text), FusionConfig(strategy=strategy, n=n)
+        hits = hyde_search(query, gen, emb, index, cfg, k=len(docs), sampling=SamplingConfig(seed=seed))
+        reference = _per_text_vector(emb, query_text, strategy, n, hits.meta)
+        assert hits.hits == dense_search(index, reference, len(docs)).hits

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from slhyde.ann import AnnIndex
 from slhyde.corpus import CorpusStore, Document
-from slhyde.embed import MockEmbedderClient, cache_embeddings, embed_text
+from slhyde.embed import MockEmbedderClient, cache_embeddings, embed_text, embed_texts
 from slhyde.errors import ParseError, RunError, SlhydeError, ValidationError
 from slhyde.retrieval import DenseIndex, dense_search, rank_of
 from slhyde.selflearn import (
@@ -31,7 +33,7 @@ from slhyde.selflearn import (
 )
 from slhyde.textgen import MockGeneratorClient, load_template, render_prompt
 
-from conftest import synthetic_docs
+from conftest import WORDS, synthetic_docs
 
 
 def _pseudo_prompt(query, doc):
@@ -95,13 +97,39 @@ class TestScoreCandidatesControlledGeometry:
         emb, store, docs = self._controlled()
         cache = cache_embeddings(emb, store, tmp_path / "ctrl.emb")
         index = DenseIndex(cache)
-        query_vec = embed_text(emb, "doc text 0")
         scored = score_candidates(
-            ["cand rank5", "cand rank2", "cand rank8"], query_vec, emb, index, "d0"
+            ["cand rank5", "cand rank2", "cand rank8"], "doc text 0", emb, index, "d0"
         )
         assert [c.rank for c in scored] == [5, 2, 8]
         best_index, best = select_best(scored)
         assert best_index == 1 and best.rank == 2
+
+
+class TestScoreCandidatesMatchesPerTextPath:
+    @given(
+        query=WORDS,
+        candidates=st.lists(WORDS, min_size=1, max_size=5),
+        rank_scoring=st.sampled_from(["candidate", "fused"]),
+        target=st.integers(min_value=0, max_value=29),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bitwise_equals_per_text_reference(self, small_index, query, candidates, rank_scoring, target):
+        emb = MockEmbedderClient(dim=256)
+        target_id = small_index.cache.ids[target]
+        # Reference: one embed_text call per text, (candidate + query) / 2.0 when fused.
+        query_vec = embed_text(emb, query)
+        expected = []
+        for text in candidates:
+            vec = embed_text(emb, text)
+            if rank_scoring == "fused":
+                vec = (vec + query_vec) / 2.0
+            expected.append(HypotheticalCandidate(text=text, rank=rank_of(small_index, vec, target_id)))
+        emb.calls = 0
+        scored = score_candidates(candidates, query, emb, small_index, target_id, rank_scoring)
+        assert scored == expected
+        assert emb.calls == 1
+        rows = embed_texts(emb, [query, *candidates])
+        assert all(np.array_equal(row, embed_text(emb, t)) for row, t in zip(rows, [query, *candidates]))
 
 
 class TestBuildGeneratorDataset:
@@ -181,6 +209,18 @@ class TestBuildGeneratorDataset:
             docs, MockGeneratorClient(seed=1), emb, index, candidates_per_doc=2, seed=3, parallelism=4
         )
         assert serial.examples == parallel.examples
+
+    @pytest.mark.parametrize("rank_scoring", ["candidate", "fused"])
+    def test_one_embedder_request_per_document(self, tmp_path, rank_scoring):
+        emb = MockEmbedderClient(dim=128)
+        docs = synthetic_docs(8, seed=26)
+        index = DenseIndex(cache_embeddings(emb, CorpusStore(docs), tmp_path / "c.emb"))
+        emb.calls = 0
+        result = build_generator_dataset(
+            docs, MockGeneratorClient(), emb, index, candidates_per_doc=3, rank_scoring=rank_scoring
+        )
+        assert result.skipped_errors == 0
+        assert emb.calls == len(docs)
 
 
 class TestMineHardNegatives:
@@ -295,6 +335,16 @@ class TestBuildRetrieverDataset:
         loaded = load_triplets_jsonl(path)
         assert loaded == triplets
 
+    @pytest.mark.parametrize("reuse_pseudo", [True, False])
+    def test_one_embedder_request_per_triplet(self, tmp_path, reuse_pseudo):
+        emb = MockEmbedderClient(dim=128)
+        docs = synthetic_docs(20, seed=45)
+        ann = AnnIndex(cache_embeddings(emb, CorpusStore(docs), tmp_path / "t.emb"), seed=0)
+        sft = self._sft(docs[:6])
+        emb.calls = 0
+        build_retriever_dataset(sft, MockGeneratorClient(), emb, ann, m=7, reuse_pseudo=reuse_pseudo)
+        assert emb.calls == len(sft)
+
 
 class TestContrastiveLoss:
     def test_symmetric_single_negative_is_ln2(self):
@@ -368,6 +418,19 @@ class TestContrastiveLoss:
         )
         losses = dataset_reference_loss([triplet], emb, cache, LossConfig(tau=0.02))
         assert len(losses) == 1 and losses[0] >= 0.0
+
+    def test_dataset_reference_loss_one_embedder_request_per_triplet(self, tmp_path):
+        emb = MockEmbedderClient(dim=64)
+        docs = synthetic_docs(12, seed=52)
+        cache = cache_embeddings(emb, CorpusStore(docs), tmp_path / "l.emb")
+        negatives = tuple(d.id for d in docs[8:])
+        triplets = [
+            RetrieverTriplet(query=f"q text {i}", pseudo=docs[i].text, positive=docs[i].id, negatives=negatives)
+            for i in range(4)
+        ]
+        emb.calls = 0
+        dataset_reference_loss(triplets, emb, cache)
+        assert emb.calls == len(triplets)
 
 
 class TestTripletInvariants:
