@@ -24,7 +24,7 @@ import numpy as np
 
 from .embed import EmbeddingCache
 from .errors import ValidationError
-from .retrieval import DenseIndex, RankedHits, _top_k, dense_search
+from .retrieval import DenseIndex, RankedHits, _exact_scores, _top_k, dense_search
 
 
 class AnnIndex:
@@ -163,7 +163,7 @@ def ann_search(index: AnnIndex, vector, k: int, breadth: int | None = None) -> R
     for layer in range(index._max_level, 0, -1):
         entries = [index._search_layer(query32, entries, 1, layer)[0][1]]
     found = index._search_layer(query32, entries, max(breadth, k), 0)
-    candidate_ids = [nid for _, nid in found]
+    candidate_ids = np.fromiter((nid for _, nid in found), dtype=np.intp, count=len(found))
     # Rescore the candidate set in float64 and apply the dense tie rule.
-    scores = index._dense._matrix[candidate_ids] @ v64
+    scores = _exact_scores(index._matrix, candidate_ids, v64)
     return _top_k(index._dense._ids[candidate_ids], scores, k)

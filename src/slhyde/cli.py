@@ -32,11 +32,11 @@ from .config import (
     write_resolved_config,
 )
 from .corpus import load_corpus, load_qrels, load_queries, sample_documents
-from .embed import cache_embeddings, embed_text
+from .embed import cache_embeddings, embed_texts
 from .errors import ParseError, SlhydeError, ValidationError
 from .hyde import FusionConfig, hyde_search
 from .metrics import build_report, ndcg_at_k, recall_at_k, render_report_text, report_to_dict, write_trec_run
-from .retrieval import DenseIndex, dense_search
+from .retrieval import DenseIndex, search_many
 from .selflearn import (
     LossConfig,
     build_generator_dataset,
@@ -121,32 +121,46 @@ def _run_queries(
 ) -> list[dict]:
     """One {query_id: RankedHits} per entry of `seed_parts`: dense without `gen`, else HyDE.
 
-    Query q of the run for seed parts p samples with derive_seed(config.seed, *p, q.id).
+    Dense runs embed every query in one embed_texts call and search them in one
+    search_many call. HyDE query q of the run for seed parts p samples with
+    derive_seed(config.seed, *p, q.id); the (p, q) pairs share one thread pool.
     """
+    if gen is None:
+        if not queries:
+            return [{} for _ in seed_parts]
+        hits = search_many(index, embed_texts(emb, [q.text for q in queries]), k)
+        return [dict(zip((q.id for q in queries), hits)) for _ in seed_parts]
 
-    def one_run(parts) -> dict:
-        if gen is None:
-            return {q.id: dense_search(index, embed_text(emb, q.text), k) for q in queries}
-        return {
-            q.id: hyde_search(
-                q, gen, emb, index, fusion, k, _sampling(config, derive_seed(config.seed, *parts, q.id))
-            )
-            for q in queries
-        }
+    tasks = [(parts, q) for parts in seed_parts for q in queries]
+
+    def one(task):
+        parts, q = task
+        sampling = _sampling(config, derive_seed(config.seed, *parts, q.id))
+        return hyde_search(q, gen, emb, index, fusion, k, sampling)
 
     if config.parallelism > 1:
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            return list(pool.map(one_run, seed_parts))
-    return [one_run(parts) for parts in seed_parts]
+            results = iter(pool.map(one, tasks))
+    else:
+        results = map(one, tasks)
+    return [{q.id: next(results) for q in queries} for _ in seed_parts]
 
 
 def _degraded(run: dict) -> bool:
     return any(hits.meta.get("degraded") for hits in run.values())
 
 
-def cmd_search(config: RunConfig, k: int | None = None) -> int:
-    emb = build_embedder_client(config)
+def _search_k(config: RunConfig, k: int | None) -> int:
+    """The --k flag, else the largest configured k; checked before any corpus or client work."""
     k = k if k is not None else max(config.eval.k_values)
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    return k
+
+
+def cmd_search(config: RunConfig, k: int | None = None) -> int:
+    k = _search_k(config, k)
+    emb = build_embedder_client(config)
     with staged_outputs(Path(config.out_dir)) as staging:
         write_resolved_config(config, staging)
         for dataset in config.all_datasets():
@@ -157,9 +171,9 @@ def cmd_search(config: RunConfig, k: int | None = None) -> int:
 
 
 def cmd_hyde_search(config: RunConfig, k: int | None = None, trace: bool = False) -> int:
+    k = _search_k(config, k)
     gen = build_generator_client(config)
     emb = build_embedder_client(config)
-    k = k if k is not None else max(config.eval.k_values)
     degraded = False
     with staged_outputs(Path(config.out_dir)) as staging:
         write_resolved_config(config, staging)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import struct
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,6 +58,7 @@ class MockEmbedderClient:
         self.truncate_chars = truncate_chars
         self.batch_size = 1024
         self.calls = 0
+        self._lock = threading.Lock()
         self._overrides = {
             text: normalize(vec) for text, vec in (overrides or {}).items()
         }
@@ -86,7 +88,8 @@ class MockEmbedderClient:
         return vec.astype(np.float32)
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         rows = []
         for text in texts:
             override = self._overrides.get(text)
@@ -248,16 +251,19 @@ def load_cache(path: str | Path, expect_dim: int | None = None) -> EmbeddingCach
     path = Path(path)
     if not path.exists():
         raise FormatError(f"cache file not found: {path}")
-    blob = path.read_bytes()
-    if len(blob) < _HEADER.size or blob[:5] != CACHE_MAGIC:
-        raise FormatError(f"bad cache magic in {path}")
-    _, dim, count = _HEADER.unpack_from(blob)
-    expected = _HEADER.size + count * dim * 4
-    if len(blob) != expected:
-        raise FormatError(f"cache file {path} is truncated or padded ({len(blob)} != {expected} bytes)")
-    if expect_dim is not None and dim != expect_dim:
-        raise ValidationError(f"cache dim {dim} does not match expected {expect_dim}")
-    matrix = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(count, dim).copy()
+    size = path.stat().st_size
+    with path.open("rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size or header[:5] != CACHE_MAGIC:
+            raise FormatError(f"bad cache magic in {path}")
+        _, dim, count = _HEADER.unpack(header)
+        expected = _HEADER.size + count * dim * 4
+        if size != expected:
+            raise FormatError(f"cache file {path} is truncated or padded ({size} != {expected} bytes)")
+        if expect_dim is not None and dim != expect_dim:
+            raise ValidationError(f"cache dim {dim} does not match expected {expect_dim}")
+        # One buffer: the rows are read straight into the array that is returned.
+        matrix = np.fromfile(fh, dtype="<f4", count=count * dim).reshape(count, dim)
     if not np.isfinite(matrix).all():
         raise FormatError(f"cache file {path} contains non-finite values")
     ids_path = Path(str(path) + ".ids")

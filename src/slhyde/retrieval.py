@@ -5,6 +5,29 @@ similarity. Ties are broken by ascending document id so every search result
 is a deterministic total order. Because ranking is an argsort of inner
 products, multiplying the query vector by any positive scalar never changes
 the result, which is what permits searching with unnormalized fused vectors.
+
+The index holds one matrix, the cache's own float32 rows; no float64 copy is
+made. `search_many` is the one search primitive and works in two passes:
+
+1. Coarse: a float32 matrix product of blocks of queries, each scaled to unit
+   length, against every row. A coarse score differs from the float64 score
+   (divided by the query norm) by at most `eps`, about
+   (d+2)·2⁻²⁴·max‖row‖ with a safety factor of two, whatever order the
+   BLAS sums in.
+2. Exact: with τ the k-th largest coarse score, every row scoring at least
+   τ − 2·eps is rescored in float64 with the original query and ordered by
+   score descending, then id ascending. Since k rows have a coarse score of
+   at least τ, the k-th best float64 score is at least τ − eps, so every row
+   of the float64 top k (ties at the cut included) has a coarse score of at
+   least τ − 2·eps. The result therefore equals a full float64 scan.
+
+`rank_of` uses the same margin: rows more than 2·eps above the target's coarse
+score are higher for certain, rows more than 2·eps below are lower, and only
+the band between is rescored.
+
+A float64 score is computed by one BLAS matrix-vector product over a block of
+four rows (zero-padded), so a row's score never depends on how many or which
+other rows are scored with it, nor on how the BLAS splits work over threads.
 """
 from __future__ import annotations
 
@@ -15,6 +38,11 @@ import numpy as np
 
 from .embed import EmbeddingCache
 from .errors import ValidationError
+
+_QUERY_BLOCK = 64  # queries per coarse float32 matrix product
+_ROW_BLOCK = 4     # rows per float64 matrix-vector product
+_UNIT_ROUNDOFF32 = 2.0**-24
+_TINY32 = 2.0**-126  # smallest normal float32: bounds underflow, gradual or flushed
 
 
 @dataclass
@@ -42,10 +70,16 @@ class DenseIndex:
 
     def __init__(self, cache: EmbeddingCache):
         self.cache = cache
-        # Score in float64 so equal inputs produce exactly equal scores
-        # regardless of BLAS summation path.
-        self._matrix = cache.matrix.astype(np.float64)
         self._ids = np.array(cache.ids, dtype=str) if cache.ids else np.empty(0, dtype=str)
+        squared = np.einsum("ij,ij->i", cache.matrix, cache.matrix)
+        max_norm = float(np.sqrt(squared.max())) if len(squared) else 0.0
+        # eps bounds |coarse score - float64 score / ‖query‖| for every row: the
+        # float32 rounding of the unit query and of d products and sums, plus
+        # underflow, doubled for safety (which also covers the float32 norms).
+        eps = 2.0 * ((self.dim + 2) * _UNIT_ROUNDOFF32 * max_norm + self.dim * _TINY32)
+        # A row whose coarse score is more than 2·eps above another's has the
+        # higher float64 score.
+        self._margin = 2.0 * eps
 
     def __len__(self) -> int:
         return len(self.cache)
@@ -55,15 +89,35 @@ class DenseIndex:
         return self.cache.dim
 
 
-def _as_query_vector(index: DenseIndex, vector) -> np.ndarray:
-    v = np.asarray(vector, dtype=np.float64).ravel()
-    if v.shape[0] != index.dim:
-        raise ValidationError(f"query dim {v.shape[0]} does not match index dim {index.dim}")
-    return v
+def _as_query_matrix(index: DenseIndex, vectors) -> np.ndarray:
+    queries = np.asarray(vectors, dtype=np.float64)
+    if queries.ndim != 2:
+        raise ValidationError(f"expected a (queries, dim) matrix, got shape {queries.shape}")
+    if queries.shape[1] != index.dim:
+        raise ValidationError(f"query dim {queries.shape[1]} does not match index dim {index.dim}")
+    if not np.isfinite(queries).all():
+        raise ValidationError("query vector contains non-finite values")
+    return queries
 
 
-def _scores(index: DenseIndex, vector) -> np.ndarray:
-    return index._matrix @ _as_query_vector(index, vector)
+def _coarse_scores(index: DenseIndex, queries: np.ndarray) -> np.ndarray:
+    """float32 scores of every row for each query scaled to unit length.
+
+    A query whose norm is 0 or overflows scores 0 everywhere, so every row is
+    shortlisted and the result is still exact.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(queries, axis=1, keepdims=True)
+    unit = np.divide(queries, norms, out=np.zeros_like(queries), where=(norms > 0) & np.isfinite(norms))
+    return unit.astype(np.float32) @ index.cache.matrix.T
+
+
+def _exact_scores(matrix: np.ndarray, rows: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """float64 inner products of matrix[rows] with query, four rows per BLAS call."""
+    count = len(rows)
+    padded = np.zeros((count + (-count) % _ROW_BLOCK, matrix.shape[1]), dtype=np.float64)
+    padded[:count] = matrix[rows]
+    return (padded.reshape(-1, _ROW_BLOCK, matrix.shape[1]) @ query).ravel()[:count]
 
 
 def _top_k(ids: np.ndarray, scores: np.ndarray, k: int) -> RankedHits:
@@ -72,13 +126,31 @@ def _top_k(ids: np.ndarray, scores: np.ndarray, k: int) -> RankedHits:
     return RankedHits(hits=[(str(ids[i]), float(scores[i])) for i in order])
 
 
-def dense_search(index: DenseIndex, vector, k: int) -> RankedHits:
-    """Top-k by inner product; ties broken by ascending doc id."""
+def search_many(index: DenseIndex, vectors, k: int) -> list[RankedHits]:
+    """Exact top-k for each row of the (queries, dim) matrix `vectors`; ties
+    broken by ascending doc id."""
     if k < 1:
         raise ValidationError("k must be >= 1")
-    if len(index) == 0:
-        return RankedHits(hits=[])
-    return _top_k(index._ids, _scores(index, vector), k)
+    queries = _as_query_matrix(index, vectors)
+    n = len(index)
+    if n == 0:
+        return [RankedHits(hits=[]) for _ in queries]
+    cut = n - min(k, n)
+    results = []
+    for start in range(0, len(queries), _QUERY_BLOCK):
+        block = queries[start : start + _QUERY_BLOCK]
+        coarse = _coarse_scores(index, block)
+        kth = np.partition(coarse, cut, axis=1)[:, cut].astype(np.float64)
+        for query, scores, tau in zip(block, coarse, kth):
+            shortlist = np.flatnonzero(scores >= tau - index._margin)
+            exact = _exact_scores(index.cache.matrix, shortlist, query)
+            results.append(_top_k(index._ids[shortlist], exact, k))
+    return results
+
+
+def dense_search(index: DenseIndex, vector, k: int) -> RankedHits:
+    """Top-k by inner product for one query vector; see search_many."""
+    return search_many(index, np.reshape(vector, (1, -1)), k)[0]
 
 
 def rank_of(index: DenseIndex, vector, target: str) -> int:
@@ -88,8 +160,13 @@ def rank_of(index: DenseIndex, vector, target: str) -> int:
     documents with a smaller id (the same tie rule dense_search applies).
     """
     position = index.cache.position(target)
-    scores = _scores(index, vector)
-    target_score = scores[position]
-    higher = int(np.count_nonzero(scores > target_score))
-    tied_before = int(np.count_nonzero((scores == target_score) & (index._ids < target)))
+    query = _as_query_matrix(index, np.reshape(vector, (1, -1)))
+    coarse = _coarse_scores(index, query)[0]
+    target_coarse = np.float64(coarse[position])
+    higher = int(np.count_nonzero(coarse > target_coarse + index._margin))
+    band = np.flatnonzero(np.abs(coarse - target_coarse) <= index._margin)
+    exact = _exact_scores(index.cache.matrix, band, query[0])
+    target_score = exact[np.searchsorted(band, position)]
+    higher += int(np.count_nonzero(exact > target_score))
+    tied_before = int(np.count_nonzero((exact == target_score) & (index._ids[band] < target)))
     return 1 + higher + tied_before

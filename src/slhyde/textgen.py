@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import re
+import threading
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -224,12 +225,14 @@ class MockGeneratorClient:
         self.max_retries = max_retries
         self.calls = 0
         self._fail_remaining = fail_times
+        self._lock = threading.Lock()
 
     def request_completions(self, prompt: str, cfg: SamplingConfig) -> list[str]:
-        self.calls += 1
-        if self._fail_remaining > 0:
-            self._fail_remaining -= 1
-            raise TransportError("mock transport failure")
+        with self._lock:
+            self.calls += 1
+            if self._fail_remaining > 0:
+                self._fail_remaining -= 1
+                raise TransportError("mock transport failure")
         scripted = self.responses.get(prompt)
         if scripted is None and self.responder is not None:
             scripted = self.responder(prompt, cfg)

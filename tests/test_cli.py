@@ -2,10 +2,13 @@ import json
 import logging
 import os
 import shutil
+import threading
+import time
 
 import pytest
 import yaml
 
+from slhyde import cli
 from slhyde.cli import main
 from slhyde.config import build_embedder_client, build_generator_client, load_config, write_resolved_config
 from slhyde.corpus import CorpusStore, load_qrels, write_corpus, write_qrels, write_queries
@@ -16,7 +19,7 @@ from slhyde.hyde import FusionConfig, hyde_search
 from slhyde.metrics import build_report, load_trec_run, ndcg_at_k, recall_at_k, report_to_dict
 from slhyde.retrieval import DenseIndex, dense_search
 from slhyde.selflearn import validate_sft_file, validate_triplets_file
-from slhyde.textgen import SamplingConfig
+from slhyde.textgen import MockGeneratorClient, SamplingConfig
 from slhyde.util import derive_seed
 
 from conftest import queries_for_docs, synthetic_docs
@@ -595,13 +598,39 @@ class TestExitCodes:
         assert "texts.jsonl" in err and "(line 2)" in err
 
     @pytest.mark.parametrize("command", ["search", "hyde-search"])
-    def test_nonpositive_k_flag_is_validation_exit(self, tmp_path, command):
+    def test_nonpositive_k_flag_is_validation_exit(self, tmp_path, command, monkeypatch):
         dataset = tmp_path / "data"
         make_dataset(dataset)
         out = tmp_path / "run"
         config_path = make_config(tmp_path, dataset, out)
+        requests = []
+        original = MockGeneratorClient.request_completions
+        monkeypatch.setattr(
+            MockGeneratorClient,
+            "request_completions",
+            lambda client, *args: requests.append(args) or original(client, *args),
+        )
         assert main([command, "--config", str(config_path), "--k", "0"]) == 1
         assert not (out / "run_synthetic.trec").exists()
+        # k is checked before the corpus is embedded and before any generation
+        assert not list(tmp_path.rglob("*.emb"))
+        assert requests == []
+
+    def test_empty_query_file_gives_empty_run(self, tmp_path, monkeypatch):
+        dataset = tmp_path / "data"
+        make_dataset(dataset)
+        (dataset / "queries.jsonl").write_text("")
+        out = tmp_path / "run"
+        config_path = make_config(tmp_path, dataset, out)
+        assert main(["embed-corpus", "--config", str(config_path)]) == 0
+        batches = []
+        original = MockEmbedderClient.embed_batch
+        monkeypatch.setattr(
+            MockEmbedderClient, "embed_batch", lambda client, texts: batches.append(texts) or original(client, texts)
+        )
+        assert main(["search", "--config", str(config_path)]) == 0
+        assert (out / "run_synthetic.trec").read_text() == ""
+        assert batches == []
 
     @pytest.mark.parametrize("k_values", [[], [0, 10]])
     def test_bad_k_values_is_validation_exit(self, tmp_path, k_values):
@@ -617,15 +646,26 @@ def _tree_bytes(root) -> dict:
 
 
 class TestParallelismDeterminism:
-    def test_outputs_identical_at_parallelism_1_and_2(self, tmp_path):
+    def test_outputs_identical_at_parallelism_1_and_2(self, tmp_path, monkeypatch):
         dataset = tmp_path / "data"
         make_dataset(dataset)
         out = tmp_path / "run"
         config_path = make_config(tmp_path, dataset, out, fusion={"strategy": "mean_pool_k", "n": 3})
         trees = []
+        threads = {}
+        original = cli.hyde_search
+
+        def recording_hyde_search(*args, **kwargs):
+            threads.setdefault(parallelism, set()).add(threading.get_ident())
+            time.sleep(0.002)  # long enough for a second worker to pick up a query
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "hyde_search", recording_hyde_search)
         for parallelism in ("1", "2"):
             flags = ["--config", str(config_path), "--parallelism", parallelism]
             assert main(["hyde-search", "--trace", *flags]) == 0
+            # hyde-search is one run, so only a pool over queries uses a second thread
+            assert len(threads.pop(parallelism)) == int(parallelism)
             assert main(["evaluate", "--mode", "hyde", *flags]) == 0
             assert main(["build-sft-data", *flags]) == 0
             assert main(["build-retriever-data", *flags]) == 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,28 @@ class TestCache:
         loaded = load_cache(tmp_path / "c.emb")
         assert loaded.ids == cache.ids
         assert loaded.matrix.tobytes() == cache.matrix.tobytes()
+
+    def test_load_holds_one_copy_of_the_rows(self, tmp_path):
+        client = MockEmbedderClient(dim=64)
+        cache = cache_embeddings(client, CorpusStore(synthetic_docs(2000)), tmp_path / "c.emb")
+        tracemalloc.start()
+        try:
+            loaded = load_cache(tmp_path / "c.emb")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.matrix.tobytes() == cache.matrix.tobytes()
+        # the rows, the finiteness mask (a quarter of them) and the ids; a second
+        # copy of the file would take the peak past twice the rows
+        assert peak < 1.6 * cache.matrix.nbytes
+
+    def test_padded_file_is_format_error(self, tmp_path, mock_emb):
+        store = CorpusStore(synthetic_docs(5))
+        path = tmp_path / "c.emb"
+        cache_embeddings(mock_emb, store, path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(FormatError, match="padded"):
+            load_cache(path)
 
     def test_truncated_file_is_format_error(self, tmp_path, mock_emb):
         store = CorpusStore(synthetic_docs(5))

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slhyde.embed import EmbeddingCache, normalize
+from slhyde.embed import EmbeddingCache, MockEmbedderClient, embed_texts, normalize
 from slhyde.errors import ValidationError
-from slhyde.retrieval import DenseIndex, RankedHits, dense_search, rank_of
+from slhyde.retrieval import DenseIndex, RankedHits, _exact_scores, dense_search, rank_of, search_many
+
+from conftest import WORDS
 
 
 def _index_from_rows(rows, ids=None):
@@ -141,3 +145,160 @@ def test_ranked_hits_container():
     assert hits.doc_ids() == ["a", "b"]
     assert hits[0] == ("a", 2.0)
     assert list(hits) == [("a", 2.0), ("b", 1.0)]
+
+
+def _full_scan_scores(matrix, query):
+    """Reference float64 scores: every row of the corpus, scanned in blocks of four
+    rows so that a row's score does not depend on the corpus size or BLAS threads."""
+    rows = np.asarray(matrix, dtype=np.float64)
+    padded = np.vstack([rows, np.zeros(((-len(rows)) % 4, rows.shape[1]))])
+    query = np.asarray(query, dtype=np.float64)
+    return np.concatenate([block @ query for block in padded.reshape(-1, 4, rows.shape[1])])[: len(rows)]
+
+
+def _full_scan_search(matrix, ids, query, k):
+    """Reference search: the full float64 scan, then score descending, id ascending."""
+    scores = _full_scan_scores(matrix, query)
+    ids = np.array(ids)
+    order = np.lexsort((ids, -scores))[:k]
+    return [(str(ids[i]), scores[i].hex()) for i in order]
+
+
+def _full_scan_rank(matrix, ids, query, target):
+    scores = _full_scan_scores(matrix, query)
+    ids = np.array(ids)
+    t = scores[list(ids).index(target)]
+    return 1 + int(np.count_nonzero(scores > t)) + int(np.count_nonzero((scores == t) & (ids < target)))
+
+
+def _bits(hits):
+    return [(doc_id, float(score).hex()) for doc_id, score in hits]
+
+
+def _assert_exact(matrix, ids, queries, k):
+    """search_many, dense_search and rank_of equal the full scan, scores bit for bit."""
+    index = DenseIndex(EmbeddingCache(ids=list(ids), matrix=np.asarray(matrix, dtype=np.float32)))
+    batched = search_many(index, queries, k)
+    assert len(batched) == len(queries)
+    for query, hits in zip(queries, batched):
+        expected = _full_scan_search(index.cache.matrix, ids, query, k)
+        assert _bits(hits) == expected
+        assert _bits(dense_search(index, query, k)) == expected
+        for target in ids:
+            assert rank_of(index, query, target) == _full_scan_rank(index.cache.matrix, ids, query, target)
+
+
+@st.composite
+def adversarial_corpus(draw):
+    """A float32 matrix with duplicate rows and near-ties well inside the shortlist margin."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 41))
+    d = draw(st.sampled_from([1, 2, 3, 5, 8, 13]))
+    rows = rng.normal(size=(n, d)).astype(np.float32)
+    for i in range(1, n):
+        kind = rng.integers(0, 4)
+        if kind == 0:  # exact duplicate of an earlier row
+            rows[i] = rows[rng.integers(0, i)]
+        elif kind == 1:  # an earlier row nudged by a few float32 ulps
+            rows[i] = rows[rng.integers(0, i)]
+            col = rng.integers(0, d)
+            rows[i, col] = np.nextafter(rows[i, col], np.float32(rng.choice([-np.inf, np.inf])))
+    if draw(st.booleans()):
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True).clip(1e-30)
+    ids = [f"d{int(i):03d}" for i in rng.permutation(n)]
+    scales = [1e-30, 1e-3, 1.0, 1e30, 1e200]
+    queries = [rng.normal(size=d) * draw(st.sampled_from(scales)) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        queries.append(rows[rng.integers(0, n)].astype(np.float64) * draw(st.sampled_from(scales)))
+    if draw(st.booleans()):
+        queries.append(np.zeros(d))
+    k = draw(st.sampled_from([1, 2, max(n - 1, 1), n, n + 3]))
+    return rows, ids, np.array(queries), k
+
+
+class TestExactAgainstFullScan:
+    @given(adversarial_corpus())
+    @settings(max_examples=150, deadline=None)
+    def test_adversarial_matrices(self, case):
+        rows, ids, queries, k = case
+        _assert_exact(rows, ids, queries, k)
+
+    @given(
+        st.lists(WORDS, min_size=1, max_size=30),
+        st.lists(WORDS, min_size=1, max_size=4),
+        st.integers(1, 35),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mock_embedded_texts(self, docs, queries, k):
+        emb = MockEmbedderClient(dim=64)
+        ids = [f"d{i:03d}" for i in range(len(docs))]
+        fused = [embed_texts(emb, [q, docs[0]]).mean(axis=0) for q in queries]
+        _assert_exact(embed_texts(emb, docs), ids, np.vstack([embed_texts(emb, queries), fused]), k)
+
+    def test_near_ties_at_the_cut(self):
+        # 50 rows a few ulps apart score within the float32 error of one another,
+        # so the coarse pass alone cannot order them.
+        rng = np.random.default_rng(11)
+        base = normalize(rng.normal(size=16))
+        rows = np.repeat(base[None, :], 50, axis=0)
+        for i in range(50):
+            col = i % 16
+            for _ in range(i % 5):
+                rows[i, col] = np.nextafter(rows[i, col], np.float32(np.inf if i % 2 else -np.inf))
+        ids = [f"d{i:03d}" for i in rng.permutation(50)]
+        queries = np.vstack([base, -base, rng.normal(size=16)]).astype(np.float64)
+        for k in (1, 7, 49, 50):
+            _assert_exact(rows, ids, queries, k)
+
+    def test_batched_equals_one_row_across_query_blocks(self):
+        rng = np.random.default_rng(12)
+        rows = rng.normal(size=(203, 24)).astype(np.float32)
+        index = _index_from_rows(rows, [f"d{i:03d}" for i in range(203)])
+        queries = rng.normal(size=(150, 24)) * 10.0 ** rng.uniform(-20, 20, size=(150, 1))
+        batched = search_many(index, queries, 9)
+        assert [_bits(h) for h in batched] == [_bits(dense_search(index, q, 9)) for q in queries]
+
+    def test_row_score_independent_of_companions(self):
+        # The float64 score of a row is the same whether it is scored alone or
+        # among others, in any order: this is what makes rescoring a shortlist
+        # equal to a full scan.
+        rng = np.random.default_rng(13)
+        for d in (1, 3, 8, 100, 256):
+            matrix = rng.normal(size=(37, d)).astype(np.float32)
+            query = rng.normal(size=d)
+            together = _exact_scores(matrix, np.arange(37), query)
+            order = rng.permutation(37)
+            shuffled = np.empty(37)
+            shuffled[order] = _exact_scores(matrix, order, query)
+            alone = [_exact_scores(matrix, np.array([i]), query)[0] for i in range(37)]
+            assert together.tobytes() == shuffled.tobytes() == np.array(alone).tobytes()
+            # and it is the plain float64 product up to float64 summation error
+            bound = 2 * d * 2.0**-53 * (np.abs(matrix.astype(np.float64)) @ np.abs(query))
+            assert np.all(np.abs(together - matrix.astype(np.float64) @ query) <= bound)
+
+    def test_empty_query_list(self):
+        index = _index_from_rows(np.eye(3, dtype=np.float32))
+        assert search_many(index, np.empty((0, 3)), 2) == []
+
+    def test_non_finite_query_rejected(self):
+        index = _index_from_rows(np.eye(3, dtype=np.float32))
+        with pytest.raises(ValidationError, match="non-finite"):
+            dense_search(index, [np.nan, 0.0, 0.0], k=1)
+
+
+def test_index_makes_no_float64_copy():
+    rows = np.random.default_rng(14).normal(size=(4000, 64)).astype(np.float32)
+    cache = EmbeddingCache(ids=[f"d{i:04d}" for i in range(4000)], matrix=rows)
+    tracemalloc.start()
+    try:
+        index = DenseIndex(cache)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    float64_copy = rows.size * 8
+    assert peak < float64_copy / 2
+    assert not any(
+        isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 2
+        for value in vars(index).values()
+    )

@@ -1,8 +1,12 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slhyde.corpus import Document
+from slhyde.embed import MockEmbedderClient
 from slhyde.errors import DegenerateOutputError, TransportError, ValidationError
 from slhyde.textgen import (
     HYPOTHETICAL_TEMPLATES,
@@ -227,3 +231,29 @@ class TestHashParaphrase:
         text = " ".join(f"t{i}" for i in range(100))
         out = hash_paraphrase(text, seed=0, drop_rate=0.5)
         assert 10 < len(out.split()) < 90
+
+
+def test_mock_client_counters_survive_concurrent_requests():
+    # More threads than cores and a tiny switch interval: a lost update to
+    # `calls` or to the remaining-failure count would break the totals.
+    gen = MockGeneratorClient(fail_times=50)
+    emb = MockEmbedderClient(dim=8)
+    failures = []
+
+    def work(worker: int) -> None:
+        for _ in range(100):
+            try:
+                gen.request_completions("prompt", SamplingConfig(max_output_tokens=8))
+            except TransportError:
+                failures.append(worker)
+            emb.embed_batch(["text"])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for future in [pool.submit(work, w) for w in range(8)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (gen.calls, len(failures), emb.calls) == (800, 50, 800)
