@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .hyde import FusionConfig, FusionStrategy, fuse, hyde_search
-from .retrieval import DenseIndex, RankedHits, dense_search, rank_of, search_many
+from .retrieval import DenseIndex, RankedHits, dense_search, rank_of, ranks_of, search_many
 from .textgen import (
     MockGeneratorClient,
     PromptTemplate,

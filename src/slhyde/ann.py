@@ -6,8 +6,11 @@ and queries greedily descend from the top layer before a best-first sweep
 of layer 0. Similarity is the inner product (vectors are unit-normalized).
 
 A query breadth at or above the number of indexed vectors falls back to an
-exact scan, so wide-breadth searches equal dense_search exactly (hard-negative
-mining uses this for its consistency check).
+exact scan, so wide-breadth searches equal dense_search exactly.
+
+No command uses this index: hard-negative mining searches exactly with
+`retrieval.dense_search`. The module is kept only because the benchmark's
+tracer imports `AnnIndex`.
 
 Recall falls with corpus size. With the default parameters (degree 16, build
 breadth 200, search breadth 64), recall@10 against exact search over 100

@@ -22,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
-from .ann import AnnIndex
 from .benchkit import PipelineConfig, load_raw_queries, load_raw_texts, run_pipeline
 from .config import (
     RunConfig,
@@ -41,7 +40,6 @@ from .selflearn import (
     LossConfig,
     build_generator_dataset,
     build_retriever_dataset,
-    dataset_reference_loss,
     emit_sft_jsonl,
     emit_triplets_jsonl,
     load_sft_jsonl,
@@ -350,34 +348,28 @@ def cmd_build_triplets(config: RunConfig, sft_path: str | None = None) -> int:
     if not sft_file.exists():
         raise ValidationError(f"SFT dataset not found: {sft_file} (run build-sft-data first)")
     examples = load_sft_jsonl(sft_file)
-    ann = AnnIndex(
-        cache,
-        graph_degree=config.ann.graph_degree,
-        build_breadth=config.ann.build_breadth,
-        search_breadth=config.ann.search_breadth,
-        seed=derive_seed(config.seed, "ann"),
-    )
-    triplets = build_retriever_dataset(
+    result = build_retriever_dataset(
         examples,
         gen,
         emb,
-        ann,
+        DenseIndex(cache),
         m=config.selflearn.negatives,
         reuse_pseudo=config.selflearn.reuse_pseudo,
         template=config.fusion.template,
         seed=config.seed,
         sampling=_sampling(config),
         parallelism=config.parallelism,
+        loss=LossConfig(tau=config.selflearn.tau),
     )
-    losses = dataset_reference_loss(triplets, emb, cache, LossConfig(tau=config.selflearn.tau))
+    losses = result.reference_losses
     with staged_outputs(Path(config.out_dir)) as staging:
         write_resolved_config(config, staging)
-        emit_triplets_jsonl(triplets, staging / "triplets.jsonl")
+        emit_triplets_jsonl(result.triplets, staging / "triplets.jsonl")
         atomic_write_text(
             staging / "triplets_stats.json",
             dump_json(
                 {
-                    "count": len(triplets),
+                    "count": len(result.triplets),
                     "negatives_per_triplet": config.selflearn.negatives,
                     "tau": config.selflearn.tau,
                     "mean_reference_loss": (sum(losses) / len(losses)) if losses else None,

@@ -96,13 +96,6 @@ class EvalSettings:
 
 
 @dataclass
-class AnnSettings:
-    graph_degree: int = 16
-    build_breadth: int = 200
-    search_breadth: int = 64
-
-
-@dataclass
 class Bm25Settings:
     k1: float = 0.9
     b: float = 0.4
@@ -139,7 +132,6 @@ class RunConfig:
     fusion: FusionSettings = field(default_factory=FusionSettings)
     selflearn: SelfLearnSettings = field(default_factory=SelfLearnSettings)
     eval: EvalSettings = field(default_factory=EvalSettings)
-    ann: AnnSettings = field(default_factory=AnnSettings)
     bm25: Bm25Settings = field(default_factory=Bm25Settings)
     benchmark: BenchmarkSettings = field(default_factory=BenchmarkSettings)
     sampling: SamplingSettings = field(default_factory=SamplingSettings)
@@ -204,7 +196,6 @@ def load_config(path: str | Path | None, **overrides) -> RunConfig:
         "fusion": FusionSettings,
         "selflearn": SelfLearnSettings,
         "eval": EvalSettings,
-        "ann": AnnSettings,
         "bm25": Bm25Settings,
         "benchmark": BenchmarkSettings,
         "sampling": SamplingSettings,

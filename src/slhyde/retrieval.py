@@ -21,7 +21,7 @@ made. `search_many` is the one search primitive and works in two passes:
    of the float64 top k (ties at the cut included) has a coarse score of at
    least τ − 2·eps. The result therefore equals a full float64 scan.
 
-`rank_of` uses the same margin: rows more than 2·eps above the target's coarse
+`ranks_of` uses the same margin: rows more than 2·eps above the target's coarse
 score are higher for certain, rows more than 2·eps below are lower, and only
 the band between is rescored.
 
@@ -153,20 +153,30 @@ def dense_search(index: DenseIndex, vector, k: int) -> RankedHits:
     return search_many(index, np.reshape(vector, (1, -1)), k)[0]
 
 
-def rank_of(index: DenseIndex, vector, target: str) -> int:
-    """1-based full-corpus rank of `target` when searching with `vector`.
+def ranks_of(index: DenseIndex, vectors, target: str) -> list[int]:
+    """1-based full-corpus rank of `target` when searching with each row of the
+    (queries, dim) matrix `vectors`.
 
-    Equals 1 + the number of documents scoring strictly higher, plus tied
-    documents with a smaller id (the same tie rule dense_search applies).
+    A rank equals 1 + the number of documents scoring strictly higher, plus tied
+    documents with a smaller id (the same tie rule search_many applies).
     """
     position = index.cache.position(target)
-    query = _as_query_matrix(index, np.reshape(vector, (1, -1)))
-    coarse = _coarse_scores(index, query)[0]
-    target_coarse = np.float64(coarse[position])
-    higher = int(np.count_nonzero(coarse > target_coarse + index._margin))
-    band = np.flatnonzero(np.abs(coarse - target_coarse) <= index._margin)
-    exact = _exact_scores(index.cache.matrix, band, query[0])
-    target_score = exact[np.searchsorted(band, position)]
-    higher += int(np.count_nonzero(exact > target_score))
-    tied_before = int(np.count_nonzero((exact == target_score) & (index._ids[band] < target)))
-    return 1 + higher + tied_before
+    queries = _as_query_matrix(index, vectors)
+    ranks = []
+    for start in range(0, len(queries), _QUERY_BLOCK):
+        block = queries[start : start + _QUERY_BLOCK]
+        for query, coarse in zip(block, _coarse_scores(index, block)):
+            target_coarse = np.float64(coarse[position])
+            higher = int(np.count_nonzero(coarse > target_coarse + index._margin))
+            band = np.flatnonzero(np.abs(coarse - target_coarse) <= index._margin)
+            exact = _exact_scores(index.cache.matrix, band, query)
+            target_score = exact[np.searchsorted(band, position)]
+            higher += int(np.count_nonzero(exact > target_score))
+            tied_before = int(np.count_nonzero((exact == target_score) & (index._ids[band] < target)))
+            ranks.append(1 + higher + tied_before)
+    return ranks
+
+
+def rank_of(index: DenseIndex, vector, target: str) -> int:
+    """Rank of `target` for one query vector; see ranks_of."""
+    return ranks_of(index, np.reshape(vector, (1, -1)), target)[0]

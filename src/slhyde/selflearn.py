@@ -5,8 +5,10 @@ Two datasets come out of this module:
     generate several candidate pseudo-documents, score each candidate by the
     full-corpus rank it gives the true document, and keep the best candidate;
   - the retriever triplet set: (query, pseudo-document; positive) triples
-    with hard negatives mined from the corpus around the fused
-    (query, pseudo) embedding.
+    whose hard negatives are the exact top-m corpus documents around the
+    fused (query, pseudo) embedding, found by the one exact search
+    (`retrieval.dense_search`). The same fused vector gives each triplet's
+    reference InfoNCE loss, so a triplet costs one embedder request.
 
 Gradient-based training is out of scope; the module emits the datasets and
 computes reference InfoNCE loss values on given embeddings.
@@ -22,12 +24,11 @@ import numpy as np
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
-from .ann import AnnIndex, ann_search
 from .corpus import Document, _iter_jsonl
 from .embed import embed_texts
 from .errors import RunError, SlhydeError, ValidationError
 from .hyde import fuse
-from .retrieval import DenseIndex, rank_of
+from .retrieval import DenseIndex, dense_search, ranks_of
 from .textgen import SamplingConfig, generate_hypothetical, generate_pseudo_docs, generate_query_for_doc
 from .util import atomic_write_text, derive_seed, jsonl_line
 
@@ -90,6 +91,13 @@ class SftBuildResult:
     skipped_errors: int = 0
 
 
+@dataclass
+class TripletBuildResult:
+    triplets: list[RetrieverTriplet]
+    # reference InfoNCE per triplet, the fused (query, pseudo) vector as the query side
+    reference_losses: list[float]
+
+
 def score_candidates(
     candidates: list[str],
     query: str,
@@ -104,15 +112,15 @@ def score_candidates(
     (the literal reading); "fused" averages in the query embedding, matching
     the inference-time fusion. Both are exposed because the source procedure
     is ambiguous on this point. The query and every candidate are embedded
-    in one embed_texts call.
+    in one embed_texts call, and all candidates are ranked in one ranks_of call.
     """
     if rank_scoring not in ("candidate", "fused"):
         raise ValidationError(f"unknown rank_scoring {rank_scoring!r}")
     rows = embed_texts(emb, [query, *candidates])
     vectors = rows[1:] if rank_scoring == "candidate" else (rows[1:] + rows[0]) / 2.0
     return [
-        HypotheticalCandidate(text=text, rank=rank_of(index, vec, target_id))
-        for text, vec in zip(candidates, vectors)
+        HypotheticalCandidate(text=text, rank=rank)
+        for text, rank in zip(candidates, ranks_of(index, vectors, target_id))
     ]
 
 
@@ -199,68 +207,73 @@ def build_generator_dataset(
 
 
 def mine_hard_negatives(
-    query_text: str,
-    pseudo_text: str,
+    index: DenseIndex,
+    fused: np.ndarray,
     positive: str,
-    emb,
-    ann: AnnIndex,
     m: int = 7,
-    breadth: int | None = None,
 ) -> list[tuple[str, float]]:
-    """The m corpus documents nearest the fused (query, pseudo) embedding, positive excluded."""
+    """The m corpus documents nearest the fused (query, pseudo) vector, positive
+    excluded: the exact top-(m+1) of dense_search without the positive, cut to m."""
     if m < 1:
         raise ValidationError("m must be >= 1")
-    if len(ann) <= m:
-        raise ValidationError(f"corpus of {len(ann)} is too small to mine {m} negatives")
-    fused = fuse(emb, [query_text, pseudo_text])
-    hits = ann_search(ann, fused, k=m + 1, breadth=breadth)
-    negatives = [(doc_id, score) for doc_id, score in hits if doc_id != positive][:m]
-    if len(negatives) < m:
-        # Approximate search came back short; widen to the exact path.
-        hits = ann_search(ann, fused, k=m + 1, breadth=len(ann))
-        negatives = [(doc_id, score) for doc_id, score in hits if doc_id != positive][:m]
-    return negatives
+    if len(index) <= m:
+        raise ValidationError(f"corpus of {len(index)} is too small to mine {m} negatives")
+    hits = dense_search(index, fused, k=m + 1)
+    return [(doc_id, score) for doc_id, score in hits if doc_id != positive][:m]
 
 
 def build_retriever_dataset(
     sft_examples: list[SftExample],
     gen,
     emb,
-    ann: AnnIndex,
+    index: DenseIndex,
     m: int = 7,
     reuse_pseudo: bool = True,
     template: str = "Q2P",
     seed: int = 0,
     sampling: SamplingConfig | None = None,
     parallelism: int = 1,
-) -> list[RetrieverTriplet]:
-    """One triplet per SFT example.
+    loss: LossConfig | None = None,
+) -> TripletBuildResult:
+    """One triplet and its reference loss per SFT example.
 
     With reuse_pseudo (offline mode) the selected response is reused as the
     pseudo-document; otherwise the generator rewrites the query fresh, which
-    is the deployment-form path for a tuned generator.
+    is the deployment-form path for a tuned generator. Each triplet embeds
+    (query, pseudo) in one request; the fused vector both mines the negatives
+    and scores the reference loss against the cached document rows.
     """
     base = sampling or SamplingConfig()
+    loss = loss or LossConfig()
+    cache = index.cache
 
-    def _one(example: SftExample) -> RetrieverTriplet:
+    def _one(example: SftExample) -> tuple[RetrieverTriplet, float]:
         if reuse_pseudo:
             pseudo = example.response
         else:
             cfg = replace(base, seed=derive_seed(seed, "pseudo", example.doc_id))
             pseudo = generate_hypothetical(gen, example.query, template, 1, cfg)[0]
-        negatives = mine_hard_negatives(example.query, pseudo, example.doc_id, emb, ann, m=m)
-        return RetrieverTriplet(
+        fused = fuse(emb, [example.query, pseudo])
+        negatives = mine_hard_negatives(index, fused, example.doc_id, m=m)
+        triplet = RetrieverTriplet(
             query=example.query,
             pseudo=pseudo,
             positive=example.doc_id,
             negatives=tuple(doc_id for doc_id, _ in negatives),
             scores={doc_id: score for doc_id, score in negatives},
         )
+        negative_rows = [cache.row(doc_id) for doc_id in triplet.negatives]
+        return triplet, contrastive_loss(fused, cache.row(example.doc_id), negative_rows, loss)
 
     if parallelism > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            return list(pool.map(_one, sft_examples))
-    return [_one(example) for example in sft_examples]
+            results = list(pool.map(_one, sft_examples))
+    else:
+        results = [_one(example) for example in sft_examples]
+    return TripletBuildResult(
+        triplets=[triplet for triplet, _ in results],
+        reference_losses=[value for _, value in results],
+    )
 
 
 def infonce_from_scores(
@@ -298,23 +311,6 @@ def contrastive_loss(
             raise ValidationError("negative vector dim mismatch")
         neg_scores.append(float(q @ vec))
     return infonce_from_scores(float(q @ pos), neg_scores, cfg)
-
-
-def dataset_reference_loss(
-    triplets: list[RetrieverTriplet],
-    emb,
-    cache,
-    cfg: LossConfig | None = None,
-) -> list[float]:
-    """Reference InfoNCE per triplet, with the fused (query, pseudo) vector as the query side."""
-    cfg = cfg or LossConfig()
-    losses = []
-    for triplet in triplets:
-        fused = fuse(emb, [triplet.query, triplet.pseudo])
-        positive = cache.row(triplet.positive)
-        negatives = [cache.row(doc_id) for doc_id in triplet.negatives]
-        losses.append(contrastive_loss(fused, positive, negatives, cfg))
-    return losses
 
 
 # --- JSONL emission -------------------------------------------------------

@@ -201,20 +201,17 @@ def test_c4_selection_optimality(tmp_path):
 # --- 5. mining consistency ----------------------------------------------------
 
 def test_c5_mining_consistency(tmp_path):
-    # part A: full-breadth mining equals exact top-7 minus positive
+    # part A: mining (the default call) equals exact top-7 minus positive
     emb = MockEmbedderClient(dim=128)
     docs = synthetic_docs(200, seed=51)
     store = CorpusStore(docs)
     cache = cache_embeddings(emb, store, tmp_path / "c5.emb")
-    ann = AnnIndex(cache, seed=0)
     dense = DenseIndex(cache)
     rng = np.random.default_rng(52)
     for _ in range(100):
         target = docs[int(rng.integers(0, len(docs)))]
         query_text = " ".join(target.text.split()[:3])
-        mined = mine_hard_negatives(
-            query_text, target.text, target.id, emb, ann, m=7, breadth=len(cache)
-        )
+        mined = mine_hard_negatives(dense, fuse(emb, [query_text, target.text]), target.id)
         fused = (embed_text(emb, query_text) + embed_text(emb, target.text)) / 2.0
         exact = [d for d, _ in dense_search(dense, fused, k=8) if d != target.id][:7]
         assert [doc_id for doc_id, _ in mined] == exact

@@ -15,10 +15,10 @@ from slhyde.corpus import CorpusStore, load_qrels, write_corpus, write_qrels, wr
 from slhyde.corpus import RelevanceJudgments, load_corpus, load_queries
 from slhyde.embed import MockEmbedderClient, cache_embeddings, embed_text, load_cache
 from slhyde.errors import ValidationError
-from slhyde.hyde import FusionConfig, hyde_search
+from slhyde.hyde import FusionConfig, fuse, hyde_search
 from slhyde.metrics import build_report, load_trec_run, ndcg_at_k, recall_at_k, report_to_dict
 from slhyde.retrieval import DenseIndex, dense_search
-from slhyde.selflearn import validate_sft_file, validate_triplets_file
+from slhyde.selflearn import LossConfig, contrastive_loss, load_triplets_jsonl, validate_sft_file, validate_triplets_file
 from slhyde.textgen import MockGeneratorClient, SamplingConfig
 from slhyde.util import derive_seed
 
@@ -145,9 +145,11 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.yaml"
-        path.write_text("bogus_key: 1\n")
-        with pytest.raises(ValidationError, match="bogus_key"):
-            load_config(path)
+        # `ann` configured the graph index that hard-negative mining no longer builds
+        for text, key in (("bogus_key: 1\n", "'bogus_key'"), ("ann:\n  graph_degree: 16\n", "'ann'")):
+            path.write_text(text)
+            with pytest.raises(ValidationError, match=f"unknown top-level config key {key}"):
+                load_config(path)
 
     def test_overrides_win(self, tmp_path):
         path = tmp_path / "c.yaml"
@@ -353,6 +355,41 @@ class TestBuildDataCommands:
         tstats = json.loads((out / "triplets_stats.json").read_text())
         assert tstats["negatives_per_triplet"] == 3
         assert tstats["mean_reference_loss"] >= 0.0
+
+    def test_negatives_are_exact_top_m_with_one_request_per_triplet(self, tmp_path, monkeypatch):
+        # 2,000 documents: large enough that an approximate graph search misses
+        # some of the true nearest neighbours.
+        dataset = tmp_path / "data"
+        make_dataset(dataset, n_docs=2000, seed=3)
+        out = tmp_path / "run"
+        config_path = make_config(
+            tmp_path, dataset, out, selflearn={"candidates_per_query": 2, "negatives": 7, "sample_docs": 80}
+        )
+        assert main(["build-sft-data", "--config", str(config_path)]) == 0
+        batches = []
+        original = MockEmbedderClient.embed_batch
+        monkeypatch.setattr(
+            MockEmbedderClient, "embed_batch", lambda client, texts: batches.append(texts) or original(client, texts)
+        )
+        assert main(["build-retriever-data", "--config", str(config_path)]) == 0
+        triplets = load_triplets_jsonl(out / "triplets.jsonl")
+        assert len(triplets) > 40
+        assert len(batches) == len(triplets)
+
+        config = load_config(config_path)
+        emb = build_embedder_client(config)
+        cache = load_cache(out / "synthetic.emb")
+        index = DenseIndex(cache)
+        losses = []
+        for triplet in triplets:
+            fused = fuse(emb, [triplet.query, triplet.pseudo])
+            exact = [(d, s) for d, s in dense_search(index, fused, 8) if d != triplet.positive][:7]
+            assert list(triplet.negatives) == [d for d, _ in exact]
+            assert triplet.scores == dict(exact)
+            negative_rows = [cache.row(d) for d in triplet.negatives]
+            losses.append(contrastive_loss(fused, cache.row(triplet.positive), negative_rows, LossConfig(config.selflearn.tau)))
+        stats = json.loads((out / "triplets_stats.json").read_text())
+        assert stats["mean_reference_loss"] == sum(losses) / len(losses)
 
     def test_triplets_without_sft_is_validation_error(self, tmp_path):
         dataset = tmp_path / "data"

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from slhyde.embed import EmbeddingCache, MockEmbedderClient, embed_texts, normalize
 from slhyde.errors import ValidationError
-from slhyde.retrieval import DenseIndex, RankedHits, _exact_scores, dense_search, rank_of, search_many
+from slhyde.retrieval import (
+    DenseIndex,
+    RankedHits,
+    _exact_scores,
+    dense_search,
+    rank_of,
+    ranks_of,
+    search_many,
+)
 
 from conftest import WORDS
 
@@ -176,7 +184,7 @@ def _bits(hits):
 
 
 def _assert_exact(matrix, ids, queries, k):
-    """search_many, dense_search and rank_of equal the full scan, scores bit for bit."""
+    """search_many, dense_search, ranks_of and rank_of equal the full scan, scores bit for bit."""
     index = DenseIndex(EmbeddingCache(ids=list(ids), matrix=np.asarray(matrix, dtype=np.float32)))
     batched = search_many(index, queries, k)
     assert len(batched) == len(queries)
@@ -184,8 +192,10 @@ def _assert_exact(matrix, ids, queries, k):
         expected = _full_scan_search(index.cache.matrix, ids, query, k)
         assert _bits(hits) == expected
         assert _bits(dense_search(index, query, k)) == expected
-        for target in ids:
-            assert rank_of(index, query, target) == _full_scan_rank(index.cache.matrix, ids, query, target)
+    for target in ids:
+        expected = [_full_scan_rank(index.cache.matrix, ids, query, target) for query in queries]
+        assert ranks_of(index, queries, target) == expected
+        assert [rank_of(index, query, target) for query in queries] == expected
 
 
 @st.composite
@@ -258,6 +268,8 @@ class TestExactAgainstFullScan:
         queries = rng.normal(size=(150, 24)) * 10.0 ** rng.uniform(-20, 20, size=(150, 1))
         batched = search_many(index, queries, 9)
         assert [_bits(h) for h in batched] == [_bits(dense_search(index, q, 9)) for q in queries]
+        for target in ("d000", "d101", "d202"):
+            assert ranks_of(index, queries, target) == [rank_of(index, q, target) for q in queries]
 
     def test_row_score_independent_of_companions(self):
         # The float64 score of a row is the same whether it is scored alone or
@@ -280,6 +292,7 @@ class TestExactAgainstFullScan:
     def test_empty_query_list(self):
         index = _index_from_rows(np.eye(3, dtype=np.float32))
         assert search_many(index, np.empty((0, 3)), 2) == []
+        assert ranks_of(index, np.empty((0, 3)), "d001") == []
 
     def test_non_finite_query_rejected(self):
         index = _index_from_rows(np.eye(3, dtype=np.float32))

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from slhyde.ann import AnnIndex
 from slhyde.corpus import CorpusStore, Document
 from slhyde.embed import MockEmbedderClient, cache_embeddings, embed_text, embed_texts
 from slhyde.errors import ParseError, RunError, SlhydeError, ValidationError
+from slhyde.hyde import fuse
 from slhyde.retrieval import DenseIndex, dense_search, rank_of
 from slhyde.selflearn import (
     HypotheticalCandidate,
@@ -19,7 +19,6 @@ from slhyde.selflearn import (
     build_generator_dataset,
     build_retriever_dataset,
     contrastive_loss,
-    dataset_reference_loss,
     emit_sft_jsonl,
     emit_triplets_jsonl,
     infonce_from_scores,
@@ -233,11 +232,9 @@ class TestMineHardNegatives:
 
     def test_default_seven_negatives_exclude_positive(self, tmp_path):
         emb, docs, store, cache = self._setup(tmp_path)
-        ann = AnnIndex(cache, seed=0)
         target = docs[3]
-        negatives = mine_hard_negatives(
-            " ".join(target.text.split()[:2]), target.text, target.id, emb, ann, m=7
-        )
+        fused = fuse(emb, [" ".join(target.text.split()[:2]), target.text])
+        negatives = mine_hard_negatives(DenseIndex(cache), fused, target.id)
         ids = [doc_id for doc_id, _ in negatives]
         assert len(ids) == 7
         assert target.id not in ids
@@ -245,21 +242,20 @@ class TestMineHardNegatives:
 
     def test_corpus_of_m_plus_one_returns_all_others(self, tmp_path):
         emb, docs, store, cache = self._setup(tmp_path, n=8)
-        ann = AnnIndex(cache, seed=0)
         target = docs[0]
-        negatives = mine_hard_negatives("q text", target.text, target.id, emb, ann, m=7)
+        fused = fuse(emb, ["q text", target.text])
+        negatives = mine_hard_negatives(DenseIndex(cache), fused, target.id, m=7)
         assert sorted(doc_id for doc_id, _ in negatives) == sorted(d.id for d in docs[1:])
 
-    def test_full_breadth_equals_exact_top_m(self, tmp_path):
+    def test_equals_exact_top_m(self, tmp_path):
         emb, docs, store, cache = self._setup(tmp_path, n=60)
-        ann = AnnIndex(cache, seed=0)
         dense = DenseIndex(cache)
         rng = np.random.default_rng(5)
         for _ in range(15):
             target = docs[int(rng.integers(0, len(docs)))]
             query_text = " ".join(target.text.split()[:3])
             negatives = mine_hard_negatives(
-                query_text, target.text, target.id, emb, ann, m=7, breadth=len(cache)
+                dense, fuse(emb, [query_text, target.text]), target.id, m=7
             )
             fused = (embed_text(emb, query_text) + embed_text(emb, target.text)) / 2.0
             exact = [d for d, _ in dense_search(dense, fused, k=8) if d != target.id][:7]
@@ -267,9 +263,13 @@ class TestMineHardNegatives:
 
     def test_corpus_too_small(self, tmp_path):
         emb, docs, store, cache = self._setup(tmp_path, n=5)
-        ann = AnnIndex(cache, seed=0)
         with pytest.raises(ValidationError, match="too small"):
-            mine_hard_negatives("q", docs[0].text, docs[0].id, emb, ann, m=7)
+            mine_hard_negatives(DenseIndex(cache), fuse(emb, ["q", docs[0].text]), docs[0].id, m=7)
+
+    def test_m_must_be_positive(self, tmp_path):
+        emb, docs, store, cache = self._setup(tmp_path, n=5)
+        with pytest.raises(ValidationError, match="m must be"):
+            mine_hard_negatives(DenseIndex(cache), fuse(emb, ["q", docs[0].text]), docs[0].id, m=0)
 
 
 class TestBuildRetrieverDataset:
@@ -290,9 +290,10 @@ class TestBuildRetrieverDataset:
         docs = synthetic_docs(20, seed=41)
         store = CorpusStore(docs)
         cache = cache_embeddings(emb, store, tmp_path / "t.emb")
-        ann = AnnIndex(cache, seed=0)
         sft = self._sft(docs[:5])
-        triplets = build_retriever_dataset(sft, MockGeneratorClient(), emb, ann, m=7, reuse_pseudo=True)
+        triplets = build_retriever_dataset(
+            sft, MockGeneratorClient(), emb, DenseIndex(cache), m=7, reuse_pseudo=True
+        ).triplets
         assert [t.pseudo for t in triplets] == [e.response for e in sft]
 
     def test_online_mode_regenerates(self, tmp_path):
@@ -300,24 +301,25 @@ class TestBuildRetrieverDataset:
         docs = synthetic_docs(20, seed=42)
         store = CorpusStore(docs)
         cache = cache_embeddings(emb, store, tmp_path / "t.emb")
-        ann = AnnIndex(cache, seed=0)
+        index = DenseIndex(cache)
         sft = self._sft(docs[:3])
-        triplets = build_retriever_dataset(
-            sft, MockGeneratorClient(seed=5), emb, ann, m=7, reuse_pseudo=False, seed=9
+        result = build_retriever_dataset(
+            sft, MockGeneratorClient(seed=5), emb, index, m=7, reuse_pseudo=False, seed=9
         )
-        assert all(t.pseudo != e.response for t, e in zip(triplets, sft))
+        assert all(t.pseudo != e.response for t, e in zip(result.triplets, sft))
         again = build_retriever_dataset(
-            sft, MockGeneratorClient(seed=5), emb, ann, m=7, reuse_pseudo=False, seed=9
+            sft, MockGeneratorClient(seed=5), emb, index, m=7, reuse_pseudo=False, seed=9
         )
-        assert triplets == again
+        assert result == again
 
     def test_invariants_hold_for_every_triplet(self, tmp_path):
         emb = MockEmbedderClient(dim=128)
         docs = synthetic_docs(30, seed=43)
         store = CorpusStore(docs)
         cache = cache_embeddings(emb, store, tmp_path / "t.emb")
-        ann = AnnIndex(cache, seed=0)
-        triplets = build_retriever_dataset(self._sft(docs[:10]), MockGeneratorClient(), emb, ann, m=7)
+        triplets = build_retriever_dataset(
+            self._sft(docs[:10]), MockGeneratorClient(), emb, DenseIndex(cache), m=7
+        ).triplets
         for triplet in triplets:
             assert triplet.positive not in triplet.negatives
             assert len(triplet.negatives) == 7
@@ -328,8 +330,9 @@ class TestBuildRetrieverDataset:
         docs = synthetic_docs(120, seed=44)
         store = CorpusStore(docs)
         cache = cache_embeddings(emb, store, tmp_path / "t.emb")
-        ann = AnnIndex(cache, seed=0)
-        triplets = build_retriever_dataset(self._sft(docs[:100]), MockGeneratorClient(), emb, ann, m=7)
+        triplets = build_retriever_dataset(
+            self._sft(docs[:100]), MockGeneratorClient(), emb, DenseIndex(cache), m=7
+        ).triplets
         path = tmp_path / "triplets.jsonl"
         emit_triplets_jsonl(triplets, path)
         loaded = load_triplets_jsonl(path)
@@ -339,11 +342,14 @@ class TestBuildRetrieverDataset:
     def test_one_embedder_request_per_triplet(self, tmp_path, reuse_pseudo):
         emb = MockEmbedderClient(dim=128)
         docs = synthetic_docs(20, seed=45)
-        ann = AnnIndex(cache_embeddings(emb, CorpusStore(docs), tmp_path / "t.emb"), seed=0)
+        index = DenseIndex(cache_embeddings(emb, CorpusStore(docs), tmp_path / "t.emb"))
         sft = self._sft(docs[:6])
         emb.calls = 0
-        build_retriever_dataset(sft, MockGeneratorClient(), emb, ann, m=7, reuse_pseudo=reuse_pseudo)
+        result = build_retriever_dataset(
+            sft, MockGeneratorClient(), emb, index, m=7, reuse_pseudo=reuse_pseudo
+        )
         assert emb.calls == len(sft)
+        assert len(result.reference_losses) == len(sft)
 
 
 class TestContrastiveLoss:
@@ -410,27 +416,33 @@ class TestContrastiveLoss:
         docs = synthetic_docs(12, seed=51)
         store = CorpusStore(docs)
         cache = cache_embeddings(emb, store, tmp_path / "l.emb")
-        triplet = RetrieverTriplet(
-            query="q text",
-            pseudo=docs[0].text,
-            positive=docs[0].id,
-            negatives=tuple(d.id for d in docs[1:8]),
+        sft = [SftExample(query="q text", response=docs[0].text, doc_id=docs[0].id, rank=1, num_candidates=5)]
+        result = build_retriever_dataset(
+            sft, MockGeneratorClient(), emb, DenseIndex(cache), m=7, loss=LossConfig(tau=0.02)
         )
-        losses = dataset_reference_loss([triplet], emb, cache, LossConfig(tau=0.02))
-        assert len(losses) == 1 and losses[0] >= 0.0
+        [triplet] = result.triplets
+        # the loss of the fused (query, pseudo) vector against the cached rows
+        expected = contrastive_loss(
+            fuse(emb, [triplet.query, triplet.pseudo]),
+            cache.row(triplet.positive),
+            [cache.row(doc_id) for doc_id in triplet.negatives],
+            LossConfig(tau=0.02),
+        )
+        assert result.reference_losses == [expected]
+        assert expected >= 0.0
 
     def test_dataset_reference_loss_one_embedder_request_per_triplet(self, tmp_path):
         emb = MockEmbedderClient(dim=64)
         docs = synthetic_docs(12, seed=52)
-        cache = cache_embeddings(emb, CorpusStore(docs), tmp_path / "l.emb")
-        negatives = tuple(d.id for d in docs[8:])
-        triplets = [
-            RetrieverTriplet(query=f"q text {i}", pseudo=docs[i].text, positive=docs[i].id, negatives=negatives)
+        index = DenseIndex(cache_embeddings(emb, CorpusStore(docs), tmp_path / "l.emb"))
+        sft = [
+            SftExample(query=f"q text {i}", response=docs[i].text, doc_id=docs[i].id, rank=1, num_candidates=5)
             for i in range(4)
         ]
         emb.calls = 0
-        dataset_reference_loss(triplets, emb, cache)
-        assert emb.calls == len(triplets)
+        result = build_retriever_dataset(sft, MockGeneratorClient(), emb, index, m=7)
+        assert len(result.reference_losses) == len(sft)
+        assert emb.calls == len(sft)
 
 
 class TestTripletInvariants:
