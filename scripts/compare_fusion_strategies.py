@@ -7,7 +7,9 @@ against the query-only dense baseline and prints a comparison table with
 relative improvements and paired significance. The mock generator is
 scripted to return noisy paraphrases of each query's target document, so
 the study shows the ordering the fusion strategies produce under a
-controlled signal rather than any real-model numbers.
+controlled signal rather than any real-model numbers. The baseline and each
+strategy embed their texts in one embedder request and search all queries
+with one search_many call.
 """
 from __future__ import annotations
 
@@ -17,10 +19,10 @@ import string
 import numpy as np
 
 from slhyde.corpus import CorpusStore, Document, Query
-from slhyde.embed import MockEmbedderClient, EmbeddingCache, embed_text, embed_texts
-from slhyde.hyde import FusionConfig, hyde_search
+from slhyde.embed import MockEmbedderClient, EmbeddingCache, embed_texts
+from slhyde.hyde import FusionConfig, hypothesize, search_hypothesized
 from slhyde.metrics import build_report, ndcg_at_k, render_report_text
-from slhyde.retrieval import DenseIndex, dense_search
+from slhyde.retrieval import DenseIndex, search_many
 from slhyde.textgen import MockGeneratorClient, hash_paraphrase, load_template, render_prompt
 
 LETTERS = np.array(list(string.ascii_lowercase))
@@ -80,17 +82,15 @@ def main() -> int:
         responses[prompt] = variants
     gen = MockGeneratorClient(responses=responses)
 
-    baseline = {}
-    for query in queries:
-        hits = dense_search(index, embed_text(emb, query.text), args.k)
-        baseline[query.id] = ndcg_at_k(hits, qrels[query.id], args.k)
+    query_hits = search_many(index, embed_texts(emb, [q.text for q in queries]), args.k)
+    baseline = {q.id: ndcg_at_k(hits, qrels[q.id], args.k) for q, hits in zip(queries, query_hits)}
 
     strategies = ("mean_pool", "doc_only", "concat", "mean_pool_k")
     for strategy in strategies:
-        per_query = {}
-        for query in queries:
-            hits = hyde_search(query, gen, emb, index, FusionConfig(strategy=strategy), args.k)
-            per_query[query.id] = ndcg_at_k(hits, qrels[query.id], args.k)
+        cfg = FusionConfig(strategy=strategy)
+        planned = [hypothesize(query, gen, cfg) for query in queries]
+        fused_hits = search_hypothesized(planned, emb, index, args.k)
+        per_query = {q.id: ndcg_at_k(hits, qrels[q.id], args.k) for q, hits in zip(queries, fused_hits)}
         report = build_report(
             {strategy: per_query},
             baseline={strategy: baseline},

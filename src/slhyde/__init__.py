@@ -33,7 +33,7 @@ from .errors import (
     TransportError,
     ValidationError,
 )
-from .hyde import FusionConfig, FusionStrategy, fuse, hyde_search
+from .hyde import FusionConfig, FusionStrategy, fuse, hyde_search, hypothesize, search_hypothesized
 from .retrieval import DenseIndex, RankedHits, dense_search, rank_of, ranks_of, search_many
 from .textgen import (
     MockGeneratorClient,

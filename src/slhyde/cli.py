@@ -19,7 +19,7 @@ import statistics
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from .benchkit import PipelineConfig, load_raw_queries, load_raw_texts, run_pipeline
@@ -33,9 +33,9 @@ from .config import (
 from .corpus import load_corpus, load_qrels, load_queries, sample_documents
 from .embed import cache_embeddings, embed_texts
 from .errors import ParseError, SlhydeError, ValidationError
-from .hyde import FusionConfig, hyde_search
+from .hyde import FusionConfig, hypothesize, search_hypothesized
 from .metrics import build_report, ndcg_at_k, recall_at_k, render_report_text, report_to_dict, write_trec_run
-from .retrieval import DenseIndex, search_many
+from .retrieval import _QUERY_BLOCK, DenseIndex, search_many
 from .selflearn import (
     LossConfig,
     build_generator_dataset,
@@ -114,33 +114,42 @@ def cmd_embed_corpus(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _dense_run(emb, index, queries, k: int) -> tuple[dict, dict]:
+    """({query_id: RankedHits}, {query text: embedding row}) for the queries,
+    embedded in one embed_texts call and searched in one search_many call."""
+    if not queries:
+        return {}, {}
+    rows = embed_texts(emb, [q.text for q in queries])
+    run = dict(zip((q.id for q in queries), search_many(index, rows, k)))
+    return run, dict(zip((q.text for q in queries), rows))
+
+
 def _run_queries(
-    config: RunConfig, emb, index, queries, k: int, gen=None, fusion=None, seed_parts=((),)
+    config: RunConfig, emb, index, queries, k: int, gen, fusion, seed_parts, known_rows=None
 ) -> list[dict]:
-    """One {query_id: RankedHits} per entry of `seed_parts`: dense without `gen`, else HyDE.
+    """One HyDE {query_id: RankedHits} run per entry of `seed_parts`.
 
-    Dense runs embed every query in one embed_texts call and search them in one
-    search_many call. HyDE query q of the run for seed parts p samples with
-    derive_seed(config.seed, *p, q.id); the (p, q) pairs share one thread pool.
+    Query q of the run for seed parts p samples with derive_seed(config.seed,
+    *p, q.id). The (p, q) tasks are taken in order in chunks of 64; one thread
+    pool generates for a chunk, then one search_hypothesized call embeds the
+    chunk's distinct texts (those not in `known_rows`, text -> row) with one
+    embed_texts call and searches the chunk with one search_many call. So when
+    the embedder fails, the generator has already been called for the whole
+    chunk.
     """
-    if gen is None:
-        if not queries:
-            return [{} for _ in seed_parts]
-        hits = search_many(index, embed_texts(emb, [q.text for q in queries]), k)
-        return [dict(zip((q.id for q in queries), hits)) for _ in seed_parts]
-
     tasks = [(parts, q) for parts in seed_parts for q in queries]
 
-    def one(task):
+    def plan(task):
         parts, q = task
-        sampling = _sampling(config, derive_seed(config.seed, *parts, q.id))
-        return hyde_search(q, gen, emb, index, fusion, k, sampling)
+        return hypothesize(q, gen, fusion, _sampling(config, derive_seed(config.seed, *parts, q.id)))
 
-    if config.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            results = iter(pool.map(one, tasks))
-    else:
-        results = map(one, tasks)
+    hits = []
+    with ThreadPoolExecutor(config.parallelism) if config.parallelism > 1 else nullcontext() as pool:
+        for start in range(0, len(tasks), _QUERY_BLOCK):
+            chunk = tasks[start : start + _QUERY_BLOCK]
+            planned = list(pool.map(plan, chunk) if pool else map(plan, chunk))
+            hits.extend(search_hypothesized(planned, emb, index, k, known_rows))
+    results = iter(hits)
     return [{q.id: next(results) for q in queries} for _ in seed_parts]
 
 
@@ -163,7 +172,7 @@ def cmd_search(config: RunConfig, k: int | None = None) -> int:
         write_resolved_config(config, staging)
         for dataset in config.all_datasets():
             store, cache = _dataset_cache(config, emb, dataset)
-            [run] = _run_queries(config, emb, DenseIndex(cache), load_queries(dataset.queries), k)
+            run, _ = _dense_run(emb, DenseIndex(cache), load_queries(dataset.queries), k)
             write_trec_run(run, staging / f"run_{dataset.name}.trec", tag="dense")
     return EXIT_OK
 
@@ -218,16 +227,23 @@ def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str]):
     orphan = judged_ids - {q.id for q in queries}
     if orphan:
         logger.warning("%d qrels queries missing from the query file are ignored", len(orphan))
+    unindexed = {doc_id for grades in qrels.entries.values() for doc_id in grades if doc_id not in cache}
+    if unindexed:
+        logger.warning(
+            "%d qrels documents missing from the corpus still count in the nDCG ideal and the recall denominator",
+            len(unindexed),
+        )
     if not eval_queries:
         raise ValidationError(f"dataset {dataset.name!r} has no judged queries to evaluate")
 
     max_k = max(list(config.eval.k_values) + [config.eval.primary_k])
-    [dense] = _run_queries(config, emb, index, eval_queries, max_k)
+    dense, query_rows = _dense_run(emb, index, eval_queries, max_k)
     runs = [dense]
     if gen is not None:
         seed_parts = [("eval", dataset.name, run_index) for run_index in range(config.eval.repeats)]
         fusion = _fusion_for(config, dataset)
-        runs = _run_queries(config, emb, index, eval_queries, max_k, gen, fusion, seed_parts)
+        # the dense run's query rows stand in for every repeat's query embeddings
+        runs = _run_queries(config, emb, index, eval_queries, max_k, gen, fusion, seed_parts, query_rows)
 
     def scored(run: dict, metric: str) -> dict[str, float]:
         kind, _, k = metric.partition("@")

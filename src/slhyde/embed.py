@@ -226,6 +226,9 @@ class EmbeddingCache:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def __contains__(self, doc_id: str) -> bool:
+        return doc_id in self._positions
+
     def position(self, doc_id: str) -> int:
         try:
             return self._positions[doc_id]

@@ -1,10 +1,19 @@
 """Hypothetical-document retrieval: generate, fuse, search.
 
-`fuse(emb, texts)` is the one place a retrieval vector is built from text:
-it embeds the texts with a single embed_texts call (one embedder request)
-and returns the plain arithmetic mean of the rows. HyDE searches with the
-fuse of the query and its hypothetical documents, and the self-learning
-module mines negatives with the fuse of (query, pseudo-document).
+`fuse(emb, texts)` is the unnormalized mean of the rows of one embed_texts
+call (one embedder request); the self-learning module mines negatives with the
+fuse of (query, pseudo-document).
+
+HyDE runs in two halves. `hypothesize` generates a query's hypothetical
+documents and returns the texts its fusion strategy averages.
+`search_hypothesized` takes a batch of such plans: it embeds every distinct
+text in one embed_texts call, fuses each query as the mean of its own rows,
+and searches all fused vectors with one search_many call. The CLI runs its
+queries in chunks of 64, so a chunk costs one embed_texts call (one request
+per embedder batch_size texts) and one search. `hyde_search` is the
+one-query form of the two. Rows of a batch equal the rows of single calls, so
+a query's vector, and its hits, do not depend on which queries share its
+batch.
 
 The mean is deliberately NOT renormalized: document vectors are unit length
 and ranking is an argsort of inner products, so rescaling the query vector
@@ -26,7 +35,7 @@ from .errors import (
     TransportError,
     ValidationError,
 )
-from .retrieval import DenseIndex, RankedHits, dense_search
+from .retrieval import DenseIndex, RankedHits, search_many
 from .textgen import SamplingConfig, generate_hypothetical
 
 logger = logging.getLogger(__name__)
@@ -77,21 +86,14 @@ def fuse(emb, texts: list[str]) -> np.ndarray:
     return np.mean(embed_texts(emb, texts), axis=0)
 
 
-def hyde_search(
-    query: Query,
-    gen,
-    emb,
-    index: DenseIndex,
-    cfg: FusionConfig,
-    k: int,
-    sampling: SamplingConfig | None = None,
-) -> RankedHits:
-    """Generate hypothetical documents for the query, fuse, and search.
+def hypothesize(
+    query: Query, gen, cfg: FusionConfig, sampling: SamplingConfig | None = None
+) -> tuple[list[str], dict]:
+    """The texts whose embeddings the fusion strategy averages for `query`, and
+    the meta of its result.
 
-    Generation failures degrade to query-only retrieval; the result's meta
-    carries degraded=True so callers can flag the run. Generation runs before
-    any embedding, so when the embedder fails the generator has already been
-    called.
+    Generation failures degrade to the query alone; the meta then carries
+    degraded=True so callers can flag the run.
     """
     meta = {"strategy": cfg.strategy.value, "n": cfg.n}
     texts = [query.text]
@@ -111,6 +113,55 @@ def hyde_search(
                 texts = hypothetical
             else:
                 texts = [query.text, *hypothetical]
-    hits = dense_search(index, fuse(emb, texts), k)
-    hits.meta.update(meta)
-    return hits
+    return texts, meta
+
+
+def search_hypothesized(
+    planned: list[tuple[list[str], dict]],
+    emb,
+    index: DenseIndex,
+    k: int,
+    known_rows: dict[str, np.ndarray] | None = None,
+) -> list[RankedHits]:
+    """Top-k hits for each (texts, meta) plan of `hypothesize`, with its meta.
+
+    The embedder sees a text's first emb.truncate_chars characters only, so
+    texts are told apart by those. Every distinct text that `known_rows` (text
+    -> a row embed_texts returned for it) does not hold is embedded in one
+    embed_texts call; each plan is fused as the mean of its own rows, and all
+    fused vectors are searched with one search_many call.
+    """
+    if not planned:
+        return []
+    cut = emb.truncate_chars
+    rows = {text[:cut]: row for text, row in (known_rows or {}).items()}
+    missing = {}
+    for texts, _ in planned:
+        for text in texts:
+            if text[:cut] not in rows:
+                missing.setdefault(text[:cut], text)
+    if missing:
+        rows.update(zip(missing, embed_texts(emb, list(missing.values()))))
+    fused = [np.mean(np.vstack([rows[text[:cut]] for text in texts]), axis=0) for texts, _ in planned]
+    results = search_many(index, np.vstack(fused), k)
+    for hits, (_, meta) in zip(results, planned):
+        hits.meta.update(meta)
+    return results
+
+
+def hyde_search(
+    query: Query,
+    gen,
+    emb,
+    index: DenseIndex,
+    cfg: FusionConfig,
+    k: int,
+    sampling: SamplingConfig | None = None,
+) -> RankedHits:
+    """Generate hypothetical documents for one query, fuse, and search with
+    one embed_texts call. See hypothesize and search_hypothesized.
+
+    Generation runs before any embedding, so when the embedder fails the
+    generator has already been called.
+    """
+    return search_hypothesized([hypothesize(query, gen, cfg, sampling)], emb, index, k)[0]

@@ -14,7 +14,7 @@ from slhyde.config import build_embedder_client, build_generator_client, load_co
 from slhyde.corpus import CorpusStore, load_qrels, write_corpus, write_qrels, write_queries
 from slhyde.corpus import RelevanceJudgments, load_corpus, load_queries
 from slhyde.embed import MockEmbedderClient, cache_embeddings, embed_text, load_cache
-from slhyde.errors import ValidationError
+from slhyde.errors import TransportError, ValidationError
 from slhyde.hyde import FusionConfig, fuse, hyde_search
 from slhyde.metrics import build_report, load_trec_run, ndcg_at_k, recall_at_k, report_to_dict
 from slhyde.retrieval import DenseIndex, dense_search
@@ -338,6 +338,27 @@ class TestEvaluateCommand:
         config_path = make_config(tmp_path, dataset, out)
         assert main(["evaluate", "--config", str(config_path)]) == 1
 
+    def test_qrels_documents_missing_from_corpus_are_counted_in_a_warning(self, tmp_path, caplog):
+        dataset = tmp_path / "data"
+        _, queries, qrels = make_dataset(dataset)
+        config_path = make_config(tmp_path, dataset, tmp_path / "run")
+        flags = ["evaluate", "--mode", "retriever", "--config", str(config_path)]
+
+        def warnings():
+            return [r.getMessage() for r in caplog.records if "qrels documents" in r.getMessage()]
+
+        with caplog.at_level(logging.WARNING, logger="slhyde.cli"):
+            assert main(flags) == 0
+            assert warnings() == []
+            qrels.entries[queries[0].id]["ghost-a"] = 1
+            qrels.entries[queries[1].id]["ghost-b"] = 0
+            qrels.entries[queries[2].id]["ghost-a"] = 2
+            write_qrels(qrels, dataset / "qrels.tsv")
+            assert main(flags) == 0
+        assert warnings() == [
+            "2 qrels documents missing from the corpus still count in the nDCG ideal and the recall denominator"
+        ]
+
 
 class TestBuildDataCommands:
     def test_sft_then_triplets_chain(self, tmp_path):
@@ -599,6 +620,25 @@ class TestExitCodes:
         path.write_text("parallelism: 0\n")
         assert main(["embed-corpus", "--config", str(path)]) == 1
 
+    def test_embedder_failure_in_hyde_search_is_runtime_exit(self, tmp_path, monkeypatch):
+        dataset = tmp_path / "data"
+        make_dataset(dataset)  # 20 queries: one chunk
+        out = tmp_path / "run"
+        config_path = make_config(tmp_path, dataset, out)
+        assert main(["embed-corpus", "--config", str(config_path)]) == 0
+
+        def refuse(client, texts):
+            raise TransportError("embedder down")
+
+        generators = []
+        monkeypatch.setattr(MockEmbedderClient, "embed_batch", refuse)
+        monkeypatch.setattr(
+            cli, "build_generator_client", lambda config: generators.append(build_generator_client(config)) or generators[-1]
+        )
+        assert main(["hyde-search", "--config", str(config_path)]) == 2
+        assert generators[0].calls == 20  # the whole chunk was generated before the embedder failed
+        assert not list(out.glob("run_*.trec"))
+
     def test_staging_never_leaves_partial_outputs(self, tmp_path):
         dataset = tmp_path / "data"
         make_dataset(dataset)
@@ -690,14 +730,26 @@ class TestParallelismDeterminism:
         config_path = make_config(tmp_path, dataset, out, fusion={"strategy": "mean_pool_k", "n": 3})
         trees = []
         threads = {}
-        original = cli.hyde_search
+        original = cli.hypothesize
 
-        def recording_hyde_search(*args, **kwargs):
+        def recording_hypothesize(*args, **kwargs):
             threads.setdefault(parallelism, set()).add(threading.get_ident())
             time.sleep(0.002)  # long enough for a second worker to pick up a query
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "hyde_search", recording_hyde_search)
+        clients = []
+
+        def recording(build):
+            def build_and_record(config):
+                clients.append(build(config))
+                return clients[-1]
+
+            return build_and_record
+
+        monkeypatch.setattr(cli, "hypothesize", recording_hypothesize)
+        monkeypatch.setattr(cli, "build_embedder_client", recording(cli.build_embedder_client))
+        monkeypatch.setattr(cli, "build_generator_client", recording(cli.build_generator_client))
+        requests = []
         for parallelism in ("1", "2"):
             flags = ["--config", str(config_path), "--parallelism", parallelism]
             assert main(["hyde-search", "--trace", *flags]) == 0
@@ -710,6 +762,10 @@ class TestParallelismDeterminism:
             resolved = yaml.safe_load(tree.pop("resolved_config.yaml"))
             assert resolved.pop("parallelism") == int(parallelism)
             trees.append((tree, resolved))
+            requests.append([(type(client).__name__, client.calls) for client in clients])
+            clients.clear()
             shutil.rmtree(out)
         assert trees[0] == trees[1]
         assert {"trace_synthetic.jsonl", "run_synthetic_r1.trec", "sft.jsonl", "triplets.jsonl"} <= set(trees[0][0])
+        # every command's embedder and generator make as many requests at either parallelism
+        assert len(requests[0]) == 8 and requests[0] == requests[1]

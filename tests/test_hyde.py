@@ -3,12 +3,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from slhyde import cli
+from slhyde.config import RunConfig
 from slhyde.corpus import CorpusStore, Query
-from slhyde.embed import MockEmbedderClient, cache_embeddings, embed_text
+from slhyde.embed import EmbeddingCache, MockEmbedderClient, cache_embeddings, embed_text, embed_texts
 from slhyde.errors import ValidationError
-from slhyde.hyde import FusionConfig, fuse, hyde_search
+from slhyde.hyde import FusionConfig, fuse, hyde_search, hypothesize, search_hypothesized
 from slhyde.retrieval import DenseIndex, dense_search, rank_of
 from slhyde.textgen import MockGeneratorClient, SamplingConfig, load_template, render_prompt
+from slhyde.util import derive_seed
 
 from conftest import WORDS, synthetic_docs
 
@@ -221,3 +224,101 @@ class TestMatchesPerTextPath:
         hits = hyde_search(query, gen, emb, index, cfg, k=len(docs), sampling=SamplingConfig(seed=seed))
         reference = _per_text_vector(emb, query_text, strategy, n, hits.meta)
         assert hits.hits == dense_search(index, reference, len(docs)).hits
+
+
+def _bits(hits) -> tuple:
+    return [(doc_id, score.hex()) for doc_id, score in hits], hits.meta
+
+
+def _dense_rows_setup(docs, truncate_chars=1024):
+    """A 16-dim embedder and its index: trigram rows overlap in most buckets, so
+    a change in any bit of a fused vector's row sums shows in the scores."""
+    emb = MockEmbedderClient(dim=16, truncate_chars=truncate_chars)
+    matrix = embed_texts(emb, [doc.indexed_text for doc in docs])
+    return emb, DenseIndex(EmbeddingCache(ids=[doc.id for doc in docs], matrix=matrix))
+
+
+# Query texts drawn from a few stems, so texts repeat across queries; each stem
+# is at least 16 characters long, so with truncate_chars=16 texts with different
+# suffixes (and concat strings) are equal in what the embedder sees.
+STEMS = st.lists(WORDS.map(lambda w: (w + " ") * 16), min_size=1, max_size=4)
+SUFFIXES = ("", " alpha", " beta gamma")
+
+
+class TestBatchedMatchesPerQuery:
+    """search_hypothesized over many plans is bitwise the per-query hyde_search."""
+
+    @given(
+        stems=STEMS,
+        picks=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=80),
+        setting=st.sampled_from(FUSION_SETTINGS),
+        cut=st.sampled_from([16, 1024]),
+        fail_times=st.sampled_from([0, 3, 7]),
+        seeded=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_batch_equals_per_query_hyde_search(self, hyde_setup, stems, picks, setting, cut, fail_times, seeded):
+        emb, index = _dense_rows_setup(hyde_setup[1], truncate_chars=cut)
+        strategy, n = setting
+        cfg = FusionConfig(strategy=strategy, n=n)
+        queries = [
+            (Query(id=f"q{i}", text=stems[stem % len(stems)] + SUFFIXES[suffix]), SamplingConfig(seed=seed))
+            for i, (stem, suffix, seed) in enumerate(picks)
+        ]
+        gen = MockGeneratorClient(fail_times=fail_times, max_retries=2)
+        expected = [hyde_search(q, gen, emb, index, cfg, k=len(index), sampling=s) for q, s in queries]
+
+        texts = [q.text for q, _ in queries]
+        known = dict(zip(texts, embed_texts(emb, texts))) if seeded else None
+        gen = MockGeneratorClient(fail_times=fail_times, max_retries=2)
+        planned = [hypothesize(q, gen, cfg, s) for q, s in queries]
+        emb.calls = 0
+        batched = search_hypothesized(planned, emb, index, len(index), known)
+        assert [_bits(h) for h in batched] == [_bits(h) for h in expected]
+        assert emb.calls <= 1
+        if seeded and n == 0:
+            assert emb.calls == 0  # every text is a known query text
+
+    def test_empty_batch_makes_no_request(self, hyde_setup):
+        emb, _, _, index = hyde_setup
+        emb.calls = 0
+        assert search_hypothesized([], emb, index, 5) == []
+        assert emb.calls == 0
+
+
+class TestRunQueriesChunks:
+    """cli._run_queries: chunks of 64 tasks, each one embedder request, with
+    the hits, meta and seeds of per-query hyde_search."""
+
+    @pytest.mark.parametrize("strategy,n", FUSION_SETTINGS)
+    @pytest.mark.parametrize("parallelism,fail_times", [(1, 5), (2, 0)])
+    def test_chunked_runs_equal_per_query_hyde_search(self, hyde_setup, strategy, n, parallelism, fail_times):
+        docs = hyde_setup[1]
+        emb, index = _dense_rows_setup(docs)
+        config = RunConfig(seed=11, parallelism=parallelism)
+        fusion = FusionConfig(strategy=strategy, n=n)
+        # 70 queries, the last 10 repeating earlier texts; two runs make 140 tasks, three chunks
+        texts = [" ".join(d.text.split()[:2]) for d in docs] + ["query probe words"] * 20
+        queries = [Query(id=f"q{i:03d}", text=text) for i, text in enumerate(texts[:60] + texts[:10])]
+        seed_parts = [("eval", "ds", 0), ("eval", "ds", 1)]
+
+        gen = MockGeneratorClient(fail_times=fail_times, max_retries=2)
+        expected = [
+            {
+                q.id: hyde_search(
+                    q, gen, emb, index, fusion, 10, cli._sampling(config, derive_seed(config.seed, *parts, q.id))
+                )
+                for q in queries
+            }
+            for parts in seed_parts
+        ]
+        known = dict(zip((q.text for q in queries), embed_texts(emb, [q.text for q in queries])))
+        gen = MockGeneratorClient(fail_times=fail_times, max_retries=2)
+        emb.calls = 0
+        runs = cli._run_queries(config, emb, index, queries, 10, gen, fusion, seed_parts, known)
+        assert [{qid: _bits(h) for qid, h in run.items()} for run in runs] == [
+            {qid: _bits(h) for qid, h in run.items()} for run in expected
+        ]
+        assert emb.calls == (0 if n == 0 else 3)
+        if fail_times and n:
+            assert runs[0]["q000"].meta["degraded"] is True
