@@ -7,7 +7,8 @@ error, 2 runtime error, 3 completed but degraded (fallbacks or flags).
 Run artifacts are written to a staging directory and promoted into the
 output directory file-by-file (os.replace) only when the command succeeds;
 embedding caches are managed in place with atomic writes so unchanged
-corpora are never re-embedded.
+corpora are never re-embedded, and a warm cache is used without parsing the
+corpus file.
 """
 from __future__ import annotations
 
@@ -30,8 +31,8 @@ from .config import (
     load_config,
     write_resolved_config,
 )
-from .corpus import load_corpus, load_qrels, load_queries, sample_documents
-from .embed import cache_embeddings, embed_texts
+from .corpus import corpus_file_digest, load_corpus, load_qrels, load_queries, sample_documents
+from .embed import build_cache, cache_fingerprint, embed_texts, reuse_cache
 from .errors import ParseError, SlhydeError, ValidationError
 from .hyde import FusionConfig, hypothesize, search_hypothesized
 from .metrics import build_report, ndcg_at_k, recall_at_k, render_report_text, report_to_dict, write_trec_run
@@ -95,13 +96,20 @@ def _fusion_for(config: RunConfig, dataset) -> FusionConfig:
     )
 
 
-def _dataset_cache(config: RunConfig, emb, dataset):
+def _dataset_cache(config: RunConfig, emb, dataset, need_store: bool = False):
+    """(store, cache) for one dataset. The cache is reused when its fingerprint
+    matches the corpus file's sha256 and the embedder; the corpus is parsed only
+    to rebuild it or when `need_store` is set, and store is None otherwise."""
     if not dataset.corpus or not dataset.queries:
         raise ValidationError(
             f"dataset {dataset.name!r} needs corpus and queries paths in the config"
         )
-    store = load_corpus(dataset.corpus)
-    cache = cache_embeddings(emb, store, Path(config.out_dir) / f"{dataset.name}.emb")
+    path = Path(config.out_dir) / f"{dataset.name}.emb"
+    fingerprint = cache_fingerprint(emb, corpus_file_digest(dataset.corpus))
+    cache = reuse_cache(path, fingerprint)
+    store = load_corpus(dataset.corpus) if cache is None or need_store else None
+    if cache is None:
+        cache = build_cache(emb, store, path, fingerprint)
     return store, cache
 
 
@@ -171,7 +179,7 @@ def cmd_search(config: RunConfig, k: int | None = None) -> int:
     with staged_outputs(Path(config.out_dir)) as staging:
         write_resolved_config(config, staging)
         for dataset in config.all_datasets():
-            store, cache = _dataset_cache(config, emb, dataset)
+            _, cache = _dataset_cache(config, emb, dataset)
             run, _ = _dense_run(emb, DenseIndex(cache), load_queries(dataset.queries), k)
             write_trec_run(run, staging / f"run_{dataset.name}.trec", tag="dense")
     return EXIT_OK
@@ -186,7 +194,7 @@ def cmd_hyde_search(config: RunConfig, k: int | None = None, trace: bool = False
         write_resolved_config(config, staging)
         for dataset in config.all_datasets():
             fusion = _fusion_for(config, dataset)
-            store, cache = _dataset_cache(config, emb, dataset)
+            _, cache = _dataset_cache(config, emb, dataset)
             queries = load_queries(dataset.queries)
             [run] = _run_queries(
                 config, emb, DenseIndex(cache), queries, k, gen, fusion, [("hyde", dataset.name)]
@@ -220,7 +228,7 @@ def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str]):
         raise ValidationError(f"dataset {dataset.name!r} has no qrels path; evaluate requires one")
     queries = load_queries(dataset.queries)
     qrels = load_qrels(dataset.qrels)
-    store, cache = _dataset_cache(config, emb, dataset)
+    _, cache = _dataset_cache(config, emb, dataset)
     index = DenseIndex(cache)
     judged_ids = set(qrels.entries)
     eval_queries = [q for q in queries if q.id in judged_ids]
@@ -321,7 +329,7 @@ def cmd_build_sft(config: RunConfig) -> int:
     gen = build_generator_client(config)
     emb = build_embedder_client(config)
     dataset = config.all_datasets()[0]
-    store, cache = _dataset_cache(config, emb, dataset)
+    store, cache = _dataset_cache(config, emb, dataset, need_store=True)
     index = DenseIndex(cache)
     sample_n = config.selflearn.sample_docs or len(store)
     docs = sample_documents(store, min(sample_n, len(store)), derive_seed(config.seed, "sample"))
@@ -359,7 +367,7 @@ def cmd_build_triplets(config: RunConfig, sft_path: str | None = None) -> int:
     gen = build_generator_client(config)
     emb = build_embedder_client(config)
     dataset = config.all_datasets()[0]
-    store, cache = _dataset_cache(config, emb, dataset)
+    _, cache = _dataset_cache(config, emb, dataset)
     sft_file = Path(sft_path) if sft_path else Path(config.out_dir) / "sft.jsonl"
     if not sft_file.exists():
         raise ValidationError(f"SFT dataset not found: {sft_file} (run build-sft-data first)")

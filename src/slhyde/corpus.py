@@ -8,6 +8,7 @@ On-disk layout, one directory per dataset (all UTF-8):
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
@@ -106,6 +107,16 @@ class CorpusStore:
         except KeyError:
             raise ValidationError(f"unknown document id {doc_id!r}") from None
 
+    def digest(self) -> bytes:
+        """sha256 of the ids and indexed texts, in order: the corpus part of an
+        embedding-cache fingerprint for an in-memory store."""
+        digest = hashlib.sha256()
+        for doc in self._documents:
+            for part in (doc.id, doc.indexed_text):
+                encoded = part.encode("utf-8")
+                digest.update(len(encoded).to_bytes(8, "little") + encoded)
+        return digest.digest()
+
 
 def _iter_jsonl(path: Path):
     with path.open("r", encoding="utf-8") as fh:
@@ -119,6 +130,19 @@ def _iter_jsonl(path: Path):
             if not isinstance(record, dict):
                 raise ParseError(f"expected a JSON object in {path.name}", line=lineno)
             yield lineno, record
+
+
+def corpus_file_digest(path: str | Path) -> bytes:
+    """sha256 of the corpus file's bytes: the corpus part of an embedding-cache
+    fingerprint when the corpus is read from disk."""
+    path = Path(path)
+    if not path.is_file():
+        raise ValidationError(f"corpus file not found: {path}")
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.digest()
 
 
 def load_corpus(path: str | Path) -> CorpusStore:
@@ -245,16 +269,3 @@ def sample_documents(store: CorpusStore, n: int, seed: int) -> list[Document]:
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(store))[:n]
     return [store[int(i)] for i in order]
-
-
-def validate_dataset(store: CorpusStore, queries: list[Query], qrels: RelevanceJudgments) -> None:
-    """Strict cross-file checks; raises on the first violation."""
-    known_queries = {q.id for q in queries}
-    for qid, grades in qrels.entries.items():
-        if qid not in known_queries:
-            raise ValidationError(f"qrels references unknown query id {qid!r}")
-        for doc_id in grades:
-            if doc_id not in store:
-                raise ValidationError(f"qrels references unknown document id {doc_id!r}")
-        if not any(g > 0 for g in grades.values()):
-            raise ValidationError(f"query {qid!r} has no positive judgment")

@@ -4,12 +4,21 @@ Every vector leaving this module is float32 and unit-normalized, which makes
 the inner product used by the search indexes equal to cosine similarity.
 
 Cache file format (little-endian):
-    magic "SLHE1" | u32 dim | u64 count | count*dim float32
+    magic "SLHE2" | u32 dim | u64 count | 32-byte fingerprint
+    | 32-byte sha256 of the ids sidecar | count*dim float32
 plus a sidecar ids file at <path>.ids: one document id per line, same order.
+
+The fingerprint (`cache_fingerprint`) is a sha256 of everything that decides
+the vectors: the client class, model, dim, truncate_chars, the mock's
+overrides, and a digest of the corpus content. A cache is reused only when its
+fingerprint matches, so the matrix file and its sidecar are all a warm run
+reads. The sidecar is written first and the matrix last: the matrix file is
+the commit point, and a sidecar from another run fails the digest check.
 """
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import struct
 import threading
@@ -22,12 +31,12 @@ import requests
 
 from .corpus import CorpusStore
 from .errors import FormatError, ProtocolError, TransportError, ValidationError
-from .util import atomic_write_bytes, atomic_write_text
+from .util import atomic_write_bytes
 
 logger = logging.getLogger(__name__)
 
-CACHE_MAGIC = b"SLHE1"
-_HEADER = struct.Struct("<5sIQ")
+CACHE_MAGIC = b"SLHE2"
+_HEADER = struct.Struct("<5sIQ32s32s")
 
 
 def normalize(vector) -> np.ndarray:
@@ -239,27 +248,57 @@ class EmbeddingCache:
         return self.matrix[self.position(doc_id)]
 
 
-def save_cache(cache: EmbeddingCache, path: str | Path) -> None:
+def cache_fingerprint(client, corpus_digest: bytes) -> bytes:
+    """32-byte sha256 of the client settings and corpus digest that decide a cache's vectors."""
+    overrides = hashlib.sha256()
+    pinned = getattr(client, "_overrides", {})
+    for text in sorted(pinned):
+        encoded = text.encode("utf-8")
+        overrides.update(len(encoded).to_bytes(8, "little") + encoded + pinned[text].tobytes())
+    settings = {
+        "client": f"{type(client).__module__}.{type(client).__qualname__}",
+        "model": getattr(client, "model", None),
+        "dim": client.dim,
+        "truncate_chars": client.truncate_chars,
+        "overrides": overrides.hexdigest(),
+        "corpus": corpus_digest.hex(),
+    }
+    return hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).digest()
+
+
+def save_cache(cache: EmbeddingCache, path: str | Path, fingerprint: bytes) -> None:
     path = Path(path)
     for doc_id in cache.ids:
         if "\n" in doc_id or "\r" in doc_id:
             raise ValidationError(f"id {doc_id!r} contains a newline; cannot serialize")
-    header = _HEADER.pack(CACHE_MAGIC, cache.dim, len(cache))
+    ids = "".join(f"{i}\n" for i in cache.ids).encode("utf-8")
+    header = _HEADER.pack(CACHE_MAGIC, cache.dim, len(cache), fingerprint, hashlib.sha256(ids).digest())
     payload = np.ascontiguousarray(cache.matrix, dtype="<f4").tobytes()
+    atomic_write_bytes(Path(str(path) + ".ids"), ids)
     atomic_write_bytes(path, header + payload)
-    atomic_write_text(Path(str(path) + ".ids"), "".join(f"{i}\n" for i in cache.ids))
 
 
-def load_cache(path: str | Path, expect_dim: int | None = None) -> EmbeddingCache:
+def load_cache(
+    path: str | Path, expect_dim: int | None = None, fingerprint: bytes | None = None
+) -> EmbeddingCache:
+    """Read a cache and its sidecar; FormatError when either is unreadable, the
+    sidecar's digest does not match the header, or `fingerprint` is given and
+    differs from the stored one (checked before the rows are read)."""
     path = Path(path)
     if not path.exists():
         raise FormatError(f"cache file not found: {path}")
     size = path.stat().st_size
     with path.open("rb") as fh:
         header = fh.read(_HEADER.size)
+        if header[:5] == b"SLHE1":
+            raise FormatError(f"cache file {path} has the old SLHE1 format, which holds no fingerprint")
         if len(header) < _HEADER.size or header[:5] != CACHE_MAGIC:
             raise FormatError(f"bad cache magic in {path}")
-        _, dim, count = _HEADER.unpack(header)
+        _, dim, count, stored, ids_digest = _HEADER.unpack(header)
+        if fingerprint is not None and stored != fingerprint:
+            raise FormatError(
+                f"cache file {path} was built from another corpus or embedder setting (fingerprint mismatch)"
+            )
         expected = _HEADER.size + count * dim * 4
         if size != expected:
             raise FormatError(f"cache file {path} is truncated or padded ({size} != {expected} bytes)")
@@ -272,35 +311,53 @@ def load_cache(path: str | Path, expect_dim: int | None = None) -> EmbeddingCach
     ids_path = Path(str(path) + ".ids")
     if not ids_path.exists():
         raise FormatError(f"ids sidecar not found: {ids_path}")
-    ids = ids_path.read_text("utf-8").splitlines()
+    raw = ids_path.read_bytes()
+    if hashlib.sha256(raw).digest() != ids_digest:
+        raise FormatError(f"ids sidecar {ids_path} does not belong to {path} (digest mismatch)")
+    ids = raw.decode("utf-8").split("\n")[:-1]
     if len(ids) != count:
         raise FormatError(f"ids sidecar has {len(ids)} lines, header says {count}")
     return EmbeddingCache(ids=ids, matrix=matrix)
 
 
-def cache_embeddings(client, store: CorpusStore, path: str | Path) -> EmbeddingCache:
-    """Embed a corpus into a cache file, reusing an existing valid cache.
-
-    A cache is reused only when its ids match the store order and its dim
-    matches the client; anything unreadable or stale is rebuilt with a warning.
-    """
+def reuse_cache(path: str | Path, fingerprint: bytes) -> EmbeddingCache | None:
+    """The cache at `path` if it is readable and carries `fingerprint`, else
+    None; the reason for not reusing an existing file is logged."""
     path = Path(path)
-    if path.exists():
-        try:
-            cache = load_cache(path)
-        except FormatError as exc:
-            logger.warning("rebuilding unreadable cache %s: %s", path, exc)
-        else:
-            if cache.ids == store.ids and cache.dim == client.dim:
-                logger.info("reusing embedding cache %s (%d vectors)", path, len(cache))
-                return cache
-            logger.warning("cache %s is stale (ids or dim changed); rebuilding", path)
+    if not path.exists():
+        return None
+    try:
+        cache = load_cache(path, fingerprint=fingerprint)
+    except FormatError as exc:
+        logger.warning("rebuilding embedding cache: %s", exc)
+        return None
+    logger.info("reusing embedding cache %s (%d vectors)", path, len(cache))
+    return cache
+
+
+def build_cache(client, store: CorpusStore, path: str | Path, fingerprint: bytes) -> EmbeddingCache:
+    """Embed every document's indexed text and save the cache under `fingerprint`."""
     texts = [doc.indexed_text for doc in store]
     if texts:
         matrix = embed_texts(client, texts)
     else:
         matrix = np.zeros((0, client.dim), dtype=np.float32)
     cache = EmbeddingCache(ids=store.ids, matrix=matrix)
-    save_cache(cache, path)
+    save_cache(cache, path, fingerprint)
     logger.info("embedded %d documents into %s", len(cache), path)
     return cache
+
+
+def cache_embeddings(client, store: CorpusStore, path: str | Path) -> EmbeddingCache:
+    """Embed a corpus into a cache file, reusing the file when its fingerprint matches.
+
+    The corpus part of the fingerprint is `store.digest()`, a digest of the
+    ids and indexed texts. The CLI calls `reuse_cache` and `build_cache`
+    itself with the sha256 of the corpus file in its place, so that a warm
+    run never parses the corpus; a cache made one way is rebuilt, not
+    reused, when checked the other way. Anything unreadable or stale is
+    rebuilt with a logged reason.
+    """
+    fingerprint = cache_fingerprint(client, store.digest())
+    cache = reuse_cache(path, fingerprint)
+    return cache if cache is not None else build_cache(client, store, path, fingerprint)

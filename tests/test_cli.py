@@ -11,7 +11,7 @@ import yaml
 from slhyde import cli
 from slhyde.cli import main
 from slhyde.config import build_embedder_client, build_generator_client, load_config, write_resolved_config
-from slhyde.corpus import CorpusStore, load_qrels, write_corpus, write_qrels, write_queries
+from slhyde.corpus import CorpusStore, Document, load_qrels, write_corpus, write_qrels, write_queries
 from slhyde.corpus import RelevanceJudgments, load_corpus, load_queries
 from slhyde.embed import MockEmbedderClient, cache_embeddings, embed_text, load_cache
 from slhyde.errors import TransportError, ValidationError
@@ -212,6 +212,76 @@ class TestEmbedCorpusCommand:
         main(["embed-corpus", "--config", str(config_path)])
         assert (out / "resolved_config.yaml").exists()
         assert (out / "prompt_templates.json").exists()
+
+
+class TestWarmCache:
+    def _warm(self, tmp_path, **extra):
+        dataset = tmp_path / "data"
+        docs, _, _ = make_dataset(dataset)
+        out = tmp_path / "run"
+        config_path = make_config(tmp_path, dataset, out, **extra)
+        assert main(["embed-corpus", "--config", str(config_path)]) == 0
+        return dataset, out, config_path, docs
+
+    def test_text_edit_with_same_ids_rebuilds(self, tmp_path, caplog):
+        dataset, out, config_path, docs = self._warm(tmp_path)
+        edited = list(docs)
+        edited[3] = Document(id=docs[3].id, text=docs[3].text + " amended")
+        write_corpus(edited, dataset / "corpus.jsonl")
+        with caplog.at_level(logging.WARNING):
+            assert main(["embed-corpus", "--config", str(config_path)]) == 0
+        assert "fingerprint mismatch" in caplog.text
+        cache = load_cache(out / "synthetic.emb")
+        expected = embed_text(MockEmbedderClient(dim=128), edited[3].indexed_text)
+        assert cache.row(docs[3].id).tobytes() == expected.tobytes()
+
+    def test_truncate_chars_change_rebuilds(self, tmp_path, caplog):
+        dataset, out, _, docs = self._warm(tmp_path)
+        config_path = make_config(tmp_path, dataset, out, embedder={"dim": 128, "truncate_chars": 16})
+        with caplog.at_level(logging.WARNING):
+            assert main(["search", "--config", str(config_path)]) == 0
+        assert "fingerprint mismatch" in caplog.text
+        cache = load_cache(out / "synthetic.emb")
+        expected = embed_text(MockEmbedderClient(dim=128), docs[0].indexed_text[:16])
+        assert cache.row(docs[0].id).tobytes() == expected.tobytes()
+
+    def test_warm_commands_parse_the_corpus_only_to_sample(self, tmp_path, monkeypatch):
+        dataset = tmp_path / "data"
+        docs, _, _ = make_dataset(dataset)
+        config_path = make_config(tmp_path, dataset, tmp_path / "run")
+        loads, batches = [], []
+        monkeypatch.setattr(cli, "load_corpus", lambda path: loads.append(path) or load_corpus(path))
+        original = MockEmbedderClient.embed_batch
+        monkeypatch.setattr(
+            MockEmbedderClient, "embed_batch", lambda client, texts: batches.append(texts) or original(client, texts)
+        )
+        flags = ["--config", str(config_path)]
+        assert main(["build-sft-data", *flags]) == 0  # cold: parsed once, to embed and to sample
+        assert len(loads) == 1
+        loads.clear()
+        assert main(["build-sft-data", *flags]) == 0  # warm: parsed once, to sample
+        assert len(loads) == 1
+        loads.clear()
+        batches.clear()
+        for command in (["embed-corpus"], ["search"], ["hyde-search"], ["evaluate"], ["build-retriever-data"]):
+            assert main([*command, *flags]) == 0
+        assert loads == []
+        corpus_texts = {doc.indexed_text for doc in docs}
+        assert batches and not any(corpus_texts & set(batch) for batch in batches)
+
+    def test_deleted_corpus_is_validation_exit(self, tmp_path, capsys):
+        dataset, _, config_path, _ = self._warm(tmp_path)
+        (dataset / "corpus.jsonl").unlink()
+        assert main(["evaluate", "--config", str(config_path)]) == 1
+        assert "corpus file not found" in capsys.readouterr().err
+
+    def test_bad_line_appended_to_corpus_is_validation_exit(self, tmp_path, capsys):
+        dataset, _, config_path, _ = self._warm(tmp_path)
+        with (dataset / "corpus.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write("{broken\n")
+        assert main(["search", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert "corpus.jsonl" in err and "(line 21)" in err
 
 
 class TestSearchCommands:

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from slhyde.corpus import (
     CorpusStore,
     Document,
-    Query,
     load_corpus,
     load_qrels,
     load_queries,
     sample_documents,
-    validate_dataset,
     write_corpus,
     write_qrels,
     write_queries,
@@ -215,19 +213,3 @@ class TestRoundTrip:
         write_corpus(docs, path)
         assert list(load_corpus(path)) == docs
 
-
-def test_validate_dataset_cross_checks():
-    docs = synthetic_docs(3)
-    store = CorpusStore(docs)
-    queries = [Query(id="q1", text="hello")]
-    from slhyde.corpus import RelevanceJudgments
-
-    good = RelevanceJudgments(entries={"q1": {docs[0].id: 1}})
-    validate_dataset(store, queries, good)
-
-    with pytest.raises(ValidationError, match="unknown query"):
-        validate_dataset(store, queries, RelevanceJudgments(entries={"qX": {docs[0].id: 1}}))
-    with pytest.raises(ValidationError, match="unknown document"):
-        validate_dataset(store, queries, RelevanceJudgments(entries={"q1": {"nope": 1}}))
-    with pytest.raises(ValidationError, match="no positive"):
-        validate_dataset(store, queries, RelevanceJudgments(entries={"q1": {docs[0].id: 0}}))

@@ -1,14 +1,18 @@
+import logging
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from slhyde.corpus import CorpusStore
+from slhyde import embed
+from slhyde.corpus import CorpusStore, Document
 from slhyde.embed import (
     EmbeddingCache,
     MockEmbedderClient,
     RemoteEmbedderClient,
     cache_embeddings,
+    cache_fingerprint,
     embed_text,
     embed_texts,
     load_cache,
@@ -207,13 +211,11 @@ class TestCache:
             load_cache(path)
 
     def test_non_finite_payload_is_format_error(self, tmp_path, mock_emb):
-        import struct
-
         store = CorpusStore(synthetic_docs(2))
         path = tmp_path / "c.emb"
         cache_embeddings(mock_emb, store, path)
         blob = bytearray(path.read_bytes())
-        header = struct.calcsize("<5sIQ")
+        header = embed._HEADER.size
         blob[header : header + 4] = struct.pack("<f", float("nan"))
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="non-finite"):
@@ -238,8 +240,6 @@ class TestCache:
         assert cache.ids == store.ids
 
     def test_corrupted_cache_rebuilt_with_warning(self, tmp_path, caplog):
-        import logging
-
         store = CorpusStore(synthetic_docs(4))
         path = tmp_path / "c.emb"
         client = MockEmbedderClient(dim=32)
@@ -261,6 +261,97 @@ class TestCache:
         cache = cache_embeddings(fresh, other, path)
         assert fresh.calls > 0
         assert cache.ids == other.ids
+
+    def test_text_edit_with_same_ids_rebuilt(self, tmp_path, caplog):
+        docs = synthetic_docs(4)
+        path = tmp_path / "c.emb"
+        cache_embeddings(MockEmbedderClient(dim=32), CorpusStore(docs), path)
+        edited = list(docs)
+        edited[2] = Document(id=docs[2].id, text=docs[2].text + " amended", title=docs[2].title)
+        fresh = MockEmbedderClient(dim=32)
+        with caplog.at_level(logging.WARNING):
+            cache = cache_embeddings(fresh, CorpusStore(edited), path)
+        assert fresh.calls > 0
+        assert cache.ids == [d.id for d in docs]
+        assert np.array_equal(cache.row(docs[2].id), embed_text(fresh, edited[2].indexed_text))
+        assert "fingerprint mismatch" in caplog.text
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            {"truncate_chars": 16},
+            {"overrides": {"pinned text": [1.0] + [0.0] * 31}},
+        ],
+        ids=["truncate_chars", "overrides"],
+    )
+    def test_embedder_setting_change_at_same_dim_rebuilt(self, tmp_path, caplog, changed):
+        store = CorpusStore(synthetic_docs(4))
+        path = tmp_path / "c.emb"
+        cache_embeddings(MockEmbedderClient(dim=32), store, path)
+        fresh = MockEmbedderClient(dim=32, **changed)
+        with caplog.at_level(logging.WARNING):
+            cache_embeddings(fresh, store, path)
+        assert fresh.calls > 0
+        assert "fingerprint mismatch" in caplog.text
+        again = MockEmbedderClient(dim=32, **changed)
+        cache_embeddings(again, store, path)
+        assert again.calls == 0
+
+    def test_fingerprint_covers_every_vector_setting(self):
+        digest = CorpusStore(synthetic_docs(3)).digest()
+
+        def remote(**changed):
+            settings = {"endpoint": "http://x", "model": "m", "dim": 8, "session": object()}
+            return RemoteEmbedderClient(**{**settings, **changed})
+
+        prints = [
+            cache_fingerprint(client, corpus)
+            for client, corpus in [
+                (remote(), digest),
+                (remote(model="other"), digest),
+                (remote(truncate_chars=10), digest),
+                (remote(dim=9), digest),
+                (MockEmbedderClient(dim=8), digest),
+                (remote(), CorpusStore(synthetic_docs(3, seed=1)).digest()),
+            ]
+        ]
+        assert len(set(prints)) == len(prints)
+        # settings that do not change the vectors keep the fingerprint
+        assert cache_fingerprint(remote(batch_size=3, endpoint="http://y"), digest) == prints[0]
+
+    def test_foreign_sidecar_is_detected_and_rebuilt(self, tmp_path, caplog):
+        client = MockEmbedderClient(dim=32)
+        ours = CorpusStore(synthetic_docs(4, seed=1))
+        theirs = CorpusStore([Document(id=f"other-{d.id}", text=d.text) for d in synthetic_docs(4, seed=2)])
+        path = tmp_path / "c.emb"
+        cache_embeddings(client, ours, path)
+        cache_embeddings(client, theirs, tmp_path / "other.emb")
+        (tmp_path / "c.emb.ids").write_bytes((tmp_path / "other.emb.ids").read_bytes())
+        with pytest.raises(FormatError, match="sidecar"):
+            load_cache(path)
+        fresh = MockEmbedderClient(dim=32)
+        with caplog.at_level(logging.WARNING):
+            cache = cache_embeddings(fresh, ours, path)
+        assert fresh.calls > 0
+        assert cache.ids == ours.ids
+        assert "digest mismatch" in caplog.text
+        assert load_cache(path).ids == ours.ids
+
+    def test_slhe1_file_is_rebuilt(self, tmp_path, caplog):
+        store = CorpusStore(synthetic_docs(3))
+        client = MockEmbedderClient(dim=32)
+        rows = embed_texts(client, [d.indexed_text for d in store])
+        path = tmp_path / "c.emb"
+        path.write_bytes(struct.pack("<5sIQ", b"SLHE1", 32, 3) + rows.astype("<f4").tobytes())
+        (tmp_path / "c.emb.ids").write_text("".join(f"{i}\n" for i in store.ids))
+        with pytest.raises(FormatError, match="SLHE1"):
+            load_cache(path)
+        fresh = MockEmbedderClient(dim=32)
+        with caplog.at_level(logging.WARNING):
+            cache_embeddings(fresh, store, path)
+        assert fresh.calls > 0
+        assert "SLHE1" in caplog.text
+        assert path.read_bytes()[:5] == b"SLHE2"
 
     def test_cache_row_lookup(self, tmp_path, mock_emb):
         store = CorpusStore(synthetic_docs(6))
