@@ -31,8 +31,8 @@ from .config import (
     load_config,
     write_resolved_config,
 )
-from .corpus import corpus_file_digest, load_corpus, load_qrels, load_queries, sample_documents
-from .embed import build_cache, cache_fingerprint, embed_texts, reuse_cache
+from .corpus import load_corpus, load_qrels, load_queries, sample_documents
+from .embed import cache_embeddings, embed_texts
 from .errors import ParseError, SlhydeError, ValidationError
 from .hyde import FusionConfig, hypothesize, search_hypothesized
 from .metrics import build_report, ndcg_at_k, recall_at_k, render_report_text, report_to_dict, write_trec_run
@@ -96,21 +96,21 @@ def _fusion_for(config: RunConfig, dataset) -> FusionConfig:
     )
 
 
-def _dataset_cache(config: RunConfig, emb, dataset, need_store: bool = False):
-    """(store, cache) for one dataset. The cache is reused when its fingerprint
-    matches the corpus file's sha256 and the embedder; the corpus is parsed only
-    to rebuild it or when `need_store` is set, and store is None otherwise."""
+def _dataset_cache(config: RunConfig, emb, dataset):
+    """`cache_embeddings` for one dataset: (store, cache), where store is None
+    when the cache was reused without parsing the corpus."""
     if not dataset.corpus or not dataset.queries:
         raise ValidationError(
             f"dataset {dataset.name!r} needs corpus and queries paths in the config"
         )
-    path = Path(config.out_dir) / f"{dataset.name}.emb"
-    fingerprint = cache_fingerprint(emb, corpus_file_digest(dataset.corpus))
-    cache = reuse_cache(path, fingerprint)
-    store = load_corpus(dataset.corpus) if cache is None or need_store else None
-    if cache is None:
-        cache = build_cache(emb, store, path, fingerprint)
-    return store, cache
+    return cache_embeddings(emb, dataset.corpus, Path(config.out_dir) / f"{dataset.name}.emb")
+
+
+def _single_dataset(config: RunConfig, command: str):
+    datasets = config.all_datasets()
+    if len(datasets) != 1:
+        raise ValidationError(f"{command} takes one dataset, but the config lists {len(datasets)}")
+    return datasets[0]
 
 
 def cmd_embed_corpus(config: RunConfig) -> int:
@@ -328,8 +328,10 @@ def cmd_evaluate(config: RunConfig, mode: str = "hyde") -> int:
 def cmd_build_sft(config: RunConfig) -> int:
     gen = build_generator_client(config)
     emb = build_embedder_client(config)
-    dataset = config.all_datasets()[0]
-    store, cache = _dataset_cache(config, emb, dataset, need_store=True)
+    dataset = _single_dataset(config, "build-sft-data")
+    store, cache = _dataset_cache(config, emb, dataset)
+    if store is None:  # the cache was reused; sampling still needs the documents
+        store = load_corpus(dataset.corpus)
     index = DenseIndex(cache)
     sample_n = config.selflearn.sample_docs or len(store)
     docs = sample_documents(store, min(sample_n, len(store)), derive_seed(config.seed, "sample"))
@@ -366,7 +368,7 @@ def cmd_build_sft(config: RunConfig) -> int:
 def cmd_build_triplets(config: RunConfig, sft_path: str | None = None) -> int:
     gen = build_generator_client(config)
     emb = build_embedder_client(config)
-    dataset = config.all_datasets()[0]
+    dataset = _single_dataset(config, "build-retriever-data")
     _, cache = _dataset_cache(config, emb, dataset)
     sft_file = Path(sft_path) if sft_path else Path(config.out_dir) / "sft.jsonl"
     if not sft_file.exists():

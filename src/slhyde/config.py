@@ -13,7 +13,13 @@ import yaml
 from .embed import MockEmbedderClient, RemoteEmbedderClient
 from .errors import ValidationError
 from .hyde import FusionConfig
-from .textgen import MockGeneratorClient, RemoteGeneratorClient, TEMPLATE_FILES, load_template
+from .textgen import (
+    HYPOTHETICAL_TEMPLATES,
+    TEMPLATE_FILES,
+    MockGeneratorClient,
+    RemoteGeneratorClient,
+    load_template,
+)
 from .util import atomic_write_text, derive_seed, dump_json
 
 _ENV_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
@@ -146,13 +152,16 @@ class RunConfig:
             raise ValidationError(f"clients must be 'mock' or 'remote', got {self.clients!r}")
         if self.parallelism < 1:
             raise ValidationError("parallelism must be >= 1")
-        if self.fusion.template not in TEMPLATE_FILES:
-            raise ValidationError(f"unknown fusion template {self.fusion.template!r}")
+        if self.fusion.template not in HYPOTHETICAL_TEMPLATES:
+            raise ValidationError(
+                f"fusion template {self.fusion.template!r} is not one of {HYPOTHETICAL_TEMPLATES}"
+            )
         FusionConfig(strategy=self.fusion.strategy, n=self.fusion.n, template=self.fusion.template)
         for dataset in self.all_datasets():
-            if dataset.template is not None and dataset.template not in TEMPLATE_FILES:
+            if dataset.template is not None and dataset.template not in HYPOTHETICAL_TEMPLATES:
                 raise ValidationError(
-                    f"unknown template {dataset.template!r} for dataset {dataset.name!r}"
+                    f"template {dataset.template!r} for dataset {dataset.name!r} is not one of"
+                    f" {HYPOTHETICAL_TEMPLATES}"
                 )
         if self.eval.primary_k < 1 or self.eval.repeats < 1:
             raise ValidationError("eval.primary_k and eval.repeats must be >= 1")

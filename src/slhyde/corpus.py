@@ -64,9 +64,6 @@ class RelevanceJudgments:
     def grades_for(self, query_id: str) -> dict[str, int]:
         return self.entries.get(query_id, {})
 
-    def judged_queries(self) -> list[str]:
-        return list(self.entries)
-
     def __len__(self) -> int:
         return sum(len(v) for v in self.entries.values())
 
@@ -107,16 +104,6 @@ class CorpusStore:
         except KeyError:
             raise ValidationError(f"unknown document id {doc_id!r}") from None
 
-    def digest(self) -> bytes:
-        """sha256 of the ids and indexed texts, in order: the corpus part of an
-        embedding-cache fingerprint for an in-memory store."""
-        digest = hashlib.sha256()
-        for doc in self._documents:
-            for part in (doc.id, doc.indexed_text):
-                encoded = part.encode("utf-8")
-                digest.update(len(encoded).to_bytes(8, "little") + encoded)
-        return digest.digest()
-
 
 def _iter_jsonl(path: Path):
     with path.open("r", encoding="utf-8") as fh:
@@ -134,7 +121,7 @@ def _iter_jsonl(path: Path):
 
 def corpus_file_digest(path: str | Path) -> bytes:
     """sha256 of the corpus file's bytes: the corpus part of an embedding-cache
-    fingerprint when the corpus is read from disk."""
+    fingerprint."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"corpus file not found: {path}")

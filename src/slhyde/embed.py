@@ -10,10 +10,12 @@ plus a sidecar ids file at <path>.ids: one document id per line, same order.
 
 The fingerprint (`cache_fingerprint`) is a sha256 of everything that decides
 the vectors: the client class, model, dim, truncate_chars, the mock's
-overrides, and a digest of the corpus content. A cache is reused only when its
-fingerprint matches, so the matrix file and its sidecar are all a warm run
-reads. The sidecar is written first and the matrix last: the matrix file is
-the commit point, and a sidecar from another run fails the digest check.
+overrides, and the sha256 of the corpus file's bytes. `cache_embeddings` is
+the one reuse-or-build path: a cache is reused only when its fingerprint
+matches, so the corpus file's bytes, the matrix file and its sidecar are all a
+warm run reads. The sidecar is written first and the matrix last: the matrix
+file is the commit point, and a sidecar from another run fails the digest
+check.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import requests
 
-from .corpus import CorpusStore
+from .corpus import CorpusStore, corpus_file_digest, load_corpus
 from .errors import FormatError, ProtocolError, TransportError, ValidationError
 from .util import atomic_write_bytes
 
@@ -278,9 +280,7 @@ def save_cache(cache: EmbeddingCache, path: str | Path, fingerprint: bytes) -> N
     atomic_write_bytes(path, header + payload)
 
 
-def load_cache(
-    path: str | Path, expect_dim: int | None = None, fingerprint: bytes | None = None
-) -> EmbeddingCache:
+def load_cache(path: str | Path, fingerprint: bytes | None = None) -> EmbeddingCache:
     """Read a cache and its sidecar; FormatError when either is unreadable, the
     sidecar's digest does not match the header, or `fingerprint` is given and
     differs from the stored one (checked before the rows are read)."""
@@ -302,8 +302,6 @@ def load_cache(
         expected = _HEADER.size + count * dim * 4
         if size != expected:
             raise FormatError(f"cache file {path} is truncated or padded ({size} != {expected} bytes)")
-        if expect_dim is not None and dim != expect_dim:
-            raise ValidationError(f"cache dim {dim} does not match expected {expect_dim}")
         # One buffer: the rows are read straight into the array that is returned.
         matrix = np.fromfile(fh, dtype="<f4", count=count * dim).reshape(count, dim)
     if not np.isfinite(matrix).all():
@@ -320,23 +318,28 @@ def load_cache(
     return EmbeddingCache(ids=ids, matrix=matrix)
 
 
-def reuse_cache(path: str | Path, fingerprint: bytes) -> EmbeddingCache | None:
-    """The cache at `path` if it is readable and carries `fingerprint`, else
-    None; the reason for not reusing an existing file is logged."""
+def cache_embeddings(
+    client, corpus_path: str | Path, path: str | Path
+) -> tuple[CorpusStore | None, EmbeddingCache]:
+    """The one reuse-or-build path for a corpus file's embedding cache.
+
+    The cache at `path` is reused when its fingerprint matches the client and
+    the sha256 of the corpus file's bytes; the corpus is then not parsed and
+    the result is (None, cache). Anything else (no file, an unreadable or
+    stale one, with the reason logged) parses, embeds and saves the corpus
+    and returns (store, cache).
+    """
     path = Path(path)
-    if not path.exists():
-        return None
-    try:
-        cache = load_cache(path, fingerprint=fingerprint)
-    except FormatError as exc:
-        logger.warning("rebuilding embedding cache: %s", exc)
-        return None
-    logger.info("reusing embedding cache %s (%d vectors)", path, len(cache))
-    return cache
-
-
-def build_cache(client, store: CorpusStore, path: str | Path, fingerprint: bytes) -> EmbeddingCache:
-    """Embed every document's indexed text and save the cache under `fingerprint`."""
+    fingerprint = cache_fingerprint(client, corpus_file_digest(corpus_path))
+    if path.exists():
+        try:
+            cache = load_cache(path, fingerprint=fingerprint)
+        except FormatError as exc:
+            logger.warning("rebuilding embedding cache: %s", exc)
+        else:
+            logger.info("reusing embedding cache %s (%d vectors)", path, len(cache))
+            return None, cache
+    store = load_corpus(corpus_path)
     texts = [doc.indexed_text for doc in store]
     if texts:
         matrix = embed_texts(client, texts)
@@ -345,19 +348,4 @@ def build_cache(client, store: CorpusStore, path: str | Path, fingerprint: bytes
     cache = EmbeddingCache(ids=store.ids, matrix=matrix)
     save_cache(cache, path, fingerprint)
     logger.info("embedded %d documents into %s", len(cache), path)
-    return cache
-
-
-def cache_embeddings(client, store: CorpusStore, path: str | Path) -> EmbeddingCache:
-    """Embed a corpus into a cache file, reusing the file when its fingerprint matches.
-
-    The corpus part of the fingerprint is `store.digest()`, a digest of the
-    ids and indexed texts. The CLI calls `reuse_cache` and `build_cache`
-    itself with the sha256 of the corpus file in its place, so that a warm
-    run never parses the corpus; a cache made one way is rebuilt, not
-    reused, when checked the other way. Anything unreadable or stale is
-    rebuilt with a logged reason.
-    """
-    fingerprint = cache_fingerprint(client, store.digest())
-    cache = reuse_cache(path, fingerprint)
-    return cache if cache is not None else build_cache(client, store, path, fingerprint)
+    return store, cache

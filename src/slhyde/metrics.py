@@ -10,7 +10,7 @@ All internal math is float64; rounding happens only when rendering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -107,7 +107,6 @@ class EvalReport:
     datasets: dict[str, DatasetResult]
     average: float
     comparison: Comparison | None = None
-    notes: list[str] = field(default_factory=list)
 
 
 def _as_result(values) -> DatasetResult:
@@ -191,8 +190,6 @@ def report_to_dict(report: EvalReport) -> dict:
             for name, r in report.datasets.items()
         },
     }
-    if report.notes:
-        out["notes"] = report.notes
     if report.comparison:
         c = report.comparison
         out["comparison"] = {
@@ -234,8 +231,6 @@ def render_report_text(report: EvalReport) -> str:
         lines.append(f"pairing: {report.comparison.pairing}")
     else:
         lines.append(summary)
-    for note in report.notes:
-        lines.append(f"note: {note}")
     return "\n".join(lines) + "\n"
 
 

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import string
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from slhyde.corpus import CorpusStore, Document, Query
-from slhyde.embed import MockEmbedderClient, cache_embeddings
+from slhyde.corpus import CorpusStore, Document, Query, write_corpus
+from slhyde.embed import EmbeddingCache, MockEmbedderClient, cache_embeddings
 from slhyde.retrieval import DenseIndex
 
 LETTERS = np.array(list(string.ascii_lowercase))
@@ -62,6 +63,14 @@ def queries_for_docs(
     return queries
 
 
+def cache_docs(client, docs, path) -> EmbeddingCache:
+    """The cache `cache_embeddings` gives for `docs` written as a corpus file
+    next to `path`: the same reuse-or-build path every CLI command takes."""
+    corpus = Path(f"{path}.corpus.jsonl")
+    write_corpus(docs, corpus)
+    return cache_embeddings(client, corpus, path)[1]
+
+
 @pytest.fixture
 def mock_emb():
     return MockEmbedderClient(dim=256)
@@ -74,5 +83,4 @@ def small_store():
 
 @pytest.fixture
 def small_index(tmp_path, mock_emb, small_store):
-    cache = cache_embeddings(mock_emb, small_store, tmp_path / "small.emb")
-    return DenseIndex(cache)
+    return DenseIndex(cache_docs(mock_emb, small_store, tmp_path / "small.emb"))

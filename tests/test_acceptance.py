@@ -25,7 +25,7 @@ from slhyde.corpus import (
     write_qrels,
     write_queries,
 )
-from slhyde.embed import EmbeddingCache, MockEmbedderClient, cache_embeddings, embed_text
+from slhyde.embed import EmbeddingCache, MockEmbedderClient, embed_text
 from slhyde.hyde import FusionConfig, fuse, hyde_search
 from slhyde.metrics import build_report, ndcg_at_k, recall_at_k
 from slhyde.retrieval import DenseIndex, dense_search, rank_of
@@ -46,7 +46,7 @@ from slhyde.textgen import (
 )
 from slhyde.util import derive_seed
 
-from conftest import queries_for_docs, synthetic_docs
+from conftest import cache_docs, queries_for_docs, synthetic_docs
 
 
 def _report(criterion: str, detail: str = "") -> None:
@@ -134,7 +134,7 @@ def test_c3_fusion_reduction_and_invariance(tmp_path):
     emb = MockEmbedderClient(dim=64)
     docs = synthetic_docs(50, seed=31)
     store = CorpusStore(docs)
-    cache = cache_embeddings(emb, store, tmp_path / "c3.emb")
+    cache = cache_docs(emb, store, tmp_path / "c3.emb")
     index = DenseIndex(cache)
 
     # reduction: n=0 is bit-identical to plain dense retrieval
@@ -175,7 +175,7 @@ def test_c4_selection_optimality(tmp_path):
     emb = MockEmbedderClient(dim=256)
     docs = synthetic_docs(500, seed=41)
     store = CorpusStore(docs)
-    cache = cache_embeddings(emb, store, tmp_path / "c4.emb")
+    cache = cache_docs(emb, store, tmp_path / "c4.emb")
     index = DenseIndex(cache)
     gen = MockGeneratorClient(seed=7)
     seed = 43
@@ -205,7 +205,7 @@ def test_c5_mining_consistency(tmp_path):
     emb = MockEmbedderClient(dim=128)
     docs = synthetic_docs(200, seed=51)
     store = CorpusStore(docs)
-    cache = cache_embeddings(emb, store, tmp_path / "c5.emb")
+    cache = cache_docs(emb, store, tmp_path / "c5.emb")
     dense = DenseIndex(cache)
     rng = np.random.default_rng(52)
     for _ in range(100):
@@ -334,7 +334,7 @@ def test_c8_directional_sanity(tmp_path):
     emb = MockEmbedderClient(dim=256)
     docs = synthetic_docs(120, seed=81, anchors_per_doc=2, extra_tokens=8)
     store = CorpusStore(docs)
-    cache = cache_embeddings(emb, store, tmp_path / "c8.emb")
+    cache = cache_docs(emb, store, tmp_path / "c8.emb")
     index = DenseIndex(cache)
 
     rng = np.random.default_rng(82)

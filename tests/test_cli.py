@@ -8,7 +8,7 @@ import time
 import pytest
 import yaml
 
-from slhyde import cli
+from slhyde import cli, embed
 from slhyde.cli import main
 from slhyde.config import build_embedder_client, build_generator_client, load_config, write_resolved_config
 from slhyde.corpus import CorpusStore, Document, load_qrels, write_corpus, write_qrels, write_queries
@@ -22,7 +22,7 @@ from slhyde.selflearn import LossConfig, contrastive_loss, load_triplets_jsonl, 
 from slhyde.textgen import MockGeneratorClient, SamplingConfig
 from slhyde.util import derive_seed
 
-from conftest import queries_for_docs, synthetic_docs
+from conftest import cache_docs, queries_for_docs, synthetic_docs
 
 
 def make_dataset(root, n_docs=20, seed=0):
@@ -70,7 +70,7 @@ def _direct_hyde_report(config_path, metric, cache_dir):
     max_k = max(config.eval.k_values + [config.eval.primary_k])
     system, baseline = {}, {}
     for ds in config.all_datasets():
-        index = DenseIndex(cache_embeddings(emb, load_corpus(ds.corpus), cache_dir / f"{ds.name}.emb"))
+        index = DenseIndex(cache_embeddings(emb, ds.corpus, cache_dir / f"{ds.name}.emb")[1])
         qrels = load_qrels(ds.qrels)
         queries = load_queries(ds.queries)
         dense = {}
@@ -250,7 +250,9 @@ class TestWarmCache:
         docs, _, _ = make_dataset(dataset)
         config_path = make_config(tmp_path, dataset, tmp_path / "run")
         loads, batches = [], []
-        monkeypatch.setattr(cli, "load_corpus", lambda path: loads.append(path) or load_corpus(path))
+        probe = lambda path: loads.append(path) or load_corpus(path)  # noqa: E731
+        monkeypatch.setattr(cli, "load_corpus", probe)
+        monkeypatch.setattr(embed, "load_corpus", probe)
         original = MockEmbedderClient.embed_batch
         monkeypatch.setattr(
             MockEmbedderClient, "embed_batch", lambda client, texts: batches.append(texts) or original(client, texts)
@@ -295,7 +297,7 @@ class TestSearchCommands:
         assert set(runs) == {q.id for q in queries}
         emb = MockEmbedderClient(dim=128)
         store = CorpusStore(docs)
-        cache = cache_embeddings(emb, store, tmp_path / "check.emb")
+        cache = cache_docs(emb, store, tmp_path / "check.emb")
         index = DenseIndex(cache)
         expected = dense_search(index, embed_text(emb, queries[0].text), 5)
         assert [d for d, _ in runs[queries[0].id]] == expected.doc_ids()
@@ -324,7 +326,7 @@ class TestEvaluateCommand:
         report = payload["reports"]["ndcg@10"]
         emb = MockEmbedderClient(dim=128)
         store = CorpusStore(docs)
-        cache = cache_embeddings(emb, store, tmp_path / "check.emb")
+        cache = cache_docs(emb, store, tmp_path / "check.emb")
         index = DenseIndex(cache)
         expected = []
         for query in queries:
@@ -638,20 +640,60 @@ class TestMultiDatasetAndTemplates:
     def test_unknown_template_override_rejected(self, tmp_path):
         dataset = tmp_path / "data"
         make_dataset(dataset)
+        # MED_RELEVANCE is a shipped prompt, but not a hypothetical-document one
+        for template in ("NOT_A_TEMPLATE", "MED_RELEVANCE"):
+            out = tmp_path / template
+            config_path = make_config(
+                tmp_path,
+                dataset,
+                out,
+                dataset={
+                    "name": "synthetic",
+                    "corpus": str(dataset / "corpus.jsonl"),
+                    "queries": str(dataset / "queries.jsonl"),
+                    "qrels": str(dataset / "qrels.tsv"),
+                    "template": template,
+                },
+            )
+            with pytest.raises(ValidationError):
+                load_config(config_path)
+            assert main(["hyde-search", "--config", str(config_path)]) == 1
+            assert not list(out.glob("*.emb"))
+
+    def test_non_hyde_fusion_template_rejected(self, tmp_path, capsys):
+        dataset = tmp_path / "data"
+        make_dataset(dataset)
+        out = tmp_path / "run"
+        config_path = make_config(tmp_path, dataset, out, fusion={"template": "MED_RELEVANCE"})
+        with pytest.raises(ValidationError, match="MED_RELEVANCE"):
+            load_config(config_path)
+        assert main(["hyde-search", "--config", str(config_path)]) == 1
+        assert "MED_RELEVANCE" in capsys.readouterr().err
+        assert not list(out.glob("*.emb"))
+
+    @pytest.mark.parametrize("command", ["build-sft-data", "build-retriever-data"])
+    def test_single_dataset_commands_reject_several(self, tmp_path, capsys, command):
+        roots = [tmp_path / "a", tmp_path / "b"]
+        for seed, root in enumerate(roots):
+            make_dataset(root, n_docs=10, seed=seed)
+        out = tmp_path / "run"
         config_path = make_config(
             tmp_path,
-            dataset,
-            tmp_path / "run",
-            dataset={
-                "name": "synthetic",
-                "corpus": str(dataset / "corpus.jsonl"),
-                "queries": str(dataset / "queries.jsonl"),
-                "qrels": str(dataset / "qrels.tsv"),
-                "template": "NOT_A_TEMPLATE",
-            },
+            roots[0],
+            out,
+            datasets=[
+                {
+                    "name": root.name,
+                    "corpus": str(root / "corpus.jsonl"),
+                    "queries": str(root / "queries.jsonl"),
+                    "qrels": str(root / "qrels.tsv"),
+                }
+                for root in roots
+            ],
         )
-        with pytest.raises(ValidationError):
-            load_config(config_path)
+        assert main([command, "--config", str(config_path)]) == 1
+        assert f"{command} takes one dataset, but the config lists 2" in capsys.readouterr().err
+        assert not list(out.glob("*.emb"))
 
     def test_multi_dataset_evaluate_averages(self, tmp_path):
         ds_a = tmp_path / "a"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slhyde import embed
-from slhyde.corpus import CorpusStore, Document
+from slhyde.corpus import CorpusStore, Document, write_corpus
 from slhyde.embed import (
     EmbeddingCache,
     MockEmbedderClient,
@@ -20,7 +20,7 @@ from slhyde.embed import (
 )
 from slhyde.errors import FormatError, ProtocolError, TransportError, ValidationError
 
-from conftest import synthetic_docs
+from conftest import cache_docs, synthetic_docs
 
 
 class TestNormalize:
@@ -168,14 +168,14 @@ class TestRemoteEmbedder:
 class TestCache:
     def test_round_trip_bit_exact(self, tmp_path, mock_emb):
         store = CorpusStore(synthetic_docs(10))
-        cache = cache_embeddings(mock_emb, store, tmp_path / "c.emb")
+        cache = cache_docs(mock_emb, store, tmp_path / "c.emb")
         loaded = load_cache(tmp_path / "c.emb")
         assert loaded.ids == cache.ids
         assert loaded.matrix.tobytes() == cache.matrix.tobytes()
 
     def test_load_holds_one_copy_of_the_rows(self, tmp_path):
         client = MockEmbedderClient(dim=64)
-        cache = cache_embeddings(client, CorpusStore(synthetic_docs(2000)), tmp_path / "c.emb")
+        cache = cache_docs(client, CorpusStore(synthetic_docs(2000)), tmp_path / "c.emb")
         tracemalloc.start()
         try:
             loaded = load_cache(tmp_path / "c.emb")
@@ -190,7 +190,7 @@ class TestCache:
     def test_padded_file_is_format_error(self, tmp_path, mock_emb):
         store = CorpusStore(synthetic_docs(5))
         path = tmp_path / "c.emb"
-        cache_embeddings(mock_emb, store, path)
+        cache_docs(mock_emb, store, path)
         path.write_bytes(path.read_bytes() + b"\x00" * 4)
         with pytest.raises(FormatError, match="padded"):
             load_cache(path)
@@ -198,7 +198,7 @@ class TestCache:
     def test_truncated_file_is_format_error(self, tmp_path, mock_emb):
         store = CorpusStore(synthetic_docs(5))
         path = tmp_path / "c.emb"
-        cache_embeddings(mock_emb, store, path)
+        cache_docs(mock_emb, store, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-7])
         with pytest.raises(FormatError, match="truncated"):
@@ -213,7 +213,7 @@ class TestCache:
     def test_non_finite_payload_is_format_error(self, tmp_path, mock_emb):
         store = CorpusStore(synthetic_docs(2))
         path = tmp_path / "c.emb"
-        cache_embeddings(mock_emb, store, path)
+        cache_docs(mock_emb, store, path)
         blob = bytearray(path.read_bytes())
         header = embed._HEADER.size
         blob[header : header + 4] = struct.pack("<f", float("nan"))
@@ -221,21 +221,14 @@ class TestCache:
         with pytest.raises(FormatError, match="non-finite"):
             load_cache(path)
 
-    def test_expected_dim_mismatch(self, tmp_path, mock_emb):
-        store = CorpusStore(synthetic_docs(3))
-        path = tmp_path / "c.emb"
-        cache_embeddings(mock_emb, store, path)
-        with pytest.raises(ValidationError, match="dim"):
-            load_cache(path, expect_dim=64)
-
     def test_reuse_skips_reembedding(self, tmp_path):
         store = CorpusStore(synthetic_docs(10))
         path = tmp_path / "c.emb"
         first_client = MockEmbedderClient(dim=64)
-        cache_embeddings(first_client, store, path)
+        cache_docs(first_client, store, path)
         assert first_client.calls > 0
         second_client = MockEmbedderClient(dim=64)
-        cache = cache_embeddings(second_client, store, path)
+        cache = cache_docs(second_client, store, path)
         assert second_client.calls == 0  # call-count oracle: nothing re-embedded
         assert cache.ids == store.ids
 
@@ -243,11 +236,11 @@ class TestCache:
         store = CorpusStore(synthetic_docs(4))
         path = tmp_path / "c.emb"
         client = MockEmbedderClient(dim=32)
-        cache_embeddings(client, store, path)
+        cache_docs(client, store, path)
         path.write_bytes(b"garbage")
         fresh = MockEmbedderClient(dim=32)
         with caplog.at_level(logging.WARNING):
-            cache = cache_embeddings(fresh, store, path)
+            cache = cache_docs(fresh, store, path)
         assert fresh.calls > 0
         assert len(cache) == 4
         assert any("rebuild" in record.message.lower() for record in caplog.records)
@@ -255,22 +248,22 @@ class TestCache:
     def test_stale_ids_rebuilt(self, tmp_path):
         client = MockEmbedderClient(dim=32)
         path = tmp_path / "c.emb"
-        cache_embeddings(client, CorpusStore(synthetic_docs(4, seed=1)), path)
+        cache_docs(client, CorpusStore(synthetic_docs(4, seed=1)), path)
         fresh = MockEmbedderClient(dim=32)
         other = CorpusStore(synthetic_docs(5, seed=2))
-        cache = cache_embeddings(fresh, other, path)
+        cache = cache_docs(fresh, other, path)
         assert fresh.calls > 0
         assert cache.ids == other.ids
 
     def test_text_edit_with_same_ids_rebuilt(self, tmp_path, caplog):
         docs = synthetic_docs(4)
         path = tmp_path / "c.emb"
-        cache_embeddings(MockEmbedderClient(dim=32), CorpusStore(docs), path)
+        cache_docs(MockEmbedderClient(dim=32), CorpusStore(docs), path)
         edited = list(docs)
         edited[2] = Document(id=docs[2].id, text=docs[2].text + " amended", title=docs[2].title)
         fresh = MockEmbedderClient(dim=32)
         with caplog.at_level(logging.WARNING):
-            cache = cache_embeddings(fresh, CorpusStore(edited), path)
+            cache = cache_docs(fresh, CorpusStore(edited), path)
         assert fresh.calls > 0
         assert cache.ids == [d.id for d in docs]
         assert np.array_equal(cache.row(docs[2].id), embed_text(fresh, edited[2].indexed_text))
@@ -287,18 +280,18 @@ class TestCache:
     def test_embedder_setting_change_at_same_dim_rebuilt(self, tmp_path, caplog, changed):
         store = CorpusStore(synthetic_docs(4))
         path = tmp_path / "c.emb"
-        cache_embeddings(MockEmbedderClient(dim=32), store, path)
+        cache_docs(MockEmbedderClient(dim=32), store, path)
         fresh = MockEmbedderClient(dim=32, **changed)
         with caplog.at_level(logging.WARNING):
-            cache_embeddings(fresh, store, path)
+            cache_docs(fresh, store, path)
         assert fresh.calls > 0
         assert "fingerprint mismatch" in caplog.text
         again = MockEmbedderClient(dim=32, **changed)
-        cache_embeddings(again, store, path)
+        cache_docs(again, store, path)
         assert again.calls == 0
 
     def test_fingerprint_covers_every_vector_setting(self):
-        digest = CorpusStore(synthetic_docs(3)).digest()
+        digest = bytes(32)
 
         def remote(**changed):
             settings = {"endpoint": "http://x", "model": "m", "dim": 8, "session": object()}
@@ -312,7 +305,7 @@ class TestCache:
                 (remote(truncate_chars=10), digest),
                 (remote(dim=9), digest),
                 (MockEmbedderClient(dim=8), digest),
-                (remote(), CorpusStore(synthetic_docs(3, seed=1)).digest()),
+                (remote(), b"\x01" * 32),
             ]
         ]
         assert len(set(prints)) == len(prints)
@@ -324,18 +317,62 @@ class TestCache:
         ours = CorpusStore(synthetic_docs(4, seed=1))
         theirs = CorpusStore([Document(id=f"other-{d.id}", text=d.text) for d in synthetic_docs(4, seed=2)])
         path = tmp_path / "c.emb"
-        cache_embeddings(client, ours, path)
-        cache_embeddings(client, theirs, tmp_path / "other.emb")
+        cache_docs(client, ours, path)
+        cache_docs(client, theirs, tmp_path / "other.emb")
         (tmp_path / "c.emb.ids").write_bytes((tmp_path / "other.emb.ids").read_bytes())
         with pytest.raises(FormatError, match="sidecar"):
             load_cache(path)
         fresh = MockEmbedderClient(dim=32)
         with caplog.at_level(logging.WARNING):
-            cache = cache_embeddings(fresh, ours, path)
+            cache = cache_docs(fresh, ours, path)
         assert fresh.calls > 0
         assert cache.ids == ours.ids
         assert "digest mismatch" in caplog.text
         assert load_cache(path).ids == ours.ids
+
+    @pytest.mark.parametrize("corpus", ["warm", "torn"])
+    def test_torn_write_is_detected_and_rebuilt(self, tmp_path, monkeypatch, caplog, corpus):
+        warm = synthetic_docs(4, seed=1)
+        torn = [Document(id=f"other-{d.id}", text=d.text) for d in synthetic_docs(4, seed=2)]
+        path = tmp_path / "c.emb"
+        cache_docs(MockEmbedderClient(dim=32), warm, path)
+        write = embed.atomic_write_bytes
+
+        def fail_on_matrix(target, data):
+            if target == path:
+                raise OSError("disk full")
+            write(target, data)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(embed, "atomic_write_bytes", fail_on_matrix)
+            with pytest.raises(OSError, match="disk full"):
+                cache_docs(MockEmbedderClient(dim=32), torn, path)
+        # the torn run replaced the sidecar but not the matrix
+        assert (tmp_path / "c.emb.ids").read_text() == "".join(f"{d.id}\n" for d in torn)
+        with pytest.raises(FormatError, match="digest mismatch"):
+            load_cache(path)
+        docs = warm if corpus == "warm" else torn
+        fresh = MockEmbedderClient(dim=32)
+        with caplog.at_level(logging.WARNING):
+            cache = cache_docs(fresh, docs, path)
+        assert fresh.calls > 0
+        assert ("digest mismatch" if corpus == "warm" else "fingerprint mismatch") in caplog.text
+        expected = embed_texts(MockEmbedderClient(dim=32), [d.indexed_text for d in docs])
+        for served in (cache, load_cache(path)):
+            assert served.ids == [d.id for d in docs]
+            assert served.matrix.tobytes() == expected.tobytes()
+
+    def test_store_is_returned_only_when_the_corpus_was_parsed(self, tmp_path, monkeypatch):
+        docs = synthetic_docs(5)
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(docs, corpus)
+        path = tmp_path / "c.emb"
+        store, built = cache_embeddings(MockEmbedderClient(dim=32), corpus, path)
+        assert store.ids == built.ids == [d.id for d in docs]
+        monkeypatch.setattr(embed, "load_corpus", lambda _: pytest.fail("a warm cache parsed the corpus"))
+        store, reused = cache_embeddings(MockEmbedderClient(dim=32), corpus, path)
+        assert store is None
+        assert reused.ids == built.ids and reused.matrix.tobytes() == built.matrix.tobytes()
 
     def test_slhe1_file_is_rebuilt(self, tmp_path, caplog):
         store = CorpusStore(synthetic_docs(3))
@@ -348,14 +385,14 @@ class TestCache:
             load_cache(path)
         fresh = MockEmbedderClient(dim=32)
         with caplog.at_level(logging.WARNING):
-            cache_embeddings(fresh, store, path)
+            cache_docs(fresh, store, path)
         assert fresh.calls > 0
         assert "SLHE1" in caplog.text
         assert path.read_bytes()[:5] == b"SLHE2"
 
     def test_cache_row_lookup(self, tmp_path, mock_emb):
         store = CorpusStore(synthetic_docs(6))
-        cache = cache_embeddings(mock_emb, store, tmp_path / "c.emb")
+        cache = cache_docs(mock_emb, store, tmp_path / "c.emb")
         doc = store[2]
         assert np.array_equal(cache.row(doc.id), cache.matrix[2])
         with pytest.raises(ValidationError):
@@ -367,7 +404,7 @@ class TestCache:
 
     def test_empty_corpus_cache(self, tmp_path, mock_emb):
         store = CorpusStore([])
-        cache = cache_embeddings(mock_emb, store, tmp_path / "c.emb")
+        cache = cache_docs(mock_emb, store, tmp_path / "c.emb")
         assert len(cache) == 0
         loaded = load_cache(tmp_path / "c.emb")
         assert len(loaded) == 0 and loaded.dim == mock_emb.dim

@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 from slhyde import cli
 from slhyde.config import RunConfig
 from slhyde.corpus import CorpusStore, Query
-from slhyde.embed import EmbeddingCache, MockEmbedderClient, cache_embeddings, embed_text, embed_texts
+from slhyde.embed import EmbeddingCache, MockEmbedderClient, embed_text, embed_texts
 from slhyde.errors import ValidationError
 from slhyde.hyde import FusionConfig, fuse, hyde_search, hypothesize, search_hypothesized
 from slhyde.retrieval import DenseIndex, dense_search, rank_of
 from slhyde.textgen import MockGeneratorClient, SamplingConfig, load_template, render_prompt
 from slhyde.util import derive_seed
 
-from conftest import WORDS, synthetic_docs
+from conftest import WORDS, cache_docs, synthetic_docs
 
 
 def _pinned(vectors: dict[str, np.ndarray]) -> MockEmbedderClient:
@@ -73,7 +73,7 @@ def hyde_setup(tmp_path):
     emb = MockEmbedderClient(dim=256)
     docs = synthetic_docs(40, seed=13)
     store = CorpusStore(docs)
-    cache = cache_embeddings(emb, store, tmp_path / "hyde.emb")
+    cache = cache_docs(emb, store, tmp_path / "hyde.emb")
     index = DenseIndex(cache)
     return emb, docs, store, index
 

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from slhyde.corpus import CorpusStore, Document
-from slhyde.embed import MockEmbedderClient, cache_embeddings, embed_text, embed_texts
+from slhyde.embed import MockEmbedderClient, embed_text, embed_texts
 from slhyde.errors import ParseError, RunError, SlhydeError, ValidationError
 from slhyde.hyde import fuse
 from slhyde.retrieval import DenseIndex, dense_search, rank_of
@@ -32,7 +32,7 @@ from slhyde.selflearn import (
 )
 from slhyde.textgen import MockGeneratorClient, load_template, render_prompt
 
-from conftest import WORDS, synthetic_docs
+from conftest import WORDS, cache_docs, synthetic_docs
 
 
 def _pseudo_prompt(query, doc):
@@ -94,7 +94,7 @@ class TestScoreCandidatesControlledGeometry:
 
     def test_ranks_follow_constructed_geometry(self, tmp_path):
         emb, store, docs = self._controlled()
-        cache = cache_embeddings(emb, store, tmp_path / "ctrl.emb")
+        cache = cache_docs(emb, store, tmp_path / "ctrl.emb")
         index = DenseIndex(cache)
         scored = score_candidates(
             ["cand rank5", "cand rank2", "cand rank8"], "doc text 0", emb, index, "d0"
@@ -136,7 +136,7 @@ class TestBuildGeneratorDataset:
         emb = MockEmbedderClient(dim=128)
         docs = synthetic_docs(10, seed=21)
         store = CorpusStore(docs)
-        cache = cache_embeddings(emb, store, tmp_path / "c.emb")
+        cache = cache_docs(emb, store, tmp_path / "c.emb")
         index = DenseIndex(cache)
         result = build_generator_dataset(docs, MockGeneratorClient(), emb, index, candidates_per_doc=1)
         assert all(e.num_candidates == 1 for e in result.examples)
@@ -145,7 +145,7 @@ class TestBuildGeneratorDataset:
         emb = MockEmbedderClient(dim=256)
         docs = synthetic_docs(100, seed=22)
         store = CorpusStore(docs)
-        cache = cache_embeddings(emb, store, tmp_path / "c.emb")
+        cache = cache_docs(emb, store, tmp_path / "c.emb")
         index = DenseIndex(cache)
         gen = MockGeneratorClient(seed=4)
         result = build_generator_dataset(
@@ -173,7 +173,7 @@ class TestBuildGeneratorDataset:
         emb = MockEmbedderClient(dim=128)
         docs = synthetic_docs(12, seed=23)
         store = CorpusStore(docs)
-        cache = cache_embeddings(emb, store, tmp_path / "c.emb")
+        cache = cache_docs(emb, store, tmp_path / "c.emb")
         index = DenseIndex(cache)
         result = build_generator_dataset(
             docs, MockGeneratorClient(), emb, index, candidates_per_doc=1, rank_cutoff=0
@@ -185,7 +185,7 @@ class TestBuildGeneratorDataset:
         emb = MockEmbedderClient(dim=64)
         docs = synthetic_docs(6, seed=24)
         store = CorpusStore(docs)
-        cache = cache_embeddings(emb, store, tmp_path / "c.emb")
+        cache = cache_docs(emb, store, tmp_path / "c.emb")
         index = DenseIndex(cache)
 
         class AlwaysFailing(MockGeneratorClient):
@@ -199,7 +199,7 @@ class TestBuildGeneratorDataset:
         emb = MockEmbedderClient(dim=128)
         docs = synthetic_docs(12, seed=25)
         store = CorpusStore(docs)
-        cache = cache_embeddings(emb, store, tmp_path / "c.emb")
+        cache = cache_docs(emb, store, tmp_path / "c.emb")
         index = DenseIndex(cache)
         serial = build_generator_dataset(
             docs, MockGeneratorClient(seed=1), emb, index, candidates_per_doc=2, seed=3
@@ -213,7 +213,7 @@ class TestBuildGeneratorDataset:
     def test_one_embedder_request_per_document(self, tmp_path, rank_scoring):
         emb = MockEmbedderClient(dim=128)
         docs = synthetic_docs(8, seed=26)
-        index = DenseIndex(cache_embeddings(emb, CorpusStore(docs), tmp_path / "c.emb"))
+        index = DenseIndex(cache_docs(emb, CorpusStore(docs), tmp_path / "c.emb"))
         emb.calls = 0
         result = build_generator_dataset(
             docs, MockGeneratorClient(), emb, index, candidates_per_doc=3, rank_scoring=rank_scoring
@@ -227,7 +227,7 @@ class TestMineHardNegatives:
         emb = MockEmbedderClient(dim=128)
         docs = synthetic_docs(n, seed=31)
         store = CorpusStore(docs)
-        cache = cache_embeddings(emb, store, tmp_path / "m.emb")
+        cache = cache_docs(emb, store, tmp_path / "m.emb")
         return emb, docs, store, cache
 
     def test_default_seven_negatives_exclude_positive(self, tmp_path):
@@ -289,7 +289,7 @@ class TestBuildRetrieverDataset:
         emb = MockEmbedderClient(dim=128)
         docs = synthetic_docs(20, seed=41)
         store = CorpusStore(docs)
-        cache = cache_embeddings(emb, store, tmp_path / "t.emb")
+        cache = cache_docs(emb, store, tmp_path / "t.emb")
         sft = self._sft(docs[:5])
         triplets = build_retriever_dataset(
             sft, MockGeneratorClient(), emb, DenseIndex(cache), m=7, reuse_pseudo=True
@@ -300,7 +300,7 @@ class TestBuildRetrieverDataset:
         emb = MockEmbedderClient(dim=128)
         docs = synthetic_docs(20, seed=42)
         store = CorpusStore(docs)
-        cache = cache_embeddings(emb, store, tmp_path / "t.emb")
+        cache = cache_docs(emb, store, tmp_path / "t.emb")
         index = DenseIndex(cache)
         sft = self._sft(docs[:3])
         result = build_retriever_dataset(
@@ -316,7 +316,7 @@ class TestBuildRetrieverDataset:
         emb = MockEmbedderClient(dim=128)
         docs = synthetic_docs(30, seed=43)
         store = CorpusStore(docs)
-        cache = cache_embeddings(emb, store, tmp_path / "t.emb")
+        cache = cache_docs(emb, store, tmp_path / "t.emb")
         triplets = build_retriever_dataset(
             self._sft(docs[:10]), MockGeneratorClient(), emb, DenseIndex(cache), m=7
         ).triplets
@@ -329,7 +329,7 @@ class TestBuildRetrieverDataset:
         emb = MockEmbedderClient(dim=128)
         docs = synthetic_docs(120, seed=44)
         store = CorpusStore(docs)
-        cache = cache_embeddings(emb, store, tmp_path / "t.emb")
+        cache = cache_docs(emb, store, tmp_path / "t.emb")
         triplets = build_retriever_dataset(
             self._sft(docs[:100]), MockGeneratorClient(), emb, DenseIndex(cache), m=7
         ).triplets
@@ -342,7 +342,7 @@ class TestBuildRetrieverDataset:
     def test_one_embedder_request_per_triplet(self, tmp_path, reuse_pseudo):
         emb = MockEmbedderClient(dim=128)
         docs = synthetic_docs(20, seed=45)
-        index = DenseIndex(cache_embeddings(emb, CorpusStore(docs), tmp_path / "t.emb"))
+        index = DenseIndex(cache_docs(emb, CorpusStore(docs), tmp_path / "t.emb"))
         sft = self._sft(docs[:6])
         emb.calls = 0
         result = build_retriever_dataset(
@@ -415,7 +415,7 @@ class TestContrastiveLoss:
         emb = MockEmbedderClient(dim=64)
         docs = synthetic_docs(12, seed=51)
         store = CorpusStore(docs)
-        cache = cache_embeddings(emb, store, tmp_path / "l.emb")
+        cache = cache_docs(emb, store, tmp_path / "l.emb")
         sft = [SftExample(query="q text", response=docs[0].text, doc_id=docs[0].id, rank=1, num_candidates=5)]
         result = build_retriever_dataset(
             sft, MockGeneratorClient(), emb, DenseIndex(cache), m=7, loss=LossConfig(tau=0.02)
@@ -434,7 +434,7 @@ class TestContrastiveLoss:
     def test_dataset_reference_loss_one_embedder_request_per_triplet(self, tmp_path):
         emb = MockEmbedderClient(dim=64)
         docs = synthetic_docs(12, seed=52)
-        index = DenseIndex(cache_embeddings(emb, CorpusStore(docs), tmp_path / "l.emb"))
+        index = DenseIndex(cache_docs(emb, CorpusStore(docs), tmp_path / "l.emb"))
         sft = [
             SftExample(query=f"q text {i}", response=docs[i].text, doc_id=docs[i].id, rank=1, num_candidates=5)
             for i in range(4)
@@ -536,7 +536,7 @@ class TestEmission:
         emb = MockEmbedderClient(dim=128)
         docs = synthetic_docs(15, seed=61)
         store = CorpusStore(docs)
-        cache = cache_embeddings(emb, store, tmp_path / "d.emb")
+        cache = cache_docs(emb, store, tmp_path / "d.emb")
         index = DenseIndex(cache)
 
         def run(out):
