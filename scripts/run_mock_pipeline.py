@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end mock-mode demo: synthesize a dataset, then run
-embed-corpus -> build-sft-data -> build-retriever-data -> evaluate.
+embed-corpus -> build-sft-data -> build-retriever-data -> evaluate ->
+construct-benchmark. The last reads the synthetic corpus and queries as its
+raw texts and raw queries and writes the constructed benchmark into run/bench.
 
 Everything is offline and deterministic; rerunning with the same seed
 reproduces every output byte-for-byte. Prints the evaluation report and
@@ -58,10 +60,18 @@ def main() -> int:
     config_path = root / "config.yaml"
     config_path.write_text(yaml.safe_dump(config))
 
-    for command in ("embed-corpus", "build-sft-data", "build-retriever-data", "evaluate"):
+    bench_dir = run_dir / "bench"
+    bench_flags = [
+        "--texts", str(data_dir / "corpus.jsonl"),
+        "--queries", str(data_dir / "queries.jsonl"),
+        "--out", str(bench_dir),
+    ]
+    commands = [[name] for name in ("embed-corpus", "build-sft-data", "build-retriever-data", "evaluate")]
+    commands.append(["construct-benchmark", *bench_flags])
+    for command, *flags in commands:
         print(f"\n== slhyde {command}", flush=True)
         result = subprocess.run(
-            [sys.executable, "-m", "slhyde", command, "--config", str(config_path)],
+            [sys.executable, "-m", "slhyde", command, "--config", str(config_path), *flags],
         )
         if result.returncode not in (0, 3):
             print(f"{command} failed with exit code {result.returncode}", file=sys.stderr)
@@ -70,6 +80,8 @@ def main() -> int:
     print(f"\nartifacts: {run_dir}")
     for name in ("sft.jsonl", "triplets.jsonl", "report.json", "report.txt"):
         print(f"  {run_dir / name}")
+    for name in ("corpus.jsonl", "queries.jsonl", "qrels.tsv", "qc_report.txt"):
+        print(f"  {bench_dir / name}")
     return 0
 
 

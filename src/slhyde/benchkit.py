@@ -1,5 +1,11 @@
 """LLM-judged benchmark construction.
 
+Raw texts are (id, text) pairs and raw queries are `corpus.Query`s, whose
+optional `answer` is a reference answer. construct-benchmark reads them from a
+corpus file (a title is not judged) and a queries file with `load_corpus` and
+`load_queries`, so a repeated _id or a blank text is exit 1 with the file and
+line before any judge request.
+
 Three stages over raw texts and raw queries:
   1. medical-relevance filtering of both sides,
   2. positive-pair matching per query: BM25 top-k, judge rerank to top-m,
@@ -25,10 +31,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bm25 import Bm25Index, bm25_search
-from .corpus import (
-    CorpusStore, Document, Query, RelevanceJudgments, _iter_jsonl, write_corpus, write_qrels, write_queries
-)
+from .bm25 import TOKENIZERS, Bm25Index, bm25_search
+from .corpus import CorpusStore, Document, Query, RelevanceJudgments, write_corpus, write_qrels, write_queries
 from .errors import SlhydeError, ValidationError
 from .textgen import SamplingConfig, generate, load_template, render_prompt
 from .util import atomic_write_text, dump_json
@@ -37,13 +41,6 @@ logger = logging.getLogger(__name__)
 
 _JSON_BLOCK_RE = re.compile(r"\{.*\}", re.DOTALL)
 _REPAIR_SUFFIX = "\n\nYour previous output was not valid JSON. Return ONLY a valid JSON object with the required keys."
-
-
-@dataclass(frozen=True)
-class RawQuery:
-    id: str
-    text: str
-    answer: str | None = None  # reference answer for QA-style validation
 
 
 @dataclass
@@ -99,6 +96,8 @@ class PipelineConfig:
                 raise ValidationError(f"{name} must be in [0, 1], got {value}")
         if self.bm25_top_k < 1 or self.rerank_top_m < 1:
             raise ValidationError("bm25_top_k and rerank_top_m must be >= 1")
+        if self.bm25_tokenizer not in TOKENIZERS:
+            raise ValidationError(f"bm25 tokenizer {self.bm25_tokenizer!r} is not one of {TOKENIZERS}")
 
 
 def _parse_json_response(text: str) -> dict | None:
@@ -205,7 +204,7 @@ def _format_passages(hits, store: CorpusStore) -> str:
 
 
 def match_positive_pairs(
-    query: RawQuery,
+    query: Query,
     bm25: Bm25Index,
     judge,
     cfg: PipelineConfig,
@@ -390,7 +389,7 @@ class QcReport:
 
 def run_pipeline(
     texts: list[tuple[str, str]],
-    queries: list[RawQuery],
+    queries: list[Query],
     cfg: PipelineConfig,
     out_dir: str | Path,
 ) -> QcReport:
@@ -456,7 +455,7 @@ def run_pipeline(
     for pair in final_pairs:
         qrels.entries.setdefault(pair.query_id, {})[pair.doc_id] = 1
     final_query_ids = set(qrels.entries)
-    final_queries = [Query(id=q.id, text=q.text) for q in kept_queries if q.id in final_query_ids]
+    final_queries = [q for q in kept_queries if q.id in final_query_ids]
 
     write_corpus(list(store), out_dir / "corpus.jsonl")
     write_queries(final_queries, out_dir / "queries.jsonl")
@@ -494,34 +493,3 @@ def _stage_counts(total: int, kept, removed, review) -> dict:
         ],
     }
 
-
-def load_raw_queries(path: str | Path) -> list[RawQuery]:
-    """Raw query JSONL: _id, text, optional answer (reference answer)."""
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"raw queries file not found: {path}")
-    queries = []
-    for lineno, record in _iter_jsonl(path):
-        if "_id" not in record or "text" not in record:
-            raise ValidationError(f"raw query missing _id or text (line {lineno})")
-        queries.append(
-            RawQuery(
-                id=str(record["_id"]),
-                text=str(record["text"]),
-                answer=str(record["answer"]) if record.get("answer") else None,
-            )
-        )
-    return queries
-
-
-def load_raw_texts(path: str | Path) -> list[tuple[str, str]]:
-    """Raw text JSONL: _id, text."""
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"raw texts file not found: {path}")
-    texts = []
-    for lineno, record in _iter_jsonl(path):
-        if "_id" not in record or "text" not in record:
-            raise ValidationError(f"raw text missing _id or text (line {lineno})")
-        texts.append((str(record["_id"]), str(record["text"])))
-    return texts

@@ -87,8 +87,6 @@ class Bm25Index:
         b: float = 0.4,
         tokenizer: str = "cjk",
     ):
-        if tokenizer not in TOKENIZERS:
-            raise ValidationError(f"unknown tokenizer {tokenizer!r}")
         self.ids = list(ids)
         self.postings = postings
         self.doc_lens = list(doc_lens)

@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
-from .benchkit import PipelineConfig, load_raw_queries, load_raw_texts, run_pipeline
+from .benchkit import PipelineConfig, run_pipeline
 from .config import (
     RunConfig,
     build_embedder_client,
@@ -430,8 +430,9 @@ def cmd_construct_benchmark(
         bm25_b=config.bm25.b,
         bm25_tokenizer=config.bm25.tokenizer,
     )
-    texts = load_raw_texts(texts_file)
-    queries = load_raw_queries(queries_file)
+    # Raw inputs are corpus and queries files; a title is not judged.
+    texts = [(doc.id, doc.text) for doc in load_corpus(texts_file)]
+    queries = load_queries(queries_file)
     with staged_outputs(Path(config.out_dir)) as staging:
         write_resolved_config(config, staging)
         report = run_pipeline(texts, queries, pipeline_cfg, staging)

@@ -13,6 +13,8 @@ import yaml
 from .embed import MockEmbedderClient, RemoteEmbedderClient
 from .errors import ValidationError
 from .hyde import FusionConfig
+from .metrics import PAIRINGS
+from .selflearn import RANK_SCORINGS
 from .textgen import (
     HYPOTHETICAL_TEMPLATES,
     TEMPLATE_FILES,
@@ -167,8 +169,18 @@ class RunConfig:
             raise ValidationError("eval.primary_k and eval.repeats must be >= 1")
         if not self.eval.k_values or min(self.eval.k_values) < 1:
             raise ValidationError("eval.k_values must be a non-empty list of values >= 1")
+        if self.eval.pairing not in PAIRINGS:
+            raise ValidationError(f"eval.pairing {self.eval.pairing!r} is not one of {PAIRINGS}")
         if self.selflearn.tau <= 0:
             raise ValidationError("selflearn.tau must be > 0")
+        if self.selflearn.rank_scoring not in RANK_SCORINGS:
+            raise ValidationError(
+                f"selflearn.rank_scoring {self.selflearn.rank_scoring!r} is not one of {RANK_SCORINGS}"
+            )
+        if self.selflearn.sample_docs is not None and self.selflearn.sample_docs < 1:
+            raise ValidationError("selflearn.sample_docs must be null (whole corpus) or >= 1")
+        if self.embedder.truncate_chars < 1 or self.embedder.batch_size < 1:
+            raise ValidationError("embedder.truncate_chars and embedder.batch_size must be >= 1")
         if self.clients == "remote":
             if not self.generator.endpoint or not self.embedder.endpoint:
                 raise ValidationError("remote clients require generator.endpoint and embedder.endpoint")

@@ -3,7 +3,7 @@
 On-disk layout, one directory per dataset (all UTF-8):
 
     corpus.jsonl   one JSON object per line: _id, optional title, text
-    queries.jsonl  one JSON object per line: _id, text
+    queries.jsonl  one JSON object per line: _id, text, optional answer
     qrels.tsv      optional header, then  query-id <TAB> corpus-id <TAB> score
 """
 from __future__ import annotations
@@ -47,6 +47,7 @@ class Document:
 class Query:
     id: str
     text: str
+    answer: str | None = None  # reference answer, read by construct-benchmark's validation
 
     def __post_init__(self):
         if not self.id:
@@ -132,51 +133,41 @@ def corpus_file_digest(path: str | Path) -> bytes:
     return digest.digest()
 
 
-def load_corpus(path: str | Path) -> CorpusStore:
-    """Load corpus.jsonl into a CorpusStore. Duplicate _id values are rejected."""
+def _read_records(path: str | Path, kind: str, cls, optional: str) -> list:
+    """One `cls` (Document or Query) per record of a `kind` ("corpus" or
+    "queries") JSONL file. Every record needs _id and text; the `optional`
+    field (title or answer) is kept when truthy. An _id may appear once. Each
+    error names the file and the line."""
     path = Path(path)
     if not path.is_file():
-        raise ValidationError(f"corpus file not found: {path}")
-    documents = []
-    for lineno, record in _iter_jsonl(path):
-        if "_id" not in record or "text" not in record:
-            raise ParseError(f"record missing _id or text in {path.name}", line=lineno)
-        try:
-            documents.append(
-                Document(
-                    id=str(record["_id"]),
-                    text=str(record["text"]),
-                    title=str(record["title"]) if record.get("title") else None,
-                )
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"{exc} (line {lineno})") from None
-    store = CorpusStore(documents)
-    if not len(store):
-        logger.warning("corpus file %s is empty", path)
-    return store
-
-
-def load_queries(path: str | Path) -> list[Query]:
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"queries file not found: {path}")
-    queries: list[Query] = []
+        raise ValidationError(f"{kind} file not found: {path}")
+    items = []
     seen: set[str] = set()
     for lineno, record in _iter_jsonl(path):
         if "_id" not in record or "text" not in record:
             raise ParseError(f"record missing _id or text in {path.name}", line=lineno)
+        extra = str(record[optional]) if record.get(optional) else None
         try:
-            query = Query(id=str(record["_id"]), text=str(record["text"]))
+            item = cls(id=str(record["_id"]), text=str(record["text"]), **{optional: extra})
         except ValidationError as exc:
-            raise ValidationError(f"{exc} (line {lineno})") from None
-        if query.id in seen:
-            raise ValidationError(f"duplicate query id {query.id!r} (line {lineno})")
-        seen.add(query.id)
-        queries.append(query)
-    if not queries:
-        logger.warning("queries file %s is empty", path)
-    return queries
+            raise ValidationError(f"{exc} in {path.name} (line {lineno})") from None
+        if item.id in seen:
+            raise ValidationError(f"duplicate _id {item.id!r} in {path.name} (line {lineno})")
+        seen.add(item.id)
+        items.append(item)
+    if not items:
+        logger.warning("%s file %s is empty", kind, path)
+    return items
+
+
+def load_corpus(path: str | Path) -> CorpusStore:
+    """Load corpus.jsonl into a CorpusStore. Duplicate _id values are rejected."""
+    return CorpusStore(_read_records(path, "corpus", Document, "title"))
+
+
+def load_queries(path: str | Path) -> list[Query]:
+    """Load queries.jsonl; a record may carry a reference `answer`."""
+    return _read_records(path, "queries", Query, "answer")
 
 
 _QRELS_HEADERS = {"query-id", "query_id", "qid"}
@@ -209,7 +200,9 @@ def load_qrels(path: str | Path) -> RelevanceJudgments:
                     f"grade {grade_raw!r} is not an integer in {path.name}", line=lineno
                 ) from None
             if grade < 0:
-                raise ValidationError(f"negative grade {grade} for ({qid}, {doc_id}) (line {lineno})")
+                raise ValidationError(
+                    f"negative grade {grade} for ({qid}, {doc_id}) in {path.name} (line {lineno})"
+                )
             if not qid or not doc_id:
                 raise ParseError(f"empty query or doc id in {path.name}", line=lineno)
             per_query = entries.setdefault(qid, {})

@@ -91,6 +91,10 @@ class DatasetResult:
         return sum(self.values) / len(self.values)
 
 
+# t-test granularity of a comparison: per-query values, or one mean per run.
+PAIRINGS = ("query", "run")
+
+
 @dataclass
 class Comparison:
     baseline_means: dict[str, float]

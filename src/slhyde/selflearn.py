@@ -98,6 +98,9 @@ class TripletBuildResult:
     reference_losses: list[float]
 
 
+RANK_SCORINGS = ("candidate", "fused")
+
+
 def score_candidates(
     candidates: list[str],
     query: str,
@@ -114,7 +117,7 @@ def score_candidates(
     is ambiguous on this point. The query and every candidate are embedded
     in one embed_texts call, and all candidates are ranked in one ranks_of call.
     """
-    if rank_scoring not in ("candidate", "fused"):
+    if rank_scoring not in RANK_SCORINGS:
         raise ValidationError(f"unknown rank_scoring {rank_scoring!r}")
     rows = embed_texts(emb, [query, *candidates])
     vectors = rows[1:] if rank_scoring == "candidate" else (rows[1:] + rows[0]) / 2.0
@@ -386,10 +389,11 @@ def emit_sft_jsonl(
 
 def _validated_records(path: str | Path, validator, kind: str):
     """Schema-checked JSONL records; bad JSON is a ParseError with the line."""
-    for lineno, record in _iter_jsonl(Path(path)):
+    path = Path(path)
+    for lineno, record in _iter_jsonl(path):
         error = best_match(validator.iter_errors(record))
         if error is not None:
-            raise ValidationError(f"bad {kind} record at line {lineno}: {error.message}")
+            raise ValidationError(f"bad {kind} record in {path.name} at line {lineno}: {error.message}")
         yield record
 
 

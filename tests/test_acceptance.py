@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 from slhyde.ann import AnnIndex, ann_search
-from slhyde.benchkit import PipelineConfig, RawQuery, run_pipeline
+from slhyde.benchkit import PipelineConfig, run_pipeline
 from slhyde.cli import main
 from slhyde.corpus import (
     CorpusStore,
@@ -390,11 +390,11 @@ def _trace_fixture():
     """
     texts = [(f"t{i:02d}", f"[t{i:02d}] shared medical filler body {i}") for i in range(1, 21)]
     queries = [
-        RawQuery(id="qa", text="[qa] shared question alpha"),
-        RawQuery(id="qb", text="[qb] shared question beta"),
-        RawQuery(id="qc", text="[qc] shared question gamma"),
-        RawQuery(id="qd", text="[qd] shared question delta"),
-        RawQuery(id="qe", text="[qe] shared question epsilon"),
+        Query(id="qa", text="[qa] shared question alpha"),
+        Query(id="qb", text="[qb] shared question beta"),
+        Query(id="qc", text="[qc] shared question gamma"),
+        Query(id="qd", text="[qd] shared question delta"),
+        Query(id="qe", text="[qe] shared question epsilon"),
     ]
     evidence_pairs = {("qa", "t01"), ("qb", "t02"), ("qb", "t03")}
     rerank_targets = {"qa": ["t01"], "qb": ["t02", "t03"], "qc": [], "qd": []}

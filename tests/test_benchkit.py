@@ -6,16 +6,13 @@ import pytest
 from slhyde.benchkit import (
     CandidatePair,
     PipelineConfig,
-    RawQuery,
     filter_pseudo_relevant,
-    load_raw_queries,
-    load_raw_texts,
     match_positive_pairs,
     medical_relevance_filter,
     run_pipeline,
 )
 from slhyde.bm25 import Bm25Index
-from slhyde.corpus import CorpusStore, Document, load_corpus, load_qrels, load_queries
+from slhyde.corpus import CorpusStore, Document, Query, load_corpus, load_qrels, load_queries
 from slhyde.errors import ParseError, ValidationError
 from slhyde.textgen import MockGeneratorClient
 
@@ -99,7 +96,7 @@ def _matching_fixture():
     ]
     store = CorpusStore(docs)
     bm25 = Bm25Index.build(store, tokenizer="simple")
-    query = RawQuery(id="q1", text="alpha condition treatment", answer="use the alpha protocol")
+    query = Query(id="q1", text="alpha condition treatment", answer="use the alpha protocol")
 
     def rerank(prompt):
         return _json({"ranking": [2, 1, 3]})
@@ -292,8 +289,8 @@ def _pipeline_inputs():
         ("t3", "[t3] cooking recipes nothing medical"),
     ]
     queries = [
-        RawQuery(id="qa", text="[qa] alpha treatment question"),
-        RawQuery(id="qb", text="[qb] stock market question"),
+        Query(id="qa", text="[qa] alpha treatment question"),
+        Query(id="qb", text="[qb] stock market question"),
     ]
     return texts, queries
 
@@ -370,38 +367,41 @@ class TestRunPipeline:
 
 
 class TestRawLoaders:
+    """construct-benchmark reads raw texts with load_corpus and raw queries
+    with load_queries."""
+
     def test_raw_queries_with_answers(self, tmp_path):
         path = tmp_path / "raw.jsonl"
         path.write_text(
             json.dumps({"_id": "q1", "text": "question", "answer": "ref answer"}) + "\n"
             + json.dumps({"_id": "q2", "text": "another"}) + "\n"
         )
-        queries = load_raw_queries(path)
+        queries = load_queries(path)
         assert queries[0].answer == "ref answer"
         assert queries[1].answer is None
 
     def test_raw_texts(self, tmp_path):
         path = tmp_path / "texts.jsonl"
-        path.write_text(json.dumps({"_id": "t1", "text": "body"}) + "\n")
-        assert load_raw_texts(path) == [("t1", "body")]
+        path.write_text(json.dumps({"_id": "t1", "text": "body", "title": "ignored"}) + "\n")
+        assert [(doc.id, doc.text) for doc in load_corpus(path)] == [("t1", "body")]
 
     def test_malformed_raw_queries_line_is_parse_error(self, tmp_path):
         path = tmp_path / "raw.jsonl"
         path.write_text(json.dumps({"_id": "q1", "text": "question"}) + "\n[1, 2\n")
         with pytest.raises(ParseError, match="raw.jsonl.*line 2"):
-            load_raw_queries(path)
+            load_queries(path)
 
     def test_malformed_raw_texts_line_is_parse_error(self, tmp_path):
         path = tmp_path / "texts.jsonl"
         path.write_text('{"_id": "t1", "text": }\n')
         with pytest.raises(ParseError, match="texts.jsonl.*line 1"):
-            load_raw_texts(path)
+            load_corpus(path)
 
     def test_missing_files(self, tmp_path):
-        with pytest.raises(ValidationError):
-            load_raw_queries(tmp_path / "nope.jsonl")
-        with pytest.raises(ValidationError):
-            load_raw_texts(tmp_path / "nope.jsonl")
+        with pytest.raises(ValidationError, match="queries file not found"):
+            load_queries(tmp_path / "nope.jsonl")
+        with pytest.raises(ValidationError, match="corpus file not found"):
+            load_corpus(tmp_path / "nope.jsonl")
 
 
 def test_pipeline_config_validation():

@@ -113,6 +113,18 @@ def _assert_same_report(actual, expected):
         assert actual["comparison"]["pairing"] == expected["comparison"]["pairing"]
 
 
+def _count_gen_requests(monkeypatch) -> list:
+    """Record every mock generator request made from now on."""
+    requests = []
+    original = MockGeneratorClient.request_completions
+    monkeypatch.setattr(
+        MockGeneratorClient,
+        "request_completions",
+        lambda client, *args: requests.append(args) or original(client, *args),
+    )
+    return requests
+
+
 def _out_bytes(out_dir):
     return {
         str(p.relative_to(out_dir)): p.read_bytes()
@@ -595,6 +607,30 @@ class TestConstructBenchmarkCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "name, record, line",
+        [
+            ("texts.jsonl", {"_id": "t0", "text": "a second t0"}, 7),
+            ("queries.jsonl", {"_id": "q0", "text": "a second q0"}, 4),
+            ("texts.jsonl", {"_id": "t6", "text": "   "}, 7),
+        ],
+        ids=["duplicate_text_id", "duplicate_query_id", "blank_text"],
+    )
+    def test_bad_raw_input_exits_before_any_judge_request(self, tmp_path, monkeypatch, capsys, name, record, line):
+        texts_path, queries_path = self._raw_inputs(tmp_path / "raw")
+        with (tmp_path / "raw" / name).open("a") as fh:
+            fh.write(json.dumps(record) + "\n")
+        out = tmp_path / "bench"
+        config_path = make_config(tmp_path, tmp_path / "raw", out)
+        requests = _count_gen_requests(monkeypatch)
+        argv = ["construct-benchmark", "--config", str(config_path)]
+        argv += ["--texts", str(texts_path), "--queries", str(queries_path)]
+        assert main(argv) == 1
+        assert f"in {name} (line {line})" in capsys.readouterr().err
+        assert requests == []
+        assert not out.exists()
+        assert not list(tmp_path.glob("bench.staging*"))
+
     def test_remote_requires_thresholds(self, tmp_path):
         texts_path, queries_path = self._raw_inputs(tmp_path / "raw")
         config = {
@@ -732,6 +768,31 @@ class TestExitCodes:
         path.write_text("parallelism: 0\n")
         assert main(["embed-corpus", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("build-sft-data", "selflearn", "rank_scoring", "fussed"),
+            ("evaluate", "eval", "pairing", "runs"),
+            ("build-sft-data", "selflearn", "sample_docs", 0),
+            ("embed-corpus", "embedder", "truncate_chars", 0),
+            ("embed-corpus", "embedder", "batch_size", -1),
+            ("construct-benchmark", "bm25", "tokenizer", "whitespace"),
+        ],
+    )
+    def test_bad_setting_exits_before_any_request(self, tmp_path, monkeypatch, capsys, command, section, key, value):
+        dataset = tmp_path / "data"
+        make_dataset(dataset)
+        raw = {"raw_texts": str(dataset / "corpus.jsonl"), "raw_queries": str(dataset / "queries.jsonl")}
+        config_path = make_config(tmp_path, dataset, tmp_path / "run", benchmark=raw)
+        config = yaml.safe_load(config_path.read_text())
+        config.setdefault(section, {})[key] = value
+        config_path.write_text(yaml.safe_dump(config))
+        requests = _count_gen_requests(monkeypatch)
+        assert main([command, "--config", str(config_path)]) == 1
+        assert key in capsys.readouterr().err
+        assert requests == []
+        assert not list(tmp_path.rglob("*.emb"))
+
     def test_embedder_failure_in_hyde_search_is_runtime_exit(self, tmp_path, monkeypatch):
         dataset = tmp_path / "data"
         make_dataset(dataset)  # 20 queries: one chunk
@@ -792,13 +853,7 @@ class TestExitCodes:
         make_dataset(dataset)
         out = tmp_path / "run"
         config_path = make_config(tmp_path, dataset, out)
-        requests = []
-        original = MockGeneratorClient.request_completions
-        monkeypatch.setattr(
-            MockGeneratorClient,
-            "request_completions",
-            lambda client, *args: requests.append(args) or original(client, *args),
-        )
+        requests = _count_gen_requests(monkeypatch)
         assert main([command, "--config", str(config_path), "--k", "0"]) == 1
         assert not (out / "run_synthetic.trec").exists()
         # k is checked before the corpus is embedded and before any generation

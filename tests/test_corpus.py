@@ -38,7 +38,7 @@ class TestLoadCorpus:
     def test_duplicate_id_names_the_id(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         _write_jsonl(path, [{"_id": "dup", "text": "a"}, {"_id": "dup", "text": "b"}])
-        with pytest.raises(ValidationError, match="dup"):
+        with pytest.raises(ValidationError, match=r"'dup' in corpus\.jsonl \(line 2\)"):
             load_corpus(path)
 
     def test_empty_file_warns(self, tmp_path, caplog):
@@ -96,7 +96,7 @@ class TestLoadQueries:
     def test_duplicate_query_id(self, tmp_path):
         path = tmp_path / "queries.jsonl"
         _write_jsonl(path, [{"_id": "q", "text": "a"}, {"_id": "q", "text": "b"}])
-        with pytest.raises(ValidationError, match="q"):
+        with pytest.raises(ValidationError, match=r"'q' in queries\.jsonl \(line 2\)"):
             load_queries(path)
 
 
@@ -138,6 +138,23 @@ class TestLoadQrels:
         with caplog.at_level(logging.WARNING):
             load_qrels(path)
         assert any("no positive" in record.message for record in caplog.records)
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("corpus.jsonl", '{"_id": "d0", "text": "ok"}\n{"_id": "d1", "text": " "}\n', "document 'd1' has empty text"),
+        ("queries.jsonl", '{"_id": "q0", "text": "ok"}\n{"_id": "q1", "text": ""}\n', "query 'q1' has empty text"),
+        ("qrels.tsv", "q0\td0\t1\nq1\td1\t-1\n", r"negative grade -1 for \(q1, d1\)"),
+    ],
+    ids=["corpus", "queries", "qrels"],
+)
+def test_validation_errors_name_the_file_and_line(tmp_path, name, content, message):
+    path = tmp_path / name
+    path.write_text(content)
+    load = {"corpus.jsonl": load_corpus, "queries.jsonl": load_queries, "qrels.tsv": load_qrels}[name]
+    with pytest.raises(ValidationError, match=rf"{message} in {name} \(line 2\)"):
+        load(path)
 
 
 class TestSampleDocuments:

@@ -494,7 +494,7 @@ class TestEmission:
         record = json.loads(lines[0])
         del record["meta"]["rank"]
         path.write_text(json.dumps(record) + "\n" + lines[1] + "\n")
-        with pytest.raises(ValidationError, match="line 1: 'rank' is a required property"):
+        with pytest.raises(ValidationError, match=r"in sft\.jsonl at line 1: 'rank' is a required property"):
             validate_sft_file(path)
 
     def test_malformed_sft_line_is_parse_error(self, tmp_path):
