@@ -9,7 +9,7 @@ A query breadth at or above the number of indexed vectors falls back to an
 exact scan, so wide-breadth searches equal dense_search exactly.
 
 No command uses this index: hard-negative mining searches exactly with
-`retrieval.dense_search`. The module is kept only because the benchmark's
+`retrieval.search_many`. The module is kept only because the benchmark's
 tracer imports `AnnIndex`.
 
 Recall falls with corpus size. With the default parameters (degree 16, build

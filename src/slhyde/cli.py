@@ -19,8 +19,7 @@ import shutil
 import statistics
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 
 from .benchkit import PipelineConfig, run_pipeline
@@ -36,7 +35,7 @@ from .embed import cache_embeddings, embed_texts
 from .errors import ParseError, SlhydeError, ValidationError
 from .hyde import FusionConfig, hypothesize, search_hypothesized
 from .metrics import build_report, ndcg_at_k, recall_at_k, render_report_text, report_to_dict, write_trec_run
-from .retrieval import _QUERY_BLOCK, DenseIndex, search_many
+from .retrieval import DenseIndex, search_many
 from .selflearn import (
     LossConfig,
     build_generator_dataset,
@@ -46,7 +45,7 @@ from .selflearn import (
     load_sft_jsonl,
 )
 from .textgen import SamplingConfig
-from .util import atomic_write_text, derive_seed, dump_json, jsonl_line
+from .util import atomic_write_text, derive_seed, dump_json, jsonl_line, run_chunked
 
 logger = logging.getLogger(__name__)
 
@@ -138,9 +137,9 @@ def _run_queries(
     """One HyDE {query_id: RankedHits} run per entry of `seed_parts`.
 
     Query q of the run for seed parts p samples with derive_seed(config.seed,
-    *p, q.id). The (p, q) tasks are taken in order in chunks of 64; one thread
-    pool generates for a chunk, then one search_hypothesized call embeds the
-    chunk's distinct texts (those not in `known_rows`, text -> row) with one
+    *p, q.id). The (p, q) tasks go through `run_chunked`: a chunk is
+    generated for, then one search_hypothesized call embeds the chunk's
+    distinct texts (those not in `known_rows`, text -> row) with one
     embed_texts call and searches the chunk with one search_many call. So when
     the embedder fails, the generator has already been called for the whole
     chunk.
@@ -151,13 +150,10 @@ def _run_queries(
         parts, q = task
         return hypothesize(q, gen, fusion, _sampling(config, derive_seed(config.seed, *parts, q.id)))
 
-    hits = []
-    with ThreadPoolExecutor(config.parallelism) if config.parallelism > 1 else nullcontext() as pool:
-        for start in range(0, len(tasks), _QUERY_BLOCK):
-            chunk = tasks[start : start + _QUERY_BLOCK]
-            planned = list(pool.map(plan, chunk) if pool else map(plan, chunk))
-            hits.extend(search_hypothesized(planned, emb, index, k, known_rows))
-    results = iter(hits)
+    def finish(planned):
+        return search_hypothesized(planned, emb, index, k, known_rows)
+
+    results = iter(run_chunked(tasks, plan, finish, config.parallelism))
     return [{q.id: next(results) for q in queries} for _ in seed_parts]
 
 

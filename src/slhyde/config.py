@@ -179,6 +179,11 @@ class RunConfig:
             )
         if self.selflearn.sample_docs is not None and self.selflearn.sample_docs < 1:
             raise ValidationError("selflearn.sample_docs must be null (whole corpus) or >= 1")
+        for key in ("candidates_per_query", "negatives", "rank_cutoff"):
+            if getattr(self.selflearn, key) < 1:
+                raise ValidationError(f"selflearn.{key} must be >= 1")
+        if not 0 <= self.selflearn.max_skip_fraction <= 1:
+            raise ValidationError("selflearn.max_skip_fraction must be in [0, 1]")
         if self.embedder.truncate_chars < 1 or self.embedder.batch_size < 1:
             raise ValidationError("embedder.truncate_chars and embedder.batch_size must be >= 1")
         if self.clients == "remote":

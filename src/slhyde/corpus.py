@@ -228,7 +228,12 @@ def write_corpus(documents: Iterable[Document], path: str | Path) -> None:
 
 
 def write_queries(queries: Iterable[Query], path: str | Path) -> None:
-    lines = [jsonl_line({"_id": q.id, "text": q.text}) for q in queries]
+    lines = []
+    for q in queries:
+        record = {"_id": q.id, "text": q.text}
+        if q.answer:
+            record["answer"] = q.answer
+        lines.append(jsonl_line(record))
     atomic_write_text(path, "".join(lines))
 
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import requests
 
 from .corpus import CorpusStore, corpus_file_digest, load_corpus
 from .errors import FormatError, ProtocolError, TransportError, ValidationError
@@ -133,7 +132,10 @@ class RemoteEmbedderClient:
         self.backoff = backoff
         self.batch_size = batch_size
         self.truncate_chars = truncate_chars
-        self._session = session if session is not None else requests.Session()
+        if session is None:
+            import requests  # deferred so that mock runs never load it
+            session = requests.Session()
+        self._session = session
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         headers = {}

@@ -1,8 +1,8 @@
 """Hypothetical-document retrieval: generate, fuse, search.
 
 `fuse(emb, texts)` is the unnormalized mean of the rows of one embed_texts
-call (one embedder request); the self-learning module mines negatives with the
-fuse of (query, pseudo-document).
+call (one embedder request); self-learning fuses each (query, pseudo-document)
+pair the same way, as the mean of its own two rows of its chunk's embed_texts call.
 
 HyDE runs in two halves. `hypothesize` generates a query's hypothetical
 documents and returns the texts its fusion strategy averages.

@@ -153,19 +153,22 @@ def dense_search(index: DenseIndex, vector, k: int) -> RankedHits:
     return search_many(index, np.reshape(vector, (1, -1)), k)[0]
 
 
-def ranks_of(index: DenseIndex, vectors, target: str) -> list[int]:
-    """1-based full-corpus rank of `target` when searching with each row of the
+def ranks_of(index: DenseIndex, vectors, targets) -> list[int]:
+    """1-based full-corpus rank of targets[i] when searching with row i of the
     (queries, dim) matrix `vectors`.
 
     A rank equals 1 + the number of documents scoring strictly higher, plus tied
     documents with a smaller id (the same tie rule search_many applies).
     """
-    position = index.cache.position(target)
     queries = _as_query_matrix(index, vectors)
+    if len(targets) != len(queries):
+        raise ValidationError(f"{len(targets)} targets for {len(queries)} query rows")
+    positions = [index.cache.position(target) for target in targets]
     ranks = []
     for start in range(0, len(queries), _QUERY_BLOCK):
         block = queries[start : start + _QUERY_BLOCK]
-        for query, coarse in zip(block, _coarse_scores(index, block)):
+        row_targets = zip(targets[start:], positions[start:])
+        for query, coarse, (target, position) in zip(block, _coarse_scores(index, block), row_targets):
             target_coarse = np.float64(coarse[position])
             higher = int(np.count_nonzero(coarse > target_coarse + index._margin))
             band = np.flatnonzero(np.abs(coarse - target_coarse) <= index._margin)
@@ -179,4 +182,4 @@ def ranks_of(index: DenseIndex, vectors, target: str) -> list[int]:
 
 def rank_of(index: DenseIndex, vector, target: str) -> int:
     """Rank of `target` for one query vector; see ranks_of."""
-    return ranks_of(index, np.reshape(vector, (1, -1)), target)[0]
+    return ranks_of(index, np.reshape(vector, (1, -1)), [target])[0]

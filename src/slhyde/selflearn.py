@@ -7,8 +7,11 @@ Two datasets come out of this module:
   - the retriever triplet set: (query, pseudo-document; positive) triples
     whose hard negatives are the exact top-m corpus documents around the
     fused (query, pseudo) embedding, found by the one exact search
-    (`retrieval.dense_search`). The same fused vector gives each triplet's
-    reference InfoNCE loss, so a triplet costs one embedder request.
+    (`retrieval.search_many`). The same fused vector gives each triplet's
+    reference InfoNCE loss.
+Both builders go through `util.run_chunked`, 64 documents or SFT examples at a
+time: a chunk costs one embed_texts call and one ranks_of or search_many call.
+Embedded rows and exact search do not depend on the batch, nor the datasets on it.
 
 Gradient-based training is out of scope; the module emits the datasets and
 computes reference InfoNCE loss values on given embeddings.
@@ -16,7 +19,6 @@ computes reference InfoNCE loss values on given embeddings.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -27,10 +29,9 @@ from jsonschema.validators import validator_for
 from .corpus import Document, _iter_jsonl
 from .embed import embed_texts
 from .errors import RunError, SlhydeError, ValidationError
-from .hyde import fuse
-from .retrieval import DenseIndex, dense_search, ranks_of
+from .retrieval import DenseIndex, ranks_of, search_many
 from .textgen import SamplingConfig, generate_hypothetical, generate_pseudo_docs, generate_query_for_doc
-from .util import atomic_write_text, derive_seed, jsonl_line
+from .util import atomic_write_text, derive_seed, jsonl_line, run_chunked
 
 logger = logging.getLogger(__name__)
 
@@ -117,14 +118,25 @@ def score_candidates(
     is ambiguous on this point. The query and every candidate are embedded
     in one embed_texts call, and all candidates are ranked in one ranks_of call.
     """
+    return _score_many([(target_id, query, candidates)], emb, index, rank_scoring)[0]
+
+
+def _score_many(planned, emb, index: DenseIndex, rank_scoring: str) -> list[list[HypotheticalCandidate]]:
+    """score_candidates for each (target_id, query, candidates) of `planned`,
+    with one embed_texts and one ranks_of call for all of them."""
     if rank_scoring not in RANK_SCORINGS:
         raise ValidationError(f"unknown rank_scoring {rank_scoring!r}")
-    rows = embed_texts(emb, [query, *candidates])
-    vectors = rows[1:] if rank_scoring == "candidate" else (rows[1:] + rows[0]) / 2.0
-    return [
-        HypotheticalCandidate(text=text, rank=rank)
-        for text, rank in zip(candidates, ranks_of(index, vectors, target_id))
-    ]
+    if not planned:
+        return []
+    rows = embed_texts(emb, [text for _, query, candidates in planned for text in (query, *candidates)])
+    vectors, targets, start = [], [], 0
+    for target_id, _, candidates in planned:
+        block = rows[start : start + 1 + len(candidates)]
+        vectors.append(block[1:] if rank_scoring == "candidate" else (block[1:] + block[0]) / 2.0)
+        targets.extend([target_id] * len(candidates))
+        start += len(block)
+    ranks = iter(ranks_of(index, np.vstack(vectors), targets))
+    return [[HypotheticalCandidate(text, next(ranks)) for text in candidates] for _, _, candidates in planned]
 
 
 def select_best(candidates: list[HypotheticalCandidate]) -> tuple[int, HypotheticalCandidate]:
@@ -153,51 +165,47 @@ def build_generator_dataset(
     Per-document generation or embedding errors skip the document; a skip
     rate above `max_skip_fraction` fails the run. Documents whose best
     candidate rank exceeds `rank_cutoff` are dropped and counted.
+    If a chunk's one embed_texts or ranks_of call fails, its documents are
+    scored again one at a time, so only the failing documents are skipped.
     """
     if candidates_per_doc < 1:
         raise ValidationError("candidates_per_doc must be >= 1")
     base = sampling or SamplingConfig()
 
-    def _one(doc: Document) -> SftExample | None:
+    def plan(doc: Document):
         query_cfg = replace(base, seed=derive_seed(seed, "query", doc.id))
         cand_cfg = replace(base, seed=derive_seed(seed, "candidates", doc.id))
-        query = generate_query_for_doc(gen, doc, query_cfg)
-        candidate_texts = generate_pseudo_docs(gen, query, doc, candidates_per_doc, cand_cfg)
-        scored = score_candidates(candidate_texts, query, emb, index, doc.id, rank_scoring)
-        best_index, best = select_best(scored)
-        return SftExample(
-            query=query,
-            response=candidate_texts[best_index],
-            doc_id=doc.id,
-            rank=best.rank,
-            num_candidates=candidates_per_doc,
-        )
-
-    examples: list[SftExample] = []
-    dropped = 0
-    skipped = 0
-
-    def _safe(doc: Document):
         try:
-            return _one(doc)
+            query = generate_query_for_doc(gen, doc, query_cfg)
+            return doc.id, query, generate_pseudo_docs(gen, query, doc, candidates_per_doc, cand_cfg)
         except SlhydeError as exc:
             logger.warning("skipping document %s: %s", doc.id, exc)
             return None
 
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_safe, docs))
-    else:
-        results = [_safe(doc) for doc in docs]
+    def score_alone(doc_id: str, query: str, candidates: list[str]):
+        try:
+            return score_candidates(candidates, query, emb, index, doc_id, rank_scoring)
+        except SlhydeError as exc:
+            logger.warning("skipping document %s: %s", doc_id, exc)
+            return None
 
-    for result in results:
-        if result is None:
-            skipped += 1
-        elif result.rank > rank_cutoff:
-            dropped += 1
-        else:
-            examples.append(result)
+    def finish(planned: list) -> list[SftExample]:
+        live = [p for p in planned if p is not None]
+        try:
+            scored = _score_many(live, emb, index, rank_scoring)
+        except SlhydeError:
+            scored = [score_alone(*p) for p in live]
+        examples = []
+        for (doc_id, query, _), candidates in zip(live, scored):
+            if candidates is not None:
+                _, best = select_best(candidates)
+                examples.append(SftExample(query, best.text, doc_id, best.rank, num_candidates=candidates_per_doc))
+        return examples
 
+    scored_examples = run_chunked(docs, plan, finish, parallelism)
+    skipped = len(docs) - len(scored_examples)
+    examples = [example for example in scored_examples if example.rank <= rank_cutoff]
+    dropped = len(scored_examples) - len(examples)
     if docs and skipped / len(docs) > max_skip_fraction:
         raise RunError(
             f"{skipped}/{len(docs)} documents failed; exceeds allowed fraction {max_skip_fraction}"
@@ -212,17 +220,20 @@ def build_generator_dataset(
 def mine_hard_negatives(
     index: DenseIndex,
     fused: np.ndarray,
-    positive: str,
+    positives: list[str],
     m: int = 7,
-) -> list[tuple[str, float]]:
-    """The m corpus documents nearest the fused (query, pseudo) vector, positive
-    excluded: the exact top-(m+1) of dense_search without the positive, cut to m."""
+) -> list[list[tuple[str, float]]]:
+    """For each row of the (rows, dim) matrix `fused`, the m corpus documents
+    nearest it with its positive excluded: the exact top-(m+1) of one
+    search_many call without the positive, cut to m."""
     if m < 1:
         raise ValidationError("m must be >= 1")
     if len(index) <= m:
         raise ValidationError(f"corpus of {len(index)} is too small to mine {m} negatives")
-    hits = dense_search(index, fused, k=m + 1)
-    return [(doc_id, score) for doc_id, score in hits if doc_id != positive][:m]
+    return [
+        [(doc_id, score) for doc_id, score in hits if doc_id != positive][:m]
+        for hits, positive in zip(search_many(index, fused, k=m + 1), positives)
+    ]
 
 
 def build_retriever_dataset(
@@ -242,37 +253,39 @@ def build_retriever_dataset(
 
     With reuse_pseudo (offline mode) the selected response is reused as the
     pseudo-document; otherwise the generator rewrites the query fresh, which
-    is the deployment-form path for a tuned generator. Each triplet embeds
-    (query, pseudo) in one request; the fused vector both mines the negatives
-    and scores the reference loss against the cached document rows.
+    is the deployment-form path for a tuned generator. A chunk's (query,
+    pseudo) pairs are embedded in one call; each fused vector, the mean of its
+    own two rows (as `hyde.fuse`), mines the negatives (one search_many call per
+    chunk) and scores the reference loss against the cached document rows.
     """
     base = sampling or SamplingConfig()
     loss = loss or LossConfig()
     cache = index.cache
 
-    def _one(example: SftExample) -> tuple[RetrieverTriplet, float]:
+    def plan(example: SftExample) -> tuple[SftExample, str]:
         if reuse_pseudo:
-            pseudo = example.response
-        else:
-            cfg = replace(base, seed=derive_seed(seed, "pseudo", example.doc_id))
-            pseudo = generate_hypothetical(gen, example.query, template, 1, cfg)[0]
-        fused = fuse(emb, [example.query, pseudo])
-        negatives = mine_hard_negatives(index, fused, example.doc_id, m=m)
-        triplet = RetrieverTriplet(
-            query=example.query,
-            pseudo=pseudo,
-            positive=example.doc_id,
-            negatives=tuple(doc_id for doc_id, _ in negatives),
-            scores={doc_id: score for doc_id, score in negatives},
-        )
-        negative_rows = [cache.row(doc_id) for doc_id in triplet.negatives]
-        return triplet, contrastive_loss(fused, cache.row(example.doc_id), negative_rows, loss)
+            return example, example.response
+        cfg = replace(base, seed=derive_seed(seed, "pseudo", example.doc_id))
+        return example, generate_hypothetical(gen, example.query, template, 1, cfg)[0]
 
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_one, sft_examples))
-    else:
-        results = [_one(example) for example in sft_examples]
+    def finish(planned: list[tuple[SftExample, str]]) -> list[tuple[RetrieverTriplet, float]]:
+        rows = embed_texts(emb, [text for example, pseudo in planned for text in (example.query, pseudo)])
+        fused = np.vstack([np.mean(rows[i : i + 2], axis=0) for i in range(0, len(rows), 2)])
+        mined = mine_hard_negatives(index, fused, [example.doc_id for example, _ in planned], m=m)
+        results = []
+        for (example, pseudo), vector, negatives in zip(planned, fused, mined):
+            triplet = RetrieverTriplet(
+                query=example.query,
+                pseudo=pseudo,
+                positive=example.doc_id,
+                negatives=tuple(doc_id for doc_id, _ in negatives),
+                scores={doc_id: score for doc_id, score in negatives},
+            )
+            negative_rows = [cache.row(doc_id) for doc_id in triplet.negatives]
+            results.append((triplet, contrastive_loss(vector, cache.row(example.doc_id), negative_rows, loss)))
+        return results
+
+    results = run_chunked(sft_examples, plan, finish, parallelism)
     return TripletBuildResult(
         triplets=[triplet for triplet, _ in results],
         reference_losses=[value for _, value in results],

@@ -20,7 +20,6 @@ from importlib import resources
 from typing import Callable, Sequence
 
 import numpy as np
-import requests
 
 from .corpus import Document
 from .errors import (
@@ -275,7 +274,10 @@ class RemoteGeneratorClient:
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self._session = session if session is not None else requests.Session()
+        if session is None:
+            import requests  # deferred so that mock runs never load it
+            session = requests.Session()
+        self._session = session
 
     def request_completions(self, prompt: str, cfg: SamplingConfig) -> list[str]:
         body = {

@@ -1,9 +1,11 @@
-"""Small shared helpers: seed derivation, atomic writes, stable JSON dumps."""
+"""Small shared helpers: seed derivation, atomic writes, stable JSON dumps, a chunked stage runner."""
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 
@@ -36,3 +38,15 @@ def dump_json(obj) -> str:
 
 def jsonl_line(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+def run_chunked(items, plan, finish, parallelism: int, chunk: int = 64) -> list:
+    """Map `plan` over each chunk of `items` (on one thread pool for the whole
+    run when parallelism > 1), call `finish` once per chunk with the planned
+    list in input order, and concatenate the lists `finish` returns."""
+    results = []
+    with ThreadPoolExecutor(parallelism) if parallelism > 1 else nullcontext() as pool:
+        for start in range(0, len(items), chunk):
+            part = items[start : start + chunk]
+            results.extend(finish(list(pool.map(plan, part) if pool else map(plan, part))))
+    return results

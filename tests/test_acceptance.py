@@ -211,7 +211,7 @@ def test_c5_mining_consistency(tmp_path):
     for _ in range(100):
         target = docs[int(rng.integers(0, len(docs)))]
         query_text = " ".join(target.text.split()[:3])
-        mined = mine_hard_negatives(dense, fuse(emb, [query_text, target.text]), target.id)
+        [mined] = mine_hard_negatives(dense, fuse(emb, [query_text, target.text])[None], [target.id])
         fused = (embed_text(emb, query_text) + embed_text(emb, target.text)) / 2.0
         exact = [d for d, _ in dense_search(dense, fused, k=8) if d != target.id][:7]
         assert [doc_id for doc_id, _ in mined] == exact

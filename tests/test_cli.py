@@ -2,13 +2,16 @@ import json
 import logging
 import os
 import shutil
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 import yaml
 
-from slhyde import cli, embed
+from slhyde import cli, embed, selflearn
 from slhyde.cli import main
 from slhyde.config import build_embedder_client, build_generator_client, load_config, write_resolved_config
 from slhyde.corpus import CorpusStore, Document, load_qrels, write_corpus, write_qrels, write_queries
@@ -479,7 +482,10 @@ class TestBuildDataCommands:
         assert main(["build-retriever-data", "--config", str(config_path)]) == 0
         triplets = load_triplets_jsonl(out / "triplets.jsonl")
         assert len(triplets) > 40
-        assert len(batches) == len(triplets)
+        # one request per chunk of 64 triplets, holding each one's query and pseudo-document
+        assert [len(batch) for batch in batches] == [
+            2 * len(triplets[start : start + 64]) for start in range(0, len(triplets), 64)
+        ]
 
         config = load_config(config_path)
         emb = build_embedder_client(config)
@@ -759,6 +765,27 @@ class TestMultiDatasetAndTemplates:
         assert report["average"] == pytest.approx(sum(means) / 2)
 
 
+def test_requests_is_imported_only_by_a_remote_client_without_a_session():
+    # mock runs, and remote clients given a session, never load the HTTP stack
+    script = "\n".join(
+        [
+            "import sys, slhyde.cli",
+            "from slhyde.embed import RemoteEmbedderClient",
+            "from slhyde.textgen import RemoteGeneratorClient",
+            "print('requests' in sys.modules)",
+            "RemoteEmbedderClient('http://localhost:9', 'm', 8, session=object())",
+            "RemoteGeneratorClient('http://localhost:9', 'm', session=object())",
+            "print('requests' in sys.modules)",
+            "RemoteGeneratorClient('http://localhost:9', 'm')",
+            "print('requests' in sys.modules)",
+        ]
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "False", "True"]
+
+
 class TestExitCodes:
     def test_missing_config_file(self):
         assert main(["search", "--config", "/does/not/exist.yaml"]) == 1
@@ -777,6 +804,11 @@ class TestExitCodes:
             ("embed-corpus", "embedder", "truncate_chars", 0),
             ("embed-corpus", "embedder", "batch_size", -1),
             ("construct-benchmark", "bm25", "tokenizer", "whitespace"),
+            ("build-sft-data", "selflearn", "candidates_per_query", 0),
+            ("build-sft-data", "selflearn", "rank_cutoff", 0),
+            ("build-retriever-data", "selflearn", "negatives", 0),
+            ("build-sft-data", "selflearn", "max_skip_fraction", 2),
+            ("build-sft-data", "selflearn", "max_skip_fraction", -0.1),
         ],
     )
     def test_bad_setting_exits_before_any_request(self, tmp_path, monkeypatch, capsys, command, section, key, value):
@@ -897,33 +929,37 @@ class TestParallelismDeterminism:
         config_path = make_config(tmp_path, dataset, out, fusion={"strategy": "mean_pool_k", "n": 3})
         trees = []
         threads = {}
-        original = cli.hypothesize
 
-        def recording_hypothesize(*args, **kwargs):
-            threads.setdefault(parallelism, set()).add(threading.get_ident())
-            time.sleep(0.002)  # long enough for a second worker to pick up a query
-            return original(*args, **kwargs)
+        def recording(stage, original):
+            def record_thread(*args, **kwargs):
+                threads.setdefault((stage, parallelism), set()).add(threading.get_ident())
+                time.sleep(0.002)  # long enough for a second worker to pick up an item
+                return original(*args, **kwargs)
+
+            return record_thread
 
         clients = []
 
-        def recording(build):
+        def recording_client(build):
             def build_and_record(config):
                 clients.append(build(config))
                 return clients[-1]
 
             return build_and_record
 
-        monkeypatch.setattr(cli, "hypothesize", recording_hypothesize)
-        monkeypatch.setattr(cli, "build_embedder_client", recording(cli.build_embedder_client))
-        monkeypatch.setattr(cli, "build_generator_client", recording(cli.build_generator_client))
+        monkeypatch.setattr(cli, "hypothesize", recording("hyde", cli.hypothesize))
+        monkeypatch.setattr(selflearn, "generate_query_for_doc", recording("sft", selflearn.generate_query_for_doc))
+        monkeypatch.setattr(cli, "build_embedder_client", recording_client(cli.build_embedder_client))
+        monkeypatch.setattr(cli, "build_generator_client", recording_client(cli.build_generator_client))
         requests = []
         for parallelism in ("1", "2"):
             flags = ["--config", str(config_path), "--parallelism", parallelism]
             assert main(["hyde-search", "--trace", *flags]) == 0
             # hyde-search is one run, so only a pool over queries uses a second thread
-            assert len(threads.pop(parallelism)) == int(parallelism)
+            assert len(threads.pop(("hyde", parallelism))) == int(parallelism)
             assert main(["evaluate", "--mode", "hyde", *flags]) == 0
             assert main(["build-sft-data", *flags]) == 0
+            assert len(threads.pop(("sft", parallelism))) == int(parallelism)
             assert main(["build-retriever-data", *flags]) == 0
             tree = _tree_bytes(out)
             resolved = yaml.safe_load(tree.pop("resolved_config.yaml"))

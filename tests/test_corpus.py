@@ -193,6 +193,24 @@ class TestRoundTrip:
         loaded = list(load_corpus(path))
         assert loaded == docs
 
+    def test_queries_round_trip_keeps_answers(self, tmp_path):
+        path = tmp_path / "queries.jsonl"
+        _write_jsonl(
+            path,
+            [
+                {"_id": "q1", "text": "what lowers blood pressure", "answer": "ACE inhibitors"},
+                {"_id": "q2", "text": "no reference answer"},
+                {"_id": "q中", "text": "高血压怎么治疗", "answer": "降压药"},
+            ],
+        )
+        queries = load_queries(path)
+        out = tmp_path / "out.jsonl"
+        write_queries(queries, out)
+        assert load_queries(out) == queries
+        assert [q.answer for q in queries] == ["ACE inhibitors", None, "降压药"]
+        # a query without an answer is written without the key
+        assert json.loads(out.read_text(encoding="utf-8").splitlines()[1]) == {"_id": "q2", "text": "no reference answer"}
+
     def test_qrels_round_trip(self, tmp_path):
         path = tmp_path / "qrels.tsv"
         path.write_text("q1\td1\t2\nq1\td2\t0\nq2\td3\t1\n")

@@ -194,7 +194,7 @@ def _assert_exact(matrix, ids, queries, k):
         assert _bits(dense_search(index, query, k)) == expected
     for target in ids:
         expected = [_full_scan_rank(index.cache.matrix, ids, query, target) for query in queries]
-        assert ranks_of(index, queries, target) == expected
+        assert ranks_of(index, queries, [target] * len(queries)) == expected
         assert [rank_of(index, query, target) for query in queries] == expected
 
 
@@ -269,7 +269,23 @@ class TestExactAgainstFullScan:
         batched = search_many(index, queries, 9)
         assert [_bits(h) for h in batched] == [_bits(dense_search(index, q, 9)) for q in queries]
         for target in ("d000", "d101", "d202"):
-            assert ranks_of(index, queries, target) == [rank_of(index, q, target) for q in queries]
+            assert ranks_of(index, queries, [target] * len(queries)) == [rank_of(index, q, target) for q in queries]
+
+    def test_mixed_targets_equal_rank_of_row_by_row(self):
+        rng = np.random.default_rng(14)
+        ids = [f"d{i:03d}" for i in range(90)]
+        rows = rng.normal(size=(90, 16)).astype(np.float32)
+        index = _index_from_rows(rows, ids)
+        picks = rng.integers(0, 90, size=130)
+        targets = [ids[i] for i in picks]
+        # 130 rows cross two query blocks; every third row is its own target's row
+        queries = rng.normal(size=(130, 16))
+        queries[::3] = rows[picks[::3]]
+        ranks = ranks_of(index, queries, targets)
+        assert ranks == [rank_of(index, q, t) for q, t in zip(queries, targets)]
+        assert ranks == [_full_scan_rank(index.cache.matrix, ids, q, t) for q, t in zip(queries, targets)]
+        with pytest.raises(ValidationError, match="129 targets for 130 query rows"):
+            ranks_of(index, queries, targets[:-1])
 
     def test_row_score_independent_of_companions(self):
         # The float64 score of a row is the same whether it is scored alone or
@@ -292,7 +308,7 @@ class TestExactAgainstFullScan:
     def test_empty_query_list(self):
         index = _index_from_rows(np.eye(3, dtype=np.float32))
         assert search_many(index, np.empty((0, 3)), 2) == []
-        assert ranks_of(index, np.empty((0, 3)), "d001") == []
+        assert ranks_of(index, np.empty((0, 3)), []) == []
 
     def test_non_finite_query_rejected(self):
         index = _index_from_rows(np.eye(3, dtype=np.float32))

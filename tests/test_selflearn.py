@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from slhyde.corpus import CorpusStore, Document
 from slhyde.embed import MockEmbedderClient, embed_text, embed_texts
-from slhyde.errors import ParseError, RunError, SlhydeError, ValidationError
+from slhyde.errors import ParseError, RunError, SlhydeError, TransportError, ValidationError
 from slhyde.hyde import fuse
 from slhyde.retrieval import DenseIndex, dense_search, rank_of
 from slhyde.selflearn import (
@@ -30,7 +30,8 @@ from slhyde.selflearn import (
     validate_sft_file,
     validate_triplets_file,
 )
-from slhyde.textgen import MockGeneratorClient, load_template, render_prompt
+from slhyde.textgen import MockGeneratorClient, SamplingConfig, generate_query_for_doc, load_template, render_prompt
+from slhyde.util import derive_seed
 
 from conftest import WORDS, cache_docs, synthetic_docs
 
@@ -219,7 +220,69 @@ class TestBuildGeneratorDataset:
             docs, MockGeneratorClient(), emb, index, candidates_per_doc=3, rank_scoring=rank_scoring
         )
         assert result.skipped_errors == 0
-        assert emb.calls == len(docs)
+        # one request per chunk of 64 documents: all 8 documents share one
+        assert emb.calls == 1
+
+    def test_65_documents_make_two_requests_at_any_parallelism(self, tmp_path):
+        emb = MockEmbedderClient(dim=128)
+        docs = synthetic_docs(65, seed=27)
+        index = DenseIndex(cache_docs(emb, CorpusStore(docs), tmp_path / "c.emb"))
+        results = []
+        for parallelism in (1, 4):
+            emb.calls = 0
+            results.append(
+                build_generator_dataset(
+                    docs, MockGeneratorClient(), emb, index, candidates_per_doc=2, seed=3, parallelism=parallelism
+                )
+            )
+            assert emb.calls == 2
+        assert results[0] == results[1]
+        assert results[0].total == 65 and results[0].skipped_errors == 0
+
+    def test_failed_chunk_is_scored_one_document_at_a_time(self, tmp_path, caplog):
+        L = 2
+        docs = synthetic_docs(6, seed=28)
+        plain = MockEmbedderClient(dim=128)
+        index = DenseIndex(cache_docs(plain, CorpusStore(docs), tmp_path / "c.emb"))
+        gen_fails, embed_fails = docs[1], docs[4]
+        poisoned = generate_query_for_doc(
+            MockGeneratorClient(), embed_fails, SamplingConfig(seed=derive_seed(3, "query", embed_fails.id))
+        )
+
+        class FailingGenerator(MockGeneratorClient):
+            def request_completions(self, prompt, cfg):
+                if gen_fails.text in prompt:
+                    raise SlhydeError("generator refused")
+                return super().request_completions(prompt, cfg)
+
+        class ChunkRefusingEmbedder(MockEmbedderClient):
+            """Refuses a batch larger than one document's texts, and any batch
+            holding the poisoned query."""
+
+            batches: list
+
+            def embed_batch(self, texts):
+                self.batches.append(len(texts))
+                if len(texts) > 1 + L or poisoned in texts:
+                    raise TransportError("refused")
+                return super().embed_batch(texts)
+
+        # what one request per document gives: only the generation failure is skipped
+        reference = build_generator_dataset(docs, FailingGenerator(), plain, index, candidates_per_doc=L, seed=3)
+        assert reference.skipped_errors == 1
+        assert embed_fails.id in [e.doc_id for e in reference.examples]
+
+        emb = ChunkRefusingEmbedder(dim=128)
+        emb.batches = []
+        caplog.clear()
+        result = build_generator_dataset(docs, FailingGenerator(), emb, index, candidates_per_doc=L, seed=3)
+        assert result.examples == [e for e in reference.examples if e.doc_id != embed_fails.id]
+        assert (result.skipped_errors, result.dropped_by_cutoff) == (2, 0)
+        skips = [r.getMessage().split(":")[0] for r in caplog.records if r.getMessage().startswith("skipping")]
+        assert skips == [f"skipping document {gen_fails.id}", f"skipping document {embed_fails.id}"]
+        # the chunk's five planned documents in one batch, tried three times;
+        # then one batch per document, the poisoned one tried three times
+        assert emb.batches == [5 * (1 + L)] * 3 + [1 + L] * 7
 
 
 class TestMineHardNegatives:
@@ -234,7 +297,7 @@ class TestMineHardNegatives:
         emb, docs, store, cache = self._setup(tmp_path)
         target = docs[3]
         fused = fuse(emb, [" ".join(target.text.split()[:2]), target.text])
-        negatives = mine_hard_negatives(DenseIndex(cache), fused, target.id)
+        [negatives] = mine_hard_negatives(DenseIndex(cache), fused[None], [target.id])
         ids = [doc_id for doc_id, _ in negatives]
         assert len(ids) == 7
         assert target.id not in ids
@@ -244,7 +307,7 @@ class TestMineHardNegatives:
         emb, docs, store, cache = self._setup(tmp_path, n=8)
         target = docs[0]
         fused = fuse(emb, ["q text", target.text])
-        negatives = mine_hard_negatives(DenseIndex(cache), fused, target.id, m=7)
+        [negatives] = mine_hard_negatives(DenseIndex(cache), fused[None], [target.id], m=7)
         assert sorted(doc_id for doc_id, _ in negatives) == sorted(d.id for d in docs[1:])
 
     def test_equals_exact_top_m(self, tmp_path):
@@ -254,22 +317,31 @@ class TestMineHardNegatives:
         for _ in range(15):
             target = docs[int(rng.integers(0, len(docs)))]
             query_text = " ".join(target.text.split()[:3])
-            negatives = mine_hard_negatives(
-                dense, fuse(emb, [query_text, target.text]), target.id, m=7
+            [negatives] = mine_hard_negatives(
+                dense, fuse(emb, [query_text, target.text])[None], [target.id], m=7
             )
             fused = (embed_text(emb, query_text) + embed_text(emb, target.text)) / 2.0
             exact = [d for d, _ in dense_search(dense, fused, k=8) if d != target.id][:7]
             assert [doc_id for doc_id, _ in negatives] == exact
 
+    def test_rows_mined_in_one_call_equal_one_row_calls(self, tmp_path):
+        emb, docs, store, cache = self._setup(tmp_path, n=90)
+        dense = DenseIndex(cache)
+        # 90 rows cross two search blocks
+        fused = np.vstack([fuse(emb, [" ".join(d.text.split()[:2]), d.text]) for d in docs])
+        positives = [d.id for d in docs]
+        batched = mine_hard_negatives(dense, fused, positives, m=7)
+        assert batched == [mine_hard_negatives(dense, row[None], [p], m=7)[0] for row, p in zip(fused, positives)]
+
     def test_corpus_too_small(self, tmp_path):
         emb, docs, store, cache = self._setup(tmp_path, n=5)
         with pytest.raises(ValidationError, match="too small"):
-            mine_hard_negatives(DenseIndex(cache), fuse(emb, ["q", docs[0].text]), docs[0].id, m=7)
+            mine_hard_negatives(DenseIndex(cache), fuse(emb, ["q", docs[0].text])[None], [docs[0].id], m=7)
 
     def test_m_must_be_positive(self, tmp_path):
         emb, docs, store, cache = self._setup(tmp_path, n=5)
         with pytest.raises(ValidationError, match="m must be"):
-            mine_hard_negatives(DenseIndex(cache), fuse(emb, ["q", docs[0].text]), docs[0].id, m=0)
+            mine_hard_negatives(DenseIndex(cache), fuse(emb, ["q", docs[0].text])[None], [docs[0].id], m=0)
 
 
 class TestBuildRetrieverDataset:
@@ -348,8 +420,35 @@ class TestBuildRetrieverDataset:
         result = build_retriever_dataset(
             sft, MockGeneratorClient(), emb, index, m=7, reuse_pseudo=reuse_pseudo
         )
-        assert emb.calls == len(sft)
+        # one request per chunk of 64 examples: all 6 triplets share one
+        assert emb.calls == 1
         assert len(result.reference_losses) == len(sft)
+
+    @pytest.mark.parametrize("reuse_pseudo", [True, False])
+    def test_65_examples_make_two_requests_at_any_parallelism(self, tmp_path, reuse_pseudo):
+        emb = MockEmbedderClient(dim=128)
+        docs = synthetic_docs(80, seed=46)
+        cache = cache_docs(emb, CorpusStore(docs), tmp_path / "t.emb")
+        index = DenseIndex(cache)
+        sft = self._sft(docs[:65])
+        results = []
+        for parallelism in (1, 4):
+            emb.calls = 0
+            results.append(
+                build_retriever_dataset(
+                    sft, MockGeneratorClient(), emb, index, m=7, reuse_pseudo=reuse_pseudo, seed=9,
+                    parallelism=parallelism,
+                )
+            )
+            assert emb.calls == 2
+        assert results[0] == results[1]
+        # each triplet equals the one-triplet path: its own fuse, dense_search and loss
+        for triplet, value in zip(results[0].triplets, results[0].reference_losses):
+            fused = fuse(emb, [triplet.query, triplet.pseudo])
+            exact = [(d, s) for d, s in dense_search(index, fused, k=8) if d != triplet.positive][:7]
+            assert list(triplet.negatives) == [d for d, _ in exact] and triplet.scores == dict(exact)
+            negative_rows = [cache.row(d) for d in triplet.negatives]
+            assert value == contrastive_loss(fused, cache.row(triplet.positive), negative_rows, LossConfig())
 
 
 class TestContrastiveLoss:
@@ -442,7 +541,8 @@ class TestContrastiveLoss:
         emb.calls = 0
         result = build_retriever_dataset(sft, MockGeneratorClient(), emb, index, m=7)
         assert len(result.reference_losses) == len(sft)
-        assert emb.calls == len(sft)
+        # one request per chunk of 64 examples: all 4 triplets share one
+        assert emb.calls == 1
 
 
 class TestTripletInvariants:
