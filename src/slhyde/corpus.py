@@ -228,13 +228,8 @@ def write_corpus(documents: Iterable[Document], path: str | Path) -> None:
 
 
 def write_queries(queries: Iterable[Query], path: str | Path) -> None:
-    lines = []
-    for q in queries:
-        record = {"_id": q.id, "text": q.text}
-        if q.answer:
-            record["answer"] = q.answer
-        lines.append(jsonl_line(record))
-    atomic_write_text(path, "".join(lines))
+    records = [{"_id": q.id, "text": q.text} | ({"answer": q.answer} if q.answer else {}) for q in queries]
+    atomic_write_text(path, "".join(jsonl_line(record) for record in records))
 
 
 def write_qrels(qrels: RelevanceJudgments, path: str | Path) -> None:

@@ -1,8 +1,8 @@
 """Hypothetical-document retrieval: generate, fuse, search.
 
-`fuse(emb, texts)` is the unnormalized mean of the rows of one embed_texts
-call (one embedder request); self-learning fuses each (query, pseudo-document)
-pair the same way, as the mean of its own two rows of its chunk's embed_texts call.
+`fuse_rows` is the one fusion rule, the unnormalized mean of a plan's own rows;
+`fuse(emb, texts)` applies it to one embed_texts call, and self-learning to
+each (query, pseudo-document) pair of its chunk's embed_texts call.
 
 HyDE runs in two halves. `hypothesize` generates a query's hypothetical
 documents and returns the texts its fusion strategy averages.
@@ -81,9 +81,14 @@ class FusionConfig:
         object.__setattr__(self, "n", n)
 
 
+def fuse_rows(rows: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Row i is the unnormalized mean of the next sizes[i] rows of `rows`."""
+    return np.vstack([np.mean(part, axis=0) for part in np.split(rows, np.cumsum(sizes)[:-1])])
+
+
 def fuse(emb, texts: list[str]) -> np.ndarray:
-    """Unnormalized mean of the rows of one embed_texts(emb, texts) call."""
-    return np.mean(embed_texts(emb, texts), axis=0)
+    """Fused vector of the rows of one embed_texts(emb, texts) call."""
+    return fuse_rows(embed_texts(emb, texts), [len(texts)])[0]
 
 
 def hypothesize(
@@ -142,8 +147,8 @@ def search_hypothesized(
                 missing.setdefault(text[:cut], text)
     if missing:
         rows.update(zip(missing, embed_texts(emb, list(missing.values()))))
-    fused = [np.mean(np.vstack([rows[text[:cut]] for text in texts]), axis=0) for texts, _ in planned]
-    results = search_many(index, np.vstack(fused), k)
+    stacked = np.vstack([rows[text[:cut]] for texts, _ in planned for text in texts])
+    results = search_many(index, fuse_rows(stacked, [len(texts) for texts, _ in planned]), k)
     for hits, (_, meta) in zip(results, planned):
         hits.meta.update(meta)
     return results

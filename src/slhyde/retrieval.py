@@ -38,8 +38,7 @@ import numpy as np
 
 from .embed import EmbeddingCache
 from .errors import ValidationError
-
-_QUERY_BLOCK = 64  # queries per coarse float32 matrix product
+from .util import CHUNK as _QUERY_BLOCK  # queries per coarse float32 matrix product
 _ROW_BLOCK = 4     # rows per float64 matrix-vector product
 _UNIT_ROUNDOFF32 = 2.0**-24
 _TINY32 = 2.0**-126  # smallest normal float32: bounds underflow, gradual or flushed
@@ -167,7 +166,7 @@ def ranks_of(index: DenseIndex, vectors, targets) -> list[int]:
     ranks = []
     for start in range(0, len(queries), _QUERY_BLOCK):
         block = queries[start : start + _QUERY_BLOCK]
-        row_targets = zip(targets[start:], positions[start:])
+        row_targets = zip(targets[start : start + _QUERY_BLOCK], positions[start : start + _QUERY_BLOCK])
         for query, coarse, (target, position) in zip(block, _coarse_scores(index, block), row_targets):
             target_coarse = np.float64(coarse[position])
             higher = int(np.count_nonzero(coarse > target_coarse + index._margin))

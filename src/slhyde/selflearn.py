@@ -9,9 +9,8 @@ Two datasets come out of this module:
     fused (query, pseudo) embedding, found by the one exact search
     (`retrieval.search_many`). The same fused vector gives each triplet's
     reference InfoNCE loss.
-Both builders go through `util.run_chunked`, 64 documents or SFT examples at a
-time: a chunk costs one embed_texts call and one ranks_of or search_many call.
-Embedded rows and exact search do not depend on the batch, nor the datasets on it.
+Both builders go through `util.run_chunked`: a chunk costs one embed_texts call and
+one ranks_of or search_many call. Neither depends on the batch, so the datasets do not.
 
 Gradient-based training is out of scope; the module emits the datasets and
 computes reference InfoNCE loss values on given embeddings.
@@ -29,6 +28,7 @@ from jsonschema.validators import validator_for
 from .corpus import Document, _iter_jsonl
 from .embed import embed_texts
 from .errors import RunError, SlhydeError, ValidationError
+from .hyde import fuse_rows
 from .retrieval import DenseIndex, ranks_of, search_many
 from .textgen import SamplingConfig, generate_hypothetical, generate_pseudo_docs, generate_query_for_doc
 from .util import atomic_write_text, derive_seed, jsonl_line, run_chunked
@@ -223,9 +223,8 @@ def mine_hard_negatives(
     positives: list[str],
     m: int = 7,
 ) -> list[list[tuple[str, float]]]:
-    """For each row of the (rows, dim) matrix `fused`, the m corpus documents
-    nearest it with its positive excluded: the exact top-(m+1) of one
-    search_many call without the positive, cut to m."""
+    """For each row of the (rows, dim) matrix `fused`, its exact top-(m+1) from
+    one search_many call with its positive excluded, cut to m."""
     if m < 1:
         raise ValidationError("m must be >= 1")
     if len(index) <= m:
@@ -254,9 +253,9 @@ def build_retriever_dataset(
     With reuse_pseudo (offline mode) the selected response is reused as the
     pseudo-document; otherwise the generator rewrites the query fresh, which
     is the deployment-form path for a tuned generator. A chunk's (query,
-    pseudo) pairs are embedded in one call; each fused vector, the mean of its
-    own two rows (as `hyde.fuse`), mines the negatives (one search_many call per
-    chunk) and scores the reference loss against the cached document rows.
+    pseudo) pairs are embedded in one call; each pair's fused vector
+    (`hyde.fuse_rows`) mines the negatives (one search_many call per chunk)
+    and scores the reference loss against the cached document rows.
     """
     base = sampling or SamplingConfig()
     loss = loss or LossConfig()
@@ -270,7 +269,7 @@ def build_retriever_dataset(
 
     def finish(planned: list[tuple[SftExample, str]]) -> list[tuple[RetrieverTriplet, float]]:
         rows = embed_texts(emb, [text for example, pseudo in planned for text in (example.query, pseudo)])
-        fused = np.vstack([np.mean(rows[i : i + 2], axis=0) for i in range(0, len(rows), 2)])
+        fused = fuse_rows(rows, [2] * len(planned))
         mined = mine_hard_negatives(index, fused, [example.doc_id for example, _ in planned], m=m)
         results = []
         for (example, pseudo), vector, negatives in zip(planned, fused, mined):

@@ -8,6 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 
+CHUNK = 64  # items per run_chunked chunk; retrieval also searches blocks of this many queries
+
 
 def derive_seed(*parts) -> int:
     """Stable 63-bit seed from labeled parts.
@@ -40,13 +42,13 @@ def jsonl_line(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n"
 
 
-def run_chunked(items, plan, finish, parallelism: int, chunk: int = 64) -> list:
-    """Map `plan` over each chunk of `items` (on one thread pool for the whole
-    run when parallelism > 1), call `finish` once per chunk with the planned
-    list in input order, and concatenate the lists `finish` returns."""
+def run_chunked(items, plan, finish, parallelism: int) -> list:
+    """Map `plan` over each chunk of CHUNK `items` (on one thread pool for the
+    whole run when parallelism > 1), call `finish` once per chunk with the
+    planned list in input order, and concatenate the lists `finish` returns."""
     results = []
     with ThreadPoolExecutor(parallelism) if parallelism > 1 else nullcontext() as pool:
-        for start in range(0, len(items), chunk):
-            part = items[start : start + chunk]
+        for start in range(0, len(items), CHUNK):
+            part = items[start : start + CHUNK]
             results.extend(finish(list(pool.map(plan, part) if pool else map(plan, part))))
     return results

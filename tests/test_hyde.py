@@ -8,7 +8,7 @@ from slhyde.config import RunConfig
 from slhyde.corpus import CorpusStore, Query
 from slhyde.embed import EmbeddingCache, MockEmbedderClient, embed_text, embed_texts
 from slhyde.errors import ValidationError
-from slhyde.hyde import FusionConfig, fuse, hyde_search, hypothesize, search_hypothesized
+from slhyde.hyde import FusionConfig, fuse, fuse_rows, hyde_search, hypothesize, search_hypothesized
 from slhyde.retrieval import DenseIndex, dense_search, rank_of
 from slhyde.textgen import MockGeneratorClient, SamplingConfig, load_template, render_prompt
 from slhyde.util import derive_seed
@@ -50,6 +50,18 @@ class TestFuse:
     def test_query_only_reduction(self):
         emb = _pinned({"q": np.array([0.3, 0.4], dtype=np.float32)})
         assert np.array_equal(fuse(emb, ["q"]), embed_text(emb, "q"))
+
+    def test_fuse_rows_is_each_groups_own_mean(self):
+        rng = np.random.default_rng(3)
+        sizes = [2, 1, 5, 2]
+        rows = rng.normal(size=(sum(sizes), 16)).astype(np.float32)
+        groups = np.split(rows.copy(), [2, 3, 8])
+        fused = fuse_rows(rows, sizes)
+        assert fused.shape == (4, 16)
+        for got, group in zip(fused, groups):
+            assert got.tobytes() == np.mean(group, axis=0).tobytes()
+        emb = _pinned({"q": rows[0], "p": rows[1]})
+        assert fuse(emb, ["q", "p"]).tobytes() == fuse_rows(embed_texts(emb, ["q", "p"]), [2])[0].tobytes()
 
 
 class TestFusionConfig:
