@@ -5,12 +5,16 @@ construct-benchmark. The last reads the synthetic corpus and queries as its
 raw texts and raw queries and writes the constructed benchmark into run/bench.
 
 Everything is offline and deterministic; rerunning with the same seed
-reproduces every output byte-for-byte. Prints the evaluation report and
-where the artifacts landed.
+reproduces every output byte-for-byte. The config, the data and every output
+path are relative to the run directory, and each command runs from there, so
+two runs under different --out directories are byte-identical
+(`diff -r` of the two is empty). Prints the evaluation report and where the
+artifacts landed.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import subprocess
 import sys
 import tempfile
@@ -29,10 +33,14 @@ def main() -> int:
     args = parser.parse_args()
 
     root = args.out or Path(tempfile.mkdtemp(prefix="slhyde-demo-"))
-    data_dir = root / "data"
-    run_dir = root / "run"
+    root.mkdir(parents=True, exist_ok=True)
+    data_dir = Path("data")
+    run_dir = Path("run")
 
-    here = Path(__file__).parent
+    here = Path(__file__).resolve().parent
+    # commands run from `root`; the slhyde package of this checkout stays importable
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), env.get("PYTHONPATH")]))
     subprocess.run(
         [
             sys.executable,
@@ -43,6 +51,8 @@ def main() -> int:
             "--seed", str(args.seed),
         ],
         check=True,
+        cwd=root,
+        env=env,
     )
 
     config = {
@@ -57,8 +67,8 @@ def main() -> int:
         },
         "eval": {"k_values": [10, 100], "primary_k": 10, "repeats": args.repeats},
     }
-    config_path = root / "config.yaml"
-    config_path.write_text(yaml.safe_dump(config))
+    config_path = Path("config.yaml")
+    (root / config_path).write_text(yaml.safe_dump(config))
 
     bench_dir = run_dir / "bench"
     bench_flags = [
@@ -72,16 +82,18 @@ def main() -> int:
         print(f"\n== slhyde {command}", flush=True)
         result = subprocess.run(
             [sys.executable, "-m", "slhyde", command, "--config", str(config_path), *flags],
+            cwd=root,
+            env=env,
         )
         if result.returncode not in (0, 3):
             print(f"{command} failed with exit code {result.returncode}", file=sys.stderr)
             return result.returncode
 
-    print(f"\nartifacts: {run_dir}")
+    print(f"\nartifacts: {root / run_dir}")
     for name in ("sft.jsonl", "triplets.jsonl", "report.json", "report.txt"):
-        print(f"  {run_dir / name}")
+        print(f"  {root / run_dir / name}")
     for name in ("corpus.jsonl", "queries.jsonl", "qrels.tsv", "qc_report.txt"):
-        print(f"  {bench_dir / name}")
+        print(f"  {root / bench_dir / name}")
     return 0
 
 

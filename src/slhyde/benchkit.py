@@ -22,6 +22,11 @@ satisfy kept + removed + review = input.
 
 Outputs use the standard dataset layout (corpus.jsonl / queries.jsonl /
 qrels.tsv) plus a QC report in JSON and text form.
+
+`BenchmarkSettings` is the `benchmark` config section. `run_pipeline` takes it
+and the `bm25` section (`bm25.Bm25Settings`). A threshold left unset takes its
+offline default: 0.5 medical, 0.6 relevance. Every judge call samples at
+temperature 0.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bm25 import TOKENIZERS, Bm25Index, bm25_search
+from .bm25 import Bm25Index, Bm25Settings, bm25_search
 from .corpus import CorpusStore, Document, Query, RelevanceJudgments, write_corpus, write_qrels, write_queries
 from .errors import SlhydeError, ValidationError
 from .textgen import SamplingConfig, generate, load_template, render_prompt
@@ -41,6 +46,7 @@ logger = logging.getLogger(__name__)
 
 _JSON_BLOCK_RE = re.compile(r"\{.*\}", re.DOTALL)
 _REPAIR_SUFFIX = "\n\nYour previous output was not valid JSON. Return ONLY a valid JSON object with the required keys."
+_JUDGE_SAMPLING = SamplingConfig(temperature=0.0, num_samples=1)
 
 
 @dataclass
@@ -74,30 +80,32 @@ class ReviewItem:
     raw_response: str = ""
 
 
-@dataclass
-class PipelineConfig:
-    judge: object
-    med_threshold: float = 0.5
-    rel_threshold: float = 0.6
+@dataclass(frozen=True)
+class BenchmarkSettings:
+    raw_texts: str = ""
+    raw_queries: str = ""
+    med_threshold: float | None = None
+    rel_threshold: float | None = None
     bm25_top_k: int = 20
     rerank_top_m: int = 3
     max_review_fraction: float = 0.25
-    bm25_k1: float = 0.9
-    bm25_b: float = 0.4
-    bm25_tokenizer: str = "cjk"
-    sampling: SamplingConfig = field(
-        default_factory=lambda: SamplingConfig(temperature=0.0, num_samples=1)
-    )
 
     def __post_init__(self):
-        for name in ("med_threshold", "rel_threshold"):
+        for name in ("med_threshold", "rel_threshold", "max_review_fraction"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} must be in [0, 1], got {value}")
-        if self.bm25_top_k < 1 or self.rerank_top_m < 1:
-            raise ValidationError("bm25_top_k and rerank_top_m must be >= 1")
-        if self.bm25_tokenizer not in TOKENIZERS:
-            raise ValidationError(f"bm25 tokenizer {self.bm25_tokenizer!r} is not one of {TOKENIZERS}")
+            if name.endswith("_threshold") and value is None:
+                continue  # unset: the offline default applies
+            if not 0 <= value <= 1:
+                raise ValidationError(f"benchmark.{name} must be in [0, 1], got {value}")
+        for name in ("bm25_top_k", "rerank_top_m"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"benchmark.{name} must be >= 1")
+
+    def thresholds(self) -> tuple[float, float]:
+        """(medical, relevance) thresholds, each its offline default when unset."""
+        med = 0.5 if self.med_threshold is None else self.med_threshold
+        rel = 0.6 if self.rel_threshold is None else self.rel_threshold
+        return med, rel
 
 
 def _parse_json_response(text: str) -> dict | None:
@@ -116,7 +124,7 @@ def _parse_json_response(text: str) -> dict | None:
     return parsed if isinstance(parsed, dict) else None
 
 
-def _ask_judge(judge, prompt: str, accept, sampling: SamplingConfig):
+def _ask_judge(judge, prompt: str, accept):
     """One judge call with a single repair retry.
 
     `accept` is either a tuple of required keys or a predicate over the parsed
@@ -128,14 +136,14 @@ def _ask_judge(judge, prompt: str, accept, sampling: SamplingConfig):
         accept = lambda parsed: all(key in parsed for key in required)  # noqa: E731
     raw = ""
     try:
-        raw = generate(judge, prompt, sampling)[0]
+        raw = generate(judge, prompt, _JUDGE_SAMPLING)[0]
     except SlhydeError as exc:
         return None, f"<judge call failed: {exc}>"
     parsed = _parse_json_response(raw)
     if parsed is not None and accept(parsed):
         return parsed, raw
     try:
-        raw_retry = generate(judge, prompt + _REPAIR_SUFFIX, sampling)[0]
+        raw_retry = generate(judge, prompt + _REPAIR_SUFFIX, _JUDGE_SAMPLING)[0]
     except SlhydeError as exc:
         return None, f"{raw!r}; repair failed: {exc}"
     parsed = _parse_json_response(raw_retry)
@@ -158,20 +166,13 @@ def _med_score(parsed: dict) -> float | None:
     return None
 
 
-def medical_relevance_filter(
-    items,
-    judge,
-    threshold: float,
-    sampling: SamplingConfig | None = None,
-    stage: str = "medical_filter",
-):
+def medical_relevance_filter(items, judge, threshold: float, stage: str = "medical_filter"):
     """Split (id, text[, answer]) items into (kept, removed, review).
 
     Keeps items whose judged score is >= threshold (boundary keeps). Items
     whose judge output stays unparseable after one repair retry land in the
     review bucket rather than being dropped.
     """
-    sampling = sampling or SamplingConfig(temperature=0.0, num_samples=1)
     template = load_template("MED_RELEVANCE")
     kept: list[JudgedText] = []
     removed: list[JudgedText] = []
@@ -180,7 +181,7 @@ def medical_relevance_filter(
         item_id, text = item[0], item[1]
         answer = item[2] if len(item) > 2 and item[2] is not None else ""
         prompt = render_prompt(template, {"QUESTION": text, "ANSWER": answer})
-        parsed, raw = _ask_judge(judge, prompt, lambda p: _med_score(p) is not None, sampling)
+        parsed, raw = _ask_judge(judge, prompt, lambda p: _med_score(p) is not None)
         score = _med_score(parsed) if parsed is not None else None
         if score is None:
             review.append(
@@ -207,7 +208,7 @@ def match_positive_pairs(
     query: Query,
     bm25: Bm25Index,
     judge,
-    cfg: PipelineConfig,
+    settings: BenchmarkSettings,
     store: CorpusStore,
     review: list[ReviewItem] | None = None,
 ) -> list[CandidatePair]:
@@ -217,7 +218,7 @@ def match_positive_pairs(
     outright, and judge failures route the query or pair to the review bucket.
     """
     review = review if review is not None else []
-    hits = bm25_search(bm25, query.text, cfg.bm25_top_k)
+    hits = bm25_search(bm25, query.text, settings.bm25_top_k)
     if not hits.hits:
         return []
 
@@ -225,7 +226,7 @@ def match_positive_pairs(
         load_template("RERANK"),
         {"QUESTION": query.text, "PASSAGES": _format_passages(hits, store)},
     )
-    parsed, raw = _ask_judge(judge, rerank_prompt, ("ranking",), cfg.sampling)
+    parsed, raw = _ask_judge(judge, rerank_prompt, ("ranking",))
     if parsed is None or not isinstance(parsed.get("ranking"), list):
         review.append(
             ReviewItem(stage="rerank", item_id=query.id, reason="unparseable rerank verdict", raw_response=raw)
@@ -241,9 +242,10 @@ def match_positive_pairs(
             doc_id = hits.hits[index][0]
             if doc_id not in candidates:
                 candidates.append(doc_id)
-        if len(candidates) == cfg.rerank_top_m:
+        if len(candidates) == settings.rerank_top_m:
             break
 
+    _, rel_threshold = settings.thresholds()
     pairs: list[CandidatePair] = []
     for doc_id in candidates:
         doc = store.get(doc_id)
@@ -251,7 +253,7 @@ def match_positive_pairs(
             load_template("EVIDENCE"),
             {"QUESTION": query.text, "ANSWER": query.answer or "", "DOCUMENT": doc.indexed_text},
         )
-        parsed, raw = _ask_judge(judge, evidence_prompt, ("evidence_spans",), cfg.sampling)
+        parsed, raw = _ask_judge(judge, evidence_prompt, ("evidence_spans",))
         if parsed is None or not isinstance(parsed.get("evidence_spans"), list):
             review.append(
                 ReviewItem(
@@ -268,7 +270,7 @@ def match_positive_pairs(
             load_template("ANSWER_BY_EVIDENCE"),
             {"QUESTION": query.text, "EVIDENCE": json.dumps(spans, ensure_ascii=False)},
         )
-        parsed, raw = _ask_judge(judge, answer_prompt, ("answer",), cfg.sampling)
+        parsed, raw = _ask_judge(judge, answer_prompt, ("answer",))
         if parsed is None:
             review.append(
                 ReviewItem(
@@ -284,7 +286,7 @@ def match_positive_pairs(
             load_template("VALIDATE_ANSWER"),
             {"QUESTION": query.text, "REFERENCE_ANSWER": reference, "MODEL_ANSWER": generated},
         )
-        parsed, raw = _ask_judge(judge, validate_prompt, ("similarity_score",), cfg.sampling)
+        parsed, raw = _ask_judge(judge, validate_prompt, ("similarity_score",))
         if parsed is None:
             review.append(
                 ReviewItem(
@@ -303,7 +305,7 @@ def match_positive_pairs(
                 )
             )
             continue
-        if similarity >= cfg.rel_threshold:
+        if similarity >= rel_threshold:
             pairs.append(
                 CandidatePair(
                     query_id=query.id,
@@ -322,17 +324,15 @@ def filter_pseudo_relevant(
     pairs: list[CandidatePair],
     judge,
     threshold: float,
-    sampling: SamplingConfig | None = None,
     review: list[ReviewItem] | None = None,
 ) -> list[CandidatePair]:
     """Keep pairs whose judged 1-5 quality score, normalized to [0,1], is >= threshold."""
-    sampling = sampling or SamplingConfig(temperature=0.0, num_samples=1)
     review = review if review is not None else []
     template = load_template("QD_RELEVANCE")
     kept = []
     for pair in pairs:
         prompt = render_prompt(template, {"QUERY": pair.query_text, "PASSAGE": pair.doc_text})
-        parsed, raw = _ask_judge(judge, prompt, ("quality_score",), sampling)
+        parsed, raw = _ask_judge(judge, prompt, ("quality_score",))
         if parsed is None:
             review.append(
                 ReviewItem(
@@ -390,16 +390,19 @@ class QcReport:
 def run_pipeline(
     texts: list[tuple[str, str]],
     queries: list[Query],
-    cfg: PipelineConfig,
+    judge,
+    settings: BenchmarkSettings,
+    bm25: Bm25Settings,
     out_dir: str | Path,
 ) -> QcReport:
     """Full construction pipeline; emits the dataset files plus the QC report."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = QcReport()
+    med_threshold, rel_threshold = settings.thresholds()
 
     kept_texts, removed_texts, review_texts = medical_relevance_filter(
-        texts, cfg.judge, cfg.med_threshold, cfg.sampling, stage="medical_filter_texts"
+        texts, judge, med_threshold, stage="medical_filter_texts"
     )
     report.review.extend(review_texts)
     report.stages["1_medical_filter_texts"] = _stage_counts(
@@ -408,7 +411,7 @@ def run_pipeline(
 
     query_items = [(q.id, q.text, q.answer) for q in queries]
     kept_query_judged, removed_queries, review_queries = medical_relevance_filter(
-        query_items, cfg.judge, cfg.med_threshold, cfg.sampling, stage="medical_filter_queries"
+        query_items, judge, med_threshold, stage="medical_filter_queries"
     )
     report.review.extend(review_queries)
     report.stages["1_medical_filter_queries"] = _stage_counts(
@@ -425,9 +428,9 @@ def run_pipeline(
     match_review: list[ReviewItem] = []
     no_evidence_or_invalid = 0
     if len(store):
-        bm25 = Bm25Index.build(store, k1=cfg.bm25_k1, b=cfg.bm25_b, tokenizer=cfg.bm25_tokenizer)
+        index = Bm25Index.build(store, bm25)
         for query in kept_queries:
-            pairs = match_positive_pairs(query, bm25, cfg.judge, cfg, store, match_review)
+            pairs = match_positive_pairs(query, index, judge, settings, store, match_review)
             if not pairs:
                 no_evidence_or_invalid += 1
             matched.extend(pairs)
@@ -440,9 +443,7 @@ def run_pipeline(
     }
 
     filter_review: list[ReviewItem] = []
-    final_pairs = filter_pseudo_relevant(
-        matched, cfg.judge, cfg.rel_threshold, cfg.sampling, filter_review
-    )
+    final_pairs = filter_pseudo_relevant(matched, judge, rel_threshold, filter_review)
     report.review.extend(filter_review)
     report.stages["3_relevance_filter"] = {
         "input": len(matched),
@@ -467,14 +468,14 @@ def run_pipeline(
         report.warnings.append(message)
 
     total_inputs = len(texts) + len(queries)
-    if total_inputs and len(report.review) / total_inputs > cfg.max_review_fraction:
+    if total_inputs and len(report.review) / total_inputs > settings.max_review_fraction:
         report.flagged = True
         report.warnings.append(
             f"review bucket holds {len(report.review)}/{total_inputs} items; run flagged"
         )
     for stage, counts in report.stages.items():
         stage_input = counts.get("input", counts.get("input_queries", 0))
-        if stage_input and counts.get("review", 0) / stage_input > cfg.max_review_fraction:
+        if stage_input and counts.get("review", 0) / stage_input > settings.max_review_fraction:
             report.flagged = True
 
     atomic_write_text(out_dir / "qc_report.json", dump_json(report.to_dict()))

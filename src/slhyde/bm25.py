@@ -1,8 +1,10 @@
 """Okapi BM25 lexical index with a CJK-aware tokenizer.
 
-Defaults k1=0.9, b=0.4. IDF is the Lucene-style ln(1 + (N - df + 0.5) / (df + 0.5)),
-which is strictly positive, so only documents containing at least one query
-term can appear in results.
+`Bm25Settings` is the `bm25` config section: k1 (>= 0, default 0.9), b (in
+[0, 1], default 0.4) and the tokenizer; `Bm25Index.build` takes it. IDF is
+the Lucene-style ln(1 + (N - df + 0.5) / (df + 0.5)), which is strictly
+positive, so only documents containing at least one query term can appear
+in results.
 
 The default "cjk" tokenizer lowercases and splits on non-word characters,
 then expands runs of CJK characters into unigrams plus bigrams (the standard
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from dataclasses import dataclass
 
 from .corpus import CorpusStore
 from .errors import ValidationError
@@ -75,6 +78,21 @@ def tokenize(text: str, mode: str = "cjk") -> list[str]:
     return tokens
 
 
+@dataclass(frozen=True)
+class Bm25Settings:
+    k1: float = 0.9
+    b: float = 0.4
+    tokenizer: str = "cjk"
+
+    def __post_init__(self):
+        if not self.k1 >= 0:
+            raise ValidationError(f"bm25.k1 must be >= 0, got {self.k1}")
+        if not 0 <= self.b <= 1:
+            raise ValidationError(f"bm25.b must be in [0, 1], got {self.b}")
+        if self.tokenizer not in TOKENIZERS:
+            raise ValidationError(f"bm25.tokenizer {self.tokenizer!r} is not one of {TOKENIZERS}")
+
+
 class Bm25Index:
     """Inverted index with postings (doc position, term frequency) in doc order."""
 
@@ -83,37 +101,27 @@ class Bm25Index:
         ids: list[str],
         postings: dict[str, list[tuple[int, int]]],
         doc_lens: list[int],
-        k1: float = 0.9,
-        b: float = 0.4,
-        tokenizer: str = "cjk",
+        settings: Bm25Settings,
     ):
         self.ids = list(ids)
         self.postings = postings
         self.doc_lens = list(doc_lens)
-        self.k1 = float(k1)
-        self.b = float(b)
-        self.tokenizer = tokenizer
+        self.settings = settings
         self.avgdl = (sum(self.doc_lens) / len(self.doc_lens)) if self.doc_lens else 0.0
 
     def __len__(self) -> int:
         return len(self.ids)
 
     @classmethod
-    def build(
-        cls,
-        store: CorpusStore,
-        k1: float = 0.9,
-        b: float = 0.4,
-        tokenizer: str = "cjk",
-    ) -> "Bm25Index":
+    def build(cls, store: CorpusStore, settings: Bm25Settings = Bm25Settings()) -> "Bm25Index":
         postings: dict[str, list[tuple[int, int]]] = {}
         doc_lens = []
         for pos, doc in enumerate(store):
-            tokens = tokenize(doc.indexed_text, tokenizer)
+            tokens = tokenize(doc.indexed_text, settings.tokenizer)
             doc_lens.append(len(tokens))
             for term, tf in Counter(tokens).items():
                 postings.setdefault(term, []).append((pos, tf))
-        return cls(store.ids, postings, doc_lens, k1=k1, b=b, tokenizer=tokenizer)
+        return cls(store.ids, postings, doc_lens, settings)
 
     def idf(self, term: str) -> float:
         plist = self.postings.get(term)
@@ -130,8 +138,8 @@ def bm25_search(index: Bm25Index, query_text: str, k: int) -> RankedHits:
     if k < 1:
         raise ValidationError("k must be >= 1")
     scores: dict[int, float] = {}
-    k1, b, avgdl = index.k1, index.b, index.avgdl
-    for term in tokenize(query_text, index.tokenizer):
+    k1, b, avgdl = index.settings.k1, index.settings.b, index.avgdl
+    for term in tokenize(query_text, index.settings.tokenizer):
         plist = index.postings.get(term)
         if not plist:
             continue

@@ -22,7 +22,7 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
-from .benchkit import PipelineConfig, run_pipeline
+from .benchkit import run_pipeline
 from .config import (
     RunConfig,
     build_embedder_client,
@@ -37,7 +37,6 @@ from .hyde import FusionConfig, hypothesize, search_hypothesized
 from .metrics import build_report, ndcg_at_k, recall_at_k, render_report_text, report_to_dict, write_trec_run
 from .retrieval import DenseIndex, search_many
 from .selflearn import (
-    LossConfig,
     build_generator_dataset,
     build_retriever_dataset,
     emit_sft_jsonl,
@@ -332,17 +331,7 @@ def cmd_build_sft(config: RunConfig) -> int:
     sample_n = config.selflearn.sample_docs or len(store)
     docs = sample_documents(store, min(sample_n, len(store)), derive_seed(config.seed, "sample"))
     result = build_generator_dataset(
-        docs,
-        gen,
-        emb,
-        index,
-        candidates_per_doc=config.selflearn.candidates_per_query,
-        seed=config.seed,
-        rank_cutoff=config.selflearn.rank_cutoff,
-        rank_scoring=config.selflearn.rank_scoring,
-        max_skip_fraction=config.selflearn.max_skip_fraction,
-        sampling=_sampling(config),
-        parallelism=config.parallelism,
+        docs, gen, emb, index, config.selflearn, config.seed, _sampling(config), config.parallelism
     )
     with staged_outputs(Path(config.out_dir)) as staging:
         write_resolved_config(config, staging)
@@ -375,13 +364,11 @@ def cmd_build_triplets(config: RunConfig, sft_path: str | None = None) -> int:
         gen,
         emb,
         DenseIndex(cache),
-        m=config.selflearn.negatives,
-        reuse_pseudo=config.selflearn.reuse_pseudo,
-        template=config.fusion.template,
-        seed=config.seed,
-        sampling=_sampling(config),
-        parallelism=config.parallelism,
-        loss=LossConfig(tau=config.selflearn.tau),
+        config.selflearn,
+        _fusion_for(config, dataset).template,
+        config.seed,
+        _sampling(config),
+        config.parallelism,
     )
     losses = result.reference_losses
     with staged_outputs(Path(config.out_dir)) as staging:
@@ -408,30 +395,18 @@ def cmd_construct_benchmark(
     queries_file = queries_path or config.benchmark.raw_queries
     if not texts_file or not queries_file:
         raise ValidationError("construct-benchmark needs raw texts and raw queries paths")
-    med = config.benchmark.med_threshold
-    rel = config.benchmark.rel_threshold
-    if config.clients == "remote" and (med is None or rel is None):
+    thresholds = (config.benchmark.med_threshold, config.benchmark.rel_threshold)
+    if config.clients == "remote" and None in thresholds:
         raise ValidationError(
             "med_threshold and rel_threshold must be set explicitly for remote (production) runs"
         )
     judge = build_generator_client(config)
-    pipeline_cfg = PipelineConfig(
-        judge=judge,
-        med_threshold=0.5 if med is None else med,
-        rel_threshold=0.6 if rel is None else rel,
-        bm25_top_k=config.benchmark.bm25_top_k,
-        rerank_top_m=config.benchmark.rerank_top_m,
-        max_review_fraction=config.benchmark.max_review_fraction,
-        bm25_k1=config.bm25.k1,
-        bm25_b=config.bm25.b,
-        bm25_tokenizer=config.bm25.tokenizer,
-    )
     # Raw inputs are corpus and queries files; a title is not judged.
     texts = [(doc.id, doc.text) for doc in load_corpus(texts_file)]
     queries = load_queries(queries_file)
     with staged_outputs(Path(config.out_dir)) as staging:
         write_resolved_config(config, staging)
-        report = run_pipeline(texts, queries, pipeline_cfg, staging)
+        report = run_pipeline(texts, queries, judge, config.benchmark, config.bm25, staging)
     return EXIT_DEGRADED if report.flagged else EXIT_OK
 
 

@@ -1,5 +1,12 @@
 """Run configuration: a YAML file with ${ENV_VAR} interpolation, flag overrides,
-and a resolved snapshot written next to every run's outputs."""
+and a resolved snapshot written next to every run's outputs.
+
+`RunConfig` assembles one dataclass per YAML section. The `selflearn`,
+`benchmark` and `bm25` sections are defined, with their defaults and checks,
+in the modules that read them (`selflearn.SelfLearnSettings`,
+`benchkit.BenchmarkSettings`, `bm25.Bm25Settings`), so a bad value fails when
+its section is built at load. `RunConfig.validate` checks the rest.
+"""
 from __future__ import annotations
 
 import dataclasses
@@ -10,16 +17,19 @@ from pathlib import Path
 
 import yaml
 
+from .benchkit import BenchmarkSettings
+from .bm25 import Bm25Settings
 from .embed import MockEmbedderClient, RemoteEmbedderClient
 from .errors import ValidationError
 from .hyde import FusionConfig
 from .metrics import PAIRINGS
-from .selflearn import RANK_SCORINGS
+from .selflearn import SelfLearnSettings
 from .textgen import (
     HYPOTHETICAL_TEMPLATES,
     TEMPLATE_FILES,
     MockGeneratorClient,
     RemoteGeneratorClient,
+    SamplingConfig,
     load_template,
 )
 from .util import atomic_write_text, derive_seed, dump_json
@@ -83,42 +93,12 @@ class FusionSettings:
 
 
 @dataclass
-class SelfLearnSettings:
-    candidates_per_query: int = 5
-    negatives: int = 7
-    tau: float = 0.02
-    rank_cutoff: int = 100
-    rank_scoring: str = "candidate"
-    reuse_pseudo: bool = True
-    sample_docs: int | None = None
-    max_skip_fraction: float = 0.5
-
-
-@dataclass
 class EvalSettings:
     k_values: list[int] = field(default_factory=lambda: [10, 100])
     primary_k: int = 10
     repeats: int = 5
     pairing: str = "query"
     compare_to_dense: bool = True
-
-
-@dataclass
-class Bm25Settings:
-    k1: float = 0.9
-    b: float = 0.4
-    tokenizer: str = "cjk"
-
-
-@dataclass
-class BenchmarkSettings:
-    raw_texts: str = ""
-    raw_queries: str = ""
-    med_threshold: float | None = None
-    rel_threshold: float | None = None
-    bm25_top_k: int = 20
-    rerank_top_m: int = 3
-    max_review_fraction: float = 0.25
 
 
 @dataclass
@@ -159,6 +139,12 @@ class RunConfig:
                 f"fusion template {self.fusion.template!r} is not one of {HYPOTHETICAL_TEMPLATES}"
             )
         FusionConfig(strategy=self.fusion.strategy, n=self.fusion.n, template=self.fusion.template)
+        try:
+            SamplingConfig(
+                temperature=self.sampling.temperature, max_output_tokens=self.sampling.max_output_tokens
+            )
+        except ValidationError as exc:
+            raise ValidationError(f"sampling.{exc}") from None
         for dataset in self.all_datasets():
             if dataset.template is not None and dataset.template not in HYPOTHETICAL_TEMPLATES:
                 raise ValidationError(
@@ -171,19 +157,6 @@ class RunConfig:
             raise ValidationError("eval.k_values must be a non-empty list of values >= 1")
         if self.eval.pairing not in PAIRINGS:
             raise ValidationError(f"eval.pairing {self.eval.pairing!r} is not one of {PAIRINGS}")
-        if self.selflearn.tau <= 0:
-            raise ValidationError("selflearn.tau must be > 0")
-        if self.selflearn.rank_scoring not in RANK_SCORINGS:
-            raise ValidationError(
-                f"selflearn.rank_scoring {self.selflearn.rank_scoring!r} is not one of {RANK_SCORINGS}"
-            )
-        if self.selflearn.sample_docs is not None and self.selflearn.sample_docs < 1:
-            raise ValidationError("selflearn.sample_docs must be null (whole corpus) or >= 1")
-        for key in ("candidates_per_query", "negatives", "rank_cutoff"):
-            if getattr(self.selflearn, key) < 1:
-                raise ValidationError(f"selflearn.{key} must be >= 1")
-        if not 0 <= self.selflearn.max_skip_fraction <= 1:
-            raise ValidationError("selflearn.max_skip_fraction must be in [0, 1]")
         if self.embedder.truncate_chars < 1 or self.embedder.batch_size < 1:
             raise ValidationError("embedder.truncate_chars and embedder.batch_size must be >= 1")
         if self.clients == "remote":
@@ -198,7 +171,10 @@ def _build_section(cls, data: dict, path: str):
     unknown = set(data) - known
     if unknown:
         raise ValidationError(f"unknown config keys in {path!r}: {sorted(unknown)}")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except TypeError as exc:  # a section that checks itself was given a value of the wrong type
+        raise ValidationError(f"config section {path!r}: {exc}") from None
 
 
 def load_config(path: str | Path | None, **overrides) -> RunConfig:
@@ -248,16 +224,12 @@ def load_config(path: str | Path | None, **overrides) -> RunConfig:
     return config
 
 
-def config_to_dict(config: RunConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
 def write_resolved_config(config: RunConfig, out_dir: str | Path) -> None:
     """Snapshot everything needed to re-execute: resolved config plus the
     prompt-template bodies in use (their text is the version)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    redacted = config_to_dict(config)
+    redacted = dataclasses.asdict(config)
     for section in ("generator", "embedder"):
         if redacted[section].get("api_key"):
             redacted[section]["api_key"] = "<redacted>"

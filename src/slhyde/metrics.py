@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from scipy.special import stdtr
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .retrieval import RankedHits
 from .util import atomic_write_text
 
@@ -249,27 +249,3 @@ def write_trec_run(runs: Mapping[str, object], path: str | Path, tag: str = "slh
         for rank, (doc_id, score) in enumerate(pairs, start=1):
             lines.append(f"{qid} Q0 {doc_id} {rank} {score:.6f} {tag}\n")
     atomic_write_text(path, "".join(lines))
-
-
-def load_trec_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"run file not found: {path}")
-    by_query: dict[str, list[tuple[int, str, float]]] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ParseError(f"expected 6 whitespace-separated fields in {path.name}", line=lineno)
-            qid, _, doc_id, rank_raw, score_raw, _ = parts
-            try:
-                rank, score = int(rank_raw), float(score_raw)
-            except ValueError:
-                raise ParseError(f"bad rank or score in {path.name}", line=lineno) from None
-            by_query.setdefault(qid, []).append((rank, doc_id, score))
-    return {
-        qid: [(doc_id, score) for _, doc_id, score in sorted(rows)]
-        for qid, rows in by_query.items()
-    }

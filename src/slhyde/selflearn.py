@@ -11,6 +11,8 @@ Two datasets come out of this module:
     reference InfoNCE loss.
 Both builders go through `util.run_chunked`: a chunk costs one embed_texts call and
 one ranks_of or search_many call. Neither depends on the batch, so the datasets do not.
+Both take `SelfLearnSettings`, the `selflearn` config section, which checks
+itself when built.
 
 Gradient-based training is out of scope; the module emits the datasets and
 computes reference InfoNCE loss values on given embeddings.
@@ -75,15 +77,6 @@ class RetrieverTriplet:
             raise ValidationError("negatives must be distinct")
 
 
-@dataclass(frozen=True)
-class LossConfig:
-    tau: float = 0.02
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValidationError("tau must be > 0")
-
-
 @dataclass
 class SftBuildResult:
     examples: list[SftExample]
@@ -100,6 +93,33 @@ class TripletBuildResult:
 
 
 RANK_SCORINGS = ("candidate", "fused")
+
+
+@dataclass(frozen=True)
+class SelfLearnSettings:
+    candidates_per_query: int = 5
+    negatives: int = 7
+    tau: float = 0.02
+    rank_cutoff: int = 100
+    rank_scoring: str = "candidate"
+    reuse_pseudo: bool = True
+    sample_docs: int | None = None
+    max_skip_fraction: float = 0.5
+
+    def __post_init__(self):
+        if self.tau <= 0:
+            raise ValidationError("selflearn.tau must be > 0")
+        if self.rank_scoring not in RANK_SCORINGS:
+            raise ValidationError(
+                f"selflearn.rank_scoring {self.rank_scoring!r} is not one of {RANK_SCORINGS}"
+            )
+        if self.sample_docs is not None and self.sample_docs < 1:
+            raise ValidationError("selflearn.sample_docs must be null (whole corpus) or >= 1")
+        for key in ("candidates_per_query", "negatives", "rank_cutoff"):
+            if getattr(self, key) < 1:
+                raise ValidationError(f"selflearn.{key} must be >= 1")
+        if not 0 <= self.max_skip_fraction <= 1:
+            raise ValidationError("selflearn.max_skip_fraction must be in [0, 1]")
 
 
 def score_candidates(
@@ -152,32 +172,30 @@ def build_generator_dataset(
     gen,
     emb,
     index: DenseIndex,
-    candidates_per_doc: int = 5,
+    settings: SelfLearnSettings,
     seed: int = 0,
-    rank_cutoff: int = 100,
-    rank_scoring: str = "candidate",
-    max_skip_fraction: float = 0.5,
     sampling: SamplingConfig | None = None,
     parallelism: int = 1,
 ) -> SftBuildResult:
     """Construct the generator SFT dataset from unlabeled documents.
 
-    Per-document generation or embedding errors skip the document; a skip
-    rate above `max_skip_fraction` fails the run. Documents whose best
-    candidate rank exceeds `rank_cutoff` are dropped and counted.
-    If a chunk's one embed_texts or ranks_of call fails, its documents are
-    scored again one at a time, so only the failing documents are skipped.
+    Each document gets settings.candidates_per_query candidates, ranked per
+    settings.rank_scoring. Per-document generation or embedding errors skip
+    the document; a skip rate above settings.max_skip_fraction fails the run.
+    Documents whose best candidate rank exceeds settings.rank_cutoff are
+    dropped and counted. If a chunk's one embed_texts or ranks_of call fails,
+    its documents are scored again one at a time, so only the failing
+    documents are skipped. settings.sample_docs is the caller's to apply.
     """
-    if candidates_per_doc < 1:
-        raise ValidationError("candidates_per_doc must be >= 1")
     base = sampling or SamplingConfig()
+    num_candidates, rank_scoring = settings.candidates_per_query, settings.rank_scoring
 
     def plan(doc: Document):
         query_cfg = replace(base, seed=derive_seed(seed, "query", doc.id))
         cand_cfg = replace(base, seed=derive_seed(seed, "candidates", doc.id))
         try:
             query = generate_query_for_doc(gen, doc, query_cfg)
-            return doc.id, query, generate_pseudo_docs(gen, query, doc, candidates_per_doc, cand_cfg)
+            return doc.id, query, generate_pseudo_docs(gen, query, doc, num_candidates, cand_cfg)
         except SlhydeError as exc:
             logger.warning("skipping document %s: %s", doc.id, exc)
             return None
@@ -199,19 +217,19 @@ def build_generator_dataset(
         for (doc_id, query, _), candidates in zip(live, scored):
             if candidates is not None:
                 _, best = select_best(candidates)
-                examples.append(SftExample(query, best.text, doc_id, best.rank, num_candidates=candidates_per_doc))
+                examples.append(SftExample(query, best.text, doc_id, best.rank, num_candidates))
         return examples
 
     scored_examples = run_chunked(docs, plan, finish, parallelism)
     skipped = len(docs) - len(scored_examples)
-    examples = [example for example in scored_examples if example.rank <= rank_cutoff]
+    examples = [example for example in scored_examples if example.rank <= settings.rank_cutoff]
     dropped = len(scored_examples) - len(examples)
-    if docs and skipped / len(docs) > max_skip_fraction:
+    if docs and skipped / len(docs) > settings.max_skip_fraction:
         raise RunError(
-            f"{skipped}/{len(docs)} documents failed; exceeds allowed fraction {max_skip_fraction}"
+            f"{skipped}/{len(docs)} documents failed; exceeds allowed fraction {settings.max_skip_fraction}"
         )
     if dropped:
-        logger.info("dropped %d documents whose best rank exceeded %d", dropped, rank_cutoff)
+        logger.info("dropped %d documents whose best rank exceeded %d", dropped, settings.rank_cutoff)
     return SftBuildResult(
         examples=examples, total=len(docs), dropped_by_cutoff=dropped, skipped_errors=skipped
     )
@@ -221,7 +239,7 @@ def mine_hard_negatives(
     index: DenseIndex,
     fused: np.ndarray,
     positives: list[str],
-    m: int = 7,
+    m: int,
 ) -> list[list[tuple[str, float]]]:
     """For each row of the (rows, dim) matrix `fused`, its exact top-(m+1) from
     one search_many call with its positive excluded, cut to m."""
@@ -240,29 +258,27 @@ def build_retriever_dataset(
     gen,
     emb,
     index: DenseIndex,
-    m: int = 7,
-    reuse_pseudo: bool = True,
+    settings: SelfLearnSettings,
     template: str = "Q2P",
     seed: int = 0,
     sampling: SamplingConfig | None = None,
     parallelism: int = 1,
-    loss: LossConfig | None = None,
 ) -> TripletBuildResult:
-    """One triplet and its reference loss per SFT example.
+    """One triplet with settings.negatives hard negatives, and its reference
+    loss at temperature settings.tau, per SFT example.
 
-    With reuse_pseudo (offline mode) the selected response is reused as the
-    pseudo-document; otherwise the generator rewrites the query fresh, which
-    is the deployment-form path for a tuned generator. A chunk's (query,
-    pseudo) pairs are embedded in one call; each pair's fused vector
-    (`hyde.fuse_rows`) mines the negatives (one search_many call per chunk)
-    and scores the reference loss against the cached document rows.
+    With settings.reuse_pseudo (offline mode) the selected response is reused
+    as the pseudo-document; otherwise the generator rewrites the query fresh
+    from `template`, which is the deployment-form path for a tuned generator.
+    A chunk's (query, pseudo) pairs are embedded in one call; each pair's
+    fused vector (`hyde.fuse_rows`) mines the negatives (one search_many call
+    per chunk) and scores the reference loss against the cached document rows.
     """
     base = sampling or SamplingConfig()
-    loss = loss or LossConfig()
     cache = index.cache
 
     def plan(example: SftExample) -> tuple[SftExample, str]:
-        if reuse_pseudo:
+        if settings.reuse_pseudo:
             return example, example.response
         cfg = replace(base, seed=derive_seed(seed, "pseudo", example.doc_id))
         return example, generate_hypothetical(gen, example.query, template, 1, cfg)[0]
@@ -270,7 +286,8 @@ def build_retriever_dataset(
     def finish(planned: list[tuple[SftExample, str]]) -> list[tuple[RetrieverTriplet, float]]:
         rows = embed_texts(emb, [text for example, pseudo in planned for text in (example.query, pseudo)])
         fused = fuse_rows(rows, [2] * len(planned))
-        mined = mine_hard_negatives(index, fused, [example.doc_id for example, _ in planned], m=m)
+        positives = [example.doc_id for example, _ in planned]
+        mined = mine_hard_negatives(index, fused, positives, settings.negatives)
         results = []
         for (example, pseudo), vector, negatives in zip(planned, fused, mined):
             triplet = RetrieverTriplet(
@@ -281,7 +298,8 @@ def build_retriever_dataset(
                 scores={doc_id: score for doc_id, score in negatives},
             )
             negative_rows = [cache.row(doc_id) for doc_id in triplet.negatives]
-            results.append((triplet, contrastive_loss(vector, cache.row(example.doc_id), negative_rows, loss)))
+            loss = contrastive_loss(vector, cache.row(example.doc_id), negative_rows, settings.tau)
+            results.append((triplet, loss))
         return results
 
     results = run_chunked(sft_examples, plan, finish, parallelism)
@@ -291,28 +309,19 @@ def build_retriever_dataset(
     )
 
 
-def infonce_from_scores(
-    positive_score: float,
-    negative_scores,
-    cfg: LossConfig,
-) -> float:
-    """InfoNCE over raw similarity scores at temperature cfg.tau (log-sum-exp stable)."""
-    if cfg.tau <= 0:
+def infonce_from_scores(positive_score: float, negative_scores, tau: float) -> float:
+    """InfoNCE over raw similarity scores at temperature tau (log-sum-exp stable)."""
+    if tau <= 0:
         raise ValidationError("tau must be > 0")
-    logits = [positive_score / cfg.tau]
-    logits.extend(s / cfg.tau for s in negative_scores)
+    logits = [positive_score / tau]
+    logits.extend(s / tau for s in negative_scores)
     logits = np.asarray(logits, dtype=np.float64)
     peak = float(np.max(logits))
     lse = peak + float(np.log(np.sum(np.exp(logits - peak))))
     return float(lse - logits[0])
 
 
-def contrastive_loss(
-    query_fused: np.ndarray,
-    positive: np.ndarray,
-    negatives,
-    cfg: LossConfig,
-) -> float:
+def contrastive_loss(query_fused: np.ndarray, positive: np.ndarray, negatives, tau: float) -> float:
     """InfoNCE on vectors: scores are inner products of the fused query vector
     with (unit-normalized) document vectors."""
     q = np.asarray(query_fused, dtype=np.float64).ravel()
@@ -325,7 +334,7 @@ def contrastive_loss(
         if vec.shape != q.shape:
             raise ValidationError("negative vector dim mismatch")
         neg_scores.append(float(q @ vec))
-    return infonce_from_scores(float(q @ pos), neg_scores, cfg)
+    return infonce_from_scores(float(q @ pos), neg_scores, tau)
 
 
 # --- JSONL emission -------------------------------------------------------

@@ -13,7 +13,8 @@ import pytest
 import yaml
 
 from slhyde.ann import AnnIndex, ann_search
-from slhyde.benchkit import PipelineConfig, run_pipeline
+from slhyde.benchkit import BenchmarkSettings, run_pipeline
+from slhyde.bm25 import Bm25Settings
 from slhyde.cli import main
 from slhyde.corpus import (
     CorpusStore,
@@ -30,7 +31,7 @@ from slhyde.hyde import FusionConfig, fuse, hyde_search
 from slhyde.metrics import build_report, ndcg_at_k, recall_at_k
 from slhyde.retrieval import DenseIndex, dense_search, rank_of
 from slhyde.selflearn import (
-    LossConfig,
+    SelfLearnSettings,
     build_generator_dataset,
     infonce_from_scores,
     mine_hard_negatives,
@@ -180,7 +181,7 @@ def test_c4_selection_optimality(tmp_path):
     gen = MockGeneratorClient(seed=7)
     seed = 43
     result = build_generator_dataset(
-        docs, gen, emb, index, candidates_per_doc=5, seed=seed, rank_cutoff=500
+        docs, gen, emb, index, SelfLearnSettings(candidates_per_query=5, rank_cutoff=500), seed=seed
     )
     assert result.examples, "expected examples from the paraphraser corpus"
 
@@ -201,7 +202,7 @@ def test_c4_selection_optimality(tmp_path):
 # --- 5. mining consistency ----------------------------------------------------
 
 def test_c5_mining_consistency(tmp_path):
-    # part A: mining (the default call) equals exact top-7 minus positive
+    # part A: mining m=7 equals exact top-7 minus positive
     emb = MockEmbedderClient(dim=128)
     docs = synthetic_docs(200, seed=51)
     store = CorpusStore(docs)
@@ -211,7 +212,7 @@ def test_c5_mining_consistency(tmp_path):
     for _ in range(100):
         target = docs[int(rng.integers(0, len(docs)))]
         query_text = " ".join(target.text.split()[:3])
-        [mined] = mine_hard_negatives(dense, fuse(emb, [query_text, target.text])[None], [target.id])
+        [mined] = mine_hard_negatives(dense, fuse(emb, [query_text, target.text])[None], [target.id], 7)
         fused = (embed_text(emb, query_text) + embed_text(emb, target.text)) / 2.0
         exact = [d for d, _ in dense_search(dense, fused, k=8) if d != target.id][:7]
         assert [doc_id for doc_id, _ in mined] == exact
@@ -239,11 +240,11 @@ def test_c5_mining_consistency(tmp_path):
 
 def test_c6_loss_checks():
     # symmetric single-negative case
-    ln2 = infonce_from_scores(0.7, [0.7], LossConfig(tau=1.0))
+    ln2 = infonce_from_scores(0.7, [0.7], tau=1.0)
     assert abs(ln2 - math.log(2.0)) <= 1e-9
 
     # temperature 0.02 worked example against direct formula evaluation
-    worked = infonce_from_scores(0.9, [0.8], LossConfig(tau=0.02))
+    worked = infonce_from_scores(0.9, [0.8], tau=0.02)
     assert abs(worked - math.log1p(math.exp(-5.0))) <= 1e-9
 
     # monotonicity under +-1e-3 perturbations, 1000 random trials
@@ -254,18 +255,18 @@ def test_c6_loss_checks():
     for _ in range(1000):
         pos = float(rng.uniform(-1, 1))
         negs = list(rng.uniform(-1, 1, size=int(rng.integers(1, 8))))
-        cfg = LossConfig(tau=float(rng.uniform(0.2, 1.0)))
-        base = infonce_from_scores(pos, negs, cfg)
+        tau = float(rng.uniform(0.2, 1.0))
+        base = infonce_from_scores(pos, negs, tau)
         assert base >= 0.0
-        assert infonce_from_scores(pos + eps, negs, cfg) < base
-        assert infonce_from_scores(pos - eps, negs, cfg) > base
+        assert infonce_from_scores(pos + eps, negs, tau) < base
+        assert infonce_from_scores(pos - eps, negs, tau) > base
         bump_index = int(rng.integers(0, len(negs)))
         bumped = list(negs)
         bumped[bump_index] += eps
-        assert infonce_from_scores(pos, bumped, cfg) > base
+        assert infonce_from_scores(pos, bumped, tau) > base
         dipped = list(negs)
         dipped[bump_index] -= eps
-        assert infonce_from_scores(pos, dipped, cfg) < base
+        assert infonce_from_scores(pos, dipped, tau) < base
     _report("6 loss-checks", "ln2 and tau=0.02 to 1e-9; 1000 monotonicity trials")
 
 
@@ -459,9 +460,9 @@ def _trace_fixture():
 
 def test_c9_benchkit_trace_fidelity(tmp_path):
     texts, queries, judge = _trace_fixture()
-    cfg = PipelineConfig(judge=judge, med_threshold=0.5, rel_threshold=0.6)
+    settings = BenchmarkSettings(med_threshold=0.5, rel_threshold=0.6)
     out = tmp_path / "bench"
-    report = run_pipeline(texts, queries, cfg, out)
+    report = run_pipeline(texts, queries, judge, settings, Bm25Settings(), out)
 
     stage_texts = report.stages["1_medical_filter_texts"]
     assert (stage_texts["input"], stage_texts["kept"], stage_texts["removed"], stage_texts["review"]) == (20, 17, 2, 1)

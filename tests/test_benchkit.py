@@ -4,14 +4,14 @@ import logging
 import pytest
 
 from slhyde.benchkit import (
+    BenchmarkSettings,
     CandidatePair,
-    PipelineConfig,
     filter_pseudo_relevant,
     match_positive_pairs,
     medical_relevance_filter,
     run_pipeline,
 )
-from slhyde.bm25 import Bm25Index
+from slhyde.bm25 import Bm25Index, Bm25Settings
 from slhyde.corpus import CorpusStore, Document, Query, load_corpus, load_qrels, load_queries
 from slhyde.errors import ParseError, ValidationError
 from slhyde.textgen import MockGeneratorClient
@@ -95,7 +95,7 @@ def _matching_fixture():
         Document(id="d3", text="alpha condition prevention notes shared terms"),
     ]
     store = CorpusStore(docs)
-    bm25 = Bm25Index.build(store, tokenizer="simple")
+    bm25 = Bm25Index.build(store, Bm25Settings(tokenizer="simple"))
     query = Query(id="q1", text="alpha condition treatment", answer="use the alpha protocol")
 
     def rerank(prompt):
@@ -126,7 +126,7 @@ def _matching_fixture():
 class TestMatchPositivePairs:
     def test_only_validated_doc_returned(self):
         store, bm25, query, judge = _matching_fixture()
-        cfg = PipelineConfig(judge=judge)
+        cfg = BenchmarkSettings()
         review = []
         pairs = match_positive_pairs(query, bm25, judge, cfg, store, review)
         assert [p.doc_id for p in pairs] == ["d2"]
@@ -136,7 +136,7 @@ class TestMatchPositivePairs:
 
     def test_empty_evidence_rejects_pair(self):
         store, bm25, query, judge = _matching_fixture()
-        cfg = PipelineConfig(judge=judge)
+        cfg = BenchmarkSettings()
         pairs = match_positive_pairs(query, bm25, judge, cfg, store, [])
         assert all(p.doc_id != "d1" for p in pairs)
         assert all(p.doc_id != "d3" for p in pairs)
@@ -152,13 +152,13 @@ class TestMatchPositivePairs:
                 (VALIDATE_PREFIX, lambda p: _json({"similarity_score": 0.1, "explanation": "no"})),
             ]
         )
-        cfg = PipelineConfig(judge=judge)
+        cfg = BenchmarkSettings()
         assert match_positive_pairs(query, bm25, judge, cfg, store, []) == []
 
     def test_unparseable_rerank_routes_query_to_review(self):
         store, bm25, query, _ = _matching_fixture()
         judge = judge_with([(RERANK_PREFIX, lambda p: "garbage")])
-        cfg = PipelineConfig(judge=judge)
+        cfg = BenchmarkSettings()
         review = []
         pairs = match_positive_pairs(query, bm25, judge, cfg, store, review)
         assert pairs == []
@@ -174,7 +174,7 @@ class TestMatchPositivePairs:
                 (VALIDATE_PREFIX, lambda p: _json({"similarity_score": 1.0, "explanation": "e"})),
             ]
         )
-        cfg = PipelineConfig(judge=judge, rerank_top_m=2)
+        cfg = BenchmarkSettings(rerank_top_m=2)
         pairs = match_positive_pairs(query, bm25, judge, cfg, store, [])
         assert len(pairs) == 2  # top-m cap, not all 3
 
@@ -303,8 +303,8 @@ class TestRunPipeline:
             validated_docs={"t1", "t2"},
             quality_scores={"t1": 5, "t2": 2},  # t2 pair fails the 0.6 threshold
         )
-        cfg = PipelineConfig(judge=judge)
-        report = run_pipeline(texts, queries, cfg, tmp_path / "out")
+        cfg = BenchmarkSettings()
+        report = run_pipeline(texts, queries, judge, cfg, Bm25Settings(), tmp_path / "out")
         qrels = load_qrels(tmp_path / "out" / "qrels.tsv")
         assert qrels.entries == {"qa": {"t1": 1}}
         emitted_queries = load_queries(tmp_path / "out" / "queries.jsonl")
@@ -318,7 +318,7 @@ class TestRunPipeline:
     def test_stage_counts_conserve(self, tmp_path):
         texts, queries = _pipeline_inputs()
         judge = _pipeline_judge(med_labels={}, validated_docs={"t1"}, quality_scores={})
-        report = run_pipeline(texts, queries, PipelineConfig(judge=judge), tmp_path / "out")
+        report = run_pipeline(texts, queries, judge, BenchmarkSettings(), Bm25Settings(), tmp_path / "out")
         for stage in ("1_medical_filter_texts", "1_medical_filter_queries"):
             counts = report.stages[stage]
             assert counts["kept"] + counts["removed"] + counts["review"] == counts["input"]
@@ -329,7 +329,7 @@ class TestRunPipeline:
         texts, queries = _pipeline_inputs()
         judge = _pipeline_judge(med_labels={}, validated_docs=set(), quality_scores={})
         with caplog.at_level(logging.WARNING):
-            report = run_pipeline(texts, queries, PipelineConfig(judge=judge), tmp_path / "out")
+            report = run_pipeline(texts, queries, judge, BenchmarkSettings(), Bm25Settings(), tmp_path / "out")
         assert (tmp_path / "out" / "qrels.tsv").exists()
         assert load_qrels(tmp_path / "out" / "qrels.tsv").entries == {}
         assert any("ZERO" in w for w in report.warnings)
@@ -341,7 +341,7 @@ class TestRunPipeline:
             judge = _pipeline_judge(
                 med_labels={"t3": 0}, validated_docs={"t1", "t2"}, quality_scores={"t2": 1}
             )
-            run_pipeline(texts, queries, PipelineConfig(judge=judge), out)
+            run_pipeline(texts, queries, judge, BenchmarkSettings(), Bm25Settings(), out)
             return {
                 path.name: path.read_bytes()
                 for path in sorted(out.iterdir())
@@ -353,14 +353,14 @@ class TestRunPipeline:
     def test_review_flood_flags_run(self, tmp_path):
         texts, queries = _pipeline_inputs()
         judge = judge_with([(MED_PREFIX, lambda p: "garbage")])  # nothing else reached
-        cfg = PipelineConfig(judge=judge, max_review_fraction=0.2)
-        report = run_pipeline(texts, queries, cfg, tmp_path / "out")
+        cfg = BenchmarkSettings(max_review_fraction=0.2)
+        report = run_pipeline(texts, queries, judge, cfg, Bm25Settings(), tmp_path / "out")
         assert report.flagged
 
     def test_qc_report_files_written(self, tmp_path):
         texts, queries = _pipeline_inputs()
         judge = _pipeline_judge(med_labels={}, validated_docs={"t1"}, quality_scores={})
-        run_pipeline(texts, queries, PipelineConfig(judge=judge), tmp_path / "out")
+        run_pipeline(texts, queries, judge, BenchmarkSettings(), Bm25Settings(), tmp_path / "out")
         payload = json.loads((tmp_path / "out" / "qc_report.json").read_text())
         assert "stages" in payload and "review_bucket" in payload
         assert (tmp_path / "out" / "qc_report.txt").read_text().startswith("benchmark construction")
@@ -404,11 +404,10 @@ class TestRawLoaders:
             load_corpus(tmp_path / "nope.jsonl")
 
 
-def test_pipeline_config_validation():
-    judge = MockGeneratorClient()
+def test_benchmark_settings_validation():
     with pytest.raises(ValidationError):
-        PipelineConfig(judge=judge, med_threshold=1.5)
+        BenchmarkSettings(med_threshold=1.5)
     with pytest.raises(ValidationError):
-        PipelineConfig(judge=judge, rel_threshold=-0.1)
+        BenchmarkSettings(rel_threshold=-0.1)
     with pytest.raises(ValidationError):
-        PipelineConfig(judge=judge, bm25_top_k=0)
+        BenchmarkSettings(bm25_top_k=0)

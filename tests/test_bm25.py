@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from slhyde.bm25 import Bm25Index, bm25_search, tokenize
+from slhyde.bm25 import Bm25Index, Bm25Settings, bm25_search, tokenize
 from slhyde.corpus import CorpusStore, Document
 from slhyde.errors import ValidationError
 
@@ -35,6 +35,19 @@ class TestTokenize:
             tokenize("x", mode="bogus")
 
 
+class TestBm25Settings:
+    def test_range_boundaries_accepted(self):
+        for k1, b in ((0, 0), (0.9, 1), (3.5, 0.75)):
+            assert Bm25Settings(k1=k1, b=b).b == b
+
+    @pytest.mark.parametrize(
+        "field, value", [("k1", -1), ("k1", float("nan")), ("b", 7), ("b", -0.1), ("tokenizer", "bogus")]
+    )
+    def test_bad_value_names_its_key(self, field, value):
+        with pytest.raises(ValidationError, match=f"bm25.{field}"):
+            Bm25Settings(**{field: value})
+
+
 class TestBm25Search:
     def test_unique_term_ranks_its_doc_first(self):
         store = _store(["common words here", "common words zyzzyva", "more common words"])
@@ -47,7 +60,7 @@ class TestBm25Search:
         # Independent oracle: evaluate the documented Okapi formula inline.
         store = _store(["red fish blue fish", "red herring"])
         k1, b = 0.9, 0.4
-        index = Bm25Index.build(store, k1=k1, b=b, tokenizer="simple")
+        index = Bm25Index.build(store, Bm25Settings(k1=k1, b=b, tokenizer="simple"))
         hits = bm25_search(index, "red fish", k=2)
 
         docs = [["red", "fish", "blue", "fish"], ["red", "herring"]]
@@ -78,7 +91,7 @@ class TestBm25Search:
 
     def test_absent_term_contributes_zero(self):
         store = _store(["alpha beta", "alpha"])
-        index = Bm25Index.build(store, tokenizer="simple")
+        index = Bm25Index.build(store, Bm25Settings(tokenizer="simple"))
         only_alpha = dict(bm25_search(index, "alpha", k=2).hits)
         with_absent = dict(bm25_search(index, "alpha qqqq", k=2).hits)
         assert only_alpha == with_absent
@@ -88,15 +101,15 @@ class TestBm25Search:
         # query survives adding a document sharing no query terms.
         base = ["heart disease treatment options", "heart health advice", "butterfly migration"]
         query = "heart disease"
-        small = Bm25Index.build(_store(base), tokenizer="simple")
+        small = Bm25Index.build(_store(base), Bm25Settings(tokenizer="simple"))
         before = bm25_search(small, query, k=3).doc_ids()
-        grown = Bm25Index.build(_store(base + ["unrelated astronomy text"]), tokenizer="simple")
+        grown = Bm25Index.build(_store(base + ["unrelated astronomy text"]), Bm25Settings(tokenizer="simple"))
         after = bm25_search(grown, query, k=4).doc_ids()
         assert [d for d in after if d in before] == before
 
     def test_tie_break_ascending_id(self):
         store = _store(["same text", "same text"])
-        index = Bm25Index.build(store, tokenizer="simple")
+        index = Bm25Index.build(store, Bm25Settings(tokenizer="simple"))
         assert bm25_search(index, "same", k=2).doc_ids() == ["d0", "d1"]
 
     def test_empty_index_errors(self):

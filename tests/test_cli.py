@@ -19,10 +19,10 @@ from slhyde.corpus import RelevanceJudgments, load_corpus, load_queries
 from slhyde.embed import MockEmbedderClient, cache_embeddings, embed_text, load_cache
 from slhyde.errors import TransportError, ValidationError
 from slhyde.hyde import FusionConfig, fuse, hyde_search
-from slhyde.metrics import build_report, load_trec_run, ndcg_at_k, recall_at_k, report_to_dict
+from slhyde.metrics import build_report, ndcg_at_k, recall_at_k, report_to_dict
 from slhyde.retrieval import DenseIndex, dense_search
-from slhyde.selflearn import LossConfig, contrastive_loss, load_triplets_jsonl, validate_sft_file, validate_triplets_file
-from slhyde.textgen import MockGeneratorClient, SamplingConfig
+from slhyde.selflearn import contrastive_loss, load_sft_jsonl, load_triplets_jsonl, validate_sft_file, validate_triplets_file
+from slhyde.textgen import MockGeneratorClient, SamplingConfig, load_template, render_prompt
 from slhyde.util import derive_seed
 
 from conftest import cache_docs, queries_for_docs, synthetic_docs
@@ -308,14 +308,17 @@ class TestSearchCommands:
         out = tmp_path / "run"
         config_path = make_config(tmp_path, dataset, out)
         assert main(["search", "--config", str(config_path), "--k", "5"]) == 0
-        runs = load_trec_run(out / "run_synthetic.trec")
+        runs = {}
+        for line in (out / "run_synthetic.trec").read_text().splitlines():
+            qid, _, doc_id, rank, _, _ = line.split()
+            runs.setdefault(qid, []).append((int(rank), doc_id))
         assert set(runs) == {q.id for q in queries}
         emb = MockEmbedderClient(dim=128)
         store = CorpusStore(docs)
         cache = cache_docs(emb, store, tmp_path / "check.emb")
         index = DenseIndex(cache)
         expected = dense_search(index, embed_text(emb, queries[0].text), 5)
-        assert [d for d, _ in runs[queries[0].id]] == expected.doc_ids()
+        assert [d for _, d in sorted(runs[queries[0].id])] == expected.doc_ids()
 
     def test_hyde_search_with_trace(self, tmp_path):
         dataset = tmp_path / "data"
@@ -498,7 +501,7 @@ class TestBuildDataCommands:
             assert list(triplet.negatives) == [d for d, _ in exact]
             assert triplet.scores == dict(exact)
             negative_rows = [cache.row(d) for d in triplet.negatives]
-            losses.append(contrastive_loss(fused, cache.row(triplet.positive), negative_rows, LossConfig(config.selflearn.tau)))
+            losses.append(contrastive_loss(fused, cache.row(triplet.positive), negative_rows, config.selflearn.tau))
         stats = json.loads((out / "triplets_stats.json").read_text())
         assert stats["mean_reference_loss"] == sum(losses) / len(losses)
 
@@ -679,6 +682,29 @@ class TestMultiDatasetAndTemplates:
         assert config.dataset.template == "T2P"
         assert main(["hyde-search", "--config", str(config_path), "--k", "3"]) == 0
 
+    def test_retriever_data_uses_the_dataset_template(self, tmp_path, monkeypatch):
+        dataset = tmp_path / "data"
+        make_dataset(dataset)
+        out = tmp_path / "run"
+        config_path = make_config(
+            tmp_path,
+            dataset,
+            out,
+            dataset={
+                "name": "synthetic",
+                "corpus": str(dataset / "corpus.jsonl"),
+                "queries": str(dataset / "queries.jsonl"),
+                "template": "T2P",
+            },
+            selflearn={"candidates_per_query": 2, "negatives": 3, "reuse_pseudo": False},
+        )
+        assert main(["build-sft-data", "--config", str(config_path)]) == 0
+        requests = _count_gen_requests(monkeypatch)
+        assert main(["build-retriever-data", "--config", str(config_path)]) == 0
+        t2p = load_template("T2P")
+        expected = [render_prompt(t2p, {"TITLE": e.query}) for e in load_sft_jsonl(out / "sft.jsonl")]
+        assert expected and [prompt for prompt, _ in requests] == expected
+
     def test_unknown_template_override_rejected(self, tmp_path):
         dataset = tmp_path / "data"
         make_dataset(dataset)
@@ -809,6 +835,13 @@ class TestExitCodes:
             ("build-retriever-data", "selflearn", "negatives", 0),
             ("build-sft-data", "selflearn", "max_skip_fraction", 2),
             ("build-sft-data", "selflearn", "max_skip_fraction", -0.1),
+            ("build-sft-data", "sampling", "temperature", -1),
+            ("evaluate", "sampling", "max_output_tokens", 0),
+            ("embed-corpus", "bm25", "k1", -1),
+            ("embed-corpus", "bm25", "b", 7),
+            ("embed-corpus", "bm25", "tokenizer", "bogus"),
+            ("embed-corpus", "benchmark", "max_review_fraction", 5),
+            ("embed-corpus", "benchmark", "med_threshold", 2),
         ],
     )
     def test_bad_setting_exits_before_any_request(self, tmp_path, monkeypatch, capsys, command, section, key, value):
@@ -821,9 +854,16 @@ class TestExitCodes:
         config_path.write_text(yaml.safe_dump(config))
         requests = _count_gen_requests(monkeypatch)
         assert main([command, "--config", str(config_path)]) == 1
-        assert key in capsys.readouterr().err
+        assert f"{section}.{key}" in capsys.readouterr().err
         assert requests == []
         assert not list(tmp_path.rglob("*.emb"))
+
+    @pytest.mark.parametrize("section, key, value", [("bm25", "k1", "high"), ("benchmark", "max_review_fraction", None)])
+    def test_wrong_type_in_section_is_validation_exit(self, tmp_path, capsys, section, key, value):
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump({section: {key: value}}))
+        assert main(["embed-corpus", "--config", str(path)]) == 1
+        assert f"config section {section!r}" in capsys.readouterr().err
 
     def test_embedder_failure_in_hyde_search_is_runtime_exit(self, tmp_path, monkeypatch):
         dataset = tmp_path / "data"

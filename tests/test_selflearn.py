@@ -13,8 +13,8 @@ from slhyde.hyde import fuse
 from slhyde.retrieval import DenseIndex, dense_search, rank_of
 from slhyde.selflearn import (
     HypotheticalCandidate,
-    LossConfig,
     RetrieverTriplet,
+    SelfLearnSettings,
     SftExample,
     build_generator_dataset,
     build_retriever_dataset,
@@ -139,7 +139,7 @@ class TestBuildGeneratorDataset:
         store = CorpusStore(docs)
         cache = cache_docs(emb, store, tmp_path / "c.emb")
         index = DenseIndex(cache)
-        result = build_generator_dataset(docs, MockGeneratorClient(), emb, index, candidates_per_doc=1)
+        result = build_generator_dataset(docs, MockGeneratorClient(), emb, index, SelfLearnSettings(candidates_per_query=1))
         assert all(e.num_candidates == 1 for e in result.examples)
 
     def test_selection_optimality_on_synthetic_corpus(self, tmp_path):
@@ -150,7 +150,7 @@ class TestBuildGeneratorDataset:
         index = DenseIndex(cache)
         gen = MockGeneratorClient(seed=4)
         result = build_generator_dataset(
-            docs, gen, emb, index, candidates_per_doc=5, seed=17, rank_cutoff=100
+            docs, gen, emb, index, SelfLearnSettings(candidates_per_query=5, rank_cutoff=100), seed=17
         )
         assert result.examples, "paraphraser corpus should produce examples"
         # Independent recomputation: regenerate candidates, re-rank each, compare minima.
@@ -173,11 +173,13 @@ class TestBuildGeneratorDataset:
     def test_cutoff_drops_and_counts(self, tmp_path):
         emb = MockEmbedderClient(dim=128)
         docs = synthetic_docs(12, seed=23)
-        store = CorpusStore(docs)
+        # each document's twin ties it and sorts first, so no candidate ranks it 1
+        twins = [Document(id="c" + doc.id, text=doc.text) for doc in docs]
+        store = CorpusStore(docs + twins)
         cache = cache_docs(emb, store, tmp_path / "c.emb")
         index = DenseIndex(cache)
         result = build_generator_dataset(
-            docs, MockGeneratorClient(), emb, index, candidates_per_doc=1, rank_cutoff=0
+            docs, MockGeneratorClient(), emb, index, SelfLearnSettings(candidates_per_query=1, rank_cutoff=1)
         )
         assert result.dropped_by_cutoff == len(docs)
         assert result.examples == []
@@ -194,7 +196,7 @@ class TestBuildGeneratorDataset:
                 raise SlhydeError("boom")
 
         with pytest.raises(RunError):
-            build_generator_dataset(docs, AlwaysFailing(max_retries=0), emb, index, candidates_per_doc=1)
+            build_generator_dataset(docs, AlwaysFailing(max_retries=0), emb, index, SelfLearnSettings(candidates_per_query=1))
 
     def test_parallel_matches_serial(self, tmp_path):
         emb = MockEmbedderClient(dim=128)
@@ -202,12 +204,9 @@ class TestBuildGeneratorDataset:
         store = CorpusStore(docs)
         cache = cache_docs(emb, store, tmp_path / "c.emb")
         index = DenseIndex(cache)
-        serial = build_generator_dataset(
-            docs, MockGeneratorClient(seed=1), emb, index, candidates_per_doc=2, seed=3
-        )
-        parallel = build_generator_dataset(
-            docs, MockGeneratorClient(seed=1), emb, index, candidates_per_doc=2, seed=3, parallelism=4
-        )
+        two = SelfLearnSettings(candidates_per_query=2)
+        serial = build_generator_dataset(docs, MockGeneratorClient(seed=1), emb, index, two, seed=3)
+        parallel = build_generator_dataset(docs, MockGeneratorClient(seed=1), emb, index, two, seed=3, parallelism=4)
         assert serial.examples == parallel.examples
 
     @pytest.mark.parametrize("rank_scoring", ["candidate", "fused"])
@@ -217,7 +216,7 @@ class TestBuildGeneratorDataset:
         index = DenseIndex(cache_docs(emb, CorpusStore(docs), tmp_path / "c.emb"))
         emb.calls = 0
         result = build_generator_dataset(
-            docs, MockGeneratorClient(), emb, index, candidates_per_doc=3, rank_scoring=rank_scoring
+            docs, MockGeneratorClient(), emb, index, SelfLearnSettings(candidates_per_query=3, rank_scoring=rank_scoring)
         )
         assert result.skipped_errors == 0
         # one request per chunk of 64 documents: all 8 documents share one
@@ -232,7 +231,8 @@ class TestBuildGeneratorDataset:
             emb.calls = 0
             results.append(
                 build_generator_dataset(
-                    docs, MockGeneratorClient(), emb, index, candidates_per_doc=2, seed=3, parallelism=parallelism
+                    docs, MockGeneratorClient(), emb, index, SelfLearnSettings(candidates_per_query=2), seed=3,
+                    parallelism=parallelism,
                 )
             )
             assert emb.calls == 2
@@ -268,14 +268,15 @@ class TestBuildGeneratorDataset:
                 return super().embed_batch(texts)
 
         # what one request per document gives: only the generation failure is skipped
-        reference = build_generator_dataset(docs, FailingGenerator(), plain, index, candidates_per_doc=L, seed=3)
+        settings_l = SelfLearnSettings(candidates_per_query=L)
+        reference = build_generator_dataset(docs, FailingGenerator(), plain, index, settings_l, seed=3)
         assert reference.skipped_errors == 1
         assert embed_fails.id in [e.doc_id for e in reference.examples]
 
         emb = ChunkRefusingEmbedder(dim=128)
         emb.batches = []
         caplog.clear()
-        result = build_generator_dataset(docs, FailingGenerator(), emb, index, candidates_per_doc=L, seed=3)
+        result = build_generator_dataset(docs, FailingGenerator(), emb, index, settings_l, seed=3)
         assert result.examples == [e for e in reference.examples if e.doc_id != embed_fails.id]
         assert (result.skipped_errors, result.dropped_by_cutoff) == (2, 0)
         skips = [r.getMessage().split(":")[0] for r in caplog.records if r.getMessage().startswith("skipping")]
@@ -297,7 +298,8 @@ class TestMineHardNegatives:
         emb, docs, store, cache = self._setup(tmp_path)
         target = docs[3]
         fused = fuse(emb, [" ".join(target.text.split()[:2]), target.text])
-        [negatives] = mine_hard_negatives(DenseIndex(cache), fused[None], [target.id])
+        m = SelfLearnSettings().negatives
+        [negatives] = mine_hard_negatives(DenseIndex(cache), fused[None], [target.id], m)
         ids = [doc_id for doc_id, _ in negatives]
         assert len(ids) == 7
         assert target.id not in ids
@@ -364,7 +366,7 @@ class TestBuildRetrieverDataset:
         cache = cache_docs(emb, store, tmp_path / "t.emb")
         sft = self._sft(docs[:5])
         triplets = build_retriever_dataset(
-            sft, MockGeneratorClient(), emb, DenseIndex(cache), m=7, reuse_pseudo=True
+            sft, MockGeneratorClient(), emb, DenseIndex(cache), SelfLearnSettings(reuse_pseudo=True)
         ).triplets
         assert [t.pseudo for t in triplets] == [e.response for e in sft]
 
@@ -375,13 +377,10 @@ class TestBuildRetrieverDataset:
         cache = cache_docs(emb, store, tmp_path / "t.emb")
         index = DenseIndex(cache)
         sft = self._sft(docs[:3])
-        result = build_retriever_dataset(
-            sft, MockGeneratorClient(seed=5), emb, index, m=7, reuse_pseudo=False, seed=9
-        )
+        online = SelfLearnSettings(reuse_pseudo=False)
+        result = build_retriever_dataset(sft, MockGeneratorClient(seed=5), emb, index, online, seed=9)
         assert all(t.pseudo != e.response for t, e in zip(result.triplets, sft))
-        again = build_retriever_dataset(
-            sft, MockGeneratorClient(seed=5), emb, index, m=7, reuse_pseudo=False, seed=9
-        )
+        again = build_retriever_dataset(sft, MockGeneratorClient(seed=5), emb, index, online, seed=9)
         assert result == again
 
     def test_invariants_hold_for_every_triplet(self, tmp_path):
@@ -390,7 +389,7 @@ class TestBuildRetrieverDataset:
         store = CorpusStore(docs)
         cache = cache_docs(emb, store, tmp_path / "t.emb")
         triplets = build_retriever_dataset(
-            self._sft(docs[:10]), MockGeneratorClient(), emb, DenseIndex(cache), m=7
+            self._sft(docs[:10]), MockGeneratorClient(), emb, DenseIndex(cache), SelfLearnSettings(negatives=7)
         ).triplets
         for triplet in triplets:
             assert triplet.positive not in triplet.negatives
@@ -403,7 +402,7 @@ class TestBuildRetrieverDataset:
         store = CorpusStore(docs)
         cache = cache_docs(emb, store, tmp_path / "t.emb")
         triplets = build_retriever_dataset(
-            self._sft(docs[:100]), MockGeneratorClient(), emb, DenseIndex(cache), m=7
+            self._sft(docs[:100]), MockGeneratorClient(), emb, DenseIndex(cache), SelfLearnSettings(negatives=7)
         ).triplets
         path = tmp_path / "triplets.jsonl"
         emit_triplets_jsonl(triplets, path)
@@ -418,7 +417,7 @@ class TestBuildRetrieverDataset:
         sft = self._sft(docs[:6])
         emb.calls = 0
         result = build_retriever_dataset(
-            sft, MockGeneratorClient(), emb, index, m=7, reuse_pseudo=reuse_pseudo
+            sft, MockGeneratorClient(), emb, index, SelfLearnSettings(negatives=7, reuse_pseudo=reuse_pseudo)
         )
         # one request per chunk of 64 examples: all 6 triplets share one
         assert emb.calls == 1
@@ -436,8 +435,8 @@ class TestBuildRetrieverDataset:
             emb.calls = 0
             results.append(
                 build_retriever_dataset(
-                    sft, MockGeneratorClient(), emb, index, m=7, reuse_pseudo=reuse_pseudo, seed=9,
-                    parallelism=parallelism,
+                    sft, MockGeneratorClient(), emb, index, SelfLearnSettings(negatives=7, reuse_pseudo=reuse_pseudo),
+                    seed=9, parallelism=parallelism,
                 )
             )
             assert emb.calls == 2
@@ -448,7 +447,7 @@ class TestBuildRetrieverDataset:
             exact = [(d, s) for d, s in dense_search(index, fused, k=8) if d != triplet.positive][:7]
             assert list(triplet.negatives) == [d for d, _ in exact] and triplet.scores == dict(exact)
             negative_rows = [cache.row(d) for d in triplet.negatives]
-            assert value == contrastive_loss(fused, cache.row(triplet.positive), negative_rows, LossConfig())
+            assert value == contrastive_loss(fused, cache.row(triplet.positive), negative_rows, tau=0.02)
 
 
 class TestContrastiveLoss:
@@ -456,25 +455,27 @@ class TestContrastiveLoss:
         q = np.array([1.0, 0.0])
         pos = np.array([0.5, 0.5])
         neg = np.array([0.5, -0.5])  # same inner product with q as pos
-        loss = contrastive_loss(q, pos, [neg], LossConfig(tau=1.0))
+        loss = contrastive_loss(q, pos, [neg], tau=1.0)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_no_negatives_no_batch_is_zero(self):
         q = np.array([1.0, 0.0])
         pos = np.array([0.9, 0.1])
-        assert contrastive_loss(q, pos, [], LossConfig(tau=0.5)) == pytest.approx(0.0, abs=1e-15)
+        assert contrastive_loss(q, pos, [], tau=0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_worked_example_tau_002(self):
         # Direct formula oracle: ln(1 + e^((0.8-0.9)/0.02)) = ln(1 + e^-5)
-        loss = infonce_from_scores(0.9, [0.8], LossConfig(tau=0.02))
+        loss = infonce_from_scores(0.9, [0.8], tau=0.02)
         assert loss == pytest.approx(math.log1p(math.exp(-5.0)), abs=1e-12)
         assert loss == pytest.approx(0.006715348489118068, abs=1e-9)
 
     def test_tau_must_be_positive(self):
         with pytest.raises(ValidationError):
-            LossConfig(tau=0.0)
+            infonce_from_scores(0.9, [0.8], tau=0.0)
         with pytest.raises(ValidationError):
-            LossConfig(tau=-1.0)
+            contrastive_loss(np.array([1.0, 0.0]), np.array([0.5, 0.5]), [], tau=-1.0)
+        with pytest.raises(ValidationError, match="selflearn.tau"):
+            SelfLearnSettings(tau=0.0)
 
     def test_monotonic_in_scores(self):
         # tau bounded away from 0 so a 1e-3 perturbation of any term stays
@@ -484,20 +485,20 @@ class TestContrastiveLoss:
         for _ in range(200):
             pos = float(rng.uniform(-1, 1))
             negs = list(rng.uniform(-1, 1, size=int(rng.integers(1, 6))))
-            cfg = LossConfig(tau=float(rng.uniform(0.2, 1.0)))
-            base = infonce_from_scores(pos, negs, cfg)
+            tau = float(rng.uniform(0.2, 1.0))
+            base = infonce_from_scores(pos, negs, tau)
             eps = 1e-3
-            assert infonce_from_scores(pos + eps, negs, cfg) < base
+            assert infonce_from_scores(pos + eps, negs, tau) < base
             bumped = list(negs)
             bumped[0] += eps
-            assert infonce_from_scores(pos, bumped, cfg) > base
+            assert infonce_from_scores(pos, bumped, tau) > base
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             pos = float(rng.uniform(-1, 1))
             negs = list(rng.uniform(-1, 1, size=int(rng.integers(0, 6))))
-            loss = infonce_from_scores(pos, negs, LossConfig(tau=float(rng.uniform(0.01, 2.0))))
+            loss = infonce_from_scores(pos, negs, tau=float(rng.uniform(0.01, 2.0)))
             assert loss >= 0.0
 
     def test_joint_scale_invariance(self):
@@ -506,8 +507,8 @@ class TestContrastiveLoss:
         pos = rng.normal(size=8)
         negs = [rng.normal(size=8) for _ in range(3)]
         for scale in (0.5, 2.0, 17.0):
-            base = contrastive_loss(q, pos, negs, LossConfig(tau=0.1))
-            scaled = contrastive_loss(q * scale, pos, negs, LossConfig(tau=0.1 * scale))
+            base = contrastive_loss(q, pos, negs, tau=0.1)
+            scaled = contrastive_loss(q * scale, pos, negs, tau=0.1 * scale)
             assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_dataset_reference_loss(self, tmp_path):
@@ -517,7 +518,7 @@ class TestContrastiveLoss:
         cache = cache_docs(emb, store, tmp_path / "l.emb")
         sft = [SftExample(query="q text", response=docs[0].text, doc_id=docs[0].id, rank=1, num_candidates=5)]
         result = build_retriever_dataset(
-            sft, MockGeneratorClient(), emb, DenseIndex(cache), m=7, loss=LossConfig(tau=0.02)
+            sft, MockGeneratorClient(), emb, DenseIndex(cache), SelfLearnSettings(negatives=7, tau=0.02)
         )
         [triplet] = result.triplets
         # the loss of the fused (query, pseudo) vector against the cached rows
@@ -525,7 +526,7 @@ class TestContrastiveLoss:
             fuse(emb, [triplet.query, triplet.pseudo]),
             cache.row(triplet.positive),
             [cache.row(doc_id) for doc_id in triplet.negatives],
-            LossConfig(tau=0.02),
+            tau=0.02,
         )
         assert result.reference_losses == [expected]
         assert expected >= 0.0
@@ -539,7 +540,7 @@ class TestContrastiveLoss:
             for i in range(4)
         ]
         emb.calls = 0
-        result = build_retriever_dataset(sft, MockGeneratorClient(), emb, index, m=7)
+        result = build_retriever_dataset(sft, MockGeneratorClient(), emb, index, SelfLearnSettings(negatives=7))
         assert len(result.reference_losses) == len(sft)
         # one request per chunk of 64 examples: all 4 triplets share one
         assert emb.calls == 1
@@ -641,7 +642,7 @@ class TestEmission:
 
         def run(out):
             gen = MockGeneratorClient(seed=2)
-            result = build_generator_dataset(docs, gen, emb, index, candidates_per_doc=3, seed=5)
+            result = build_generator_dataset(docs, gen, emb, index, SelfLearnSettings(candidates_per_query=3), seed=5)
             emit_sft_jsonl(result.examples, out)
             return out.read_bytes()
 
