@@ -169,4 +169,4 @@ def ann_search(index: AnnIndex, vector, k: int, breadth: int | None = None) -> R
     candidate_ids = np.fromiter((nid for _, nid in found), dtype=np.intp, count=len(found))
     # Rescore the candidate set in float64 and apply the dense tie rule.
     scores = _exact_scores(index._matrix, candidate_ids, v64)
-    return _top_k(index._dense._ids[candidate_ids], scores, k)
+    return _top_k(index._dense, candidate_ids, scores, k)

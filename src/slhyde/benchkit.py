@@ -219,7 +219,7 @@ def match_positive_pairs(
     """
     review = review if review is not None else []
     hits = bm25_search(bm25, query.text, settings.bm25_top_k)
-    if not hits.hits:
+    if not hits.ids:
         return []
 
     rerank_prompt = render_prompt(
@@ -238,8 +238,8 @@ def match_positive_pairs(
             index = int(number) - 1
         except (TypeError, ValueError):
             continue
-        if 0 <= index < len(hits.hits):
-            doc_id = hits.hits[index][0]
+        if 0 <= index < len(hits.ids):
+            doc_id = hits.ids[index]
             if doc_id not in candidates:
                 candidates.append(doc_id)
         if len(candidates) == settings.rerank_top_m:

@@ -27,6 +27,10 @@ _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 TOKENIZERS = ("cjk", "simple")
 
 
+# The three ranges of _is_cjk as one character class: one search per word.
+_CJK_RE = re.compile("[\u4e00-\u9fff\u3400-\u4dbf\uf900-\ufaff]")
+
+
 def _is_cjk(ch: str) -> bool:
     code = ord(ch)
     return (
@@ -71,7 +75,7 @@ def tokenize(text: str, mode: str = "cjk") -> list[str]:
         return words
     tokens: list[str] = []
     for word in words:
-        if any(_is_cjk(ch) for ch in word):
+        if _CJK_RE.search(word):
             tokens.extend(_expand_cjk(word))
         else:
             tokens.append(word)
@@ -147,5 +151,5 @@ def bm25_search(index: Bm25Index, query_text: str, k: int) -> RankedHits:
         for pos, tf in plist:
             denom = tf + k1 * (1.0 - b + b * index.doc_lens[pos] / avgdl)
             scores[pos] = scores.get(pos, 0.0) + idf * tf * (k1 + 1.0) / denom
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], index.ids[item[0]]))
-    return RankedHits(hits=[(index.ids[pos], score) for pos, score in ranked[:k]])
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], index.ids[item[0]]))[:k]
+    return RankedHits(ids=[index.ids[pos] for pos, _ in ranked], scores=[score for _, score in ranked])

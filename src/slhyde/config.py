@@ -130,6 +130,23 @@ class RunConfig:
         return [self.dataset]
 
     def validate(self) -> None:
+        numbers = [
+            ("parallelism", self.parallelism, int),
+            ("eval.primary_k", self.eval.primary_k, int),
+            ("eval.repeats", self.eval.repeats, int),
+            ("embedder.dim", self.embedder.dim, int),
+            ("embedder.truncate_chars", self.embedder.truncate_chars, int),
+            ("embedder.batch_size", self.embedder.batch_size, int),
+            ("sampling.temperature", self.sampling.temperature, float),
+            ("sampling.max_output_tokens", self.sampling.max_output_tokens, int),
+        ]
+        if self.fusion.n is not None:
+            numbers.append(("fusion.n", self.fusion.n, int))
+        if not isinstance(self.eval.k_values, list):
+            raise ValidationError(f"eval.k_values must be a list, got {self.eval.k_values!r}")
+        numbers += [("eval.k_values", k, int) for k in self.eval.k_values]
+        for key, value, kind in numbers:
+            _require_number(key, value, kind)
         if self.clients not in ("mock", "remote"):
             raise ValidationError(f"clients must be 'mock' or 'remote', got {self.clients!r}")
         if self.parallelism < 1:
@@ -162,6 +179,15 @@ class RunConfig:
         if self.clients == "remote":
             if not self.generator.endpoint or not self.embedder.endpoint:
                 raise ValidationError("remote clients require generator.endpoint and embedder.endpoint")
+
+
+def _require_number(key: str, value, kind: type) -> None:
+    """ValidationError naming `key` unless value is an int (kind int) or an int
+    or float (kind float); a bool is neither."""
+    allowed = (int, float) if kind is float else (int,)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        expected = "a number" if kind is float else "an integer"
+        raise ValidationError(f"{key} must be {expected}, got {value!r}")
 
 
 def _build_section(cls, data: dict, path: str):

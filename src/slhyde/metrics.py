@@ -22,8 +22,9 @@ from .util import atomic_write_text
 
 
 def _hit_ids(hits) -> list[str]:
-    pairs = hits.hits if isinstance(hits, RankedHits) else hits
-    return [doc_id for doc_id, _ in pairs]
+    if isinstance(hits, RankedHits):
+        return hits.ids
+    return [doc_id for doc_id, _ in hits]
 
 
 def ndcg_at_k(hits, judged: Mapping[str, int], k: int) -> float | None:
@@ -244,8 +245,6 @@ def write_trec_run(runs: Mapping[str, object], path: str | Path, tag: str = "slh
     """Write runs as trec lines: qid Q0 docid rank score tag."""
     lines = []
     for qid in runs:
-        hits = runs[qid]
-        pairs = hits.hits if isinstance(hits, RankedHits) else hits
-        for rank, (doc_id, score) in enumerate(pairs, start=1):
+        for rank, (doc_id, score) in enumerate(runs[qid], start=1):
             lines.append(f"{qid} Q0 {doc_id} {rank} {score:.6f} {tag}\n")
     atomic_write_text(path, "".join(lines))

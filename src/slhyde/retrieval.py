@@ -2,7 +2,9 @@
 
 Scores are inner products; with unit-normalized vectors this equals cosine
 similarity. Ties are broken by ascending document id so every search result
-is a deterministic total order. Because ranking is an argsort of inner
+is a deterministic total order: the index ranks its ids once (`_id_rank`, a
+row's position in ascending-id order) and every tie is settled by comparing
+those ranks, never the strings. Because ranking is an argsort of inner
 products, multiplying the query vector by any positive scalar never changes
 the result, which is what permits searching with unnormalized fused vectors.
 
@@ -28,6 +30,10 @@ the band between is rescored.
 A float64 score is computed by one BLAS matrix-vector product over a block of
 four rows (zero-padded), so a row's score never depends on how many or which
 other rows are scored with it, nor on how the BLAS splits work over threads.
+
+A result is columnar: `RankedHits.ids` holds the cache's own id strings (no
+copies) and `RankedHits.scores` a float64 array; (id, score) pairs with Python
+floats are built only when iterated or read through `hits`.
 """
 from __future__ import annotations
 
@@ -44,21 +50,33 @@ _UNIT_ROUNDOFF32 = 2.0**-24
 _TINY32 = 2.0**-126  # smallest normal float32: bounds underflow, gradual or flushed
 
 
-@dataclass
+@dataclass(eq=False)
 class RankedHits:
-    """Descending-score (doc_id, score) list with optional result metadata."""
+    """Hits in descending-score order as two columns, doc ids and float64
+    scores, with optional result metadata."""
 
-    hits: list[tuple[str, float]]
+    ids: list[str]
+    scores: np.ndarray
     meta: dict[str, Any] = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.scores = np.asarray(self.scores, dtype=np.float64)
+        if self.scores.shape != (len(self.ids),):
+            raise ValidationError(f"{len(self.ids)} ids but scores of shape {self.scores.shape}")
+
+    @property
+    def hits(self) -> list[tuple[str, float]]:
+        """The (doc_id, score) pairs, scores as Python floats."""
+        return list(self)
+
     def doc_ids(self) -> list[str]:
-        return [doc_id for doc_id, _ in self.hits]
+        return list(self.ids)
 
     def __len__(self) -> int:
-        return len(self.hits)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[tuple[str, float]]:
-        return iter(self.hits)
+        return zip(self.ids, self.scores.tolist())
 
     def __getitem__(self, idx):
         return self.hits[idx]
@@ -69,7 +87,9 @@ class DenseIndex:
 
     def __init__(self, cache: EmbeddingCache):
         self.cache = cache
-        self._ids = np.array(cache.ids, dtype=str) if cache.ids else np.empty(0, dtype=str)
+        # _id_rank[row] is the row's position in ascending-id order: the tie key.
+        self._id_rank = np.empty(len(cache), dtype=np.int64)
+        self._id_rank[sorted(range(len(cache)), key=cache.ids.__getitem__)] = np.arange(len(cache))
         squared = np.einsum("ij,ij->i", cache.matrix, cache.matrix)
         max_norm = float(np.sqrt(squared.max())) if len(squared) else 0.0
         # eps bounds |coarse score - float64 score / ‖query‖| for every row: the
@@ -119,10 +139,11 @@ def _exact_scores(matrix: np.ndarray, rows: np.ndarray, query: np.ndarray) -> np
     return (padded.reshape(-1, _ROW_BLOCK, matrix.shape[1]) @ query).ravel()[:count]
 
 
-def _top_k(ids: np.ndarray, scores: np.ndarray, k: int) -> RankedHits:
-    """The k best (id, score) pairs: score descending, ties by ascending id."""
-    order = np.lexsort((ids, -scores))[:k]
-    return RankedHits(hits=[(str(ids[i]), float(scores[i])) for i in order])
+def _top_k(index: DenseIndex, rows: np.ndarray, scores: np.ndarray, k: int) -> RankedHits:
+    """The k best of `rows` by their `scores`: score descending, ties by ascending id."""
+    order = np.lexsort((index._id_rank[rows], -scores))[:k]
+    ids = index.cache.ids
+    return RankedHits(ids=[ids[row] for row in rows[order].tolist()], scores=scores[order])
 
 
 def search_many(index: DenseIndex, vectors, k: int) -> list[RankedHits]:
@@ -133,7 +154,7 @@ def search_many(index: DenseIndex, vectors, k: int) -> list[RankedHits]:
     queries = _as_query_matrix(index, vectors)
     n = len(index)
     if n == 0:
-        return [RankedHits(hits=[]) for _ in queries]
+        return [RankedHits(ids=[], scores=np.empty(0)) for _ in queries]
     cut = n - min(k, n)
     results = []
     for start in range(0, len(queries), _QUERY_BLOCK):
@@ -143,7 +164,7 @@ def search_many(index: DenseIndex, vectors, k: int) -> list[RankedHits]:
         for query, scores, tau in zip(block, coarse, kth):
             shortlist = np.flatnonzero(scores >= tau - index._margin)
             exact = _exact_scores(index.cache.matrix, shortlist, query)
-            results.append(_top_k(index._ids[shortlist], exact, k))
+            results.append(_top_k(index, shortlist, exact, k))
     return results
 
 
@@ -166,15 +187,16 @@ def ranks_of(index: DenseIndex, vectors, targets) -> list[int]:
     ranks = []
     for start in range(0, len(queries), _QUERY_BLOCK):
         block = queries[start : start + _QUERY_BLOCK]
-        row_targets = zip(targets[start : start + _QUERY_BLOCK], positions[start : start + _QUERY_BLOCK])
-        for query, coarse, (target, position) in zip(block, _coarse_scores(index, block), row_targets):
+        block_positions = positions[start : start + _QUERY_BLOCK]
+        for query, coarse, position in zip(block, _coarse_scores(index, block), block_positions):
             target_coarse = np.float64(coarse[position])
             higher = int(np.count_nonzero(coarse > target_coarse + index._margin))
             band = np.flatnonzero(np.abs(coarse - target_coarse) <= index._margin)
             exact = _exact_scores(index.cache.matrix, band, query)
             target_score = exact[np.searchsorted(band, position)]
             higher += int(np.count_nonzero(exact > target_score))
-            tied_before = int(np.count_nonzero((exact == target_score) & (index._ids[band] < target)))
+            target_rank = index._id_rank[position]
+            tied_before = int(np.count_nonzero((exact == target_score) & (index._id_rank[band] < target_rank)))
             ranks.append(1 + higher + tied_before)
     return ranks
 

@@ -19,13 +19,12 @@ computes reference InfoNCE loss values on given embeddings.
 """
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .corpus import Document, _iter_jsonl
 from .embed import embed_texts
@@ -379,9 +378,18 @@ TRIPLET_RECORD_SCHEMA = {
     },
 }
 
-# Compiled once: jsonschema.validate re-checks the schema itself on every call.
-_SFT_VALIDATOR = validator_for(SFT_RECORD_SCHEMA)(SFT_RECORD_SCHEMA)
-_TRIPLET_VALIDATOR = validator_for(TRIPLET_RECORD_SCHEMA)(TRIPLET_RECORD_SCHEMA)
+_SCHEMAS = {"SFT": SFT_RECORD_SCHEMA, "triplet": TRIPLET_RECORD_SCHEMA}
+
+
+@functools.cache
+def _validator(kind: str):
+    """The compiled validator of a record schema, built on first use so that
+    importing slhyde does not import jsonschema. Compiled once, because
+    jsonschema.validate re-checks the schema itself on every call."""
+    from jsonschema.validators import validator_for
+
+    schema = _SCHEMAS[kind]
+    return validator_for(schema)(schema)
 
 
 def emit_sft_jsonl(
@@ -408,9 +416,12 @@ def emit_sft_jsonl(
     atomic_write_text(path, "".join(lines))
 
 
-def _validated_records(path: str | Path, validator, kind: str):
+def _validated_records(path: str | Path, kind: str):
     """Schema-checked JSONL records; bad JSON is a ParseError with the line."""
+    from jsonschema.exceptions import best_match
+
     path = Path(path)
+    validator = _validator(kind)
     for lineno, record in _iter_jsonl(path):
         error = best_match(validator.iter_errors(record))
         if error is not None:
@@ -427,7 +438,7 @@ def load_sft_jsonl(path: str | Path) -> list[SftExample]:
             rank=record["meta"]["rank"],
             num_candidates=record["meta"]["L"],
         )
-        for record in _validated_records(path, _SFT_VALIDATOR, "SFT")
+        for record in _validated_records(path, "SFT")
     ]
 
 
@@ -457,7 +468,7 @@ def load_triplets_jsonl(path: str | Path) -> list[RetrieverTriplet]:
             negatives=tuple(record["neg"]),
             scores=record["meta"].get("scores", {}),
         )
-        for record in _validated_records(path, _TRIPLET_VALIDATOR, "triplet")
+        for record in _validated_records(path, "triplet")
     ]
 
 

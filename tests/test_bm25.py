@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from slhyde.bm25 import Bm25Index, Bm25Settings, bm25_search, tokenize
+from slhyde.bm25 import _CJK_RE, Bm25Index, Bm25Settings, _is_cjk, bm25_search, tokenize
 from slhyde.corpus import CorpusStore, Document
 from slhyde.errors import ValidationError
 
@@ -33,6 +33,18 @@ class TestTokenize:
     def test_unknown_mode(self):
         with pytest.raises(ValidationError):
             tokenize("x", mode="bogus")
+
+    # The code points on either side of each range edge, an astral CJK character
+    # (outside the three ranges), and mixed Latin/CJK words.
+    _EDGES = [0x33FF, 0x3400, 0x4DBF, 0x4DC0, 0x4DFF, 0x4E00, 0x9FFF, 0xA000, 0xF8FF, 0xF900, 0xFAFF, 0xFB00]
+
+    @pytest.mark.parametrize(
+        "word",
+        [chr(code) for code in _EDGES]
+        + ["\U00020000", "\U00020000a", "abc\u4e00", "\u9fffxyz", "ab\ufb00cd", "x\u3400y", "covid19"],
+    )
+    def test_cjk_search_agrees_with_the_character_predicate(self, word):
+        assert bool(_CJK_RE.search(word)) == any(_is_cjk(ch) for ch in word)
 
 
 class TestBm25Settings:

@@ -812,6 +812,25 @@ def test_requests_is_imported_only_by_a_remote_client_without_a_session():
     assert done.stdout.split() == ["False", "False", "True"]
 
 
+def test_jsonschema_is_imported_only_when_records_are_validated(tmp_path):
+    # the SFT/triplet validators are built on first use, not at import
+    records = tmp_path / "sft.jsonl"
+    records.write_text("")
+    script = "\n".join(
+        [
+            "import sys, slhyde.cli",
+            "print('jsonschema' in sys.modules)",
+            "from slhyde.selflearn import validate_sft_file",
+            f"validate_sft_file({str(records)!r})",
+            "print('jsonschema' in sys.modules)",
+        ]
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "True"]
+
+
 class TestExitCodes:
     def test_missing_config_file(self):
         assert main(["search", "--config", "/does/not/exist.yaml"]) == 1
@@ -864,6 +883,22 @@ class TestExitCodes:
         path.write_text(yaml.safe_dump({section: {key: value}}))
         assert main(["embed-corpus", "--config", str(path)]) == 1
         assert f"config section {section!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"eval": {"primary_k": "x"}}, "eval.primary_k"),
+            ({"parallelism": "2"}, "parallelism"),
+            ({"fusion": {"n": "3"}}, "fusion.n"),
+            ({"sampling": {"temperature": "hot"}}, "sampling.temperature"),
+            ({"embedder": {"dim": "x"}}, "embedder.dim"),
+        ],
+    )
+    def test_wrong_type_checked_at_load_is_validation_exit(self, tmp_path, capsys, config, key):
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert main(["embed-corpus", "--config", str(path)]) == 1
+        assert key in capsys.readouterr().err
 
     def test_embedder_failure_in_hyde_search_is_runtime_exit(self, tmp_path, monkeypatch):
         dataset = tmp_path / "data"

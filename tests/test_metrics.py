@@ -69,7 +69,7 @@ class TestNdcg:
         assert value == pytest.approx(dcg / idcg, abs=1e-12)
 
     def test_accepts_ranked_hits_object(self):
-        hits = RankedHits(hits=_hits(["a", "b"]))
+        hits = RankedHits(ids=["a", "b"], scores=[2.0, 1.0])
         assert ndcg_at_k(hits, {"a": 1}, 10) == pytest.approx(1.0)
 
     def test_random_instances_match_reference(self):
@@ -235,8 +235,8 @@ class TestBuildReport:
 class TestTrecRunIO:
     def test_round_trip(self, tmp_path):
         runs = {
-            "q1": RankedHits(hits=[("d1", 0.9), ("d2", 0.5)]),
-            "q2": RankedHits(hits=[("d3", 1.5)]),
+            "q1": RankedHits(ids=["d1", "d2"], scores=[0.9, 0.5]),
+            "q2": RankedHits(ids=["d3"], scores=[1.5]),
         }
         path = tmp_path / "run.trec"
         write_trec_run(runs, path, tag="test")

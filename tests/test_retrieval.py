@@ -148,7 +148,7 @@ class TestRankOf:
 
 
 def test_ranked_hits_container():
-    hits = RankedHits(hits=[("a", 2.0), ("b", 1.0)])
+    hits = RankedHits(ids=["a", "b"], scores=[2.0, 1.0])
     assert len(hits) == 2
     assert hits.doc_ids() == ["a", "b"]
     assert hits[0] == ("a", 2.0)
@@ -314,6 +314,54 @@ class TestExactAgainstFullScan:
         index = _index_from_rows(np.eye(3, dtype=np.float32))
         with pytest.raises(ValidationError, match="non-finite"):
             dense_search(index, [np.nan, 0.0, 0.0], k=1)
+
+
+# Ids whose Python string order differs from numeric, byte or length order.
+_TRICKY_IDS = [
+    "d1", "d10", "d100", "d1a", "d2", "D1", "10", "9", "010", "1e3", "-1", "0x1",
+    "é", "e\u0301", "ä1", "日本", "日", "\U0001F600", "z", "a", "a\x00", "a b",
+]
+
+
+@st.composite
+def tied_corpus(draw):
+    """Rows drawn from a few distinct vectors, so most scores tie, under tricky ids."""
+    ids = draw(
+        st.lists(
+            st.one_of(st.sampled_from(_TRICKY_IDS), st.text(min_size=1, max_size=4)),
+            min_size=1,
+            max_size=30,
+            unique=True,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([1, 2, 5]))
+    distinct = rng.normal(size=(draw(st.integers(1, 3)), d)).astype(np.float32)
+    rows = distinct[rng.integers(0, len(distinct), size=len(ids))]
+    queries = np.vstack([rng.normal(size=d), rows[0], np.zeros(d)]).astype(np.float64)
+    k = draw(st.integers(1, len(ids) + 2))
+    return rows, ids, queries, k
+
+
+class TestTieRuleAndSharedIds:
+    @given(tied_corpus())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_python_string_order(self, case):
+        rows, ids, queries, k = case
+        # fresh copies, so that sharing cannot come from interning
+        index = DenseIndex(EmbeddingCache(ids=[(" " + doc_id)[1:] for doc_id in ids], matrix=rows))
+        for query, hits in zip(queries, search_many(index, queries, k)):
+            scores = _full_scan_scores(rows, query).tolist()
+            expected = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
+            assert [(doc_id, score.hex()) for doc_id, score in hits] == [
+                (ids[i], scores[i].hex()) for i in expected[:k]
+            ]
+            for doc_id in hits.ids:
+                assert doc_id is index.cache.ids[index.cache.position(doc_id)]
+            assert all(type(score) is float for _, score in hits)
+            assert all(type(score) is float for _, score in hits.hits)
+            ranks = ranks_of(index, np.tile(query, (len(ids), 1)), ids)
+            assert ranks == [expected.index(i) + 1 for i in range(len(ids))]
 
 
 def test_index_makes_no_float64_copy():
