@@ -20,7 +20,7 @@ import numpy as np
 
 from slhyde.corpus import CorpusStore, Document, Query
 from slhyde.embed import MockEmbedderClient, EmbeddingCache, embed_texts
-from slhyde.hyde import FusionConfig, hypothesize, search_hypothesized
+from slhyde.hyde import FUSION_STRATEGIES, FusionConfig, hypothesize, search_hypothesized
 from slhyde.metrics import build_report, ndcg_at_k, render_report_text
 from slhyde.retrieval import DenseIndex, search_many
 from slhyde.textgen import MockGeneratorClient, hash_paraphrase, load_template, render_prompt
@@ -85,8 +85,7 @@ def main() -> int:
     query_hits = search_many(index, embed_texts(emb, [q.text for q in queries]), args.k)
     baseline = {q.id: ndcg_at_k(hits, qrels[q.id], args.k) for q, hits in zip(queries, query_hits)}
 
-    strategies = ("mean_pool", "doc_only", "concat", "mean_pool_k")
-    for strategy in strategies:
+    for strategy in FUSION_STRATEGIES:
         cfg = FusionConfig(strategy=strategy)
         planned = [hypothesize(query, gen, cfg) for query in queries]
         fused_hits = search_hypothesized(planned, emb, index, args.k)

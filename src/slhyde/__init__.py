@@ -33,13 +33,14 @@ from .errors import (
     TransportError,
     ValidationError,
 )
-from .hyde import FusionConfig, FusionStrategy, fuse, hyde_search, hypothesize, search_hypothesized
+from .hyde import FUSION_STRATEGIES, FusionConfig, fuse, hyde_search, hypothesize, search_hypothesized
 from .retrieval import DenseIndex, RankedHits, dense_search, rank_of, ranks_of, search_many
 from .textgen import (
     MockGeneratorClient,
     PromptTemplate,
     RemoteGeneratorClient,
     SamplingConfig,
+    SamplingSettings,
     generate,
     generate_hypothetical,
     generate_pseudo_docs,

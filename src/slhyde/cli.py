@@ -13,6 +13,7 @@ corpus file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import shutil
@@ -77,21 +78,15 @@ def staged_outputs(out_dir: Path):
 
 
 def _sampling(config: RunConfig, seed: int | None = None) -> SamplingConfig:
-    return SamplingConfig(
-        temperature=config.sampling.temperature,
-        max_output_tokens=config.sampling.max_output_tokens,
-        seed=seed,
-    )
+    # vars, not dataclasses.asdict: this runs once per query and repeat, and
+    # the flat section's __dict__ is its fields.
+    return SamplingConfig(**vars(config.sampling), seed=seed)
 
 
 def _fusion_for(config: RunConfig, dataset) -> FusionConfig:
     # The hypothetical-document template is task-dependent; datasets may
     # override the run-wide choice.
-    return FusionConfig(
-        strategy=config.fusion.strategy,
-        n=config.fusion.n,
-        template=dataset.template or config.fusion.template,
-    )
+    return dataclasses.replace(config.fusion, template=dataset.template or config.fusion.template)
 
 
 def _dataset_cache(config: RunConfig, emb, dataset):

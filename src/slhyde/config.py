@@ -1,17 +1,26 @@
 """Run configuration: a YAML file with ${ENV_VAR} interpolation, flag overrides,
 and a resolved snapshot written next to every run's outputs.
 
-`RunConfig` assembles one dataclass per YAML section. The `selflearn`,
-`benchmark` and `bm25` sections are defined, with their defaults and checks,
-in the modules that read them (`selflearn.SelfLearnSettings`,
-`benchkit.BenchmarkSettings`, `bm25.Bm25Settings`), so a bad value fails when
-its section is built at load. `RunConfig.validate` checks the rest.
+`RunConfig` assembles one dataclass per YAML section, each defined once with
+its defaults and range checks (`__post_init__`). The `fusion`, `sampling`,
+`selflearn`, `benchmark` and `bm25` sections live in the modules that read
+them (`hyde.FusionConfig`, `textgen.SamplingSettings`,
+`selflearn.SelfLearnSettings`, `benchkit.BenchmarkSettings`,
+`bm25.Bm25Settings`); the rest are defined here. Before a section is built,
+every YAML value is checked against its field's annotation (an int is
+accepted where a float is expected; a bool is not a number), so a bad value
+of any key is a ValidationError naming `<section>.<key>` at load.
+`RunConfig.validate` checks only what spans the top level: `clients`,
+`parallelism` and the endpoints a remote run needs.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import re
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,7 +38,7 @@ from .textgen import (
     TEMPLATE_FILES,
     MockGeneratorClient,
     RemoteGeneratorClient,
-    SamplingConfig,
+    SamplingSettings,
     load_template,
 )
 from .util import atomic_write_text, derive_seed, dump_json
@@ -61,6 +70,22 @@ class DatasetPaths:
     qrels: str = ""
     template: str | None = None  # per-dataset override of fusion.template
 
+    def __post_init__(self):
+        if self.template is not None and self.template not in HYPOTHETICAL_TEMPLATES:
+            raise ValidationError(
+                f"dataset.template {self.template!r} for dataset {self.name!r} is not one of"
+                f" {HYPOTHETICAL_TEMPLATES}"
+            )
+
+
+def _check_client(section: str, settings) -> None:
+    """Range checks shared by the two remote-client sections."""
+    if not settings.timeout > 0:
+        raise ValidationError(f"{section}.timeout must be > 0, got {settings.timeout}")
+    for key in ("max_retries", "backoff"):
+        if getattr(settings, key) < 0:
+            raise ValidationError(f"{section}.{key} must be >= 0, got {getattr(settings, key)}")
+
 
 @dataclass
 class GeneratorSettings:
@@ -70,6 +95,9 @@ class GeneratorSettings:
     timeout: float = 30.0
     max_retries: int = 2
     backoff: float = 1.0
+
+    def __post_init__(self):
+        _check_client("generator", self)
 
 
 @dataclass
@@ -84,12 +112,13 @@ class EmbedderSettings:
     max_retries: int = 2
     backoff: float = 1.0
 
-
-@dataclass
-class FusionSettings:
-    strategy: str = "mean_pool"
-    n: int | None = None
-    template: str = "Q2P"
+    def __post_init__(self):
+        _check_client("embedder", self)
+        if self.dim < 2:
+            raise ValidationError(f"embedder.dim must be >= 2, got {self.dim}")
+        for key in ("truncate_chars", "batch_size"):
+            if getattr(self, key) < 1:
+                raise ValidationError(f"embedder.{key} must be >= 1")
 
 
 @dataclass
@@ -100,11 +129,14 @@ class EvalSettings:
     pairing: str = "query"
     compare_to_dense: bool = True
 
-
-@dataclass
-class SamplingSettings:
-    temperature: float = 0.7
-    max_output_tokens: int = 512
+    def __post_init__(self):
+        if not self.k_values or min(self.k_values) < 1:
+            raise ValidationError("eval.k_values must be a non-empty list of values >= 1")
+        for key in ("primary_k", "repeats"):
+            if getattr(self, key) < 1:
+                raise ValidationError(f"eval.{key} must be >= 1")
+        if self.pairing not in PAIRINGS:
+            raise ValidationError(f"eval.pairing {self.pairing!r} is not one of {PAIRINGS}")
 
 
 @dataclass
@@ -117,7 +149,7 @@ class RunConfig:
     datasets: list[DatasetPaths] = field(default_factory=list)
     generator: GeneratorSettings = field(default_factory=GeneratorSettings)
     embedder: EmbedderSettings = field(default_factory=EmbedderSettings)
-    fusion: FusionSettings = field(default_factory=FusionSettings)
+    fusion: FusionConfig = field(default_factory=FusionConfig)
     selflearn: SelfLearnSettings = field(default_factory=SelfLearnSettings)
     eval: EvalSettings = field(default_factory=EvalSettings)
     bm25: Bm25Settings = field(default_factory=Bm25Settings)
@@ -130,77 +162,55 @@ class RunConfig:
         return [self.dataset]
 
     def validate(self) -> None:
-        numbers = [
-            ("parallelism", self.parallelism, int),
-            ("eval.primary_k", self.eval.primary_k, int),
-            ("eval.repeats", self.eval.repeats, int),
-            ("embedder.dim", self.embedder.dim, int),
-            ("embedder.truncate_chars", self.embedder.truncate_chars, int),
-            ("embedder.batch_size", self.embedder.batch_size, int),
-            ("sampling.temperature", self.sampling.temperature, float),
-            ("sampling.max_output_tokens", self.sampling.max_output_tokens, int),
-        ]
-        if self.fusion.n is not None:
-            numbers.append(("fusion.n", self.fusion.n, int))
-        if not isinstance(self.eval.k_values, list):
-            raise ValidationError(f"eval.k_values must be a list, got {self.eval.k_values!r}")
-        numbers += [("eval.k_values", k, int) for k in self.eval.k_values]
-        for key, value, kind in numbers:
-            _require_number(key, value, kind)
         if self.clients not in ("mock", "remote"):
             raise ValidationError(f"clients must be 'mock' or 'remote', got {self.clients!r}")
         if self.parallelism < 1:
             raise ValidationError("parallelism must be >= 1")
-        if self.fusion.template not in HYPOTHETICAL_TEMPLATES:
-            raise ValidationError(
-                f"fusion template {self.fusion.template!r} is not one of {HYPOTHETICAL_TEMPLATES}"
-            )
-        FusionConfig(strategy=self.fusion.strategy, n=self.fusion.n, template=self.fusion.template)
-        try:
-            SamplingConfig(
-                temperature=self.sampling.temperature, max_output_tokens=self.sampling.max_output_tokens
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"sampling.{exc}") from None
-        for dataset in self.all_datasets():
-            if dataset.template is not None and dataset.template not in HYPOTHETICAL_TEMPLATES:
-                raise ValidationError(
-                    f"template {dataset.template!r} for dataset {dataset.name!r} is not one of"
-                    f" {HYPOTHETICAL_TEMPLATES}"
-                )
-        if self.eval.primary_k < 1 or self.eval.repeats < 1:
-            raise ValidationError("eval.primary_k and eval.repeats must be >= 1")
-        if not self.eval.k_values or min(self.eval.k_values) < 1:
-            raise ValidationError("eval.k_values must be a non-empty list of values >= 1")
-        if self.eval.pairing not in PAIRINGS:
-            raise ValidationError(f"eval.pairing {self.eval.pairing!r} is not one of {PAIRINGS}")
-        if self.embedder.truncate_chars < 1 or self.embedder.batch_size < 1:
-            raise ValidationError("embedder.truncate_chars and embedder.batch_size must be >= 1")
-        if self.clients == "remote":
-            if not self.generator.endpoint or not self.embedder.endpoint:
-                raise ValidationError("remote clients require generator.endpoint and embedder.endpoint")
+        if self.clients == "remote" and not (self.generator.endpoint and self.embedder.endpoint):
+            raise ValidationError("remote clients require generator.endpoint and embedder.endpoint")
 
 
-def _require_number(key: str, value, kind: type) -> None:
-    """ValidationError naming `key` unless value is an int (kind int) or an int
-    or float (kind float); a bool is neither."""
-    allowed = (int, float) if kind is float else (int,)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        expected = "a number" if kind is float else "an integer"
-        raise ValidationError(f"{key} must be {expected}, got {value!r}")
+@functools.cache
+def _field_types(cls) -> dict:
+    """The resolved annotation of each field of a config dataclass."""
+    return typing.get_type_hints(cls)
+
+
+def _fits(value, hint) -> bool:
+    """Whether a YAML value has the annotated type: an int fits float, and a
+    bool fits only bool."""
+    origin = typing.get_origin(hint)
+    if origin is types.UnionType:
+        return any(_fits(value, arg) for arg in typing.get_args(hint))
+    if origin is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _check_type(cls, key: str, value, path: str | None) -> None:
+    """ValidationError naming the key unless `value` fits field `key` of `cls`;
+    `path` is the key's section, None for a top-level key."""
+    hint = _field_types(cls)[key]
+    if not _fits(value, hint):
+        name = str(hint) if typing.get_origin(hint) else hint.__name__
+        where = f"config section {path!r}: {path}.{key}" if path else f"config key {key!r}"
+        raise ValidationError(f"{where} must be {name}, got {value!r}")
 
 
 def _build_section(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ValidationError(f"config section {path!r} must be a mapping")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
+    unknown = set(data) - _field_types(cls).keys()
     if unknown:
         raise ValidationError(f"unknown config keys in {path!r}: {sorted(unknown)}")
-    try:
-        return cls(**data)
-    except TypeError as exc:  # a section that checks itself was given a value of the wrong type
-        raise ValidationError(f"config section {path!r}: {exc}") from None
+    for key, value in data.items():
+        _check_type(cls, key, value, path)
+    return cls(**data)
 
 
 def load_config(path: str | Path | None, **overrides) -> RunConfig:
@@ -217,31 +227,22 @@ def load_config(path: str | Path | None, **overrides) -> RunConfig:
             raise ValidationError("config root must be a mapping")
         data = _interpolate(loaded)
 
-    sections = {
-        "dataset": DatasetPaths,
-        "generator": GeneratorSettings,
-        "embedder": EmbedderSettings,
-        "fusion": FusionSettings,
-        "selflearn": SelfLearnSettings,
-        "eval": EvalSettings,
-        "bm25": Bm25Settings,
-        "benchmark": BenchmarkSettings,
-        "sampling": SamplingSettings,
-    }
     kwargs: dict = {}
     for key, value in data.items():
-        if key in sections:
-            kwargs[key] = _build_section(sections[key], value, key)
+        hint = _field_types(RunConfig).get(key)
+        if hint is None:
+            raise ValidationError(f"unknown top-level config key {key!r}")
+        if dataclasses.is_dataclass(hint):
+            kwargs[key] = _build_section(hint, value, key)
         elif key == "datasets":
             if not isinstance(value, list):
                 raise ValidationError("config key 'datasets' must be a list")
             kwargs["datasets"] = [
                 _build_section(DatasetPaths, entry, f"datasets[{i}]") for i, entry in enumerate(value)
             ]
-        elif key in {"seed", "out_dir", "clients", "parallelism"}:
-            kwargs[key] = value
         else:
-            raise ValidationError(f"unknown top-level config key {key!r}")
+            _check_type(RunConfig, key, value, None)
+            kwargs[key] = value
     config = RunConfig(**kwargs)
     for key, value in overrides.items():
         if value is not None:
@@ -270,14 +271,7 @@ def write_resolved_config(config: RunConfig, out_dir: str | Path) -> None:
 def build_generator_client(config: RunConfig):
     if config.clients == "mock":
         return MockGeneratorClient(seed=derive_seed(config.seed, "generator"))
-    return RemoteGeneratorClient(
-        endpoint=config.generator.endpoint,
-        model=config.generator.model,
-        api_key=config.generator.api_key or None,
-        timeout=config.generator.timeout,
-        max_retries=config.generator.max_retries,
-        backoff=config.generator.backoff,
-    )
+    return RemoteGeneratorClient(**dataclasses.asdict(config.generator))
 
 
 def build_embedder_client(config: RunConfig):
@@ -285,14 +279,4 @@ def build_embedder_client(config: RunConfig):
         return MockEmbedderClient(
             dim=config.embedder.dim, truncate_chars=config.embedder.truncate_chars
         )
-    return RemoteEmbedderClient(
-        endpoint=config.embedder.endpoint,
-        model=config.embedder.model,
-        dim=config.embedder.dim,
-        api_key=config.embedder.api_key or None,
-        timeout=config.embedder.timeout,
-        max_retries=config.embedder.max_retries,
-        backoff=config.embedder.backoff,
-        batch_size=config.embedder.batch_size,
-        truncate_chars=config.embedder.truncate_chars,
-    )
+    return RemoteEmbedderClient(**dataclasses.asdict(config.embedder))

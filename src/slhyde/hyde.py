@@ -1,5 +1,9 @@
 """Hypothetical-document retrieval: generate, fuse, search.
 
+`FusionConfig` is the `fusion` config section and the library's fusion
+argument, one definition for both: `FUSION_STRATEGIES` maps each strategy to
+its default N, and the section checks the strategy, N and template itself.
+
 `fuse_rows` is the one fusion rule, the unnormalized mean of a plan's own rows;
 `fuse(emb, texts)` applies it to one embed_texts call, and self-learning to
 each (query, pseudo-document) pair of its chunk's embed_texts call.
@@ -22,7 +26,6 @@ property).
 """
 from __future__ import annotations
 
-import enum
 import logging
 from dataclasses import dataclass
 
@@ -36,49 +39,50 @@ from .errors import (
     ValidationError,
 )
 from .retrieval import DenseIndex, RankedHits, search_many
-from .textgen import SamplingConfig, generate_hypothetical
+from .textgen import HYPOTHETICAL_TEMPLATES, SamplingConfig, generate_hypothetical
 
 logger = logging.getLogger(__name__)
 
 
-class FusionStrategy(str, enum.Enum):
-    MEAN_POOL = "mean_pool"          # mean of query + N hypothetical embeddings
-    DOC_ONLY = "doc_only"            # hypothetical embeddings only, query excluded
-    CONCAT = "concat"                # embed(query + " " + hypothetical), single string
-    MEAN_POOL_K = "mean_pool_k"      # mean pooling with N documents (default 5)
-
-
-_DEFAULT_N = {
-    FusionStrategy.MEAN_POOL: 1,
-    FusionStrategy.DOC_ONLY: 1,
-    FusionStrategy.CONCAT: 1,
-    FusionStrategy.MEAN_POOL_K: 5,
+# Each fusion strategy and the number of hypothetical documents (N) it
+# generates when `n` is unset.
+FUSION_STRATEGIES = {
+    "mean_pool": 1,    # mean of query + N hypothetical embeddings
+    "doc_only": 1,     # hypothetical embeddings only, query excluded
+    "concat": 1,       # embed(query + " " + hypothetical), single string
+    "mean_pool_k": 5,  # mean pooling with N documents
 }
 
 
 @dataclass(frozen=True)
 class FusionConfig:
-    strategy: FusionStrategy = FusionStrategy.MEAN_POOL
+    """The `fusion` config section. Values are kept as written (`n` may be
+    None); `count` is the resolved N."""
+
+    strategy: str = "mean_pool"
     n: int | None = None
     template: str = "Q2P"
 
     def __post_init__(self):
-        try:
-            strategy = FusionStrategy(self.strategy)
-        except ValueError:
+        if self.strategy not in FUSION_STRATEGIES:
             raise ValidationError(
-                f"unknown fusion strategy {self.strategy!r}; "
-                f"expected one of {[s.value for s in FusionStrategy]}"
-            ) from None
-        object.__setattr__(self, "strategy", strategy)
-        n = self.n if self.n is not None else _DEFAULT_N[strategy]
-        if n < 0:
-            raise ValidationError("n must be >= 0")
-        if n == 0 and strategy is not FusionStrategy.MEAN_POOL:
-            raise ValidationError("n=0 (query-only fallback) is only valid with mean_pool")
-        if strategy is FusionStrategy.CONCAT and n != 1:
-            raise ValidationError("concat fusion uses exactly one hypothetical document")
-        object.__setattr__(self, "n", n)
+                f"fusion.strategy {self.strategy!r} is not one of {list(FUSION_STRATEGIES)}"
+            )
+        if self.template not in HYPOTHETICAL_TEMPLATES:
+            raise ValidationError(
+                f"fusion.template {self.template!r} is not one of {HYPOTHETICAL_TEMPLATES}"
+            )
+        if self.count < 0:
+            raise ValidationError("fusion.n must be >= 0")
+        if self.count == 0 and self.strategy != "mean_pool":
+            raise ValidationError("fusion.n=0 (query-only fallback) is only valid with mean_pool")
+        if self.strategy == "concat" and self.count != 1:
+            raise ValidationError("concat fusion uses exactly one hypothetical document (fusion.n)")
+
+    @property
+    def count(self) -> int:
+        """N: hypothetical documents generated per query."""
+        return FUSION_STRATEGIES[self.strategy] if self.n is None else self.n
 
 
 def fuse_rows(rows: np.ndarray, sizes: list[int]) -> np.ndarray:
@@ -100,21 +104,21 @@ def hypothesize(
     Generation failures degrade to the query alone; the meta then carries
     degraded=True so callers can flag the run.
     """
-    meta = {"strategy": cfg.strategy.value, "n": cfg.n}
+    meta = {"strategy": cfg.strategy, "n": cfg.count}
     texts = [query.text]
-    if cfg.n == 0:
+    if cfg.count == 0:
         meta["mode"] = "query_only"
     else:
         try:
-            hypothetical = generate_hypothetical(gen, query.text, cfg.template, cfg.n, sampling)
+            hypothetical = generate_hypothetical(gen, query.text, cfg.template, cfg.count, sampling)
         except (TransportError, DegenerateOutputError) as exc:
             logger.warning("generation failed for query %s (%s); falling back to query-only", query.id, exc)
             meta.update(degraded=True, mode="query_only")
         else:
             meta["hypothetical_texts"] = hypothetical
-            if cfg.strategy is FusionStrategy.CONCAT:
+            if cfg.strategy == "concat":
                 texts = [query.text + " " + hypothetical[0]]
-            elif cfg.strategy is FusionStrategy.DOC_ONLY:
+            elif cfg.strategy == "doc_only":
                 texts = hypothetical
             else:
                 texts = [query.text, *hypothetical]

@@ -87,19 +87,30 @@ def render_prompt(template: PromptTemplate, slots: dict[str, str]) -> str:
 
 
 @dataclass(frozen=True)
-class SamplingConfig:
+class SamplingSettings:
+    """The `sampling` config section: what every generator request shares."""
+
     temperature: float = 0.7
     max_output_tokens: int = 512
+
+    def __post_init__(self):
+        if self.temperature < 0:
+            raise ValidationError("sampling.temperature must be >= 0")
+        if self.max_output_tokens < 1:
+            raise ValidationError("sampling.max_output_tokens must be >= 1")
+
+
+@dataclass(frozen=True)
+class SamplingConfig(SamplingSettings):
+    """One request's sampling: the section's settings plus its seed and sample count."""
+
     seed: int | None = None
     num_samples: int = 1
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValidationError("temperature must be >= 0")
+        super().__post_init__()
         if self.num_samples < 1:
             raise ValidationError("num_samples must be >= 1")
-        if self.max_output_tokens < 1:
-            raise ValidationError("max_output_tokens must be >= 1")
 
 
 def _clean_completion(text: str) -> str:

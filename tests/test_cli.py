@@ -136,6 +136,74 @@ def _out_bytes(out_dir):
     }
 
 
+RESOLVED_DEFAULTS = """\
+benchmark:
+  bm25_top_k: 20
+  max_review_fraction: 0.25
+  med_threshold: null
+  raw_queries: ''
+  raw_texts: ''
+  rel_threshold: null
+  rerank_top_m: 3
+bm25:
+  b: 0.4
+  k1: 0.9
+  tokenizer: cjk
+clients: mock
+dataset:
+  corpus: ''
+  name: dataset
+  qrels: ''
+  queries: ''
+  template: null
+datasets: []
+embedder:
+  api_key: ''
+  backoff: 1.0
+  batch_size: 64
+  dim: 256
+  endpoint: ''
+  max_retries: 2
+  model: ''
+  timeout: 30.0
+  truncate_chars: 1024
+eval:
+  compare_to_dense: true
+  k_values:
+  - 10
+  - 100
+  pairing: query
+  primary_k: 10
+  repeats: 5
+fusion:
+  n: null
+  strategy: mean_pool
+  template: Q2P
+generator:
+  api_key: ''
+  backoff: 1.0
+  endpoint: ''
+  max_retries: 2
+  model: ''
+  timeout: 30.0
+out_dir: runs/out
+parallelism: 1
+sampling:
+  max_output_tokens: 512
+  temperature: 0.7
+seed: 0
+selflearn:
+  candidates_per_query: 5
+  max_skip_fraction: 0.5
+  negatives: 7
+  rank_cutoff: 100
+  rank_scoring: candidate
+  reuse_pseudo: true
+  sample_docs: null
+  tau: 0.02
+"""
+
+
 class TestConfig:
     def test_defaults_without_file(self):
         config = load_config(None)
@@ -189,6 +257,59 @@ class TestConfig:
         assert "visible-secret" not in dumped
         manifest = json.loads((tmp_path / "run" / "prompt_templates.json").read_text())
         assert "Q2P" in manifest and "{QUESTION}" in manifest["Q2P"]
+
+    def test_resolved_config_bytes_are_pinned(self, tmp_path):
+        write_resolved_config(load_config(None), tmp_path / "default")
+        assert (tmp_path / "default" / "resolved_config.yaml").read_text() == RESOLVED_DEFAULTS
+        path = tmp_path / "c.yaml"
+        path.write_text("fusion:\n  strategy: mean_pool_k\n")
+        write_resolved_config(load_config(path), tmp_path / "k")
+        expected = RESOLVED_DEFAULTS.replace("  strategy: mean_pool\n", "  strategy: mean_pool_k\n")
+        assert (tmp_path / "k" / "resolved_config.yaml").read_text() == expected
+
+    def test_remote_client_builders_pass_every_field(self, tmp_path):
+        generator = {
+            "endpoint": "http://gen.invalid/v1", "model": "gen-m", "api_key": "gk",
+            "timeout": 12.5, "max_retries": 4, "backoff": 0.25,
+        }
+        embedder = {
+            "endpoint": "http://emb.invalid/v1", "model": "emb-m", "api_key": "ek", "dim": 8,
+            "truncate_chars": 77, "batch_size": 9, "timeout": 7.0, "max_retries": 0, "backoff": 0.0,
+        }
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump({"clients": "remote", "generator": generator, "embedder": embedder}))
+        config = load_config(path)
+        gen, emb = build_generator_client(config), build_embedder_client(config)
+        assert {key: getattr(gen, key) for key in generator} == generator
+        assert {key: getattr(emb, key) for key in embedder} == embedder
+
+    def test_unset_api_key_sends_no_authorization_header(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text(
+            yaml.safe_dump({"clients": "remote", "generator": {"endpoint": "g"}, "embedder": {"endpoint": "e", "dim": 2}})
+        )
+        config = load_config(path)
+        sent = []
+
+        class Session:
+            def post(self, url, json, timeout, headers):
+                sent.append(headers)
+                return Response(json)
+
+        class Response:
+            def __init__(self, body):
+                self.body = body
+
+            def json(self):
+                if "input" in self.body:
+                    return {"data": [{"embedding": [1.0, 0.0]} for _ in self.body["input"]]}
+                return {"choices": [{"message": {"content": "ok"}}]}
+
+        gen, emb = build_generator_client(config), build_embedder_client(config)
+        gen._session = emb._session = Session()
+        gen.request_completions("prompt", SamplingConfig())
+        emb.embed_batch(["text"])
+        assert sent == [{}, {}]
 
 
 class TestEmbedCorpusCommand:
@@ -861,6 +982,13 @@ class TestExitCodes:
             ("embed-corpus", "bm25", "tokenizer", "bogus"),
             ("embed-corpus", "benchmark", "max_review_fraction", 5),
             ("embed-corpus", "benchmark", "med_threshold", 2),
+            ("build-sft-data", "generator", "max_retries", -1),
+            ("evaluate", "generator", "timeout", 0),
+            ("hyde-search", "generator", "backoff", -1),
+            ("embed-corpus", "embedder", "max_retries", -1),
+            ("embed-corpus", "embedder", "timeout", -5),
+            ("search", "embedder", "backoff", -0.5),
+            ("embed-corpus", "embedder", "dim", 1),
         ],
     )
     def test_bad_setting_exits_before_any_request(self, tmp_path, monkeypatch, capsys, command, section, key, value):
@@ -892,6 +1020,13 @@ class TestExitCodes:
             ({"fusion": {"n": "3"}}, "fusion.n"),
             ({"sampling": {"temperature": "hot"}}, "sampling.temperature"),
             ({"embedder": {"dim": "x"}}, "embedder.dim"),
+            ({"eval": {"compare_to_dense": "no"}}, "eval.compare_to_dense"),
+            ({"selflearn": {"reuse_pseudo": "no"}}, "selflearn.reuse_pseudo"),
+            ({"selflearn": {"negatives": 2.5}}, "selflearn.negatives"),
+            ({"selflearn": {"tau": True}}, "selflearn.tau"),
+            ({"generator": {"max_retries": "2"}}, "generator.max_retries"),
+            ({"benchmark": {"bm25_top_k": 2.5}}, "benchmark.bm25_top_k"),
+            ({"dataset": {"name": 7}}, "dataset.name"),
         ],
     )
     def test_wrong_type_checked_at_load_is_validation_exit(self, tmp_path, capsys, config, key):

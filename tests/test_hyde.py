@@ -66,12 +66,12 @@ class TestFuse:
 
 class TestFusionConfig:
     def test_defaults_per_strategy(self):
-        assert FusionConfig().n == 1
-        assert FusionConfig(strategy="mean_pool_k").n == 5
-        assert FusionConfig(strategy="concat").n == 1
+        assert FusionConfig().count == 1
+        assert FusionConfig(strategy="mean_pool_k").count == 5
+        assert FusionConfig(strategy="concat").count == 1
 
     def test_zero_only_for_mean_pool(self):
-        assert FusionConfig(n=0).n == 0
+        assert FusionConfig(n=0).count == 0
         with pytest.raises(ValidationError):
             FusionConfig(strategy="doc_only", n=0)
 
