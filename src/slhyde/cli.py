@@ -43,6 +43,8 @@ from .selflearn import (
     emit_sft_jsonl,
     emit_triplets_jsonl,
     load_sft_jsonl,
+    load_sft_rows,
+    save_sft_rows,
 )
 from .textgen import SamplingConfig
 from .util import atomic_write_text, derive_seed, dump_json, jsonl_line, run_chunked
@@ -289,7 +291,9 @@ def cmd_evaluate(config: RunConfig, mode: str = "hyde") -> int:
                     qid: sum(run[qid] for run in runs) / len(runs) for qid in sorted(runs[0])
                 }
             if compare:
-                baseline[name] = [_mean(dense)] * len(run_means) if run_pairing else dense
+                # no run mean (nothing scored) leaves the dense mean uncomputed:
+                # build_report then names the empty dataset
+                baseline[name] = [_mean(dense) for _ in run_means] if run_pairing else dense
         report = build_report(
             system, baseline if compare else None, metric=metric, pairing=config.eval.pairing
         )
@@ -331,6 +335,7 @@ def cmd_build_sft(config: RunConfig) -> int:
     with staged_outputs(Path(config.out_dir)) as staging:
         write_resolved_config(config, staging)
         emit_sft_jsonl(result.examples, staging / "sft.jsonl")
+        save_sft_rows(result, emb, staging / "sft.jsonl")
         atomic_write_text(
             staging / "sft_stats.json",
             dump_json(
@@ -364,6 +369,7 @@ def cmd_build_triplets(config: RunConfig, sft_path: str | None = None) -> int:
         config.seed,
         _sampling(config),
         config.parallelism,
+        load_sft_rows(emb, sft_file, examples),
     )
     losses = result.reference_losses
     with staged_outputs(Path(config.out_dir)) as staging:

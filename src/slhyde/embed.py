@@ -192,6 +192,25 @@ def embed_texts(client, texts: list[str]) -> np.ndarray:
     return (matrix / norms[:, None]).astype(np.float32)
 
 
+def embed_rows(client, texts: list[str], known_rows: dict[str, np.ndarray] | None = None) -> np.ndarray:
+    """The (len(texts), dim) rows of `texts`, embedding only what `known_rows`
+    (text -> a row embed_texts returned for it) lacks.
+
+    The embedder sees a text's first client.truncate_chars characters only, so
+    texts are told apart by those. Every distinct one that is not known is
+    embedded in one embed_texts call; when all are known, no call is made.
+    """
+    cut = client.truncate_chars
+    rows = {text[:cut]: row for text, row in (known_rows or {}).items()}
+    missing = {}
+    for text in texts:
+        if text[:cut] not in rows:
+            missing.setdefault(text[:cut], text)
+    if missing:
+        rows.update(zip(missing, embed_texts(client, list(missing.values()))))
+    return np.vstack([rows[text[:cut]] for text in texts])
+
+
 def _embed_batch_with_retry(client, batch: list[str]) -> np.ndarray:
     attempts = getattr(client, "max_retries", 0) + 1
     backoff = getattr(client, "backoff", 0.0)

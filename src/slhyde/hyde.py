@@ -6,12 +6,14 @@ its default N, and the section checks the strategy, N and template itself.
 
 `fuse_rows` is the one fusion rule, the unnormalized mean of a plan's own rows;
 `fuse(emb, texts)` applies it to one embed_texts call, and self-learning to
-each (query, pseudo-document) pair of its chunk's embed_texts call.
+each (query, pseudo-document) pair of its chunk's rows.
 
 HyDE runs in two halves. `hypothesize` generates a query's hypothetical
 documents and returns the texts its fusion strategy averages.
 `search_hypothesized` takes a batch of such plans: it embeds every distinct
-text in one embed_texts call, fuses each query as the mean of its own rows,
+text it is not given a row for (`embed.embed_rows`, the helper self-learning's
+triplet builder shares) in one embed_texts call, fuses each query as the mean
+of its own rows,
 and searches all fused vectors with one search_many call. The CLI runs its
 queries in chunks of 64, so a chunk costs one embed_texts call (one request
 per embedder batch_size texts) and one search. `hyde_search` is the
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Query
-from .embed import embed_texts
+from .embed import embed_rows, embed_texts
 from .errors import (
     DegenerateOutputError,
     TransportError,
@@ -134,25 +136,15 @@ def search_hypothesized(
 ) -> list[RankedHits]:
     """Top-k hits for each (texts, meta) plan of `hypothesize`, with its meta.
 
-    The embedder sees a text's first emb.truncate_chars characters only, so
-    texts are told apart by those. Every distinct text that `known_rows` (text
-    -> a row embed_texts returned for it) does not hold is embedded in one
-    embed_texts call; each plan is fused as the mean of its own rows, and all
-    fused vectors are searched with one search_many call.
+    The plans' texts are embedded by one `embed_rows` call (one embed_texts
+    call for the distinct texts `known_rows` lacks); each plan is fused as the
+    mean of its own rows, and all fused vectors are searched with one
+    search_many call.
     """
     if not planned:
         return []
-    cut = emb.truncate_chars
-    rows = {text[:cut]: row for text, row in (known_rows or {}).items()}
-    missing = {}
-    for texts, _ in planned:
-        for text in texts:
-            if text[:cut] not in rows:
-                missing.setdefault(text[:cut], text)
-    if missing:
-        rows.update(zip(missing, embed_texts(emb, list(missing.values()))))
-    stacked = np.vstack([rows[text[:cut]] for texts, _ in planned for text in texts])
-    results = search_many(index, fuse_rows(stacked, [len(texts) for texts, _ in planned]), k)
+    rows = embed_rows(emb, [text for texts, _ in planned for text in texts], known_rows)
+    results = search_many(index, fuse_rows(rows, [len(texts) for texts, _ in planned]), k)
     for hits, (_, meta) in zip(results, planned):
         hits.meta.update(meta)
     return results

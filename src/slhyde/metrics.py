@@ -173,7 +173,8 @@ def build_report(
 
 def _paired_p(system: DatasetResult, base: DatasetResult) -> float | None:
     if system.keys is not None and base.keys is not None:
-        shared = [key for key in system.keys if key in set(base.keys)]
+        base_keys = set(base.keys)
+        shared = [key for key in system.keys if key in base_keys]
         if len(shared) < 2:
             return None
         sys_map = dict(zip(system.keys, system.values))

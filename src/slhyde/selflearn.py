@@ -11,6 +11,13 @@ Two datasets come out of this module:
     reference InfoNCE loss.
 Both builders go through `util.run_chunked`: a chunk costs one embed_texts call and
 one ranks_of or search_many call. Neither depends on the batch, so the datasets do not.
+The SFT builder keeps the rows it scored each emitted example with, its query's
+and its selected candidate's; `save_sft_rows` writes them next to the SFT file
+as `<sft file>.rows`, an SLHE2 file (`embed.save_cache`) whose fingerprint
+covers the embedder and the SFT file's bytes. `load_sft_rows` hands them to
+the triplet builder only on a fingerprint match, and the triplet builder embeds
+only the texts those rows lack (`embed.embed_rows`): with `reuse_pseudo`, no
+text at all.
 Both take `SelfLearnSettings`, the `selflearn` config section, which checks
 itself when built.
 
@@ -26,9 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Document, _iter_jsonl
-from .embed import embed_texts
-from .errors import RunError, SlhydeError, ValidationError
+from .corpus import Document, _iter_jsonl, corpus_file_digest
+from .embed import EmbeddingCache, cache_fingerprint, embed_rows, embed_texts, load_cache, save_cache
+from .errors import FormatError, RunError, SlhydeError, ValidationError
 from .hyde import fuse_rows
 from .retrieval import DenseIndex, ranks_of, search_many
 from .textgen import SamplingConfig, generate_hypothetical, generate_pseudo_docs, generate_query_for_doc
@@ -82,6 +89,9 @@ class SftBuildResult:
     total: int = 0
     dropped_by_cutoff: int = 0
     skipped_errors: int = 0
+    # (2 * len(examples), dim): each example's query row, then its response's,
+    # as scoring embedded them; arrays do not compare with ==, so rows do not
+    rows: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -136,26 +146,31 @@ def score_candidates(
     the inference-time fusion. Both are exposed because the source procedure
     is ambiguous on this point. The query and every candidate are embedded
     in one embed_texts call, and all candidates are ranked in one ranks_of call.
+    build_generator_dataset keeps the query's row and the selected
+    candidate's, so the triplet builder need not embed them again.
     """
-    return _score_many([(target_id, query, candidates)], emb, index, rank_scoring)[0]
+    return _score_many([(target_id, query, candidates)], emb, index, rank_scoring)[0][0]
 
 
-def _score_many(planned, emb, index: DenseIndex, rank_scoring: str) -> list[list[HypotheticalCandidate]]:
+def _score_many(
+    planned, emb, index: DenseIndex, rank_scoring: str
+) -> list[tuple[list[HypotheticalCandidate], np.ndarray]]:
     """score_candidates for each (target_id, query, candidates) of `planned`,
-    with one embed_texts and one ranks_of call for all of them."""
+    with one embed_texts and one ranks_of call for all of them, and the
+    plan's rows: the query's first, then each candidate's."""
     if rank_scoring not in RANK_SCORINGS:
         raise ValidationError(f"unknown rank_scoring {rank_scoring!r}")
     if not planned:
         return []
     rows = embed_texts(emb, [text for _, query, candidates in planned for text in (query, *candidates)])
-    vectors, targets, start = [], [], 0
-    for target_id, _, candidates in planned:
-        block = rows[start : start + 1 + len(candidates)]
-        vectors.append(block[1:] if rank_scoring == "candidate" else (block[1:] + block[0]) / 2.0)
-        targets.extend([target_id] * len(candidates))
-        start += len(block)
+    blocks = np.split(rows, np.cumsum([1 + len(candidates) for _, _, candidates in planned])[:-1])
+    vectors = [block[1:] if rank_scoring == "candidate" else (block[1:] + block[0]) / 2.0 for block in blocks]
+    targets = [target_id for target_id, _, candidates in planned for _ in candidates]
     ranks = iter(ranks_of(index, np.vstack(vectors), targets))
-    return [[HypotheticalCandidate(text, next(ranks)) for text in candidates] for _, _, candidates in planned]
+    return [
+        ([HypotheticalCandidate(text, next(ranks)) for text in candidates], block)
+        for (_, _, candidates), block in zip(planned, blocks)
+    ]
 
 
 def select_best(candidates: list[HypotheticalCandidate]) -> tuple[int, HypotheticalCandidate]:
@@ -185,6 +200,8 @@ def build_generator_dataset(
     dropped and counted. If a chunk's one embed_texts or ranks_of call fails,
     its documents are scored again one at a time, so only the failing
     documents are skipped. settings.sample_docs is the caller's to apply.
+    The result's rows are each emitted example's query row and selected
+    candidate row, from whichever call scored it.
     """
     base = sampling or SamplingConfig()
     num_candidates, rank_scoring = settings.candidates_per_query, settings.rank_scoring
@@ -199,29 +216,32 @@ def build_generator_dataset(
             logger.warning("skipping document %s: %s", doc.id, exc)
             return None
 
-    def score_alone(doc_id: str, query: str, candidates: list[str]):
+    def score_alone(planned_doc):
         try:
-            return score_candidates(candidates, query, emb, index, doc_id, rank_scoring)
+            return _score_many([planned_doc], emb, index, rank_scoring)[0]
         except SlhydeError as exc:
-            logger.warning("skipping document %s: %s", doc_id, exc)
+            logger.warning("skipping document %s: %s", planned_doc[0], exc)
             return None
 
-    def finish(planned: list) -> list[SftExample]:
+    def finish(planned: list) -> list[tuple[SftExample, np.ndarray]]:
         live = [p for p in planned if p is not None]
         try:
             scored = _score_many(live, emb, index, rank_scoring)
         except SlhydeError:
-            scored = [score_alone(*p) for p in live]
+            scored = [score_alone(p) for p in live]
         examples = []
-        for (doc_id, query, _), candidates in zip(live, scored):
-            if candidates is not None:
-                _, best = select_best(candidates)
-                examples.append(SftExample(query, best.text, doc_id, best.rank, num_candidates))
+        for (doc_id, query, _), outcome in zip(live, scored):
+            if outcome is not None:
+                candidates, block = outcome
+                best_index, best = select_best(candidates)
+                example = SftExample(query, best.text, doc_id, best.rank, num_candidates)
+                examples.append((example, block[[0, 1 + best_index]]))
         return examples
 
     scored_examples = run_chunked(docs, plan, finish, parallelism)
     skipped = len(docs) - len(scored_examples)
-    examples = [example for example in scored_examples if example.rank <= settings.rank_cutoff]
+    kept = [(example, rows) for example, rows in scored_examples if example.rank <= settings.rank_cutoff]
+    examples = [example for example, _ in kept]
     dropped = len(scored_examples) - len(examples)
     if docs and skipped / len(docs) > settings.max_skip_fraction:
         raise RunError(
@@ -230,8 +250,45 @@ def build_generator_dataset(
     if dropped:
         logger.info("dropped %d documents whose best rank exceeded %d", dropped, settings.rank_cutoff)
     return SftBuildResult(
-        examples=examples, total=len(docs), dropped_by_cutoff=dropped, skipped_errors=skipped
+        examples=examples,
+        total=len(docs),
+        dropped_by_cutoff=dropped,
+        skipped_errors=skipped,
+        rows=np.vstack([rows for _, rows in kept]) if kept else np.zeros((0, emb.dim), dtype=np.float32),
     )
+
+
+def _rows_path(sft_path: str | Path) -> Path:
+    """`<sft file>.rows`: never a dataset's `<name>.emb` embedding cache."""
+    return Path(str(sft_path) + ".rows")
+
+
+def _row_ids(examples: list[SftExample]) -> list[str]:
+    return [f"{field_name}:{example.doc_id}" for example in examples for field_name in ("input", "output")]
+
+
+def save_sft_rows(result: SftBuildResult, emb, sft_path: str | Path) -> None:
+    """Write result.rows to `<sft_path>.rows`, once `sft_path` holds
+    result.examples, fingerprinted with `emb` and the SFT file's sha256."""
+    fingerprint = cache_fingerprint(emb, corpus_file_digest(sft_path))
+    save_cache(EmbeddingCache(_row_ids(result.examples), result.rows), _rows_path(sft_path), fingerprint)
+
+
+def load_sft_rows(emb, sft_path: str | Path, examples: list[SftExample]) -> dict[str, np.ndarray]:
+    """text -> row for each query and response of `examples`, the records of
+    `sft_path`, from its rows file; {} when that file is missing, was written
+    for other bytes or another embedder setting, or lists other examples (the
+    reason is logged)."""
+    path = _rows_path(sft_path)
+    try:
+        rows = load_cache(path, fingerprint=cache_fingerprint(emb, corpus_file_digest(sft_path)))
+        if rows.ids != _row_ids(examples):
+            raise FormatError(f"{path} does not list the examples of {sft_path}")
+    except FormatError as exc:
+        logger.info("embedding the SFT texts again: %s", exc)
+        return {}
+    logger.info("reusing SFT rows %s (%d vectors)", path, len(rows))
+    return dict(zip((text for example in examples for text in (example.query, example.response)), rows.matrix))
 
 
 def mine_hard_negatives(
@@ -262,6 +319,7 @@ def build_retriever_dataset(
     seed: int = 0,
     sampling: SamplingConfig | None = None,
     parallelism: int = 1,
+    known_rows: dict[str, np.ndarray] | None = None,
 ) -> TripletBuildResult:
     """One triplet with settings.negatives hard negatives, and its reference
     loss at temperature settings.tau, per SFT example.
@@ -269,9 +327,11 @@ def build_retriever_dataset(
     With settings.reuse_pseudo (offline mode) the selected response is reused
     as the pseudo-document; otherwise the generator rewrites the query fresh
     from `template`, which is the deployment-form path for a tuned generator.
-    A chunk's (query, pseudo) pairs are embedded in one call; each pair's
-    fused vector (`hyde.fuse_rows`) mines the negatives (one search_many call
-    per chunk) and scores the reference loss against the cached document rows.
+    A chunk's (query, pseudo) texts that `known_rows` (text -> row, e.g. from
+    `load_sft_rows`) lacks are embedded in one call (none when all are known);
+    each pair's fused vector (`hyde.fuse_rows`) mines the negatives (one
+    search_many call per chunk) and scores the reference loss against the
+    cached document rows.
     """
     base = sampling or SamplingConfig()
     cache = index.cache
@@ -283,8 +343,8 @@ def build_retriever_dataset(
         return example, generate_hypothetical(gen, example.query, template, 1, cfg)[0]
 
     def finish(planned: list[tuple[SftExample, str]]) -> list[tuple[RetrieverTriplet, float]]:
-        rows = embed_texts(emb, [text for example, pseudo in planned for text in (example.query, pseudo)])
-        fused = fuse_rows(rows, [2] * len(planned))
+        texts = [text for example, pseudo in planned for text in (example.query, pseudo)]
+        fused = fuse_rows(embed_rows(emb, texts, known_rows), [2] * len(planned))
         positives = [example.doc_id for example, _ in planned]
         mined = mine_hard_negatives(index, fused, positives, settings.negatives)
         results = []

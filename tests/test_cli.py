@@ -128,6 +128,21 @@ def _count_gen_requests(monkeypatch) -> list:
     return requests
 
 
+def _record_embed_batches(monkeypatch) -> list:
+    """Record the texts of every mock embedder request made from now on."""
+    batches = []
+    original = MockEmbedderClient.embed_batch
+    monkeypatch.setattr(
+        MockEmbedderClient, "embed_batch", lambda client, texts: batches.append(texts) or original(client, texts)
+    )
+    return batches
+
+
+def _remove_sft_rows(sft_path):
+    for suffix in (".rows", ".rows.ids"):
+        Path(str(sft_path) + suffix).unlink()
+
+
 def _out_bytes(out_dir):
     return {
         str(p.relative_to(out_dir)): p.read_bytes()
@@ -510,6 +525,22 @@ class TestEvaluateCommand:
             run_means = payload["per_run"]["synthetic"][metric]["run_means"]
             assert report["datasets"]["synthetic"]["values"] == run_means
 
+    @pytest.mark.parametrize("pairing", ["query", "run"])
+    def test_qrels_without_a_positive_grade_is_validation_exit(self, tmp_path, capsys, pairing):
+        dataset = tmp_path / "data"
+        _, queries, _ = make_dataset(dataset, n_docs=5)
+        docs = load_corpus(dataset / "corpus.jsonl")
+        write_qrels(
+            RelevanceJudgments(entries={q.id: {doc.id: 0} for q, doc in zip(queries, docs)}),
+            dataset / "qrels.tsv",
+        )
+        out = tmp_path / "run"
+        config_path = make_config(
+            tmp_path, dataset, out, eval={"k_values": [10], "primary_k": 10, "repeats": 2, "pairing": pairing}
+        )
+        assert main(["evaluate", "--config", str(config_path), "--mode", "hyde"]) == 1
+        assert "dataset has no scored queries" in capsys.readouterr().err
+
     def test_two_datasets_without_dense_comparison(self, tmp_path):
         make_dataset(tmp_path / "alpha", n_docs=12, seed=1)
         make_dataset(tmp_path / "beta", n_docs=12, seed=2)
@@ -598,15 +629,17 @@ class TestBuildDataCommands:
             tmp_path, dataset, out, selflearn={"candidates_per_query": 2, "negatives": 7, "sample_docs": 80}
         )
         assert main(["build-sft-data", "--config", str(config_path)]) == 0
-        batches = []
-        original = MockEmbedderClient.embed_batch
-        monkeypatch.setattr(
-            MockEmbedderClient, "embed_batch", lambda client, texts: batches.append(texts) or original(client, texts)
-        )
+        batches = _record_embed_batches(monkeypatch)
         assert main(["build-retriever-data", "--config", str(config_path)]) == 0
         triplets = load_triplets_jsonl(out / "triplets.jsonl")
         assert len(triplets) > 40
-        # one request per chunk of 64 triplets, holding each one's query and pseudo-document
+        # the SFT stage's rows hold every query and pseudo-document
+        assert batches == []
+        with_rows = (out / "triplets.jsonl").read_bytes()
+        _remove_sft_rows(out / "sft.jsonl")
+        assert main(["build-retriever-data", "--config", str(config_path)]) == 0
+        assert (out / "triplets.jsonl").read_bytes() == with_rows
+        # without them, one request per chunk of 64 triplets, holding each one's query and pseudo-document
         assert [len(batch) for batch in batches] == [
             2 * len(triplets[start : start + 64]) for start in range(0, len(triplets), 64)
         ]
@@ -642,6 +675,114 @@ class TestBuildDataCommands:
         first = (out / "sft.jsonl").read_bytes()
         main(["build-sft-data", "--config", str(config_path)])
         assert (out / "sft.jsonl").read_bytes() == first
+
+
+class TestSftRowsReuse:
+    """build-retriever-data reuses build-sft-data's rows only when they are
+    current, and its triplets never depend on whether it did."""
+
+    def _sft(self, tmp_path, **extra):
+        dataset = tmp_path / "data"
+        make_dataset(dataset, n_docs=30, seed=5)
+        out = tmp_path / "run"
+        config_path = make_config(tmp_path, dataset, out, **extra)
+        assert main(["build-sft-data", "--config", str(config_path)]) == 0
+        return config_path, out
+
+    def _triplets(self, config_path, out, *flags) -> bytes:
+        assert main(["build-retriever-data", "--config", str(config_path), *flags]) == 0
+        return (out / "triplets.jsonl").read_bytes()
+
+    def _without_rows(self, config_path, out, sft) -> bytes:
+        """triplets.jsonl from a run whose SFT file has no rows file."""
+        _remove_sft_rows(sft)
+        return self._triplets(config_path, out, "--sft", str(sft))
+
+    def _all_texts(self, out) -> list[list[str]]:
+        """Each triplet chunk's query and pseudo-document texts, as the embedder sees them."""
+        texts = [text for t in load_triplets_jsonl(out / "triplets.jsonl") for text in (t.query, t.pseudo)]
+        return [texts[start : start + 128] for start in range(0, len(texts), 128)]
+
+    def test_fresh_rows_make_no_triplet_request(self, tmp_path, monkeypatch, caplog):
+        config_path, out = self._sft(tmp_path)
+        assert (out / "sft.jsonl.rows").exists() and (out / "sft.jsonl.rows.ids").exists()
+        batches = _record_embed_batches(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="slhyde.selflearn"):
+            with_rows = self._triplets(config_path, out)
+        assert batches == []
+        assert "reusing SFT rows" in caplog.text
+        assert self._without_rows(config_path, out, out / "sft.jsonl") == with_rows
+        assert batches == self._all_texts(out)
+
+    @pytest.mark.parametrize("stale", ["edited_sft", "truncate_chars"])
+    def test_stale_rows_are_not_used(self, tmp_path, monkeypatch, caplog, stale):
+        config_path, out = self._sft(tmp_path)
+        if stale == "edited_sft":
+            lines = (out / "sft.jsonl").read_text().splitlines(keepends=True)
+            (out / "sft.jsonl").write_text("".join(lines[:-1]))
+        else:
+            config = yaml.safe_load(config_path.read_text())
+            config["embedder"]["truncate_chars"] = 60
+            config_path.write_text(yaml.safe_dump(config))
+            assert main(["embed-corpus", "--config", str(config_path)]) == 0
+        batches = _record_embed_batches(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="slhyde.selflearn"):
+            stale_rows = self._triplets(config_path, out)
+        assert "embedding the SFT texts again" in caplog.text
+        assert "fingerprint mismatch" in caplog.text
+        cut = 60 if stale == "truncate_chars" else 1024
+        assert batches == [[text[:cut] for text in chunk] for chunk in self._all_texts(out)]
+        assert self._without_rows(config_path, out, out / "sft.jsonl") == stale_rows
+
+    @pytest.mark.parametrize("where", ["deleted", "copy"])
+    def test_missing_rows_embed_as_before(self, tmp_path, monkeypatch, caplog, where):
+        config_path, out = self._sft(tmp_path)
+        with_rows = self._triplets(config_path, out)
+        sft = out / "sft.jsonl"
+        if where == "copy":
+            sft = tmp_path / "elsewhere" / "sft.jsonl"
+            sft.parent.mkdir()
+            shutil.copyfile(out / "sft.jsonl", sft)
+        else:
+            _remove_sft_rows(sft)
+        batches = _record_embed_batches(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="slhyde.selflearn"):
+            assert self._triplets(config_path, out, "--sft", str(sft)) == with_rows
+        assert "cache file not found" in caplog.text
+        assert batches == self._all_texts(out)
+
+    def test_fresh_pseudo_documents_alone_are_embedded(self, tmp_path, monkeypatch):
+        config_path, out = self._sft(tmp_path, selflearn={"candidates_per_query": 2, "negatives": 3, "reuse_pseudo": False})
+        batches = _record_embed_batches(monkeypatch)
+        with_rows = self._triplets(config_path, out)
+        triplets = load_triplets_jsonl(out / "triplets.jsonl")
+        responses = {example.response for example in load_sft_jsonl(out / "sft.jsonl")}
+        # the queries' rows come from the SFT stage; a pseudo-document equal to a response is reused too
+        assert batches == [list(dict.fromkeys(t.pseudo for t in triplets if t.pseudo not in responses))]
+        assert self._without_rows(config_path, out, out / "sft.jsonl") == with_rows
+
+    def test_dataset_named_sft_keeps_its_corpus_cache(self, tmp_path, monkeypatch, caplog):
+        dataset = tmp_path / "data"
+        make_dataset(dataset, n_docs=30, seed=5)
+        out = tmp_path / "run"
+        config_path = make_config(
+            tmp_path,
+            dataset,
+            out,
+            dataset={
+                "name": "sft",
+                "corpus": str(dataset / "corpus.jsonl"),
+                "queries": str(dataset / "queries.jsonl"),
+            },
+        )
+        assert main(["build-sft-data", "--config", str(config_path)]) == 0
+        corpus_cache = (out / "sft.emb").read_bytes()
+        batches = _record_embed_batches(monkeypatch)
+        with caplog.at_level(logging.INFO):
+            assert main(["build-retriever-data", "--config", str(config_path)]) == 0
+        assert "reusing embedding cache" in caplog.text and "rebuilding" not in caplog.text
+        assert batches == []
+        assert (out / "sft.emb").read_bytes() == corpus_cache
 
 
 class TestConstructBenchmarkCommand:
@@ -1179,6 +1320,9 @@ class TestParallelismDeterminism:
             clients.clear()
             shutil.rmtree(out)
         assert trees[0] == trees[1]
-        assert {"trace_synthetic.jsonl", "run_synthetic_r1.trec", "sft.jsonl", "triplets.jsonl"} <= set(trees[0][0])
+        assert {
+            "trace_synthetic.jsonl", "run_synthetic_r1.trec", "sft.jsonl", "sft.jsonl.rows", "sft.jsonl.rows.ids",
+            "triplets.jsonl",
+        } <= set(trees[0][0])
         # every command's embedder and generator make as many requests at either parallelism
         assert len(requests[0]) == 8 and requests[0] == requests[1]

@@ -13,6 +13,7 @@ from slhyde.embed import (
     RemoteEmbedderClient,
     cache_embeddings,
     cache_fingerprint,
+    embed_rows,
     embed_text,
     embed_texts,
     load_cache,
@@ -86,6 +87,22 @@ class TestMockEmbedder:
             embed_texts(mock_emb, ["ok", "   "])
         with pytest.raises(ValidationError):
             embed_texts(mock_emb, [])
+
+    def test_embed_rows_embeds_each_unknown_truncation_once(self):
+        client = MockEmbedderClient(dim=64, truncate_chars=8)
+        known = {"known text": embed_text(client, "known text")}
+        client.calls = 0
+        texts = ["known text", "alpha beta", "alpha beta gamma", "known tex!", "delta"]
+        batches = []
+        original = client.embed_batch
+        client.embed_batch = lambda batch: batches.append(batch) or original(batch)
+        rows = embed_rows(client, texts, known)
+        # "alpha beta gamma" shares its first 8 characters with "alpha beta", "known tex!" with "known text"
+        assert batches == [["alpha be", "delta"]]
+        assert rows.tobytes() == embed_texts(client, texts).tobytes()
+        batches.clear()
+        assert embed_rows(client, ["known text", "known tex?"], known).tobytes() == np.vstack([known["known text"]] * 2).tobytes()
+        assert batches == []
 
     def test_inner_product_equals_cosine_for_unit_vectors(self, mock_emb):
         vecs = embed_texts(mock_emb, [f"text {i}" for i in range(20)])

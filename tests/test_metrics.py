@@ -207,6 +207,17 @@ class TestBuildReport:
         assert report.comparison.p_values["ds"] is not None
         assert 0.0 <= report.comparison.p_values["ds"] <= 1.0
 
+    def test_partially_overlapping_ids_pair_on_the_shared_ones(self):
+        system = {"ds": {"q1": 0.9, "q2": 0.8, "q3": 0.95, "q5": 0.1}}
+        baseline = {"ds": {"q0": 0.3, "q1": 0.5, "q2": 0.6, "q3": 0.7}}
+        report = build_report(system, baseline=baseline)
+        shared = ["q1", "q2", "q3"]
+        _, expected = paired_t_test([system["ds"][q] for q in shared], [baseline["ds"][q] for q in shared])
+        assert report.comparison.p_values["ds"] == expected
+        # one shared id is too few to pair
+        report = build_report({"ds": {"q1": 0.9, "q2": 0.8}}, baseline={"ds": {"q2": 0.5, "q3": 0.6}})
+        assert report.comparison.p_values["ds"] is None
+
     def test_scalar_entries_have_no_p_value(self):
         report = build_report({"ds": 1.0}, baseline={"ds": 0.9})
         assert report.comparison.p_values["ds"] is None

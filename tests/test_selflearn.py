@@ -23,8 +23,10 @@ from slhyde.selflearn import (
     emit_triplets_jsonl,
     infonce_from_scores,
     load_sft_jsonl,
+    load_sft_rows,
     load_triplets_jsonl,
     mine_hard_negatives,
+    save_sft_rows,
     score_candidates,
     select_best,
     validate_sft_file,
@@ -237,6 +239,8 @@ class TestBuildGeneratorDataset:
             )
             assert emb.calls == 2
         assert results[0] == results[1]
+        assert results[0].rows.tobytes() == results[1].rows.tobytes()
+        assert results[0].rows.shape == (2 * len(results[0].examples), 128)
         assert results[0].total == 65 and results[0].skipped_errors == 0
 
     def test_failed_chunk_is_scored_one_document_at_a_time(self, tmp_path, caplog):
@@ -284,6 +288,10 @@ class TestBuildGeneratorDataset:
         # the chunk's five planned documents in one batch, tried three times;
         # then one batch per document, the poisoned one tried three times
         assert emb.batches == [5 * (1 + L)] * 3 + [1 + L] * 7
+        # every emitted example keeps its query's row and its response's, as a fresh embed gives them
+        for built in (reference, result):
+            texts = [text for e in built.examples for text in (e.query, e.response)]
+            assert built.rows.tobytes() == embed_texts(plain, texts).tobytes()
 
 
 class TestMineHardNegatives:
@@ -448,6 +456,29 @@ class TestBuildRetrieverDataset:
             assert list(triplet.negatives) == [d for d, _ in exact] and triplet.scores == dict(exact)
             negative_rows = [cache.row(d) for d in triplet.negatives]
             assert value == contrastive_loss(fused, cache.row(triplet.positive), negative_rows, tau=0.02)
+
+
+class TestSftRows:
+    def test_saved_rows_stand_in_for_every_triplet_text(self, tmp_path, caplog):
+        emb = MockEmbedderClient(dim=128)
+        docs = synthetic_docs(30, seed=47)
+        index = DenseIndex(cache_docs(emb, CorpusStore(docs), tmp_path / "t.emb"))
+        settings = SelfLearnSettings(candidates_per_query=2, negatives=3)
+        built = build_generator_dataset(docs[:12], MockGeneratorClient(), emb, index, settings, seed=2)
+        sft = tmp_path / "sft.jsonl"
+        emit_sft_jsonl(built.examples, sft)
+        save_sft_rows(built, emb, sft)
+        examples = load_sft_jsonl(sft)
+        known = load_sft_rows(emb, sft, examples)
+        assert len(known) == 2 * len(examples)
+        emb.calls = 0
+        reused = build_retriever_dataset(examples, MockGeneratorClient(), emb, index, settings, known_rows=known)
+        assert emb.calls == 0
+        assert reused == build_retriever_dataset(examples, MockGeneratorClient(), emb, index, settings)
+        # rows written for other examples than the file's are not used
+        with caplog.at_level("INFO", logger="slhyde.selflearn"):
+            assert load_sft_rows(emb, sft, examples[:-1]) == {}
+        assert "does not list the examples" in caplog.text
 
 
 class TestContrastiveLoss:
