@@ -33,8 +33,8 @@ from .errors import (
     TransportError,
     ValidationError,
 )
-from .hyde import FUSION_STRATEGIES, FusionConfig, fuse, hyde_search, hypothesize, search_hypothesized
-from .retrieval import DenseIndex, RankedHits, dense_search, rank_of, ranks_of, search_many
+from .hyde import FUSION_STRATEGIES, FusionConfig, hyde_search, hypothesize, search_hypothesized
+from .retrieval import DenseIndex, RankedHits, dense_search, ranks_of, search_many
 from .textgen import (
     MockGeneratorClient,
     PromptTemplate,

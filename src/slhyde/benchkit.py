@@ -14,11 +14,18 @@ Three stages over raw texts and raw queries:
      against the document otherwise),
   3. query-document relevance filtering of the surviving pairs.
 
-Judges must answer in JSON. An unparseable response gets exactly one repair
-retry (the prompt re-asked with a format reminder); failing that, the item
-goes to the review bucket instead of being dropped silently. Every kept or
-removed decision carries the judge rationale, and each stage's counts
-satisfy kept + removed + review = input.
+Judges must answer in JSON. The rerank, evidence, answer, validation and
+quality calls are one step function driven by `_STEPS`, a table keyed by
+review stage: each entry names the template, the key the verdict must carry,
+how its value is read, and the two review reasons. A response that is not
+JSON or lacks the key gets exactly one repair retry (the prompt re-asked with
+a format reminder); a present value that does not read goes to review with
+no retry. The medical filter retries whenever neither `label` nor `score`
+reads. An item that fails goes to the review bucket instead of being dropped
+silently. Each stage returns its own review items, which `run_pipeline`
+concatenates in stage order. Every kept or removed decision carries the
+judge rationale, and each stage's counts satisfy kept + removed + review =
+input.
 
 Outputs use the standard dataset layout (corpus.jsonl / queries.jsonl /
 qrels.tsv) plus a QC report in JSON and text form.
@@ -35,6 +42,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .bm25 import Bm25Index, Bm25Settings, bm25_search
 from .corpus import CorpusStore, Document, Query, RelevanceJudgments, write_corpus, write_qrels, write_queries
@@ -127,14 +135,10 @@ def _parse_json_response(text: str) -> dict | None:
 def _ask_judge(judge, prompt: str, accept):
     """One judge call with a single repair retry.
 
-    `accept` is either a tuple of required keys or a predicate over the parsed
-    dict. Returns (dict, raw) on success, (None, raw) when the response stays
-    unusable after the repair attempt.
+    `accept` is a predicate over the parsed dict. Returns (dict, raw) on
+    success, (None, raw) when the response stays unusable after the repair
+    attempt.
     """
-    if isinstance(accept, tuple):
-        required = accept
-        accept = lambda parsed: all(key in parsed for key in required)  # noqa: E731
-    raw = ""
     try:
         raw = generate(judge, prompt, _JUDGE_SAMPLING)[0]
     except SlhydeError as exc:
@@ -152,18 +156,58 @@ def _ask_judge(judge, prompt: str, accept):
     return None, raw_retry
 
 
+def _as_list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+class _Step(NamedTuple):
+    template: str
+    key: str  # the verdict must carry it, or the judge is asked once more
+    read: Callable  # raises TypeError or ValueError on a wrong-typed value
+    unparseable: str  # review reason: no JSON or no key, after the repair retry
+    wrong_type: str  # review reason: the key's value does not read (no retry)
+
+
+# Every judge step of pair matching and relevance filtering, keyed by review stage.
+_STEPS = {
+    "rerank": _Step("RERANK", "ranking", _as_list, "unparseable rerank verdict", "unparseable rerank verdict"),
+    "evidence": _Step(
+        "EVIDENCE", "evidence_spans", _as_list, "unparseable evidence verdict", "unparseable evidence verdict"
+    ),
+    "answer": _Step("ANSWER_BY_EVIDENCE", "answer", str, "unparseable answer", "unparseable answer"),
+    "validate": _Step(
+        "VALIDATE_ANSWER", "similarity_score", float, "unparseable validation verdict", "non-numeric similarity score"
+    ),
+    "relevance_filter": _Step(
+        "QD_RELEVANCE", "quality_score", int, "unparseable quality verdict", "non-integer quality score"
+    ),
+}
+
+
+def _judge_step(judge, stage: str, item_id: str, slots: dict, review: list[ReviewItem]):
+    """Ask the judge one step of `_STEPS` and return the value it reads, or
+    None after adding the item to `review`."""
+    step = _STEPS[stage]
+    prompt = render_prompt(load_template(step.template), slots)
+    parsed, raw = _ask_judge(judge, prompt, lambda p: step.key in p)
+    if parsed is None:
+        review.append(ReviewItem(stage, item_id, step.unparseable, raw))
+        return None
+    try:
+        return step.read(parsed[step.key])
+    except (TypeError, ValueError):
+        review.append(ReviewItem(stage, item_id, step.wrong_type, raw))
+        return None
+
+
 def _med_score(parsed: dict) -> float | None:
-    if "label" in parsed:
-        try:
-            return float(int(parsed["label"]))
-        except (TypeError, ValueError):
-            return None
-    if "score" in parsed:
-        try:
-            return float(parsed["score"])
-        except (TypeError, ValueError):
-            return None
-    return None
+    """The verdict's `label` as 0/1 when it has one, else its `score`; None when that does not read."""
+    try:
+        return float(int(parsed["label"])) if "label" in parsed else float(parsed["score"])
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 def medical_relevance_filter(items, judge, threshold: float, stage: str = "medical_filter"):
@@ -184,9 +228,7 @@ def medical_relevance_filter(items, judge, threshold: float, stage: str = "medic
         parsed, raw = _ask_judge(judge, prompt, lambda p: _med_score(p) is not None)
         score = _med_score(parsed) if parsed is not None else None
         if score is None:
-            review.append(
-                ReviewItem(stage=stage, item_id=item_id, reason="unparseable judge verdict", raw_response=raw)
-            )
+            review.append(ReviewItem(stage, item_id, "unparseable judge verdict", raw))
             continue
         judged = JudgedText(
             text_id=item_id,
@@ -210,30 +252,22 @@ def match_positive_pairs(
     judge,
     settings: BenchmarkSettings,
     store: CorpusStore,
-    review: list[ReviewItem] | None = None,
-) -> list[CandidatePair]:
+) -> tuple[list[CandidatePair], list[ReviewItem]]:
     """Run the retrieve / rerank / evidence / answer / validate chain for one query.
 
-    Only validated pairs are returned; pairs with empty evidence are rejected
-    outright, and judge failures route the query or pair to the review bucket.
+    Returns (validated pairs, review items). Pairs with empty evidence are
+    rejected outright, and judge failures route the query or pair to review.
     """
-    review = review if review is not None else []
+    review: list[ReviewItem] = []
     hits = bm25_search(bm25, query.text, settings.bm25_top_k)
     if not hits.ids:
-        return []
-
-    rerank_prompt = render_prompt(
-        load_template("RERANK"),
-        {"QUESTION": query.text, "PASSAGES": _format_passages(hits, store)},
-    )
-    parsed, raw = _ask_judge(judge, rerank_prompt, ("ranking",))
-    if parsed is None or not isinstance(parsed.get("ranking"), list):
-        review.append(
-            ReviewItem(stage="rerank", item_id=query.id, reason="unparseable rerank verdict", raw_response=raw)
-        )
-        return []
+        return [], review
+    slots = {"QUESTION": query.text, "PASSAGES": _format_passages(hits, store)}
+    ranking = _judge_step(judge, "rerank", query.id, slots, review)
+    if ranking is None:
+        return [], review
     candidates: list[str] = []
-    for number in parsed["ranking"]:
+    for number in ranking:
         try:
             index = int(number) - 1
         except (TypeError, ValueError):
@@ -249,63 +283,20 @@ def match_positive_pairs(
     pairs: list[CandidatePair] = []
     for doc_id in candidates:
         doc = store.get(doc_id)
-        evidence_prompt = render_prompt(
-            load_template("EVIDENCE"),
-            {"QUESTION": query.text, "ANSWER": query.answer or "", "DOCUMENT": doc.indexed_text},
-        )
-        parsed, raw = _ask_judge(judge, evidence_prompt, ("evidence_spans",))
-        if parsed is None or not isinstance(parsed.get("evidence_spans"), list):
-            review.append(
-                ReviewItem(
-                    stage="evidence", item_id=f"{query.id}:{doc_id}",
-                    reason="unparseable evidence verdict", raw_response=raw,
-                )
-            )
-            continue
-        spans = [str(s) for s in parsed["evidence_spans"] if str(s).strip()]
+        pair_id = f"{query.id}:{doc_id}"
+        slots = {"QUESTION": query.text, "ANSWER": query.answer or "", "DOCUMENT": doc.indexed_text}
+        spans = _judge_step(judge, "evidence", pair_id, slots, review) or []
+        spans = [str(s) for s in spans if str(s).strip()]
         if not spans:
-            continue  # empty evidence rejects the pair
-
-        answer_prompt = render_prompt(
-            load_template("ANSWER_BY_EVIDENCE"),
-            {"QUESTION": query.text, "EVIDENCE": json.dumps(spans, ensure_ascii=False)},
-        )
-        parsed, raw = _ask_judge(judge, answer_prompt, ("answer",))
-        if parsed is None:
-            review.append(
-                ReviewItem(
-                    stage="answer", item_id=f"{query.id}:{doc_id}",
-                    reason="unparseable answer", raw_response=raw,
-                )
-            )
+            continue  # a failed step or empty evidence rejects the pair
+        slots = {"QUESTION": query.text, "EVIDENCE": json.dumps(spans, ensure_ascii=False)}
+        generated = _judge_step(judge, "answer", pair_id, slots, review)
+        if generated is None:
             continue
-        generated = str(parsed["answer"])
-
         reference = query.answer if query.answer else doc.indexed_text
-        validate_prompt = render_prompt(
-            load_template("VALIDATE_ANSWER"),
-            {"QUESTION": query.text, "REFERENCE_ANSWER": reference, "MODEL_ANSWER": generated},
-        )
-        parsed, raw = _ask_judge(judge, validate_prompt, ("similarity_score",))
-        if parsed is None:
-            review.append(
-                ReviewItem(
-                    stage="validate", item_id=f"{query.id}:{doc_id}",
-                    reason="unparseable validation verdict", raw_response=raw,
-                )
-            )
-            continue
-        try:
-            similarity = float(parsed["similarity_score"])
-        except (TypeError, ValueError):
-            review.append(
-                ReviewItem(
-                    stage="validate", item_id=f"{query.id}:{doc_id}",
-                    reason="non-numeric similarity score", raw_response=raw,
-                )
-            )
-            continue
-        if similarity >= rel_threshold:
+        slots = {"QUESTION": query.text, "REFERENCE_ANSWER": reference, "MODEL_ANSWER": generated}
+        similarity = _judge_step(judge, "validate", pair_id, slots, review)
+        if similarity is not None and similarity >= rel_threshold:
             pairs.append(
                 CandidatePair(
                     query_id=query.id,
@@ -317,44 +308,25 @@ def match_positive_pairs(
                     validated=True,
                 )
             )
-    return pairs
+    return pairs, review
 
 
 def filter_pseudo_relevant(
-    pairs: list[CandidatePair],
-    judge,
-    threshold: float,
-    review: list[ReviewItem] | None = None,
-) -> list[CandidatePair]:
-    """Keep pairs whose judged 1-5 quality score, normalized to [0,1], is >= threshold."""
-    review = review if review is not None else []
-    template = load_template("QD_RELEVANCE")
-    kept = []
+    pairs: list[CandidatePair], judge, threshold: float
+) -> tuple[list[CandidatePair], list[ReviewItem]]:
+    """Keep pairs whose judged 1-5 quality score, normalized to [0,1], is >=
+    threshold. Returns (kept pairs, review items)."""
+    kept: list[CandidatePair] = []
+    review: list[ReviewItem] = []
     for pair in pairs:
-        prompt = render_prompt(template, {"QUERY": pair.query_text, "PASSAGE": pair.doc_text})
-        parsed, raw = _ask_judge(judge, prompt, ("quality_score",))
-        if parsed is None:
-            review.append(
-                ReviewItem(
-                    stage="relevance_filter", item_id=f"{pair.query_id}:{pair.doc_id}",
-                    reason="unparseable quality verdict", raw_response=raw,
-                )
-            )
-            continue
-        try:
-            quality = int(parsed["quality_score"])
-        except (TypeError, ValueError):
-            review.append(
-                ReviewItem(
-                    stage="relevance_filter", item_id=f"{pair.query_id}:{pair.doc_id}",
-                    reason="non-integer quality score", raw_response=raw,
-                )
-            )
+        slots = {"QUERY": pair.query_text, "PASSAGE": pair.doc_text}
+        quality = _judge_step(judge, "relevance_filter", f"{pair.query_id}:{pair.doc_id}", slots, review)
+        if quality is None:
             continue
         pair.rel_score = quality / 5.0
         if pair.rel_score >= threshold:
             kept.append(pair)
-    return kept
+    return kept, review
 
 
 @dataclass
@@ -430,10 +402,11 @@ def run_pipeline(
     if len(store):
         index = Bm25Index.build(store, bm25)
         for query in kept_queries:
-            pairs = match_positive_pairs(query, index, judge, settings, store, match_review)
+            pairs, query_review = match_positive_pairs(query, index, judge, settings, store)
             if not pairs:
                 no_evidence_or_invalid += 1
             matched.extend(pairs)
+            match_review.extend(query_review)
     report.review.extend(match_review)
     report.stages["2_pair_matching"] = {
         "input_queries": len(kept_queries),
@@ -442,8 +415,7 @@ def run_pipeline(
         "review": len(match_review),
     }
 
-    filter_review: list[ReviewItem] = []
-    final_pairs = filter_pseudo_relevant(matched, judge, rel_threshold, filter_review)
+    final_pairs, filter_review = filter_pseudo_relevant(matched, judge, rel_threshold)
     report.review.extend(filter_review)
     report.stages["3_relevance_filter"] = {
         "input": len(matched),

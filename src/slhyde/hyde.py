@@ -5,8 +5,8 @@ argument, one definition for both: `FUSION_STRATEGIES` maps each strategy to
 its default N, and the section checks the strategy, N and template itself.
 
 `fuse_rows` is the one fusion rule, the unnormalized mean of a plan's own rows;
-`fuse(emb, texts)` applies it to one embed_texts call, and self-learning to
-each (query, pseudo-document) pair of its chunk's rows.
+HyDE applies it to each query's texts, and self-learning to each (query,
+pseudo-document) pair of its chunk's rows.
 
 HyDE runs in two halves. `hypothesize` generates a query's hypothetical
 documents and returns the texts its fusion strategy averages.
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Query
-from .embed import embed_rows, embed_texts
+from .embed import embed_rows
 from .errors import (
     DegenerateOutputError,
     TransportError,
@@ -90,11 +90,6 @@ class FusionConfig:
 def fuse_rows(rows: np.ndarray, sizes: list[int]) -> np.ndarray:
     """Row i is the unnormalized mean of the next sizes[i] rows of `rows`."""
     return np.vstack([np.mean(part, axis=0) for part in np.split(rows, np.cumsum(sizes)[:-1])])
-
-
-def fuse(emb, texts: list[str]) -> np.ndarray:
-    """Fused vector of the rows of one embed_texts(emb, texts) call."""
-    return fuse_rows(embed_texts(emb, texts), [len(texts)])[0]
 
 
 def hypothesize(

@@ -33,7 +33,7 @@ other rows are scored with it, nor on how the BLAS splits work over threads.
 
 A result is columnar: `RankedHits.ids` holds the cache's own id strings (no
 copies) and `RankedHits.scores` a float64 array; (id, score) pairs with Python
-floats are built only when iterated or read through `hits`.
+floats are built only when a result is iterated.
 """
 from __future__ import annotations
 
@@ -64,22 +64,11 @@ class RankedHits:
         if self.scores.shape != (len(self.ids),):
             raise ValidationError(f"{len(self.ids)} ids but scores of shape {self.scores.shape}")
 
-    @property
-    def hits(self) -> list[tuple[str, float]]:
-        """The (doc_id, score) pairs, scores as Python floats."""
-        return list(self)
-
-    def doc_ids(self) -> list[str]:
-        return list(self.ids)
-
     def __len__(self) -> int:
         return len(self.ids)
 
     def __iter__(self) -> Iterator[tuple[str, float]]:
         return zip(self.ids, self.scores.tolist())
-
-    def __getitem__(self, idx):
-        return self.hits[idx]
 
 
 class DenseIndex:
@@ -199,8 +188,3 @@ def ranks_of(index: DenseIndex, vectors, targets) -> list[int]:
             tied_before = int(np.count_nonzero((exact == target_score) & (index._id_rank[band] < target_rank)))
             ranks.append(1 + higher + tied_before)
     return ranks
-
-
-def rank_of(index: DenseIndex, vector, target: str) -> int:
-    """Rank of `target` for one query vector; see ranks_of."""
-    return ranks_of(index, np.reshape(vector, (1, -1)), [target])[0]

@@ -22,11 +22,18 @@ def derive_seed(*parts) -> int:
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write through a temp file of this call's own beside `path`, so concurrent
+    writers never share one; the temp file is removed if the write fails."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".part")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.part")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

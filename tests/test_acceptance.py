@@ -26,10 +26,10 @@ from slhyde.corpus import (
     write_qrels,
     write_queries,
 )
-from slhyde.embed import EmbeddingCache, MockEmbedderClient, embed_text
-from slhyde.hyde import FusionConfig, fuse, hyde_search
+from slhyde.embed import EmbeddingCache, MockEmbedderClient, embed_text, embed_texts
+from slhyde.hyde import FusionConfig, hyde_search
 from slhyde.metrics import build_report, ndcg_at_k, recall_at_k
-from slhyde.retrieval import DenseIndex, dense_search, rank_of
+from slhyde.retrieval import DenseIndex, dense_search, ranks_of
 from slhyde.selflearn import (
     SelfLearnSettings,
     build_generator_dataset,
@@ -143,7 +143,7 @@ def test_c3_fusion_reduction_and_invariance(tmp_path):
     gen = MockGeneratorClient()
     hyde_hits = hyde_search(query, gen, emb, index, FusionConfig(n=0), k=50)
     dense_hits = dense_search(index, embed_text(emb, query.text), k=50)
-    assert hyde_hits.hits == dense_hits.hits
+    assert list(hyde_hits) == list(dense_hits)
 
     # invariance: permutation of hypothetical vectors and positive rescaling
     rng = np.random.default_rng(32)
@@ -157,14 +157,14 @@ def test_c3_fusion_reduction_and_invariance(tmp_path):
             vec = rng.normal(size=64)
             vectors[text] = (vec / np.linalg.norm(vec)).astype(np.float32)
         pinned = MockEmbedderClient(dim=64, overrides=vectors)
-        fused = fuse(pinned, ["query", *pseudo])
-        base = dense_search(index, fused, k=50).doc_ids()
+        fused = embed_texts(pinned, ["query", *pseudo]).mean(axis=0)
+        base = dense_search(index, fused, k=50).ids
         order = rng.permutation(n_pseudo)
-        permuted = fuse(pinned, ["query", *(pseudo[i] for i in order)])
-        if dense_search(index, permuted, k=50).doc_ids() != base:
+        permuted = embed_texts(pinned, ["query", *(pseudo[i] for i in order)]).mean(axis=0)
+        if dense_search(index, permuted, k=50).ids != base:
             violations += 1
         scale = float(rng.uniform(1e-3, 1e3))
-        if dense_search(index, fused * scale, k=50).doc_ids() != base:
+        if dense_search(index, fused * scale, k=50).ids != base:
             violations += 1
     assert violations == 0
     _report("3 fusion-reduction-and-invariance", "1000 trials, zero violations")
@@ -192,7 +192,7 @@ def test_c4_selection_optimality(tmp_path):
         c_cfg = SamplingConfig(seed=derive_seed(seed, "candidates", doc.id))
         query = generate_query_for_doc(gen, doc, q_cfg)
         candidates = generate_pseudo_docs(gen, query, doc, 5, c_cfg)
-        recomputed = min(rank_of(index, embed_text(emb, c), doc.id) for c in candidates)
+        recomputed = min(ranks_of(index, [embed_text(emb, c)], [doc.id])[0] for c in candidates)
         if example.rank != recomputed:
             violations += 1
     assert violations == 0
@@ -212,7 +212,8 @@ def test_c5_mining_consistency(tmp_path):
     for _ in range(100):
         target = docs[int(rng.integers(0, len(docs)))]
         query_text = " ".join(target.text.split()[:3])
-        [mined] = mine_hard_negatives(dense, fuse(emb, [query_text, target.text])[None], [target.id], 7)
+        fused = embed_texts(emb, [query_text, target.text]).mean(axis=0, keepdims=True)
+        [mined] = mine_hard_negatives(dense, fused, [target.id], 7)
         fused = (embed_text(emb, query_text) + embed_text(emb, target.text)) / 2.0
         exact = [d for d, _ in dense_search(dense, fused, k=8) if d != target.id][:7]
         assert [doc_id for doc_id, _ in mined] == exact
@@ -227,8 +228,8 @@ def test_c5_mining_consistency(tmp_path):
     total, found = 0, 0
     for _ in range(100):
         query = vec_rng.normal(size=256)
-        exact_ids = set(dense_search(vec_dense, query, k=10).doc_ids())
-        approx_ids = set(ann_search(vec_ann, query, k=10).doc_ids())
+        exact_ids = set(dense_search(vec_dense, query, k=10).ids)
+        approx_ids = set(ann_search(vec_ann, query, k=10).ids)
         total += 10
         found += len(exact_ids & approx_ids)
     recall = found / total

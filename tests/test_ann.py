@@ -23,7 +23,7 @@ class TestAnnSearch:
         cache = _cache(200, 32, seed=1)
         index = AnnIndex(cache, seed=0)
         hits = ann_search(index, cache.matrix[123], k=1)
-        assert hits[0][0] == "d00123"
+        assert hits.ids[0] == "d00123"
 
     def test_empty_index_errors(self):
         cache = EmbeddingCache(ids=[], matrix=np.zeros((0, 8), dtype=np.float32))
@@ -40,7 +40,7 @@ class TestAnnSearch:
             query = rng.normal(size=32)
             approx = ann_search(index, query, k=10, breadth=len(cache))
             exact = dense_search(dense, query, k=10)
-            assert approx.hits == exact.hits
+            assert list(approx) == list(exact)
 
     def test_recall_at_10_above_95_percent(self):
         cache = _cache(500, 64, seed=4)
@@ -50,8 +50,8 @@ class TestAnnSearch:
         total, hit = 0, 0
         for _ in range(50):
             query = rng.normal(size=64)
-            exact_ids = set(dense_search(dense, query, k=10).doc_ids())
-            ann_ids = set(ann_search(index, query, k=10).doc_ids())
+            exact_ids = set(dense_search(dense, query, k=10).ids)
+            ann_ids = set(ann_search(index, query, k=10).ids)
             total += 10
             hit += len(exact_ids & ann_ids)
         assert hit / total >= 0.95
@@ -66,4 +66,4 @@ class TestAnnSearch:
         a = AnnIndex(cache, seed=42)
         b = AnnIndex(cache, seed=42)
         query = np.random.default_rng(7).normal(size=24)
-        assert ann_search(a, query, k=5).hits == ann_search(b, query, k=5).hits
+        assert list(ann_search(a, query, k=5)) == list(ann_search(b, query, k=5))

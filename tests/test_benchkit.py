@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from slhyde.bm25 import Bm25Index, Bm25Settings
 from slhyde.corpus import CorpusStore, Document, Query, load_corpus, load_qrels, load_queries
 from slhyde.errors import ParseError, ValidationError
 from slhyde.textgen import MockGeneratorClient
+from slhyde.util import dump_json
 
 
 def _json(obj):
@@ -127,8 +129,7 @@ class TestMatchPositivePairs:
     def test_only_validated_doc_returned(self):
         store, bm25, query, judge = _matching_fixture()
         cfg = BenchmarkSettings()
-        review = []
-        pairs = match_positive_pairs(query, bm25, judge, cfg, store, review)
+        pairs, review = match_positive_pairs(query, bm25, judge, cfg, store)
         assert [p.doc_id for p in pairs] == ["d2"]
         assert pairs[0].validated is True
         assert pairs[0].evidence_spans
@@ -137,7 +138,7 @@ class TestMatchPositivePairs:
     def test_empty_evidence_rejects_pair(self):
         store, bm25, query, judge = _matching_fixture()
         cfg = BenchmarkSettings()
-        pairs = match_positive_pairs(query, bm25, judge, cfg, store, [])
+        pairs, _ = match_positive_pairs(query, bm25, judge, cfg, store)
         assert all(p.doc_id != "d1" for p in pairs)
         assert all(p.doc_id != "d3" for p in pairs)
 
@@ -153,14 +154,13 @@ class TestMatchPositivePairs:
             ]
         )
         cfg = BenchmarkSettings()
-        assert match_positive_pairs(query, bm25, judge, cfg, store, []) == []
+        assert match_positive_pairs(query, bm25, judge, cfg, store)[0] == []
 
     def test_unparseable_rerank_routes_query_to_review(self):
         store, bm25, query, _ = _matching_fixture()
         judge = judge_with([(RERANK_PREFIX, lambda p: "garbage")])
         cfg = BenchmarkSettings()
-        review = []
-        pairs = match_positive_pairs(query, bm25, judge, cfg, store, review)
+        pairs, review = match_positive_pairs(query, bm25, judge, cfg, store)
         assert pairs == []
         assert review and review[0].stage == "rerank"
 
@@ -175,7 +175,7 @@ class TestMatchPositivePairs:
             ]
         )
         cfg = BenchmarkSettings(rerank_top_m=2)
-        pairs = match_positive_pairs(query, bm25, judge, cfg, store, [])
+        pairs, _ = match_positive_pairs(query, bm25, judge, cfg, store)
         assert len(pairs) == 2  # top-m cap, not all 3
 
 
@@ -193,18 +193,18 @@ class TestFilterPseudoRelevant:
 
     def test_quality_two_of_five_removed_at_point_six(self):
         judge = judge_with([(QD_PREFIX, lambda p: _json({"quality_score": 2, "explanation": "weak"}))])
-        kept = filter_pseudo_relevant([self._pair()], judge, threshold=0.6)
+        kept, _ = filter_pseudo_relevant([self._pair()], judge, threshold=0.6)
         assert kept == []
 
     def test_quality_five_kept(self):
         judge = judge_with([(QD_PREFIX, lambda p: _json({"quality_score": 5, "explanation": "great"}))])
-        kept = filter_pseudo_relevant([self._pair()], judge, threshold=0.6)
+        kept, _ = filter_pseudo_relevant([self._pair()], judge, threshold=0.6)
         assert len(kept) == 1
         assert kept[0].rel_score == pytest.approx(1.0)
 
     def test_threshold_boundary_keeps(self):
         judge = judge_with([(QD_PREFIX, lambda p: _json({"quality_score": 3, "explanation": "ok"}))])
-        kept = filter_pseudo_relevant([self._pair()], judge, threshold=0.6)
+        kept, _ = filter_pseudo_relevant([self._pair()], judge, threshold=0.6)
         assert len(kept) == 1  # 3/5 = 0.6 >= 0.6
 
     def test_mixed_scores_match_pointwise_predicate(self):
@@ -229,14 +229,13 @@ class TestFilterPseudoRelevant:
             )
             for doc in scores
         ]
-        kept = filter_pseudo_relevant(pairs, judge, threshold=0.6)
+        kept, _ = filter_pseudo_relevant(pairs, judge, threshold=0.6)
         expected = [doc for doc, score in scores.items() if score / 5.0 >= 0.6]
         assert [p.doc_id for p in kept] == expected
 
     def test_unparseable_goes_to_review(self):
         judge = judge_with([(QD_PREFIX, lambda p: "???")])
-        review = []
-        kept = filter_pseudo_relevant([self._pair()], judge, threshold=0.6, review=review)
+        kept, review = filter_pseudo_relevant([self._pair()], judge, threshold=0.6)
         assert kept == [] and review
 
 
@@ -364,6 +363,108 @@ class TestRunPipeline:
         payload = json.loads((tmp_path / "out" / "qc_report.json").read_text())
         assert "stages" in payload and "review_bucket" in payload
         assert (tmp_path / "out" / "qc_report.txt").read_text().startswith("benchmark construction")
+
+
+class TestJudgeFailures:
+    """Every judge step meets both failure kinds in one run_pipeline call.
+
+    A garbled verdict (no JSON, then JSON without the key on the repair
+    request) gets exactly one repair request before it goes to review. A
+    present but wrong-typed value goes to review without a repair request,
+    except MED_RELEVANCE, which repairs whenever neither label nor score reads.
+    """
+
+    DOCS = ["dE1", "dE2", "dA", "dV1", "dV2", "dQ1", "dQ2", "dK"]  # qp's rerank order
+    GARBLED = {
+        ("med", "tm1"), ("med", "qm1"), ("rerank", "qr1"), ("evidence", "dE1"),
+        ("answer", "dA"), ("validate", "dV1"), ("quality", "dQ1"),
+    }
+    WRONG_TYPED = {
+        ("med", "tm2"): {"label": "x"},
+        ("med", "qm2"): {"label": "x"},
+        ("rerank", "qr2"): {"ranking": "1,2"},
+        ("evidence", "dE2"): {"evidence_spans": "x"},
+        ("validate", "dV2"): {"similarity_score": "high"},
+        ("quality", "dQ2"): {"quality_score": "x"},
+    }
+    GARBAGE = "<<not json>>"
+    LACKS_KEY = _json({"unrelated": True})
+    STEPS = [
+        ("med", MED_PREFIX), ("rerank", RERANK_PREFIX), ("evidence", EVIDENCE_PREFIX),
+        ("answer", ANSWER_PREFIX), ("validate", VALIDATE_PREFIX), ("quality", QD_PREFIX),
+    ]
+
+    def _judge(self, calls):
+        def respond(prompt, cfg):
+            step = next(name for name, prefix in self.STEPS if prompt.startswith(prefix))
+            markers = re.findall(r"\[([a-z]\w*)\]", prompt)
+            item = markers[0] if step in ("med", "rerank") else next(m for m in markers if m.startswith("d"))
+            repair = prompt.endswith("keys.")
+            calls.append((step, item, repair))
+            if (step, item) in self.GARBLED:
+                return self.LACKS_KEY if repair else self.GARBAGE
+            if (step, item) in self.WRONG_TYPED:
+                return _json(self.WRONG_TYPED[step, item])
+            if step == "rerank":
+                numbers = {doc: int(n) for n, doc in re.findall(r"^\[(\d+)\] \[(\w+)\]", prompt, re.MULTILINE)}
+                return _json({"ranking": [numbers[doc] for doc in self.DOCS]})
+            verdicts = {
+                "med": {"label": 1, "reason": "medical"},
+                "evidence": {"evidence_spans": [f"span of [{item}]"]},
+                "answer": {"answer": f"answer from [{item}]"},
+                "validate": {"similarity_score": 0.9},
+                "quality": {"quality_score": 5},
+            }
+            return _json(verdicts[step])
+
+        return MockGeneratorClient(responder=respond)
+
+    def test_each_step_garbled_and_wrong_typed(self, tmp_path):
+        texts = [("tm1", "[tm1] garbled text"), ("tm2", "[tm2] wrong-typed text")]
+        texts += [(doc, f"[{doc}] alpha shared") for doc in self.DOCS]
+        queries = [Query(id=qid, text=f"[{qid}] alpha shared") for qid in ("qm1", "qm2", "qr1", "qr2", "qp")]
+        calls = []
+        report = run_pipeline(
+            texts, queries, self._judge(calls), BenchmarkSettings(rerank_top_m=8), Bm25Settings(), tmp_path / "out"
+        )
+
+        assert [(step, item) for step, item, repair in calls if repair] == [
+            ("med", "tm1"), ("med", "tm2"), ("med", "qm1"), ("med", "qm2"), ("rerank", "qr1"),
+            ("evidence", "dE1"), ("answer", "dA"), ("validate", "dV1"), ("quality", "dQ1"),
+        ]
+        assert len(calls) == 49  # 40 first requests and 9 repairs
+        review = [
+            ("medical_filter_texts", "tm1", "unparseable judge verdict", self.LACKS_KEY),
+            ("medical_filter_texts", "tm2", "unparseable judge verdict", _json({"label": "x"})),
+            ("medical_filter_queries", "qm1", "unparseable judge verdict", self.LACKS_KEY),
+            ("medical_filter_queries", "qm2", "unparseable judge verdict", _json({"label": "x"})),
+            ("rerank", "qr1", "unparseable rerank verdict", self.LACKS_KEY),
+            ("rerank", "qr2", "unparseable rerank verdict", _json({"ranking": "1,2"})),
+            ("evidence", "qp:dE1", "unparseable evidence verdict", self.LACKS_KEY),
+            ("evidence", "qp:dE2", "unparseable evidence verdict", _json({"evidence_spans": "x"})),
+            ("answer", "qp:dA", "unparseable answer", self.LACKS_KEY),
+            ("validate", "qp:dV1", "unparseable validation verdict", self.LACKS_KEY),
+            ("validate", "qp:dV2", "non-numeric similarity score", _json({"similarity_score": "high"})),
+            ("relevance_filter", "qp:dQ1", "unparseable quality verdict", self.LACKS_KEY),
+            ("relevance_filter", "qp:dQ2", "non-integer quality score", _json({"quality_score": "x"})),
+        ]
+        assert [(r.stage, r.item_id, r.reason, r.raw_response) for r in report.review] == review
+        expected = {
+            "stages": {
+                "1_medical_filter_texts": {"input": 10, "kept": 8, "removed": 0, "review": 2, "removed_items": []},
+                "1_medical_filter_queries": {"input": 5, "kept": 3, "removed": 0, "review": 2, "removed_items": []},
+                "2_pair_matching": {"input_queries": 3, "pairs_validated": 3, "queries_without_pairs": 2, "review": 7},
+                "3_relevance_filter": {"input": 3, "kept": 1, "removed": 0, "review": 2},
+            },
+            "review_bucket": [
+                {"stage": stage, "item_id": item, "reason": reason, "raw_response": raw}
+                for stage, item, reason, raw in review
+            ],
+            "warnings": ["review bucket holds 13/15 items; run flagged"],
+            "flagged": True,
+        }
+        assert (tmp_path / "out" / "qc_report.json").read_bytes() == dump_json(expected).encode("utf-8")
+        assert load_qrels(tmp_path / "out" / "qrels.tsv").entries == {"qp": {"dK": 1}}
 
 
 class TestRawLoaders:

@@ -65,7 +65,7 @@ class TestBm25Search:
         store = _store(["common words here", "common words zyzzyva", "more common words"])
         index = Bm25Index.build(store)
         hits = bm25_search(index, "zyzzyva", k=3)
-        assert hits[0][0] == "d1"
+        assert hits.ids[0] == "d1"
         assert len(hits) == 1  # only the matching doc scores
 
     def test_two_doc_score_matches_direct_formula(self):
@@ -91,21 +91,21 @@ class TestBm25Search:
             return total
 
         expected = {"d0": score(docs[0]), "d1": score(docs[1])}
-        got = dict(hits.hits)
+        got = dict(hits)
         assert got.keys() == expected.keys()
         for doc_id, value in expected.items():
             assert got[doc_id] == pytest.approx(value, abs=1e-12)
-        assert hits[0][0] == "d0"  # two matching terms beat one
+        assert hits.ids[0] == "d0"  # two matching terms beat one
 
     def test_unindexed_query_terms_give_empty_hits(self):
         index = Bm25Index.build(_store(["alpha beta", "gamma delta"]))
-        assert bm25_search(index, "omega", k=5).hits == []
+        assert list(bm25_search(index, "omega", k=5)) == []
 
     def test_absent_term_contributes_zero(self):
         store = _store(["alpha beta", "alpha"])
         index = Bm25Index.build(store, Bm25Settings(tokenizer="simple"))
-        only_alpha = dict(bm25_search(index, "alpha", k=2).hits)
-        with_absent = dict(bm25_search(index, "alpha qqqq", k=2).hits)
+        only_alpha = dict(bm25_search(index, "alpha", k=2))
+        with_absent = dict(bm25_search(index, "alpha qqqq", k=2))
         assert only_alpha == with_absent
 
     def test_adding_unrelated_doc_keeps_pair_order(self):
@@ -114,15 +114,15 @@ class TestBm25Search:
         base = ["heart disease treatment options", "heart health advice", "butterfly migration"]
         query = "heart disease"
         small = Bm25Index.build(_store(base), Bm25Settings(tokenizer="simple"))
-        before = bm25_search(small, query, k=3).doc_ids()
+        before = bm25_search(small, query, k=3).ids
         grown = Bm25Index.build(_store(base + ["unrelated astronomy text"]), Bm25Settings(tokenizer="simple"))
-        after = bm25_search(grown, query, k=4).doc_ids()
+        after = bm25_search(grown, query, k=4).ids
         assert [d for d in after if d in before] == before
 
     def test_tie_break_ascending_id(self):
         store = _store(["same text", "same text"])
         index = Bm25Index.build(store, Bm25Settings(tokenizer="simple"))
-        assert bm25_search(index, "same", k=2).doc_ids() == ["d0", "d1"]
+        assert bm25_search(index, "same", k=2).ids == ["d0", "d1"]
 
     def test_empty_index_errors(self):
         index = Bm25Index.build(CorpusStore([]))
@@ -132,4 +132,4 @@ class TestBm25Search:
     def test_title_is_indexed(self):
         store = CorpusStore([Document(id="d0", text="body words", title="zyzzyva title")])
         index = Bm25Index.build(store)
-        assert bm25_search(index, "zyzzyva", k=1).doc_ids() == ["d0"]
+        assert bm25_search(index, "zyzzyva", k=1).ids == ["d0"]

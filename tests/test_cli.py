@@ -16,9 +16,9 @@ from slhyde.cli import main
 from slhyde.config import build_embedder_client, build_generator_client, load_config, write_resolved_config
 from slhyde.corpus import CorpusStore, Document, load_qrels, write_corpus, write_qrels, write_queries
 from slhyde.corpus import RelevanceJudgments, load_corpus, load_queries
-from slhyde.embed import MockEmbedderClient, cache_embeddings, embed_text, load_cache
+from slhyde.embed import MockEmbedderClient, cache_embeddings, embed_text, embed_texts, load_cache
 from slhyde.errors import TransportError, ValidationError
-from slhyde.hyde import FusionConfig, fuse, hyde_search
+from slhyde.hyde import FusionConfig, hyde_search
 from slhyde.metrics import build_report, ndcg_at_k, recall_at_k, report_to_dict
 from slhyde.retrieval import DenseIndex, dense_search
 from slhyde.selflearn import contrastive_loss, load_sft_jsonl, load_triplets_jsonl, validate_sft_file, validate_triplets_file
@@ -454,7 +454,7 @@ class TestSearchCommands:
         cache = cache_docs(emb, store, tmp_path / "check.emb")
         index = DenseIndex(cache)
         expected = dense_search(index, embed_text(emb, queries[0].text), 5)
-        assert [d for _, d in sorted(runs[queries[0].id])] == expected.doc_ids()
+        assert [d for _, d in sorted(runs[queries[0].id])] == expected.ids
 
     def test_hyde_search_with_trace(self, tmp_path):
         dataset = tmp_path / "data"
@@ -650,7 +650,7 @@ class TestBuildDataCommands:
         index = DenseIndex(cache)
         losses = []
         for triplet in triplets:
-            fused = fuse(emb, [triplet.query, triplet.pseudo])
+            fused = embed_texts(emb, [triplet.query, triplet.pseudo]).mean(axis=0)
             exact = [(d, s) for d, s in dense_search(index, fused, 8) if d != triplet.positive][:7]
             assert list(triplet.negatives) == [d for d, _ in exact]
             assert triplet.scores == dict(exact)

@@ -8,8 +8,8 @@ from slhyde.config import RunConfig
 from slhyde.corpus import CorpusStore, Query
 from slhyde.embed import EmbeddingCache, MockEmbedderClient, embed_text, embed_texts
 from slhyde.errors import ValidationError
-from slhyde.hyde import FusionConfig, fuse, fuse_rows, hyde_search, hypothesize, search_hypothesized
-from slhyde.retrieval import DenseIndex, dense_search, rank_of
+from slhyde.hyde import FusionConfig, fuse_rows, hyde_search, hypothesize, search_hypothesized
+from slhyde.retrieval import DenseIndex, dense_search, ranks_of
 from slhyde.textgen import MockGeneratorClient, SamplingConfig, load_template, render_prompt
 from slhyde.util import derive_seed
 
@@ -25,12 +25,12 @@ def _pinned(vectors: dict[str, np.ndarray]) -> MockEmbedderClient:
 class TestFuse:
     def test_mean_of_two(self):
         emb = _pinned({"q": np.array([1.0, 0.0]), "p": np.array([0.0, 1.0])})
-        assert np.allclose(fuse(emb, ["q", "p"]), [0.5, 0.5])
+        assert np.allclose(embed_texts(emb, ["q", "p"]).mean(axis=0), [0.5, 0.5])
 
     def test_identity_when_all_equal(self):
         u = np.array([0.6, 0.8], dtype=np.float32)
         emb = _pinned({"q": u, "a": u, "b": u, "c": u})
-        assert np.allclose(fuse(emb, ["q", "a", "b", "c"]), u, atol=1e-7)
+        assert np.allclose(embed_texts(emb, ["q", "a", "b", "c"]).mean(axis=0), u, atol=1e-7)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
@@ -38,18 +38,18 @@ class TestFuse:
         vectors.update({f"p{i}": rng.normal(size=16).astype(np.float32) for i in range(4)})
         emb = _pinned(vectors)
         pseudos = [f"p{i}" for i in range(4)]
-        forward = fuse(emb, ["q", *pseudos])
-        backward = fuse(emb, ["q", *reversed(pseudos)])
+        forward = embed_texts(emb, ["q", *pseudos]).mean(axis=0)
+        backward = embed_texts(emb, ["q", *reversed(pseudos)]).mean(axis=0)
         assert np.allclose(forward, backward, atol=1e-6)
 
     def test_not_renormalized(self):
         emb = _pinned({"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0])})
-        assert np.allclose(fuse(emb, ["x", "x"]), [1.0, 0.0])
-        assert abs(float(np.linalg.norm(fuse(emb, ["x", "y"]))) - 1.0) > 0.1  # mean, not unit
+        assert np.allclose(embed_texts(emb, ["x", "x"]).mean(axis=0), [1.0, 0.0])
+        assert abs(float(np.linalg.norm(embed_texts(emb, ["x", "y"]).mean(axis=0))) - 1.0) > 0.1  # mean, not unit
 
     def test_query_only_reduction(self):
         emb = _pinned({"q": np.array([0.3, 0.4], dtype=np.float32)})
-        assert np.array_equal(fuse(emb, ["q"]), embed_text(emb, "q"))
+        assert np.array_equal(embed_texts(emb, ["q"]).mean(axis=0), embed_text(emb, "q"))
 
     def test_fuse_rows_is_each_groups_own_mean(self):
         rng = np.random.default_rng(3)
@@ -61,7 +61,8 @@ class TestFuse:
         for got, group in zip(fused, groups):
             assert got.tobytes() == np.mean(group, axis=0).tobytes()
         emb = _pinned({"q": rows[0], "p": rows[1]})
-        assert fuse(emb, ["q", "p"]).tobytes() == fuse_rows(embed_texts(emb, ["q", "p"]), [2])[0].tobytes()
+        rows = embed_texts(emb, ["q", "p"])
+        assert rows.mean(axis=0).tobytes() == fuse_rows(rows, [2])[0].tobytes()
 
 
 class TestFusionConfig:
@@ -97,7 +98,7 @@ class TestHydeSearch:
         gen = MockGeneratorClient()
         hyde_hits = hyde_search(query, gen, emb, index, FusionConfig(n=0), k=10)
         dense_hits = dense_search(index, embed_text(emb, query.text), k=10)
-        assert hyde_hits.hits == dense_hits.hits
+        assert list(hyde_hits) == list(dense_hits)
         assert gen.calls == 0
 
     def test_pseudo_equal_to_doc_improves_or_keeps_rank(self, hyde_setup):
@@ -110,8 +111,8 @@ class TestHydeSearch:
             prompt = render_prompt(load_template("Q2P"), {"QUESTION": query.text})
             gen = MockGeneratorClient(responses={prompt: target.text})
             fused_hits = hyde_search(query, gen, emb, index, FusionConfig(n=1), k=len(docs))
-            base_rank = rank_of(index, embed_text(emb, query.text), target.id)
-            fused_rank = fused_hits.doc_ids().index(target.id) + 1
+            base_rank = ranks_of(index, [embed_text(emb, query.text)], [target.id])[0]
+            fused_rank = fused_hits.ids.index(target.id) + 1
             assert fused_rank <= base_rank
 
     def test_doc_only_with_stored_doc_text_ranks_it_first(self, hyde_setup):
@@ -121,7 +122,7 @@ class TestHydeSearch:
         prompt = render_prompt(load_template("Q2P"), {"QUESTION": query.text})
         gen = MockGeneratorClient(responses={prompt: target.text})
         hits = hyde_search(query, gen, emb, index, FusionConfig(strategy="doc_only", n=1), k=3)
-        assert hits[0][0] == target.id
+        assert hits.ids[0] == target.id
 
     def test_concat_embeds_joined_string(self, hyde_setup):
         emb, docs, store, index = hyde_setup
@@ -130,7 +131,7 @@ class TestHydeSearch:
         gen = MockGeneratorClient(responses={prompt: "tail words"})
         hits = hyde_search(query, gen, emb, index, FusionConfig(strategy="concat"), k=5)
         expected = dense_search(index, embed_text(emb, "head tail words"), k=5)
-        assert hits.hits == expected.hits
+        assert list(hits) == list(expected)
 
     def test_generation_failure_degrades_to_query_only(self, hyde_setup):
         emb, docs, store, index = hyde_setup
@@ -139,7 +140,7 @@ class TestHydeSearch:
         hits = hyde_search(query, gen, emb, index, FusionConfig(n=1), k=5)
         assert hits.meta.get("degraded") is True
         dense_hits = dense_search(index, embed_text(emb, query.text), k=5)
-        assert hits.hits == dense_hits.hits
+        assert list(hits) == list(dense_hits)
 
     def test_mean_pool_k_generates_five(self, hyde_setup):
         emb, docs, store, index = hyde_setup
@@ -154,7 +155,7 @@ class TestHydeSearch:
         sampling = SamplingConfig(seed=77)
         first = hyde_search(query, MockGeneratorClient(), emb, index, FusionConfig(n=2), k=10, sampling=sampling)
         second = hyde_search(query, MockGeneratorClient(), emb, index, FusionConfig(n=2), k=10, sampling=sampling)
-        assert first.hits == second.hits
+        assert list(first) == list(second)
         assert first.meta["hypothetical_texts"] == second.meta["hypothetical_texts"]
 
     def test_permuting_hypotheticals_preserves_ranking(self, hyde_setup):
@@ -173,7 +174,7 @@ class TestHydeSearch:
             FusionConfig(n=3),
             k=40,
         )
-        assert forward.doc_ids() == backward.doc_ids()
+        assert forward.ids == backward.ids
 
 
 FUSION_SETTINGS = [
@@ -235,7 +236,7 @@ class TestMatchesPerTextPath:
         query, cfg = Query(id="q", text=query_text), FusionConfig(strategy=strategy, n=n)
         hits = hyde_search(query, gen, emb, index, cfg, k=len(docs), sampling=SamplingConfig(seed=seed))
         reference = _per_text_vector(emb, query_text, strategy, n, hits.meta)
-        assert hits.hits == dense_search(index, reference, len(docs)).hits
+        assert list(hits) == list(dense_search(index, reference, len(docs)))
 
 
 def _bits(hits) -> tuple:

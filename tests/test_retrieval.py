@@ -12,7 +12,6 @@ from slhyde.retrieval import (
     RankedHits,
     _exact_scores,
     dense_search,
-    rank_of,
     ranks_of,
     search_many,
 )
@@ -40,8 +39,8 @@ class TestDenseSearch:
         rows = [normalize(rng.normal(size=32)) for _ in range(20)]
         index = _index_from_rows(rows)
         hits = dense_search(index, rows[7], k=5)
-        assert hits[0][0] == "d007"
-        assert abs(hits[0][1] - 1.0) < 1e-6
+        assert hits.ids[0] == "d007"
+        assert abs(list(hits)[0][1] - 1.0) < 1e-6
 
     def test_full_ranking_matches_brute_force(self):
         rng = np.random.default_rng(1)
@@ -52,14 +51,14 @@ class TestDenseSearch:
             index = _index_from_rows(rows, ids)
             query = rng.normal(size=16)
             hits = dense_search(index, query, k=n)
-            assert hits.doc_ids() == _brute_force_ranking(rows, ids, query)
+            assert hits.ids == _brute_force_ranking(rows, ids, query)
 
     def test_orthogonal_query_ties_break_by_ascending_id(self):
         rows = np.eye(4, dtype=np.float32)[:3]  # three docs in first 3 dims
         index = _index_from_rows(rows, ids=["dc", "da", "db"])
         query = np.array([0.0, 0.0, 0.0, 1.0])
         hits = dense_search(index, query, k=3)
-        assert hits.doc_ids() == ["da", "db", "dc"]
+        assert hits.ids == ["da", "db", "dc"]
         assert all(score == 0.0 for _, score in hits)
 
     def test_k_larger_than_corpus_clamps(self):
@@ -83,8 +82,8 @@ class TestDenseSearch:
         for _ in range(20):
             query = rng.normal(size=24)
             scale = float(rng.uniform(0.01, 100.0))
-            base = dense_search(index, query, k=50).doc_ids()
-            scaled = dense_search(index, query * scale, k=50).doc_ids()
+            base = dense_search(index, query, k=50).ids
+            scaled = dense_search(index, query * scale, k=50).ids
             assert base == scaled
 
     @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=10_000))
@@ -96,7 +95,7 @@ class TestDenseSearch:
         index = _index_from_rows(rows, ids)
         query = rng.normal(size=8)
         hits = dense_search(index, query, k=n)
-        assert hits.doc_ids() == _brute_force_ranking(rows, ids, query)
+        assert hits.ids == _brute_force_ranking(rows, ids, query)
         scores = [score for _, score in hits]
         assert all(scores[i] >= scores[i + 1] for i in range(len(scores) - 1))
 
@@ -105,14 +104,14 @@ class TestRankOf:
     def test_argmax_is_rank_one(self):
         rows = np.eye(3, dtype=np.float32)
         index = _index_from_rows(rows)
-        assert rank_of(index, [1.0, 0.0, 0.0], "d000") == 1
+        assert ranks_of(index, [[1.0, 0.0, 0.0]], ["d000"])[0] == 1
 
     def test_middle_of_three(self):
         # Scores (0.9, 0.5, 0.1) via one-hot geometry; hand-enumerable oracle.
         rows = np.eye(3, dtype=np.float32)
         index = _index_from_rows(rows)
         query = np.array([0.9, 0.5, 0.1])
-        assert rank_of(index, query, "d001") == 2
+        assert ranks_of(index, [query], ["d001"])[0] == 2
 
     def test_two_docs_tied_above_target_gives_three(self):
         # d000 and d001 both score 1.0, target d002 scores 0.5
@@ -120,21 +119,21 @@ class TestRankOf:
             [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=np.float32
         )
         index = _index_from_rows(rows)
-        assert rank_of(index, [1.0, 0.5], "d002") == 3
+        assert ranks_of(index, [[1.0, 0.5]], ["d002"])[0] == 3
 
     def test_tied_with_target_id_rule(self):
         # All three docs score identically; rank = position by ascending id.
         rows = np.array([[1.0, 0.0]] * 3, dtype=np.float32)
         index = _index_from_rows(rows, ids=["db", "da", "dc"])
         query = [1.0, 0.0]
-        assert rank_of(index, query, "da") == 1
-        assert rank_of(index, query, "db") == 2
-        assert rank_of(index, query, "dc") == 3
+        assert ranks_of(index, [query], ["da"])[0] == 1
+        assert ranks_of(index, [query], ["db"])[0] == 2
+        assert ranks_of(index, [query], ["dc"])[0] == 3
 
     def test_unknown_target(self):
         index = _index_from_rows(np.eye(2, dtype=np.float32))
         with pytest.raises(ValidationError):
-            rank_of(index, [1.0, 0.0], "missing")
+            ranks_of(index, [[1.0, 0.0]], ["missing"])
 
     def test_consistent_with_dense_search_position(self):
         rng = np.random.default_rng(3)
@@ -142,16 +141,16 @@ class TestRankOf:
         index = _index_from_rows(rows)
         for _ in range(10):
             query = rng.normal(size=12)
-            full = dense_search(index, query, k=40).doc_ids()
+            full = dense_search(index, query, k=40).ids
             target = full[int(rng.integers(0, 40))]
-            assert rank_of(index, query, target) == full.index(target) + 1
+            assert ranks_of(index, [query], [target])[0] == full.index(target) + 1
 
 
 def test_ranked_hits_container():
     hits = RankedHits(ids=["a", "b"], scores=[2.0, 1.0])
     assert len(hits) == 2
-    assert hits.doc_ids() == ["a", "b"]
-    assert hits[0] == ("a", 2.0)
+    assert hits.ids == ["a", "b"]
+    assert list(hits)[0] == ("a", 2.0)
     assert list(hits) == [("a", 2.0), ("b", 1.0)]
 
 
@@ -184,7 +183,8 @@ def _bits(hits):
 
 
 def _assert_exact(matrix, ids, queries, k):
-    """search_many, dense_search, ranks_of and rank_of equal the full scan, scores bit for bit."""
+    """search_many, dense_search and ranks_of, batched and one row at a time, equal
+    the full scan, scores bit for bit."""
     index = DenseIndex(EmbeddingCache(ids=list(ids), matrix=np.asarray(matrix, dtype=np.float32)))
     batched = search_many(index, queries, k)
     assert len(batched) == len(queries)
@@ -195,7 +195,7 @@ def _assert_exact(matrix, ids, queries, k):
     for target in ids:
         expected = [_full_scan_rank(index.cache.matrix, ids, query, target) for query in queries]
         assert ranks_of(index, queries, [target] * len(queries)) == expected
-        assert [rank_of(index, query, target) for query in queries] == expected
+        assert [ranks_of(index, [query], [target])[0] for query in queries] == expected
 
 
 @st.composite
@@ -269,7 +269,8 @@ class TestExactAgainstFullScan:
         batched = search_many(index, queries, 9)
         assert [_bits(h) for h in batched] == [_bits(dense_search(index, q, 9)) for q in queries]
         for target in ("d000", "d101", "d202"):
-            assert ranks_of(index, queries, [target] * len(queries)) == [rank_of(index, q, target) for q in queries]
+            one_at_a_time = [ranks_of(index, [q], [target])[0] for q in queries]
+            assert ranks_of(index, queries, [target] * len(queries)) == one_at_a_time
 
     def test_mixed_targets_equal_rank_of_row_by_row(self):
         rng = np.random.default_rng(14)
@@ -282,7 +283,7 @@ class TestExactAgainstFullScan:
         queries = rng.normal(size=(130, 16))
         queries[::3] = rows[picks[::3]]
         ranks = ranks_of(index, queries, targets)
-        assert ranks == [rank_of(index, q, t) for q, t in zip(queries, targets)]
+        assert ranks == [ranks_of(index, [q], [t])[0] for q, t in zip(queries, targets)]
         assert ranks == [_full_scan_rank(index.cache.matrix, ids, q, t) for q, t in zip(queries, targets)]
         with pytest.raises(ValidationError, match="129 targets for 130 query rows"):
             ranks_of(index, queries, targets[:-1])
@@ -359,7 +360,7 @@ class TestTieRuleAndSharedIds:
             for doc_id in hits.ids:
                 assert doc_id is index.cache.ids[index.cache.position(doc_id)]
             assert all(type(score) is float for _, score in hits)
-            assert all(type(score) is float for _, score in hits.hits)
+            assert all(type(score) is float for _, score in list(hits))
             ranks = ranks_of(index, np.tile(query, (len(ids), 1)), ids)
             assert ranks == [expected.index(i) + 1 for i in range(len(ids))]
 

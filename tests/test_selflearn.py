@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from slhyde.corpus import CorpusStore, Document
 from slhyde.embed import MockEmbedderClient, embed_text, embed_texts
 from slhyde.errors import ParseError, RunError, SlhydeError, TransportError, ValidationError
-from slhyde.hyde import fuse
-from slhyde.retrieval import DenseIndex, dense_search, rank_of
+from slhyde.retrieval import DenseIndex, dense_search, ranks_of
 from slhyde.selflearn import (
     HypotheticalCandidate,
     RetrieverTriplet,
@@ -125,7 +124,7 @@ class TestScoreCandidatesMatchesPerTextPath:
             vec = embed_text(emb, text)
             if rank_scoring == "fused":
                 vec = (vec + query_vec) / 2.0
-            expected.append(HypotheticalCandidate(text=text, rank=rank_of(small_index, vec, target_id)))
+            expected.append(HypotheticalCandidate(text=text, rank=ranks_of(small_index, [vec], [target_id])[0]))
         emb.calls = 0
         scored = score_candidates(candidates, query, emb, small_index, target_id, rank_scoring)
         assert scored == expected
@@ -168,7 +167,7 @@ class TestBuildGeneratorDataset:
             c_cfg = SamplingConfig(seed=derive_seed(17, "candidates", doc.id))
             query = generate_query_for_doc(gen, doc, q_cfg)
             candidates = generate_pseudo_docs(gen, query, doc, 5, c_cfg)
-            ranks = [rank_of(index, embed_text(emb, c), doc.id) for c in candidates]
+            ranks = [ranks_of(index, [embed_text(emb, c)], [doc.id])[0] for c in candidates]
             assert example.rank == min(ranks)
             assert example.response in candidates
 
@@ -305,7 +304,7 @@ class TestMineHardNegatives:
     def test_default_seven_negatives_exclude_positive(self, tmp_path):
         emb, docs, store, cache = self._setup(tmp_path)
         target = docs[3]
-        fused = fuse(emb, [" ".join(target.text.split()[:2]), target.text])
+        fused = embed_texts(emb, [" ".join(target.text.split()[:2]), target.text]).mean(axis=0)
         m = SelfLearnSettings().negatives
         [negatives] = mine_hard_negatives(DenseIndex(cache), fused[None], [target.id], m)
         ids = [doc_id for doc_id, _ in negatives]
@@ -316,7 +315,7 @@ class TestMineHardNegatives:
     def test_corpus_of_m_plus_one_returns_all_others(self, tmp_path):
         emb, docs, store, cache = self._setup(tmp_path, n=8)
         target = docs[0]
-        fused = fuse(emb, ["q text", target.text])
+        fused = embed_texts(emb, ["q text", target.text]).mean(axis=0)
         [negatives] = mine_hard_negatives(DenseIndex(cache), fused[None], [target.id], m=7)
         assert sorted(doc_id for doc_id, _ in negatives) == sorted(d.id for d in docs[1:])
 
@@ -328,7 +327,7 @@ class TestMineHardNegatives:
             target = docs[int(rng.integers(0, len(docs)))]
             query_text = " ".join(target.text.split()[:3])
             [negatives] = mine_hard_negatives(
-                dense, fuse(emb, [query_text, target.text])[None], [target.id], m=7
+                dense, embed_texts(emb, [query_text, target.text]).mean(axis=0, keepdims=True), [target.id], m=7
             )
             fused = (embed_text(emb, query_text) + embed_text(emb, target.text)) / 2.0
             exact = [d for d, _ in dense_search(dense, fused, k=8) if d != target.id][:7]
@@ -338,20 +337,22 @@ class TestMineHardNegatives:
         emb, docs, store, cache = self._setup(tmp_path, n=90)
         dense = DenseIndex(cache)
         # 90 rows cross two search blocks
-        fused = np.vstack([fuse(emb, [" ".join(d.text.split()[:2]), d.text]) for d in docs])
+        fused = np.vstack([embed_texts(emb, [" ".join(d.text.split()[:2]), d.text]).mean(axis=0) for d in docs])
         positives = [d.id for d in docs]
         batched = mine_hard_negatives(dense, fused, positives, m=7)
         assert batched == [mine_hard_negatives(dense, row[None], [p], m=7)[0] for row, p in zip(fused, positives)]
 
     def test_corpus_too_small(self, tmp_path):
         emb, docs, store, cache = self._setup(tmp_path, n=5)
+        fused = embed_texts(emb, ["q", docs[0].text]).mean(axis=0, keepdims=True)
         with pytest.raises(ValidationError, match="too small"):
-            mine_hard_negatives(DenseIndex(cache), fuse(emb, ["q", docs[0].text])[None], [docs[0].id], m=7)
+            mine_hard_negatives(DenseIndex(cache), fused, [docs[0].id], m=7)
 
     def test_m_must_be_positive(self, tmp_path):
         emb, docs, store, cache = self._setup(tmp_path, n=5)
+        fused = embed_texts(emb, ["q", docs[0].text]).mean(axis=0, keepdims=True)
         with pytest.raises(ValidationError, match="m must be"):
-            mine_hard_negatives(DenseIndex(cache), fuse(emb, ["q", docs[0].text])[None], [docs[0].id], m=0)
+            mine_hard_negatives(DenseIndex(cache), fused, [docs[0].id], m=0)
 
 
 class TestBuildRetrieverDataset:
@@ -451,7 +452,7 @@ class TestBuildRetrieverDataset:
         assert results[0] == results[1]
         # each triplet equals the one-triplet path: its own fuse, dense_search and loss
         for triplet, value in zip(results[0].triplets, results[0].reference_losses):
-            fused = fuse(emb, [triplet.query, triplet.pseudo])
+            fused = embed_texts(emb, [triplet.query, triplet.pseudo]).mean(axis=0)
             exact = [(d, s) for d, s in dense_search(index, fused, k=8) if d != triplet.positive][:7]
             assert list(triplet.negatives) == [d for d, _ in exact] and triplet.scores == dict(exact)
             negative_rows = [cache.row(d) for d in triplet.negatives]
@@ -554,7 +555,7 @@ class TestContrastiveLoss:
         [triplet] = result.triplets
         # the loss of the fused (query, pseudo) vector against the cached rows
         expected = contrastive_loss(
-            fuse(emb, [triplet.query, triplet.pseudo]),
+            embed_texts(emb, [triplet.query, triplet.pseudo]).mean(axis=0),
             cache.row(triplet.positive),
             [cache.row(doc_id) for doc_id in triplet.negatives],
             tau=0.02,
