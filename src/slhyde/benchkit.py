@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -162,6 +163,23 @@ def _as_list(value) -> list:
     return value
 
 
+def _finite_float(value) -> float:
+    """float(value); ValueError when it is NaN or infinite (json.loads reads
+    `NaN` and `Infinity`)."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite number {value!r}")
+    return number
+
+
+def _finite_int(value) -> int:
+    """int(value); ValueError, not OverflowError, when it is infinite."""
+    try:
+        return int(value)
+    except OverflowError as exc:
+        raise ValueError(f"non-finite number {value!r}") from exc
+
+
 class _Step(NamedTuple):
     template: str
     key: str  # the verdict must carry it, or the judge is asked once more
@@ -178,10 +196,14 @@ _STEPS = {
     ),
     "answer": _Step("ANSWER_BY_EVIDENCE", "answer", str, "unparseable answer", "unparseable answer"),
     "validate": _Step(
-        "VALIDATE_ANSWER", "similarity_score", float, "unparseable validation verdict", "non-numeric similarity score"
+        "VALIDATE_ANSWER",
+        "similarity_score",
+        _finite_float,
+        "unparseable validation verdict",
+        "non-numeric similarity score",
     ),
     "relevance_filter": _Step(
-        "QD_RELEVANCE", "quality_score", int, "unparseable quality verdict", "non-integer quality score"
+        "QD_RELEVANCE", "quality_score", _finite_int, "unparseable quality verdict", "non-integer quality score"
     ),
 }
 
@@ -205,7 +227,7 @@ def _judge_step(judge, stage: str, item_id: str, slots: dict, review: list[Revie
 def _med_score(parsed: dict) -> float | None:
     """The verdict's `label` as 0/1 when it has one, else its `score`; None when that does not read."""
     try:
-        return float(int(parsed["label"])) if "label" in parsed else float(parsed["score"])
+        return float(_finite_int(parsed["label"])) if "label" in parsed else _finite_float(parsed["score"])
     except (KeyError, TypeError, ValueError):
         return None
 
@@ -269,7 +291,7 @@ def match_positive_pairs(
     candidates: list[str] = []
     for number in ranking:
         try:
-            index = int(number) - 1
+            index = _finite_int(number) - 1
         except (TypeError, ValueError):
             continue
         if 0 <= index < len(hits.ids):

@@ -38,6 +38,14 @@ logger = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"SLHE2"
 _HEADER = struct.Struct("<5sIQ32s32s")
+_FINITE_BLOCK = 1 << 16  # values per np.isfinite call in _all_finite
+
+
+def _all_finite(matrix: np.ndarray) -> bool:
+    """np.isfinite(matrix).all(), checked over row blocks so that the bool
+    temporary stays small whatever the matrix size."""
+    rows = max(1, _FINITE_BLOCK // max(1, matrix.shape[1]))
+    return all(np.isfinite(matrix[start : start + rows]).all() for start in range(0, len(matrix), rows))
 
 
 def normalize(vector) -> np.ndarray:
@@ -184,7 +192,7 @@ def embed_texts(client, texts: list[str]) -> np.ndarray:
         batch = truncated[start : start + batch_size]
         rows.append(_embed_batch_with_retry(client, batch))
     matrix = np.vstack(rows)
-    if not np.isfinite(matrix).all():
+    if not _all_finite(matrix):
         raise ProtocolError("embedder returned non-finite values")
     norms = np.linalg.norm(matrix, axis=1)
     if (norms == 0).any():
@@ -325,7 +333,7 @@ def load_cache(path: str | Path, fingerprint: bytes | None = None) -> EmbeddingC
             raise FormatError(f"cache file {path} is truncated or padded ({size} != {expected} bytes)")
         # One buffer: the rows are read straight into the array that is returned.
         matrix = np.fromfile(fh, dtype="<f4", count=count * dim).reshape(count, dim)
-    if not np.isfinite(matrix).all():
+    if not _all_finite(matrix):
         raise FormatError(f"cache file {path} contains non-finite values")
     ids_path = Path(str(path) + ".ids")
     if not ids_path.exists():

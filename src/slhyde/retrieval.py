@@ -27,6 +27,10 @@ made. `search_many` is the one search primitive and works in two passes:
 score are higher for certain, rows more than 2·eps below are lower, and only
 the band between is rescored.
 
+Memory: a call holds the matrix plus one `min(64, queries) × n` float32 buffer.
+Every block's coarse scores are written into that buffer, and τ is selected
+from one query's row at a time, so no second block of scores is ever alive.
+
 A float64 score is computed by one BLAS matrix-vector product over a block of
 four rows (zero-padded), so a row's score never depends on how many or which
 other rows are scored with it, nor on how the BLAS splits work over threads.
@@ -108,16 +112,22 @@ def _as_query_matrix(index: DenseIndex, vectors) -> np.ndarray:
     return queries
 
 
-def _coarse_scores(index: DenseIndex, queries: np.ndarray) -> np.ndarray:
-    """float32 scores of every row for each query scaled to unit length.
+def _coarse_rows(index: DenseIndex, queries: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(query, float32 scores of every row for the query scaled to unit length)
+    for each query in order.
 
-    A query whose norm is 0 or overflows scores 0 everywhere, so every row is
-    shortlisted and the result is still exact.
+    Blocks of 64 queries are scored by one matrix product each, all written
+    into one buffer, so a score row is overwritten once the next block is
+    drawn. A query whose norm is 0 or overflows scores 0 everywhere, so every
+    row is shortlisted and the result is still exact.
     """
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(queries, axis=1, keepdims=True)
-    unit = np.divide(queries, norms, out=np.zeros_like(queries), where=(norms > 0) & np.isfinite(norms))
-    return unit.astype(np.float32) @ index.cache.matrix.T
+    buffer = np.empty((min(_QUERY_BLOCK, len(queries)), len(index)), dtype=np.float32)
+    for start in range(0, len(queries), _QUERY_BLOCK):
+        block = queries[start : start + _QUERY_BLOCK]
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(block, axis=1, keepdims=True)
+        unit = np.divide(block, norms, out=np.zeros_like(block), where=(norms > 0) & np.isfinite(norms))
+        yield from zip(block, np.matmul(unit.astype(np.float32), index.cache.matrix.T, out=buffer[: len(block)]))
 
 
 def _exact_scores(matrix: np.ndarray, rows: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -146,14 +156,11 @@ def search_many(index: DenseIndex, vectors, k: int) -> list[RankedHits]:
         return [RankedHits(ids=[], scores=np.empty(0)) for _ in queries]
     cut = n - min(k, n)
     results = []
-    for start in range(0, len(queries), _QUERY_BLOCK):
-        block = queries[start : start + _QUERY_BLOCK]
-        coarse = _coarse_scores(index, block)
-        kth = np.partition(coarse, cut, axis=1)[:, cut].astype(np.float64)
-        for query, scores, tau in zip(block, coarse, kth):
-            shortlist = np.flatnonzero(scores >= tau - index._margin)
-            exact = _exact_scores(index.cache.matrix, shortlist, query)
-            results.append(_top_k(index, shortlist, exact, k))
+    for query, scores in _coarse_rows(index, queries):
+        tau = np.float64(np.partition(scores, cut)[cut])
+        shortlist = np.flatnonzero(scores >= tau - index._margin)
+        exact = _exact_scores(index.cache.matrix, shortlist, query)
+        results.append(_top_k(index, shortlist, exact, k))
     return results
 
 
@@ -174,17 +181,14 @@ def ranks_of(index: DenseIndex, vectors, targets) -> list[int]:
         raise ValidationError(f"{len(targets)} targets for {len(queries)} query rows")
     positions = [index.cache.position(target) for target in targets]
     ranks = []
-    for start in range(0, len(queries), _QUERY_BLOCK):
-        block = queries[start : start + _QUERY_BLOCK]
-        block_positions = positions[start : start + _QUERY_BLOCK]
-        for query, coarse, position in zip(block, _coarse_scores(index, block), block_positions):
-            target_coarse = np.float64(coarse[position])
-            higher = int(np.count_nonzero(coarse > target_coarse + index._margin))
-            band = np.flatnonzero(np.abs(coarse - target_coarse) <= index._margin)
-            exact = _exact_scores(index.cache.matrix, band, query)
-            target_score = exact[np.searchsorted(band, position)]
-            higher += int(np.count_nonzero(exact > target_score))
-            target_rank = index._id_rank[position]
-            tied_before = int(np.count_nonzero((exact == target_score) & (index._id_rank[band] < target_rank)))
-            ranks.append(1 + higher + tied_before)
+    for (query, coarse), position in zip(_coarse_rows(index, queries), positions):
+        target_coarse = np.float64(coarse[position])
+        higher = int(np.count_nonzero(coarse > target_coarse + index._margin))
+        band = np.flatnonzero(np.abs(coarse - target_coarse) <= index._margin)
+        exact = _exact_scores(index.cache.matrix, band, query)
+        target_score = exact[np.searchsorted(band, position)]
+        higher += int(np.count_nonzero(exact > target_score))
+        target_rank = index._id_rank[position]
+        tied_before = int(np.count_nonzero((exact == target_score) & (index._id_rank[band] < target_rank)))
+        ranks.append(1 + higher + tied_before)
     return ranks

@@ -12,7 +12,7 @@ from slhyde.benchkit import (
     medical_relevance_filter,
     run_pipeline,
 )
-from slhyde.bm25 import Bm25Index, Bm25Settings
+from slhyde.bm25 import Bm25Index, Bm25Settings, bm25_search
 from slhyde.corpus import CorpusStore, Document, Query, load_corpus, load_qrels, load_queries
 from slhyde.errors import ParseError, ValidationError
 from slhyde.textgen import MockGeneratorClient
@@ -465,6 +465,82 @@ class TestJudgeFailures:
         }
         assert (tmp_path / "out" / "qc_report.json").read_bytes() == dump_json(expected).encode("utf-8")
         assert load_qrels(tmp_path / "out" / "qrels.tsv").entries == {"qp": {"dK": 1}}
+
+
+class TestNonFiniteVerdicts:
+    """json.loads reads NaN and Infinity; a non-finite number does not read as
+    a verdict value. A judge step sends the item to review with its wrong-type
+    reason and no repair request; MED_RELEVANCE repairs once, then reviews; a
+    ranking skips the entry."""
+
+    @staticmethod
+    def _answers(verdict, calls):
+        """A rule that returns `verdict` and records whether each request was a repair."""
+
+        def respond(prompt):
+            calls.append(prompt.endswith("keys."))
+            return _json(verdict)
+
+        return respond
+
+    @pytest.mark.parametrize(
+        "verdict",
+        [{"score": float("nan")}, {"score": float("inf")}, {"label": float("inf")}, {"label": float("-inf")}],
+    )
+    def test_medical_filter_repairs_then_reviews(self, verdict):
+        calls = []
+        judge = judge_with([(MED_PREFIX, self._answers(verdict, calls))])
+        kept, removed, review = medical_relevance_filter([("t1", "text")], judge, threshold=0.5)
+        assert not kept and not removed
+        assert [(r.item_id, r.reason, r.raw_response) for r in review] == [
+            ("t1", "unparseable judge verdict", _json(verdict))
+        ]
+        assert calls == [False, True]
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+    def test_similarity_score_goes_to_review(self, score):
+        store, bm25, query, _ = _matching_fixture()
+        calls = []
+        judge = judge_with(
+            [
+                (RERANK_PREFIX, lambda p: _json({"ranking": [1]})),
+                (EVIDENCE_PREFIX, lambda p: _json({"evidence_spans": ["span"]})),
+                (ANSWER_PREFIX, lambda p: _json({"answer": "a"})),
+                (VALIDATE_PREFIX, self._answers({"similarity_score": score}, calls)),
+            ]
+        )
+        pairs, review = match_positive_pairs(query, bm25, judge, BenchmarkSettings(rerank_top_m=1), store)
+        assert pairs == []
+        assert [(r.stage, r.reason) for r in review] == [("validate", "non-numeric similarity score")]
+        assert review[0].item_id.startswith("q1:")
+        assert calls == [False]
+
+    @pytest.mark.parametrize("score", [float("inf"), float("-inf"), float("nan")])
+    def test_quality_score_goes_to_review(self, score):
+        calls = []
+        judge = judge_with([(QD_PREFIX, self._answers({"quality_score": score}, calls))])
+        pair = TestFilterPseudoRelevant()._pair()
+        kept, review = filter_pseudo_relevant([pair], judge, threshold=0.6)
+        assert kept == []
+        assert [(r.stage, r.item_id, r.reason) for r in review] == [
+            ("relevance_filter", "q1:d1", "non-integer quality score")
+        ]
+        assert calls == [False]
+
+    def test_ranking_skips_non_finite_entries(self):
+        store, bm25, query, _ = _matching_fixture()
+        judge = judge_with(
+            [
+                (RERANK_PREFIX, lambda p: _json({"ranking": [float("inf"), 2, float("nan"), 1, 3]})),
+                (EVIDENCE_PREFIX, lambda p: _json({"evidence_spans": ["alpha condition"]})),
+                (ANSWER_PREFIX, lambda p: _json({"answer": "a"})),
+                (VALIDATE_PREFIX, lambda p: _json({"similarity_score": 0.9})),
+            ]
+        )
+        pairs, review = match_positive_pairs(query, bm25, judge, BenchmarkSettings(rerank_top_m=2), store)
+        assert not review
+        ranked = bm25_search(bm25, query.text, 3).ids
+        assert [pair.doc_id for pair in pairs] == [ranked[1], ranked[0]]
 
 
 class TestRawLoaders:

@@ -200,9 +200,41 @@ class TestCache:
         finally:
             tracemalloc.stop()
         assert loaded.matrix.tobytes() == cache.matrix.tobytes()
-        # the rows, the finiteness mask (a quarter of them) and the ids; a second
-        # copy of the file would take the peak past twice the rows
+        # the rows and the ids; a second copy of the file would take the peak
+        # past twice the rows
         assert peak < 1.6 * cache.matrix.nbytes
+
+    def test_finiteness_check_needs_no_mask_of_the_rows(self, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(4000, 256)).astype(np.float32)
+        path = tmp_path / "c.emb"
+        embed.save_cache(EmbeddingCache(ids=[f"d{i:04d}" for i in range(4000)], matrix=rows), path, b"\0" * 32)
+        sidecar = path.with_name("c.emb.ids")
+        tracemalloc.start()
+        try:
+            # what the ids alone cost: the sidecar read and the cache's id positions
+            EmbeddingCache(ids=sidecar.read_bytes().decode("utf-8").split("\n")[:-1], matrix=rows[:, :0])
+            _, ids_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            loaded = load_cache(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.matrix.tobytes() == rows.tobytes()
+        # a whole-matrix bool mask would add a quarter of the rows
+        assert peak <= 1.05 * rows.nbytes + ids_peak
+        # a non-finite value in the last row block is still found, by both checks
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = struct.pack("<f", float("inf"))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="contains non-finite values"):
+            load_cache(path)
+        rows[-1, -1] = np.inf
+        client = MockEmbedderClient(dim=256)
+        client.batch_size = len(rows)
+        client.embed_batch = lambda texts: rows[: len(texts)]
+        with pytest.raises(ProtocolError, match="embedder returned non-finite values"):
+            embed_texts(client, [f"text {i}" for i in range(4000)])
 
     def test_padded_file_is_format_error(self, tmp_path, mock_emb):
         store = CorpusStore(synthetic_docs(5))

@@ -306,6 +306,27 @@ class TestExactAgainstFullScan:
             bound = 2 * d * 2.0**-53 * (np.abs(matrix.astype(np.float64)) @ np.abs(query))
             assert np.all(np.abs(together - matrix.astype(np.float64) @ query) <= bound)
 
+    @pytest.mark.parametrize("count", [1, 64, 65, 130])
+    def test_block_edges_equal_one_row_calls_and_full_scan(self, count):
+        # 64 queries share one coarse block: these counts fill one block
+        # exactly, spill one row into a second, and fill a second and a bit.
+        rng = np.random.default_rng(15)
+        n = 97
+        ids = [f"d{i:03d}" for i in rng.permutation(n)]
+        rows = rng.normal(size=(n, 12)).astype(np.float32)
+        rows[1::7] = rows[::7][: len(rows[1::7])]  # duplicate rows tie exactly
+        index = _index_from_rows(rows, ids)
+        queries = rng.normal(size=(count, 12)) * 10.0 ** rng.uniform(-5, 5, size=(count, 1))
+        queries[::5] = rows[rng.integers(0, n, size=len(queries[::5]))]
+        for k in (1, 10, n, n + 4):
+            batched = [_bits(hits) for hits in search_many(index, queries, k)]
+            assert batched == [_bits(dense_search(index, query, k)) for query in queries]
+            assert batched == [_full_scan_search(rows, ids, query, k) for query in queries]
+        targets = [ids[i] for i in rng.integers(0, n, size=count)]
+        ranks = ranks_of(index, queries, targets)
+        assert ranks == [ranks_of(index, [query], [target])[0] for query, target in zip(queries, targets)]
+        assert ranks == [_full_scan_rank(rows, ids, query, target) for query, target in zip(queries, targets)]
+
     def test_empty_query_list(self):
         index = _index_from_rows(np.eye(3, dtype=np.float32))
         assert search_many(index, np.empty((0, 3)), 2) == []
@@ -380,3 +401,26 @@ def test_index_makes_no_float64_copy():
         isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 2
         for value in vars(index).values()
     )
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_a_call_holds_one_block_of_coarse_scores():
+    # 130 queries are three coarse blocks; at most one 64 × n float32 block of
+    # scores may be alive at a time, and little else grows with n.
+    n = 20_000
+    rng = np.random.default_rng(16)
+    ids = [f"d{i:05d}" for i in range(n)]
+    index = _index_from_rows(rng.normal(size=(n, 32)), ids)
+    queries = rng.normal(size=(130, 32))
+    block = 64 * n * 4
+    assert _traced_peak(lambda: search_many(index, queries, 10)) <= 1.25 * block
+    assert _traced_peak(lambda: ranks_of(index, queries, ids[:130])) <= 1.25 * block
