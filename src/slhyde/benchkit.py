@@ -429,6 +429,7 @@ def run_pipeline(
                 no_evidence_or_invalid += 1
             matched.extend(pairs)
             match_review.extend(query_review)
+        del index  # stage 3 and the writes need only the store
     report.review.extend(match_review)
     report.stages["2_pair_matching"] = {
         "input_queries": len(kept_queries),

@@ -6,6 +6,15 @@ the Lucene-style ln(1 + (N - df + 0.5) / (df + 0.5)), which is strictly
 positive, so only documents containing at least one query term can appear
 in results.
 
+The index is columnar: a vocabulary dict (term -> slot), an int64 offsets
+array, and flat int32 `positions` and `tfs` arrays holding every term's
+postings in document order, about 8 bytes per posting beside the vocabulary
+(per-term lists of (position, tf) tuples took about 135). The part of the
+score's denominator that depends only on the document is computed once per
+document. A search adds each matching posting's term to its document's score
+one at a time, in query-token order and with the scalar formula's operations
+in their order, so the scores are bitwise those of the tuple-list index.
+
 The default "cjk" tokenizer lowercases and splits on non-word characters,
 then expands runs of CJK characters into unigrams plus bigrams (the standard
 label-free segmentation); it is a no-op for pure-Latin text. "simple" keeps
@@ -15,8 +24,11 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .corpus import CorpusStore
 from .errors import ValidationError
@@ -98,41 +110,61 @@ class Bm25Settings:
 
 
 class Bm25Index:
-    """Inverted index with postings (doc position, term frequency) in doc order."""
+    """Inverted index in columns: `vocab` maps a term to its slot, and the
+    postings of slot s are positions[offsets[s]:offsets[s + 1]] (document
+    positions, ascending) with the matching term frequencies in `tfs`."""
 
     def __init__(
         self,
         ids: list[str],
-        postings: dict[str, list[tuple[int, int]]],
-        doc_lens: list[int],
+        vocab: dict[str, int],
+        offsets: np.ndarray,
+        positions: np.ndarray,
+        tfs: np.ndarray,
+        doc_lens: np.ndarray,
         settings: Bm25Settings,
     ):
         self.ids = list(ids)
-        self.postings = postings
-        self.doc_lens = list(doc_lens)
+        self.vocab = vocab
+        self.offsets = offsets
+        self.positions = positions
+        self.tfs = tfs
         self.settings = settings
-        self.avgdl = (sum(self.doc_lens) / len(self.doc_lens)) if self.doc_lens else 0.0
+        avgdl = (int(doc_lens.sum()) / len(doc_lens)) if len(doc_lens) else 0.0
+        k1, b = settings.k1, settings.b
+        # k1 * (1 - b + b * |d| / avgdl) per document, the term of the score's
+        # denominator that does not depend on the query.
+        self.length_norm = k1 * (1.0 - b + b * doc_lens / avgdl) if avgdl else np.zeros(len(doc_lens))
 
     def __len__(self) -> int:
         return len(self.ids)
 
     @classmethod
     def build(cls, store: CorpusStore, settings: Bm25Settings = Bm25Settings()) -> "Bm25Index":
-        postings: dict[str, list[tuple[int, int]]] = {}
-        doc_lens = []
-        for pos, doc in enumerate(store):
+        vocab: dict[str, int] = {}
+        slots, tfs, doc_lens, doc_terms = array("i"), array("i"), array("i"), array("i")
+        for doc in store:
             tokens = tokenize(doc.indexed_text, settings.tokenizer)
+            counts = Counter(tokens)
+            slots.extend(vocab.setdefault(term, len(vocab)) for term in counts)
+            tfs.extend(counts.values())
             doc_lens.append(len(tokens))
-            for term, tf in Counter(tokens).items():
-                postings.setdefault(term, []).append((pos, tf))
-        return cls(store.ids, postings, doc_lens, settings)
-
-    def idf(self, term: str) -> float:
-        plist = self.postings.get(term)
-        if not plist:
-            return 0.0
-        df = len(plist)
-        return math.log(1.0 + (len(self.ids) - df + 0.5) / (df + 0.5))
+            doc_terms.append(len(counts))
+        slots_arr = np.frombuffer(slots, dtype=np.int32)
+        # A stable sort by slot keeps each term's postings in document order.
+        order = np.argsort(slots_arr, kind="stable")
+        offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(slots_arr, minlength=len(vocab)), out=offsets[1:])
+        positions = np.repeat(np.arange(len(doc_lens), dtype=np.int32), np.frombuffer(doc_terms, dtype=np.int32))
+        return cls(
+            store.ids,
+            vocab,
+            offsets,
+            positions[order],
+            np.frombuffer(tfs, dtype=np.int32)[order],
+            np.frombuffer(doc_lens, dtype=np.int32),
+            settings,
+        )
 
 
 def bm25_search(index: Bm25Index, query_text: str, k: int) -> RankedHits:
@@ -142,14 +174,15 @@ def bm25_search(index: Bm25Index, query_text: str, k: int) -> RankedHits:
     if k < 1:
         raise ValidationError("k must be >= 1")
     scores: dict[int, float] = {}
-    k1, b, avgdl = index.settings.k1, index.settings.b, index.avgdl
+    k1, n_docs = index.settings.k1, len(index)
     for term in tokenize(query_text, index.settings.tokenizer):
-        plist = index.postings.get(term)
-        if not plist:
+        slot = index.vocab.get(term)
+        if slot is None:
             continue
-        idf = index.idf(term)
-        for pos, tf in plist:
-            denom = tf + k1 * (1.0 - b + b * index.doc_lens[pos] / avgdl)
-            scores[pos] = scores.get(pos, 0.0) + idf * tf * (k1 + 1.0) / denom
+        lo, hi = index.offsets[slot : slot + 2].tolist()
+        idf = math.log(1.0 + (n_docs - (hi - lo) + 0.5) / ((hi - lo) + 0.5))
+        positions = index.positions[lo:hi]
+        for pos, tf, norm in zip(positions.tolist(), index.tfs[lo:hi].tolist(), index.length_norm[positions].tolist()):
+            scores[pos] = scores.get(pos, 0.0) + idf * tf * (k1 + 1.0) / (tf + norm)
     ranked = sorted(scores.items(), key=lambda item: (-item[1], index.ids[item[0]]))[:k]
     return RankedHits(ids=[index.ids[pos] for pos, _ in ranked], scores=[score for _, score in ranked])

@@ -2,6 +2,13 @@
 
 Every vector leaving this module is float32 and unit-normalized, which makes
 the inner product used by the search indexes equal to cosine similarity.
+A finite, nonzero row whose squared norm over- or underflows is scaled by its
+largest magnitude before it is normalized; every other row is row / norm.
+
+Building a cache holds one matrix plus one batch: `embed_texts` normalizes
+each batch into one preallocated float32 matrix as it arrives (and stops at
+the first batch that is non-finite or a zero row, before the next request),
+and `save_cache` writes that matrix to the file from its own buffer.
 
 Cache file format (little-endian):
     magic "SLHE2" | u32 dim | u64 count | 32-byte fingerprint
@@ -22,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import struct
 import threading
 import time
@@ -48,12 +56,22 @@ def _all_finite(matrix: np.ndarray) -> bool:
     return all(np.isfinite(matrix[start : start + rows]).all() for start in range(0, len(matrix), rows))
 
 
+def _rescaled_unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Unit rows for nonzero finite rows whose norm over- or underflows in
+    their dtype: each is divided by its largest magnitude first."""
+    scaled = rows / np.abs(rows).max(axis=1, keepdims=True)
+    return scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
+
+
 def normalize(vector) -> np.ndarray:
     """L2-normalize to a float32 unit vector. Zero vectors are rejected."""
     arr = np.asarray(vector, dtype=np.float32).ravel()
-    norm = float(np.linalg.norm(arr))
-    if norm == 0.0:
+    if not arr.any():
         raise ValidationError("cannot normalize a zero vector")
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(arr))
+    if norm == 0.0 or math.isinf(norm):
+        return _rescaled_unit_rows(arr[None, :])[0]
     return arr / np.float32(norm)
 
 
@@ -179,25 +197,40 @@ def embed_texts(client, texts: list[str]) -> np.ndarray:
     """Embed texts in order; returns a (len(texts), dim) float32 unit-row matrix.
 
     Inputs are truncated to the client's character budget before the request.
+    Each batch is checked and normalized into the result as it arrives.
     """
     if not texts:
         raise ValidationError("embed_texts requires at least one text")
     for i, text in enumerate(texts):
         if not text.strip():
             raise ValidationError(f"text at position {i} is empty after trimming")
-    truncated = [t[: client.truncate_chars] for t in texts]
-    batch_size = getattr(client, "batch_size", len(truncated)) or len(truncated)
-    rows = []
-    for start in range(0, len(truncated), batch_size):
-        batch = truncated[start : start + batch_size]
-        rows.append(_embed_batch_with_retry(client, batch))
-    matrix = np.vstack(rows)
-    if not _all_finite(matrix):
+    batch_size = getattr(client, "batch_size", len(texts)) or len(texts)
+    matrix = None
+    for start in range(0, len(texts), batch_size):
+        batch = [t[: client.truncate_chars] for t in texts[start : start + batch_size]]
+        rows = _embed_batch_with_retry(client, batch)
+        if matrix is None:
+            matrix = np.empty((len(texts), rows.shape[-1]), dtype=np.float32)
+        if rows.shape != (len(batch), matrix.shape[1]):
+            raise ProtocolError(f"expected {len(batch)} embeddings of dim {matrix.shape[1]}, got {rows.shape}")
+        _write_unit_rows(rows, matrix[start : start + len(batch)])
+    return matrix
+
+
+def _write_unit_rows(rows: np.ndarray, out: np.ndarray) -> None:
+    """Write rows / ‖rows‖ into the float32 `out`. A row whose norm is 0 or
+    inf in the rows' dtype (squares that under- or overflow) is rescaled
+    first; every other row gets exactly rows[i] / norm[i], cast to float32."""
+    if not _all_finite(rows):
         raise ProtocolError("embedder returned non-finite values")
-    norms = np.linalg.norm(matrix, axis=1)
-    if (norms == 0).any():
-        raise ValidationError("embedder returned a zero vector")
-    return (matrix / norms[:, None]).astype(np.float32)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+        np.divide(rows, norms[:, None], out=out)
+    bad = (norms == 0) | np.isinf(norms)
+    if bad.any():
+        if not rows[bad].any(axis=1).all():
+            raise ValidationError("embedder returned a zero vector")
+        out[bad] = _rescaled_unit_rows(rows[bad])
 
 
 def embed_rows(client, texts: list[str], known_rows: dict[str, np.ndarray] | None = None) -> np.ndarray:
@@ -304,9 +337,9 @@ def save_cache(cache: EmbeddingCache, path: str | Path, fingerprint: bytes) -> N
             raise ValidationError(f"id {doc_id!r} contains a newline; cannot serialize")
     ids = "".join(f"{i}\n" for i in cache.ids).encode("utf-8")
     header = _HEADER.pack(CACHE_MAGIC, cache.dim, len(cache), fingerprint, hashlib.sha256(ids).digest())
-    payload = np.ascontiguousarray(cache.matrix, dtype="<f4").tobytes()
+    rows = np.ascontiguousarray(cache.matrix, dtype="<f4")  # no copy of a float32 cache
     atomic_write_bytes(Path(str(path) + ".ids"), ids)
-    atomic_write_bytes(path, header + payload)
+    atomic_write_bytes(path, header, rows)
 
 
 def load_cache(path: str | Path, fingerprint: bytes | None = None) -> EmbeddingCache:

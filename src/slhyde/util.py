@@ -21,15 +21,17 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest, "little") >> 1
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write through a temp file of this call's own beside `path`, so concurrent
-    writers never share one; the temp file is removed if the write fails."""
+def atomic_write_bytes(path: str | Path, *parts) -> None:
+    """Write the bytes-like `parts` one after another (a C-contiguous array is
+    written from its own buffer, not copied) through a temp file of this
+    call's own beside `path`, so concurrent writers never share one; the temp
+    file is removed if the write fails."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.part")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(data)
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -1,10 +1,17 @@
 import math
+import tracemalloc
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slhyde.bm25 import _CJK_RE, Bm25Index, Bm25Settings, _is_cjk, bm25_search, tokenize
 from slhyde.corpus import CorpusStore, Document
 from slhyde.errors import ValidationError
+
+from conftest import synthetic_docs
 
 
 def _store(texts):
@@ -133,3 +140,75 @@ class TestBm25Search:
         store = CorpusStore([Document(id="d0", text="body words", title="zyzzyva title")])
         index = Bm25Index.build(store)
         assert bm25_search(index, "zyzzyva", k=1).ids == ["d0"]
+
+
+def _dict_of_tuples_search(store, settings, query, k):
+    """The index before its columnar layout, as an oracle: per-term lists of
+    (position, tf) tuples in doc order, scored posting by posting."""
+    postings: dict[str, list[tuple[int, int]]] = {}
+    doc_lens = []
+    for pos, doc in enumerate(store):
+        tokens = tokenize(doc.indexed_text, settings.tokenizer)
+        doc_lens.append(len(tokens))
+        for term, tf in Counter(tokens).items():
+            postings.setdefault(term, []).append((pos, tf))
+    avgdl = sum(doc_lens) / len(doc_lens)
+    k1, b = settings.k1, settings.b
+    scores: dict[int, float] = {}
+    for term in tokenize(query, settings.tokenizer):
+        plist = postings.get(term)
+        if not plist:
+            continue
+        df = len(plist)
+        idf = math.log(1.0 + (len(doc_lens) - df + 0.5) / (df + 0.5))
+        for pos, tf in plist:
+            denom = tf + k1 * (1.0 - b + b * doc_lens[pos] / avgdl)
+            scores[pos] = scores.get(pos, 0.0) + idf * tf * (k1 + 1.0) / denom
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], store.ids[item[0]]))[:k]
+    return [store.ids[pos] for pos, _ in ranked], np.array([score for _, score in ranked], dtype=np.float64)
+
+
+# Latin words and CJK characters; joined with or without a space, CJK runs
+# give unigrams and bigrams and Latin words fuse into longer tokens.
+_WORD = st.sampled_from(["heart", "rate", "fever", "dose", "b12", "x", "高", "血", "压", "治疗", "心脏病"])
+_TEXT = st.lists(st.tuples(_WORD, st.sampled_from(["", " ", ", "])), min_size=1, max_size=40).map(
+    lambda parts: "".join(word + sep for word, sep in parts)
+)
+
+
+class TestColumnarIndex:
+    @given(
+        texts=st.lists(_TEXT, min_size=1, max_size=12),
+        query=st.lists(_WORD, min_size=1, max_size=5),
+        k1=st.sampled_from([0.0, 0.9]),
+        b=st.sampled_from([0.0, 0.4, 1.0]),
+        tokenizer=st.sampled_from(["cjk", "simple"]),
+        extra_k=st.integers(min_value=-12, max_value=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scores_are_bitwise_those_of_per_term_tuple_lists(self, texts, query, k1, b, tokenizer, extra_k):
+        # ids in descending order, so the id tie rule is not position order
+        store = CorpusStore([Document(id=f"d{len(texts) - i:02d}", text=t) for i, t in enumerate(texts)])
+        bm25 = Bm25Settings(k1=k1, b=b, tokenizer=tokenizer)
+        query_text = " ".join(query + query[:2])  # repeated query terms count with multiplicity
+        hit_count = len(_dict_of_tuples_search(store, bm25, query_text, len(store))[0])
+        k = max(1, hit_count + extra_k)  # below and above the hit count
+        expected_ids, expected_scores = _dict_of_tuples_search(store, bm25, query_text, k)
+        hits = bm25_search(Bm25Index.build(store, bm25), query_text, k)
+        assert hits.ids == expected_ids
+        assert hits.scores.tobytes() == expected_scores.tobytes()
+
+    def test_index_retains_few_bytes_per_posting(self):
+        store = CorpusStore(synthetic_docs(2000))
+        postings = sum(len(set(tokenize(doc.indexed_text))) for doc in store)
+        tracemalloc.start()
+        try:
+            index = Bm25Index.build(store)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bm25_search(index, store.get("d0000").text, k=1).ids == ["d0000"]
+        # the vocabulary (42,000 postings of 18,012 terms) and two int32 columns
+        # retain about 59 bytes per posting; per-term lists of (position, tf)
+        # tuples retained about 135
+        assert retained < 75 * postings

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slhyde import embed
-from slhyde.corpus import CorpusStore, Document, write_corpus
+from slhyde.corpus import CorpusStore, Document, corpus_file_digest, load_corpus, write_corpus
 from slhyde.embed import (
     EmbeddingCache,
     MockEmbedderClient,
@@ -36,6 +36,61 @@ class TestNormalize:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValidationError):
             normalize([0.0, 0.0])
+
+    @pytest.mark.parametrize("value", [1e20, 1e-30, 1e-45])
+    def test_squares_that_overflow_or_underflow_are_rescaled(self, value):
+        # float32 squares of 1e20 overflow to inf and those of 1e-30 underflow to 0
+        assert normalize([value] * 4).tolist() == [0.5] * 4
+        assert normalize([0.0, -value]).tolist() == [0.0, -1.0]
+
+
+def _serving(rows_per_request, dim=4, batch_size=2):
+    """A client whose k-th request returns rows_per_request[k], and the list
+    of the requests it received."""
+    client = MockEmbedderClient(dim=dim)
+    client.batch_size = batch_size
+    requests = []
+
+    def embed_batch(texts):
+        requests.append(texts)
+        return np.asarray(rows_per_request[len(requests) - 1])
+
+    client.embed_batch = embed_batch
+    return client, requests
+
+
+class TestUnitRows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_only_rows_whose_norm_is_zero_or_inf_are_rescaled(self, dtype):
+        huge = 1e20 if dtype == np.float32 else 1e200
+        tiny = 1e-30 if dtype == np.float32 else 1e-200
+        rows = np.array([[huge] * 4, [3, 4, 0, 0], [tiny] * 4, [0, -tiny, 0, 0], [1, 2, 3, 4]], dtype=dtype)
+        client, _ = _serving([rows], batch_size=5)
+        out = embed_texts(client, ["a", "b", "c", "d", "e"])
+        assert out.dtype == np.float32
+        assert out[[0, 2]].tolist() == [[0.5] * 4] * 2
+        assert out[3].tolist() == [0.0, -1.0, 0.0, 0.0]
+        # every other row keeps exactly rows[i] / ‖rows[i]‖
+        for i in (1, 4):
+            assert out[i].tobytes() == (rows[i] / np.linalg.norm(rows[i : i + 1], axis=1)).astype(np.float32).tobytes()
+
+    def test_zero_row_is_rejected(self):
+        client, _ = _serving([np.array([[1, 0, 0, 0], [0, 0, 0, 0]], dtype=np.float32)])
+        with pytest.raises(ValidationError, match="embedder returned a zero vector"):
+            embed_texts(client, ["a", "b"])
+
+    def test_a_non_finite_batch_ends_the_call_before_the_next_request(self):
+        bad = np.full((2, 4), np.nan, dtype=np.float32)
+        good = np.ones((2, 4), dtype=np.float32)
+        client, requests = _serving([bad, good, good])
+        with pytest.raises(ProtocolError, match="embedder returned non-finite values"):
+            embed_texts(client, ["a", "b", "c", "d", "e", "f"])
+        assert requests == [["a", "b"]]
+
+    def test_a_batch_of_the_wrong_shape_is_a_protocol_error(self):
+        client, _ = _serving([np.ones((2, 4)), np.ones((1, 4))])
+        with pytest.raises(ProtocolError, match="expected 2 embeddings of dim 4"):
+            embed_texts(client, ["a", "b", "c", "d"])
 
 
 class TestMockEmbedder:
@@ -203,6 +258,31 @@ class TestCache:
         # the rows and the ids; a second copy of the file would take the peak
         # past twice the rows
         assert peak < 1.6 * cache.matrix.nbytes
+
+    def test_cold_build_holds_one_matrix_and_one_batch(self, tmp_path):
+        n, dim, batch = 4000, 256, 500
+        rows = np.random.default_rng(5).normal(size=(n, dim)).astype(np.float32)
+        client, _ = _serving([rows[start : start + batch] for start in range(0, n, batch)], dim=dim, batch_size=batch)
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(synthetic_docs(n), corpus)
+        tracemalloc.start()
+        try:
+            # what the corpus alone costs: its digest, the parsed store and the texts
+            corpus_file_digest(corpus)
+            store = load_corpus(corpus)
+            texts = [doc.indexed_text for doc in store]
+            _, corpus_peak = tracemalloc.get_traced_memory()
+            del store, texts
+            tracemalloc.reset_peak()
+            _, built = cache_embeddings(client, corpus, tmp_path / "c.emb")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        expected = (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
+        assert built.matrix.tobytes() == expected.tobytes() == load_cache(tmp_path / "c.emb").matrix.tobytes()
+        # the matrix once, a batch's temporaries and the ids; stacking the
+        # batches, copying them to normalize and serializing them took about 3x
+        assert peak <= 1.5 * built.matrix.nbytes + rows[:batch].nbytes + corpus_peak
 
     def test_finiteness_check_needs_no_mask_of_the_rows(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -387,10 +467,10 @@ class TestCache:
         cache_docs(MockEmbedderClient(dim=32), warm, path)
         write = embed.atomic_write_bytes
 
-        def fail_on_matrix(target, data):
+        def fail_on_matrix(target, *parts):
             if target == path:
                 raise OSError("disk full")
-            write(target, data)
+            write(target, *parts)
 
         with monkeypatch.context() as patch:
             patch.setattr(embed, "atomic_write_bytes", fail_on_matrix)
