@@ -78,17 +78,12 @@ class DatasetPaths:
             )
 
 
-def _check_client(section: str, settings) -> None:
-    """Range checks shared by the two remote-client sections."""
-    if not settings.timeout > 0:
-        raise ValidationError(f"{section}.timeout must be > 0, got {settings.timeout}")
-    for key in ("max_retries", "backoff"):
-        if getattr(settings, key) < 0:
-            raise ValidationError(f"{section}.{key} must be >= 0, got {getattr(settings, key)}")
-
-
 @dataclass
 class GeneratorSettings:
+    """The `generator` section: where the remote model is served and how
+    requests to it wait and retry. `EmbedderSettings` adds the embedder's own
+    keys to these."""
+
     endpoint: str = ""
     model: str = ""
     api_key: str = ""
@@ -96,24 +91,26 @@ class GeneratorSettings:
     max_retries: int = 2
     backoff: float = 1.0
 
+    section = "generator"  # names keys in errors; not a field
+
     def __post_init__(self):
-        _check_client("generator", self)
+        if not self.timeout > 0:
+            raise ValidationError(f"{self.section}.timeout must be > 0, got {self.timeout}")
+        for key in ("max_retries", "backoff"):
+            if getattr(self, key) < 0:
+                raise ValidationError(f"{self.section}.{key} must be >= 0, got {getattr(self, key)}")
 
 
 @dataclass
-class EmbedderSettings:
-    endpoint: str = ""
-    model: str = ""
-    api_key: str = ""
+class EmbedderSettings(GeneratorSettings):
     dim: int = 256
     truncate_chars: int = 1024
     batch_size: int = 64
-    timeout: float = 30.0
-    max_retries: int = 2
-    backoff: float = 1.0
+
+    section = "embedder"
 
     def __post_init__(self):
-        _check_client("embedder", self)
+        super().__post_init__()
         if self.dim < 2:
             raise ValidationError(f"embedder.dim must be >= 2, got {self.dim}")
         for key in ("truncate_chars", "batch_size"):

@@ -135,9 +135,10 @@ def corpus_file_digest(path: str | Path) -> bytes:
 
 def _read_records(path: str | Path, kind: str, cls, optional: str) -> list:
     """One `cls` (Document or Query) per record of a `kind` ("corpus" or
-    "queries") JSONL file. Every record needs _id and text; the `optional`
-    field (title or answer) is kept when truthy. An _id may appear once. Each
-    error names the file and the line."""
+    "queries") JSONL file. Every record needs a string text and an _id that is
+    a string or an integer (read as its digits) with no line break; the
+    `optional` field (title or answer) is kept when truthy. An _id may appear
+    once. Each error names the file and the line."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"{kind} file not found: {path}")
@@ -146,9 +147,15 @@ def _read_records(path: str | Path, kind: str, cls, optional: str) -> list:
     for lineno, record in _iter_jsonl(path):
         if "_id" not in record or "text" not in record:
             raise ParseError(f"record missing _id or text in {path.name}", line=lineno)
+        doc_id, text = record["_id"], record["text"]
+        if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)) or not isinstance(text, str):
+            raise ParseError(f"_id must be a string or an integer and text a string in {path.name}", line=lineno)
+        doc_id = str(doc_id)
+        if "\n" in doc_id or "\r" in doc_id:
+            raise ParseError(f"_id {doc_id!r} contains a line break in {path.name}", line=lineno)
         extra = str(record[optional]) if record.get(optional) else None
         try:
-            item = cls(id=str(record["_id"]), text=str(record["text"]), **{optional: extra})
+            item = cls(id=doc_id, text=text, **{optional: extra})
         except ValidationError as exc:
             raise ValidationError(f"{exc} in {path.name} (line {lineno})") from None
         if item.id in seen:

@@ -1,5 +1,9 @@
 """Embedding clients, the unit-norm boundary, and the binary vector cache.
 
+The remote client is a `util.JsonEndpoint`; `embed_texts` retries a batch
+whose request failed to connect or got a non-200 status (`util.retry_or_raise`)
+and never one whose body was unreadable or of the wrong shape (ProtocolError).
+
 Every vector leaving this module is float32 and unit-normalized, which makes
 the inner product used by the search indexes equal to cosine similarity.
 A finite, nonzero row whose squared norm over- or underflows is scaled by its
@@ -27,12 +31,12 @@ check.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import math
 import struct
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,7 +44,7 @@ import numpy as np
 
 from .corpus import CorpusStore, corpus_file_digest, load_corpus
 from .errors import FormatError, ProtocolError, TransportError, ValidationError
-from .util import atomic_write_bytes
+from .util import JsonEndpoint, atomic_write_bytes, retry_or_raise
 
 logger = logging.getLogger(__name__)
 
@@ -133,86 +137,46 @@ class MockEmbedderClient:
         return np.vstack(rows) if rows else np.zeros((0, self.dim), dtype=np.float32)
 
 
-class RemoteEmbedderClient:
+class RemoteEmbedderClient(JsonEndpoint):
     """Embeddings HTTP client (POST JSON: model, input list; response: data[].embedding)."""
 
+    kind = "embedding"
+
     def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        dim: int,
-        api_key: str | None = None,
-        timeout: float = 30.0,
-        max_retries: int = 2,
-        backoff: float = 1.0,
-        batch_size: int = 64,
-        truncate_chars: int = 1024,
-        session=None,
+        self, endpoint: str, model: str, dim: int, *, batch_size: int = 64, truncate_chars: int = 1024, **settings
     ):
-        self.endpoint = endpoint
-        self.model = model
+        super().__init__(endpoint, model, **settings)
         self.dim = dim
-        self.api_key = api_key
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
         self.batch_size = batch_size
         self.truncate_chars = truncate_chars
-        if session is None:
-            import requests  # deferred so that mock runs never load it
-            session = requests.Session()
-        self._session = session
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            response = self._session.post(
-                self.endpoint,
-                json={"model": self.model, "input": list(texts)},
-                timeout=self.timeout,
-                headers=headers,
-            )
-        except Exception as exc:
-            raise TransportError(f"request to {self.endpoint} failed: {exc}") from exc
-        if getattr(response, "status_code", 200) != 200:
-            raise TransportError(f"endpoint returned HTTP {response.status_code}")
-        try:
-            data = response.json()["data"]
-            vectors = [row["embedding"] for row in data]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed embedding response: {exc}") from exc
-        if len(vectors) != len(texts):
-            raise ProtocolError(f"expected {len(texts)} embeddings, got {len(vectors)}")
-        matrix = np.asarray(vectors, dtype=np.float32)
-        if matrix.ndim != 2 or matrix.shape[1] != self.dim:
-            raise ProtocolError(
-                f"embedding dim mismatch: endpoint returned {matrix.shape}, expected dim {self.dim}"
-            )
-        return matrix
+        return self._post({"model": self.model, "input": list(texts)}, self.read)
+
+    @staticmethod
+    def read(data) -> np.ndarray:
+        return np.asarray([row["embedding"] for row in data["data"]], dtype=np.float32)
 
 
 def embed_texts(client, texts: list[str]) -> np.ndarray:
-    """Embed texts in order; returns a (len(texts), dim) float32 unit-row matrix.
+    """Embed texts in order; returns a (len(texts), client.dim) float32 unit-row matrix.
 
-    Inputs are truncated to the client's character budget before the request.
-    Each batch is checked and normalized into the result as it arrives.
+    Inputs are truncated to the client's character budget before the request,
+    and sent client.batch_size at a time. Each batch must be (len(batch),
+    client.dim), else ProtocolError; it is normalized into the result as it
+    arrives.
     """
     if not texts:
         raise ValidationError("embed_texts requires at least one text")
     for i, text in enumerate(texts):
         if not text.strip():
             raise ValidationError(f"text at position {i} is empty after trimming")
-    batch_size = getattr(client, "batch_size", len(texts)) or len(texts)
-    matrix = None
-    for start in range(0, len(texts), batch_size):
-        batch = [t[: client.truncate_chars] for t in texts[start : start + batch_size]]
+    matrix = np.empty((len(texts), client.dim), dtype=np.float32)
+    for start in range(0, len(texts), client.batch_size):
+        batch = [t[: client.truncate_chars] for t in texts[start : start + client.batch_size]]
         rows = _embed_batch_with_retry(client, batch)
-        if matrix is None:
-            matrix = np.empty((len(texts), rows.shape[-1]), dtype=np.float32)
-        if rows.shape != (len(batch), matrix.shape[1]):
-            raise ProtocolError(f"expected {len(batch)} embeddings of dim {matrix.shape[1]}, got {rows.shape}")
+        if rows.shape != (len(batch), client.dim):
+            raise ProtocolError(f"expected {len(batch)} embeddings of dim {client.dim}, got {rows.shape}")
         _write_unit_rows(rows, matrix[start : start + len(batch)])
     return matrix
 
@@ -253,18 +217,11 @@ def embed_rows(client, texts: list[str], known_rows: dict[str, np.ndarray] | Non
 
 
 def _embed_batch_with_retry(client, batch: list[str]) -> np.ndarray:
-    attempts = getattr(client, "max_retries", 0) + 1
-    backoff = getattr(client, "backoff", 0.0)
-    for attempt in range(1, attempts + 1):
+    for attempt in itertools.count(1):
         try:
             return client.embed_batch(batch)
         except TransportError as exc:
-            logger.warning("embedding attempt %d/%d failed: %s", attempt, attempts, exc)
-            if attempt == attempts:
-                raise TransportError("embedding failed", attempts=attempts) from exc
-            if backoff > 0:
-                time.sleep(backoff * 2 ** (attempt - 1))
-    raise AssertionError("unreachable")
+            retry_or_raise(client, "embedding", attempt, exc)
 
 
 def embed_text(client, text: str) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Generator clients: prompt templates, sampling, retries, deterministic mocks.
 
 Two client flavors share one calling convention (`request_completions`):
-the remote client speaks the de-facto chat-completions JSON protocol, the
-mock client is fully deterministic given (prompt, seed, sample index) so
-that every pipeline can run offline and reproduce byte-identically.
+the remote client (a `util.JsonEndpoint`) speaks the de-facto
+chat-completions JSON protocol, the mock client is fully deterministic given
+(prompt, seed, sample index) so that every pipeline can run offline and
+reproduce byte-identically. `generate` retries a request that failed to
+connect or got a non-200 status (`util.retry_or_raise`), and one that gave too
+few non-empty completions (a null content counts as empty); an unreadable
+response is a ProtocolError and is not retried.
 """
 from __future__ import annotations
 
@@ -14,7 +18,6 @@ import json
 import logging
 import re
 import threading
-import time
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Sequence
@@ -22,12 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import Document
-from .errors import (
-    DegenerateOutputError,
-    ProtocolError,
-    TransportError,
-    ValidationError,
-)
+from .errors import DegenerateOutputError, TransportError, ValidationError
+from .util import JsonEndpoint, retry_or_raise
 
 logger = logging.getLogger(__name__)
 
@@ -218,7 +217,6 @@ class MockGeneratorClient:
     simulates transport failures for retry tests.
     """
 
-    max_retries = 2
     backoff = 0.0
 
     def __init__(
@@ -266,29 +264,10 @@ class MockGeneratorClient:
         ]
 
 
-class RemoteGeneratorClient:
+class RemoteGeneratorClient(JsonEndpoint):
     """Chat-completions HTTP client (POST JSON: model, messages, temperature, n)."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key: str | None = None,
-        timeout: float = 30.0,
-        max_retries: int = 2,
-        backoff: float = 1.0,
-        session=None,
-    ):
-        self.endpoint = endpoint
-        self.model = model
-        self.api_key = api_key
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
-        if session is None:
-            import requests  # deferred so that mock runs never load it
-            session = requests.Session()
-        self._session = session
+    kind = "completion"
 
     def request_completions(self, prompt: str, cfg: SamplingConfig) -> list[str]:
         body = {
@@ -300,43 +279,33 @@ class RemoteGeneratorClient:
         }
         if cfg.seed is not None:
             body["seed"] = cfg.seed
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            response = self._session.post(
-                self.endpoint, json=body, timeout=self.timeout, headers=headers
-            )
-        except Exception as exc:
-            raise TransportError(f"request to {self.endpoint} failed: {exc}") from exc
-        if getattr(response, "status_code", 200) != 200:
-            raise TransportError(f"endpoint returned HTTP {response.status_code}")
-        try:
-            data = response.json()
-            return [choice["message"]["content"] for choice in data["choices"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed completion response: {exc}") from exc
+        return self._post(body, _read_choices)
+
+
+def _read_choices(data) -> list[str]:
+    """The content of each choice; a null content is an empty completion."""
+    contents = [choice["message"]["content"] for choice in data["choices"]]
+    for content in contents:
+        if content is not None and not isinstance(content, str):
+            raise TypeError(f"content {content!r} is not a string")
+    return [content or "" for content in contents]
 
 
 def generate(client, prompt: str, cfg: SamplingConfig | None = None) -> list[str]:
     """Request `cfg.num_samples` completions with retries.
 
-    Empty completions are filtered; transport failures and shortfalls are
-    retried up to the client's retry limit.
+    Empty completions are filtered. Transport failures (retried after the
+    client's backoff) and shortfalls (retried at once) share the client's
+    retry limit.
     """
     cfg = cfg or SamplingConfig()
     attempts = client.max_retries + 1
-    backoff = getattr(client, "backoff", 0.0)
     collected: list[str] = []
     for attempt in range(1, attempts + 1):
         try:
             raw = client.request_completions(prompt, cfg)
         except TransportError as exc:
-            logger.warning("generation attempt %d/%d failed: %s", attempt, attempts, exc)
-            if attempt == attempts:
-                raise TransportError("generation failed", attempts=attempts) from exc
-            if backoff > 0:
-                time.sleep(backoff * 2 ** (attempt - 1))
+            retry_or_raise(client, "generation", attempt, exc)
             continue
         collected.extend(c for c in (_clean_completion(r) for r in raw) if c)
         if len(collected) >= cfg.num_samples:
@@ -355,8 +324,6 @@ def generate(client, prompt: str, cfg: SamplingConfig | None = None) -> list[str
 
 def generate_query_for_doc(client, doc: Document, cfg: SamplingConfig | None = None) -> str:
     """Synthesize one search query that the given document answers."""
-    if not doc.text.strip():
-        raise ValidationError(f"document {doc.id!r} has empty text")
     prompt = render_prompt(load_template("QUERY_GEN"), {"DOCUMENT": doc.indexed_text})
     cfg = dataclasses.replace(cfg or SamplingConfig(), num_samples=1)
     return generate(client, prompt, cfg)[0]

@@ -1,12 +1,20 @@
-"""Small shared helpers: seed derivation, atomic writes, stable JSON dumps, a chunked stage runner."""
+"""Small shared helpers: seed derivation, atomic writes, stable JSON dumps, a
+chunked stage runner, and the remote-model boundary (`JsonEndpoint`,
+`retry_or_raise`) that the embedder and generator clients share."""
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
+
+from .errors import ProtocolError, TransportError
+
+logger = logging.getLogger(__name__)
 
 CHUNK = 64  # items per run_chunked chunk; retrieval also searches blocks of this many queries
 
@@ -61,3 +69,61 @@ def run_chunked(items, plan, finish, parallelism: int) -> list:
             part = items[start : start + CHUNK]
             results.extend(finish(list(pool.map(plan, part) if pool else map(plan, part))))
     return results
+
+
+class JsonEndpoint:
+    """A remote model served over HTTP: JSON requests POSTed to `endpoint`,
+    with a bearer `api_key` when one is set. `timeout` bounds each request;
+    `max_retries` and `backoff` are read by `retry_or_raise`. A subclass sets
+    `kind`, the name of its response in errors, and makes its calls through
+    `_post`."""
+
+    def __init__(
+        self,
+        endpoint: str,
+        model: str,
+        api_key: str | None = None,
+        timeout: float = 30.0,
+        max_retries: int = 2,
+        backoff: float = 1.0,
+        session=None,
+    ):
+        self.endpoint = endpoint
+        self.model = model
+        self.api_key = api_key
+        self.timeout = timeout
+        self.max_retries = max_retries
+        self.backoff = backoff
+        if session is None:
+            import requests  # deferred so that mock runs never load it
+            session = requests.Session()
+        self._session = session
+
+    def _post(self, body: dict, read):
+        """`read` of the JSON response to `body`. A failed connection or a
+        non-200 status is a TransportError; a body that is not JSON, or that
+        `read` fails on with KeyError, TypeError or ValueError, is a
+        ProtocolError."""
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
+        try:
+            response = self._session.post(self.endpoint, json=body, timeout=self.timeout, headers=headers)
+        except Exception as exc:
+            raise TransportError(f"request to {self.endpoint} failed: {exc}") from exc
+        if getattr(response, "status_code", 200) != 200:
+            raise TransportError(f"endpoint returned HTTP {response.status_code}")
+        try:
+            return read(response.json())
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError(f"malformed {self.kind} response: {exc}") from exc
+
+
+def retry_or_raise(client, what: str, attempt: int, exc: TransportError) -> None:
+    """The one retry step, after attempt number `attempt` (from 1) at `what`
+    failed with `exc`: log it, then raise TransportError(attempts=...) once
+    the client's max_retries are used up, else sleep backoff * 2**(attempt-1)."""
+    attempts = client.max_retries + 1
+    logger.warning("%s attempt %d/%d failed: %s", what, attempt, attempts, exc)
+    if attempt >= attempts:
+        raise TransportError(f"{what} failed", attempts=attempts) from exc
+    if client.backoff > 0:
+        time.sleep(client.backoff * 2 ** (attempt - 1))

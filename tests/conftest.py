@@ -84,3 +84,26 @@ def small_store():
 @pytest.fixture
 def small_index(tmp_path, mock_emb, small_store):
     return DenseIndex(cache_docs(mock_emb, small_store, tmp_path / "small.emb"))
+
+
+class StubEndpoint:
+    """A requests.Session stand-in whose every POST answers with itself: its
+    `status_code`, and as JSON `payload`, or `payload(request body)` when that
+    is callable; a None payload is a body that is not JSON. `headers` holds
+    each request's headers, one entry per request."""
+
+    def __init__(self, payload, status_code=200):
+        self.payload = payload
+        self.status_code = status_code
+        self.headers = []
+
+    def post(self, url, json, timeout, headers):
+        self.headers.append(headers)
+        self.body = json
+        return self
+
+    def json(self):
+        payload = self.payload(self.body) if callable(self.payload) else self.payload
+        if payload is None:
+            raise ValueError("Expecting value: line 1 column 1 (char 0)")
+        return payload

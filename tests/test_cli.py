@@ -25,7 +25,7 @@ from slhyde.selflearn import contrastive_loss, load_sft_jsonl, load_triplets_jso
 from slhyde.textgen import MockGeneratorClient, SamplingConfig, load_template, render_prompt
 from slhyde.util import derive_seed
 
-from conftest import cache_docs, queries_for_docs, synthetic_docs
+from conftest import StubEndpoint, cache_docs, queries_for_docs, synthetic_docs
 
 
 def make_dataset(root, n_docs=20, seed=0):
@@ -1145,6 +1145,55 @@ class TestExitCodes:
         assert f"{section}.{key}" in capsys.readouterr().err
         assert requests == []
         assert not list(tmp_path.rglob("*.emb"))
+
+    @pytest.mark.parametrize(
+        "record", [{"_id": "d-null", "text": None}, {"_id": None, "text": "body"}, {"_id": "d\nx", "text": "body"}]
+    )
+    def test_bad_corpus_record_exits_before_any_embedding(self, tmp_path, monkeypatch, capsys, record):
+        dataset = tmp_path / "data"
+        make_dataset(dataset)  # 20 documents
+        with (dataset / "corpus.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        batches = _record_embed_batches(monkeypatch)
+        assert main(["embed-corpus", "--config", str(make_config(tmp_path, dataset, tmp_path / "run"))]) == 1
+        assert "corpus.jsonl (line 21)" in capsys.readouterr().err
+        assert batches == []
+
+    @staticmethod
+    def _remote_config(tmp_path, monkeypatch, content, embedding=None):
+        """A remote-client config whose endpoints are served in process: every
+        completion has `content`, and every embedding is `embedding`, or the
+        mock embedder's row when that is None."""
+        mock = MockEmbedderClient(dim=16)
+
+        def answer(body):
+            if "input" not in body:
+                return {"choices": [{"message": {"content": content}}]}
+            rows = mock.embed_batch(body["input"]).tolist()
+            return {"data": [{"embedding": row if embedding is None else embedding} for row in rows]}
+
+        monkeypatch.setattr("requests.Session", lambda: StubEndpoint(answer))
+        dataset = tmp_path / "data"
+        make_dataset(dataset)
+        endpoint = {"max_retries": 1, "backoff": 0.0}
+        return make_config(
+            tmp_path,
+            dataset,
+            tmp_path / "run",
+            clients="remote",
+            generator={"endpoint": "http://gen.invalid/v1", **endpoint},
+            embedder={"endpoint": "http://emb.invalid/v1", "dim": 16, **endpoint},
+        )
+
+    def test_null_completions_degrade_hyde_to_query_only(self, tmp_path, monkeypatch):
+        config_path = self._remote_config(tmp_path, monkeypatch, content=None)
+        assert main(["hyde-search", "--config", str(config_path)]) == 3
+        assert (tmp_path / "run" / "run_synthetic.trec").exists()
+
+    def test_unreadable_embedding_is_a_protocol_error(self, tmp_path, monkeypatch, capsys):
+        config_path = self._remote_config(tmp_path, monkeypatch, content="ok", embedding=[1.0, "x"])
+        assert main(["embed-corpus", "--config", str(config_path)]) == 2
+        assert "malformed embedding response" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key, value", [("bm25", "k1", "high"), ("benchmark", "max_review_fraction", None)])
     def test_wrong_type_in_section_is_validation_exit(self, tmp_path, capsys, section, key, value):

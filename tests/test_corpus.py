@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +105,28 @@ class TestLoadQueries:
         _write_jsonl(path, [{"_id": "q", "text": "a"}, {"_id": "q", "text": "b"}])
         with pytest.raises(ValidationError, match=r"'q' in queries\.jsonl \(line 2\)"):
             load_queries(path)
+
+
+@pytest.mark.parametrize("load, name", [(load_corpus, "corpus.jsonl"), (load_queries, "queries.jsonl")])
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"_id": "x1", "text": None},
+        {"_id": "x1", "text": 5},
+        {"_id": None, "text": "body"},
+        {"_id": True, "text": "body"},
+        {"_id": ["x1"], "text": "body"},
+        {"_id": "x\n1", "text": "body"},
+        {"_id": "x\r1", "text": "body"},
+    ],
+)
+def test_ill_typed_field_or_multiline_id_names_the_file_and_line(tmp_path, load, name, record):
+    path = tmp_path / name
+    _write_jsonl(path, [{"_id": 7, "text": "an integer id is read as its digits"}, record])
+    with pytest.raises(ParseError, match=rf"in {re.escape(name)} \(line 2\)"):
+        load(path)
+    _write_jsonl(path, [{"_id": 7, "text": "an integer id is read as its digits"}])
+    assert [item.id for item in load(path)] == ["7"]
 
 
 class TestLoadQrels:

@@ -21,7 +21,7 @@ from slhyde.embed import (
 )
 from slhyde.errors import FormatError, ProtocolError, TransportError, ValidationError
 
-from conftest import cache_docs, synthetic_docs
+from conftest import StubEndpoint, cache_docs, synthetic_docs
 
 
 class TestNormalize:
@@ -200,7 +200,15 @@ class TestRemoteEmbedder:
 
         client = RemoteEmbedderClient("http://x", model="m", dim=2, session=StubSession())
         with pytest.raises(ProtocolError, match="dim"):
-            client.embed_batch(["a"])
+            embed_texts(client, ["a"])
+
+    @pytest.mark.parametrize("rows", [[[1.0, 0.0], [1.0]], [["x", "y"], [0.0, 1.0]], [1.0, 0.0]])
+    def test_unreadable_embeddings_are_protocol_errors_without_retry(self, rows):
+        session = StubEndpoint({"data": [{"embedding": row} for row in rows]})
+        client = RemoteEmbedderClient("http://x", model="m", dim=2, max_retries=2, session=session)
+        with pytest.raises(ProtocolError):
+            embed_texts(client, ["a", "b"])
+        assert len(session.headers) == 1
 
     def test_non_finite_values_rejected(self):
         class StubResponse:

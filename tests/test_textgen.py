@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from slhyde.corpus import Document
 from slhyde.embed import MockEmbedderClient
-from slhyde.errors import DegenerateOutputError, TransportError, ValidationError
+from slhyde.errors import DegenerateOutputError, ProtocolError, TransportError, ValidationError
 from slhyde.textgen import (
     HYPOTHETICAL_TEMPLATES,
     MockGeneratorClient,
@@ -23,7 +23,7 @@ from slhyde.textgen import (
     render_prompt,
 )
 
-from conftest import synthetic_docs
+from conftest import StubEndpoint, synthetic_docs
 
 
 class TestRenderPrompt:
@@ -142,6 +142,21 @@ class TestGenerate:
         assert session.last["model"] == "m"
         assert session.last["temperature"] == 0.7
         assert session.last["seed"] == 4
+
+    def test_null_content_is_an_empty_completion(self):
+        session = StubEndpoint({"choices": [{"message": {"content": None}}]})
+        client = RemoteGeneratorClient("http://x/v1", model="m", max_retries=1, backoff=0.0, session=session)
+        with pytest.raises(DegenerateOutputError):
+            generate(client, "hi", SamplingConfig())
+        assert len(session.headers) == 2  # retried as a shortfall
+
+    @pytest.mark.parametrize("content", [5, ["text"], {"text": "a"}])
+    def test_non_string_content_is_protocol_error(self, content):
+        session = StubEndpoint({"choices": [{"message": {"content": content}}]})
+        client = RemoteGeneratorClient("http://x/v1", model="m", max_retries=2, session=session)
+        with pytest.raises(ProtocolError, match="malformed completion response"):
+            generate(client, "hi", SamplingConfig())
+        assert len(session.headers) == 1
 
 
 class TestQueryForDoc:
