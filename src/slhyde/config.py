@@ -6,21 +6,18 @@ its defaults and range checks (`__post_init__`). The `fusion`, `sampling`,
 `selflearn`, `benchmark` and `bm25` sections live in the modules that read
 them (`hyde.FusionConfig`, `textgen.SamplingSettings`,
 `selflearn.SelfLearnSettings`, `benchkit.BenchmarkSettings`,
-`bm25.Bm25Settings`); the rest are defined here. Before a section is built,
-every YAML value is checked against its field's annotation (an int is
-accepted where a float is expected; a bool is not a number), so a bad value
-of any key is a ValidationError naming `<section>.<key>` at load.
+`bm25.Bm25Settings`); the rest are defined here. `util.from_mapping` builds
+them, checking every YAML value against its field's annotation (an int is
+accepted where a float is expected; a bool is not a number), so an unknown key
+or a bad value is a ValidationError naming `<section>.<key>` at load.
 `RunConfig.validate` checks only what spans the top level: `clients`,
 `parallelism` and the endpoints a remote run needs.
 """
 from __future__ import annotations
 
 import dataclasses
-import functools
 import os
 import re
-import types
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,7 +38,7 @@ from .textgen import (
     SamplingSettings,
     load_template,
 )
-from .util import atomic_write_text, derive_seed, dump_json
+from .util import atomic_write_text, derive_seed, dump_json, from_mapping
 
 _ENV_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
@@ -167,80 +164,15 @@ class RunConfig:
             raise ValidationError("remote clients require generator.endpoint and embedder.endpoint")
 
 
-@functools.cache
-def _field_types(cls) -> dict:
-    """The resolved annotation of each field of a config dataclass."""
-    return typing.get_type_hints(cls)
-
-
-def _fits(value, hint) -> bool:
-    """Whether a YAML value has the annotated type: an int fits float, and a
-    bool fits only bool."""
-    origin = typing.get_origin(hint)
-    if origin is types.UnionType:
-        return any(_fits(value, arg) for arg in typing.get_args(hint))
-    if origin is list:
-        (item,) = typing.get_args(hint)
-        return isinstance(value, list) and all(_fits(v, item) for v in value)
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, hint)
-
-
-def _check_type(cls, key: str, value, path: str | None) -> None:
-    """ValidationError naming the key unless `value` fits field `key` of `cls`;
-    `path` is the key's section, None for a top-level key."""
-    hint = _field_types(cls)[key]
-    if not _fits(value, hint):
-        name = str(hint) if typing.get_origin(hint) else hint.__name__
-        where = f"config section {path!r}: {path}.{key}" if path else f"config key {key!r}"
-        raise ValidationError(f"{where} must be {name}, got {value!r}")
-
-
-def _build_section(cls, data: dict, path: str):
-    if not isinstance(data, dict):
-        raise ValidationError(f"config section {path!r} must be a mapping")
-    unknown = set(data) - _field_types(cls).keys()
-    if unknown:
-        raise ValidationError(f"unknown config keys in {path!r}: {sorted(unknown)}")
-    for key, value in data.items():
-        _check_type(cls, key, value, path)
-    return cls(**data)
-
-
 def load_config(path: str | Path | None, **overrides) -> RunConfig:
     """Load YAML config (optional), interpolate ${ENV}, apply flag overrides, validate."""
-    data: dict = {}
+    data = None
     if path is not None:
         path = Path(path)
         if not path.exists():
             raise ValidationError(f"config file not found: {path}")
-        loaded = yaml.safe_load(path.read_text("utf-8"))
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
-            raise ValidationError("config root must be a mapping")
-        data = _interpolate(loaded)
-
-    kwargs: dict = {}
-    for key, value in data.items():
-        hint = _field_types(RunConfig).get(key)
-        if hint is None:
-            raise ValidationError(f"unknown top-level config key {key!r}")
-        if dataclasses.is_dataclass(hint):
-            kwargs[key] = _build_section(hint, value, key)
-        elif key == "datasets":
-            if not isinstance(value, list):
-                raise ValidationError("config key 'datasets' must be a list")
-            kwargs["datasets"] = [
-                _build_section(DatasetPaths, entry, f"datasets[{i}]") for i, entry in enumerate(value)
-            ]
-        else:
-            _check_type(RunConfig, key, value, None)
-            kwargs[key] = value
-    config = RunConfig(**kwargs)
+        data = _interpolate(yaml.safe_load(path.read_text("utf-8")))
+    config = from_mapping(RunConfig, {} if data is None else data, "config")
     for key, value in overrides.items():
         if value is not None:
             setattr(config, key, value)

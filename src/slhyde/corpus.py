@@ -5,11 +5,13 @@ On-disk layout, one directory per dataset (all UTF-8):
     corpus.jsonl   one JSON object per line: _id, optional title, text
     queries.jsonl  one JSON object per line: _id, text, optional answer
     qrels.tsv      optional header, then  query-id <TAB> corpus-id <TAB> score
+
+Each line is read by `util.read_jsonl`: _id a string or an integer, text a
+string, title or answer a string or null; other keys are ignored.
 """
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .util import atomic_write_text, jsonl_line
+from .util import atomic_write_text, jsonl_line, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -106,20 +108,6 @@ class CorpusStore:
             raise ValidationError(f"unknown document id {doc_id!r}") from None
 
 
-def _iter_jsonl(path: Path):
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON in {path.name}: {exc.msg}", line=lineno) from None
-            if not isinstance(record, dict):
-                raise ParseError(f"expected a JSON object in {path.name}", line=lineno)
-            yield lineno, record
-
-
 def corpus_file_digest(path: str | Path) -> bytes:
     """sha256 of the corpus file's bytes: the corpus part of an embedding-cache
     fingerprint."""
@@ -133,48 +121,57 @@ def corpus_file_digest(path: str | Path) -> bytes:
     return digest.digest()
 
 
-def _read_records(path: str | Path, kind: str, cls, optional: str) -> list:
-    """One `cls` (Document or Query) per record of a `kind` ("corpus" or
-    "queries") JSONL file. Every record needs a string text and an _id that is
-    a string or an integer (read as its digits) with no line break; the
-    `optional` field (title or answer) is kept when truthy. An _id may appear
-    once. Each error names the file and the line."""
+@dataclass(slots=True)
+class _CorpusRecord:  # one corpus.jsonl line
+    _id: str | int
+    text: str
+    title: str | None = None
+    ignores_unknown_keys = True  # not a field
+
+
+@dataclass(slots=True)
+class _QueryRecord:  # one queries.jsonl line
+    _id: str | int
+    text: str
+    answer: str | None = None
+    ignores_unknown_keys = True  # not a field
+
+
+def _read_records(path: str | Path, kind: str, record_cls, make) -> list:
+    """`make(id, record)` for each `record_cls` record of a `kind` ("corpus" or
+    "queries") JSONL file. An integer _id is read as its digits; an _id holds
+    no line break and may appear once. Each error names the file and line."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"{kind} file not found: {path}")
-    items = []
     seen: set[str] = set()
-    for lineno, record in _iter_jsonl(path):
-        if "_id" not in record or "text" not in record:
-            raise ParseError(f"record missing _id or text in {path.name}", line=lineno)
-        doc_id, text = record["_id"], record["text"]
-        if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)) or not isinstance(text, str):
-            raise ParseError(f"_id must be a string or an integer and text a string in {path.name}", line=lineno)
-        doc_id = str(doc_id)
+
+    def item(record):
+        doc_id = str(record._id)
         if "\n" in doc_id or "\r" in doc_id:
-            raise ParseError(f"_id {doc_id!r} contains a line break in {path.name}", line=lineno)
-        extra = str(record[optional]) if record.get(optional) else None
-        try:
-            item = cls(id=doc_id, text=text, **{optional: extra})
-        except ValidationError as exc:
-            raise ValidationError(f"{exc} in {path.name} (line {lineno})") from None
-        if item.id in seen:
-            raise ValidationError(f"duplicate _id {item.id!r} in {path.name} (line {lineno})")
-        seen.add(item.id)
-        items.append(item)
+            raise ParseError(f"_id {doc_id!r} contains a line break")
+        made = make(doc_id, record)
+        if doc_id in seen:
+            raise ValidationError(f"duplicate _id {doc_id!r}")
+        seen.add(doc_id)
+        return made
+
+    items = read_jsonl(path, record_cls, f"{kind} record", item)
     if not items:
         logger.warning("%s file %s is empty", kind, path)
     return items
 
 
 def load_corpus(path: str | Path) -> CorpusStore:
-    """Load corpus.jsonl into a CorpusStore. Duplicate _id values are rejected."""
-    return CorpusStore(_read_records(path, "corpus", Document, "title"))
+    """Load corpus.jsonl into a CorpusStore. Duplicate _id values are rejected;
+    an empty title is no title."""
+    return CorpusStore(_read_records(path, "corpus", _CorpusRecord, lambda i, r: Document(i, r.text, r.title or None)))
 
 
 def load_queries(path: str | Path) -> list[Query]:
-    """Load queries.jsonl; a record may carry a reference `answer`."""
-    return _read_records(path, "queries", Query, "answer")
+    """Load queries.jsonl; a record may carry a reference `answer` (an empty
+    one is none)."""
+    return _read_records(path, "queries", _QueryRecord, lambda i, r: Query(i, r.text, r.answer or None))
 
 
 _QRELS_HEADERS = {"query-id", "query_id", "qid"}

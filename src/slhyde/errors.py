@@ -19,6 +19,12 @@ class ParseError(SlhydeError):
         self.line = line
 
 
+class RecordError(ParseError, ValidationError):
+    """A config section or file record lacks a required key, has an unknown
+    one or holds a value of the wrong type. Corpus readers document a
+    ParseError for this, SFT and triplet readers a ValidationError."""
+
+
 class TransportError(SlhydeError):
     """A remote call failed; `attempts` is set once retries are exhausted."""
 

@@ -26,20 +26,19 @@ computes reference InfoNCE loss values on given embeddings.
 """
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Document, _iter_jsonl, corpus_file_digest
+from .corpus import Document, corpus_file_digest
 from .embed import EmbeddingCache, cache_fingerprint, embed_rows, embed_texts, load_cache, save_cache
 from .errors import FormatError, RunError, SlhydeError, ValidationError
 from .hyde import fuse_rows
 from .retrieval import DenseIndex, ranks_of, search_many
 from .textgen import SamplingConfig, generate_hypothetical, generate_pseudo_docs, generate_query_for_doc
-from .util import atomic_write_text, derive_seed, jsonl_line, run_chunked
+from .util import atomic_write_text, derive_seed, jsonl_line, read_jsonl, run_chunked
 
 logger = logging.getLogger(__name__)
 
@@ -397,59 +396,59 @@ def contrastive_loss(query_fused: np.ndarray, positive: np.ndarray, negatives, t
 
 
 # --- JSONL emission -------------------------------------------------------
-# Record schemas are part of the external interface: they are what external
-# fine-tuning harnesses consume.
-
-SFT_RECORD_SCHEMA = {
-    "type": "object",
-    "required": ["instruction", "input", "output", "meta"],
-    "additionalProperties": False,
-    "properties": {
-        "instruction": {"type": "string"},
-        "input": {"type": "string", "minLength": 1},
-        "output": {"type": "string", "minLength": 1},
-        "meta": {
-            "type": "object",
-            "required": ["doc_id", "rank", "L"],
-            "additionalProperties": False,
-            "properties": {
-                "doc_id": {"type": "string", "minLength": 1},
-                "rank": {"type": "integer", "minimum": 1},
-                "L": {"type": "integer", "minimum": 1},
-            },
-        },
-    },
-}
-
-TRIPLET_RECORD_SCHEMA = {
-    "type": "object",
-    "required": ["query", "pseudo", "pos", "neg", "meta"],
-    "additionalProperties": False,
-    "properties": {
-        "query": {"type": "string", "minLength": 1},
-        "pseudo": {"type": "string", "minLength": 1},
-        "pos": {"type": "string", "minLength": 1},
-        "neg": {
-            "type": "array",
-            "items": {"type": "string", "minLength": 1},
-            "uniqueItems": True,
-        },
-        "meta": {"type": "object"},
-    },
-}
-
-_SCHEMAS = {"SFT": SFT_RECORD_SCHEMA, "triplet": TRIPLET_RECORD_SCHEMA}
+# The record formats are part of the external interface: they are what
+# external fine-tuning harnesses consume. Each line is read back by
+# `util.read_jsonl`: every key below is required and no other is allowed
+# (a triplet's `meta` is free-form).
 
 
-@functools.cache
-def _validator(kind: str):
-    """The compiled validator of a record schema, built on first use so that
-    importing slhyde does not import jsonschema. Compiled once, because
-    jsonschema.validate re-checks the schema itself on every call."""
-    from jsonschema.validators import validator_for
+@dataclass(slots=True)
+class _SftMeta:
+    doc_id: str
+    rank: int
+    L: int
 
-    schema = _SCHEMAS[kind]
-    return validator_for(schema)(schema)
+    def __post_init__(self):
+        if not self.doc_id:
+            raise ValidationError("meta.doc_id must be a non-empty string")
+        for key in ("rank", "L"):
+            if getattr(self, key) < 1:
+                raise ValidationError(f"meta.{key} must be >= 1, got {getattr(self, key)}")
+
+
+@dataclass(slots=True)
+class _SftRecord:
+    instruction: str
+    input: str
+    output: str
+    meta: _SftMeta
+
+    def __post_init__(self):
+        for key in ("input", "output"):
+            if not getattr(self, key):
+                raise ValidationError(f"{key} must be a non-empty string")
+
+    def example(self) -> SftExample:
+        return SftExample(self.input, self.output, self.meta.doc_id, self.meta.rank, self.meta.L)
+
+
+@dataclass(slots=True)
+class _TripletRecord:  # RetrieverTriplet checks that neg is distinct and lacks pos
+    query: str
+    pseudo: str
+    pos: str
+    neg: list[str]
+    meta: dict
+
+    def __post_init__(self):
+        for key in ("query", "pseudo", "pos"):
+            if not getattr(self, key):
+                raise ValidationError(f"{key} must be a non-empty string")
+        if not all(self.neg):
+            raise ValidationError("neg must hold non-empty strings")
+
+    def triplet(self) -> RetrieverTriplet:
+        return RetrieverTriplet(self.query, self.pseudo, self.pos, tuple(self.neg), self.meta.get("scores", {}))
 
 
 def emit_sft_jsonl(
@@ -476,30 +475,8 @@ def emit_sft_jsonl(
     atomic_write_text(path, "".join(lines))
 
 
-def _validated_records(path: str | Path, kind: str):
-    """Schema-checked JSONL records; bad JSON is a ParseError with the line."""
-    from jsonschema.exceptions import best_match
-
-    path = Path(path)
-    validator = _validator(kind)
-    for lineno, record in _iter_jsonl(path):
-        error = best_match(validator.iter_errors(record))
-        if error is not None:
-            raise ValidationError(f"bad {kind} record in {path.name} at line {lineno}: {error.message}")
-        yield record
-
-
 def load_sft_jsonl(path: str | Path) -> list[SftExample]:
-    return [
-        SftExample(
-            query=record["input"],
-            response=record["output"],
-            doc_id=record["meta"]["doc_id"],
-            rank=record["meta"]["rank"],
-            num_candidates=record["meta"]["L"],
-        )
-        for record in _validated_records(path, "SFT")
-    ]
+    return read_jsonl(path, _SftRecord, "SFT record", _SftRecord.example)
 
 
 def emit_triplets_jsonl(triplets: list[RetrieverTriplet], path: str | Path) -> None:
@@ -520,22 +497,9 @@ def emit_triplets_jsonl(triplets: list[RetrieverTriplet], path: str | Path) -> N
 
 
 def load_triplets_jsonl(path: str | Path) -> list[RetrieverTriplet]:
-    return [
-        RetrieverTriplet(
-            query=record["query"],
-            pseudo=record["pseudo"],
-            positive=record["pos"],
-            negatives=tuple(record["neg"]),
-            scores=record["meta"].get("scores", {}),
-        )
-        for record in _validated_records(path, "triplet")
-    ]
+    return read_jsonl(path, _TripletRecord, "triplet record", _TripletRecord.triplet)
 
 
 def validate_sft_file(path: str | Path) -> int:
-    """Schema-check every record; returns the record count."""
+    """Check every record; returns the record count."""
     return len(load_sft_jsonl(path))
-
-
-def validate_triplets_file(path: str | Path) -> int:
-    return len(load_triplets_jsonl(path))

@@ -1,18 +1,24 @@
 """Small shared helpers: seed derivation, atomic writes, stable JSON dumps, a
-chunked stage runner, and the remote-model boundary (`JsonEndpoint`,
-`retry_or_raise`) that the embedder and generator clients share."""
+chunked stage runner, the remote-model boundary (`JsonEndpoint`,
+`retry_or_raise`) that the embedder and generator clients share, and the one
+typed-record checker (`from_mapping`, `read_jsonl`) that reads the config and
+every corpus, query, SFT and triplet record."""
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import logging
 import os
 import time
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 
-from .errors import ProtocolError, TransportError
+from .errors import ParseError, ProtocolError, RecordError, TransportError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -127,3 +133,96 @@ def retry_or_raise(client, what: str, attempt: int, exc: TransportError) -> None
         raise TransportError(f"{what} failed", attempts=attempts) from exc
     if client.backoff > 0:
         time.sleep(client.backoff * 2 ** (attempt - 1))
+
+
+# The exact types of a JSON or YAML value that fit each annotation: an int fits
+# a float field, and a bool fits only bool.
+_EXACT = {str: {str}, int: {int}, float: {float, int}, bool: {bool}, dict: {dict}, type(None): {type(None)}}
+
+
+def _where(label: str, path: str) -> str:
+    return f"{label} section {path!r}" if path else f"top-level {label}"
+
+
+class _Plan:
+    """How one dataclass is built from a mapping, worked out once per class:
+    the exact types each field's value may have (none for a nested dataclass
+    or a list, which `_nested` handles), the fields without a default, and
+    whether keys that name no field are ignored. Errors quote annotations."""
+
+    def __init__(self, cls):
+        hints = typing.get_type_hints(cls)
+        fields = dataclasses.fields(cls)
+        self.cls, self.accepted, self.nested = cls, {}, {}
+        for f in fields:
+            hint = hints[f.name]
+            if dataclasses.is_dataclass(hint):
+                self.nested[f.name] = (dict, _plan(hint))
+            elif typing.get_origin(hint) is list:
+                (item,) = typing.get_args(hint)
+                self.nested[f.name] = (list, _plan(item) if dataclasses.is_dataclass(item) else _EXACT[item])
+            args = typing.get_args(hint) if typing.get_origin(hint) is types.UnionType else (hint,)
+            self.accepted[f.name] = frozenset(() if f.name in self.nested else (t for a in args for t in _EXACT[a]))
+        self.names = {f.name: f.type for f in fields}
+        self.required = frozenset(f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING)
+        self.ignores_unknown_keys = getattr(cls, "ignores_unknown_keys", False)
+
+    def build(self, data, label: str, path: str = ""):
+        if type(data) is not dict:
+            raise RecordError(f"{_where(label, path)} must be a mapping")
+        kwargs = {}
+        for key, value in data.items():
+            accepted = self.accepted.get(key)
+            if accepted is None:
+                if not self.ignores_unknown_keys:
+                    raise RecordError(f"unknown {_where(label, path)} key {key!r}")
+            elif type(value) in accepted:
+                kwargs[key] = value
+            else:
+                kwargs[key] = self._nested(key, value, label, path)
+        if not kwargs.keys() >= self.required:
+            missing = next(key for key in self.names if key in self.required and key not in kwargs)
+            raise RecordError(f"{_where(label, path)}: missing key {f'{path}.{missing}' if path else missing}")
+        return self.cls(**kwargs)
+
+    def _nested(self, key: str, value, label: str, path: str):
+        """The value of the nested dataclass or list field `key`, built; a
+        RecordError if it, or any other field's value, has the wrong type."""
+        dotted = f"{path}.{key}" if path else key
+        container, inner = self.nested.get(key, (None, None))
+        if type(value) is not container or (type(inner) is set and not all(type(v) in inner for v in value)):
+            raise RecordError(f"{_where(label, path)}: {dotted} must be {self.names[key]}, got {value!r:.80}")
+        if container is dict:
+            return inner.build(value, label, dotted)
+        return value if type(inner) is set else [inner.build(v, label, f"{dotted}[{i}]") for i, v in enumerate(value)]
+
+
+_plan = functools.cache(_Plan)  # one plan per class
+
+
+def from_mapping(cls, data, label: str):
+    """The dataclass `cls` built from the mapping `data` (nested mappings for
+    nested dataclass fields), `label` naming `data` in errors. A value of the
+    wrong type, a missing required field, or a key that names no field (unless
+    `cls.ignores_unknown_keys`) is a RecordError naming the key; the value
+    rules are the dataclass's own `__post_init__`."""
+    return _plan(cls).build(data, label)
+
+
+def read_jsonl(path: str | Path, cls, label: str, make) -> list:
+    """`make(record)` for each non-blank line of the JSONL file `path`, the
+    line's JSON object built into the dataclass `cls` as by `from_mapping`.
+    Every ParseError and ValidationError from a line, `make`'s included, ends
+    `in <file> (line N)`."""
+    path, plan, items = Path(path), _plan(cls), []
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                items.append(make(plan.build(json.loads(line), label)))
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON: {exc.msg} in {path.name}", line=lineno) from None
+            except (ParseError, ValidationError) as exc:
+                raise type(exc)(f"{exc} in {path.name} (line {lineno})") from None
+    return items

@@ -21,7 +21,7 @@ from slhyde.errors import TransportError, ValidationError
 from slhyde.hyde import FusionConfig, hyde_search
 from slhyde.metrics import build_report, ndcg_at_k, recall_at_k, report_to_dict
 from slhyde.retrieval import DenseIndex, dense_search
-from slhyde.selflearn import contrastive_loss, load_sft_jsonl, load_triplets_jsonl, validate_sft_file, validate_triplets_file
+from slhyde.selflearn import contrastive_loss, load_sft_jsonl, load_triplets_jsonl, validate_sft_file
 from slhyde.textgen import MockGeneratorClient, SamplingConfig, load_template, render_prompt
 from slhyde.util import derive_seed
 
@@ -613,7 +613,7 @@ class TestBuildDataCommands:
         stats = json.loads((out / "sft_stats.json").read_text())
         assert stats["total_documents"] == 20
         assert main(["build-retriever-data", "--config", str(config_path)]) == 0
-        count = validate_triplets_file(out / "triplets.jsonl")
+        count = len(load_triplets_jsonl(out / "triplets.jsonl"))
         assert count == stats["emitted"]
         tstats = json.loads((out / "triplets_stats.json").read_text())
         assert tstats["negatives_per_triplet"] == 3
@@ -1074,23 +1074,29 @@ def test_requests_is_imported_only_by_a_remote_client_without_a_session():
     assert done.stdout.split() == ["False", "False", "True"]
 
 
-def test_jsonschema_is_imported_only_when_records_are_validated(tmp_path):
-    # the SFT/triplet validators are built on first use, not at import
-    records = tmp_path / "sft.jsonl"
-    records.write_text("")
+def test_no_loader_imports_jsonschema(tmp_path):
+    # jsonschema is a test-only dependency: with it unimportable, the CLI and
+    # every record reader still work on real files
+    dataset = tmp_path / "data"
+    make_dataset(dataset)
+    sft, triplets = tmp_path / "sft.jsonl", tmp_path / "triplets.jsonl"
+    selflearn.emit_sft_jsonl([selflearn.SftExample("q", "p", "d0", 1, 5), selflearn.SftExample("q", "p", "d1", 2, 5)], sft)
+    selflearn.emit_triplets_jsonl([selflearn.RetrieverTriplet("q", "p", "d0", ("d1", "d2"), {"d1": 0.5})], triplets)
     script = "\n".join(
         [
-            "import sys, slhyde.cli",
-            "print('jsonschema' in sys.modules)",
-            "from slhyde.selflearn import validate_sft_file",
-            f"validate_sft_file({str(records)!r})",
-            "print('jsonschema' in sys.modules)",
+            "import sys",
+            "sys.modules['jsonschema'] = None",
+            "import slhyde.cli",
+            "from slhyde.corpus import load_corpus",
+            "from slhyde.selflearn import load_triplets_jsonl, validate_sft_file",
+            f"print(validate_sft_file({str(sft)!r}), len(load_triplets_jsonl({str(triplets)!r})),"
+            f" len(load_corpus({str(dataset / 'corpus.jsonl')!r})))",
         ]
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["False", "True"]
+    assert done.stdout.split() == ["2", "1", "20"]
 
 
 class TestExitCodes:

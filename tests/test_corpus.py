@@ -118,15 +118,21 @@ class TestLoadQueries:
         {"_id": ["x1"], "text": "body"},
         {"_id": "x\n1", "text": "body"},
         {"_id": "x\r1", "text": "body"},
+        {"_id": "x1", "text": "body", "<optional>": {"a": 1}},
+        {"_id": "x1", "text": "body", "<optional>": [1, 2]},
+        {"_id": "x1", "text": "body", "<optional>": 0},
     ],
 )
 def test_ill_typed_field_or_multiline_id_names_the_file_and_line(tmp_path, load, name, record):
+    # "<optional>" stands for the loader's own optional key, which must be a string or null
+    optional = {"corpus.jsonl": "title", "queries.jsonl": "answer"}[name]
+    record = {optional if key == "<optional>" else key: value for key, value in record.items()}
     path = tmp_path / name
     _write_jsonl(path, [{"_id": 7, "text": "an integer id is read as its digits"}, record])
     with pytest.raises(ParseError, match=rf"in {re.escape(name)} \(line 2\)"):
         load(path)
-    _write_jsonl(path, [{"_id": 7, "text": "an integer id is read as its digits"}])
-    assert [item.id for item in load(path)] == ["7"]
+    _write_jsonl(path, [{"_id": 7, "text": "an integer id is read as its digits", optional: ""}])
+    assert [(item.id, getattr(item, optional)) for item in load(path)] == [("7", None)]
 
 
 class TestLoadQrels:

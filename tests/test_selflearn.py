@@ -29,7 +29,6 @@ from slhyde.selflearn import (
     score_candidates,
     select_best,
     validate_sft_file,
-    validate_triplets_file,
 )
 from slhyde.textgen import MockGeneratorClient, SamplingConfig, generate_query_for_doc, load_template, render_prompt
 from slhyde.util import derive_seed
@@ -627,7 +626,7 @@ class TestEmission:
         record = json.loads(lines[0])
         del record["meta"]["rank"]
         path.write_text(json.dumps(record) + "\n" + lines[1] + "\n")
-        with pytest.raises(ValidationError, match=r"in sft\.jsonl at line 1: 'rank' is a required property"):
+        with pytest.raises(ValidationError, match=r"missing key meta\.rank in sft\.jsonl \(line 1\)$"):
             validate_sft_file(path)
 
     def test_malformed_sft_line_is_parse_error(self, tmp_path):
@@ -643,6 +642,27 @@ class TestEmission:
         with pytest.raises(ParseError, match="t.jsonl.*line 1"):
             load_triplets_jsonl(path)
 
+    _SFT = {"instruction": "i", "input": "q", "output": "p", "meta": {"doc_id": "d0", "rank": 1, "L": 5}}
+    _TRIPLET = {"query": "q", "pseudo": "p", "pos": "d0", "neg": ["d1", "d2"], "meta": {}}
+
+    @pytest.mark.parametrize(
+        "load, good, change",
+        [
+            (load_triplets_jsonl, _TRIPLET, {"neg": ["d1", "d0"]}),
+            (load_triplets_jsonl, _TRIPLET, {"neg": ["d1", "d1"]}),
+            (load_triplets_jsonl, _TRIPLET, {"meta": []}),
+            (load_triplets_jsonl, _TRIPLET, {"scores": {}}),
+            (load_sft_jsonl, _SFT, {"meta": {"doc_id": "d0", "rank": 0, "L": 5}}),
+            (load_sft_jsonl, _SFT, {"meta": {"doc_id": "d0", "rank": 1.0, "L": 5}}),
+            (load_sft_jsonl, _SFT, {"meta": {"doc_id": "d0", "rank": 1, "L": 5, "x": 1}}),
+        ],
+    )
+    def test_every_bad_record_names_the_file_and_line(self, tmp_path, load, good, change):
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(good | change) + "\n")
+        with pytest.raises(ValidationError, match=r" in records\.jsonl \(line 2\)$"):
+            load(path)
+
     def test_triplet_schema_validates(self, tmp_path):
         path = tmp_path / "t.jsonl"
         triplets = [
@@ -655,7 +675,7 @@ class TestEmission:
             )
         ]
         emit_triplets_jsonl(triplets, path)
-        assert validate_triplets_file(path) == 1
+        assert len(load_triplets_jsonl(path)) == 1
 
     def test_sft_instruction_constant_by_default(self, tmp_path):
         path = tmp_path / "sft.jsonl"
