@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end mock-mode demo: synthesize a dataset, then run
-embed-corpus -> build-sft-data -> build-retriever-data -> evaluate ->
-construct-benchmark. The last reads the synthetic corpus and queries as its
+embed-corpus -> build-sft-data -> build-retriever-data -> evaluate -> search
+-> hyde-search --trace -> construct-benchmark, so every command runs. search
+and hyde-search both write run_demo.trec, so they write into run/search and
+run/hyde. construct-benchmark reads the synthetic corpus and queries as its
 raw texts and raw queries and writes the constructed benchmark into run/bench.
 
 Everything is offline and deterministic; rerunning with the same seed
@@ -77,6 +79,8 @@ def main() -> int:
         "--out", str(bench_dir),
     ]
     commands = [[name] for name in ("embed-corpus", "build-sft-data", "build-retriever-data", "evaluate")]
+    commands.append(["search", "--out", str(run_dir / "search")])
+    commands.append(["hyde-search", "--trace", "--out", str(run_dir / "hyde")])
     commands.append(["construct-benchmark", *bench_flags])
     for command, *flags in commands:
         print(f"\n== slhyde {command}", flush=True)

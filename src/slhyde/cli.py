@@ -9,6 +9,10 @@ output directory file-by-file (os.replace) only when the command succeeds;
 embedding caches are managed in place with atomic writes so unchanged
 corpora are never re-embedded, and a warm cache is used without parsing the
 corpus file.
+
+Every command runs from one table in `build_parser` and writes through one
+staged step, `staged_outputs`, which writes the resolved config and prompt
+templates first, so every run directory holds them.
 """
 from __future__ import annotations
 
@@ -58,12 +62,15 @@ EXIT_DEGRADED = 3
 
 
 @contextmanager
-def staged_outputs(out_dir: Path):
-    """Write into a unique sibling staging dir (concurrent runs never share one);
-    promote per-file on success only."""
+def staged_outputs(config: RunConfig):
+    """Write into a unique sibling staging dir of config.out_dir (concurrent
+    runs never share one) that starts with the resolved config; promote
+    per-file on success only."""
+    out_dir = Path(config.out_dir)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(dir=out_dir.parent, prefix=out_dir.name + ".staging-"))
     try:
+        write_resolved_config(config, staging)
         yield staging
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
@@ -108,12 +115,12 @@ def _single_dataset(config: RunConfig, command: str):
     return datasets[0]
 
 
-def cmd_embed_corpus(config: RunConfig) -> int:
+def cmd_embed_corpus(config: RunConfig, command: str) -> int:
     emb = build_embedder_client(config)
     for dataset in config.all_datasets():
         _dataset_cache(config, emb, dataset)
-    with staged_outputs(Path(config.out_dir)) as staging:
-        write_resolved_config(config, staging)
+    with staged_outputs(config):
+        pass
     return EXIT_OK
 
 
@@ -165,34 +172,25 @@ def _search_k(config: RunConfig, k: int | None) -> int:
     return k
 
 
-def cmd_search(config: RunConfig, k: int | None = None) -> int:
+def cmd_search(config: RunConfig, command: str, k: int | None = None, trace: bool = False) -> int:
+    """search (dense) and hyde-search: one trec run per dataset, and with
+    --trace each query's hypothetical texts and hits."""
+    hyde = command == "hyde-search"
     k = _search_k(config, k)
-    emb = build_embedder_client(config)
-    with staged_outputs(Path(config.out_dir)) as staging:
-        write_resolved_config(config, staging)
-        for dataset in config.all_datasets():
-            _, cache = _dataset_cache(config, emb, dataset)
-            run, _ = _dense_run(emb, DenseIndex(cache), load_queries(dataset.queries), k)
-            write_trec_run(run, staging / f"run_{dataset.name}.trec", tag="dense")
-    return EXIT_OK
-
-
-def cmd_hyde_search(config: RunConfig, k: int | None = None, trace: bool = False) -> int:
-    k = _search_k(config, k)
-    gen = build_generator_client(config)
+    gen = build_generator_client(config) if hyde else None
     emb = build_embedder_client(config)
     degraded = False
-    with staged_outputs(Path(config.out_dir)) as staging:
-        write_resolved_config(config, staging)
+    with staged_outputs(config) as staging:
         for dataset in config.all_datasets():
-            fusion = _fusion_for(config, dataset)
             _, cache = _dataset_cache(config, emb, dataset)
-            queries = load_queries(dataset.queries)
-            [run] = _run_queries(
-                config, emb, DenseIndex(cache), queries, k, gen, fusion, [("hyde", dataset.name)]
-            )
+            index, queries = DenseIndex(cache), load_queries(dataset.queries)
+            if hyde:
+                fusion = _fusion_for(config, dataset)
+                [run] = _run_queries(config, emb, index, queries, k, gen, fusion, [("hyde", dataset.name)])
+            else:
+                run, _ = _dense_run(emb, index, queries, k)
             degraded = degraded or _degraded(run)
-            write_trec_run(run, staging / f"run_{dataset.name}.trec", tag="hyde")
+            write_trec_run(run, staging / f"run_{dataset.name}.trec", tag="hyde" if hyde else "dense")
             if trace:
                 trace_lines = [
                     jsonl_line(
@@ -258,7 +256,7 @@ def _mean(values: dict[str, float]) -> float:
     return sum(values.values()) / len(values)
 
 
-def cmd_evaluate(config: RunConfig, mode: str = "hyde") -> int:
+def cmd_evaluate(config: RunConfig, command: str, mode: str = "hyde") -> int:
     gen = build_generator_client(config) if mode == "hyde" else None
     emb = build_embedder_client(config)
     primary = f"ndcg@{config.eval.primary_k}"
@@ -308,8 +306,7 @@ def cmd_evaluate(config: RunConfig, mode: str = "hyde") -> int:
         "per_run": per_run,
         "degraded": any(_degraded(run) for runs in runs_by_dataset.values() for run in runs),
     }
-    with staged_outputs(Path(config.out_dir)) as staging:
-        write_resolved_config(config, staging)
+    with staged_outputs(config) as staging:
         atomic_write_text(staging / "report.json", dump_json(payload))
         atomic_write_text(staging / "report.txt", render_report_text(reports[primary]))
         for dataset_name, runs in runs_by_dataset.items():
@@ -319,10 +316,10 @@ def cmd_evaluate(config: RunConfig, mode: str = "hyde") -> int:
     return EXIT_DEGRADED if payload["degraded"] else EXIT_OK
 
 
-def cmd_build_sft(config: RunConfig) -> int:
+def cmd_build_sft(config: RunConfig, command: str) -> int:
     gen = build_generator_client(config)
     emb = build_embedder_client(config)
-    dataset = _single_dataset(config, "build-sft-data")
+    dataset = _single_dataset(config, command)
     store, cache = _dataset_cache(config, emb, dataset)
     if store is None:  # the cache was reused; sampling still needs the documents
         store = load_corpus(dataset.corpus)
@@ -332,8 +329,7 @@ def cmd_build_sft(config: RunConfig) -> int:
     result = build_generator_dataset(
         docs, gen, emb, index, config.selflearn, config.seed, _sampling(config), config.parallelism
     )
-    with staged_outputs(Path(config.out_dir)) as staging:
-        write_resolved_config(config, staging)
+    with staged_outputs(config) as staging:
         emit_sft_jsonl(result.examples, staging / "sft.jsonl")
         save_sft_rows(result, emb, staging / "sft.jsonl")
         atomic_write_text(
@@ -350,12 +346,12 @@ def cmd_build_sft(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_build_triplets(config: RunConfig, sft_path: str | None = None) -> int:
+def cmd_build_triplets(config: RunConfig, command: str, sft: str | None = None) -> int:
     gen = build_generator_client(config)
     emb = build_embedder_client(config)
-    dataset = _single_dataset(config, "build-retriever-data")
+    dataset = _single_dataset(config, command)
     _, cache = _dataset_cache(config, emb, dataset)
-    sft_file = Path(sft_path) if sft_path else Path(config.out_dir) / "sft.jsonl"
+    sft_file = Path(sft) if sft else Path(config.out_dir) / "sft.jsonl"
     if not sft_file.exists():
         raise ValidationError(f"SFT dataset not found: {sft_file} (run build-sft-data first)")
     examples = load_sft_jsonl(sft_file)
@@ -372,8 +368,7 @@ def cmd_build_triplets(config: RunConfig, sft_path: str | None = None) -> int:
         load_sft_rows(emb, sft_file, examples),
     )
     losses = result.reference_losses
-    with staged_outputs(Path(config.out_dir)) as staging:
-        write_resolved_config(config, staging)
+    with staged_outputs(config) as staging:
         emit_triplets_jsonl(result.triplets, staging / "triplets.jsonl")
         atomic_write_text(
             staging / "triplets_stats.json",
@@ -390,12 +385,12 @@ def cmd_build_triplets(config: RunConfig, sft_path: str | None = None) -> int:
 
 
 def cmd_construct_benchmark(
-    config: RunConfig, texts_path: str | None = None, queries_path: str | None = None
+    config: RunConfig, command: str, texts: str | None = None, queries: str | None = None
 ) -> int:
-    texts_file = texts_path or config.benchmark.raw_texts
-    queries_file = queries_path or config.benchmark.raw_queries
+    texts_file = texts or config.benchmark.raw_texts
+    queries_file = queries or config.benchmark.raw_queries
     if not texts_file or not queries_file:
-        raise ValidationError("construct-benchmark needs raw texts and raw queries paths")
+        raise ValidationError(f"{command} needs raw texts and raw queries paths")
     thresholds = (config.benchmark.med_threshold, config.benchmark.rel_threshold)
     if config.clients == "remote" and None in thresholds:
         raise ValidationError(
@@ -405,79 +400,59 @@ def cmd_construct_benchmark(
     # Raw inputs are corpus and queries files; a title is not judged.
     texts = [(doc.id, doc.text) for doc in load_corpus(texts_file)]
     queries = load_queries(queries_file)
-    with staged_outputs(Path(config.out_dir)) as staging:
-        write_resolved_config(config, staging)
+    with staged_outputs(config) as staging:
         report = run_pipeline(texts, queries, judge, config.benchmark, config.bm25, staging)
     return EXIT_DEGRADED if report.flagged else EXIT_OK
 
 
-def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="YAML run configuration")
-    parser.add_argument("--seed", type=int, default=None, help="global seed override")
-    parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--clients", choices=["mock", "remote"], default=None)
-    parser.add_argument("--parallelism", type=int, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="slhyde", description=__doc__)
+    # --help describes the commands: the docstring without its last paragraph
+    parser = argparse.ArgumentParser(prog="slhyde", description=__doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in (
-        "embed-corpus",
-        "search",
-        "hyde-search",
-        "evaluate",
-        "build-sft-data",
-        "build-retriever-data",
-        "construct-benchmark",
+    k = ("--k", {"type": int, "default": None})
+    sft = ("--sft", {"default": None, "help": "path to the SFT jsonl"})
+    mode = ("--mode", {"choices": ["retriever", "hyde"], "default": "hyde"})
+    raw = [("--texts", {"default": None}), ("--queries", {"default": None})]
+    # (name, function, own flags), built per call: a cmd_* attribute rebound
+    # after import (a tracing wrapper, say) is the one a command runs.
+    for name, run, flags in (
+        ("embed-corpus", cmd_embed_corpus, []),
+        ("search", cmd_search, [k]),
+        ("hyde-search", cmd_search, [k, ("--trace", {"action": "store_true"})]),
+        ("evaluate", cmd_evaluate, [mode]),
+        ("build-sft-data", cmd_build_sft, []),
+        ("build-retriever-data", cmd_build_triplets, [sft]),
+        ("construct-benchmark", cmd_construct_benchmark, raw),
     ):
         cmd = sub.add_parser(name)
-        _add_shared_flags(cmd)
-        if name in ("search", "hyde-search"):
-            cmd.add_argument("--k", type=int, default=None)
-        if name == "hyde-search":
-            cmd.add_argument("--trace", action="store_true")
-        if name == "evaluate":
-            cmd.add_argument("--mode", choices=["retriever", "hyde"], default="hyde")
-        if name == "build-retriever-data":
-            cmd.add_argument("--sft", default=None, help="path to the SFT jsonl")
-        if name == "construct-benchmark":
-            cmd.add_argument("--texts", default=None)
-            cmd.add_argument("--queries", default=None)
+        cmd.add_argument("--config", default=None, help="YAML run configuration")
+        cmd.add_argument("--seed", type=int, default=None, help="global seed override")
+        cmd.add_argument("--out", default=None, help="output directory override")
+        cmd.add_argument("--clients", choices=["mock", "remote"], default=None)
+        cmd.add_argument("--parallelism", type=int, default=None)
+        for flag, options in flags:
+            cmd.add_argument(flag, **options)
+        cmd.set_defaults(run=run)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    run = args.pop("run")
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.DEBUG if args.pop("verbose") else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
         config = load_config(
-            args.config,
-            seed=args.seed,
-            out_dir=args.out,
-            clients=args.clients,
-            parallelism=args.parallelism,
+            args.pop("config"),
+            seed=args.pop("seed"),
+            out_dir=args.pop("out"),
+            clients=args.pop("clients"),
+            parallelism=args.pop("parallelism"),
         )
-        if args.command == "embed-corpus":
-            return cmd_embed_corpus(config)
-        if args.command == "search":
-            return cmd_search(config, k=args.k)
-        if args.command == "hyde-search":
-            return cmd_hyde_search(config, k=args.k, trace=args.trace)
-        if args.command == "evaluate":
-            return cmd_evaluate(config, mode=args.mode)
-        if args.command == "build-sft-data":
-            return cmd_build_sft(config)
-        if args.command == "build-retriever-data":
-            return cmd_build_triplets(config, sft_path=args.sft)
-        if args.command == "construct-benchmark":
-            return cmd_construct_benchmark(config, texts_path=args.texts, queries_path=args.queries)
-        raise ValidationError(f"unknown command {args.command!r}")
+        return run(config, **args)  # the command's name and its own flags
     except (ValidationError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

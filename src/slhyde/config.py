@@ -38,7 +38,7 @@ from .textgen import (
     SamplingSettings,
     load_template,
 )
-from .util import atomic_write_text, derive_seed, dump_json, from_mapping
+from .util import atomic_write_text, derive_seed, dump_json, from_mapping, text_lines
 
 _ENV_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
@@ -171,7 +171,7 @@ def load_config(path: str | Path | None, **overrides) -> RunConfig:
         path = Path(path)
         if not path.exists():
             raise ValidationError(f"config file not found: {path}")
-        data = _interpolate(yaml.safe_load(path.read_text("utf-8")))
+        data = _interpolate(yaml.safe_load("".join(line for _, line in text_lines(path))))
     config = from_mapping(RunConfig, {} if data is None else data, "config")
     for key, value in overrides.items():
         if value is not None:

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .util import atomic_write_text, jsonl_line, read_jsonl
+from .util import atomic_write_text, jsonl_line, read_jsonl, text_lines
 
 logger = logging.getLogger(__name__)
 
@@ -183,38 +183,37 @@ def load_qrels(path: str | Path) -> RelevanceJudgments:
     if not path.is_file():
         raise ValidationError(f"qrels file not found: {path}")
     entries: dict[str, dict[str, int]] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(
-                    f"expected 3 tab-separated columns, got {len(parts)} in {path.name}",
-                    line=lineno,
-                )
-            qid, doc_id, grade_raw = (p.strip() for p in parts)
-            if lineno == 1 and qid.lower() in _QRELS_HEADERS:
-                continue
-            try:
-                grade = int(grade_raw)
-            except ValueError:
-                raise ParseError(
-                    f"grade {grade_raw!r} is not an integer in {path.name}", line=lineno
-                ) from None
-            if grade < 0:
-                raise ValidationError(
-                    f"negative grade {grade} for ({qid}, {doc_id}) in {path.name} (line {lineno})"
-                )
-            if not qid or not doc_id:
-                raise ParseError(f"empty query or doc id in {path.name}", line=lineno)
-            per_query = entries.setdefault(qid, {})
-            if doc_id in per_query:
-                logger.warning(
-                    "duplicate qrels pair (%s, %s) at line %d; last occurrence wins", qid, doc_id, lineno
-                )
-            per_query[doc_id] = grade
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(
+                f"expected 3 tab-separated columns, got {len(parts)} in {path.name}",
+                line=lineno,
+            )
+        qid, doc_id, grade_raw = (p.strip() for p in parts)
+        if lineno == 1 and qid.lower() in _QRELS_HEADERS:
+            continue
+        try:
+            grade = int(grade_raw)
+        except ValueError:
+            raise ParseError(
+                f"grade {grade_raw!r} is not an integer in {path.name}", line=lineno
+            ) from None
+        if grade < 0:
+            raise ValidationError(
+                f"negative grade {grade} for ({qid}, {doc_id}) in {path.name} (line {lineno})"
+            )
+        if not qid or not doc_id:
+            raise ParseError(f"empty query or doc id in {path.name}", line=lineno)
+        per_query = entries.setdefault(qid, {})
+        if doc_id in per_query:
+            logger.warning(
+                "duplicate qrels pair (%s, %s) at line %d; last occurrence wins", qid, doc_id, lineno
+            )
+        per_query[doc_id] = grade
     for qid, grades in entries.items():
         if not any(g > 0 for g in grades.values()):
             logger.warning("query %s has no positive judgment; it will be skipped in evaluation", qid)

@@ -130,33 +130,21 @@ class SelfLearnSettings:
             raise ValidationError("selflearn.max_skip_fraction must be in [0, 1]")
 
 
-def score_candidates(
-    candidates: list[str],
-    query: str,
-    emb,
-    index: DenseIndex,
-    target_id: str,
-    rank_scoring: str = "candidate",
-) -> list[HypotheticalCandidate]:
-    """Rank the true target under each candidate's retrieval vector.
+def _score_many(
+    planned, emb, index: DenseIndex, rank_scoring: str
+) -> list[tuple[list[HypotheticalCandidate], np.ndarray]]:
+    """For each (target_id, query, candidates) of `planned`: the true target's
+    rank under each candidate's retrieval vector, and the plan's rows (the
+    query's first, then each candidate's).
 
     rank_scoring="candidate" retrieves with the candidate embedding alone
     (the literal reading); "fused" averages in the query embedding, matching
     the inference-time fusion. Both are exposed because the source procedure
-    is ambiguous on this point. The query and every candidate are embedded
-    in one embed_texts call, and all candidates are ranked in one ranks_of call.
-    build_generator_dataset keeps the query's row and the selected
-    candidate's, so the triplet builder need not embed them again.
+    is ambiguous on this point. Every query and candidate of `planned` is
+    embedded in one embed_texts call, and all candidates are ranked in one
+    ranks_of call. build_generator_dataset keeps the query's row and the
+    selected candidate's, so the triplet builder need not embed them again.
     """
-    return _score_many([(target_id, query, candidates)], emb, index, rank_scoring)[0][0]
-
-
-def _score_many(
-    planned, emb, index: DenseIndex, rank_scoring: str
-) -> list[tuple[list[HypotheticalCandidate], np.ndarray]]:
-    """score_candidates for each (target_id, query, candidates) of `planned`,
-    with one embed_texts and one ranks_of call for all of them, and the
-    plan's rows: the query's first, then each candidate's."""
     if rank_scoring not in RANK_SCORINGS:
         raise ValidationError(f"unknown rank_scoring {rank_scoring!r}")
     if not planned:

@@ -209,20 +209,36 @@ def from_mapping(cls, data, label: str):
     return _plan(cls).build(data, label)
 
 
+def text_lines(path: Path):
+    """(line number, line) for each line of the UTF-8 text file `path`, split
+    as text-mode reading splits them. A byte that is not UTF-8 is a
+    ParseError naming the file and its line, raised when that line is read."""
+    # surrogateescape turns each such byte into a lone surrogate, which the
+    # strict encoder refuses; an ASCII line cannot hold one.
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise ParseError(f"byte 0x{byte:02x} is not UTF-8 in {path.name}", line=lineno) from None
+            yield lineno, line
+
+
 def read_jsonl(path: str | Path, cls, label: str, make) -> list:
     """`make(record)` for each non-blank line of the JSONL file `path`, the
     line's JSON object built into the dataclass `cls` as by `from_mapping`.
-    Every ParseError and ValidationError from a line, `make`'s included, ends
-    `in <file> (line N)`."""
+    Every ParseError and ValidationError from a line, `make`'s and a byte
+    that is not UTF-8 included, ends `in <file> (line N)`."""
     path, plan, items = Path(path), _plan(cls), []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                items.append(make(plan.build(json.loads(line), label)))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg} in {path.name}", line=lineno) from None
-            except (ParseError, ValidationError) as exc:
-                raise type(exc)(f"{exc} in {path.name} (line {lineno})") from None
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            items.append(make(plan.build(json.loads(line), label)))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg} in {path.name}", line=lineno) from None
+        except (ParseError, ValidationError) as exc:
+            raise type(exc)(f"{exc} in {path.name} (line {lineno})") from None
     return items

@@ -12,12 +12,12 @@ import pytest
 import yaml
 
 from slhyde import cli, embed, selflearn
-from slhyde.cli import main
+from slhyde.cli import build_parser, main
 from slhyde.config import build_embedder_client, build_generator_client, load_config, write_resolved_config
 from slhyde.corpus import CorpusStore, Document, load_qrels, write_corpus, write_qrels, write_queries
 from slhyde.corpus import RelevanceJudgments, load_corpus, load_queries
 from slhyde.embed import MockEmbedderClient, cache_embeddings, embed_text, embed_texts, load_cache
-from slhyde.errors import TransportError, ValidationError
+from slhyde.errors import ParseError, TransportError, ValidationError
 from slhyde.hyde import FusionConfig, hyde_search
 from slhyde.metrics import build_report, ndcg_at_k, recall_at_k, report_to_dict
 from slhyde.retrieval import DenseIndex, dense_search
@@ -219,6 +219,54 @@ selflearn:
 """
 
 
+class TestCommandSurface:
+    """Every command takes the shared flags and its own, and no other command's."""
+
+    SHARED = {"config": None, "seed": None, "out": None, "clients": None, "parallelism": None}
+    # command -> {dest: (default, argv that sets it, value parsed from that argv)}
+    OWN = {
+        "embed-corpus": {},
+        "search": {"k": (None, ["--k", "7"], 7)},
+        "hyde-search": {"k": (None, ["--k", "0"], 0), "trace": (False, ["--trace"], True)},
+        "evaluate": {"mode": ("hyde", ["--mode", "retriever"], "retriever")},
+        "build-sft-data": {},
+        "build-retriever-data": {"sft": (None, ["--sft", "x.jsonl"], "x.jsonl")},
+        "construct-benchmark": {"texts": (None, ["--texts", "t"], "t"), "queries": (None, ["--queries", "q"], "q")},
+    }
+
+    @pytest.mark.parametrize("command", list(OWN))
+    def test_own_flags_and_defaults(self, command):
+        own = self.OWN[command]
+        args = build_parser().parse_args([command])
+        assert args.command == command
+        assert {dest: getattr(args, dest) for dest in self.SHARED} == self.SHARED
+        assert {dest: getattr(args, dest) for dest in own} == {dest: flag[0] for dest, flag in own.items()}
+        others = {dest for flags in self.OWN.values() for dest in flags} - own.keys()
+        assert not [dest for dest in others if hasattr(args, dest)]
+        argv = [command, "--seed", "3"] + [token for _, given, _ in own.values() for token in given]
+        args = build_parser().parse_args(argv)
+        assert args.seed == 3
+        assert {dest: getattr(args, dest) for dest in own} == {dest: flag[2] for dest, flag in own.items()}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--trace"],
+            ["search", "--mode", "hyde"],
+            ["hyde-search", "--sft", "x"],
+            ["evaluate", "--k", "5"],
+            ["embed-corpus", "--texts", "x"],
+            ["build-sft-data", "--sft", "x"],
+            ["construct-benchmark", "--k", "3"],
+        ],
+    )
+    def test_another_commands_flag_is_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestConfig:
     def test_defaults_without_file(self):
         config = load_config(None)
@@ -248,6 +296,14 @@ class TestConfig:
             path.write_text(text)
             with pytest.raises(ValidationError, match=f"unknown top-level config key {key}"):
                 load_config(path)
+
+    def test_byte_that_is_not_utf8_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_bytes(b"seed: 3\r\n# caf\xe9\r\nparallelism: 2\r\n")
+        with pytest.raises(ParseError, match=r"byte 0xe9 is not UTF-8 in c\.yaml \(line 2\)$"):
+            load_config(path)
+        path.write_bytes("seed: 3\r\n# café\r\nparallelism: 2\r\n".encode())
+        assert (load_config(path).seed, load_config(path).parallelism) == (3, 2)
 
     def test_overrides_win(self, tmp_path):
         path = tmp_path / "c.yaml"
@@ -1153,13 +1209,19 @@ class TestExitCodes:
         assert not list(tmp_path.rglob("*.emb"))
 
     @pytest.mark.parametrize(
-        "record", [{"_id": "d-null", "text": None}, {"_id": None, "text": "body"}, {"_id": "d\nx", "text": "body"}]
+        "record",
+        [
+            {"_id": "d-null", "text": None},
+            {"_id": None, "text": "body"},
+            {"_id": "d\nx", "text": "body"},
+            b'{"_id": "d-ff", "text": "caf\xff"}',  # a byte that is not UTF-8
+        ],
     )
     def test_bad_corpus_record_exits_before_any_embedding(self, tmp_path, monkeypatch, capsys, record):
         dataset = tmp_path / "data"
         make_dataset(dataset)  # 20 documents
-        with (dataset / "corpus.jsonl").open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record) + "\n")
+        with (dataset / "corpus.jsonl").open("ab") as fh:
+            fh.write((record if isinstance(record, bytes) else json.dumps(record).encode()) + b"\n")
         batches = _record_embed_batches(monkeypatch)
         assert main(["embed-corpus", "--config", str(make_config(tmp_path, dataset, tmp_path / "run"))]) == 1
         assert "corpus.jsonl (line 21)" in capsys.readouterr().err

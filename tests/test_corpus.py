@@ -23,9 +23,11 @@ from conftest import synthetic_docs
 
 
 def _write_jsonl(path, records):
-    with path.open("w", encoding="utf-8") as fh:
+    """One line per record: a dict as UTF-8 JSON, bytes as they are."""
+    with path.open("wb") as fh:
         for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(record if isinstance(record, bytes) else json.dumps(record, ensure_ascii=False).encode())
+            fh.write(b"\n")
 
 
 class TestLoadCorpus:
@@ -121,12 +123,14 @@ class TestLoadQueries:
         {"_id": "x1", "text": "body", "<optional>": {"a": 1}},
         {"_id": "x1", "text": "body", "<optional>": [1, 2]},
         {"_id": "x1", "text": "body", "<optional>": 0},
+        b'{"_id": "x1", "text": "caf\xff"}',  # a byte that is not UTF-8
     ],
 )
 def test_ill_typed_field_or_multiline_id_names_the_file_and_line(tmp_path, load, name, record):
     # "<optional>" stands for the loader's own optional key, which must be a string or null
     optional = {"corpus.jsonl": "title", "queries.jsonl": "answer"}[name]
-    record = {optional if key == "<optional>" else key: value for key, value in record.items()}
+    if isinstance(record, dict):
+        record = {optional if key == "<optional>" else key: value for key, value in record.items()}
     path = tmp_path / name
     _write_jsonl(path, [{"_id": 7, "text": "an integer id is read as its digits"}, record])
     with pytest.raises(ParseError, match=rf"in {re.escape(name)} \(line 2\)"):
@@ -166,6 +170,17 @@ class TestLoadQrels:
         path.write_text("q1\td1\t1\textra\n")
         with pytest.raises(ParseError, match="columns"):
             load_qrels(path)
+
+    def test_byte_that_is_not_utf8_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "qrels.tsv"
+        path.write_bytes(b"q1\td1\t1\n" + b"q1\td\xff\t1\n" + b"q1\td3\t1\n" * 5000)
+        with pytest.raises(ParseError, match=r"byte 0xff is not UTF-8 in qrels\.tsv \(line 2\)$"):
+            load_qrels(path)
+
+    def test_crlf_and_non_ascii_lines_read_as_text_mode_does(self, tmp_path):
+        path = tmp_path / "qrels.tsv"
+        path.write_bytes("query-id\tcorpus-id\tscore\r\nq1\td-é\t1\r\nq2\t文档\t2\r\n".encode())
+        assert load_qrels(path).entries == {"q1": {"d-é": 1}, "q2": {"文档": 2}}
 
     def test_no_positive_judgment_warns(self, tmp_path, caplog):
         path = tmp_path / "qrels.tsv"

@@ -28,6 +28,8 @@ def test_mock_pipeline_runs_in_two_directories_are_byte_identical(tmp_path):
         assert result.returncode == 0, result.stderr
         trees.append(_tree(tmp_path / name))
     assert "run/bench/qc_report.json" in trees[0]
+    assert "run/search/run_demo.trec" in trees[0]
+    assert "run/hyde/trace_demo.jsonl" in trees[0]
     assert trees[0] == trees[1]
 
 

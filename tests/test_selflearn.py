@@ -15,6 +15,7 @@ from slhyde.selflearn import (
     RetrieverTriplet,
     SelfLearnSettings,
     SftExample,
+    _score_many,
     build_generator_dataset,
     build_retriever_dataset,
     contrastive_loss,
@@ -26,7 +27,6 @@ from slhyde.selflearn import (
     load_triplets_jsonl,
     mine_hard_negatives,
     save_sft_rows,
-    score_candidates,
     select_best,
     validate_sft_file,
 )
@@ -97,8 +97,8 @@ class TestScoreCandidatesControlledGeometry:
         emb, store, docs = self._controlled()
         cache = cache_docs(emb, store, tmp_path / "ctrl.emb")
         index = DenseIndex(cache)
-        scored = score_candidates(
-            ["cand rank5", "cand rank2", "cand rank8"], "doc text 0", emb, index, "d0"
+        [(scored, _)] = _score_many(
+            [("d0", "doc text 0", ["cand rank5", "cand rank2", "cand rank8"])], emb, index, "candidate"
         )
         assert [c.rank for c in scored] == [5, 2, 8]
         best_index, best = select_best(scored)
@@ -125,7 +125,7 @@ class TestScoreCandidatesMatchesPerTextPath:
                 vec = (vec + query_vec) / 2.0
             expected.append(HypotheticalCandidate(text=text, rank=ranks_of(small_index, [vec], [target_id])[0]))
         emb.calls = 0
-        scored = score_candidates(candidates, query, emb, small_index, target_id, rank_scoring)
+        [(scored, _)] = _score_many([(target_id, query, candidates)], emb, small_index, rank_scoring)
         assert scored == expected
         assert emb.calls == 1
         rows = embed_texts(emb, [query, *candidates])
@@ -641,6 +641,13 @@ class TestEmission:
         path.write_text('{"query": "q", \n')
         with pytest.raises(ParseError, match="t.jsonl.*line 1"):
             load_triplets_jsonl(path)
+
+    @pytest.mark.parametrize("load", [load_sft_jsonl, load_triplets_jsonl])
+    def test_byte_that_is_not_utf8_is_parse_error(self, tmp_path, load):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(b"\n" + b'{"query": "caf\xff"}\n')
+        with pytest.raises(ParseError, match=r"byte 0xff is not UTF-8 in records\.jsonl \(line 2\)$"):
+            load(path)
 
     _SFT = {"instruction": "i", "input": "q", "output": "p", "meta": {"doc_id": "d0", "rank": 1, "L": 5}}
     _TRIPLET = {"query": "q", "pseudo": "p", "pos": "d0", "neg": ["d1", "d2"], "meta": {}}
