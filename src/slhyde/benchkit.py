@@ -41,7 +41,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -361,10 +361,7 @@ class QcReport:
     def to_dict(self) -> dict:
         return {
             "stages": self.stages,
-            "review_bucket": [
-                {"stage": r.stage, "item_id": r.item_id, "reason": r.reason, "raw_response": r.raw_response}
-                for r in self.review
-            ],
+            "review_bucket": [asdict(r) for r in self.review],
             "warnings": self.warnings,
             "flagged": self.flagged,
         }

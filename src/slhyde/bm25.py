@@ -39,43 +39,22 @@ _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 TOKENIZERS = ("cjk", "simple")
 
 
-# The three ranges of _is_cjk as one character class: one search per word.
+# The CJK Unified Ideographs, Extension A and Compatibility Ideographs blocks.
 _CJK_RE = re.compile("[\u4e00-\u9fff\u3400-\u4dbf\uf900-\ufaff]")
-
-
-def _is_cjk(ch: str) -> bool:
-    code = ord(ch)
-    return (
-        0x4E00 <= code <= 0x9FFF
-        or 0x3400 <= code <= 0x4DBF
-        or 0xF900 <= code <= 0xFAFF
-    )
+_CJK_RUNS_RE = re.compile(f"({_CJK_RE.pattern}+)")
 
 
 def _expand_cjk(word: str) -> list[str]:
+    """Each CJK run of `word` as its unigrams and then its bigrams, and each
+    piece between runs whole, in order."""
     tokens: list[str] = []
-    run: list[str] = []
-
-    def flush_run():
-        if not run:
-            return
-        tokens.extend(run)
-        tokens.extend(run[i] + run[i + 1] for i in range(len(run) - 1))
-        run.clear()
-
-    buffer = []
-    for ch in word:
-        if _is_cjk(ch):
-            if buffer:
-                tokens.append("".join(buffer))
-                buffer = []
-            run.append(ch)
-        else:
-            flush_run()
-            buffer.append(ch)
-    flush_run()
-    if buffer:
-        tokens.append("".join(buffer))
+    # split keeps the runs (its group) at the odd positions
+    for i, part in enumerate(_CJK_RUNS_RE.split(word)):
+        if i % 2:
+            tokens.extend(part)
+            tokens.extend(part[j : j + 2] for j in range(len(part) - 1))
+        elif part:
+            tokens.append(part)
     return tokens
 
 

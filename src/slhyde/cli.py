@@ -51,7 +51,7 @@ from .selflearn import (
     save_sft_rows,
 )
 from .textgen import SamplingConfig
-from .util import atomic_write_text, derive_seed, dump_json, jsonl_line, run_chunked
+from .util import atomic_write_text, derive_seed, dump_json, run_chunked, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -192,17 +192,15 @@ def cmd_search(config: RunConfig, command: str, k: int | None = None, trace: boo
             degraded = degraded or _degraded(run)
             write_trec_run(run, staging / f"run_{dataset.name}.trec", tag="hyde" if hyde else "dense")
             if trace:
-                trace_lines = [
-                    jsonl_line(
-                        {
-                            "query_id": query_id,
-                            "hypothetical_texts": hits.meta.get("hypothetical_texts", []),
-                            "hits": [[doc_id, score] for doc_id, score in hits],
-                        }
-                    )
+                records = (
+                    {
+                        "query_id": query_id,
+                        "hypothetical_texts": hits.meta.get("hypothetical_texts", []),
+                        "hits": [[doc_id, score] for doc_id, score in hits],
+                    }
                     for query_id, hits in run.items()
-                ]
-                atomic_write_text(staging / f"trace_{dataset.name}.jsonl", "".join(trace_lines))
+                )
+                write_jsonl(staging / f"trace_{dataset.name}.jsonl", records)
     return EXIT_DEGRADED if degraded else EXIT_OK
 
 

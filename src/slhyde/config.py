@@ -26,13 +26,13 @@ import yaml
 from .benchkit import BenchmarkSettings
 from .bm25 import Bm25Settings
 from .embed import MockEmbedderClient, RemoteEmbedderClient
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .hyde import FusionConfig
 from .metrics import PAIRINGS
 from .selflearn import SelfLearnSettings
 from .textgen import (
     HYPOTHETICAL_TEMPLATES,
-    TEMPLATE_FILES,
+    TEMPLATE_NAMES,
     MockGeneratorClient,
     RemoteGeneratorClient,
     SamplingSettings,
@@ -165,13 +165,20 @@ class RunConfig:
 
 
 def load_config(path: str | Path | None, **overrides) -> RunConfig:
-    """Load YAML config (optional), interpolate ${ENV}, apply flag overrides, validate."""
+    """Load YAML config (optional), interpolate ${ENV}, apply flag overrides,
+    validate. A YAML syntax error is a ParseError naming the file and line."""
     data = None
     if path is not None:
         path = Path(path)
         if not path.exists():
             raise ValidationError(f"config file not found: {path}")
-        data = _interpolate(yaml.safe_load("".join(line for _, line in text_lines(path))))
+        try:
+            data = yaml.safe_load("".join(line for _, line in text_lines(path)))
+        except yaml.YAMLError as exc:  # a ReaderError (a control character) has no problem and no mark
+            mark = getattr(exc, "problem_mark", None) or getattr(exc, "context_mark", None)
+            line = mark.line + 1 if mark else None
+            raise ParseError(f"{getattr(exc, 'problem', None) or exc} in {path.name}", line=line) from None
+        data = _interpolate(data)
     config = from_mapping(RunConfig, {} if data is None else data, "config")
     for key, value in overrides.items():
         if value is not None:
@@ -193,7 +200,7 @@ def write_resolved_config(config: RunConfig, out_dir: str | Path) -> None:
         out_dir / "resolved_config.yaml",
         yaml.safe_dump(redacted, sort_keys=True, allow_unicode=True),
     )
-    manifest = {name: load_template(name).body for name in sorted(TEMPLATE_FILES)}
+    manifest = {name: load_template(name).body for name in sorted(TEMPLATE_NAMES)}
     atomic_write_text(out_dir / "prompt_templates.json", dump_json(manifest))
 
 

@@ -6,8 +6,10 @@ On-disk layout, one directory per dataset (all UTF-8):
     queries.jsonl  one JSON object per line: _id, text, optional answer
     qrels.tsv      optional header, then  query-id <TAB> corpus-id <TAB> score
 
-Each line is read by `util.read_jsonl`: _id a string or an integer, text a
-string, title or answer a string or null; other keys are ignored.
+Each JSONL format is one record dataclass, `_CorpusRecord` or `_QueryRecord`:
+`util.read_jsonl` builds it from each line (_id a string or an integer, text a
+string, title or answer a string or null; other keys are ignored), and
+`util.write_jsonl` writes it, leaving out a title or answer that is None.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .util import atomic_write_text, jsonl_line, read_jsonl, text_lines
+from .util import atomic_write_text, read_jsonl, text_lines, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -221,18 +223,11 @@ def load_qrels(path: str | Path) -> RelevanceJudgments:
 
 
 def write_corpus(documents: Iterable[Document], path: str | Path) -> None:
-    lines = []
-    for doc in documents:
-        record = {"_id": doc.id, "text": doc.text}
-        if doc.title is not None:
-            record["title"] = doc.title
-        lines.append(jsonl_line(record))
-    atomic_write_text(path, "".join(lines))
+    write_jsonl(path, (_CorpusRecord(doc.id, doc.text, doc.title) for doc in documents))
 
 
 def write_queries(queries: Iterable[Query], path: str | Path) -> None:
-    records = [{"_id": q.id, "text": q.text} | ({"answer": q.answer} if q.answer else {}) for q in queries]
-    atomic_write_text(path, "".join(jsonl_line(record) for record in records))
+    write_jsonl(path, (_QueryRecord(q.id, q.text, q.answer or None) for q in queries))
 
 
 def write_qrels(qrels: RelevanceJudgments, path: str | Path) -> None:

@@ -10,7 +10,7 @@ All internal math is float64; rounding happens only when rendering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -197,15 +197,7 @@ def report_to_dict(report: EvalReport) -> dict:
         },
     }
     if report.comparison:
-        c = report.comparison
-        out["comparison"] = {
-            "baseline_means": c.baseline_means,
-            "baseline_average": c.baseline_average,
-            "improvement_pct": c.improvement_pct,
-            "average_improvement_pct": c.average_improvement_pct,
-            "p_values": c.p_values,
-            "pairing": c.pairing,
-        }
+        out["comparison"] = asdict(report.comparison)
     return out
 
 

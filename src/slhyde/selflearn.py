@@ -38,7 +38,7 @@ from .errors import FormatError, RunError, SlhydeError, ValidationError
 from .hyde import fuse_rows
 from .retrieval import DenseIndex, ranks_of, search_many
 from .textgen import SamplingConfig, generate_hypothetical, generate_pseudo_docs, generate_query_for_doc
-from .util import atomic_write_text, derive_seed, jsonl_line, read_jsonl, run_chunked
+from .util import derive_seed, read_jsonl, run_chunked, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -385,9 +385,10 @@ def contrastive_loss(query_fused: np.ndarray, positive: np.ndarray, negatives, t
 
 # --- JSONL emission -------------------------------------------------------
 # The record formats are part of the external interface: they are what
-# external fine-tuning harnesses consume. Each line is read back by
-# `util.read_jsonl`: every key below is required and no other is allowed
-# (a triplet's `meta` is free-form).
+# external fine-tuning harnesses consume. Each format is one record dataclass
+# below, written by `util.write_jsonl` and read back by `util.read_jsonl`:
+# every field is a required key and no other key is allowed (a triplet's
+# `meta` is free-form). A record its reader refuses is refused when written.
 
 
 @dataclass(slots=True)
@@ -444,23 +445,10 @@ def emit_sft_jsonl(
     path: str | Path,
     instruction: str = DEFAULT_SFT_INSTRUCTION,
 ) -> None:
-    lines = []
-    for example in examples:
-        lines.append(
-            jsonl_line(
-                {
-                    "instruction": instruction,
-                    "input": example.query,
-                    "output": example.response,
-                    "meta": {
-                        "doc_id": example.doc_id,
-                        "rank": example.rank,
-                        "L": example.num_candidates,
-                    },
-                }
-            )
-        )
-    atomic_write_text(path, "".join(lines))
+    records = (
+        _SftRecord(instruction, e.query, e.response, _SftMeta(e.doc_id, e.rank, e.num_candidates)) for e in examples
+    )
+    write_jsonl(path, records)
 
 
 def load_sft_jsonl(path: str | Path) -> list[SftExample]:
@@ -468,20 +456,8 @@ def load_sft_jsonl(path: str | Path) -> list[SftExample]:
 
 
 def emit_triplets_jsonl(triplets: list[RetrieverTriplet], path: str | Path) -> None:
-    lines = []
-    for triplet in triplets:
-        lines.append(
-            jsonl_line(
-                {
-                    "query": triplet.query,
-                    "pseudo": triplet.pseudo,
-                    "pos": triplet.positive,
-                    "neg": list(triplet.negatives),
-                    "meta": {"scores": triplet.scores},
-                }
-            )
-        )
-    atomic_write_text(path, "".join(lines))
+    records = (_TripletRecord(t.query, t.pseudo, t.positive, list(t.negatives), {"scores": t.scores}) for t in triplets)
+    write_jsonl(path, records)
 
 
 def load_triplets_jsonl(path: str | Path) -> list[RetrieverTriplet]:

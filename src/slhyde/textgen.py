@@ -33,24 +33,23 @@ logger = logging.getLogger(__name__)
 _SLOT_RE = re.compile(r"\{([A-Z][A-Z0-9_]*)\}")
 _ROLE_PREFIX_RE = re.compile(r"^(assistant|system|user)\s*[:：]\s*", re.IGNORECASE)
 
-TEMPLATE_FILES = {
-    "Q2P": "q2p.txt",
-    "T2P": "t2p.txt",
-    "P2P": "p2p.txt",
-    "QUERY_GEN": "query_gen.txt",
-    "PSEUDO_GEN": "pseudo_gen.txt",
-    "MED_RELEVANCE": "med_relevance.txt",
-    "RERANK": "rerank.txt",
-    "EVIDENCE": "evidence.txt",
-    "ANSWER_BY_EVIDENCE": "answer_by_evidence.txt",
-    "VALIDATE_ANSWER": "validate_answer.txt",
-    "QD_RELEVANCE": "qd_relevance.txt",
-}
-
 # Task templates usable for hypothetical-document generation, and the slot
 # each one fills with the incoming query text.
-HYPOTHETICAL_TEMPLATES = ("Q2P", "T2P", "P2P")
 _HYPOTHETICAL_SLOT = {"Q2P": "QUESTION", "T2P": "TITLE", "P2P": "TEXT"}
+HYPOTHETICAL_TEMPLATES = tuple(_HYPOTHETICAL_SLOT)
+
+_JUDGE_TEMPLATES = (
+    "MED_RELEVANCE",
+    "RERANK",
+    "EVIDENCE",
+    "ANSWER_BY_EVIDENCE",
+    "VALIDATE_ANSWER",
+    "QD_RELEVANCE",
+)
+
+# Every shipped template; the body of each is the package file
+# prompts/<name in lower case>.txt.
+TEMPLATE_NAMES = (*HYPOTHETICAL_TEMPLATES, "QUERY_GEN", "PSEUDO_GEN", *_JUDGE_TEMPLATES)
 
 
 @dataclass(frozen=True)
@@ -65,11 +64,9 @@ class PromptTemplate:
 @functools.lru_cache(maxsize=None)
 def load_template(name: str) -> PromptTemplate:
     """Load a shipped template by name. Bodies live as editable package files."""
-    try:
-        filename = TEMPLATE_FILES[name]
-    except KeyError:
-        raise ValidationError(f"unknown prompt template {name!r}") from None
-    body = resources.files("slhyde").joinpath("prompts", filename).read_text("utf-8")
+    if name not in TEMPLATE_NAMES:
+        raise ValidationError(f"unknown prompt template {name!r}")
+    body = resources.files("slhyde").joinpath("prompts", name.lower() + ".txt").read_text("utf-8")
     return PromptTemplate(name=name, body=body.rstrip("\n"))
 
 
@@ -160,16 +157,6 @@ def hash_paraphrase(
     if max_tokens is not None:
         shuffled = shuffled[:max_tokens]
     return " ".join(shuffled)
-
-
-_JUDGE_TEMPLATES = (
-    "MED_RELEVANCE",
-    "RERANK",
-    "EVIDENCE",
-    "ANSWER_BY_EVIDENCE",
-    "VALIDATE_ANSWER",
-    "QD_RELEVANCE",
-)
 
 
 @functools.lru_cache(maxsize=1)

@@ -2,7 +2,9 @@
 chunked stage runner, the remote-model boundary (`JsonEndpoint`,
 `retry_or_raise`) that the embedder and generator clients share, and the one
 typed-record checker (`from_mapping`, `read_jsonl`) that reads the config and
-every corpus, query, SFT and triplet record."""
+every corpus, query, SFT and triplet record. Each JSONL format is one record
+dataclass: `read_jsonl` builds it from every line, and `write_jsonl` writes it
+as the mapping `read_jsonl` builds it from."""
 from __future__ import annotations
 
 import dataclasses
@@ -196,6 +198,17 @@ class _Plan:
             return inner.build(value, label, dotted)
         return value if type(inner) is set else [inner.build(v, label, f"{dotted}[{i}]") for i, v in enumerate(value)]
 
+    def dump(self, record) -> dict:
+        """The mapping `build` makes `record` from: its fields by name,
+        None-valued ones left out and a nested dataclass dumped likewise."""
+        out = {}
+        for name in self.names:
+            value = getattr(record, name)
+            if value is not None:
+                container, inner = self.nested.get(name, (None, None))
+                out[name] = inner.dump(value) if container is dict else value
+        return out
+
 
 _plan = functools.cache(_Plan)  # one plan per class
 
@@ -242,3 +255,12 @@ def read_jsonl(path: str | Path, cls, label: str, make) -> list:
         except (ParseError, ValidationError) as exc:
             raise type(exc)(f"{exc} in {path.name} (line {lineno})") from None
     return items
+
+
+def write_jsonl(path: str | Path, records) -> None:
+    """Write one JSONL line per record of the iterable `records` to `path`,
+    atomically: a dataclass record as its fields (as `read_jsonl` reads it
+    back), a plain mapping as it is. A record that raises while `records` is
+    iterated leaves no file."""
+    lines = (jsonl_line(_plan(type(r)).dump(r) if dataclasses.is_dataclass(r) else r) for r in records)
+    atomic_write_text(path, "".join(lines))

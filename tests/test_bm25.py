@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slhyde.bm25 import _CJK_RE, Bm25Index, Bm25Settings, _is_cjk, bm25_search, tokenize
+from slhyde.bm25 import _CJK_RE, _WORD_RE, Bm25Index, Bm25Settings, bm25_search, tokenize
 from slhyde.corpus import CorpusStore, Document
 from slhyde.errors import ValidationError
 
@@ -42,16 +42,54 @@ class TestTokenize:
             tokenize("x", mode="bogus")
 
     # The code points on either side of each range edge, an astral CJK character
-    # (outside the three ranges), and mixed Latin/CJK words.
+    # (outside the three ranges), and mixed Latin/CJK words. The tokens must be
+    # those of a walk over the characters with the three ranges spelled out.
     _EDGES = [0x33FF, 0x3400, 0x4DBF, 0x4DC0, 0x4DFF, 0x4E00, 0x9FFF, 0xA000, 0xF8FF, 0xF900, 0xFAFF, 0xFB00]
+    _MIXED = [
+        "\U00020000", "\U00020000a", "abc\u4e00", "\u9fffxyz", "ab\ufb00cd", "x\u3400y", "covid19", "a高血b压c", "高"
+    ]
 
-    @pytest.mark.parametrize(
-        "word",
-        [chr(code) for code in _EDGES]
-        + ["\U00020000", "\U00020000a", "abc\u4e00", "\u9fffxyz", "ab\ufb00cd", "x\u3400y", "covid19"],
-    )
+    @pytest.mark.parametrize("word", [chr(code) for code in _EDGES] + _MIXED)
     def test_cjk_search_agrees_with_the_character_predicate(self, word):
         assert bool(_CJK_RE.search(word)) == any(_is_cjk(ch) for ch in word)
+        assert tokenize(word) == [t for w in _WORD_RE.findall(word.lower()) for t in _expand_by_character(w)]
+
+    @given(st.text(st.sampled_from([chr(code) for code in _EDGES] + list("aZ9é\U00020000高血压")), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_tokens_match_the_character_loop(self, text):
+        assert tokenize(text) == [t for w in _WORD_RE.findall(text.lower()) for t in _expand_by_character(w)]
+
+
+def _is_cjk(ch: str) -> bool:
+    code = ord(ch)
+    return 0x4E00 <= code <= 0x9FFF or 0x3400 <= code <= 0x4DBF or 0xF900 <= code <= 0xFAFF
+
+
+def _expand_by_character(word: str) -> list[str]:
+    """A CJK-expanded word by a walk over its characters: the tokenizer's
+    behaviour, spelled independently of its regular expressions."""
+    tokens: list[str] = []
+    run: list[str] = []
+
+    def flush_run():
+        tokens.extend(run)
+        tokens.extend(run[i] + run[i + 1] for i in range(len(run) - 1))
+        run.clear()
+
+    buffer = []
+    for ch in word:
+        if _is_cjk(ch):
+            if buffer:
+                tokens.append("".join(buffer))
+                buffer = []
+            run.append(ch)
+        else:
+            flush_run()
+            buffer.append(ch)
+    flush_run()
+    if buffer:
+        tokens.append("".join(buffer))
+    return tokens
 
 
 class TestBm25Settings:

@@ -1165,6 +1165,21 @@ class TestExitCodes:
         assert main(["embed-corpus", "--config", str(path)]) == 1
 
     @pytest.mark.parametrize(
+        "text, problem, line",
+        [
+            ("seed: [1\n", "expected ',' or ']'", 2),
+            ("seed: 1\nout_dir: runs\n  clients: mock\n", "mapping values are not allowed here", 3),
+        ],
+    )
+    def test_yaml_syntax_error_names_the_file_and_line(self, tmp_path, capsys, text, problem, line):
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        assert main(["embed-corpus", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert problem in err and f" in c.yaml (line {line})" in err
+        assert "unicode string" not in err
+
+    @pytest.mark.parametrize(
         "command, section, key, value",
         [
             ("build-sft-data", "selflearn", "rank_scoring", "fussed"),

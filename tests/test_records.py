@@ -6,6 +6,10 @@ accepts:
 1. an integral float (`"rank": 1.0`) where an integer is required, as config
    already refuses one;
 2. a triplet whose `pos` is among its `neg`, which RetrieverTriplet refuses.
+
+Then the writers of all four JSONL formats: the exact bytes of one golden line
+each, write-then-read round trips over the same record strategies, and an
+example the SFT reader would refuse being refused when written.
 """
 import collections
 import copy
@@ -16,8 +20,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
+from slhyde.corpus import Document, Query, load_corpus, load_queries, write_corpus, write_queries
 from slhyde.errors import ValidationError
-from slhyde.selflearn import RetrieverTriplet, SftExample, load_sft_jsonl, load_triplets_jsonl
+from slhyde.selflearn import (
+    RetrieverTriplet,
+    SftExample,
+    emit_sft_jsonl,
+    emit_triplets_jsonl,
+    load_sft_jsonl,
+    load_triplets_jsonl,
+)
 
 SFT_RECORD_SCHEMA = {
     "type": "object",
@@ -153,3 +165,94 @@ def test_triplet_reader_accepts_what_the_schema_accepts(tmp_path_factory):
         load_triplets_jsonl,
         lambda r: RetrieverTriplet(r["query"], r["pseudo"], r["pos"], tuple(r["neg"]), r["meta"].get("scores", {})),
     )
+
+
+# --- writers ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "write, items, golden",
+    [
+        (
+            write_corpus,
+            [Document("d1", "中文 body", "T"), Document("d2", "body", ""), Document("d3", "body")],
+            '{"_id": "d1", "text": "中文 body", "title": "T"}\n'
+            '{"_id": "d2", "text": "body", "title": ""}\n'
+            '{"_id": "d3", "text": "body"}\n',
+        ),
+        (
+            write_queries,
+            [Query("q1", "what", "A"), Query("q2", "why")],
+            '{"_id": "q1", "answer": "A", "text": "what"}\n{"_id": "q2", "text": "why"}\n',
+        ),
+        (
+            lambda items, path: emit_sft_jsonl(items, path, instruction="i"),
+            [SftExample("q", "p", "d0", 1, 5)],
+            '{"input": "q", "instruction": "i", "meta": {"L": 5, "doc_id": "d0", "rank": 1}, "output": "p"}\n',
+        ),
+        (
+            emit_triplets_jsonl,
+            [RetrieverTriplet("q", "p", "d0", ("d1", "d2"), {"d1": 0.5, "d2": 0.25})],
+            '{"meta": {"scores": {"d1": 0.5, "d2": 0.25}}, "neg": ["d1", "d2"], "pos": "d0", "pseudo": "p", "query": "q"}\n',
+        ),
+    ],
+    ids=["corpus", "queries", "sft", "triplets"],
+)
+def test_each_writer_writes_its_golden_bytes(tmp_path, write, items, golden):
+    path = tmp_path / "records.jsonl"
+    write(items, path)
+    assert path.read_bytes() == golden.encode("utf-8")
+
+
+LINE_TEXT = TEXT.filter(lambda t: t.strip() and "\n" not in t and "\r" not in t)
+TITLE = st.one_of(st.none(), st.just(""), TEXT)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(LINE_TEXT, LINE_TEXT, TITLE), max_size=5, unique_by=lambda r: r[0]))
+def test_corpus_and_queries_read_back_what_was_written(tmp_path_factory, records):
+    root = tmp_path_factory.mktemp("written")
+    write_corpus([Document(*r) for r in records], root / "corpus.jsonl")
+    write_queries([Query(*r) for r in records], root / "queries.jsonl")
+    # an empty title or answer is none
+    assert list(load_corpus(root / "corpus.jsonl")) == [Document(i, t, extra or None) for i, t, extra in records]
+    assert load_queries(root / "queries.jsonl") == [Query(i, t, extra or None) for i, t, extra in records]
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=SFT_RECORDS)
+def test_sft_record_reads_back_as_written(tmp_path_factory, record):
+    path = tmp_path_factory.mktemp("written") / "sft.jsonl"
+    meta = record["meta"]
+    example = SftExample(record["input"], record["output"], meta["doc_id"], meta["rank"], meta["L"])
+    emit_sft_jsonl([example], path, instruction=record["instruction"])
+    assert path.read_text("utf-8") == json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+    assert load_sft_jsonl(path) == [example]
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=TRIPLET_RECORDS.filter(lambda r: r["pos"] not in r["neg"] and len(set(r["neg"])) == len(r["neg"])))
+def test_triplet_record_reads_back_as_written(tmp_path_factory, record):
+    path = tmp_path_factory.mktemp("written") / "triplets.jsonl"
+    scores = record["meta"].get("scores", {})
+    triplet = RetrieverTriplet(record["query"], record["pseudo"], record["pos"], tuple(record["neg"]), scores)
+    emit_triplets_jsonl([triplet], path)
+    written = record | {"meta": {"scores": scores}}
+    assert path.read_text("utf-8") == json.dumps(written, ensure_ascii=False, sort_keys=True) + "\n"
+    assert load_triplets_jsonl(path) == [triplet]
+
+
+@pytest.mark.parametrize(
+    "example, problem",
+    [
+        (SftExample("", "p", "d0", 1, 5), "input must be a non-empty string"),
+        (SftExample("q", "", "d0", 1, 5), "output must be a non-empty string"),
+        (SftExample("q", "p", "", 1, 5), "meta.doc_id must be a non-empty string"),
+        (SftExample("q", "p", "d0", 0, 5), "meta.rank must be >= 1"),
+    ],
+)
+def test_sft_example_its_reader_refuses_is_refused_when_written(tmp_path, example, problem):
+    good = SftExample("q", "p", "d1", 1, 5)
+    with pytest.raises(ValidationError, match=problem):
+        emit_sft_jsonl([good, example], tmp_path / "sft.jsonl")
+    assert list(tmp_path.iterdir()) == []

@@ -1,9 +1,13 @@
 """The runnable scripts under scripts/: each is run as a subprocess, twice, and
 must give the same bytes both times."""
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from slhyde.corpus import load_corpus, load_queries
+from slhyde.selflearn import load_sft_jsonl, load_triplets_jsonl
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -31,6 +35,13 @@ def test_mock_pipeline_runs_in_two_directories_are_byte_identical(tmp_path):
     assert "run/search/run_demo.trec" in trees[0]
     assert "run/hyde/trace_demo.jsonl" in trees[0]
     assert trees[0] == trees[1]
+    # every JSONL artifact reads back through its loader
+    run = tmp_path / "a" / "run"
+    assert load_sft_jsonl(run / "sft.jsonl")
+    assert load_triplets_jsonl(run / "triplets.jsonl")
+    assert len(load_corpus(run / "bench" / "corpus.jsonl")) and load_queries(run / "bench" / "queries.jsonl")
+    trace = (run / "hyde" / "trace_demo.jsonl").read_text("utf-8").splitlines()
+    assert trace and all(set(json.loads(line)) == {"query_id", "hypothetical_texts", "hits"} for line in trace)
 
 
 def test_compare_fusion_strategies_is_deterministic():

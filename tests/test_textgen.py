@@ -59,13 +59,18 @@ class TestRenderPrompt:
         assert (ra == rb) == (a == b)
 
     def test_all_shipped_templates_load_and_declare_slots(self):
-        from slhyde.textgen import TEMPLATE_FILES
+        from slhyde.textgen import TEMPLATE_NAMES
 
-        for name in TEMPLATE_FILES:
+        for name in TEMPLATE_NAMES:
             template = load_template(name)
             assert template.body.strip()
             rendered = render_prompt(template, {slot: "x" for slot in template.slots()})
             assert "{" + "}".join([]) or rendered  # renders without error
+
+    @pytest.mark.parametrize("name", ["NOPE", "q2p", "prompts/Q2P"])
+    def test_unknown_template_name_is_validation_error(self, name):
+        with pytest.raises(ValidationError, match="unknown prompt template"):
+            load_template(name)
 
 
 class TestGenerate:
