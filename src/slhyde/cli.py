@@ -12,7 +12,9 @@ corpus file.
 
 Every command runs from one table in `build_parser` and writes through one
 staged step, `staged_outputs`, which writes the resolved config and prompt
-templates first, so every run directory holds them.
+templates first, so every run directory holds them. `evaluate` scores each
+run and writes its trec file into staging as soon as the run completes, so
+memory holds one run, not all of them.
 """
 from __future__ import annotations
 
@@ -98,14 +100,17 @@ def _fusion_for(config: RunConfig, dataset) -> FusionConfig:
     return dataclasses.replace(config.fusion, template=dataset.template or config.fusion.template)
 
 
+def _checked(dataset):
+    """`dataset`, once it names a corpus and a queries file."""
+    if not dataset.corpus or not dataset.queries:
+        raise ValidationError(f"dataset {dataset.name!r} needs corpus and queries paths in the config")
+    return dataset
+
+
 def _dataset_cache(config: RunConfig, emb, dataset):
     """`cache_embeddings` for one dataset: (store, cache), where store is None
     when the cache was reused without parsing the corpus."""
-    if not dataset.corpus or not dataset.queries:
-        raise ValidationError(
-            f"dataset {dataset.name!r} needs corpus and queries paths in the config"
-        )
-    return cache_embeddings(emb, dataset.corpus, Path(config.out_dir) / f"{dataset.name}.emb")
+    return cache_embeddings(emb, _checked(dataset).corpus, Path(config.out_dir) / f"{dataset.name}.emb")
 
 
 def _single_dataset(config: RunConfig, command: str):
@@ -134,10 +139,9 @@ def _dense_run(emb, index, queries, k: int) -> tuple[dict, dict]:
     return run, dict(zip((q.text for q in queries), rows))
 
 
-def _run_queries(
-    config: RunConfig, emb, index, queries, k: int, gen, fusion, seed_parts, known_rows=None
-) -> list[dict]:
-    """One HyDE {query_id: RankedHits} run per entry of `seed_parts`.
+def _run_queries(config: RunConfig, emb, index, queries, k: int, gen, fusion, seed_parts, known_rows=None):
+    """Yield one HyDE {query_id: RankedHits} run per entry of `seed_parts`,
+    each as soon as its last chunk is searched.
 
     Query q of the run for seed parts p samples with derive_seed(config.seed,
     *p, q.id). The (p, q) tasks go through `run_chunked`: a chunk is
@@ -156,8 +160,9 @@ def _run_queries(
     def finish(planned):
         return search_hypothesized(planned, emb, index, k, known_rows)
 
-    results = iter(run_chunked(tasks, plan, finish, config.parallelism))
-    return [{q.id: next(results) for q in queries} for _ in seed_parts]
+    results = run_chunked(tasks, plan, finish, config.parallelism)
+    for _ in seed_parts:
+        yield {q.id: next(results) for q in queries}
 
 
 def _degraded(run: dict) -> bool:
@@ -182,8 +187,9 @@ def cmd_search(config: RunConfig, command: str, k: int | None = None, trace: boo
     degraded = False
     with staged_outputs(config) as staging:
         for dataset in config.all_datasets():
-            _, cache = _dataset_cache(config, emb, dataset)
-            index, queries = DenseIndex(cache), load_queries(dataset.queries)
+            # the queries are read (and so checked) before the corpus is embedded
+            queries = load_queries(_checked(dataset).queries)
+            index = DenseIndex(_dataset_cache(config, emb, dataset)[1])
             if hyde:
                 fusion = _fusion_for(config, dataset)
                 [run] = _run_queries(config, emb, index, queries, k, gen, fusion, [("hyde", dataset.name)])
@@ -204,17 +210,20 @@ def cmd_search(config: RunConfig, command: str, k: int | None = None, trace: boo
     return EXIT_DEGRADED if degraded else EXIT_OK
 
 
-def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str]):
-    """Search one dataset's judged queries and score every run.
+def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str], staging: Path, tag: str):
+    """Search one dataset's judged queries, and score each run and write it to
+    `staging` as run_<dataset>_r<i>.trec as soon as it completes, so memory
+    holds one run, not all of them.
 
-    Returns (runs, table): runs holds one {query_id: RankedHits} per repeat
-    (the dense run itself when `gen` is None); table maps each metric to one
-    {query_id: value} per column, the dense run first and then each of runs.
+    The runs are the dense run itself when `gen` is None, else one HyDE run
+    per repeat. Returns (table, count, degraded): table maps each metric to one
+    {query_id: value} per column, the dense run first and then each run; count
+    is the number of judged queries; degraded says whether any run fell back.
     Queries without a positive judgment have no value (they are skipped).
     """
     if not dataset.qrels:
         raise ValidationError(f"dataset {dataset.name!r} has no qrels path; evaluate requires one")
-    queries = load_queries(dataset.queries)
+    queries = load_queries(_checked(dataset).queries)
     qrels = load_qrels(dataset.qrels)
     _, cache = _dataset_cache(config, emb, dataset)
     index = DenseIndex(cache)
@@ -232,22 +241,33 @@ def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str]):
     if not eval_queries:
         raise ValidationError(f"dataset {dataset.name!r} has no judged queries to evaluate")
 
-    max_k = max(list(config.eval.k_values) + [config.eval.primary_k])
-    dense, query_rows = _dense_run(emb, index, eval_queries, max_k)
-    runs = [dense]
-    if gen is not None:
-        seed_parts = [("eval", dataset.name, run_index) for run_index in range(config.eval.repeats)]
-        fusion = _fusion_for(config, dataset)
-        # the dense run's query rows stand in for every repeat's query embeddings
-        runs = _run_queries(config, emb, index, eval_queries, max_k, gen, fusion, seed_parts, query_rows)
-
     def scored(run: dict, metric: str) -> dict[str, float]:
         kind, _, k = metric.partition("@")
         fn = ndcg_at_k if kind == "ndcg" else recall_at_k
         values = {qid: fn(hits, qrels.grades_for(qid), int(k)) for qid, hits in run.items()}
         return {qid: value for qid, value in values.items() if value is not None}
 
-    return runs, {metric: [scored(run, metric) for run in [dense, *runs]] for metric in metrics}
+    max_k = max(list(config.eval.k_values) + [config.eval.primary_k])
+    dense, query_rows = _dense_run(emb, index, eval_queries, max_k)
+    table = {metric: [scored(dense, metric)] for metric in metrics}
+    if gen is None:
+        runs = [dense]
+    else:
+        seed_parts = [("eval", dataset.name, run_index) for run_index in range(config.eval.repeats)]
+        fusion = _fusion_for(config, dataset)
+        # the dense run's query rows stand in for every repeat's query embeddings
+        runs = _run_queries(config, emb, index, eval_queries, max_k, gen, fusion, seed_parts, query_rows)
+    del dense  # scored; the HyDE repeats need only its query rows
+    degraded, run_index = False, 0
+    # not enumerate(runs): its reused result tuple would hold each run while the next one is searched
+    for run in runs:
+        for metric in metrics:
+            table[metric].append(scored(run, metric))
+        degraded = degraded or _degraded(run)
+        write_trec_run(run, staging / f"run_{dataset.name}_r{run_index}.trec", tag=tag)
+        del run
+        run_index += 1
+    return table, len(eval_queries), degraded
 
 
 def _mean(values: dict[str, float]) -> float:
@@ -259,59 +279,58 @@ def cmd_evaluate(config: RunConfig, command: str, mode: str = "hyde") -> int:
     emb = build_embedder_client(config)
     primary = f"ndcg@{config.eval.primary_k}"
     metrics = list(dict.fromkeys([primary] + [f"recall@{k}" for k in config.eval.k_values]))
-    runs_by_dataset: dict[str, list[dict]] = {}
     tables: dict[str, dict] = {}
-    for dataset in config.all_datasets():
-        runs_by_dataset[dataset.name], tables[dataset.name] = _evaluate_dataset(
-            config, gen, emb, dataset, metrics
-        )
-
-    run_pairing = mode == "hyde" and config.eval.pairing == "run"
-    compare = mode == "hyde" and config.eval.compare_to_dense
-    reports = {}
-    per_run: dict[str, dict] = {name: {} for name in tables}
-    for metric in metrics:
-        system, baseline = {}, {}
-        for name, table in tables.items():
-            dense, *runs = table[metric]
-            run_means = [_mean(values) for values in runs if values]
-            per_run[name][metric] = {
-                "run_means": run_means,
-                "spread": statistics.stdev(run_means) if len(run_means) > 1 else 0.0,
-            }
-            if run_pairing:
-                system[name] = run_means
-            else:
-                # every run scores the same queries: skips depend on qrels only
-                system[name] = {
-                    qid: sum(run[qid] for run in runs) / len(runs) for qid in sorted(runs[0])
-                }
-            if compare:
-                # no run mean (nothing scored) leaves the dense mean uncomputed:
-                # build_report then names the empty dataset
-                baseline[name] = [_mean(dense) for _ in run_means] if run_pairing else dense
-        report = build_report(
-            system, baseline if compare else None, metric=metric, pairing=config.eval.pairing
-        )
-        for name, table in tables.items():
-            report.datasets[name].skipped = len(runs_by_dataset[name][0]) - len(table[metric][1])
-        reports[metric] = report
-
-    payload = {
-        "mode": mode,
-        "repeats": config.eval.repeats if mode == "hyde" else 1,
-        "reports": {name: report_to_dict(report) for name, report in reports.items()},
-        "per_run": per_run,
-        "degraded": any(_degraded(run) for runs in runs_by_dataset.values() for run in runs),
-    }
+    counts: dict[str, int] = {}
+    degraded = False
     with staged_outputs(config) as staging:
+        for dataset in config.all_datasets():
+            tables[dataset.name], counts[dataset.name], dataset_degraded = _evaluate_dataset(
+                config, gen, emb, dataset, metrics, staging, mode
+            )
+            degraded = degraded or dataset_degraded
+
+        run_pairing = mode == "hyde" and config.eval.pairing == "run"
+        compare = mode == "hyde" and config.eval.compare_to_dense
+        reports = {}
+        per_run: dict[str, dict] = {name: {} for name in tables}
+        for metric in metrics:
+            system, baseline = {}, {}
+            for name, table in tables.items():
+                dense, *runs = table[metric]
+                run_means = [_mean(values) for values in runs if values]
+                per_run[name][metric] = {
+                    "run_means": run_means,
+                    "spread": statistics.stdev(run_means) if len(run_means) > 1 else 0.0,
+                }
+                if run_pairing:
+                    system[name] = run_means
+                else:
+                    # every run scores the same queries: skips depend on qrels only
+                    system[name] = {
+                        qid: sum(run[qid] for run in runs) / len(runs) for qid in sorted(runs[0])
+                    }
+                if compare:
+                    # no run mean (nothing scored) leaves the dense mean uncomputed:
+                    # build_report then names the empty dataset
+                    baseline[name] = [_mean(dense) for _ in run_means] if run_pairing else dense
+            report = build_report(
+                system, baseline if compare else None, metric=metric, pairing=config.eval.pairing
+            )
+            for name, table in tables.items():
+                report.datasets[name].skipped = counts[name] - len(table[metric][1])
+            reports[metric] = report
+
+        payload = {
+            "mode": mode,
+            "repeats": config.eval.repeats if mode == "hyde" else 1,
+            "reports": {name: report_to_dict(report) for name, report in reports.items()},
+            "per_run": per_run,
+            "degraded": degraded,
+        }
         atomic_write_text(staging / "report.json", dump_json(payload))
         atomic_write_text(staging / "report.txt", render_report_text(reports[primary]))
-        for dataset_name, runs in runs_by_dataset.items():
-            for run_index, run in enumerate(runs):
-                write_trec_run(run, staging / f"run_{dataset_name}_r{run_index}.trec", tag=mode)
     print(render_report_text(reports[primary]), end="")
-    return EXIT_DEGRADED if payload["degraded"] else EXIT_OK
+    return EXIT_DEGRADED if degraded else EXIT_OK
 
 
 def cmd_build_sft(config: RunConfig, command: str) -> int:

@@ -172,9 +172,13 @@ def load_config(path: str | Path | None, **overrides) -> RunConfig:
         path = Path(path)
         if not path.exists():
             raise ValidationError(f"config file not found: {path}")
+        text = "".join(line for _, line in text_lines(path))
         try:
-            data = yaml.safe_load("".join(line for _, line in text_lines(path)))
-        except yaml.YAMLError as exc:  # a ReaderError (a control character) has no problem and no mark
+            data = yaml.safe_load(text)
+        except yaml.reader.ReaderError as exc:  # a control character: a position in the text, no mark
+            problem = f"unacceptable character #x{exc.character:04x}: {exc.reason}"
+            raise ParseError(f"{problem} in {path.name}", line=text.count("\n", 0, exc.position) + 1) from None
+        except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None) or getattr(exc, "context_mark", None)
             line = mark.line + 1 if mark else None
             raise ParseError(f"{getattr(exc, 'problem', None) or exc} in {path.name}", line=line) from None

@@ -7,14 +7,16 @@ On-disk layout, one directory per dataset (all UTF-8):
     qrels.tsv      optional header, then  query-id <TAB> corpus-id <TAB> score
 
 Each JSONL format is one record dataclass, `_CorpusRecord` or `_QueryRecord`:
-`util.read_jsonl` builds it from each line (_id a string or an integer, text a
-string, title or answer a string or null; other keys are ignored), and
-`util.write_jsonl` writes it, leaving out a title or answer that is None.
+`util.read_jsonl` builds it from each line (_id a string or an integer with no
+whitespace, text a string, title or answer a string or null; other keys are
+ignored), and `util.write_jsonl` writes it, leaving out a title or answer that
+is None.
 """
 from __future__ import annotations
 
 import hashlib
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -139,10 +141,14 @@ class _QueryRecord:  # one queries.jsonl line
     ignores_unknown_keys = True  # not a field
 
 
+_WHITESPACE = re.compile(r"\s")
+
+
 def _read_records(path: str | Path, kind: str, record_cls, make) -> list:
     """`make(id, record)` for each `record_cls` record of a `kind` ("corpus" or
     "queries") JSONL file. An integer _id is read as its digits; an _id holds
-    no line break and may appear once. Each error names the file and line."""
+    no whitespace (trec runs and qrels.tsv split their fields on it) and may
+    appear once. Each error names the file and line."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"{kind} file not found: {path}")
@@ -150,8 +156,8 @@ def _read_records(path: str | Path, kind: str, record_cls, make) -> list:
 
     def item(record):
         doc_id = str(record._id)
-        if "\n" in doc_id or "\r" in doc_id:
-            raise ParseError(f"_id {doc_id!r} contains a line break")
+        if _WHITESPACE.search(doc_id):
+            raise ParseError(f"_id {doc_id!r} contains whitespace")
         made = make(doc_id, record)
         if doc_id in seen:
             raise ValidationError(f"duplicate _id {doc_id!r}")

@@ -235,9 +235,12 @@ def render_report_text(report: EvalReport) -> str:
 # --- trec run files --------------------------------------------------------
 
 def write_trec_run(runs: Mapping[str, object], path: str | Path, tag: str = "slhyde") -> None:
-    """Write runs as trec lines: qid Q0 docid rank score tag."""
-    lines = []
-    for qid in runs:
-        for rank, (doc_id, score) in enumerate(runs[qid], start=1):
-            lines.append(f"{qid} Q0 {doc_id} {rank} {score:.6f} {tag}\n")
-    atomic_write_text(path, "".join(lines))
+    """Write runs as trec lines: qid Q0 docid rank score tag. The file is
+    written as it is formatted, one query's lines at a time."""
+    atomic_write_text(
+        path,
+        (
+            "".join([f"{qid} Q0 {doc_id} {rank} {score:.6f} {tag}\n" for rank, (doc_id, score) in enumerate(hits, 1)])
+            for qid, hits in runs.items()
+        ),
+    )

@@ -225,7 +225,7 @@ def build_generator_dataset(
                 examples.append((example, block[[0, 1 + best_index]]))
         return examples
 
-    scored_examples = run_chunked(docs, plan, finish, parallelism)
+    scored_examples = list(run_chunked(docs, plan, finish, parallelism))
     skipped = len(docs) - len(scored_examples)
     kept = [(example, rows) for example, rows in scored_examples if example.rank <= settings.rank_cutoff]
     examples = [example for example, _ in kept]
@@ -348,7 +348,7 @@ def build_retriever_dataset(
             results.append((triplet, loss))
         return results
 
-    results = run_chunked(sft_examples, plan, finish, parallelism)
+    results = list(run_chunked(sft_examples, plan, finish, parallelism))
     return TripletBuildResult(
         triplets=[triplet for triplet, _ in results],
         reference_losses=[value for _, value in results],

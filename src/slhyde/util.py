@@ -17,7 +17,7 @@ import time
 import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from .errors import ParseError, ProtocolError, RecordError, TransportError, ValidationError
@@ -37,25 +37,38 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest, "little") >> 1
 
 
-def atomic_write_bytes(path: str | Path, *parts) -> None:
-    """Write the bytes-like `parts` one after another (a C-contiguous array is
-    written from its own buffer, not copied) through a temp file of this
-    call's own beside `path`, so concurrent writers never share one; the temp
-    file is removed if the write fails."""
+@contextmanager
+def _replacing(path: str | Path, mode: str, **open_args):
+    """A file opened with `mode` on a temp file of this call's own beside
+    `path`, so concurrent writers never share one; it replaces `path` when the
+    block ends and is removed if the block raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.part")
     try:
-        with open(tmp, "xb") as fh:
-            fh.writelines(parts)
+        with open(tmp, mode, **open_args) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+def atomic_write_bytes(path: str | Path, *parts) -> None:
+    """Write the bytes-like `parts` one after another (a C-contiguous array is
+    written from its own buffer, not copied) to `path`, atomically."""
+    with _replacing(path, "xb") as fh:
+        fh.writelines(parts)
+
+
+def atomic_write_text(path: str | Path, text) -> None:
+    """Write `text`, a str or an iterable of str, to `path` as UTF-8,
+    atomically and with no newline translation. An iterable is written as it
+    is iterated, so a caller that yields its output piece by piece (a trec
+    run, a JSONL file) never holds the whole file; if it raises part-way,
+    `path` keeps its old bytes."""
+    with _replacing(path, "x", encoding="utf-8", newline="") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def dump_json(obj) -> str:
@@ -67,16 +80,18 @@ def jsonl_line(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n"
 
 
-def run_chunked(items, plan, finish, parallelism: int) -> list:
+def run_chunked(items, plan, finish, parallelism: int):
     """Map `plan` over each chunk of CHUNK `items` (on one thread pool for the
     whole run when parallelism > 1), call `finish` once per chunk with the
-    planned list in input order, and concatenate the lists `finish` returns."""
-    results = []
+    planned list in input order, and yield the items of the lists `finish`
+    returns. A chunk is planned only once the caller has taken every result
+    of the one before, so a caller that consumes each result as it comes
+    (`evaluate` scores and writes each run as it completes) holds one chunk's
+    results, not all of them."""
     with ThreadPoolExecutor(parallelism) if parallelism > 1 else nullcontext() as pool:
         for start in range(0, len(items), CHUNK):
             part = items[start : start + CHUNK]
-            results.extend(finish(list(pool.map(plan, part) if pool else map(plan, part))))
-    return results
+            yield from finish(list(pool.map(plan, part) if pool else map(plan, part)))
 
 
 class JsonEndpoint:
@@ -262,5 +277,4 @@ def write_jsonl(path: str | Path, records) -> None:
     atomically: a dataclass record as its fields (as `read_jsonl` reads it
     back), a plain mapping as it is. A record that raises while `records` is
     iterated leaves no file."""
-    lines = (jsonl_line(_plan(type(r)).dump(r) if dataclasses.is_dataclass(r) else r) for r in records)
-    atomic_write_text(path, "".join(lines))
+    atomic_write_text(path, (jsonl_line(_plan(type(r)).dump(r) if dataclasses.is_dataclass(r) else r) for r in records))

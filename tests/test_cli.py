@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from slhyde.corpus import RelevanceJudgments, load_corpus, load_queries
 from slhyde.embed import MockEmbedderClient, cache_embeddings, embed_text, embed_texts, load_cache
 from slhyde.errors import ParseError, TransportError, ValidationError
 from slhyde.hyde import FusionConfig, hyde_search
-from slhyde.metrics import build_report, ndcg_at_k, recall_at_k, report_to_dict
+from slhyde.metrics import build_report, ndcg_at_k, recall_at_k, report_to_dict, write_trec_run
 from slhyde.retrieval import DenseIndex, dense_search
 from slhyde.selflearn import contrastive_loss, load_sft_jsonl, load_triplets_jsonl, validate_sft_file
 from slhyde.textgen import MockGeneratorClient, SamplingConfig, load_template, render_prompt
@@ -305,6 +306,15 @@ class TestConfig:
         path.write_bytes("seed: 3\r\n# café\r\nparallelism: 2\r\n".encode())
         assert (load_config(path).seed, load_config(path).parallelism) == (3, 2)
 
+    def test_control_character_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"seed: 3\r\nout_dir: x\r\na: \x07\n")
+        with pytest.raises(ParseError) as raised:
+            load_config(path)
+        assert str(raised.value) == (
+            "unacceptable character #x0007: special characters are not allowed in bad.yaml (line 3)"
+        )
+
     def test_overrides_win(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text("seed: 1\nout_dir: from_file\n")
@@ -512,6 +522,21 @@ class TestSearchCommands:
         expected = dense_search(index, embed_text(emb, queries[0].text), 5)
         assert [d for _, d in sorted(runs[queries[0].id])] == expected.ids
 
+    @pytest.mark.parametrize(
+        "name, record", [("corpus", {"_id": "a b", "text": "body"}), ("queries", {"_id": "q 1", "text": "what"})]
+    )
+    def test_whitespace_in_an_id_exits_before_any_embedding(self, tmp_path, monkeypatch, capsys, name, record):
+        dataset = tmp_path / "data"
+        make_dataset(dataset)  # 20 documents and 20 queries
+        with (dataset / f"{name}.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        batches = _record_embed_batches(monkeypatch)
+        out = tmp_path / "run"
+        assert main(["search", "--config", str(make_config(tmp_path, dataset, out))]) == 1
+        assert f"contains whitespace in {name}.jsonl (line 21)" in capsys.readouterr().err
+        assert batches == []
+        assert not list(tmp_path.rglob("*.trec"))
+
     def test_hyde_search_with_trace(self, tmp_path):
         dataset = tmp_path / "data"
         make_dataset(dataset)
@@ -627,6 +652,87 @@ class TestEvaluateCommand:
         assert sorted(p.name for p in out.glob("*.trec")) == [
             f"run_{name}_r{r}.trec" for name in ("alpha", "beta") for r in range(2)
         ]
+
+    def test_memory_holds_one_run_whatever_the_repeats(self, tmp_path):
+        dataset = tmp_path / "data"
+        make_dataset(dataset, n_docs=200)
+        peaks = {}
+        for repeats in (1, 4):
+            config_path = make_config(
+                tmp_path, dataset, tmp_path / "run", eval={"k_values": [100], "primary_k": 10, "repeats": repeats}
+            )
+            assert main(["embed-corpus", "--config", str(config_path)]) == 0  # a warm cache, built untraced
+            tracemalloc.start()
+            try:
+                assert main(["evaluate", "--mode", "hyde", "--config", str(config_path)]) == 0
+                _, peaks[repeats] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # what one run keeps in memory: its hits and meta, searched a second
+        # time so that the mock embedder's memo no longer grows
+        config = load_config(config_path)
+        emb, gen = build_embedder_client(config), build_generator_client(config)
+        index = DenseIndex(load_cache(tmp_path / "run" / "synthetic.emb"))
+        queries = load_queries(dataset / "queries.jsonl")
+        args = (config, emb, index, queries, 100, gen, config.fusion, [("eval", "synthetic", 0)])
+        [run] = cli._run_queries(*args)
+        del run
+        tracemalloc.start()
+        try:
+            [run] = cli._run_queries(*args)
+            run_size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(run) == 200
+        # three more runs cost their metric values, never a run each
+        assert peaks[4] - peaks[1] < run_size
+
+    def test_late_validation_error_leaves_no_run_file(self, tmp_path, monkeypatch):
+        for name in ("alpha", "beta"):
+            make_dataset(tmp_path / name, n_docs=12)
+        datasets = [
+            {
+                "name": name,
+                "corpus": str(tmp_path / name / "corpus.jsonl"),
+                "queries": str(tmp_path / name / "queries.jsonl"),
+                "qrels": str(tmp_path / name / "qrels.tsv") if name == "alpha" else "",
+            }
+            for name in ("alpha", "beta")
+        ]
+        written = []
+        monkeypatch.setattr(
+            cli, "write_trec_run", lambda run, path, tag: written.append(path.name) or write_trec_run(run, path, tag)
+        )
+        config_path = make_config(tmp_path, tmp_path / "alpha", tmp_path / "run", datasets=datasets)
+        assert main(["evaluate", "--mode", "hyde", "--config", str(config_path)]) == 1
+        assert written == ["run_alpha_r0.trec", "run_alpha_r1.trec"]  # staged before beta was read
+        self._assert_no_outputs(tmp_path)
+
+    def test_embedder_failure_in_a_later_repeat_leaves_no_run_file(self, tmp_path, monkeypatch):
+        dataset = tmp_path / "data"
+        make_dataset(dataset, n_docs=40)  # 3 repeats of 40 queries: 120 tasks, two chunks
+        staged_runs = []
+
+        class FailingOnceARunIsStaged(MockEmbedderClient):
+            def embed_batch(self, texts):
+                staged_runs.extend(tmp_path.glob("run.staging-*/run_*.trec"))
+                if staged_runs:
+                    raise TransportError("embedder went away")
+                return super().embed_batch(texts)
+
+        monkeypatch.setattr(cli, "build_embedder_client", lambda config: FailingOnceARunIsStaged(dim=128))
+        config_path = make_config(
+            tmp_path, dataset, tmp_path / "run", eval={"k_values": [10], "primary_k": 10, "repeats": 3}
+        )
+        assert main(["evaluate", "--mode", "hyde", "--config", str(config_path)]) == 2
+        assert {path.name for path in staged_runs} == {"run_synthetic_r0.trec"}
+        self._assert_no_outputs(tmp_path)
+
+    @staticmethod
+    def _assert_no_outputs(tmp_path):
+        assert not list(tmp_path.rglob("run_*.trec"))
+        assert not list(tmp_path.rglob("report.json"))
+        assert not list(tmp_path.glob("*.staging-*"))
 
     def test_missing_qrels_is_validation_exit(self, tmp_path):
         dataset = tmp_path / "data"

@@ -139,6 +139,16 @@ def test_ill_typed_field_or_multiline_id_names_the_file_and_line(tmp_path, load,
     assert [(item.id, getattr(item, optional)) for item in load(path)] == [("7", None)]
 
 
+@pytest.mark.parametrize("load, name", [(load_corpus, "corpus.jsonl"), (load_queries, "queries.jsonl")])
+@pytest.mark.parametrize("doc_id", ["a b", "a\tb", " a", "a\u3000b", "a\xa0b", "a\x0bb"])
+def test_whitespace_in_an_id_names_the_file_and_line(tmp_path, load, name, doc_id):
+    # a trec run or qrels.tsv line splits its fields on whitespace, so such an id would shift them
+    path = tmp_path / name
+    _write_jsonl(path, [{"_id": "a-b", "text": "body"}, {"_id": doc_id, "text": "body"}])
+    with pytest.raises(ParseError, match=rf"^_id {re.escape(repr(doc_id))} contains whitespace in {name} \(line 2\)$"):
+        load(path)
+
+
 class TestLoadQrels:
     def test_single_line(self, tmp_path):
         path = tmp_path / "qrels.tsv"
@@ -266,7 +276,10 @@ class TestRoundTrip:
     @given(
         st.lists(
             st.tuples(
-                st.text(alphabet=st.characters(exclude_characters="\n\r", exclude_categories=("Cs",)), min_size=1, max_size=20),
+                # an id holds no whitespace: trec runs and qrels.tsv split on it
+                st.text(alphabet=st.characters(exclude_categories=("Cs",)), min_size=1, max_size=20).filter(
+                    lambda s: not any(c.isspace() for c in s)
+                ),
                 st.text(alphabet=st.characters(exclude_characters="\n\r", exclude_categories=("Cs",)), min_size=1, max_size=60).filter(lambda s: s.strip()),
             ),
             min_size=1,

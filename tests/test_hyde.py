@@ -328,7 +328,7 @@ class TestRunQueriesChunks:
         known = dict(zip((q.text for q in queries), embed_texts(emb, [q.text for q in queries])))
         gen = MockGeneratorClient(fail_times=fail_times, max_retries=2)
         emb.calls = 0
-        runs = cli._run_queries(config, emb, index, queries, 10, gen, fusion, seed_parts, known)
+        runs = list(cli._run_queries(config, emb, index, queries, 10, gen, fusion, seed_parts, known))
         assert [{qid: _bits(h) for qid, h in run.items()} for run in runs] == [
             {qid: _bits(h) for qid, h in run.items()} for run in expected
         ]

@@ -1,13 +1,19 @@
+import dataclasses
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slhyde import util
+from slhyde.corpus import _CorpusRecord
 from slhyde.embed import RemoteEmbedderClient, embed_texts
 from slhyde.errors import ProtocolError, TransportError
+from slhyde.metrics import write_trec_run
+from slhyde.retrieval import RankedHits
 from slhyde.textgen import RemoteGeneratorClient, generate
-from slhyde.util import atomic_write_bytes
+from slhyde.util import atomic_write_bytes, atomic_write_text, jsonl_line, write_jsonl
 
 from conftest import StubEndpoint
 
@@ -49,6 +55,69 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
         atomic_write_bytes(path, b"new")
     assert path.read_bytes() == b"old"
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def test_lines_that_raise_part_way_leave_the_old_file(tmp_path):
+    path = tmp_path / "out.txt"
+    atomic_write_text(path, "old\n")
+
+    def lines():
+        yield "new line\n" * 10_000  # past the write buffer, so some of it reaches the temp file
+        raise RuntimeError("record 2 is bad")
+
+    with pytest.raises(RuntimeError, match="record 2 is bad"):
+        atomic_write_text(path, lines())
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+# The writers as they were before they streamed: every line joined into one
+# str, encoded whole and written at once. The streamed files must be these bytes.
+def _joined_trec_run(runs, path, tag):
+    lines = []
+    for qid in runs:
+        for rank, (doc_id, score) in enumerate(runs[qid], start=1):
+            lines.append(f"{qid} Q0 {doc_id} {rank} {score:.6f} {tag}\n")
+    path.write_bytes("".join(lines).encode("utf-8"))
+
+
+def _joined_jsonl(records, path):
+    lines = (jsonl_line(util._plan(type(r)).dump(r) if dataclasses.is_dataclass(r) else r) for r in records)
+    path.write_bytes("".join(lines).encode("utf-8"))
+
+
+TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=8)  # any text UTF-8 can hold
+SCORE = st.one_of(st.sampled_from([0.0, -0.0, -1.5, -1e-7, 1e-7, 2.5e6]), st.floats(-1e3, 1e3))
+HITS = st.lists(st.tuples(TEXT, SCORE), max_size=4).map(
+    lambda hits: RankedHits(ids=[doc_id for doc_id, _ in hits], scores=[score for _, score in hits])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=st.dictionaries(TEXT, HITS, max_size=5), tag=st.sampled_from(["hyde", "dense", "标签"]))
+def test_streamed_trec_run_is_the_joined_bytes(tmp_path_factory, runs, tag):
+    root = tmp_path_factory.mktemp("trec")
+    write_trec_run(runs, root / "streamed.trec", tag=tag)
+    _joined_trec_run(runs, root / "joined.trec", tag)
+    assert (root / "streamed.trec").read_bytes() == (root / "joined.trec").read_bytes()
+
+
+RECORDS = st.lists(
+    st.one_of(
+        st.builds(_CorpusRecord, TEXT, TEXT, st.one_of(st.none(), TEXT)),
+        st.dictionaries(TEXT, st.one_of(TEXT, SCORE, st.lists(SCORE, max_size=2)), max_size=3),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=RECORDS)
+def test_streamed_jsonl_is_the_joined_bytes(tmp_path_factory, records):
+    root = tmp_path_factory.mktemp("jsonl")
+    write_jsonl(root / "streamed.jsonl", records)
+    _joined_jsonl(records, root / "joined.jsonl")
+    assert (root / "streamed.jsonl").read_bytes() == (root / "joined.jsonl").read_bytes()
 
 
 _REMOTES = {
