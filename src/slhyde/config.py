@@ -11,7 +11,8 @@ them, checking every YAML value against its field's annotation (an int is
 accepted where a float is expected; a bool is not a number), so an unknown key
 or a bad value is a ValidationError naming `<section>.<key>` at load.
 `RunConfig.validate` checks only what spans the top level: `clients`,
-`parallelism` and the endpoints a remote run needs.
+`parallelism`, the endpoints a remote run needs, and that no two `datasets`
+share a name.
 """
 from __future__ import annotations
 
@@ -162,6 +163,10 @@ class RunConfig:
             raise ValidationError("parallelism must be >= 1")
         if self.clients == "remote" and not (self.generator.endpoint and self.embedder.endpoint):
             raise ValidationError("remote clients require generator.endpoint and embedder.endpoint")
+        # a dataset's name keys its cache, run files and report entry
+        names = [dataset.name for dataset in self.datasets]
+        if len(set(names)) < len(names):
+            raise ValidationError(f"datasets lists the name {max(names, key=names.count)!r} more than once")
 
 
 def load_config(path: str | Path | None, **overrides) -> RunConfig:

@@ -14,19 +14,18 @@ each batch into one preallocated float32 matrix as it arrives (and stops at
 the first batch that is non-finite or a zero row, before the next request),
 and `save_cache` writes that matrix to the file from its own buffer.
 
-Cache file format (little-endian):
-    magic "SLHE2" | u32 dim | u64 count | 32-byte fingerprint
-    | 32-byte sha256 of the ids sidecar | count*dim float32
-plus a sidecar ids file at <path>.ids: one document id per line, same order.
+Cache file format (little-endian), one file:
+    magic "SLHE3" | u32 dim | u64 count | 32-byte fingerprint
+    | 32-byte sha256 of the ids block | count*dim float32 | ids, one per line
 
 The fingerprint (`cache_fingerprint`) is a sha256 of everything that decides
 the vectors: the client class, model, dim, truncate_chars, the mock's
 overrides, and the sha256 of the corpus file's bytes. `cache_embeddings` is
 the one reuse-or-build path: a cache is reused only when its fingerprint
-matches, so the corpus file's bytes, the matrix file and its sidecar are all a
-warm run reads. The sidecar is written first and the matrix last: the matrix
-file is the commit point, and a sidecar from another run fails the digest
-check.
+matches, so the corpus file's bytes and the cache file are all a warm run
+reads. One atomic replace writes a cache: a reader sees the old file or the
+new one, and a failed write leaves the old one. Another magic (the SLHE1 and
+SLHE2 formats, whose ids were in a `<path>.ids` sidecar) is rebuilt once.
 """
 from __future__ import annotations
 
@@ -35,6 +34,7 @@ import itertools
 import json
 import logging
 import math
+import os
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -48,7 +48,7 @@ from .util import JsonEndpoint, atomic_write_bytes, retry_or_raise
 
 logger = logging.getLogger(__name__)
 
-CACHE_MAGIC = b"SLHE2"
+CACHE_MAGIC = b"SLHE3"
 _HEADER = struct.Struct("<5sIQ32s32s")
 _FINITE_BLOCK = 1 << 16  # values per np.isfinite call in _all_finite
 
@@ -288,52 +288,45 @@ def cache_fingerprint(client, corpus_digest: bytes) -> bytes:
 
 
 def save_cache(cache: EmbeddingCache, path: str | Path, fingerprint: bytes) -> None:
-    path = Path(path)
     for doc_id in cache.ids:
         if "\n" in doc_id or "\r" in doc_id:
             raise ValidationError(f"id {doc_id!r} contains a newline; cannot serialize")
     ids = "".join(f"{i}\n" for i in cache.ids).encode("utf-8")
     header = _HEADER.pack(CACHE_MAGIC, cache.dim, len(cache), fingerprint, hashlib.sha256(ids).digest())
     rows = np.ascontiguousarray(cache.matrix, dtype="<f4")  # no copy of a float32 cache
-    atomic_write_bytes(Path(str(path) + ".ids"), ids)
-    atomic_write_bytes(path, header, rows)
+    atomic_write_bytes(path, header, rows, ids)
 
 
 def load_cache(path: str | Path, fingerprint: bytes | None = None) -> EmbeddingCache:
-    """Read a cache and its sidecar; FormatError when either is unreadable, the
-    sidecar's digest does not match the header, or `fingerprint` is given and
-    differs from the stored one (checked before the rows are read)."""
+    """Read a cache file; FormatError when it is missing, has another magic,
+    is truncated or padded, holds a non-finite value or ids that fail the
+    header's digest, or `fingerprint` is given and differs from the stored one
+    (checked before the rows are read)."""
     path = Path(path)
     if not path.exists():
         raise FormatError(f"cache file not found: {path}")
-    size = path.stat().st_size
     with path.open("rb") as fh:
         header = fh.read(_HEADER.size)
-        if header[:5] == b"SLHE1":
-            raise FormatError(f"cache file {path} has the old SLHE1 format, which holds no fingerprint")
         if len(header) < _HEADER.size or header[:5] != CACHE_MAGIC:
-            raise FormatError(f"bad cache magic in {path}")
+            raise FormatError(f"bad cache header (magic {header[:5]!r}, expected {CACHE_MAGIC!r}) in {path}")
         _, dim, count, stored, ids_digest = _HEADER.unpack(header)
         if fingerprint is not None and stored != fingerprint:
             raise FormatError(
                 f"cache file {path} was built from another corpus or embedder setting (fingerprint mismatch)"
             )
-        expected = _HEADER.size + count * dim * 4
-        if size != expected:
-            raise FormatError(f"cache file {path} is truncated or padded ({size} != {expected} bytes)")
+        size, ids_start = os.fstat(fh.fileno()).st_size, _HEADER.size + count * dim * 4
+        if size < ids_start:
+            raise FormatError(f"cache file {path} is truncated ({size} < {ids_start} bytes)")
         # One buffer: the rows are read straight into the array that is returned.
         matrix = np.fromfile(fh, dtype="<f4", count=count * dim).reshape(count, dim)
+        raw = fh.read()
     if not _all_finite(matrix):
         raise FormatError(f"cache file {path} contains non-finite values")
-    ids_path = Path(str(path) + ".ids")
-    if not ids_path.exists():
-        raise FormatError(f"ids sidecar not found: {ids_path}")
-    raw = ids_path.read_bytes()
     if hashlib.sha256(raw).digest() != ids_digest:
-        raise FormatError(f"ids sidecar {ids_path} does not belong to {path} (digest mismatch)")
+        raise FormatError(f"cache file {path} is truncated, padded or corrupt (ids digest mismatch)")
     ids = raw.decode("utf-8").split("\n")[:-1]
     if len(ids) != count:
-        raise FormatError(f"ids sidecar has {len(ids)} lines, header says {count}")
+        raise FormatError(f"cache file {path} holds {len(ids)} ids, header says {count}")
     return EmbeddingCache(ids=ids, matrix=matrix)
 
 

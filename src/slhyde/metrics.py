@@ -99,9 +99,9 @@ PAIRINGS = ("query", "run")
 @dataclass
 class Comparison:
     baseline_means: dict[str, float]
-    improvement_pct: dict[str, float]
+    improvement_pct: dict[str, float | None]
     baseline_average: float
-    average_improvement_pct: float
+    average_improvement_pct: float | None
     p_values: dict[str, float | None]
     pairing: str = "query"
 
@@ -135,7 +135,8 @@ def build_report(
 
     The cross-dataset average is the unweighted mean of dataset means; the
     average improvement is computed on the two averages, and per-dataset
-    improvement is (system - baseline) / baseline * 100 (unrounded here).
+    improvement is (system - baseline) / baseline * 100 (unrounded here), or
+    None where the baseline is 0 and it is undefined.
     Significance is a paired t-test where >= 2 aligned values exist per
     dataset; scalar inputs get no p-value.
     """
@@ -151,24 +152,20 @@ def build_report(
                 f"baseline datasets {sorted(base_results)} do not match system datasets {sorted(results)}"
             )
         baseline_means = {name: base_results[name].mean for name in results}
-        improvement = {}
-        p_values: dict[str, float | None] = {}
-        for name, result in results.items():
-            base = base_results[name]
-            if base.mean == 0:
-                raise ValidationError(f"baseline mean for {name!r} is zero; improvement undefined")
-            improvement[name] = (result.mean - base.mean) / base.mean * 100.0
-            p_values[name] = _paired_p(result, base)
         baseline_average = sum(baseline_means.values()) / len(baseline_means)
         comparison = Comparison(
             baseline_means=baseline_means,
-            improvement_pct=improvement,
+            improvement_pct={name: _improvement_pct(results[name].mean, base) for name, base in baseline_means.items()},
             baseline_average=baseline_average,
-            average_improvement_pct=(average - baseline_average) / baseline_average * 100.0,
-            p_values=p_values,
+            average_improvement_pct=_improvement_pct(average, baseline_average),
+            p_values={name: _paired_p(result, base_results[name]) for name, result in results.items()},
             pairing=pairing,
         )
     return EvalReport(metric=metric, datasets=results, average=average, comparison=comparison)
+
+
+def _improvement_pct(system: float, base: float) -> float | None:
+    return (system - base) / base * 100.0 if base != 0 else None
 
 
 def _paired_p(system: DatasetResult, base: DatasetResult) -> float | None:
@@ -201,6 +198,10 @@ def report_to_dict(report: EvalReport) -> dict:
     return out
 
 
+def _pct_text(value: float | None) -> str:
+    return f"{value:+9.2f}" if value is not None else f"{'-':>9}"
+
+
 def render_report_text(report: EvalReport) -> str:
     """Human-readable table; values rounded to 2 decimals only here."""
     names = list(report.datasets)
@@ -217,13 +218,13 @@ def render_report_text(report: EvalReport) -> str:
             c = report.comparison
             p = c.p_values.get(name)
             p_text = f"{p:8.4f}" if p is not None else "       -"
-            row += f"  {c.baseline_means[name]:9.2f}  {c.improvement_pct[name]:+9.2f}  {p_text}"
+            row += f"  {c.baseline_means[name]:9.2f}  {_pct_text(c.improvement_pct[name])}  {p_text}"
         lines.append(row)
     summary = f"{'Average':<{width}}  {report.average:8.2f}"
     if report.comparison:
         summary += (
             f"  {'':8}  {'':8}  {report.comparison.baseline_average:9.2f}"
-            f"  {report.comparison.average_improvement_pct:+9.2f}"
+            f"  {_pct_text(report.comparison.average_improvement_pct)}"
         )
         lines.append(summary)
         lines.append(f"pairing: {report.comparison.pairing}")

@@ -13,7 +13,7 @@ Both builders go through `util.run_chunked`: a chunk costs one embed_texts call 
 one ranks_of or search_many call. Neither depends on the batch, so the datasets do not.
 The SFT builder keeps the rows it scored each emitted example with, its query's
 and its selected candidate's; `save_sft_rows` writes them next to the SFT file
-as `<sft file>.rows`, an SLHE2 file (`embed.save_cache`) whose fingerprint
+as `<sft file>.rows`, one SLHE3 cache file (`embed.save_cache`) whose fingerprint
 covers the embedder and the SFT file's bytes. `load_sft_rows` hands them to
 the triplet builder only on a fingerprint match, and the triplet builder embeds
 only the texts those rows lack (`embed.embed_rows`): with `reuse_pseudo`, no

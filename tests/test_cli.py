@@ -140,8 +140,7 @@ def _record_embed_batches(monkeypatch) -> list:
 
 
 def _remove_sft_rows(sft_path):
-    for suffix in (".rows", ".rows.ids"):
-        Path(str(sft_path) + suffix).unlink()
+    Path(str(sft_path) + ".rows").unlink()
 
 
 def _out_bytes(out_dir):
@@ -587,6 +586,21 @@ class TestEvaluateCommand:
         text = (out / "report.txt").read_text()
         assert "improve%" in text
 
+    def test_zero_dense_baseline_keeps_the_finished_evaluation(self, tmp_path):
+        dataset = tmp_path / "data"
+        _, queries, _ = make_dataset(dataset)
+        # every judged document is missing from the corpus: every run scores 0
+        write_qrels(RelevanceJudgments(entries={q.id: {f"gone-{q.id}": 1} for q in queries}), dataset / "qrels.tsv")
+        out = tmp_path / "run"
+        config_path = make_config(tmp_path, dataset, out)
+        assert main(["evaluate", "--config", str(config_path), "--mode", "hyde"]) == 0
+        report = json.loads((out / "report.json").read_text())["reports"]["ndcg@10"]
+        assert report["comparison"]["improvement_pct"] == {"synthetic": None}
+        assert report["comparison"]["average_improvement_pct"] is None
+        assert report["datasets"]["synthetic"]["values"] == [0.0] * len(queries)
+        assert (out / "run_synthetic_r0.trec").stat().st_size and (out / "run_synthetic_r1.trec").stat().st_size
+        assert (out / "report.txt").read_text().splitlines()[2].split()[-2:] == ["-", "1.0000"]
+
     def test_run_pairing_matches_direct_computation(self, tmp_path):
         dataset = tmp_path / "data"
         make_dataset(dataset)
@@ -867,7 +881,7 @@ class TestSftRowsReuse:
 
     def test_fresh_rows_make_no_triplet_request(self, tmp_path, monkeypatch, caplog):
         config_path, out = self._sft(tmp_path)
-        assert (out / "sft.jsonl.rows").exists() and (out / "sft.jsonl.rows.ids").exists()
+        assert (out / "sft.jsonl.rows").exists()
         batches = _record_embed_batches(monkeypatch)
         with caplog.at_level(logging.INFO, logger="slhyde.selflearn"):
             with_rows = self._triplets(config_path, out)
@@ -1186,6 +1200,24 @@ class TestMultiDatasetAndTemplates:
         assert main([command, "--config", str(config_path)]) == 1
         assert f"{command} takes one dataset, but the config lists 2" in capsys.readouterr().err
         assert not list(out.glob("*.emb"))
+
+    def test_repeated_dataset_name_is_refused_at_load(self, tmp_path, capsys):
+        ds_a, ds_b = tmp_path / "a", tmp_path / "b"
+        make_dataset(ds_a, n_docs=10, seed=1)
+        make_dataset(ds_b, n_docs=8, seed=2)
+        out = tmp_path / "run"
+        entries = [
+            {"name": "syn", "corpus": str(root / "corpus.jsonl"), "queries": str(root / "queries.jsonl"),
+             "qrels": str(root / "qrels.tsv")}
+            for root in (ds_a, ds_b)
+        ]
+        config_path = make_config(tmp_path, ds_a, out, datasets=entries)
+        with pytest.raises(ValidationError, match="datasets lists the name 'syn' more than once"):
+            load_config(config_path)
+        for command in ("embed-corpus", "evaluate"):
+            assert main([command, "--config", str(config_path)]) == 1
+            assert "'syn'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_multi_dataset_evaluate_averages(self, tmp_path):
         ds_a = tmp_path / "a"
@@ -1559,8 +1591,7 @@ class TestParallelismDeterminism:
             shutil.rmtree(out)
         assert trees[0] == trees[1]
         assert {
-            "trace_synthetic.jsonl", "run_synthetic_r1.trec", "sft.jsonl", "sft.jsonl.rows", "sft.jsonl.rows.ids",
-            "triplets.jsonl",
+            "trace_synthetic.jsonl", "run_synthetic_r1.trec", "sft.jsonl", "sft.jsonl.rows", "triplets.jsonl",
         } <= set(trees[0][0])
         # every command's embedder and generator make as many requests at either parallelism
         assert len(requests[0]) == 8 and requests[0] == requests[1]

@@ -1,6 +1,9 @@
+import hashlib
 import logging
+import os
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,11 +300,14 @@ class TestCache:
         rows = rng.normal(size=(4000, 256)).astype(np.float32)
         path = tmp_path / "c.emb"
         embed.save_cache(EmbeddingCache(ids=[f"d{i:04d}" for i in range(4000)], matrix=rows), path, b"\0" * 32)
-        sidecar = path.with_name("c.emb.ids")
+        rows_end = embed._HEADER.size + rows.nbytes
         tracemalloc.start()
         try:
-            # what the ids alone cost: the sidecar read and the cache's id positions
-            EmbeddingCache(ids=sidecar.read_bytes().decode("utf-8").split("\n")[:-1], matrix=rows[:, :0])
+            # what the ids alone cost: the read of the file's ids block and the cache's id positions
+            with path.open("rb") as fh:
+                fh.seek(rows_end)
+                tail = fh.read()
+            EmbeddingCache(ids=tail.decode("utf-8").split("\n")[:-1], matrix=rows[:, :0])
             _, ids_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             loaded = load_cache(path)
@@ -313,7 +319,7 @@ class TestCache:
         assert peak <= 1.05 * rows.nbytes + ids_peak
         # a non-finite value in the last row block is still found, by both checks
         blob = bytearray(path.read_bytes())
-        blob[-4:] = struct.pack("<f", float("inf"))
+        blob[rows_end - 4 : rows_end] = struct.pack("<f", float("inf"))
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="contains non-finite values"):
             load_cache(path)
@@ -337,14 +343,17 @@ class TestCache:
         path = tmp_path / "c.emb"
         cache_docs(mock_emb, store, path)
         blob = path.read_bytes()
-        path.write_bytes(blob[:-7])
-        with pytest.raises(FormatError, match="truncated"):
-            load_cache(path)
+        rows_end = embed._HEADER.size + 5 * mock_emb.dim * 4
+        # a cut into the ids block, and one into the rows
+        for size in (len(blob) - 7, rows_end - 4):
+            path.write_bytes(blob[:size])
+            with pytest.raises(FormatError, match="truncated"):
+                load_cache(path)
 
     def test_bad_magic_is_format_error(self, tmp_path):
         path = tmp_path / "c.emb"
         path.write_bytes(b"WRONG" + b"\x00" * 32)
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(FormatError, match="magic b'WRONG'"):
             load_cache(path)
 
     def test_non_finite_payload_is_format_error(self, tmp_path, mock_emb):
@@ -449,55 +458,85 @@ class TestCache:
         # settings that do not change the vectors keep the fingerprint
         assert cache_fingerprint(remote(batch_size=3, endpoint="http://y"), digest) == prints[0]
 
-    def test_foreign_sidecar_is_detected_and_rebuilt(self, tmp_path, caplog):
-        client = MockEmbedderClient(dim=32)
-        ours = CorpusStore(synthetic_docs(4, seed=1))
-        theirs = CorpusStore([Document(id=f"other-{d.id}", text=d.text) for d in synthetic_docs(4, seed=2)])
+    def test_edited_ids_block_is_detected_and_rebuilt(self, tmp_path, caplog):
+        docs = synthetic_docs(4, seed=1)
         path = tmp_path / "c.emb"
-        cache_docs(client, ours, path)
-        cache_docs(client, theirs, tmp_path / "other.emb")
-        (tmp_path / "c.emb.ids").write_bytes((tmp_path / "other.emb.ids").read_bytes())
-        with pytest.raises(FormatError, match="sidecar"):
-            load_cache(path)
-        fresh = MockEmbedderClient(dim=32)
-        with caplog.at_level(logging.WARNING):
-            cache = cache_docs(fresh, ours, path)
-        assert fresh.calls > 0
-        assert cache.ids == ours.ids
-        assert "digest mismatch" in caplog.text
-        assert load_cache(path).ids == ours.ids
-
-    @pytest.mark.parametrize("corpus", ["warm", "torn"])
-    def test_torn_write_is_detected_and_rebuilt(self, tmp_path, monkeypatch, caplog, corpus):
-        warm = synthetic_docs(4, seed=1)
-        torn = [Document(id=f"other-{d.id}", text=d.text) for d in synthetic_docs(4, seed=2)]
-        path = tmp_path / "c.emb"
-        cache_docs(MockEmbedderClient(dim=32), warm, path)
-        write = embed.atomic_write_bytes
-
-        def fail_on_matrix(target, *parts):
-            if target == path:
-                raise OSError("disk full")
-            write(target, *parts)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(embed, "atomic_write_bytes", fail_on_matrix)
-            with pytest.raises(OSError, match="disk full"):
-                cache_docs(MockEmbedderClient(dim=32), torn, path)
-        # the torn run replaced the sidecar but not the matrix
-        assert (tmp_path / "c.emb.ids").read_text() == "".join(f"{d.id}\n" for d in torn)
+        cache_docs(MockEmbedderClient(dim=32), docs, path)
+        blob = path.read_bytes()
+        edited = blob.replace(f"{docs[1].id}\n".encode(), f"{docs[1].id[:-1]}X\n".encode())
+        assert len(edited) == len(blob) and edited != blob
+        path.write_bytes(edited)
         with pytest.raises(FormatError, match="digest mismatch"):
             load_cache(path)
-        docs = warm if corpus == "warm" else torn
         fresh = MockEmbedderClient(dim=32)
         with caplog.at_level(logging.WARNING):
             cache = cache_docs(fresh, docs, path)
         assert fresh.calls > 0
-        assert ("digest mismatch" if corpus == "warm" else "fingerprint mismatch") in caplog.text
+        assert cache.ids == [d.id for d in docs]
+        assert "digest mismatch" in caplog.text
+        assert load_cache(path).ids == cache.ids
+        assert path.read_bytes() == blob
+
+    @pytest.mark.parametrize("corpus", ["warm", "failed"])
+    def test_failed_write_leaves_the_old_cache(self, tmp_path, monkeypatch, caplog, corpus):
+        warm = synthetic_docs(4, seed=1)
+        failed = [Document(id=f"other-{d.id}", text=d.text) for d in synthetic_docs(4, seed=2)]
+        path = tmp_path / "c.emb"
+        cache_docs(MockEmbedderClient(dim=32), warm, path)
+        before = path.read_bytes()
+        replace = os.replace
+
+        def fail_at_commit(src, dst):
+            if Path(dst) == path:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", fail_at_commit)
+            with pytest.raises(OSError, match="disk full"):
+                cache_docs(MockEmbedderClient(dim=32), failed, path)
+        # the failed run left the old file and no partial one
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("c.emb")) == [
+            "c.emb", "c.emb.corpus.jsonl"
+        ]
+        docs = warm if corpus == "warm" else failed
+        fresh = MockEmbedderClient(dim=32)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            cache = cache_docs(fresh, docs, path)
+        if corpus == "warm":
+            assert fresh.calls == 0
+            assert "rebuilding" not in caplog.text
+        else:
+            assert fresh.calls > 0
+            assert "fingerprint mismatch" in caplog.text
         expected = embed_texts(MockEmbedderClient(dim=32), [d.indexed_text for d in docs])
         for served in (cache, load_cache(path)):
             assert served.ids == [d.id for d in docs]
             assert served.matrix.tobytes() == expected.tobytes()
+
+    def test_reader_during_a_rebuild_gets_the_old_cache(self, tmp_path, monkeypatch, caplog):
+        old_docs = synthetic_docs(4, seed=1)
+        new_docs = [Document(id=f"new-{d.id}", text=d.text) for d in synthetic_docs(5, seed=2)]
+        path = tmp_path / "c.emb"
+        old = cache_docs(MockEmbedderClient(dim=32), old_docs, path)
+        replace = os.replace
+        read = []
+
+        def read_then_replace(src, dst):
+            if Path(dst) == path:
+                # a reader that opens the cache while the rebuild is about to commit
+                read.append(load_cache(path))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", read_then_replace)
+        with caplog.at_level(logging.WARNING):
+            new = cache_docs(MockEmbedderClient(dim=32), new_docs, path)
+        assert "fingerprint mismatch" in caplog.text
+        assert len(read) == 1
+        assert read[0].ids == old.ids and read[0].matrix.tobytes() == old.matrix.tobytes()
+        assert load_cache(path).ids == new.ids == [d.id for d in new_docs]
 
     def test_store_is_returned_only_when_the_corpus_was_parsed(self, tmp_path, monkeypatch):
         docs = synthetic_docs(5)
@@ -511,21 +550,29 @@ class TestCache:
         assert store is None
         assert reused.ids == built.ids and reused.matrix.tobytes() == built.matrix.tobytes()
 
-    def test_slhe1_file_is_rebuilt(self, tmp_path, caplog):
+    @pytest.mark.parametrize("magic", [b"SLHE1", b"SLHE2"])
+    def test_earlier_format_is_rebuilt(self, tmp_path, caplog, magic):
         store = CorpusStore(synthetic_docs(3))
         client = MockEmbedderClient(dim=32)
         rows = embed_texts(client, [d.indexed_text for d in store])
         path = tmp_path / "c.emb"
-        path.write_bytes(struct.pack("<5sIQ", b"SLHE1", 32, 3) + rows.astype("<f4").tobytes())
-        (tmp_path / "c.emb.ids").write_text("".join(f"{i}\n" for i in store.ids))
-        with pytest.raises(FormatError, match="SLHE1"):
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(store, corpus)
+        ids = "".join(f"{i}\n" for i in store.ids).encode()
+        header = struct.pack("<5sIQ", magic, 32, 3)
+        if magic == b"SLHE2":  # the current fingerprint: only the format is old
+            header += cache_fingerprint(client, corpus_file_digest(corpus)) + hashlib.sha256(ids).digest()
+        path.write_bytes(header + rows.astype("<f4").tobytes())
+        (tmp_path / "c.emb.ids").write_bytes(ids)
+        with pytest.raises(FormatError, match=f"magic {magic!r}"):
             load_cache(path)
         fresh = MockEmbedderClient(dim=32)
         with caplog.at_level(logging.WARNING):
-            cache_docs(fresh, store, path)
+            _, cache = cache_embeddings(fresh, corpus, path)
         assert fresh.calls > 0
-        assert "SLHE1" in caplog.text
-        assert path.read_bytes()[:5] == b"SLHE2"
+        assert repr(magic) in caplog.text
+        assert path.read_bytes()[:5] == b"SLHE3"
+        assert load_cache(path).ids == cache.ids == store.ids
 
     def test_cache_row_lookup(self, tmp_path, mock_emb):
         store = CorpusStore(synthetic_docs(6))

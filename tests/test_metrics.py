@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -241,6 +242,19 @@ class TestBuildReport:
         assert "59.38" in text
         payload = report_to_dict(report)
         assert payload["comparison"]["pairing"] == "query"
+
+    def test_zero_baseline_improvement_is_none(self):
+        report = build_report({"a": [0.0, 0.0], "b": [0.5, 0.7]}, baseline={"a": [0.0, 0.0], "b": [0.5, 0.5]})
+        assert report.comparison.improvement_pct == {"a": None, "b": pytest.approx(20.0)}
+        assert report.comparison.average_improvement_pct == pytest.approx(20.0)  # 0.3 against 0.25
+        zero = build_report({"a": [0.0, 0.0]}, baseline={"a": [0.0, 0.0]})
+        payload = json.loads(json.dumps(report_to_dict(zero)))
+        assert payload["comparison"]["improvement_pct"] == {"a": None}
+        assert payload["comparison"]["average_improvement_pct"] is None
+        assert render_report_text(zero).splitlines()[2:4] == [
+            "a             0.00         2         0       0.00          -    1.0000",
+            "Average       0.00                           0.00          -",
+        ]
 
 
 class TestTrecRunIO:
