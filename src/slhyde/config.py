@@ -171,7 +171,9 @@ class RunConfig:
 
 def load_config(path: str | Path | None, **overrides) -> RunConfig:
     """Load YAML config (optional), interpolate ${ENV}, apply flag overrides,
-    validate. A YAML syntax error is a ParseError naming the file and line."""
+    validate. A YAML syntax error is a ParseError naming the file and line; a
+    file that sets both `dataset` and a non-empty `datasets` is a
+    ValidationError naming the file and both keys."""
     data = None
     if path is not None:
         path = Path(path)
@@ -188,6 +190,8 @@ def load_config(path: str | Path | None, **overrides) -> RunConfig:
             line = mark.line + 1 if mark else None
             raise ParseError(f"{getattr(exc, 'problem', None) or exc} in {path.name}", line=line) from None
         data = _interpolate(data)
+        if isinstance(data, dict) and "dataset" in data and data.get("datasets"):
+            raise ValidationError(f"{path.name} sets both dataset and datasets; a run reads one or the other")
     config = from_mapping(RunConfig, {} if data is None else data, "config")
     for key, value in overrides.items():
         if value is not None:
@@ -202,6 +206,8 @@ def write_resolved_config(config: RunConfig, out_dir: str | Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     redacted = dataclasses.asdict(config)
+    if config.datasets:  # so that the snapshot loads again
+        del redacted["dataset"]
     for section in ("generator", "embedder"):
         if redacted[section].get("api_key"):
             redacted[section]["api_key"] = "<redacted>"

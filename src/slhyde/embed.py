@@ -25,7 +25,8 @@ the one reuse-or-build path: a cache is reused only when its fingerprint
 matches, so the corpus file's bytes and the cache file are all a warm run
 reads. One atomic replace writes a cache: a reader sees the old file or the
 new one, and a failed write leaves the old one. Another magic (the SLHE1 and
-SLHE2 formats, whose ids were in a `<path>.ids` sidecar) is rebuilt once.
+SLHE2 formats, whose ids were in a `<path>.ids` sidecar) is rebuilt once, and
+writing the rebuilt file deletes the sidecar.
 """
 from __future__ import annotations
 
@@ -295,6 +296,7 @@ def save_cache(cache: EmbeddingCache, path: str | Path, fingerprint: bytes) -> N
     header = _HEADER.pack(CACHE_MAGIC, cache.dim, len(cache), fingerprint, hashlib.sha256(ids).digest())
     rows = np.ascontiguousarray(cache.matrix, dtype="<f4")  # no copy of a float32 cache
     atomic_write_bytes(path, header, rows, ids)
+    Path(f"{path}.ids").unlink(missing_ok=True)  # an SLHE1/SLHE2 sidecar, stale once this file is written
 
 
 def load_cache(path: str | Path, fingerprint: bytes | None = None) -> EmbeddingCache:

@@ -237,11 +237,14 @@ def render_report_text(report: EvalReport) -> str:
 
 def write_trec_run(runs: Mapping[str, object], path: str | Path, tag: str = "slhyde") -> None:
     """Write runs as trec lines: qid Q0 docid rank score tag. The file is
-    written as it is formatted, one query's lines at a time."""
+    written as it is formatted, one query's lines at a time, each query's
+    lines by one `%` format of a flat (doc id, rank, score) tuple."""
+    tag = tag.replace("%", "%%")
     atomic_write_text(
         path,
         (
-            "".join([f"{qid} Q0 {doc_id} {rank} {score:.6f} {tag}\n" for rank, (doc_id, score) in enumerate(hits, 1)])
+            f"{qid.replace('%', '%%')} Q0 %s %d %.6f {tag}\n" * len(hits)
+            % tuple([value for rank, (doc_id, score) in enumerate(hits, 1) for value in (doc_id, rank, score)])
             for qid, hits in runs.items()
         ),
     )

@@ -56,6 +56,8 @@ def make_config(tmp_path, dataset_dir, out_dir, **extra):
         "eval": {"k_values": [10], "primary_k": 10, "repeats": 2},
         "selflearn": {"candidates_per_query": 2, "negatives": 3},
     }
+    if "datasets" in extra:
+        del config["dataset"]
     config.update(extra)
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(config))
@@ -1218,6 +1220,30 @@ class TestMultiDatasetAndTemplates:
             assert main([command, "--config", str(config_path)]) == 1
             assert "'syn'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_dataset_beside_datasets_is_refused_at_load(self, tmp_path, capsys):
+        root = tmp_path / "a"
+        make_dataset(root, n_docs=10, seed=1)
+        entry = {"name": "a", "corpus": str(root / "corpus.jsonl"), "queries": str(root / "queries.jsonl"),
+                 "qrels": str(root / "qrels.tsv")}
+        out = tmp_path / "run"
+        config_path = make_config(tmp_path, root, out, datasets=[entry])
+        config = yaml.safe_load(config_path.read_text())
+        both = tmp_path / "both.yaml"
+        both.write_text(yaml.safe_dump({**config, "dataset": {**entry, "name": "b"}}))
+        with pytest.raises(ValidationError, match="both.yaml sets both dataset and datasets"):
+            load_config(both)
+        assert main(["evaluate", "--config", str(both)]) == 1
+        assert "both.yaml sets both dataset and datasets" in capsys.readouterr().err
+        assert not out.exists()
+        # an empty datasets list drops nothing, so it may stand beside dataset
+        both.write_text(yaml.safe_dump({**config, "dataset": entry, "datasets": []}))
+        assert load_config(both).all_datasets()[0].name == "a"
+        # the snapshot of a several-dataset run leaves dataset out, so it loads again
+        write_resolved_config(load_config(config_path), out)
+        snapshot = out / "resolved_config.yaml"
+        assert "dataset" not in yaml.safe_load(snapshot.read_text())
+        assert [dataset.name for dataset in load_config(snapshot).all_datasets()] == ["a"]
 
     def test_multi_dataset_evaluate_averages(self, tmp_path):
         ds_a = tmp_path / "a"

@@ -573,6 +573,7 @@ class TestCache:
         assert repr(magic) in caplog.text
         assert path.read_bytes()[:5] == b"SLHE3"
         assert load_cache(path).ids == cache.ids == store.ids
+        assert not (tmp_path / "c.emb.ids").exists()
 
     def test_cache_row_lookup(self, tmp_path, mock_emb):
         store = CorpusStore(synthetic_docs(6))

@@ -270,3 +270,17 @@ class TestTrecRunIO:
             "q1 Q0 d2 2 0.500000 test\n"
             "q2 Q0 d3 1 1.500000 test\n"
         )
+
+    def test_percent_signs_are_written_as_they_are(self, tmp_path):
+        runs = {
+            "q%1": RankedHits(ids=["d%s"], scores=[0.25]),
+            "%%d": RankedHits(ids=["d1", "%"], scores=[1.0, -0.5]),
+            "%s": RankedHits(ids=[], scores=[]),
+        }
+        path = tmp_path / "run.trec"
+        write_trec_run(runs, path, tag="t%(x)s")
+        assert path.read_text() == (
+            "q%1 Q0 d%s 1 0.250000 t%(x)s\n"
+            "%%d Q0 d1 1 1.000000 t%(x)s\n"
+            "%%d Q0 % 2 -0.500000 t%(x)s\n"
+        )

@@ -1,10 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slhyde import retrieval
 from slhyde.embed import EmbeddingCache, MockEmbedderClient, embed_texts, normalize
 from slhyde.errors import ValidationError
 from slhyde.retrieval import (
@@ -182,20 +184,29 @@ def _bits(hits):
     return [(doc_id, float(score).hex()) for doc_id, score in hits]
 
 
+# Float32 scores per coarse tile: the default (None), and a budget so small that
+# the corpora below span several tiles (a single row each at 24 or more queries).
+TILE_BUDGETS = [None, 24]
+
+
+def _tile_budget(scores):
+    return mock.patch.object(retrieval, "_TILE_SCORES", scores or retrieval._TILE_SCORES)
+
+
 def _assert_exact(matrix, ids, queries, k):
     """search_many, dense_search and ranks_of, batched and one row at a time, equal
-    the full scan, scores bit for bit."""
+    the full scan, scores bit for bit, at every tile budget."""
     index = DenseIndex(EmbeddingCache(ids=list(ids), matrix=np.asarray(matrix, dtype=np.float32)))
-    batched = search_many(index, queries, k)
-    assert len(batched) == len(queries)
-    for query, hits in zip(queries, batched):
-        expected = _full_scan_search(index.cache.matrix, ids, query, k)
-        assert _bits(hits) == expected
-        assert _bits(dense_search(index, query, k)) == expected
-    for target in ids:
-        expected = [_full_scan_rank(index.cache.matrix, ids, query, target) for query in queries]
-        assert ranks_of(index, queries, [target] * len(queries)) == expected
-        assert [ranks_of(index, [query], [target])[0] for query in queries] == expected
+    searched = [_full_scan_search(index.cache.matrix, ids, query, k) for query in queries]
+    ranked = {target: [_full_scan_rank(index.cache.matrix, ids, query, target) for query in queries] for target in ids}
+    for budget in TILE_BUDGETS:
+        with _tile_budget(budget):
+            batched = search_many(index, queries, k)
+            assert [_bits(hits) for hits in batched] == searched
+            assert [_bits(dense_search(index, query, k)) for query in queries] == searched
+            for target, expected in ranked.items():
+                assert ranks_of(index, queries, [target] * len(queries)) == expected
+                assert [ranks_of(index, [query], [target])[0] for query in queries] == expected
 
 
 @st.composite
@@ -261,6 +272,27 @@ class TestExactAgainstFullScan:
         for k in (1, 7, 49, 50):
             _assert_exact(rows, ids, queries, k)
 
+    @pytest.mark.parametrize("a, b", [(0, 31), (24, 25)])
+    def test_the_margin_keeps_a_row_the_coarse_pass_puts_below_the_cut(self, a, b):
+        # The float32 unit query rounds so that row b's coarse score is one ulp
+        # above row a's although a's float64 score is higher: only the margin
+        # keeps a in the shortlist. At the small budget a one-query tile holds
+        # 24 rows, so (0, 31) lie in different tiles and (24, 25) in one tile
+        # after a first tile of low rows.
+        query = np.array([1.0, 1.3154374871981342])
+        rows = np.full((32, 2), -1.0, dtype=np.float32)
+        rows[a], rows[b] = (1.9026086330413818, 0.0), (0.0, 1.4463694095611572)
+        unit = (query / np.linalg.norm(query)).astype(np.float32)
+        assert unit[0] * rows[a, 0] < unit[1] * rows[b, 1]
+        assert query @ rows[a].astype(np.float64) > query @ rows[b].astype(np.float64)
+        index = _index_from_rows(rows)
+        ids = [f"d{a:03d}", f"d{b:03d}"]
+        for budget in TILE_BUDGETS:
+            with _tile_budget(budget):
+                assert search_many(index, [query], 1)[0].ids == ids[:1]
+                assert search_many(index, [query], 2)[0].ids == ids
+                assert ranks_of(index, [query, query], ids) == [1, 2]
+
     def test_batched_equals_one_row_across_query_blocks(self):
         rng = np.random.default_rng(12)
         rows = rng.normal(size=(203, 24)).astype(np.float32)
@@ -306,8 +338,9 @@ class TestExactAgainstFullScan:
             bound = 2 * d * 2.0**-53 * (np.abs(matrix.astype(np.float64)) @ np.abs(query))
             assert np.all(np.abs(together - matrix.astype(np.float64) @ query) <= bound)
 
+    @pytest.mark.parametrize("budget", TILE_BUDGETS)
     @pytest.mark.parametrize("count", [1, 64, 65, 130])
-    def test_block_edges_equal_one_row_calls_and_full_scan(self, count):
+    def test_block_edges_equal_one_row_calls_and_full_scan(self, count, budget):
         # 64 queries share one coarse block: these counts fill one block
         # exactly, spill one row into a second, and fill a second and a bit.
         rng = np.random.default_rng(15)
@@ -318,19 +351,22 @@ class TestExactAgainstFullScan:
         index = _index_from_rows(rows, ids)
         queries = rng.normal(size=(count, 12)) * 10.0 ** rng.uniform(-5, 5, size=(count, 1))
         queries[::5] = rows[rng.integers(0, n, size=len(queries[::5]))]
-        for k in (1, 10, n, n + 4):
-            batched = [_bits(hits) for hits in search_many(index, queries, k)]
-            assert batched == [_bits(dense_search(index, query, k)) for query in queries]
-            assert batched == [_full_scan_search(rows, ids, query, k) for query in queries]
-        targets = [ids[i] for i in rng.integers(0, n, size=count)]
-        ranks = ranks_of(index, queries, targets)
-        assert ranks == [ranks_of(index, [query], [target])[0] for query, target in zip(queries, targets)]
-        assert ranks == [_full_scan_rank(rows, ids, query, target) for query, target in zip(queries, targets)]
+        with _tile_budget(budget):
+            for k in (1, 10, n, n + 4):
+                batched = [_bits(hits) for hits in search_many(index, queries, k)]
+                assert batched == [_bits(dense_search(index, query, k)) for query in queries]
+                assert batched == [_full_scan_search(rows, ids, query, k) for query in queries]
+            targets = [ids[i] for i in rng.integers(0, n, size=count)]
+            ranks = ranks_of(index, queries, targets)
+            assert ranks == [ranks_of(index, [query], [target])[0] for query, target in zip(queries, targets)]
+            assert ranks == [_full_scan_rank(rows, ids, query, target) for query, target in zip(queries, targets)]
 
-    def test_empty_query_list(self):
+    @pytest.mark.parametrize("budget", TILE_BUDGETS)
+    def test_empty_query_list(self, budget):
         index = _index_from_rows(np.eye(3, dtype=np.float32))
-        assert search_many(index, np.empty((0, 3)), 2) == []
-        assert ranks_of(index, np.empty((0, 3)), []) == []
+        with _tile_budget(budget):
+            assert search_many(index, np.empty((0, 3)), 2) == []
+            assert ranks_of(index, np.empty((0, 3)), []) == []
 
     def test_non_finite_query_rejected(self):
         index = _index_from_rows(np.eye(3, dtype=np.float32))
@@ -372,18 +408,22 @@ class TestTieRuleAndSharedIds:
         rows, ids, queries, k = case
         # fresh copies, so that sharing cannot come from interning
         index = DenseIndex(EmbeddingCache(ids=[(" " + doc_id)[1:] for doc_id in ids], matrix=rows))
-        for query, hits in zip(queries, search_many(index, queries, k)):
-            scores = _full_scan_scores(rows, query).tolist()
-            expected = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-            assert [(doc_id, score.hex()) for doc_id, score in hits] == [
-                (ids[i], scores[i].hex()) for i in expected[:k]
-            ]
-            for doc_id in hits.ids:
-                assert doc_id is index.cache.ids[index.cache.position(doc_id)]
-            assert all(type(score) is float for _, score in hits)
-            assert all(type(score) is float for _, score in list(hits))
-            ranks = ranks_of(index, np.tile(query, (len(ids), 1)), ids)
-            assert ranks == [expected.index(i) + 1 for i in range(len(ids))]
+        for budget in TILE_BUDGETS:
+            with _tile_budget(budget):
+                searched = search_many(index, queries, k)
+            for query, hits in zip(queries, searched):
+                scores = _full_scan_scores(rows, query).tolist()
+                expected = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
+                assert [(doc_id, score.hex()) for doc_id, score in hits] == [
+                    (ids[i], scores[i].hex()) for i in expected[:k]
+                ]
+                for doc_id in hits.ids:
+                    assert doc_id is index.cache.ids[index.cache.position(doc_id)]
+                assert all(type(score) is float for _, score in hits)
+                assert all(type(score) is float for _, score in list(hits))
+                with _tile_budget(budget):
+                    ranks = ranks_of(index, np.tile(query, (len(ids), 1)), ids)
+                assert ranks == [expected.index(i) + 1 for i in range(len(ids))]
 
 
 def test_index_makes_no_float64_copy():
@@ -424,3 +464,16 @@ def test_a_call_holds_one_block_of_coarse_scores():
     block = 64 * n * 4
     assert _traced_peak(lambda: search_many(index, queries, 10)) <= 1.25 * block
     assert _traced_peak(lambda: ranks_of(index, queries, ids[:130])) <= 1.25 * block
+
+
+@pytest.mark.parametrize("n", [20_000, 80_000])
+def test_coarse_scores_take_one_tile_at_any_corpus_size(n):
+    # 130 queries against 2 and 5 tiles of 2^20 / 64 rows: the peak is one tile
+    # of float32 scores plus a little, the same bound at either n.
+    rng = np.random.default_rng(17)
+    ids = [f"d{i:05d}" for i in range(n)]
+    index = _index_from_rows(rng.normal(size=(n, 32)), ids)
+    queries = rng.normal(size=(130, 32))
+    tile = retrieval._TILE_SCORES * 4
+    assert _traced_peak(lambda: search_many(index, queries, 10)) <= 1.25 * tile
+    assert _traced_peak(lambda: ranks_of(index, queries, ids[:130])) <= 1.25 * tile

@@ -467,7 +467,10 @@ class TestSftRows:
         built = build_generator_dataset(docs[:12], MockGeneratorClient(), emb, index, settings, seed=2)
         sft = tmp_path / "sft.jsonl"
         emit_sft_jsonl(built.examples, sft)
+        sidecar = tmp_path / "sft.jsonl.rows.ids"  # an SLHE2 rows file's ids, stale once the file is rewritten
+        sidecar.write_text("input:old\n")
         save_sft_rows(built, emb, sft)
+        assert not sidecar.exists()
         examples = load_sft_jsonl(sft)
         known = load_sft_rows(emb, sft, examples)
         assert len(known) == 2 * len(examples)
