@@ -85,8 +85,19 @@ class MockEmbedderClient:
 
     Signed feature hashing of character 3-grams into `dim` buckets; the same
     text always maps to the same vector, distinct texts rarely collide at
-    dim >= 64, and token order matters. `overrides` pins chosen texts to
+    dim >= 64, and token order matters. A gram's bucket and sign come from the
+    blake2b digest of its UTF-8; a text shorter than 3 characters is its own
+    single gram, and a row whose signs cancel to zero falls back to a single
+    +1 in the bucket of the whole text. `overrides` pins chosen texts to
     chosen vectors, which tests use to construct exact geometries.
+
+    `embed_batch` hashes a batch in numpy, in passes of at most about
+    `_PASS_GRAMS` trigrams (a longer text is a pass of its own): each gram is
+    packed into one integer (three 21-bit code points), each distinct gram of
+    a pass is looked up once in the one memo (packed gram -> signed bucket,
+    hashed on a miss), and one `np.bincount` adds the ±1 weights into the
+    pass's rows. Sums of ±1 are exact in float64, so a row is the same bytes
+    whatever its batch, pass or neighbours.
     """
 
     max_retries = 2
@@ -103,39 +114,88 @@ class MockEmbedderClient:
         self._overrides = {
             text: normalize(vec) for text, vec in (overrides or {}).items()
         }
-        self._memo: dict[str, tuple[int, float]] = {}
+        # packed gram -> bucket << 1 | sign bit; one dict store per entry, so
+        # concurrent batches at worst hash a gram twice
+        self._memo: dict[int, int] = {}
 
-    def _feature(self, gram: str) -> tuple[int, float]:
-        cached = self._memo.get(gram)
-        if cached is None:
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-            value = int.from_bytes(digest, "little")
-            cached = (value % self.dim, 1.0 if value >> 63 else -1.0)
-            self._memo[gram] = cached
-        return cached
-
-    def _vector(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float64)
-        grams = (
-            [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else [text]
-        )
-        for gram in grams:
-            bucket, sign = self._feature(gram)
-            vec[bucket] += sign
-        if not vec.any():
-            # Signed collisions cancelled out; fall back to a single marker bucket.
-            bucket, _ = self._feature(text)
-            vec[bucket] = 1.0
-        return vec.astype(np.float32)
+    def _signed_bucket(self, gram: str) -> int:
+        value = int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "little")
+        return (value % self.dim) << 1 | value >> 63
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         with self._lock:
             self.calls += 1
-        rows = []
-        for text in texts:
+        out = np.empty((len(texts), self.dim), dtype=np.float32)
+        for start, stop in _passes(texts):
+            out[start:stop] = self._hash_pass(texts[start:stop])
+        for i, text in enumerate(texts):
             override = self._overrides.get(text)
-            rows.append(override if override is not None else self._vector(text))
-        return np.vstack(rows) if rows else np.zeros((0, self.dim), dtype=np.float32)
+            if override is not None:
+                out[i] = override
+        return out
+
+    def _hash_pass(self, texts: list[str]) -> np.ndarray:
+        """The float64 (len(texts), dim) hashed rows of `texts`."""
+        lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+        counts = np.maximum(lengths - 2, 0)
+        points = np.frombuffer("".join(texts).encode("utf-32-le"), dtype="<u4").astype(np.int64)
+        # the packed windows of three code points; those crossing into the
+        # next text are skipped by `starts`
+        windows = points[:-2] << 2 * _POINT_BITS | points[1:-1] << _POINT_BITS | points[2:]
+        del points
+        starts = np.repeat(np.cumsum(lengths) - lengths - (np.cumsum(counts) - counts), counts)
+        keys = windows[starts + np.arange(len(starts))]
+        del windows, starts
+        row_of = np.repeat(np.arange(len(texts)), counts)
+        short = np.flatnonzero(lengths < 3).tolist()
+        if short:
+            keys = np.concatenate([keys, [_short_key(texts[i]) for i in short]])
+            row_of = np.concatenate([row_of, short])
+        distinct, which = np.unique(keys, return_inverse=True)
+        del keys
+        memo, distinct = self._memo, distinct.tolist()
+        codes = np.fromiter(map(memo.get, distinct, itertools.repeat(-1)), dtype=np.int64, count=len(distinct))
+        for i in np.flatnonzero(codes < 0).tolist():
+            codes[i] = memo[distinct[i]] = self._signed_bucket(_unpack(distinct[i]))
+        del distinct
+        codes = codes[which]
+        del which
+        sums = np.bincount(
+            row_of * self.dim + (codes >> 1), weights=(codes & 1) * 2.0 - 1.0, minlength=len(texts) * self.dim
+        ).reshape(len(texts), self.dim)
+        for i in np.flatnonzero(~sums.any(axis=1)).tolist():
+            # Signed collisions cancelled out; fall back to a single marker bucket.
+            sums[i, self._signed_bucket(texts[i]) >> 1] = 1.0
+        return sums
+
+
+_POINT_BITS = 21  # every code point is below 2**21
+_NO_POINT = (1 << _POINT_BITS) - 1  # pads the packed gram of a text shorter than 3 characters
+_PASS_GRAMS = 1 << 14  # trigrams per MockEmbedderClient pass
+
+
+def _short_key(text: str) -> int:
+    a, b, c = [ord(ch) for ch in text] + [_NO_POINT] * (3 - len(text))
+    return a << 2 * _POINT_BITS | b << _POINT_BITS | c
+
+
+def _unpack(key: int) -> str:
+    points = (key >> 2 * _POINT_BITS, key >> _POINT_BITS & _NO_POINT, key & _NO_POINT)
+    return "".join(chr(p) for p in points if p != _NO_POINT)
+
+
+def _passes(texts: list[str]):
+    """(start, stop) of each run of `texts` that holds at most _PASS_GRAMS
+    grams in all, or of a single text that alone holds more."""
+    start, grams = 0, 0
+    for stop, text in enumerate(texts):
+        count = max(len(text) - 2, 1)
+        if stop > start and grams + count > _PASS_GRAMS:
+            yield start, stop
+            start, grams = stop, 0
+        grams += count
+    if texts:
+        yield start, len(texts)
 
 
 class RemoteEmbedderClient(JsonEndpoint):

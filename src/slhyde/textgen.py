@@ -115,17 +115,30 @@ def _clean_completion(text: str) -> str:
     return cleaned.strip()
 
 
-def _prompt_payload(prompt: str) -> str:
-    """Content tokens of a rendered prompt: drops the instruction line and field markers."""
+def _payload_tokens(prompt: str, limit: int | None = None) -> list[str]:
+    """The first `limit` (default all) content tokens of a rendered prompt:
+    its tokens after the instruction line that are not field markers."""
     lines = prompt.splitlines()
     body = lines[1:] if len(lines) > 1 else lines
     tokens = []
     for line in body:
         for tok in line.split():
-            if tok.endswith(":") or tok.endswith("："):
-                continue
-            tokens.append(tok)
+            if not tok.endswith((":", "：")):
+                tokens.append(tok)
+                if len(tokens) == limit:
+                    return tokens
+    return tokens
+
+
+def _prompt_payload(prompt: str) -> str:
+    """Content tokens of a rendered prompt, or the whole prompt when it has none."""
+    tokens = _payload_tokens(prompt)
     return " ".join(tokens) if tokens else prompt.strip()
+
+
+def _payload_head(prompt: str, limit: int) -> str:
+    """The first `limit` tokens of `_prompt_payload(prompt)`, without building the rest."""
+    return " ".join(_payload_tokens(prompt, limit) or prompt.split()[:limit])
 
 
 def hash_paraphrase(
@@ -184,10 +197,10 @@ def _judge_autopilot(prompt: str) -> str | None:
     if matched == "RERANK":
         return json.dumps({"ranking": [1, 2, 3]})
     if matched == "EVIDENCE":
-        span = " ".join(_prompt_payload(prompt).split()[:12]) or "evidence"
+        span = _payload_head(prompt, 12) or "evidence"
         return json.dumps({"evidence_spans": [span]}, ensure_ascii=False)
     if matched == "ANSWER_BY_EVIDENCE":
-        answer = " ".join(_prompt_payload(prompt).split()[:16]) or "answer"
+        answer = _payload_head(prompt, 16) or "answer"
         return json.dumps({"answer": answer, "reason": "mock judge"}, ensure_ascii=False)
     if matched == "VALIDATE_ANSWER":
         return json.dumps({"similarity_score": 0.8, "explanation": "mock judge"})

@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import time
 import types
 import typing
@@ -254,17 +255,33 @@ def text_lines(path: Path):
             yield lineno, line
 
 
+# a \uD800-\uDFFF escape: half of a pair, or a lone surrogate that no UTF-8 text can hold
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _refuse_lone_surrogates(data) -> None:
+    """A ParseError if a string in the decoded JSON `data` holds a lone surrogate."""
+    try:
+        json.dumps(data, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"lone surrogate \\u{ord(exc.object[exc.start]):04x} is not text") from None
+
+
 def read_jsonl(path: str | Path, cls, label: str, make) -> list:
     """`make(record)` for each non-blank line of the JSONL file `path`, the
     line's JSON object built into the dataclass `cls` as by `from_mapping`.
-    Every ParseError and ValidationError from a line, `make`'s and a byte
-    that is not UTF-8 included, ends `in <file> (line N)`."""
+    Every ParseError and ValidationError from a line, `make`'s, a byte that
+    is not UTF-8 and a `\\u` escape of a lone surrogate included, ends
+    `in <file> (line N)`."""
     path, plan, items = Path(path), _plan(cls), []
     for lineno, line in text_lines(path):
         if not line.strip():
             continue
         try:
-            items.append(make(plan.build(json.loads(line), label)))
+            data = json.loads(line)
+            if _SURROGATE_ESCAPE.search(line):
+                _refuse_lone_surrogates(data)
+            items.append(make(plan.build(data, label)))
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg} in {path.name}", line=lineno) from None
         except (ParseError, ValidationError) as exc:

@@ -1394,6 +1394,7 @@ class TestExitCodes:
             {"_id": None, "text": "body"},
             {"_id": "d\nx", "text": "body"},
             b'{"_id": "d-ff", "text": "caf\xff"}',  # a byte that is not UTF-8
+            b'{"_id": "d-sur", "text": "bad \\ud800 text"}',  # an ASCII line escaping a lone surrogate
         ],
     )
     def test_bad_corpus_record_exits_before_any_embedding(self, tmp_path, monkeypatch, capsys, record):

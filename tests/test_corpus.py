@@ -140,6 +140,20 @@ def test_ill_typed_field_or_multiline_id_names_the_file_and_line(tmp_path, load,
 
 
 @pytest.mark.parametrize("load, name", [(load_corpus, "corpus.jsonl"), (load_queries, "queries.jsonl")])
+def test_a_lone_surrogate_escape_names_the_file_and_line(tmp_path, load, name):
+    # the line is ASCII, so only the decoded text shows the lone surrogate,
+    # which no UTF-8 consumer (the embedder's hashing, the writers) can encode
+    path = tmp_path / name
+    path.write_bytes(b'{"_id": "d1", "text": "good \\ud83d\\ude00 text"}\n{"_id": "d2", "text": "bad \\ud800 text"}\n')
+    with pytest.raises(ParseError, match=rf"^lone surrogate \\ud800 is not text in {re.escape(name)} \(line 2\)$"):
+        load(path)
+    # an escaped pair decodes to one astral character, and an escaped
+    # backslash before "ud800" is a backslash; both load
+    path.write_bytes(b'{"_id": "d1", "text": "good \\ud83d\\ude00 text \\\\ud800"}\n')
+    assert [item.text for item in load(path)] == ["good \U0001f600 text \\ud800"]
+
+
+@pytest.mark.parametrize("load, name", [(load_corpus, "corpus.jsonl"), (load_queries, "queries.jsonl")])
 @pytest.mark.parametrize("doc_id", ["a b", "a\tb", " a", "a\u3000b", "a\xa0b", "a\x0bb"])
 def test_whitespace_in_an_id_names_the_file_and_line(tmp_path, load, name, doc_id):
     # a trec run or qrels.tsv line splits its fields on whitespace, so such an id would shift them

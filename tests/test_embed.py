@@ -1,12 +1,19 @@
+import functools
 import hashlib
+import itertools
 import logging
 import os
 import struct
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slhyde import embed
 from slhyde.corpus import CorpusStore, Document, corpus_file_digest, load_corpus, write_corpus
@@ -169,6 +176,99 @@ class TestMockEmbedder:
                 dot = float(vecs[i] @ vecs[j])
                 cosine = dot / (float(np.linalg.norm(vecs[i])) * float(np.linalg.norm(vecs[j])))
                 assert abs(dot - cosine) <= 1e-6
+
+
+def _reference_feature(gram, dim):
+    value = int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "little")
+    return value % dim, 1.0 if value >> 63 else -1.0
+
+
+def _reference_sums(text, dim):
+    """The float64 sum of a text's signed grams, one gram at a time."""
+    vec = np.zeros(dim, dtype=np.float64)
+    for gram in [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else [text]:
+        bucket, sign = _reference_feature(gram, dim)
+        vec[bucket] += sign
+    return vec
+
+
+def _reference_rows(client, texts):
+    """The mock embedder's rows by their definition, one text at a time."""
+    rows = []
+    for text in texts:
+        row = client._overrides.get(text)
+        if row is None:
+            row = _reference_sums(text, client.dim)
+            if not row.any():
+                row[_reference_feature(text, client.dim)[0]] = 1.0
+        rows.append(row.astype(np.float32))
+    return np.vstack(rows) if rows else np.zeros((0, client.dim), dtype=np.float32)
+
+
+@functools.cache
+def _cancelling(dim):
+    """Four texts whose gram signs cancel to a zero row at `dim`, so that the
+    marker bucket is their row: two grams that share a bucket and not a sign."""
+    texts = (f"{i:04x}" for i in range(1 << 16))
+    return list(itertools.islice((t for t in texts if not _reference_sums(t, dim).any()), 4))
+
+
+_CHARS = st.one_of(
+    st.characters(codec="utf-8"),  # any code point that UTF-8 can encode
+    st.characters(min_codepoint=0x10000, codec="utf-8"),  # astral-plane code points
+    st.sampled_from("\x00ab "),  # NUL, and a small alphabet so that grams repeat
+)
+
+
+class TestMockEmbedderBatches:
+    @pytest.mark.parametrize("dim", [2, 3, 256])
+    @settings(max_examples=150, deadline=None)
+    @given(texts=st.lists(st.text(_CHARS, max_size=2) | st.text(_CHARS, max_size=14), max_size=12), data=st.data())
+    def test_rows_equal_the_per_text_definition(self, dim, texts, data):
+        texts = texts + data.draw(st.lists(st.sampled_from(_cancelling(dim)), max_size=2))
+        pinned = data.draw(st.sets(st.sampled_from(texts))) if texts else set()
+        client = MockEmbedderClient(dim=dim, overrides={t: np.arange(dim) + len(t) - 1.5 for t in pinned})
+        expected = _reference_rows(client, texts).tobytes()
+        # cold memo first, then warm; passes of the default size and passes so
+        # small that most texts are a pass of their own
+        for pass_grams in (None, 1, 5, 16):
+            with mock.patch.object(embed, "_PASS_GRAMS", pass_grams or embed._PASS_GRAMS):
+                assert client.embed_batch(texts).tobytes() == expected
+        # a row does not depend on its batch neighbours
+        assert b"".join(client.embed_batch([text]).tobytes() for text in texts) == expected
+
+    def test_a_batch_holds_one_pass_of_temporaries(self):
+        texts = [doc.text for doc in synthetic_docs(1024, extra_tokens=10)]  # 251 characters each
+        client = MockEmbedderClient(dim=256)
+        tracemalloc.start()
+        try:
+            rows = client.embed_batch(texts)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.tobytes() == _reference_rows(client, texts).tobytes()
+        # what the call keeps is the rows and the memo of its 19,416 distinct
+        # trigrams; its temporaries are one pass's (0.95x the rows at 2**14
+        # trigrams per pass), where hashing the batch in one pass took 15x
+        assert peak - kept <= 1.5 * rows.nbytes
+
+    def test_concurrent_batches_share_the_memo(self):
+        # More threads than cores and a tiny switch interval: each batch
+        # overlaps the next, so the threads meet the same new trigrams, and a
+        # memo entry read half-written would move a row
+        texts = [doc.text for doc in synthetic_docs(500, extra_tokens=10)]
+        batches = [texts[start : start + 200] for start in range(0, 400, 100)]
+        serial = [MockEmbedderClient(dim=64).embed_batch(batch).tobytes() for batch in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(embed, "_PASS_GRAMS", 256), ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(5):
+                    client = MockEmbedderClient(dim=64)
+                    assert [rows.tobytes() for rows in pool.map(client.embed_batch, batches)] == serial
+                    assert client.calls == len(batches)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestRemoteEmbedder:

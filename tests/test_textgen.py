@@ -1,3 +1,4 @@
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -22,6 +23,7 @@ from slhyde.textgen import (
     load_template,
     render_prompt,
 )
+from slhyde.textgen import _judge_autopilot
 
 from conftest import StubEndpoint, synthetic_docs
 
@@ -251,6 +253,36 @@ class TestHashParaphrase:
         text = " ".join(f"t{i}" for i in range(100))
         out = hash_paraphrase(text, seed=0, drop_rate=0.5)
         assert 10 < len(out.split()) < 90
+
+
+def _reference_payload(prompt):
+    """A prompt's content tokens, by their definition: every token after the
+    instruction line that is not a field marker, or the whole prompt if none is."""
+    lines = prompt.splitlines()
+    tokens = [tok for line in (lines[1:] if len(lines) > 1 else lines) for tok in line.split()]
+    tokens = [tok for tok in tokens if not (tok.endswith(":") or tok.endswith("："))]
+    return " ".join(tokens) if tokens else prompt.strip()
+
+
+class TestJudgeAutopilot:
+    _TOKENS = st.lists(
+        st.one_of(
+            st.sampled_from(["a", "b:", "：", "c：", ":", "Question:", "\n", " ", "\t", "\u2028", "\x1c", "\r\n", "\u3000"]),
+            st.text(max_size=4),
+        ),
+        max_size=40,
+    )
+
+    @pytest.mark.parametrize("name, key, limit", [("EVIDENCE", "evidence_spans", 12), ("ANSWER_BY_EVIDENCE", "answer", 16)])
+    @settings(max_examples=300, deadline=None)
+    @given(parts=_TOKENS, second_line=st.booleans())
+    def test_spans_are_the_first_payload_tokens(self, name, key, limit, parts, second_line):
+        # the early stop must give what cutting the whole payload gives,
+        # including the whole-prompt fallback when no token qualifies
+        prompt = load_template(name).body.splitlines()[0] + ("\n" if second_line else " ") + "".join(parts)
+        expected = " ".join(_reference_payload(prompt).split()[:limit]) or key.split("_")[0]
+        verdict = json.loads(_judge_autopilot(prompt))[key]
+        assert (verdict[0] if key == "evidence_spans" else verdict) == expected
 
 
 def test_mock_client_counters_survive_concurrent_requests():
