@@ -7,11 +7,12 @@ run/hyde. construct-benchmark reads the synthetic corpus and queries as its
 raw texts and raw queries and writes the constructed benchmark into run/bench.
 
 Everything is offline and deterministic; rerunning with the same seed
-reproduces every output byte-for-byte. The config, the data and every output
-path are relative to the run directory, and each command runs from there, so
-two runs under different --out directories are byte-identical
-(`diff -r` of the two is empty). Prints the evaluation report and where the
-artifacts landed.
+reproduces every output byte-for-byte, at any --parallelism (passed to every
+command) but for the `parallelism` key of each resolved_config.yaml. The
+config, the data and every output path are relative to the run directory,
+and each command runs from there, so two runs under different --out
+directories are byte-identical (`diff -r` of the two is empty). Prints the
+evaluation report and where the artifacts landed.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ def main() -> int:
     parser.add_argument("--queries", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--parallelism", type=int, default=1, help="passed to every slhyde command")
     args = parser.parse_args()
 
     root = args.out or Path(tempfile.mkdtemp(prefix="slhyde-demo-"))
@@ -85,7 +87,8 @@ def main() -> int:
     for command, *flags in commands:
         print(f"\n== slhyde {command}", flush=True)
         result = subprocess.run(
-            [sys.executable, "-m", "slhyde", command, "--config", str(config_path), *flags],
+            [sys.executable, "-m", "slhyde", command, "--config", str(config_path),
+             "--parallelism", str(args.parallelism), *flags],
             cwd=root,
             env=env,
         )

@@ -22,10 +22,14 @@ JSON or lacks the key gets exactly one repair retry (the prompt re-asked with
 a format reminder); a present value that does not read goes to review with
 no retry. The medical filter retries whenever neither `label` nor `score`
 reads. An item that fails goes to the review bucket instead of being dropped
-silently. Each stage returns its own review items, which `run_pipeline`
-concatenates in stage order. Every kept or removed decision carries the
-judge rationale, and each stage's counts satisfy kept + removed + review =
-input.
+silently. Every kept or removed decision carries the judge rationale, and
+each stage's counts satisfy kept + removed + review = input.
+
+Each stage is a per-item function that returns its result and its own
+review items, mapped over the stage's items by `_each` on the stage runner
+(`util.run_chunked`), `parallelism` items at a time. Both are gathered in
+input order and the review items concatenated in stage order, so every
+output is the same bytes at any parallelism.
 
 Outputs use the standard dataset layout (corpus.jsonl / queries.jsonl /
 qrels.tsv) plus a QC report in JSON and text form.
@@ -49,7 +53,7 @@ from .bm25 import Bm25Index, Bm25Settings, bm25_search
 from .corpus import CorpusStore, Document, Query, RelevanceJudgments, write_corpus, write_qrels, write_queries
 from .errors import SlhydeError, ValidationError
 from .textgen import SamplingConfig, generate, load_template, render_prompt
-from .util import atomic_write_text, dump_json
+from .util import atomic_write_text, dump_json, run_chunked
 
 logger = logging.getLogger(__name__)
 
@@ -71,14 +75,7 @@ class CandidatePair:
     doc_id: str
     query_text: str
     doc_text: str
-    evidence_spans: list[str]
-    generated_answer: str
-    validated: bool
     rel_score: float | None = None
-
-    def __post_init__(self):
-        if self.validated and not self.evidence_spans:
-            raise ValidationError("a validated pair must carry evidence spans")
 
 
 @dataclass
@@ -232,7 +229,23 @@ def _med_score(parsed: dict) -> float | None:
         return None
 
 
-def medical_relevance_filter(items, judge, threshold: float, stage: str = "medical_filter"):
+def _each(items: list, judge_one, parallelism: int) -> tuple[list, list[ReviewItem]]:
+    """(results, review) of `judge_one` mapped over `items` by the stage
+    runner, `util.run_chunked`. Each call returns (result or None, its own
+    review items); results holds the results that are not None and review
+    every call's items, both in input order at any parallelism."""
+    results: list = []
+    review: list[ReviewItem] = []
+    for result, item_review in run_chunked(items, judge_one, list, parallelism):
+        if result is not None:
+            results.append(result)
+        review.extend(item_review)
+    return results, review
+
+
+def medical_relevance_filter(
+    items: list, judge, threshold: float, stage: str = "medical_filter", parallelism: int = 1
+) -> tuple[list[JudgedText], list[JudgedText], list[ReviewItem]]:
     """Split (id, text[, answer]) items into (kept, removed, review).
 
     Keeps items whose judged score is >= threshold (boundary keeps). Items
@@ -240,32 +253,20 @@ def medical_relevance_filter(items, judge, threshold: float, stage: str = "medic
     review bucket rather than being dropped.
     """
     template = load_template("MED_RELEVANCE")
-    kept: list[JudgedText] = []
-    removed: list[JudgedText] = []
-    review: list[ReviewItem] = []
-    for item in items:
+
+    def judge_one(item):
         item_id, text = item[0], item[1]
         answer = item[2] if len(item) > 2 and item[2] is not None else ""
         prompt = render_prompt(template, {"QUESTION": text, "ANSWER": answer})
         parsed, raw = _ask_judge(judge, prompt, lambda p: _med_score(p) is not None)
         score = _med_score(parsed) if parsed is not None else None
         if score is None:
-            review.append(ReviewItem(stage, item_id, "unparseable judge verdict", raw))
-            continue
-        judged = JudgedText(
-            text_id=item_id,
-            med_score=max(0.0, min(1.0, score)),
-            rationale=str(parsed.get("reason", "")),
-        )
-        (kept if judged.med_score >= threshold else removed).append(judged)
-    return kept, removed, review
+            return None, [ReviewItem(stage, item_id, "unparseable judge verdict", raw)]
+        return JudgedText(item_id, max(0.0, min(1.0, score)), str(parsed.get("reason", ""))), []
 
-
-def _format_passages(hits, store: CorpusStore) -> str:
-    lines = []
-    for number, (doc_id, _) in enumerate(hits, start=1):
-        lines.append(f"[{number}] {store.get(doc_id).indexed_text}")
-    return "\n".join(lines)
+    judged, review = _each(items, judge_one, parallelism)
+    kept = [j for j in judged if j.med_score >= threshold]
+    return kept, [j for j in judged if j.med_score < threshold], review
 
 
 def match_positive_pairs(
@@ -284,7 +285,8 @@ def match_positive_pairs(
     hits = bm25_search(bm25, query.text, settings.bm25_top_k)
     if not hits.ids:
         return [], review
-    slots = {"QUESTION": query.text, "PASSAGES": _format_passages(hits, store)}
+    passages = "\n".join(f"[{n}] {store.get(doc_id).indexed_text}" for n, (doc_id, _) in enumerate(hits, start=1))
+    slots = {"QUESTION": query.text, "PASSAGES": passages}
     ranking = _judge_step(judge, "rerank", query.id, slots, review)
     if ranking is None:
         return [], review
@@ -319,63 +321,62 @@ def match_positive_pairs(
         slots = {"QUESTION": query.text, "REFERENCE_ANSWER": reference, "MODEL_ANSWER": generated}
         similarity = _judge_step(judge, "validate", pair_id, slots, review)
         if similarity is not None and similarity >= rel_threshold:
-            pairs.append(
-                CandidatePair(
-                    query_id=query.id,
-                    doc_id=doc_id,
-                    query_text=query.text,
-                    doc_text=doc.indexed_text,
-                    evidence_spans=spans,
-                    generated_answer=generated,
-                    validated=True,
-                )
-            )
+            pairs.append(CandidatePair(query.id, doc_id, query.text, doc.indexed_text))
     return pairs, review
 
 
 def filter_pseudo_relevant(
-    pairs: list[CandidatePair], judge, threshold: float
+    pairs: list[CandidatePair], judge, threshold: float, parallelism: int = 1
 ) -> tuple[list[CandidatePair], list[ReviewItem]]:
     """Keep pairs whose judged 1-5 quality score, normalized to [0,1], is >=
     threshold. Returns (kept pairs, review items)."""
-    kept: list[CandidatePair] = []
-    review: list[ReviewItem] = []
-    for pair in pairs:
+
+    def judge_one(pair):
+        review: list[ReviewItem] = []
         slots = {"QUERY": pair.query_text, "PASSAGE": pair.doc_text}
         quality = _judge_step(judge, "relevance_filter", f"{pair.query_id}:{pair.doc_id}", slots, review)
         if quality is None:
-            continue
+            return None, review
         pair.rel_score = quality / 5.0
-        if pair.rel_score >= threshold:
-            kept.append(pair)
-    return kept, review
+        return (pair if pair.rel_score >= threshold else None), review
+
+    return _each(pairs, judge_one, parallelism)
 
 
 @dataclass
 class QcReport:
+    """The QC report; `asdict` of it is qc_report.json."""
+
     stages: dict[str, dict] = field(default_factory=dict)
-    review: list[ReviewItem] = field(default_factory=list)
+    review_bucket: list[ReviewItem] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     flagged: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "stages": self.stages,
-            "review_bucket": [asdict(r) for r in self.review],
-            "warnings": self.warnings,
-            "flagged": self.flagged,
-        }
 
     def render_text(self) -> str:
         lines = ["benchmark construction QC report", ""]
         for stage, counts in self.stages.items():
             parts = ", ".join(f"{key}={value}" for key, value in counts.items() if not isinstance(value, list))
             lines.append(f"{stage}: {parts}")
-        lines.append(f"review bucket: {len(self.review)} item(s)")
+        lines.append(f"review bucket: {len(self.review_bucket)} item(s)")
         for warning in self.warnings:
             lines.append(f"WARNING: {warning}")
         lines.append(f"flagged: {self.flagged}")
         return "\n".join(lines) + "\n"
+
+
+def _medical_stage(report: QcReport, stage: str, items: list, judge, threshold: float, parallelism: int):
+    """Stage 1 on one side: the kept JudgedTexts of `items`, with the stage's
+    review items added to `report` and its counts recorded as `1_<stage>`."""
+    kept, removed, review = medical_relevance_filter(items, judge, threshold, stage, parallelism)
+    report.review_bucket.extend(review)
+    report.stages[f"1_{stage}"] = {
+        "input": len(items),
+        "kept": len(kept),
+        "removed": len(removed),
+        "review": len(review),
+        "removed_items": [{"id": j.text_id, "med_score": j.med_score, "reason": j.rationale} for j in removed],
+    }
+    return kept
 
 
 def run_pipeline(
@@ -385,29 +386,18 @@ def run_pipeline(
     settings: BenchmarkSettings,
     bm25: Bm25Settings,
     out_dir: str | Path,
+    parallelism: int = 1,
 ) -> QcReport:
-    """Full construction pipeline; emits the dataset files plus the QC report."""
+    """Full construction pipeline; emits the dataset files plus the QC report.
+    Each stage maps its items through `_each`, `parallelism` at a time."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = QcReport()
     med_threshold, rel_threshold = settings.thresholds()
 
-    kept_texts, removed_texts, review_texts = medical_relevance_filter(
-        texts, judge, med_threshold, stage="medical_filter_texts"
-    )
-    report.review.extend(review_texts)
-    report.stages["1_medical_filter_texts"] = _stage_counts(
-        len(texts), kept_texts, removed_texts, review_texts
-    )
-
+    kept_texts = _medical_stage(report, "medical_filter_texts", texts, judge, med_threshold, parallelism)
     query_items = [(q.id, q.text, q.answer) for q in queries]
-    kept_query_judged, removed_queries, review_queries = medical_relevance_filter(
-        query_items, judge, med_threshold, stage="medical_filter_queries"
-    )
-    report.review.extend(review_queries)
-    report.stages["1_medical_filter_queries"] = _stage_counts(
-        len(queries), kept_query_judged, removed_queries, review_queries
-    )
+    kept_query_judged = _medical_stage(report, "medical_filter_queries", query_items, judge, med_threshold, parallelism)
 
     text_by_id = dict(texts)
     kept_docs = [Document(id=j.text_id, text=text_by_id[j.text_id]) for j in kept_texts]
@@ -415,28 +405,26 @@ def run_pipeline(
     kept_query_ids = {j.text_id for j in kept_query_judged}
     kept_queries = [q for q in queries if q.id in kept_query_ids]
 
-    matched: list[CandidatePair] = []
+    # with no text kept there is nothing to match, and no query counts as unmatched
+    pairs_per_query: list[list[CandidatePair]] = []
     match_review: list[ReviewItem] = []
-    no_evidence_or_invalid = 0
     if len(store):
         index = Bm25Index.build(store, bm25)
-        for query in kept_queries:
-            pairs, query_review = match_positive_pairs(query, index, judge, settings, store)
-            if not pairs:
-                no_evidence_or_invalid += 1
-            matched.extend(pairs)
-            match_review.extend(query_review)
+        pairs_per_query, match_review = _each(
+            kept_queries, lambda query: match_positive_pairs(query, index, judge, settings, store), parallelism
+        )
         del index  # stage 3 and the writes need only the store
-    report.review.extend(match_review)
+    matched = [pair for pairs in pairs_per_query for pair in pairs]
+    report.review_bucket.extend(match_review)
     report.stages["2_pair_matching"] = {
         "input_queries": len(kept_queries),
         "pairs_validated": len(matched),
-        "queries_without_pairs": no_evidence_or_invalid,
+        "queries_without_pairs": pairs_per_query.count([]),
         "review": len(match_review),
     }
 
-    final_pairs, filter_review = filter_pseudo_relevant(matched, judge, rel_threshold)
-    report.review.extend(filter_review)
+    final_pairs, filter_review = filter_pseudo_relevant(matched, judge, rel_threshold, parallelism)
+    report.review_bucket.extend(filter_review)
     report.stages["3_relevance_filter"] = {
         "input": len(matched),
         "kept": len(final_pairs),
@@ -460,29 +448,16 @@ def run_pipeline(
         report.warnings.append(message)
 
     total_inputs = len(texts) + len(queries)
-    if total_inputs and len(report.review) / total_inputs > settings.max_review_fraction:
+    if total_inputs and len(report.review_bucket) / total_inputs > settings.max_review_fraction:
         report.flagged = True
         report.warnings.append(
-            f"review bucket holds {len(report.review)}/{total_inputs} items; run flagged"
+            f"review bucket holds {len(report.review_bucket)}/{total_inputs} items; run flagged"
         )
     for stage, counts in report.stages.items():
         stage_input = counts.get("input", counts.get("input_queries", 0))
         if stage_input and counts.get("review", 0) / stage_input > settings.max_review_fraction:
             report.flagged = True
 
-    atomic_write_text(out_dir / "qc_report.json", dump_json(report.to_dict()))
+    atomic_write_text(out_dir / "qc_report.json", dump_json(asdict(report)))
     atomic_write_text(out_dir / "qc_report.txt", report.render_text())
     return report
-
-
-def _stage_counts(total: int, kept, removed, review) -> dict:
-    return {
-        "input": total,
-        "kept": len(kept),
-        "removed": len(removed),
-        "review": len(review),
-        "removed_items": [
-            {"id": j.text_id, "med_score": j.med_score, "reason": j.rationale} for j in removed
-        ],
-    }
-

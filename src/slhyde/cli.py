@@ -100,17 +100,20 @@ def _fusion_for(config: RunConfig, dataset) -> FusionConfig:
     return dataclasses.replace(config.fusion, template=dataset.template or config.fusion.template)
 
 
-def _checked(dataset):
-    """`dataset`, once it names a corpus and a queries file."""
-    if not dataset.corpus or not dataset.queries:
-        raise ValidationError(f"dataset {dataset.name!r} needs corpus and queries paths in the config")
-    return dataset
+def _path(dataset, key: str) -> str:
+    """The dataset's `key` path (corpus, queries or qrels); a ValidationError
+    naming the key when the config leaves it unset. Only the commands that
+    read queries or qrels ask for them: the label-free ones need a corpus."""
+    path = getattr(dataset, key)
+    if not path:
+        raise ValidationError(f"dataset {dataset.name!r} has no {key} path in the config")
+    return path
 
 
 def _dataset_cache(config: RunConfig, emb, dataset):
     """`cache_embeddings` for one dataset: (store, cache), where store is None
     when the cache was reused without parsing the corpus."""
-    return cache_embeddings(emb, _checked(dataset).corpus, Path(config.out_dir) / f"{dataset.name}.emb")
+    return cache_embeddings(emb, _path(dataset, "corpus"), Path(config.out_dir) / f"{dataset.name}.emb")
 
 
 def _single_dataset(config: RunConfig, command: str):
@@ -188,7 +191,7 @@ def cmd_search(config: RunConfig, command: str, k: int | None = None, trace: boo
     with staged_outputs(config) as staging:
         for dataset in config.all_datasets():
             # the queries are read (and so checked) before the corpus is embedded
-            queries = load_queries(_checked(dataset).queries)
+            queries = load_queries(_path(dataset, "queries"))
             index = DenseIndex(_dataset_cache(config, emb, dataset)[1])
             if hyde:
                 fusion = _fusion_for(config, dataset)
@@ -221,10 +224,8 @@ def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str], 
     is the number of judged queries; degraded says whether any run fell back.
     Queries without a positive judgment have no value (they are skipped).
     """
-    if not dataset.qrels:
-        raise ValidationError(f"dataset {dataset.name!r} has no qrels path; evaluate requires one")
-    queries = load_queries(_checked(dataset).queries)
-    qrels = load_qrels(dataset.qrels)
+    queries = load_queries(_path(dataset, "queries"))
+    qrels = load_qrels(_path(dataset, "qrels"))
     _, cache = _dataset_cache(config, emb, dataset)
     index = DenseIndex(cache)
     judged_ids = set(qrels.entries)
@@ -367,11 +368,11 @@ def cmd_build_triplets(config: RunConfig, command: str, sft: str | None = None) 
     gen = build_generator_client(config)
     emb = build_embedder_client(config)
     dataset = _single_dataset(config, command)
-    _, cache = _dataset_cache(config, emb, dataset)
     sft_file = Path(sft) if sft else Path(config.out_dir) / "sft.jsonl"
     if not sft_file.exists():
         raise ValidationError(f"SFT dataset not found: {sft_file} (run build-sft-data first)")
-    examples = load_sft_jsonl(sft_file)
+    _, cache = _dataset_cache(config, emb, dataset)
+    examples = load_sft_jsonl(sft_file, cache)  # every doc_id is checked before any SFT text is embedded
     result = build_retriever_dataset(
         examples,
         gen,
@@ -418,7 +419,7 @@ def cmd_construct_benchmark(
     texts = [(doc.id, doc.text) for doc in load_corpus(texts_file)]
     queries = load_queries(queries_file)
     with staged_outputs(config) as staging:
-        report = run_pipeline(texts, queries, judge, config.benchmark, config.bm25, staging)
+        report = run_pipeline(texts, queries, judge, config.benchmark, config.bm25, staging, config.parallelism)
     return EXIT_DEGRADED if report.flagged else EXIT_OK
 
 

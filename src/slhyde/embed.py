@@ -69,10 +69,13 @@ def _rescaled_unit_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def normalize(vector) -> np.ndarray:
-    """L2-normalize to a float32 unit vector. Zero vectors are rejected."""
+    """L2-normalize to a float32 unit vector. Zero vectors and vectors with a
+    NaN or infinite entry are rejected."""
     arr = np.asarray(vector, dtype=np.float32).ravel()
     if not arr.any():
         raise ValidationError("cannot normalize a zero vector")
+    if not np.isfinite(arr).all():
+        raise ValidationError("cannot normalize a vector with a non-finite entry")
     with np.errstate(over="ignore", under="ignore"):
         norm = float(np.linalg.norm(arr))
     if norm == 0.0 or math.isinf(norm):
@@ -89,7 +92,8 @@ class MockEmbedderClient:
     blake2b digest of its UTF-8; a text shorter than 3 characters is its own
     single gram, and a row whose signs cancel to zero falls back to a single
     +1 in the bucket of the whole text. `overrides` pins chosen texts to
-    chosen vectors, which tests use to construct exact geometries.
+    chosen vectors, which tests use to construct exact geometries; a zero or
+    non-finite override vector is a ValidationError at construction.
 
     `embed_batch` hashes a batch in numpy, in passes of at most about
     `_PASS_GRAMS` trigrams (a longer text is a pass of its own): each gram is

@@ -451,8 +451,17 @@ def emit_sft_jsonl(
     write_jsonl(path, records)
 
 
-def load_sft_jsonl(path: str | Path) -> list[SftExample]:
-    return read_jsonl(path, _SftRecord, "SFT record", _SftRecord.example)
+def load_sft_jsonl(path: str | Path, doc_ids=None) -> list[SftExample]:
+    """The examples of the SFT file `path`. With `doc_ids` (a container, such
+    as the corpus's embedding cache), a meta.doc_id that it lacks is a
+    ValidationError naming the file and line."""
+
+    def example(record: _SftRecord) -> SftExample:
+        if doc_ids is not None and record.meta.doc_id not in doc_ids:
+            raise ValidationError(f"meta.doc_id {record.meta.doc_id!r} is not in the corpus")
+        return record.example()
+
+    return read_jsonl(path, _SftRecord, "SFT record", example)
 
 
 def emit_triplets_jsonl(triplets: list[RetrieverTriplet], path: str | Path) -> None:

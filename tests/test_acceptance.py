@@ -482,7 +482,7 @@ def test_c9_benchkit_trace_fidelity(tmp_path):
     stage_filter = report.stages["3_relevance_filter"]
     assert (stage_filter["input"], stage_filter["kept"], stage_filter["removed"], stage_filter["review"]) == (2, 1, 1, 0)
 
-    review_stages = sorted(r.stage for r in report.review)
+    review_stages = sorted(r.stage for r in report.review_bucket)
     assert review_stages == ["medical_filter_texts", "rerank"]
     assert not report.flagged
 

@@ -1,6 +1,8 @@
 import json
 import logging
 import re
+import threading
+import time
 
 import pytest
 
@@ -131,8 +133,6 @@ class TestMatchPositivePairs:
         cfg = BenchmarkSettings()
         pairs, review = match_positive_pairs(query, bm25, judge, cfg, store)
         assert [p.doc_id for p in pairs] == ["d2"]
-        assert pairs[0].validated is True
-        assert pairs[0].evidence_spans
         assert not review
 
     def test_empty_evidence_rejects_pair(self):
@@ -186,9 +186,6 @@ class TestFilterPseudoRelevant:
             doc_id=doc,
             query_text="query text",
             doc_text="doc text",
-            evidence_spans=["span"],
-            generated_answer="ans",
-            validated=True,
         )
 
     def test_quality_two_of_five_removed_at_point_six(self):
@@ -223,9 +220,6 @@ class TestFilterPseudoRelevant:
                 doc_id=doc,
                 query_text="q text",
                 doc_text=f"text for {doc}",
-                evidence_spans=["s"],
-                generated_answer="a",
-                validated=True,
             )
             for doc in scores
         ]
@@ -333,6 +327,15 @@ class TestRunPipeline:
         assert load_qrels(tmp_path / "out" / "qrels.tsv").entries == {}
         assert any("ZERO" in w for w in report.warnings)
 
+    def test_no_text_kept_leaves_no_query_unmatched(self, tmp_path):
+        # with an empty store no query is matched, so none counts as without pairs
+        texts, queries = _pipeline_inputs()
+        judge = _pipeline_judge(med_labels={"t1": 0, "t2": 0, "t3": 0}, validated_docs=set(), quality_scores={})
+        report = run_pipeline(texts, queries, judge, BenchmarkSettings(), Bm25Settings(), tmp_path / "out")
+        assert report.stages["2_pair_matching"] == {
+            "input_queries": 2, "pairs_validated": 0, "queries_without_pairs": 0, "review": 0
+        }
+
     def test_rerun_is_byte_identical(self, tmp_path):
         texts, queries = _pipeline_inputs()
 
@@ -401,6 +404,7 @@ class TestJudgeFailures:
             item = markers[0] if step in ("med", "rerank") else next(m for m in markers if m.startswith("d"))
             repair = prompt.endswith("keys.")
             calls.append((step, item, repair))
+            time.sleep(0.001 * (sum(map(ord, item)) % 5))  # items answer out of input order
             if (step, item) in self.GARBLED:
                 return self.LACKS_KEY if repair else self.GARBAGE
             if (step, item) in self.WRONG_TYPED:
@@ -420,18 +424,36 @@ class TestJudgeFailures:
         return MockGeneratorClient(responder=respond)
 
     def test_each_step_garbled_and_wrong_typed(self, tmp_path):
+        self._check(tmp_path, parallelism=1)
+
+    def test_each_step_garbled_and_wrong_typed_at_parallelism_4(self, tmp_path):
+        # items answer out of input order (see _judge); every output keeps it
+        self._check(tmp_path, parallelism=4)
+
+    def _check(self, tmp_path, parallelism):
         texts = [("tm1", "[tm1] garbled text"), ("tm2", "[tm2] wrong-typed text")]
         texts += [(doc, f"[{doc}] alpha shared") for doc in self.DOCS]
         queries = [Query(id=qid, text=f"[{qid}] alpha shared") for qid in ("qm1", "qm2", "qr1", "qr2", "qp")]
         calls = []
         report = run_pipeline(
-            texts, queries, self._judge(calls), BenchmarkSettings(rerank_top_m=8), Bm25Settings(), tmp_path / "out"
+            texts,
+            queries,
+            self._judge(calls),
+            BenchmarkSettings(rerank_top_m=8),
+            Bm25Settings(),
+            tmp_path / "out",
+            parallelism,
         )
 
-        assert [(step, item) for step, item, repair in calls if repair] == [
+        repairs = [(step, item) for step, item, repair in calls if repair]
+        expected_repairs = [
             ("med", "tm1"), ("med", "tm2"), ("med", "qm1"), ("med", "qm2"), ("rerank", "qr1"),
             ("evidence", "dE1"), ("answer", "dA"), ("validate", "dV1"), ("quality", "dQ1"),
         ]
+        # items judged at once may send their requests in any order; review keeps input order
+        assert sorted(repairs) == sorted(expected_repairs)
+        if parallelism == 1:
+            assert repairs == expected_repairs
         assert len(calls) == 49  # 40 first requests and 9 repairs
         review = [
             ("medical_filter_texts", "tm1", "unparseable judge verdict", self.LACKS_KEY),
@@ -448,7 +470,7 @@ class TestJudgeFailures:
             ("relevance_filter", "qp:dQ1", "unparseable quality verdict", self.LACKS_KEY),
             ("relevance_filter", "qp:dQ2", "non-integer quality score", _json({"quality_score": "x"})),
         ]
-        assert [(r.stage, r.item_id, r.reason, r.raw_response) for r in report.review] == review
+        assert [(r.stage, r.item_id, r.reason, r.raw_response) for r in report.review_bucket] == review
         expected = {
             "stages": {
                 "1_medical_filter_texts": {"input": 10, "kept": 8, "removed": 0, "review": 2, "removed_items": []},
@@ -465,6 +487,70 @@ class TestJudgeFailures:
         }
         assert (tmp_path / "out" / "qc_report.json").read_bytes() == dump_json(expected).encode("utf-8")
         assert load_qrels(tmp_path / "out" / "qrels.tsv").entries == {"qp": {"dK": 1}}
+
+
+class TestStageOrderAtParallelism:
+    """A list-level stage at parallelism 4 runs on several threads and returns
+    kept, removed and review in input order, though later items answer
+    first: the same lists as at parallelism 1. (Pair matching is covered
+    through run_pipeline by TestJudgeFailures.)"""
+
+    N = 24
+
+    def _judge(self, prefix, verdicts, threads):
+        """Item i's verdict is verdicts[i % 4] (kept, removed, garbled,
+        wrong-typed), given after a sleep that shrinks with i."""
+
+        def respond(prompt):
+            threads.add(threading.get_ident())
+            index = int(re.search(r"\[i(\d+)\]", prompt).group(1))
+            time.sleep(0.00025 * (self.N - index))
+            return verdicts[index % 4]
+
+        return judge_with([(prefix, respond)])
+
+    def _runs(self, stage, prefix, verdicts):
+        results, threads = [], []
+        for parallelism in (1, 4):
+            threads.append(set())
+            results.append(stage(self._judge(prefix, verdicts, threads[-1]), parallelism))
+        assert len(threads[0]) == 1 and len(threads[1]) > 1
+        assert results[0] == results[1]
+        return results[1]
+
+    def _ids(self, *remainders):
+        return [f"i{i}" for i in range(self.N) if i % 4 in remainders]
+
+    def test_medical_filter(self):
+        items = [(f"i{i}", f"[i{i}] text") for i in range(self.N)]
+        verdicts = [_json({"label": 1}), _json({"label": 0}), "garbage", _json({"label": "x"})]
+        kept, removed, review = self._runs(
+            lambda judge, parallelism: medical_relevance_filter(items, judge, 0.5, parallelism=parallelism),
+            MED_PREFIX,
+            verdicts,
+        )
+        assert [j.text_id for j in kept] == self._ids(0)
+        assert [j.text_id for j in removed] == self._ids(1)
+        assert [r.item_id for r in review] == self._ids(2, 3)
+
+    def test_relevance_filter(self):
+        verdicts = [_json({"quality_score": 5}), _json({"quality_score": 1}), "garbage", _json({"quality_score": "x"})]
+        kept, review = self._runs(
+            lambda judge, parallelism: filter_pseudo_relevant(
+                [CandidatePair("q", f"i{i}", "query", f"[i{i}] passage") for i in range(self.N)],
+                judge,
+                0.6,
+                parallelism,
+            ),
+            QD_PREFIX,
+            verdicts,
+        )
+        assert [p.doc_id for p in kept] == self._ids(0)
+        assert [(r.item_id, r.reason) for r in review] == [
+            (f"q:i{i}", "unparseable quality verdict" if i % 4 == 2 else "non-integer quality score")
+            for i in range(self.N)
+            if i % 4 >= 2
+        ]
 
 
 class TestNonFiniteVerdicts:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from slhyde import cli, embed, selflearn
+from slhyde import cli, embed, selflearn, textgen
 from slhyde.cli import build_parser, main
 from slhyde.config import build_embedder_client, build_generator_client, load_config, write_resolved_config
 from slhyde.corpus import CorpusStore, Document, load_qrels, write_corpus, write_qrels, write_queries
@@ -837,12 +837,33 @@ class TestBuildDataCommands:
         stats = json.loads((out / "triplets_stats.json").read_text())
         assert stats["mean_reference_loss"] == sum(losses) / len(losses)
 
-    def test_triplets_without_sft_is_validation_error(self, tmp_path):
+    def test_triplets_without_sft_is_validation_error(self, tmp_path, monkeypatch):
         dataset = tmp_path / "data"
         make_dataset(dataset)
         out = tmp_path / "run"
         config_path = make_config(tmp_path, dataset, out)
+        batches = _record_embed_batches(monkeypatch)
         assert main(["build-retriever-data", "--config", str(config_path)]) == 1
+        assert batches == []  # the corpus is not embedded for a command that cannot run
+
+    def test_sft_doc_id_not_in_corpus_exits_before_any_request(self, tmp_path, monkeypatch, capsys):
+        dataset = tmp_path / "data"
+        make_dataset(dataset)
+        out = tmp_path / "run"
+        selflearn = {"candidates_per_query": 2, "negatives": 3, "reuse_pseudo": False}
+        config_path = make_config(tmp_path, dataset, out, selflearn=selflearn)
+        assert main(["build-sft-data", "--config", str(config_path)]) == 0
+        lines = (out / "sft.jsonl").read_text("utf-8").splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record["meta"]["doc_id"] = "nosuchdoc"
+        bad = tmp_path / "bad_sft.jsonl"
+        bad.write_text(lines[0] + "\n" + json.dumps(record) + "\n" + "".join(lines[2:]), "utf-8")
+        requests = _count_gen_requests(monkeypatch)
+        batches = _record_embed_batches(monkeypatch)
+        assert main(["build-retriever-data", "--config", str(config_path), "--sft", str(bad)]) == 1
+        assert "meta.doc_id 'nosuchdoc' is not in the corpus in bad_sft.jsonl (line 3)" in capsys.readouterr().err
+        assert requests == [] and batches == []
+        assert not (out / "triplets.jsonl").exists()
 
     def test_deterministic_rerun(self, tmp_path):
         dataset = tmp_path / "data"
@@ -1099,6 +1120,36 @@ class TestConstructBenchmarkCommand:
             ]
         )
         assert code == 1  # thresholds are mandatory for production runs
+
+
+class TestCorpusOnlyDataset:
+    """The label-free commands run from a corpus alone; each command that
+    reads queries or qrels exits 1 naming the key the dataset lacks."""
+
+    def _config(self, tmp_path, **paths):
+        dataset = tmp_path / "data"
+        make_dataset(dataset)
+        config_path = make_config(tmp_path, dataset, tmp_path / "run")
+        config = yaml.safe_load(config_path.read_text())
+        config["dataset"] = {"name": "syn", "corpus": str(dataset / "corpus.jsonl"), **paths}
+        config_path.write_text(yaml.safe_dump(config))
+        return config_path
+
+    def test_label_free_commands_exit_0(self, tmp_path):
+        config_path = self._config(tmp_path)
+        for command in ("embed-corpus", "build-sft-data", "build-retriever-data"):
+            assert main([command, "--config", str(config_path)]) == 0, command
+        assert load_triplets_jsonl(tmp_path / "run" / "triplets.jsonl")
+
+    @pytest.mark.parametrize("command", ["search", "hyde-search", "evaluate"])
+    def test_commands_that_read_queries_name_the_key(self, tmp_path, capsys, command):
+        assert main([command, "--config", str(self._config(tmp_path))]) == 1
+        assert "dataset 'syn' has no queries path" in capsys.readouterr().err
+
+    def test_evaluate_names_qrels(self, tmp_path, capsys):
+        config_path = self._config(tmp_path, queries=str(tmp_path / "data" / "queries.jsonl"))
+        assert main(["evaluate", "--config", str(config_path)]) == 1
+        assert "dataset 'syn' has no qrels path" in capsys.readouterr().err
 
 
 class TestMultiDatasetAndTemplates:
@@ -1622,3 +1673,50 @@ class TestParallelismDeterminism:
         } <= set(trees[0][0])
         # every command's embedder and generator make as many requests at either parallelism
         assert len(requests[0]) == 8 and requests[0] == requests[1]
+
+    def test_construct_benchmark_identical_at_parallelism_1_and_4(self, tmp_path, monkeypatch):
+        dataset = tmp_path / "data"
+        make_dataset(dataset, n_docs=40)
+        out = tmp_path / "bench"
+        config_path = make_config(tmp_path, dataset, out)
+        prefixes = textgen._judge_prefixes()
+        requests = []  # (judge template, parallelism, thread) per request
+        original = MockGeneratorClient.request_completions
+
+        def recording(client, prompt, cfg):
+            template = next(name for prefix, name in prefixes.items() if prompt.startswith(prefix))
+            requests.append((template, parallelism, threading.get_ident()))
+            time.sleep(0.002)  # long enough for a second worker to pick up an item
+            return original(client, prompt, cfg)
+
+        monkeypatch.setattr(MockGeneratorClient, "request_completions", recording)
+        trees = []
+        for parallelism in ("1", "4"):
+            argv = ["construct-benchmark", "--config", str(config_path), "--parallelism", parallelism]
+            argv += ["--texts", str(dataset / "corpus.jsonl"), "--queries", str(dataset / "queries.jsonl")]
+            assert main(argv) == 0
+            tree = _tree_bytes(out)
+            resolved = yaml.safe_load(tree.pop("resolved_config.yaml"))
+            assert resolved.pop("parallelism") == int(parallelism)
+            trees.append((tree, resolved))
+            shutil.rmtree(out)
+        assert trees[0] == trees[1]
+        assert {"corpus.jsonl", "queries.jsonl", "qrels.tsv", "qc_report.json", "qc_report.txt"} <= set(trees[0][0])
+        assert trees[0][0]["qrels.tsv"]  # the mock judge keeps pairs, so the stages had work to overlap
+
+        def per_template(p):
+            counts, threads = {}, {}
+            for template, at, thread in requests:
+                if at == p:
+                    counts[template] = counts.get(template, 0) + 1
+                    threads.setdefault(template, set()).add(thread)
+            return counts, threads
+
+        (counts_1, threads_1), (counts_4, threads_4) = per_template("1"), per_template("4")
+        # the same judge requests at either parallelism: one per item and step, no repairs
+        assert counts_1 == counts_4
+        assert counts_1["MED_RELEVANCE"] == 80 and counts_1["RERANK"] == 40
+        assert all(len(threads) == 1 for threads in threads_1.values())
+        # every stage (medical filter, pair matching, relevance filter) runs on more than one thread at 4
+        for template in ("MED_RELEVANCE", "RERANK", "EVIDENCE", "QD_RELEVANCE"):
+            assert len(threads_4[template]) > 1, template

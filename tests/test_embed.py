@@ -53,6 +53,15 @@ class TestNormalize:
         assert normalize([value] * 4).tolist() == [0.5] * 4
         assert normalize([0.0, -value]).tolist() == [0.0, -1.0]
 
+    @pytest.mark.parametrize("vector", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf], [np.nan, 0.0]])
+    def test_non_finite_entry_rejected_without_warning(self, vector):
+        with np.errstate(all="raise"), pytest.raises(ValidationError, match="non-finite"):
+            normalize(vector)
+
+    def test_non_finite_override_rejected_at_construction(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            MockEmbedderClient(dim=2, overrides={"bad": [np.inf, 1.0]})
+
 
 def _serving(rows_per_request, dim=4, batch_size=2):
     """A client whose k-th request returns rows_per_request[k], and the list

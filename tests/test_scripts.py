@@ -36,10 +36,12 @@ def _tree(root: Path) -> dict[str, bytes]:
     return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-def _pipeline(out: Path, blas_threads: str) -> tuple[dict[str, bytes], list[str]]:
-    """Every file the mock pipeline writes under `out`, and its stdout lines
-    with `out` written as <out>."""
-    result = _run("run_mock_pipeline.py", "--out", str(out), *PIPELINE_ARGS, OPENBLAS_NUM_THREADS=blas_threads)
+def _pipeline(out: Path, blas_threads: str, *flags: str) -> tuple[dict[str, bytes], list[str]]:
+    """Every file the mock pipeline writes under `out`, run with PIPELINE_ARGS
+    and `flags`, and its stdout lines with `out` written as <out>."""
+    result = _run(
+        "run_mock_pipeline.py", "--out", str(out), *PIPELINE_ARGS, *flags, OPENBLAS_NUM_THREADS=blas_threads
+    )
     assert result.returncode == 0, result.stderr
     return _tree(out), result.stdout.replace(str(out), "<out>").splitlines()
 
@@ -101,6 +103,20 @@ def test_mock_pipeline_runs_in_two_directories_are_byte_identical(tmp_path):
     assert len(load_corpus(run / "bench" / "corpus.jsonl")) and load_queries(run / "bench" / "queries.jsonl")
     trace = (run / "hyde" / "trace_demo.jsonl").read_text("utf-8").splitlines()
     assert trace and all(set(json.loads(line)) == {"query_id", "hypothetical_texts", "hits"} for line in trace)
+
+
+def test_mock_pipeline_at_parallelism_4_matches_the_manifest(tmp_path):
+    # every file but resolved_config.yaml, and the stdout, are the pinned bytes;
+    # each resolved_config.yaml is too once its parallelism key reads 1 again
+    tree, stdout = _pipeline(tmp_path / "p4", "1", "--parallelism", "4")
+    digests, golden_stdout, _ = _read_manifest(GOLDEN.read_text("utf-8"))
+    configs = [path for path in tree if Path(path).name == "resolved_config.yaml"]
+    assert len(configs) == 4
+    for path in configs:
+        assert tree[path].count(b"\nparallelism: 4\n") == 1
+        tree[path] = tree[path].replace(b"\nparallelism: 4\n", b"\nparallelism: 1\n")
+    assert _digests(tree) == digests
+    assert [line.rstrip() for line in stdout] == golden_stdout
 
 
 def test_compare_fusion_strategies_is_deterministic():
