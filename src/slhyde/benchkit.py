@@ -8,7 +8,9 @@ line before any judge request.
 
 Three stages over raw texts and raw queries:
   1. medical-relevance filtering of both sides,
-  2. positive-pair matching per query: BM25 top-k, judge rerank to top-m,
+  2. positive-pair matching per query: BM25 top-k (an index built for the
+     kept queries, with postings for their tokens only; lengths and idf still
+     count every token of the kept texts), judge rerank to top-m,
      evidence extraction, answer generation from evidence only, and answer
      validation (against the reference answer when the query carries one,
      against the document otherwise),
@@ -400,16 +402,18 @@ def run_pipeline(
     kept_query_judged = _medical_stage(report, "medical_filter_queries", query_items, judge, med_threshold, parallelism)
 
     text_by_id = dict(texts)
-    kept_docs = [Document(id=j.text_id, text=text_by_id[j.text_id]) for j in kept_texts]
-    store = CorpusStore(kept_docs)
+    store = CorpusStore(Document(id=j.text_id, text=text_by_id[j.text_id]) for j in kept_texts)
     kept_query_ids = {j.text_id for j in kept_query_judged}
     kept_queries = [q for q in queries if q.id in kept_query_ids]
+    # the report holds what stage 1 removed; the rest of it is in store and kept_queries
+    del kept_texts, kept_query_judged, query_items, text_by_id, kept_query_ids
 
     # with no text kept there is nothing to match, and no query counts as unmatched
     pairs_per_query: list[list[CandidatePair]] = []
     match_review: list[ReviewItem] = []
     if len(store):
-        index = Bm25Index.build(store, bm25)
+        # postings only for the kept queries' tokens: the only terms pair matching looks up
+        index = Bm25Index.build(store, bm25, [q.text for q in kept_queries])
         pairs_per_query, match_review = _each(
             kept_queries, lambda query: match_positive_pairs(query, index, judge, settings, store), parallelism
         )

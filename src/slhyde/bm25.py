@@ -15,6 +15,12 @@ document. A search adds each matching posting's term to its document's score
 one at a time, in query-token order and with the scalar formula's operations
 in their order, so the scores are bitwise those of the tuple-list index.
 
+An index built for given queries (`Bm25Index.build(..., queries=texts)`)
+holds a slot and postings only for those queries' tokens; document lengths,
+the average length and document frequencies still count every token, so its
+scores are bitwise those of the full index. Searching it with a token it
+does not cover is a ValidationError rather than a silent zero.
+
 The default "cjk" tokenizer lowercases and splits on non-word characters,
 then expands runs of CJK characters into unigrams plus bigrams (the standard
 label-free segmentation); it is a no-op for pure-Latin text. "simple" keeps
@@ -62,7 +68,7 @@ def tokenize(text: str, mode: str = "cjk") -> list[str]:
     if mode not in TOKENIZERS:
         raise ValidationError(f"unknown tokenizer {mode!r}")
     words = _WORD_RE.findall(text.lower())
-    if mode == "simple":
+    if mode == "simple" or text.isascii():  # ASCII text holds no CJK run
         return words
     tokens: list[str] = []
     for word in words:
@@ -91,7 +97,9 @@ class Bm25Settings:
 class Bm25Index:
     """Inverted index in columns: `vocab` maps a term to its slot, and the
     postings of slot s are positions[offsets[s]:offsets[s + 1]] (document
-    positions, ascending) with the matching term frequencies in `tfs`."""
+    positions, ascending) with the matching term frequencies in `tfs`.
+    `covered` is True when the vocabulary is that of the queries the index
+    was built for, not every term of the corpus."""
 
     def __init__(
         self,
@@ -102,6 +110,7 @@ class Bm25Index:
         tfs: np.ndarray,
         doc_lens: np.ndarray,
         settings: Bm25Settings,
+        covered: bool = False,
     ):
         self.ids = list(ids)
         self.vocab = vocab
@@ -109,6 +118,7 @@ class Bm25Index:
         self.positions = positions
         self.tfs = tfs
         self.settings = settings
+        self.covered = covered
         avgdl = (int(doc_lens.sum()) / len(doc_lens)) if len(doc_lens) else 0.0
         k1, b = settings.k1, settings.b
         # k1 * (1 - b + b * |d| / avgdl) per document, the term of the score's
@@ -119,16 +129,32 @@ class Bm25Index:
         return len(self.ids)
 
     @classmethod
-    def build(cls, store: CorpusStore, settings: Bm25Settings = Bm25Settings()) -> "Bm25Index":
+    def build(
+        cls, store: CorpusStore, settings: Bm25Settings = Bm25Settings(), queries: list[str] | None = None
+    ) -> "Bm25Index":
+        """The index of `store`. With `queries` (texts), the vocabulary is
+        their tokens in first-occurrence order and a document adds postings
+        for those terms only; a term no document holds keeps an empty range."""
+        covered = queries is not None
         vocab: dict[str, int] = {}
+        if covered:
+            terms = dict.fromkeys(token for text in queries for token in tokenize(text, settings.tokenizer))
+            vocab = dict(zip(terms, range(len(terms))))
         slots, tfs, doc_lens, doc_terms = array("i"), array("i"), array("i"), array("i")
         for doc in store:
             tokens = tokenize(doc.indexed_text, settings.tokenizer)
             counts = Counter(tokens)
-            slots.extend(vocab.setdefault(term, len(vocab)) for term in counts)
-            tfs.extend(counts.values())
             doc_lens.append(len(tokens))
-            doc_terms.append(len(counts))
+            if covered:
+                # the order of a document's terms is free: the sort by slot below fixes it
+                kept = counts.keys() & vocab.keys()
+                slots.extend(vocab[term] for term in kept)
+                tfs.extend(counts[term] for term in kept)
+                doc_terms.append(len(kept))
+            else:
+                slots.extend(vocab.setdefault(term, len(vocab)) for term in counts)
+                tfs.extend(counts.values())
+                doc_terms.append(len(counts))
         slots_arr = np.frombuffer(slots, dtype=np.int32)
         # A stable sort by slot keeps each term's postings in document order.
         order = np.argsort(slots_arr, kind="stable")
@@ -143,20 +169,27 @@ class Bm25Index:
             np.frombuffer(tfs, dtype=np.int32)[order],
             np.frombuffer(doc_lens, dtype=np.int32),
             settings,
+            covered,
         )
 
 
 def bm25_search(index: Bm25Index, query_text: str, k: int) -> RankedHits:
-    """Okapi BM25 top-k; query terms score with multiplicity; dense tie rule."""
+    """Okapi BM25 top-k; query terms score with multiplicity; dense tie rule.
+    A term the index does not hold adds nothing, unless the index is
+    `covered`: then it is a ValidationError naming every such token."""
     if len(index) == 0:
         raise ValidationError("cannot search an empty index")
     if k < 1:
         raise ValidationError("k must be >= 1")
     scores: dict[int, float] = {}
     k1, n_docs = index.settings.k1, len(index)
-    for term in tokenize(query_text, index.settings.tokenizer):
+    tokens = tokenize(query_text, index.settings.tokenizer)
+    for term in tokens:
         slot = index.vocab.get(term)
         if slot is None:
+            if index.covered:
+                outside = ", ".join(repr(t) for t in dict.fromkeys(tokens) if t not in index.vocab)
+                raise ValidationError(f"the BM25 index was built for other queries and does not cover {outside}")
             continue
         lo, hi = index.offsets[slot : slot + 2].tolist()
         idf = math.log(1.0 + (n_docs - (hi - lo) + 0.5) / ((hi - lo) + 0.5))

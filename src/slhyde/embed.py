@@ -1,8 +1,9 @@
 """Embedding clients, the unit-norm boundary, and the binary vector cache.
 
 The remote client is a `util.JsonEndpoint`; `embed_texts` retries a batch
-whose request failed to connect or got a non-200 status (`util.retry_or_raise`)
-and never one whose body was unreadable or of the wrong shape (ProtocolError).
+whose request failed to connect or got a 408, a 429 or a non-4xx status other
+than 200 (`util.retry_or_raise`), and never one that got any other 4xx or
+whose body was unreadable or of the wrong shape (ProtocolError).
 
 Every vector leaving this module is float32 and unit-normalized, which makes
 the inner product used by the search indexes equal to cosine similarity.

@@ -235,16 +235,23 @@ def render_report_text(report: EvalReport) -> str:
 
 # --- trec run files --------------------------------------------------------
 
-def write_trec_run(runs: Mapping[str, object], path: str | Path, tag: str = "slhyde") -> None:
+def write_trec_run(runs: Mapping[str, RankedHits], path: str | Path, tag: str = "slhyde") -> None:
     """Write runs as trec lines: qid Q0 docid rank score tag. The file is
     written as it is formatted, one query's lines at a time, each query's
-    lines by one `%` format of a flat (doc id, rank, score) tuple."""
+    lines by one `%` format of its (doc id, score) values over a template
+    with the qid, ranks and tag baked in."""
     tag = tag.replace("%", "%%")
-    atomic_write_text(
-        path,
-        (
-            f"{qid.replace('%', '%%')} Q0 %s %d %.6f {tag}\n" * len(hits)
-            % tuple([value for rank, (doc_id, score) in enumerate(hits, 1) for value in (doc_id, rank, score)])
-            for qid, hits in runs.items()
-        ),
-    )
+    pieces: list[str] = []  # pieces[r]: rank r + 1's line after its qid
+
+    def lines(qid: str, hits: RankedHits) -> str:
+        n = len(hits)
+        if not n:
+            return ""  # the template would be the bare qid
+        pieces.extend(f" Q0 %s {rank} %.6f {tag}\n" for rank in range(len(pieces) + 1, n + 1))
+        flat: list = [None] * (2 * n)
+        flat[0::2] = hits.ids
+        flat[1::2] = hits.scores.tolist()
+        qid = qid.replace("%", "%%")
+        return (qid + qid.join(pieces[:n])) % tuple(flat)
+
+    atomic_write_text(path, (lines(qid, hits) for qid, hits in runs.items()))

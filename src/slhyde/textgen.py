@@ -5,9 +5,10 @@ the remote client (a `util.JsonEndpoint`) speaks the de-facto
 chat-completions JSON protocol, the mock client is fully deterministic given
 (prompt, seed, sample index) so that every pipeline can run offline and
 reproduce byte-identically. `generate` retries a request that failed to
-connect or got a non-200 status (`util.retry_or_raise`), and one that gave too
-few non-empty completions (a null content counts as empty); an unreadable
-response is a ProtocolError and is not retried.
+connect or got a 408, a 429 or a non-4xx status other than 200
+(`util.retry_or_raise`), and one that gave too few non-empty completions (a
+null content counts as empty); any other 4xx or an unreadable response is a
+ProtocolError and is not retried.
 """
 from __future__ import annotations
 
@@ -70,16 +71,21 @@ def load_template(name: str) -> PromptTemplate:
     return PromptTemplate(name=name, body=body.rstrip("\n"))
 
 
+@functools.lru_cache(maxsize=256)
+def _split_body(body: str) -> tuple[str, ...]:
+    """`body` split on its {SLOT} markers: the text between them at the even
+    positions, the slot names at the odd ones."""
+    return tuple(_SLOT_RE.split(body))
+
+
 def render_prompt(template: PromptTemplate, slots: dict[str, str]) -> str:
     """Substitute {SLOT} markers. Pure; values are inserted verbatim and never rescanned."""
-
-    def _sub(match: re.Match) -> str:
-        name = match.group(1)
-        if name not in slots:
-            raise ValidationError(f"missing slot {name!r} for template {template.name!r}")
-        return slots[name]
-
-    return _SLOT_RE.sub(_sub, template.body)
+    pieces = list(_split_body(template.body))
+    try:
+        pieces[1::2] = [slots[name] for name in pieces[1::2]]
+    except KeyError as exc:  # the first missing slot in body order
+        raise ValidationError(f"missing slot {exc.args[0]!r} for template {template.name!r}") from None
+    return "".join(pieces)
 
 
 @dataclass(frozen=True)

@@ -124,17 +124,22 @@ class JsonEndpoint:
         self._session = session
 
     def _post(self, body: dict, read):
-        """`read` of the JSON response to `body`. A failed connection or a
-        non-200 status is a TransportError; a body that is not JSON, or that
-        `read` fails on with KeyError, TypeError or ValueError, is a
-        ProtocolError."""
+        """`read` of the JSON response to `body`. A failed connection, a 408,
+        a 429 or another non-4xx status but 200 is a TransportError, which
+        `retry_or_raise` retries. A client error (any other 4xx: a bad
+        request or key) would fail again, so it is a ProtocolError, as is a
+        body that is not JSON or that `read` fails on with KeyError,
+        TypeError or ValueError."""
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         try:
             response = self._session.post(self.endpoint, json=body, timeout=self.timeout, headers=headers)
         except Exception as exc:
             raise TransportError(f"request to {self.endpoint} failed: {exc}") from exc
-        if getattr(response, "status_code", 200) != 200:
-            raise TransportError(f"endpoint returned HTTP {response.status_code}")
+        status = getattr(response, "status_code", 200)
+        if 400 <= status < 500 and status not in (408, 429):
+            raise ProtocolError(f"endpoint returned HTTP {status}, a client error that is not retried")
+        if status != 200:
+            raise TransportError(f"endpoint returned HTTP {status}")
         try:
             return read(response.json())
         except (KeyError, TypeError, ValueError) as exc:

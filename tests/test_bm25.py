@@ -59,6 +59,12 @@ class TestTokenize:
     def test_tokens_match_the_character_loop(self, text):
         assert tokenize(text) == [t for w in _WORD_RE.findall(text.lower()) for t in _expand_by_character(w)]
 
+    @given(st.text(st.characters(max_codepoint=127), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_ascii_text_is_its_words(self, text):
+        expected = [t for w in _WORD_RE.findall(text.lower()) for t in _expand_by_character(w)]
+        assert tokenize(text, "cjk") == tokenize(text, "simple") == expected
+
 
 def _is_cjk(ch: str) -> bool:
     code = ord(ch)
@@ -250,3 +256,59 @@ class TestColumnarIndex:
         # retain about 59 bytes per posting; per-term lists of (position, tf)
         # tuples retained about 135
         assert retained < 75 * postings
+
+    @given(
+        texts=st.lists(_TEXT, min_size=1, max_size=12),
+        query=st.lists(_WORD, min_size=1, max_size=5),
+        absent=st.sampled_from([[], ["zzz"], ["肝"], ["肝zzz", "zzz"]]),
+        other=_TEXT,
+        k1=st.sampled_from([0.0, 0.9]),
+        b=st.sampled_from([0.0, 0.4, 1.0]),
+        tokenizer=st.sampled_from(["cjk", "simple"]),
+        extra_k=st.integers(min_value=-12, max_value=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_index_built_for_its_queries_scores_as_the_tuple_lists(
+        self, texts, query, absent, other, k1, b, tokenizer, extra_k
+    ):
+        store = CorpusStore([Document(id=f"d{len(texts) - i:02d}", text=t) for i, t in enumerate(texts)])
+        bm25 = Bm25Settings(k1=k1, b=b, tokenizer=tokenizer)
+        # repeated query terms, and terms that no document holds
+        query_text = " ".join(query + query[:2] + absent)
+        index = Bm25Index.build(store, bm25, queries=[query_text, other])
+        assert index.covered
+        for text in (query_text, other):
+            hit_count = len(_dict_of_tuples_search(store, bm25, text, len(store))[0])
+            k = max(1, hit_count + extra_k)
+            expected_ids, expected_scores = _dict_of_tuples_search(store, bm25, text, k)
+            hits = bm25_search(index, text, k)
+            assert hits.ids == expected_ids
+            assert hits.scores.tobytes() == expected_scores.tobytes()
+
+    def test_token_outside_the_covered_queries_is_an_error(self):
+        index = Bm25Index.build(_store(["alpha beta", "gamma"]), Bm25Settings(tokenizer="simple"), ["alpha omega"])
+        lo, hi = index.offsets[index.vocab["omega"] : index.vocab["omega"] + 2]
+        assert lo == hi  # covered, but no document holds it
+        assert bm25_search(index, "omega alpha", k=2).ids == ["d0"]
+        with pytest.raises(ValidationError, match="does not cover 'beta', 'delta'$"):
+            bm25_search(index, "beta alpha delta beta", k=2)
+
+    def test_index_for_a_few_queries_retains_a_fraction_of_the_full_one(self):
+        store = CorpusStore(synthetic_docs(2000))
+        queries = [doc.text for doc in store][:20]
+
+        def retained(**build_args):
+            tracemalloc.start()
+            try:
+                index = Bm25Index.build(store, **build_args)
+                size, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert bm25_search(index, queries[3], k=1).ids == ["d0003"]
+            return size
+
+        full = retained()
+        # 18,012 terms and 42,000 postings against the 20 texts' 192 terms
+        # (the shared filler among them) and 24,180; measured 2.46 MB
+        # against 0.25 MB
+        assert retained(queries=queries) < full / 5

@@ -1494,6 +1494,14 @@ class TestExitCodes:
         assert main(["embed-corpus", "--config", str(config_path)]) == 2
         assert "malformed embedding response" in capsys.readouterr().err
 
+    def test_client_error_status_exits_without_a_retry(self, tmp_path, monkeypatch, capsys):
+        config_path = self._remote_config(tmp_path, monkeypatch, content="ok")  # max_retries 1
+        session = StubEndpoint(None, status_code=400)
+        monkeypatch.setattr("requests.Session", lambda: session)
+        assert main(["embed-corpus", "--config", str(config_path)]) == 2
+        assert "HTTP 400" in capsys.readouterr().err
+        assert len(session.headers) == 1
+
     @pytest.mark.parametrize("section, key, value", [("bm25", "k1", "high"), ("benchmark", "max_review_fraction", None)])
     def test_wrong_type_in_section_is_validation_exit(self, tmp_path, capsys, section, key, value):
         path = tmp_path / "c.yaml"

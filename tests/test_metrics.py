@@ -271,6 +271,15 @@ class TestTrecRunIO:
             "q2 Q0 d3 1 1.500000 test\n"
         )
 
+    def test_query_without_hits_writes_no_line(self, tmp_path):
+        empty = RankedHits(ids=[], scores=[])
+        runs = {"q0": empty, "q1": RankedHits(ids=["d1", "d2"], scores=[0.5, 0.25]), "q2": empty}
+        path = tmp_path / "run.trec"
+        write_trec_run(runs, path, tag="t")
+        assert path.read_text() == "q1 Q0 d1 1 0.500000 t\nq1 Q0 d2 2 0.250000 t\n"
+        write_trec_run({"q0": empty, "%s": empty}, path, tag="t")
+        assert path.read_text() == ""
+
     def test_percent_signs_are_written_as_they_are(self, tmp_path):
         runs = {
             "q%1": RankedHits(ids=["d%s"], scores=[0.25]),

@@ -11,6 +11,7 @@ from slhyde.embed import MockEmbedderClient
 from slhyde.errors import DegenerateOutputError, ProtocolError, TransportError, ValidationError
 from slhyde.textgen import (
     HYPOTHETICAL_TEMPLATES,
+    TEMPLATE_NAMES,
     MockGeneratorClient,
     PromptTemplate,
     RemoteGeneratorClient,
@@ -23,7 +24,7 @@ from slhyde.textgen import (
     load_template,
     render_prompt,
 )
-from slhyde.textgen import _judge_autopilot
+from slhyde.textgen import _SLOT_RE, _judge_autopilot
 
 from conftest import StubEndpoint, synthetic_docs
 
@@ -68,6 +69,20 @@ class TestRenderPrompt:
             assert template.body.strip()
             rendered = render_prompt(template, {slot: "x" for slot in template.slots()})
             assert "{" + "}".join([]) or rendered  # renders without error
+
+    @pytest.mark.parametrize("name", TEMPLATE_NAMES)
+    def test_render_is_the_regex_substitution(self, name):
+        template = load_template(name)
+        # values holding marker-like text, which a substitution never rescans
+        slots = {slot: f"{{QUESTION}} {slot} {{{slot}}} \\1 {{}}" for slot in sorted(template.slots())}
+        assert render_prompt(template, slots) == _SLOT_RE.sub(lambda m: slots[m.group(1)], template.body)
+
+    def test_missing_slot_named_is_the_first_in_the_body(self):
+        template = PromptTemplate(name="t", body="{ZETA} then {ALPHA} then {ZETA}")
+        with pytest.raises(ValidationError, match="missing slot 'ZETA'"):
+            render_prompt(template, {})
+        with pytest.raises(ValidationError, match="missing slot 'ALPHA'"):
+            render_prompt(template, {"ZETA": "z"})
 
     @pytest.mark.parametrize("name", ["NOPE", "q2p", "prompts/Q2P"])
     def test_unknown_template_name_is_validation_error(self, name):

@@ -155,3 +155,20 @@ def test_remote_clients_share_one_transport(remote, monkeypatch):
     with pytest.raises(ProtocolError, match="malformed"):
         call(make(max_retries=3, session=session))
     assert len(session.headers) == 1
+
+
+@pytest.mark.parametrize("remote", sorted(_REMOTES))
+@pytest.mark.parametrize("status", [400, 401, 404, 408, 429, 500, 503])
+def test_only_timeouts_rate_limits_and_server_errors_are_retried(remote, status, monkeypatch):
+    make, call, ok = _REMOTES[remote]
+    monkeypatch.setattr(time, "sleep", lambda seconds: None)
+    session = StubEndpoint(ok, status_code=status)
+    if status in (408, 429) or status >= 500:
+        with pytest.raises(TransportError) as excinfo:
+            call(make(max_retries=3, session=session))
+        assert excinfo.value.attempts == 4
+        assert len(session.headers) == 4
+    else:
+        with pytest.raises(ProtocolError, match=f"HTTP {status}, a client error"):
+            call(make(max_retries=3, session=session))
+        assert len(session.headers) == 1
