@@ -24,8 +24,11 @@ JSON or lacks the key gets exactly one repair retry (the prompt re-asked with
 a format reminder); a present value that does not read goes to review with
 no retry. The medical filter retries whenever neither `label` nor `score`
 reads. An item that fails goes to the review bucket instead of being dropped
-silently. Every kept or removed decision carries the judge rationale, and
-each stage's counts satisfy kept + removed + review = input.
+silently; so does one whose judge call fails after its retries. A
+ProtocolError (a client status such as a bad key's 401) would fail every
+item alike, so it ends the command (exit 2). Every kept or removed decision
+carries the judge rationale, and each stage's counts satisfy kept + removed +
+review = input.
 
 Each stage is a per-item function that returns its result and its own
 review items, mapped over the stage's items by `_each` on the stage runner
@@ -53,7 +56,7 @@ from typing import Callable, NamedTuple
 
 from .bm25 import Bm25Index, Bm25Settings, bm25_search
 from .corpus import CorpusStore, Document, Query, RelevanceJudgments, write_corpus, write_qrels, write_queries
-from .errors import SlhydeError, ValidationError
+from .errors import DegenerateOutputError, TransportError, ValidationError
 from .textgen import SamplingConfig, generate, load_template, render_prompt
 from .util import atomic_write_text, dump_json, run_chunked
 
@@ -137,18 +140,20 @@ def _ask_judge(judge, prompt: str, accept):
 
     `accept` is a predicate over the parsed dict. Returns (dict, raw) on
     success, (None, raw) when the response stays unusable after the repair
-    attempt.
+    attempt or a call fails after its retries or gives no usable completion.
+    A ProtocolError (a client status such as a bad key's 401, or a body of
+    the wrong shape) would fail for every item, so it propagates.
     """
     try:
         raw = generate(judge, prompt, _JUDGE_SAMPLING)[0]
-    except SlhydeError as exc:
+    except (TransportError, DegenerateOutputError) as exc:
         return None, f"<judge call failed: {exc}>"
     parsed = _parse_json_response(raw)
     if parsed is not None and accept(parsed):
         return parsed, raw
     try:
         raw_retry = generate(judge, prompt + _REPAIR_SUFFIX, _JUDGE_SAMPLING)[0]
-    except SlhydeError as exc:
+    except (TransportError, DegenerateOutputError) as exc:
         return None, f"{raw!r}; repair failed: {exc}"
     parsed = _parse_json_response(raw_retry)
     if parsed is not None and accept(parsed):

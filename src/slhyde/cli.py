@@ -110,10 +110,11 @@ def _path(dataset, key: str) -> str:
     return path
 
 
-def _dataset_cache(config: RunConfig, emb, dataset):
+def _dataset_cache(config: RunConfig, emb, dataset, load: bool = True):
     """`cache_embeddings` for one dataset: (store, cache), where store is None
-    when the cache was reused without parsing the corpus."""
-    return cache_embeddings(emb, _path(dataset, "corpus"), Path(config.out_dir) / f"{dataset.name}.emb")
+    when the cache was reused without parsing the corpus, and cache is None
+    unless `load`."""
+    return cache_embeddings(emb, _path(dataset, "corpus"), Path(config.out_dir) / f"{dataset.name}.emb", load)
 
 
 def _single_dataset(config: RunConfig, command: str):
@@ -126,7 +127,7 @@ def _single_dataset(config: RunConfig, command: str):
 def cmd_embed_corpus(config: RunConfig, command: str) -> int:
     emb = build_embedder_client(config)
     for dataset in config.all_datasets():
-        _dataset_cache(config, emb, dataset)
+        _dataset_cache(config, emb, dataset, load=False)  # makes each file current; holds no matrix
     with staged_outputs(config):
         pass
     return EXIT_OK

@@ -118,10 +118,11 @@ def corpus_file_digest(path: str | Path) -> bytes:
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"corpus file not found: {path}")
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
+    digest, buffer = hashlib.sha256(), memoryview(bytearray(1 << 18))
+    with path.open("rb", buffering=0) as fh:
+        # one buffer, refilled: a loop over fh.read blocks held two at a time
+        while size := fh.readinto(buffer):
+            digest.update(buffer[:size])
     return digest.digest()
 
 

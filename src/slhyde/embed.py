@@ -10,10 +10,13 @@ the inner product used by the search indexes equal to cosine similarity.
 A finite, nonzero row whose squared norm over- or underflows is scaled by its
 largest magnitude before it is normalized; every other row is row / norm.
 
-Building a cache holds one matrix plus one batch: `embed_texts` normalizes
-each batch into one preallocated float32 matrix as it arrives (and stops at
-the first batch that is non-finite or a zero row, before the next request),
-and `save_cache` writes that matrix to the file from its own buffer.
+Building a cache holds one embedder batch, never the matrix: the file is
+written in one pass (header, then each batch's unit rows as the batch
+arrives, in input order, then the ids), and `embed_texts` stops at the first
+batch that is non-finite or holds a zero row, before the next request.
+Reading one goes block by block (`_read_cache`): `load_cache` reads each
+block straight into the matrix it returns, and the warm check of
+`embed-corpus` reads every block into one small buffer and keeps nothing.
 
 Cache file format (little-endian), one file:
     magic "SLHE3" | u32 dim | u64 count | 32-byte fingerprint
@@ -24,10 +27,11 @@ the vectors: the client class, model, dim, truncate_chars, the mock's
 overrides, and the sha256 of the corpus file's bytes. `cache_embeddings` is
 the one reuse-or-build path: a cache is reused only when its fingerprint
 matches, so the corpus file's bytes and the cache file are all a warm run
-reads. One atomic replace writes a cache: a reader sees the old file or the
-new one, and a failed write leaves the old one. Another magic (the SLHE1 and
-SLHE2 formats, whose ids were in a `<path>.ids` sidecar) is rebuilt once, and
-writing the rebuilt file deletes the sidecar.
+reads. One atomic replace commits a cache: a reader sees the old file or the
+new one, and a failed build (an embedder error at any batch) leaves the old
+one and no temp file. Another magic (the SLHE1 and SLHE2 formats, whose ids
+were in a `<path>.ids` sidecar) is rebuilt once, and writing the rebuilt file
+deletes the sidecar.
 """
 from __future__ import annotations
 
@@ -39,6 +43,7 @@ import math
 import os
 import struct
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,20 +51,13 @@ import numpy as np
 
 from .corpus import CorpusStore, corpus_file_digest, load_corpus
 from .errors import FormatError, ProtocolError, TransportError, ValidationError
-from .util import JsonEndpoint, atomic_write_bytes, retry_or_raise
+from .util import JsonEndpoint, replacing, retry_or_raise
 
 logger = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"SLHE3"
 _HEADER = struct.Struct("<5sIQ32s32s")
-_FINITE_BLOCK = 1 << 16  # values per np.isfinite call in _all_finite
-
-
-def _all_finite(matrix: np.ndarray) -> bool:
-    """np.isfinite(matrix).all(), checked over row blocks so that the bool
-    temporary stays small whatever the matrix size."""
-    rows = max(1, _FINITE_BLOCK // max(1, matrix.shape[1]))
-    return all(np.isfinite(matrix[start : start + rows]).all() for start in range(0, len(matrix), rows))
+_BLOCK = 1 << 16  # float32 values per read (and np.isfinite call) of a cache's rows
 
 
 def _rescaled_unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -224,26 +222,31 @@ class RemoteEmbedderClient(JsonEndpoint):
         return np.asarray([row["embedding"] for row in data["data"]], dtype=np.float32)
 
 
-def embed_texts(client, texts: list[str]) -> np.ndarray:
+def embed_texts(client, texts: list[str], sink=None) -> np.ndarray | None:
     """Embed texts in order; returns a (len(texts), client.dim) float32 unit-row matrix.
 
     Inputs are truncated to the client's character budget before the request,
     and sent client.batch_size at a time. Each batch must be (len(batch),
     client.dim), else ProtocolError; it is normalized into the result as it
-    arrives.
+    arrives. Given a binary file `sink`, each batch's unit rows are written to
+    it instead, as little-endian float32 in input order, and None is returned:
+    the call then holds one batch, never the matrix.
     """
     if not texts:
         raise ValidationError("embed_texts requires at least one text")
     for i, text in enumerate(texts):
         if not text.strip():
             raise ValidationError(f"text at position {i} is empty after trimming")
-    matrix = np.empty((len(texts), client.dim), dtype=np.float32)
+    matrix = np.empty((len(texts), client.dim), dtype=np.float32) if sink is None else None
     for start in range(0, len(texts), client.batch_size):
         batch = [t[: client.truncate_chars] for t in texts[start : start + client.batch_size]]
         rows = _embed_batch_with_retry(client, batch)
         if rows.shape != (len(batch), client.dim):
             raise ProtocolError(f"expected {len(batch)} embeddings of dim {client.dim}, got {rows.shape}")
-        _write_unit_rows(rows, matrix[start : start + len(batch)])
+        out = matrix[start : start + len(batch)] if sink is None else np.empty(rows.shape, dtype="<f4")
+        _write_unit_rows(rows, out)
+        if sink is not None:
+            sink.write(out)
     return matrix
 
 
@@ -251,7 +254,7 @@ def _write_unit_rows(rows: np.ndarray, out: np.ndarray) -> None:
     """Write rows / ‖rows‖ into the float32 `out`. A row whose norm is 0 or
     inf in the rows' dtype (squares that under- or overflow) is rescaled
     first; every other row gets exactly rows[i] / norm[i], cast to float32."""
-    if not _all_finite(rows):
+    if not np.isfinite(rows).all():
         raise ProtocolError("embedder returned non-finite values")
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         norms = np.linalg.norm(rows, axis=1)
@@ -353,22 +356,34 @@ def cache_fingerprint(client, corpus_digest: bytes) -> bytes:
     return hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).digest()
 
 
-def save_cache(cache: EmbeddingCache, path: str | Path, fingerprint: bytes) -> None:
-    for doc_id in cache.ids:
+@contextmanager
+def _cache_file(path: str | Path, fingerprint: bytes, ids: list[str], dim: int):
+    """The one SLHE3 writer: a file holding the header, into which the block
+    writes the len(ids) × dim little-endian float32 rows in order; the ids
+    block follows, and one atomic replace commits the file. A block that
+    raises leaves the old file and no temp file."""
+    for doc_id in ids:
         if "\n" in doc_id or "\r" in doc_id:
             raise ValidationError(f"id {doc_id!r} contains a newline; cannot serialize")
-    ids = "".join(f"{i}\n" for i in cache.ids).encode("utf-8")
-    header = _HEADER.pack(CACHE_MAGIC, cache.dim, len(cache), fingerprint, hashlib.sha256(ids).digest())
-    rows = np.ascontiguousarray(cache.matrix, dtype="<f4")  # no copy of a float32 cache
-    atomic_write_bytes(path, header, rows, ids)
+    block = "".join(f"{i}\n" for i in ids).encode("utf-8")
+    with replacing(path, "xb") as fh:
+        fh.write(_HEADER.pack(CACHE_MAGIC, dim, len(ids), fingerprint, hashlib.sha256(block).digest()))
+        yield fh
+        fh.write(block)
     Path(f"{path}.ids").unlink(missing_ok=True)  # an SLHE1/SLHE2 sidecar, stale once this file is written
 
 
-def load_cache(path: str | Path, fingerprint: bytes | None = None) -> EmbeddingCache:
-    """Read a cache file; FormatError when it is missing, has another magic,
-    is truncated or padded, holds a non-finite value or ids that fail the
-    header's digest, or `fingerprint` is given and differs from the stored one
-    (checked before the rows are read)."""
+def save_cache(cache: EmbeddingCache, path: str | Path, fingerprint: bytes) -> None:
+    with _cache_file(path, fingerprint, cache.ids, cache.dim) as fh:
+        fh.write(np.ascontiguousarray(cache.matrix, dtype="<f4"))  # no copy of a float32 cache
+
+
+def _read_cache(path: str | Path, fingerprint: bytes | None, keep: bool) -> tuple[str, np.ndarray | None]:
+    """The one SLHE3 reader: (ids block, rows) of the cache file at `path`,
+    every check of `load_cache` made. The rows are read _BLOCK values at a
+    time, each block checked finite as it is read: into the (count, dim)
+    matrix that is returned when `keep`, else into one buffer of a block,
+    and None is returned."""
     path = Path(path)
     if not path.exists():
         raise FormatError(f"cache file not found: {path}")
@@ -384,47 +399,65 @@ def load_cache(path: str | Path, fingerprint: bytes | None = None) -> EmbeddingC
         size, ids_start = os.fstat(fh.fileno()).st_size, _HEADER.size + count * dim * 4
         if size < ids_start:
             raise FormatError(f"cache file {path} is truncated ({size} < {ids_start} bytes)")
-        # One buffer: the rows are read straight into the array that is returned.
-        matrix = np.fromfile(fh, dtype="<f4", count=count * dim).reshape(count, dim)
+        values = count * dim
+        rows = np.empty(values if keep else min(values, _BLOCK), dtype="<f4")
+        for first in range(0, values, _BLOCK):
+            block = rows[first : first + _BLOCK] if keep else rows[: min(_BLOCK, values - first)]
+            if fh.readinto(block) < block.nbytes:
+                raise FormatError(f"cache file {path} is truncated")
+            if not np.isfinite(block).all():
+                raise FormatError(f"cache file {path} contains non-finite values")
         raw = fh.read()
-    if not _all_finite(matrix):
-        raise FormatError(f"cache file {path} contains non-finite values")
     if hashlib.sha256(raw).digest() != ids_digest:
         raise FormatError(f"cache file {path} is truncated, padded or corrupt (ids digest mismatch)")
-    ids = raw.decode("utf-8").split("\n")[:-1]
-    if len(ids) != count:
-        raise FormatError(f"cache file {path} holds {len(ids)} ids, header says {count}")
-    return EmbeddingCache(ids=ids, matrix=matrix)
+    try:
+        ids = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"cache file {path} holds ids that are not UTF-8") from None
+    held = ids.count("\n")
+    if held != count:
+        raise FormatError(f"cache file {path} holds {held} ids, header says {count}")
+    return ids, rows.reshape(count, dim) if keep else None
+
+
+def load_cache(path: str | Path, fingerprint: bytes | None = None) -> EmbeddingCache:
+    """Read a cache file; FormatError when it is missing, has another magic,
+    is truncated or padded, holds a non-finite value or ids that fail the
+    header's digest or are not UTF-8, or `fingerprint` is given and differs
+    from the stored one (checked before the rows are read). The rows are read
+    straight into the matrix that is returned."""
+    ids, matrix = _read_cache(path, fingerprint, keep=True)
+    return EmbeddingCache(ids=ids.split("\n")[:-1], matrix=matrix)
 
 
 def cache_embeddings(
-    client, corpus_path: str | Path, path: str | Path
-) -> tuple[CorpusStore | None, EmbeddingCache]:
+    client, corpus_path: str | Path, path: str | Path, load: bool = True
+) -> tuple[CorpusStore | None, EmbeddingCache | None]:
     """The one reuse-or-build path for a corpus file's embedding cache.
 
     The cache at `path` is reused when its fingerprint matches the client and
-    the sha256 of the corpus file's bytes; the corpus is then not parsed and
-    the result is (None, cache). Anything else (no file, an unreadable or
-    stale one, with the reason logged) parses, embeds and saves the corpus
-    and returns (store, cache).
+    the sha256 of the corpus file's bytes and it passes every check of
+    `load_cache`; the corpus is then not parsed and the result is (None,
+    cache). Anything else (no file, an unreadable or stale one, with the
+    reason logged) parses the corpus, embeds it into a new file batch by
+    batch and returns (store, cache), the cache read back from that file.
+    With `load` false (`embed-corpus`, which only makes the file current)
+    cache is None and a reused file is only checked, so neither path holds
+    the matrix.
     """
     path = Path(path)
     fingerprint = cache_fingerprint(client, corpus_file_digest(corpus_path))
     if path.exists():
         try:
-            cache = load_cache(path, fingerprint=fingerprint)
+            cache = load_cache(path, fingerprint=fingerprint) if load else _read_cache(path, fingerprint, keep=False)[1]
         except FormatError as exc:
             logger.warning("rebuilding embedding cache: %s", exc)
         else:
-            logger.info("reusing embedding cache %s (%d vectors)", path, len(cache))
+            logger.info("reusing embedding cache %s", path)
             return None, cache
     store = load_corpus(corpus_path)
-    texts = [doc.indexed_text for doc in store]
-    if texts:
-        matrix = embed_texts(client, texts)
-    else:
-        matrix = np.zeros((0, client.dim), dtype=np.float32)
-    cache = EmbeddingCache(ids=store.ids, matrix=matrix)
-    save_cache(cache, path, fingerprint)
-    logger.info("embedded %d documents into %s", len(cache), path)
-    return store, cache
+    with _cache_file(path, fingerprint, store.ids, client.dim) as fh:
+        if len(store):
+            embed_texts(client, [doc.indexed_text for doc in store], fh)
+    logger.info("embedded %d documents into %s", len(store), path)
+    return store, load_cache(path, fingerprint=fingerprint) if load else None

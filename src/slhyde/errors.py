@@ -26,13 +26,15 @@ class RecordError(ParseError, ValidationError):
 
 
 class TransportError(SlhydeError):
-    """A remote call failed; `attempts` is set once retries are exhausted."""
+    """A remote call failed; `attempts` is set once retries are exhausted, and
+    `retry_after` to the seconds a 429 or 503 response asked to wait for."""
 
-    def __init__(self, message: str, *, attempts: int | None = None):
+    def __init__(self, message: str, *, attempts: int | None = None, retry_after: float | None = None):
         if attempts is not None:
             message = f"{message} (after {attempts} attempts)"
         super().__init__(message)
         self.attempts = attempts
+        self.retry_after = retry_after
 
 
 class ProtocolError(SlhydeError):

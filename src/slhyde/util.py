@@ -12,6 +12,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import time
@@ -39,7 +40,7 @@ def derive_seed(*parts) -> int:
 
 
 @contextmanager
-def _replacing(path: str | Path, mode: str, **open_args):
+def replacing(path: str | Path, mode: str, **open_args):
     """A file opened with `mode` on a temp file of this call's own beside
     `path`, so concurrent writers never share one; it replaces `path` when the
     block ends and is removed if the block raises."""
@@ -55,20 +56,13 @@ def _replacing(path: str | Path, mode: str, **open_args):
         raise
 
 
-def atomic_write_bytes(path: str | Path, *parts) -> None:
-    """Write the bytes-like `parts` one after another (a C-contiguous array is
-    written from its own buffer, not copied) to `path`, atomically."""
-    with _replacing(path, "xb") as fh:
-        fh.writelines(parts)
-
-
 def atomic_write_text(path: str | Path, text) -> None:
     """Write `text`, a str or an iterable of str, to `path` as UTF-8,
     atomically and with no newline translation. An iterable is written as it
     is iterated, so a caller that yields its output piece by piece (a trec
     run, a JSONL file) never holds the whole file; if it raises part-way,
     `path` keeps its old bytes."""
-    with _replacing(path, "x", encoding="utf-8", newline="") as fh:
+    with replacing(path, "x", encoding="utf-8", newline="") as fh:
         fh.writelines([text] if isinstance(text, str) else text)
 
 
@@ -126,7 +120,8 @@ class JsonEndpoint:
     def _post(self, body: dict, read):
         """`read` of the JSON response to `body`. A failed connection, a 408,
         a 429 or another non-4xx status but 200 is a TransportError, which
-        `retry_or_raise` retries. A client error (any other 4xx: a bad
+        `retry_or_raise` retries (a 429's or 503's numeric Retry-After
+        rides along as its `retry_after`). A client error (any other 4xx: a bad
         request or key) would fail again, so it is a ProtocolError, as is a
         body that is not JSON or that `read` fails on with KeyError,
         TypeError or ValueError."""
@@ -139,23 +134,36 @@ class JsonEndpoint:
         if 400 <= status < 500 and status not in (408, 429):
             raise ProtocolError(f"endpoint returned HTTP {status}, a client error that is not retried")
         if status != 200:
-            raise TransportError(f"endpoint returned HTTP {status}")
+            wait = _retry_after(response) if status in (429, 503) else None
+            raise TransportError(f"endpoint returned HTTP {status}", retry_after=wait)
         try:
             return read(response.json())
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed {self.kind} response: {exc}") from exc
 
 
+def _retry_after(response) -> float | None:
+    """The seconds of the response's Retry-After header when it is a finite
+    number >= 0; None when it is missing or an HTTP date."""
+    try:
+        seconds = float(response.headers.get("Retry-After"))
+    except (AttributeError, TypeError, ValueError):
+        return None
+    return seconds if 0 <= seconds < math.inf else None
+
+
 def retry_or_raise(client, what: str, attempt: int, exc: TransportError) -> None:
     """The one retry step, after attempt number `attempt` (from 1) at `what`
     failed with `exc`: log it, then raise TransportError(attempts=...) once
-    the client's max_retries are used up, else sleep backoff * 2**(attempt-1)."""
+    the client's max_retries are used up, else sleep backoff * 2**(attempt-1)
+    seconds, or exc.retry_after when that is longer."""
     attempts = client.max_retries + 1
     logger.warning("%s attempt %d/%d failed: %s", what, attempt, attempts, exc)
     if attempt >= attempts:
         raise TransportError(f"{what} failed", attempts=attempts) from exc
-    if client.backoff > 0:
-        time.sleep(client.backoff * 2 ** (attempt - 1))
+    wait = max(client.backoff * 2 ** (attempt - 1), exc.retry_after or 0.0)
+    if wait > 0:
+        time.sleep(wait)
 
 
 # The exact types of a JSON or YAML value that fit each annotation: an int fits

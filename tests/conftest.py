@@ -1,7 +1,9 @@
 """Shared synthetic-data builders and fixtures."""
 from __future__ import annotations
 
+import functools
 import string
+import types
 from pathlib import Path
 
 import numpy as np
@@ -87,23 +89,26 @@ def small_index(tmp_path, mock_emb, small_store):
 
 
 class StubEndpoint:
-    """A requests.Session stand-in whose every POST answers with itself: its
-    `status_code`, and as JSON `payload`, or `payload(request body)` when that
-    is callable; a None payload is a body that is not JSON. `headers` holds
-    each request's headers, one entry per request."""
+    """A requests.Session stand-in whose every POST answers with its
+    `status_code`, the response headers `reply_headers`, and as JSON
+    `payload`, or `payload(request body)` when that is callable; a None
+    payload is a body that is not JSON. `headers` holds each request's
+    headers, one entry per request."""
 
-    def __init__(self, payload, status_code=200):
+    def __init__(self, payload, status_code=200, reply_headers=None):
         self.payload = payload
         self.status_code = status_code
+        self.reply_headers = reply_headers or {}
         self.headers = []
 
     def post(self, url, json, timeout, headers):
         self.headers.append(headers)
-        self.body = json
-        return self
+        return types.SimpleNamespace(
+            status_code=self.status_code, headers=self.reply_headers, json=functools.partial(self._json, json)
+        )
 
-    def json(self):
-        payload = self.payload(self.body) if callable(self.payload) else self.payload
+    def _json(self, body):
+        payload = self.payload(body) if callable(self.payload) else self.payload
         if payload is None:
             raise ValueError("Expecting value: line 1 column 1 (char 0)")
         return payload

@@ -1502,6 +1502,27 @@ class TestExitCodes:
         assert "HTTP 400" in capsys.readouterr().err
         assert len(session.headers) == 1
 
+    def test_judge_client_error_ends_construct_benchmark(self, tmp_path, monkeypatch, capsys):
+        # a bad key would fail every item alike, so it is not sent to review
+        raw = tmp_path / "raw"
+        texts, queries = TestConstructBenchmarkCommand()._raw_inputs(raw)
+        session = StubEndpoint(None, status_code=401)
+        monkeypatch.setattr("requests.Session", lambda: session)
+        config_path = make_config(
+            tmp_path,
+            raw,
+            tmp_path / "bench",
+            clients="remote",
+            generator={"endpoint": "http://gen.invalid/v1", "max_retries": 1, "backoff": 0.0},
+            embedder={"endpoint": "http://emb.invalid/v1"},
+            benchmark={"med_threshold": 0.5, "rel_threshold": 0.6},
+        )
+        argv = ["construct-benchmark", "--config", str(config_path)]
+        assert main(argv + ["--texts", str(texts), "--queries", str(queries)]) == 2
+        assert "HTTP 401" in capsys.readouterr().err
+        assert len(session.headers) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "raw"]  # nothing staged or promoted
+
     @pytest.mark.parametrize("section, key, value", [("bm25", "k1", "high"), ("benchmark", "max_review_fraction", None)])
     def test_wrong_type_in_section_is_validation_exit(self, tmp_path, capsys, section, key, value):
         path = tmp_path / "c.yaml"

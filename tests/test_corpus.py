@@ -1,5 +1,7 @@
+import hashlib
 import json
 import logging
+import os
 import re
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from slhyde.corpus import (
     CorpusStore,
     Document,
+    corpus_file_digest,
     load_corpus,
     load_qrels,
     load_queries,
@@ -161,6 +164,14 @@ def test_whitespace_in_an_id_names_the_file_and_line(tmp_path, load, name, doc_i
     _write_jsonl(path, [{"_id": "a-b", "text": "body"}, {"_id": doc_id, "text": "body"}])
     with pytest.raises(ParseError, match=rf"^_id {re.escape(repr(doc_id))} contains whitespace in {name} \(line 2\)$"):
         load(path)
+
+
+@pytest.mark.parametrize("size", [0, 1, (1 << 18) - 1, 1 << 18, (5 << 17) + 3])
+def test_corpus_file_digest_is_the_sha256_of_the_bytes(tmp_path, size):
+    path = tmp_path / "corpus.jsonl"
+    data = os.urandom(size)
+    path.write_bytes(data)
+    assert corpus_file_digest(path) == hashlib.sha256(data).digest()
 
 
 class TestLoadQrels:

@@ -5,6 +5,7 @@ import logging
 import os
 import struct
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -404,6 +405,136 @@ class TestCache:
         # batches, copying them to normalize and serializing them took about 3x
         assert peak <= 1.5 * built.matrix.nbytes + rows[:batch].nbytes + corpus_peak
 
+    @pytest.mark.parametrize("n, batch_size", [(7, 1), (7, 3), (7, 12), (0, 4)])
+    def test_streamed_cache_is_the_bytes_of_the_saved_matrix(self, tmp_path, n, batch_size):
+        docs = synthetic_docs(n)
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(docs, corpus)
+        client = MockEmbedderClient(dim=32)
+        client.batch_size = batch_size
+        store, cache = cache_embeddings(client, corpus, tmp_path / "c.emb", load=False)
+        assert store.ids == [d.id for d in docs] and cache is None
+        assert client.calls == -(-n // batch_size)
+        if docs:
+            matrix = embed_texts(MockEmbedderClient(dim=32), [d.indexed_text for d in docs])
+        else:
+            matrix = np.zeros((0, 32), dtype=np.float32)
+        fingerprint = cache_fingerprint(client, corpus_file_digest(corpus))
+        embed.save_cache(EmbeddingCache(ids=store.ids, matrix=matrix), tmp_path / "saved.emb", fingerprint)
+        assert (tmp_path / "c.emb").read_bytes() == (tmp_path / "saved.emb").read_bytes()
+
+    @pytest.mark.parametrize("error", [ProtocolError, TransportError])
+    def test_an_embedder_failing_at_batch_k_leaves_the_old_cache(self, tmp_path, error):
+        corpus, path = tmp_path / "corpus.jsonl", tmp_path / "c.emb"
+        write_corpus(synthetic_docs(4, seed=1), corpus)
+        cache_embeddings(MockEmbedderClient(dim=32), corpus, path)
+        before = path.read_bytes()
+        write_corpus(synthetic_docs(10, seed=2), corpus)  # another fingerprint: the next run rebuilds
+        client = MockEmbedderClient(dim=32)
+        client.batch_size = 3
+        embed_batch, sent = client.embed_batch, []
+
+        def fail_at_third_batch(texts):
+            sent.append(texts)
+            if len(sent) >= 3:
+                raise error("embedder down")
+            return embed_batch(texts)
+
+        client.embed_batch = fail_at_third_batch
+        for load in (True, False):
+            sent.clear()
+            with pytest.raises(error) as excinfo:
+                cache_embeddings(client, corpus, path, load=load)
+            # a ProtocolError is never retried; a TransportError is, until the retries are used up
+            assert len(sent) == (3 if error is ProtocolError else 2 + client.max_retries + 1)
+            if error is TransportError:
+                assert excinfo.value.attempts == client.max_retries + 1
+            assert path.read_bytes() == before
+            assert not list(tmp_path.glob("*.part"))
+
+    def test_concurrent_cold_builders_both_commit_the_same_bytes(self, tmp_path):
+        docs = synthetic_docs(40)
+        corpus, path = tmp_path / "corpus.jsonl", tmp_path / "c.emb"
+        write_corpus(docs, corpus)
+        both_writing = threading.Barrier(2, timeout=30)
+
+        def build(load):
+            client = MockEmbedderClient(dim=32)
+            client.batch_size = 8
+            embed_batch = client.embed_batch
+
+            def first_batch_waits(texts):
+                if client.calls == 0:  # both builders hold their temp file before either sends a request
+                    both_writing.wait()
+                return embed_batch(texts)
+
+            client.embed_batch = first_batch_waits
+            return cache_embeddings(client, corpus, path, load=load)
+
+        with ThreadPoolExecutor(2) as pool:
+            results = list(pool.map(build, [True, False]))
+        assert all(store is not None for store, _ in results)  # both built: neither found the other's file
+        expected = embed_texts(MockEmbedderClient(dim=32), [d.indexed_text for d in docs])
+        assert results[0][1].matrix.tobytes() == expected.tobytes()
+        assert load_cache(path).matrix.tobytes() == expected.tobytes()
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith("c.emb")] == ["c.emb"]
+
+    def test_cold_embed_corpus_holds_one_batch_not_the_matrix(self, tmp_path):
+        n, dim, batch = 4096, 256, 256
+        rows = np.random.default_rng(5).normal(size=(n, dim)).astype(np.float32)
+        client, _ = _serving([rows[start : start + batch] for start in range(0, n, batch)], dim=dim, batch_size=batch)
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(synthetic_docs(n), corpus)
+        tracemalloc.start()
+        try:
+            # what the parsed store and its texts keep
+            store = load_corpus(corpus)
+            texts = [doc.indexed_text for doc in store]
+            kept, _ = tracemalloc.get_traced_memory()
+            del store, texts
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            store, cache = cache_embeddings(client, corpus, tmp_path / "c.emb", load=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cache is None and len(store) == n
+        expected = (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
+        assert load_cache(tmp_path / "c.emb").matrix.tobytes() == expected.tobytes()
+        # a batch, its temporaries and the ids block; holding the matrix took it past 4 MB
+        assert peak - base - kept < rows.nbytes / 2
+
+    def test_warm_embed_corpus_checks_the_file_without_the_matrix(self, tmp_path, caplog):
+        n, dim = 4096, 256
+        rows = np.random.default_rng(6).normal(size=(n, dim)).astype(np.float32)
+        client, _ = _serving([rows], dim=dim, batch_size=n)
+        corpus, path = tmp_path / "corpus.jsonl", tmp_path / "c.emb"
+        write_corpus(synthetic_docs(n), corpus)
+        cache_embeddings(client, corpus, path, load=False)
+        client.embed_batch = lambda texts: pytest.fail("a warm cache was embedded again")
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            with caplog.at_level(logging.INFO):
+                result = cache_embeddings(client, corpus, path, load=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == (None, None)
+        assert "reusing embedding cache" in caplog.text
+        # the corpus digest's buffer, one block of rows and the ids; loading the rows took it past 4 MB
+        assert peak - base < rows.nbytes / 2
+        # the warm check makes load_cache's checks: a non-finite last value is found and rebuilt
+        blob = bytearray(path.read_bytes())
+        rows_end = embed._HEADER.size + rows.nbytes
+        blob[rows_end - 4 : rows_end] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(blob))
+        client.embed_batch = lambda texts: rows
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            store, _ = cache_embeddings(client, corpus, path, load=False)
+        assert store is not None and "contains non-finite values" in caplog.text
+
     def test_finiteness_check_needs_no_mask_of_the_rows(self, tmp_path):
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(4000, 256)).astype(np.float32)
@@ -585,6 +716,24 @@ class TestCache:
         assert "digest mismatch" in caplog.text
         assert load_cache(path).ids == cache.ids
         assert path.read_bytes() == blob
+
+    def test_ids_that_are_not_utf8_are_rebuilt(self, tmp_path, caplog):
+        # the digest matches, so only the decode can tell
+        corpus, path = tmp_path / "corpus.jsonl", tmp_path / "c.emb"
+        write_corpus(synthetic_docs(1), corpus)
+        client = MockEmbedderClient(dim=4)
+        ids = b"\xff\n"
+        header = embed._HEADER.pack(
+            embed.CACHE_MAGIC, 4, 1, cache_fingerprint(client, corpus_file_digest(corpus)), hashlib.sha256(ids).digest()
+        )
+        path.write_bytes(header + np.ones(4, dtype="<f4").tobytes() + ids)
+        with pytest.raises(FormatError, match="not UTF-8"):
+            load_cache(path)
+        for load in (False, True):
+            with caplog.at_level(logging.WARNING):
+                store, _ = cache_embeddings(client, corpus, path, load=load)
+            assert store is not None and "not UTF-8" in caplog.text
+            path.write_bytes(header + np.ones(4, dtype="<f4").tobytes() + ids)
 
     @pytest.mark.parametrize("corpus", ["warm", "failed"])
     def test_failed_write_leaves_the_old_cache(self, tmp_path, monkeypatch, caplog, corpus):

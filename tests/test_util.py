@@ -13,9 +13,14 @@ from slhyde.errors import ProtocolError, TransportError
 from slhyde.metrics import write_trec_run
 from slhyde.retrieval import RankedHits
 from slhyde.textgen import RemoteGeneratorClient, generate
-from slhyde.util import atomic_write_bytes, atomic_write_text, jsonl_line, write_jsonl
+from slhyde.util import atomic_write_text, jsonl_line, replacing, write_jsonl
 
 from conftest import StubEndpoint
+
+
+def _write_bytes(path, data):
+    with replacing(path, "xb") as fh:
+        fh.write(data)
 
 
 def test_concurrent_writers_of_one_path_do_not_collide(tmp_path):
@@ -28,7 +33,7 @@ def test_concurrent_writers_of_one_path_do_not_collide(tmp_path):
         def write(data):
             start.wait()
             try:
-                atomic_write_bytes(path, data)
+                _write_bytes(path, data)
             except Exception as exc:  # noqa: BLE001  (reported below)
                 errors.append(exc)
 
@@ -45,14 +50,14 @@ def test_concurrent_writers_of_one_path_do_not_collide(tmp_path):
 
 def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
     path = tmp_path / "out.bin"
-    atomic_write_bytes(path, b"old")
+    _write_bytes(path, b"old")
 
     def fail_replace(src, dst):
         raise OSError("replace failed")
 
     monkeypatch.setattr(util.os, "replace", fail_replace)
     with pytest.raises(OSError, match="replace failed"):
-        atomic_write_bytes(path, b"new")
+        _write_bytes(path, b"new")
     assert path.read_bytes() == b"old"
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
@@ -155,6 +160,31 @@ def test_remote_clients_share_one_transport(remote, monkeypatch):
     with pytest.raises(ProtocolError, match="malformed"):
         call(make(max_retries=3, session=session))
     assert len(session.headers) == 1
+
+
+@pytest.mark.parametrize("remote", sorted(_REMOTES))
+@pytest.mark.parametrize(
+    "status, retry_after, expected",
+    [
+        (429, "3", [3.0, 3.0, 3.0]),  # longer than every step of the schedule
+        (503, "1.5", [1.5, 1.5, 2.0]),  # the larger of the two at each step
+        (503, "0", [0.5, 1.0, 2.0]),
+        (429, "Wed, 21 Oct 2026 07:28:00 GMT", [0.5, 1.0, 2.0]),  # an HTTP date keeps the schedule
+        (429, None, [0.5, 1.0, 2.0]),
+        (429, "-4", [0.5, 1.0, 2.0]),
+        (500, "3", [0.5, 1.0, 2.0]),  # only a 429 or a 503 is asked about
+    ],
+)
+def test_a_numeric_retry_after_stretches_the_wait(remote, status, retry_after, expected, monkeypatch):
+    make, call, ok = _REMOTES[remote]
+    waits = []
+    monkeypatch.setattr(time, "sleep", waits.append)
+    reply = {} if retry_after is None else {"Retry-After": retry_after}
+    session = StubEndpoint(ok, status_code=status, reply_headers=reply)
+    with pytest.raises(TransportError) as excinfo:
+        call(make(max_retries=3, backoff=0.5, session=session))
+    assert excinfo.value.attempts == 4
+    assert waits == expected
 
 
 @pytest.mark.parametrize("remote", sorted(_REMOTES))
