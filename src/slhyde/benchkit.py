@@ -8,9 +8,8 @@ line before any judge request.
 
 Three stages over raw texts and raw queries:
   1. medical-relevance filtering of both sides,
-  2. positive-pair matching per query: BM25 top-k (an index built for the
-     kept queries, with postings for their tokens only; lengths and idf still
-     count every token of the kept texts), judge rerank to top-m,
+  2. positive-pair matching per query: BM25 top-k (from an index built for
+     the kept queries' texts, `bm25.Bm25Index.build`), judge rerank to top-m,
      evidence extraction, answer generation from evidence only, and answer
      validation (against the reference answer when the query carries one,
      against the document otherwise),
@@ -417,7 +416,7 @@ def run_pipeline(
     pairs_per_query: list[list[CandidatePair]] = []
     match_review: list[ReviewItem] = []
     if len(store):
-        # postings only for the kept queries' tokens: the only terms pair matching looks up
+        # built for the kept queries' texts: the only texts pair matching searches
         index = Bm25Index.build(store, bm25, [q.text for q in kept_queries])
         pairs_per_query, match_review = _each(
             kept_queries, lambda query: match_positive_pairs(query, index, judge, settings, store), parallelism

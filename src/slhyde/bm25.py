@@ -6,20 +6,21 @@ the Lucene-style ln(1 + (N - df + 0.5) / (df + 0.5)), which is strictly
 positive, so only documents containing at least one query term can appear
 in results.
 
-The index is columnar: a vocabulary dict (term -> slot), an int64 offsets
-array, and flat int32 `positions` and `tfs` arrays holding every term's
-postings in document order, about 8 bytes per posting beside the vocabulary
-(per-term lists of (position, tf) tuples took about 135). The part of the
-score's denominator that depends only on the document is computed once per
-document. A search adds each matching posting's term to its document's score
-one at a time, in query-token order and with the scalar formula's operations
-in their order, so the scores are bitwise those of the tuple-list index.
+An index answers the queries it was built for: `Bm25Index.build` takes
+their texts, tokenizes each once, and keeps each text's slots. A document
+adds postings for those slots only; document lengths, the average length and
+document frequencies still count every token, so the scores are those of an
+index over every term. Searching with a text the index was not built for is
+a ValidationError that names it.
 
-An index built for given queries (`Bm25Index.build(..., queries=texts)`)
-holds a slot and postings only for those queries' tokens; document lengths,
-the average length and document frequencies still count every token, so its
-scores are bitwise those of the full index. Searching it with a token it
-does not cover is a ValidationError rather than a silent zero.
+The index is columnar: an int64 offsets array and flat int32 `positions` and
+`tfs` arrays holding every slot's postings in document order, about 8 bytes
+per posting (per-term lists of (position, tf) tuples took about 135). The
+part of the score's denominator that depends only on the document is
+computed once per document. A search adds each matching posting's term to
+its document's score one at a time, in query-token order and with the scalar
+formula's operations in their order, so the scores are bitwise those of the
+tuple-list index.
 
 The default "cjk" tokenizer lowercases and splits on non-word characters,
 then expands runs of CJK characters into unigrams plus bigrams (the standard
@@ -95,30 +96,28 @@ class Bm25Settings:
 
 
 class Bm25Index:
-    """Inverted index in columns: `vocab` maps a term to its slot, and the
-    postings of slot s are positions[offsets[s]:offsets[s + 1]] (document
-    positions, ascending) with the matching term frequencies in `tfs`.
-    `covered` is True when the vocabulary is that of the queries the index
-    was built for, not every term of the corpus."""
+    """Inverted index in columns: `query_slots` maps each query text the index
+    was built for to its tokens' slots, in token order and with multiplicity,
+    and the postings of slot s are positions[offsets[s]:offsets[s + 1]]
+    (document positions, ascending) with the matching term frequencies in
+    `tfs`. A slot that no document holds has an empty range."""
 
     def __init__(
         self,
         ids: list[str],
-        vocab: dict[str, int],
+        query_slots: dict[str, tuple[int, ...]],
         offsets: np.ndarray,
         positions: np.ndarray,
         tfs: np.ndarray,
         doc_lens: np.ndarray,
         settings: Bm25Settings,
-        covered: bool = False,
     ):
         self.ids = list(ids)
-        self.vocab = vocab
+        self.query_slots = query_slots
         self.offsets = offsets
         self.positions = positions
         self.tfs = tfs
         self.settings = settings
-        self.covered = covered
         avgdl = (int(doc_lens.sum()) / len(doc_lens)) if len(doc_lens) else 0.0
         k1, b = settings.k1, settings.b
         # k1 * (1 - b + b * |d| / avgdl) per document, the term of the score's
@@ -129,32 +128,26 @@ class Bm25Index:
         return len(self.ids)
 
     @classmethod
-    def build(
-        cls, store: CorpusStore, settings: Bm25Settings = Bm25Settings(), queries: list[str] | None = None
-    ) -> "Bm25Index":
-        """The index of `store`. With `queries` (texts), the vocabulary is
-        their tokens in first-occurrence order and a document adds postings
-        for those terms only; a term no document holds keeps an empty range."""
-        covered = queries is not None
+    def build(cls, store: CorpusStore, settings: Bm25Settings, queries: list[str]) -> "Bm25Index":
+        """The index of `store` for the query texts `queries`. The slots are
+        the queries' tokens in first-occurrence order; the term-to-slot map
+        is dropped on return."""
         vocab: dict[str, int] = {}
-        if covered:
-            terms = dict.fromkeys(token for text in queries for token in tokenize(text, settings.tokenizer))
-            vocab = dict(zip(terms, range(len(terms))))
+        query_slots: dict[str, tuple[int, ...]] = {}
+        for text in queries:
+            if text not in query_slots:
+                tokens = tokenize(text, settings.tokenizer)
+                query_slots[text] = tuple(vocab.setdefault(token, len(vocab)) for token in tokens)
         slots, tfs, doc_lens, doc_terms = array("i"), array("i"), array("i"), array("i")
         for doc in store:
             tokens = tokenize(doc.indexed_text, settings.tokenizer)
             counts = Counter(tokens)
             doc_lens.append(len(tokens))
-            if covered:
-                # the order of a document's terms is free: the sort by slot below fixes it
-                kept = counts.keys() & vocab.keys()
-                slots.extend(vocab[term] for term in kept)
-                tfs.extend(counts[term] for term in kept)
-                doc_terms.append(len(kept))
-            else:
-                slots.extend(vocab.setdefault(term, len(vocab)) for term in counts)
-                tfs.extend(counts.values())
-                doc_terms.append(len(counts))
+            # the order of a document's terms is free: the sort by slot below fixes it
+            kept = counts.keys() & vocab.keys()
+            slots.extend(vocab[term] for term in kept)
+            tfs.extend(counts[term] for term in kept)
+            doc_terms.append(len(kept))
         slots_arr = np.frombuffer(slots, dtype=np.int32)
         # A stable sort by slot keeps each term's postings in document order.
         order = np.argsort(slots_arr, kind="stable")
@@ -163,34 +156,28 @@ class Bm25Index:
         positions = np.repeat(np.arange(len(doc_lens), dtype=np.int32), np.frombuffer(doc_terms, dtype=np.int32))
         return cls(
             store.ids,
-            vocab,
+            query_slots,
             offsets,
             positions[order],
             np.frombuffer(tfs, dtype=np.int32)[order],
             np.frombuffer(doc_lens, dtype=np.int32),
             settings,
-            covered,
         )
 
 
 def bm25_search(index: Bm25Index, query_text: str, k: int) -> RankedHits:
-    """Okapi BM25 top-k; query terms score with multiplicity; dense tie rule.
-    A term the index does not hold adds nothing, unless the index is
-    `covered`: then it is a ValidationError naming every such token."""
+    """Okapi BM25 top-k for a query text the index was built for; query terms
+    score with multiplicity; dense tie rule."""
     if len(index) == 0:
         raise ValidationError("cannot search an empty index")
     if k < 1:
         raise ValidationError("k must be >= 1")
+    slots = index.query_slots.get(query_text)
+    if slots is None:
+        raise ValidationError(f"the BM25 index was not built for the query {query_text!r}")
     scores: dict[int, float] = {}
     k1, n_docs = index.settings.k1, len(index)
-    tokens = tokenize(query_text, index.settings.tokenizer)
-    for term in tokens:
-        slot = index.vocab.get(term)
-        if slot is None:
-            if index.covered:
-                outside = ", ".join(repr(t) for t in dict.fromkeys(tokens) if t not in index.vocab)
-                raise ValidationError(f"the BM25 index was built for other queries and does not cover {outside}")
-            continue
+    for slot in slots:
         lo, hi = index.offsets[slot : slot + 2].tolist()
         idf = math.log(1.0 + (n_docs - (hi - lo) + 0.5) / ((hi - lo) + 0.5))
         positions = index.positions[lo:hi]

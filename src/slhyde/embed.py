@@ -10,10 +10,11 @@ the inner product used by the search indexes equal to cosine similarity.
 A finite, nonzero row whose squared norm over- or underflows is scaled by its
 largest magnitude before it is normalized; every other row is row / norm.
 
-Building a cache holds one embedder batch, never the matrix: the file is
-written in one pass (header, then each batch's unit rows as the batch
-arrives, in input order, then the ids), and `embed_texts` stops at the first
-batch that is non-finite or holds a zero row, before the next request.
+Building a cache holds one embedder batch of texts and rows, never every
+text nor the matrix: the file is written in one pass (header, then each
+batch's unit rows as the batch arrives, in input order, then the ids), and
+`embed_texts` stops at the first batch that is non-finite or holds a zero
+row, before the next request.
 Reading one goes block by block (`_read_cache`): `load_cache` reads each
 block straight into the matrix it returns, and the warm check of
 `embed-corpus` reads every block into one small buffer and keeps nothing.
@@ -457,7 +458,9 @@ def cache_embeddings(
             return None, cache
     store = load_corpus(corpus_path)
     with _cache_file(path, fingerprint, store.ids, client.dim) as fh:
-        if len(store):
-            embed_texts(client, [doc.indexed_text for doc in store], fh)
+        # one batch's texts at a time: a titled document's text is a new string
+        docs = iter(store)
+        for _ in range(0, len(store), client.batch_size):
+            embed_texts(client, [doc.indexed_text for doc in itertools.islice(docs, client.batch_size)], fh)
     logger.info("embedded %d documents into %s", len(store), path)
     return store, load_cache(path, fingerprint=fingerprint) if load else None

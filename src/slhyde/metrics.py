@@ -21,13 +21,7 @@ from .retrieval import RankedHits
 from .util import atomic_write_text
 
 
-def _hit_ids(hits) -> list[str]:
-    if isinstance(hits, RankedHits):
-        return hits.ids
-    return [doc_id for doc_id, _ in hits]
-
-
-def ndcg_at_k(hits, judged: Mapping[str, int], k: int) -> float | None:
+def ndcg_at_k(hits: RankedHits, judged: Mapping[str, int], k: int) -> float | None:
     """nDCG@k, or None when the query has no positive judgment (skipped)."""
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -35,7 +29,7 @@ def ndcg_at_k(hits, judged: Mapping[str, int], k: int) -> float | None:
     if not positive:
         return None
     dcg = 0.0
-    for pos, doc_id in enumerate(_hit_ids(hits)[:k], start=1):
+    for pos, doc_id in enumerate(hits.ids[:k], start=1):
         grade = judged.get(doc_id, 0)
         if grade > 0:
             dcg += (2.0**grade - 1.0) / math.log2(pos + 1)
@@ -44,14 +38,14 @@ def ndcg_at_k(hits, judged: Mapping[str, int], k: int) -> float | None:
     return dcg / idcg
 
 
-def recall_at_k(hits, judged: Mapping[str, int], k: int) -> float | None:
+def recall_at_k(hits: RankedHits, judged: Mapping[str, int], k: int) -> float | None:
     """|relevant in top-k| / |relevant|, or None when nothing is relevant."""
     if k < 1:
         raise ValidationError("k must be >= 1")
     relevant = {doc for doc, grade in judged.items() if grade > 0}
     if not relevant:
         return None
-    retrieved = set(_hit_ids(hits)[:k])
+    retrieved = set(hits.ids[:k])
     return len(relevant & retrieved) / len(relevant)
 
 
@@ -114,31 +108,30 @@ class EvalReport:
     comparison: Comparison | None = None
 
 
-def _as_result(values) -> DatasetResult:
-    if isinstance(values, DatasetResult):
-        return values
-    if isinstance(values, (int, float)):
-        return DatasetResult(values=[float(values)])
+def _as_result(values: Mapping[str, float] | Sequence[float]) -> DatasetResult:
+    """A {query_id: value} map, in id order and keyed for pairing, or a list of run means."""
     if isinstance(values, Mapping):
         keys = sorted(values)
-        return DatasetResult(values=[float(values[key]) for key in keys], keys=list(keys))
+        return DatasetResult(values=[float(values[key]) for key in keys], keys=keys)
     return DatasetResult(values=[float(v) for v in values])
 
 
 def build_report(
-    runs: Mapping[str, object],
-    baseline: Mapping[str, object] | None = None,
+    runs: Mapping[str, Mapping[str, float] | Sequence[float]],
+    baseline: Mapping[str, Mapping[str, float] | Sequence[float]] | None = None,
     metric: str = "ndcg@10",
     pairing: str = "query",
 ) -> EvalReport:
     """Aggregate per-dataset metric values, optionally against a baseline.
+
+    Each dataset's values are a {query_id: value} map or a list of run means.
 
     The cross-dataset average is the unweighted mean of dataset means; the
     average improvement is computed on the two averages, and per-dataset
     improvement is (system - baseline) / baseline * 100 (unrounded here), or
     None where the baseline is 0 and it is undefined.
     Significance is a paired t-test where >= 2 aligned values exist per
-    dataset; scalar inputs get no p-value.
+    dataset; a dataset with one value gets no p-value.
     """
     if not runs:
         raise ValidationError("no datasets to report")

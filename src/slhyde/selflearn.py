@@ -34,7 +34,7 @@ import numpy as np
 
 from .corpus import Document, corpus_file_digest
 from .embed import EmbeddingCache, cache_fingerprint, embed_rows, embed_texts, load_cache, save_cache
-from .errors import FormatError, RunError, SlhydeError, ValidationError
+from .errors import FormatError, ProtocolError, RunError, SlhydeError, ValidationError
 from .hyde import fuse_rows
 from .retrieval import DenseIndex, ranks_of, search_many
 from .textgen import SamplingConfig, generate_hypothetical, generate_pseudo_docs, generate_query_for_doc
@@ -183,6 +183,8 @@ def build_generator_dataset(
     Each document gets settings.candidates_per_query candidates, ranked per
     settings.rank_scoring. Per-document generation or embedding errors skip
     the document; a skip rate above settings.max_skip_fraction fails the run.
+    A ProtocolError for one document (a client status such as a bad key's
+    401) would fail every document alike, so it propagates.
     Documents whose best candidate rank exceeds settings.rank_cutoff are
     dropped and counted. If a chunk's one embed_texts or ranks_of call fails,
     its documents are scored again one at a time, so only the failing
@@ -199,6 +201,8 @@ def build_generator_dataset(
         try:
             query = generate_query_for_doc(gen, doc, query_cfg)
             return doc.id, query, generate_pseudo_docs(gen, query, doc, num_candidates, cand_cfg)
+        except ProtocolError:
+            raise
         except SlhydeError as exc:
             logger.warning("skipping document %s: %s", doc.id, exc)
             return None
@@ -206,6 +210,8 @@ def build_generator_dataset(
     def score_alone(planned_doc):
         try:
             return _score_many([planned_doc], emb, index, rank_scoring)[0]
+        except ProtocolError:
+            raise
         except SlhydeError as exc:
             logger.warning("skipping document %s: %s", planned_doc[0], exc)
             return None

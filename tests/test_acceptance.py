@@ -29,7 +29,7 @@ from slhyde.corpus import (
 from slhyde.embed import EmbeddingCache, MockEmbedderClient, embed_text, embed_texts
 from slhyde.hyde import FusionConfig, hyde_search
 from slhyde.metrics import build_report, ndcg_at_k, recall_at_k
-from slhyde.retrieval import DenseIndex, dense_search, ranks_of
+from slhyde.retrieval import DenseIndex, RankedHits, dense_search, ranks_of
 from slhyde.selflearn import (
     SelfLearnSettings,
     build_generator_dataset,
@@ -86,7 +86,7 @@ def test_c1_metric_oracle_equivalence():
             f"d{i}": int(rng.integers(0, 4))
             for i in rng.choice(n_docs, size=n_rel, replace=False)
         }
-        hits = [(doc, float(n_docs - i)) for i, doc in enumerate(ranking)]
+        hits = RankedHits(ids=ranking, scores=[float(n_docs - i) for i in range(n_docs)])
         for metric, oracle, k in (
             (ndcg_at_k, _oracle_ndcg, 10),
             (recall_at_k, _oracle_recall, 100),
@@ -115,8 +115,9 @@ DATASET_KEYS = [f"d{i:02d}" for i in range(1, 11)]
 
 
 def test_c2_published_report_arithmetic():
-    system = dict(zip(DATASET_KEYS, PUBLISHED["self_learned"]))
-    baseline = dict(zip(DATASET_KEYS, PUBLISHED["hyde"]))
+    # one run per dataset: its published mean
+    system = {key: [mean] for key, mean in zip(DATASET_KEYS, PUBLISHED["self_learned"])}
+    baseline = {key: [mean] for key, mean in zip(DATASET_KEYS, PUBLISHED["hyde"])}
     report = build_report(system, baseline=baseline)
     for key, expected in zip(DATASET_KEYS, PUBLISHED["improvement"]):
         assert report.comparison.improvement_pct[key] == pytest.approx(expected, abs=0.01)
@@ -124,7 +125,7 @@ def test_c2_published_report_arithmetic():
     assert report.average == pytest.approx(59.38, abs=0.005)
     assert report.comparison.baseline_average == pytest.approx(56.62, abs=0.005)
     # same arithmetic must also hold for the base-retriever column
-    base_report = build_report(system, baseline=dict(zip(DATASET_KEYS, PUBLISHED["base"])))
+    base_report = build_report(system, baseline={key: [mean] for key, mean in zip(DATASET_KEYS, PUBLISHED["base"])})
     assert base_report.comparison.baseline_average == pytest.approx(55.40, abs=0.005)
     _report("2 published-report-arithmetic", "10 improvements + average within 0.01")
 

@@ -99,8 +99,8 @@ def _matching_fixture():
         Document(id="d3", text="alpha condition prevention notes shared terms"),
     ]
     store = CorpusStore(docs)
-    bm25 = Bm25Index.build(store, Bm25Settings(tokenizer="simple"))
     query = Query(id="q1", text="alpha condition treatment", answer="use the alpha protocol")
+    bm25 = Bm25Index.build(store, Bm25Settings(tokenizer="simple"), [query.text])
 
     def rerank(prompt):
         return _json({"ranking": [2, 1, 3]})

@@ -11,7 +11,7 @@ from slhyde.bm25 import _CJK_RE, _WORD_RE, Bm25Index, Bm25Settings, bm25_search,
 from slhyde.corpus import CorpusStore, Document
 from slhyde.errors import ValidationError
 
-from conftest import synthetic_docs
+from conftest import queries_for_docs, synthetic_docs
 
 
 def _store(texts):
@@ -114,7 +114,7 @@ class TestBm25Settings:
 class TestBm25Search:
     def test_unique_term_ranks_its_doc_first(self):
         store = _store(["common words here", "common words zyzzyva", "more common words"])
-        index = Bm25Index.build(store)
+        index = Bm25Index.build(store, Bm25Settings(), ["zyzzyva"])
         hits = bm25_search(index, "zyzzyva", k=3)
         assert hits.ids[0] == "d1"
         assert len(hits) == 1  # only the matching doc scores
@@ -123,7 +123,7 @@ class TestBm25Search:
         # Independent oracle: evaluate the documented Okapi formula inline.
         store = _store(["red fish blue fish", "red herring"])
         k1, b = 0.9, 0.4
-        index = Bm25Index.build(store, Bm25Settings(k1=k1, b=b, tokenizer="simple"))
+        index = Bm25Index.build(store, Bm25Settings(k1=k1, b=b, tokenizer="simple"), ["red fish"])
         hits = bm25_search(index, "red fish", k=2)
 
         docs = [["red", "fish", "blue", "fish"], ["red", "herring"]]
@@ -149,12 +149,12 @@ class TestBm25Search:
         assert hits.ids[0] == "d0"  # two matching terms beat one
 
     def test_unindexed_query_terms_give_empty_hits(self):
-        index = Bm25Index.build(_store(["alpha beta", "gamma delta"]))
+        index = Bm25Index.build(_store(["alpha beta", "gamma delta"]), Bm25Settings(), ["omega"])
         assert list(bm25_search(index, "omega", k=5)) == []
 
     def test_absent_term_contributes_zero(self):
         store = _store(["alpha beta", "alpha"])
-        index = Bm25Index.build(store, Bm25Settings(tokenizer="simple"))
+        index = Bm25Index.build(store, Bm25Settings(tokenizer="simple"), ["alpha", "alpha qqqq"])
         only_alpha = dict(bm25_search(index, "alpha", k=2))
         with_absent = dict(bm25_search(index, "alpha qqqq", k=2))
         assert only_alpha == with_absent
@@ -164,25 +164,26 @@ class TestBm25Search:
         # query survives adding a document sharing no query terms.
         base = ["heart disease treatment options", "heart health advice", "butterfly migration"]
         query = "heart disease"
-        small = Bm25Index.build(_store(base), Bm25Settings(tokenizer="simple"))
+        simple = Bm25Settings(tokenizer="simple")
+        small = Bm25Index.build(_store(base), simple, [query])
         before = bm25_search(small, query, k=3).ids
-        grown = Bm25Index.build(_store(base + ["unrelated astronomy text"]), Bm25Settings(tokenizer="simple"))
+        grown = Bm25Index.build(_store(base + ["unrelated astronomy text"]), simple, [query])
         after = bm25_search(grown, query, k=4).ids
         assert [d for d in after if d in before] == before
 
     def test_tie_break_ascending_id(self):
         store = _store(["same text", "same text"])
-        index = Bm25Index.build(store, Bm25Settings(tokenizer="simple"))
+        index = Bm25Index.build(store, Bm25Settings(tokenizer="simple"), ["same"])
         assert bm25_search(index, "same", k=2).ids == ["d0", "d1"]
 
     def test_empty_index_errors(self):
-        index = Bm25Index.build(CorpusStore([]))
+        index = Bm25Index.build(CorpusStore([]), Bm25Settings(), ["x"])
         with pytest.raises(ValidationError, match="empty"):
             bm25_search(index, "x", k=1)
 
     def test_title_is_indexed(self):
         store = CorpusStore([Document(id="d0", text="body words", title="zyzzyva title")])
-        index = Bm25Index.build(store)
+        index = Bm25Index.build(store, Bm25Settings(), ["zyzzyva"])
         assert bm25_search(index, "zyzzyva", k=1).ids == ["d0"]
 
 
@@ -220,43 +221,18 @@ _TEXT = st.lists(st.tuples(_WORD, st.sampled_from(["", " ", ", "])), min_size=1,
 )
 
 
+def _build_retaining(store, queries):
+    """The index of `store` for `queries`, and the bytes its build left allocated."""
+    tracemalloc.start()
+    try:
+        index = Bm25Index.build(store, Bm25Settings(), queries)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return index, retained
+
+
 class TestColumnarIndex:
-    @given(
-        texts=st.lists(_TEXT, min_size=1, max_size=12),
-        query=st.lists(_WORD, min_size=1, max_size=5),
-        k1=st.sampled_from([0.0, 0.9]),
-        b=st.sampled_from([0.0, 0.4, 1.0]),
-        tokenizer=st.sampled_from(["cjk", "simple"]),
-        extra_k=st.integers(min_value=-12, max_value=3),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_scores_are_bitwise_those_of_per_term_tuple_lists(self, texts, query, k1, b, tokenizer, extra_k):
-        # ids in descending order, so the id tie rule is not position order
-        store = CorpusStore([Document(id=f"d{len(texts) - i:02d}", text=t) for i, t in enumerate(texts)])
-        bm25 = Bm25Settings(k1=k1, b=b, tokenizer=tokenizer)
-        query_text = " ".join(query + query[:2])  # repeated query terms count with multiplicity
-        hit_count = len(_dict_of_tuples_search(store, bm25, query_text, len(store))[0])
-        k = max(1, hit_count + extra_k)  # below and above the hit count
-        expected_ids, expected_scores = _dict_of_tuples_search(store, bm25, query_text, k)
-        hits = bm25_search(Bm25Index.build(store, bm25), query_text, k)
-        assert hits.ids == expected_ids
-        assert hits.scores.tobytes() == expected_scores.tobytes()
-
-    def test_index_retains_few_bytes_per_posting(self):
-        store = CorpusStore(synthetic_docs(2000))
-        postings = sum(len(set(tokenize(doc.indexed_text))) for doc in store)
-        tracemalloc.start()
-        try:
-            index = Bm25Index.build(store)
-            retained, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert bm25_search(index, store.get("d0000").text, k=1).ids == ["d0000"]
-        # the vocabulary (42,000 postings of 18,012 terms) and two int32 columns
-        # retain about 59 bytes per posting; per-term lists of (position, tf)
-        # tuples retained about 135
-        assert retained < 75 * postings
-
     @given(
         texts=st.lists(_TEXT, min_size=1, max_size=12),
         query=st.lists(_WORD, min_size=1, max_size=5),
@@ -268,47 +244,70 @@ class TestColumnarIndex:
         extra_k=st.integers(min_value=-12, max_value=3),
     )
     @settings(max_examples=300, deadline=None)
-    def test_index_built_for_its_queries_scores_as_the_tuple_lists(
+    def test_scores_are_bitwise_those_of_per_term_tuple_lists(
         self, texts, query, absent, other, k1, b, tokenizer, extra_k
     ):
+        # ids in descending order, so the id tie rule is not position order
         store = CorpusStore([Document(id=f"d{len(texts) - i:02d}", text=t) for i, t in enumerate(texts)])
         bm25 = Bm25Settings(k1=k1, b=b, tokenizer=tokenizer)
-        # repeated query terms, and terms that no document holds
+        # repeated query terms count with multiplicity; no document holds the absent ones
         query_text = " ".join(query + query[:2] + absent)
-        index = Bm25Index.build(store, bm25, queries=[query_text, other])
-        assert index.covered
+        index = Bm25Index.build(store, bm25, [query_text, other])
+        assert index.query_slots.keys() == {query_text, other}
         for text in (query_text, other):
             hit_count = len(_dict_of_tuples_search(store, bm25, text, len(store))[0])
-            k = max(1, hit_count + extra_k)
+            k = max(1, hit_count + extra_k)  # below and above the hit count
             expected_ids, expected_scores = _dict_of_tuples_search(store, bm25, text, k)
             hits = bm25_search(index, text, k)
             assert hits.ids == expected_ids
             assert hits.scores.tobytes() == expected_scores.tobytes()
 
-    def test_token_outside_the_covered_queries_is_an_error(self):
+    def test_text_the_index_was_not_built_for_is_an_error(self):
         index = Bm25Index.build(_store(["alpha beta", "gamma"]), Bm25Settings(tokenizer="simple"), ["alpha omega"])
-        lo, hi = index.offsets[index.vocab["omega"] : index.vocab["omega"] + 2]
-        assert lo == hi  # covered, but no document holds it
-        assert bm25_search(index, "omega alpha", k=2).ids == ["d0"]
-        with pytest.raises(ValidationError, match="does not cover 'beta', 'delta'$"):
+        with pytest.raises(ValidationError, match="not built for the query 'beta alpha delta beta'$"):
             bm25_search(index, "beta alpha delta beta", k=2)
+        # the same tokens in another text are another query
+        with pytest.raises(ValidationError, match="not built for the query 'Alpha omega'$"):
+            bm25_search(index, "Alpha omega", k=2)
 
-    def test_index_for_a_few_queries_retains_a_fraction_of_the_full_one(self):
+    def test_built_query_term_no_document_holds_scores_the_others(self):
+        index = Bm25Index.build(_store(["alpha beta", "gamma"]), Bm25Settings(tokenizer="simple"), ["omega alpha"])
+        omega = index.query_slots["omega alpha"][0]
+        lo, hi = index.offsets[omega : omega + 2]
+        assert lo == hi  # a slot, but no document holds it
+        assert bm25_search(index, "omega alpha", k=2).ids == ["d0"]
+
+    def test_index_retains_few_bytes_per_posting(self):
+        store = CorpusStore(synthetic_docs(2000))
+        texts = [doc.text for doc in store]
+        postings = sum(len(set(tokenize(doc.indexed_text))) for doc in store)
+        index, retained = _build_retaining(store, texts)
+        assert bm25_search(index, texts[0], k=1).ids == ["d0000"]
+        # built for every text, so every one of the 42,000 postings of 18,012
+        # terms is held: two int32 columns and each text's slots retain about
+        # 37 bytes per posting; with the vocabulary kept it was about 59, and
+        # per-term lists of (position, tf) tuples retained about 135
+        assert retained < 45 * postings
+
+    def test_index_for_a_few_queries_retains_their_postings_only(self):
         store = CorpusStore(synthetic_docs(2000))
         queries = [doc.text for doc in store][:20]
+        index, retained = _build_retaining(store, queries)
+        assert bm25_search(index, queries[3], k=1).ids == ["d0003"]
+        # the 20 texts' 192 terms (the shared filler among them) have 24,180
+        # postings; measured 0.23 MB, where an index of all 18,012 terms
+        # retained 2.46 MB
+        assert retained < 350_000
 
-        def retained(**build_args):
-            tracemalloc.start()
-            try:
-                index = Bm25Index.build(store, **build_args)
-                size, _ = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert bm25_search(index, queries[3], k=1).ids == ["d0003"]
-            return size
-
-        full = retained()
-        # 18,012 terms and 42,000 postings against the 20 texts' 192 terms
-        # (the shared filler among them) and 24,180; measured 2.46 MB
-        # against 0.25 MB
-        assert retained(queries=queries) < full / 5
+    def test_index_keeps_no_vocabulary_of_noise_terms(self):
+        # construct-benchmark's synthetic queries: one document token and three
+        # random ones that no document holds
+        docs = synthetic_docs(2000)
+        store = CorpusStore(docs)
+        queries = [query.text for query in queries_for_docs(docs)]
+        index, retained = _build_retaining(store, queries)
+        assert not hasattr(index, "vocab")
+        assert bm25_search(index, queries[5], k=1).ids == ["d0005"]
+        # 8,000 slots, 6,000 of them empty; measured 0.53 MB, where an index
+        # that kept their terms as a vocabulary retained 1.02 MB
+        assert retained < 650_000

@@ -504,6 +504,41 @@ class TestCache:
         # a batch, its temporaries and the ids block; holding the matrix took it past 4 MB
         assert peak - base - kept < rows.nbytes / 2
 
+    def test_cold_build_of_a_titled_corpus_holds_one_batch_of_its_texts(self, tmp_path):
+        n, batch = 2048, 128
+        docs = [Document(id=doc.id, text=doc.text, title=f"{doc.id} " * 40) for doc in synthetic_docs(n)]
+        rows = np.random.default_rng(7).normal(size=(n, 8)).astype(np.float32)
+        client = MockEmbedderClient(dim=8)
+        client.batch_size = batch
+
+        def embed_batch(texts):  # keeps no text, unlike `_serving`
+            client.calls += 1
+            return rows[(client.calls - 1) * batch : client.calls * batch]
+
+        client.embed_batch = embed_batch
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(docs, corpus)
+        # a titled document's indexed text is a new string per call
+        titled = sum(sys.getsizeof(doc.indexed_text) for doc in docs)
+        tracemalloc.start()
+        try:
+            store = load_corpus(corpus)
+            kept, _ = tracemalloc.get_traced_memory()
+            del store
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            cache_embeddings(client, corpus, tmp_path / "c.emb", load=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert client.calls == n // batch
+        expected = (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
+        assert load_cache(tmp_path / "c.emb").matrix.tobytes() == expected.tobytes()
+        # above the parsed store: one batch of texts (a sixteenth of them), its
+        # rows and the ids, 0.16 MB measured against the titled texts' 1.03 MB;
+        # every text at once took it to 1.10 MB
+        assert peak - base - kept < titled / 4
+
     def test_warm_embed_corpus_checks_the_file_without_the_matrix(self, tmp_path, caplog):
         n, dim = 4096, 256
         rows = np.random.default_rng(6).normal(size=(n, dim)).astype(np.float32)

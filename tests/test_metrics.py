@@ -19,7 +19,7 @@ from slhyde.retrieval import RankedHits
 
 
 def _hits(ids):
-    return [(doc_id, float(len(ids) - i)) for i, doc_id in enumerate(ids)]
+    return RankedHits(ids=list(ids), scores=[float(len(ids) - i) for i in range(len(ids))])
 
 
 def _reference_ndcg(ranking, judged, k):
@@ -175,20 +175,25 @@ PUBLISHED_IMPROVEMENT = {
 }
 
 
+def _one_run(means):
+    """Each dataset's published mean as its one run mean."""
+    return {name: [mean] for name, mean in means.items()}
+
+
 class TestBuildReport:
     def test_published_averages(self):
-        report = build_report(PUBLISHED_SELF_LEARNED, baseline=PUBLISHED_HYDE)
+        report = build_report(_one_run(PUBLISHED_SELF_LEARNED), baseline=_one_run(PUBLISHED_HYDE))
         assert report.average == pytest.approx(59.38, abs=0.005)
         assert report.comparison.baseline_average == pytest.approx(56.62, abs=0.005)
         assert report.comparison.average_improvement_pct == pytest.approx(4.87, abs=0.01)
 
     def test_published_per_dataset_improvements(self):
-        report = build_report(PUBLISHED_SELF_LEARNED, baseline=PUBLISHED_HYDE)
+        report = build_report(_one_run(PUBLISHED_SELF_LEARNED), baseline=_one_run(PUBLISHED_HYDE))
         for name, expected in PUBLISHED_IMPROVEMENT.items():
             assert report.comparison.improvement_pct[name] == pytest.approx(expected, abs=0.01)
 
     def test_single_dataset_improvement(self):
-        report = build_report({"knowledge": 71.49}, baseline={"knowledge": 64.39})
+        report = build_report({"knowledge": [71.49]}, baseline={"knowledge": [64.39]})
         assert report.comparison.improvement_pct["knowledge"] == pytest.approx(11.03, abs=0.01)
 
     def test_equal_systems_zero_improvement(self):
@@ -199,7 +204,7 @@ class TestBuildReport:
 
     def test_misaligned_datasets_rejected(self):
         with pytest.raises(ValidationError, match="match"):
-            build_report({"a": 1.0}, baseline={"b": 1.0})
+            build_report({"a": [1.0]}, baseline={"b": [1.0]})
 
     def test_per_query_maps_get_p_values(self):
         system = {"ds": {"q1": 0.9, "q2": 0.8, "q3": 0.95}}
@@ -219,8 +224,8 @@ class TestBuildReport:
         report = build_report({"ds": {"q1": 0.9, "q2": 0.8}}, baseline={"ds": {"q2": 0.5, "q3": 0.6}})
         assert report.comparison.p_values["ds"] is None
 
-    def test_scalar_entries_have_no_p_value(self):
-        report = build_report({"ds": 1.0}, baseline={"ds": 0.9})
+    def test_one_value_entries_have_no_p_value(self):
+        report = build_report({"ds": [1.0]}, baseline={"ds": [0.9]})
         assert report.comparison.p_values["ds"] is None
 
     def test_dataset_mean_is_arithmetic_mean(self):
@@ -236,7 +241,7 @@ class TestBuildReport:
             build_report({})
 
     def test_render_rounds_to_two_decimals(self):
-        report = build_report(PUBLISHED_SELF_LEARNED, baseline=PUBLISHED_HYDE)
+        report = build_report(_one_run(PUBLISHED_SELF_LEARNED), baseline=_one_run(PUBLISHED_HYDE))
         text = render_report_text(report)
         assert "+4.87" in text
         assert "59.38" in text

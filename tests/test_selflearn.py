@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from slhyde.corpus import CorpusStore, Document
 from slhyde.embed import MockEmbedderClient, embed_text, embed_texts
-from slhyde.errors import ParseError, RunError, SlhydeError, TransportError, ValidationError
+from slhyde.errors import ParseError, ProtocolError, RunError, SlhydeError, TransportError, ValidationError
 from slhyde.retrieval import DenseIndex, dense_search, ranks_of
 from slhyde.selflearn import (
     HypotheticalCandidate,
@@ -290,6 +290,35 @@ class TestBuildGeneratorDataset:
         for built in (reference, result):
             texts = [text for e in built.examples for text in (e.query, e.response)]
             assert built.rows.tobytes() == embed_texts(plain, texts).tobytes()
+
+    def test_generator_client_error_ends_the_run(self, tmp_path):
+        # a bad key would fail every document alike, so no document is skipped for it
+        emb = MockEmbedderClient(dim=128)
+        docs = synthetic_docs(20, seed=29)
+        index = DenseIndex(cache_docs(emb, CorpusStore(docs), tmp_path / "c.emb"))
+
+        def reject(prompt, cfg):
+            raise ProtocolError("generator returned HTTP 401")
+
+        gen = MockGeneratorClient(responder=reject)
+        with pytest.raises(ProtocolError, match="HTTP 401"):
+            build_generator_dataset(docs, gen, emb, index, SelfLearnSettings(candidates_per_query=2))
+        assert gen.calls == 1
+
+    def test_embedder_client_error_in_the_one_document_fallback_ends_the_run(self, tmp_path):
+        docs = synthetic_docs(20, seed=29)
+        index = DenseIndex(cache_docs(MockEmbedderClient(dim=128), CorpusStore(docs), tmp_path / "c.emb"))
+
+        class RejectingEmbedder(MockEmbedderClient):
+            def embed_batch(self, texts):
+                self.calls += 1
+                raise ProtocolError("embedder returned HTTP 401")
+
+        emb = RejectingEmbedder(dim=128)
+        with pytest.raises(ProtocolError, match="HTTP 401"):
+            build_generator_dataset(docs, MockGeneratorClient(), emb, index, SelfLearnSettings(candidates_per_query=2))
+        # the chunk's one request, then the first document's own
+        assert emb.calls == 2
 
 
 class TestMineHardNegatives:
