@@ -112,7 +112,7 @@ class Bm25Index:
         doc_lens: np.ndarray,
         settings: Bm25Settings,
     ):
-        self.ids = list(ids)
+        self.ids = ids  # the store's own list, not a copy
         self.query_slots = query_slots
         self.offsets = offsets
         self.positions = positions

@@ -133,14 +133,10 @@ def cmd_embed_corpus(config: RunConfig, command: str) -> int:
     return EXIT_OK
 
 
-def _dense_run(emb, index, queries, k: int) -> tuple[dict, dict]:
-    """({query_id: RankedHits}, {query text: embedding row}) for the queries,
-    embedded in one embed_texts call and searched in one search_many call."""
-    if not queries:
-        return {}, {}
-    rows = embed_texts(emb, [q.text for q in queries])
-    run = dict(zip((q.id for q in queries), search_many(index, rows, k)))
-    return run, dict(zip((q.text for q in queries), rows))
+def _dense_run(index, queries, rows, k: int) -> dict:
+    """{query_id: RankedHits} for the queries, whose embedding rows are
+    `rows`, searched in one search_many call."""
+    return dict(zip((q.id for q in queries), search_many(index, rows, k)))
 
 
 def _run_queries(config: RunConfig, emb, index, queries, k: int, gen, fusion, seed_parts, known_rows=None):
@@ -197,8 +193,10 @@ def cmd_search(config: RunConfig, command: str, k: int | None = None, trace: boo
             if hyde:
                 fusion = _fusion_for(config, dataset)
                 [run] = _run_queries(config, emb, index, queries, k, gen, fusion, [("hyde", dataset.name)])
+            elif queries:
+                run = _dense_run(index, queries, embed_texts(emb, [q.text for q in queries]), k)
             else:
-                run, _ = _dense_run(emb, index, queries, k)
+                run = {}
             degraded = degraded or _degraded(run)
             write_trec_run(run, staging / f"run_{dataset.name}.trec", tag="hyde" if hyde else "dense")
             if trace:
@@ -219,11 +217,15 @@ def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str], 
     `staging` as run_<dataset>_r<i>.trec as soon as it completes, so memory
     holds one run, not all of them.
 
-    The runs are the dense run itself when `gen` is None, else one HyDE run
-    per repeat. Returns (table, count, degraded): table maps each metric to one
-    {query_id: value} per column, the dense run first and then each run; count
-    is the number of judged queries; degraded says whether any run fell back.
-    Queries without a positive judgment have no value (they are skipped).
+    The queries are embedded once, in one embed_texts call. The runs are the
+    dense run itself when `gen` is None, else one HyDE run per repeat, which
+    reuses those rows. Returns (table, baseline, count, degraded): table maps
+    each metric to one {query_id: value} per run; baseline maps it to the
+    dense run's values when a HyDE evaluation compares against dense
+    (`eval.compare_to_dense`), and is None otherwise, when no dense run beside
+    the runs is searched; count is the number of judged queries; degraded
+    says whether any run fell back. Queries without a positive judgment have
+    no value (they are skipped).
     """
     queries = load_queries(_path(dataset, "queries"))
     qrels = load_qrels(_path(dataset, "qrels"))
@@ -250,16 +252,21 @@ def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str], 
         return {qid: value for qid, value in values.items() if value is not None}
 
     max_k = max(list(config.eval.k_values) + [config.eval.primary_k])
-    dense, query_rows = _dense_run(emb, index, eval_queries, max_k)
-    table = {metric: [scored(dense, metric)] for metric in metrics}
+    rows = embed_texts(emb, [q.text for q in eval_queries])
+    baseline = None
     if gen is None:
-        runs = [dense]
+        runs = [_dense_run(index, eval_queries, rows, max_k)]
     else:
+        if config.eval.compare_to_dense:
+            dense = _dense_run(index, eval_queries, rows, max_k)
+            baseline = {metric: scored(dense, metric) for metric in metrics}
+            del dense  # scored; the HyDE repeats need only the query rows
         seed_parts = [("eval", dataset.name, run_index) for run_index in range(config.eval.repeats)]
         fusion = _fusion_for(config, dataset)
-        # the dense run's query rows stand in for every repeat's query embeddings
+        # the query rows stand in for every repeat's query embeddings
+        query_rows = dict(zip((q.text for q in eval_queries), rows))
         runs = _run_queries(config, emb, index, eval_queries, max_k, gen, fusion, seed_parts, query_rows)
-    del dense  # scored; the HyDE repeats need only its query rows
+    table = {metric: [] for metric in metrics}
     degraded, run_index = False, 0
     # not enumerate(runs): its reused result tuple would hold each run while the next one is searched
     for run in runs:
@@ -269,7 +276,7 @@ def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str], 
         write_trec_run(run, staging / f"run_{dataset.name}_r{run_index}.trec", tag=tag)
         del run
         run_index += 1
-    return table, len(eval_queries), degraded
+    return table, baseline, len(eval_queries), degraded
 
 
 def _mean(values: dict[str, float]) -> float:
@@ -282,12 +289,13 @@ def cmd_evaluate(config: RunConfig, command: str, mode: str = "hyde") -> int:
     primary = f"ndcg@{config.eval.primary_k}"
     metrics = list(dict.fromkeys([primary] + [f"recall@{k}" for k in config.eval.k_values]))
     tables: dict[str, dict] = {}
+    baselines: dict[str, dict | None] = {}
     counts: dict[str, int] = {}
     degraded = False
     with staged_outputs(config) as staging:
         for dataset in config.all_datasets():
-            tables[dataset.name], counts[dataset.name], dataset_degraded = _evaluate_dataset(
-                config, gen, emb, dataset, metrics, staging, mode
+            tables[dataset.name], baselines[dataset.name], counts[dataset.name], dataset_degraded = (
+                _evaluate_dataset(config, gen, emb, dataset, metrics, staging, mode)
             )
             degraded = degraded or dataset_degraded
 
@@ -298,7 +306,7 @@ def cmd_evaluate(config: RunConfig, command: str, mode: str = "hyde") -> int:
         for metric in metrics:
             system, baseline = {}, {}
             for name, table in tables.items():
-                dense, *runs = table[metric]
+                runs = table[metric]
                 run_means = [_mean(values) for values in runs if values]
                 per_run[name][metric] = {
                     "run_means": run_means,
@@ -314,12 +322,13 @@ def cmd_evaluate(config: RunConfig, command: str, mode: str = "hyde") -> int:
                 if compare:
                     # no run mean (nothing scored) leaves the dense mean uncomputed:
                     # build_report then names the empty dataset
+                    dense = baselines[name][metric]
                     baseline[name] = [_mean(dense) for _ in run_means] if run_pairing else dense
             report = build_report(
                 system, baseline if compare else None, metric=metric, pairing=config.eval.pairing
             )
             for name, table in tables.items():
-                report.datasets[name].skipped = counts[name] - len(table[metric][1])
+                report.datasets[name].skipped = counts[name] - len(table[metric][0])
             reports[metric] = report
 
         payload = {

@@ -76,10 +76,13 @@ class RelevanceJudgments:
 
 
 class CorpusStore:
-    """Immutable ordered document collection with id lookup."""
+    """Immutable ordered document collection with id lookup. `ids` is one
+    list, built with the store and shared by whoever reads it (the BM25
+    index keeps it as its own)."""
 
     def __init__(self, documents: Iterable[Document]):
         self._documents: list[Document] = list(documents)
+        self.ids: list[str] = [d.id for d in self._documents]
         self._by_id: dict[str, int] = {}
         for pos, doc in enumerate(self._documents):
             if doc.id in self._by_id:
@@ -94,10 +97,6 @@ class CorpusStore:
 
     def __getitem__(self, pos: int) -> Document:
         return self._documents[pos]
-
-    @property
-    def ids(self) -> list[str]:
-        return [d.id for d in self._documents]
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._by_id

@@ -44,6 +44,7 @@ import math
 import os
 import struct
 import threading
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -300,11 +301,19 @@ def embed_text(client, text: str) -> np.ndarray:
 
 @dataclass
 class EmbeddingCache:
-    """Ordered (ids, matrix) pair; rows are unit float32 vectors."""
+    """Ordered (ids, matrix) pair; rows are unit float32 vectors.
+
+    The ids are sorted once, when the cache is built: `id_order` holds the
+    rows in ascending-id order, an int64 array and the only lookup structure
+    (8 bytes an id, no dict). `position`, `in` and `row` binary-search it in
+    O(log n) string comparisons, and `DenseIndex` ranks ties by its inverse.
+    Two equal ids are neighbours in that order, which is how a duplicate is
+    found; the one named is the first id to repeat in row order.
+    """
 
     ids: list[str]
     matrix: np.ndarray
-    _positions: dict[str, int] = field(init=False, repr=False)
+    id_order: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.matrix.ndim != 2:
@@ -313,11 +322,14 @@ class EmbeddingCache:
             raise ValidationError(
                 f"id count {len(self.ids)} does not match matrix rows {self.matrix.shape[0]}"
             )
-        self._positions = {}
-        for pos, doc_id in enumerate(self.ids):
-            if doc_id in self._positions:
-                raise ValidationError(f"duplicate id {doc_id!r} in cache")
-            self._positions[doc_id] = pos
+        # stable, so equal ids sit in row order and a repeat is order[j + 1]
+        order = np.array(sorted(range(len(self.ids)), key=self.ids.__getitem__), dtype=np.int64)
+        ranked = np.array(self.ids, dtype=object)[order]
+        repeats = order[1:][ranked[1:] == ranked[:-1]]
+        if len(repeats):
+            raise ValidationError(f"duplicate id {self.ids[repeats.min()]!r} in cache")
+        order.setflags(write=False)
+        self.id_order = order
 
     @property
     def dim(self) -> int:
@@ -326,14 +338,20 @@ class EmbeddingCache:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def _find(self, doc_id: str) -> int:
+        """The row of `doc_id`, or -1 when the cache does not hold it."""
+        order = self.id_order.data  # a memoryview: indexing it gives Python ints
+        at = bisect_left(order, doc_id, key=self.ids.__getitem__)
+        return order[at] if at < len(order) and self.ids[order[at]] == doc_id else -1
+
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._positions
+        return self._find(doc_id) >= 0
 
     def position(self, doc_id: str) -> int:
-        try:
-            return self._positions[doc_id]
-        except KeyError:
-            raise ValidationError(f"unknown id {doc_id!r}") from None
+        pos = self._find(doc_id)
+        if pos < 0:
+            raise ValidationError(f"unknown id {doc_id!r}")
+        return pos
 
     def row(self, doc_id: str) -> np.ndarray:
         return self.matrix[self.position(doc_id)]
@@ -427,8 +445,11 @@ def load_cache(path: str | Path, fingerprint: bytes | None = None) -> EmbeddingC
     header's digest or are not UTF-8, or `fingerprint` is given and differs
     from the stored one (checked before the rows are read). The rows are read
     straight into the matrix that is returned."""
-    ids, matrix = _read_cache(path, fingerprint, keep=True)
-    return EmbeddingCache(ids=ids.split("\n")[:-1], matrix=matrix)
+    block, matrix = _read_cache(path, fingerprint, keep=True)
+    ids = block.split("\n")
+    del block  # the cache sorts its ids next: the block is not held beside them
+    ids.pop()  # the "" after the last newline
+    return EmbeddingCache(ids=ids, matrix=matrix)
 
 
 def cache_embeddings(

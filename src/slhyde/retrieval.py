@@ -2,11 +2,14 @@
 
 Scores are inner products; with unit-normalized vectors this equals cosine
 similarity. Ties are broken by ascending document id so every search result
-is a deterministic total order: the index ranks its ids once (`_id_rank`, a
-row's position in ascending-id order) and every tie is settled by comparing
-those ranks, never the strings. Because ranking is an argsort of inner
-products, multiplying the query vector by any positive scalar never changes
-the result, which is what permits searching with unnormalized fused vectors.
+is a deterministic total order. The cache sorts its ids once, when it is
+built (`EmbeddingCache.id_order`, the rows in ascending-id order, which it
+also binary-searches to look an id up; there is no id dict). The index
+inverts that order into `_id_rank`, a row's position in ascending-id order,
+and every tie is settled by comparing those ranks, never the strings.
+Because ranking is an argsort of inner products, multiplying the query
+vector by any positive scalar never changes the result, which is what
+permits searching with unnormalized fused vectors.
 
 The index holds one matrix, the cache's own float32 rows; no float64 copy is
 made. `search_many` is the one search primitive and works in two passes:
@@ -99,13 +102,17 @@ class RankedHits:
 
 
 class DenseIndex:
-    """Immutable inner-product index over an EmbeddingCache."""
+    """Immutable inner-product index over an EmbeddingCache.
+
+    The tie key `_id_rank[row]` is the row's position in ascending-id order:
+    the inverse of the cache's `id_order`, so the ids are sorted once per
+    cache, when it is built, and never here.
+    """
 
     def __init__(self, cache: EmbeddingCache):
         self.cache = cache
-        # _id_rank[row] is the row's position in ascending-id order: the tie key.
         self._id_rank = np.empty(len(cache), dtype=np.int64)
-        self._id_rank[sorted(range(len(cache)), key=cache.ids.__getitem__)] = np.arange(len(cache))
+        self._id_rank[cache.id_order] = np.arange(len(cache))
         squared = np.einsum("ij,ij->i", cache.matrix, cache.matrix)
         max_norm = float(np.sqrt(squared.max())) if len(squared) else 0.0
         # eps bounds |coarse score - float64 score / ‖query‖| for every row: the

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from slhyde import cli, embed, selflearn, textgen
+from slhyde import cli, embed, hyde, selflearn, textgen
 from slhyde.cli import build_parser, main
 from slhyde.config import build_embedder_client, build_generator_client, load_config, write_resolved_config
 from slhyde.corpus import CorpusStore, Document, load_qrels, write_corpus, write_qrels, write_queries
@@ -668,6 +669,41 @@ class TestEvaluateCommand:
         assert sorted(p.name for p in out.glob("*.trec")) == [
             f"run_{name}_r{r}.trec" for name in ("alpha", "beta") for r in range(2)
         ]
+
+    def test_without_dense_comparison_no_dense_search_is_made(self, tmp_path, monkeypatch):
+        dataset = tmp_path / "data"
+        make_dataset(dataset, n_docs=30, seed=3)
+        searched = []  # the query-row count of every search_many call
+        for module in (cli, hyde):
+            original = module.search_many
+            monkeypatch.setattr(
+                module,
+                "search_many",
+                lambda index, rows, k, original=original: searched.append(len(rows)) or original(index, rows, k),
+            )
+        calls, digests = {}, {}
+        for compare in (True, False):
+            out = tmp_path / f"run-{compare}"
+            eval_settings = {"k_values": [10], "primary_k": 10, "repeats": 2, "compare_to_dense": compare}
+            config_path = make_config(tmp_path, dataset, out, eval=eval_settings)
+            searched.clear()
+            assert main(["evaluate", "--config", str(config_path), "--mode", "hyde"]) == 0
+            calls[compare] = list(searched)
+            digests[compare] = {
+                name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+                for name in ("report.json", "report.txt", "run_synthetic_r0.trec", "run_synthetic_r1.trec")
+            }
+        # the dense search of the 30 judged queries is the one call the comparison adds
+        assert calls[True] == [30] + calls[False]
+        for name in ("run_synthetic_r0.trec", "run_synthetic_r1.trec"):
+            assert digests[False][name] == digests[True][name]
+        # the bytes written when every judged query was also searched densely
+        assert digests[False] == {
+            "report.json": "1643e59337b68eed",
+            "report.txt": "beb06e710f8f4f4a",
+            "run_synthetic_r0.trec": "4985a99e4926a811",
+            "run_synthetic_r1.trec": "d1da18456a5fd018",
+        }
 
     def test_memory_holds_one_run_whatever_the_repeats(self, tmp_path):
         dataset = tmp_path / "data"

@@ -31,6 +31,7 @@ from slhyde.embed import (
     normalize,
 )
 from slhyde.errors import FormatError, ProtocolError, TransportError, ValidationError
+from slhyde.retrieval import DenseIndex
 
 from conftest import StubEndpoint, cache_docs, synthetic_docs
 
@@ -578,7 +579,7 @@ class TestCache:
         rows_end = embed._HEADER.size + rows.nbytes
         tracemalloc.start()
         try:
-            # what the ids alone cost: the read of the file's ids block and the cache's id positions
+            # what the ids alone cost: the read of the file's ids block and the cache's id order
             with path.open("rb") as fh:
                 fh.seek(rows_end)
                 tail = fh.read()
@@ -886,3 +887,68 @@ class TestCache:
         assert len(cache) == 0
         loaded = load_cache(tmp_path / "c.emb")
         assert len(loaded) == 0 and loaded.dim == mock_emb.dim
+
+
+# ids with shared prefixes, digit runs and non-ASCII characters (outside the
+# BMP too), whose code-point order is not their order by number or length
+_ID_PARTS = st.sampled_from(["doc", "doc-", "d", "0", "9", "10", "007", "é", "ß", "中文", "\U0001d11e", "-"])
+_IDS = st.lists(_ID_PARTS, min_size=1, max_size=4).map("".join) | st.text(min_size=1, max_size=5)
+
+
+def _cache_of(ids):
+    return EmbeddingCache(ids=ids, matrix=np.arange(2.0 * len(ids), dtype=np.float32).reshape(len(ids), 2))
+
+
+class TestIdOrder:
+    @given(ids=st.lists(_IDS, unique=True, max_size=40), probes=st.lists(_IDS, max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_lookups_and_tie_ranks_match_a_dict_and_sorted(self, ids, probes):
+        cache = _cache_of(list(ids))
+        positions = {doc_id: pos for pos, doc_id in enumerate(ids)}
+        for doc_id in ids + probes:
+            assert (doc_id in cache) == (doc_id in positions)
+            if doc_id in positions:
+                assert cache.position(doc_id) == positions[doc_id]
+                assert cache.row(doc_id).tobytes() == cache.matrix[positions[doc_id]].tobytes()
+            else:
+                for lookup in (cache.position, cache.row):
+                    with pytest.raises(ValidationError) as err:
+                        lookup(doc_id)
+                    assert str(err.value) == f"unknown id {doc_id!r}"
+        ascending = sorted(ids)
+        assert [ids[pos] for pos in cache.id_order.tolist()] == ascending
+        rank = {doc_id: r for r, doc_id in enumerate(ascending)}
+        assert DenseIndex(cache)._id_rank.tolist() == [rank[doc_id] for doc_id in ids]
+
+    @given(ids=st.lists(_IDS, min_size=1, max_size=30), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_duplicate_is_named_as_a_dict_of_positions_names_it(self, ids, data):
+        ids = data.draw(st.permutations(ids + [data.draw(st.sampled_from(ids))]))
+        seen, repeated = set(), None
+        for doc_id in ids:
+            if doc_id in seen:
+                repeated = doc_id  # the first id to repeat, in row order
+                break
+            seen.add(doc_id)
+        with pytest.raises(ValidationError) as err:
+            _cache_of(ids)
+        assert str(err.value) == f"duplicate id {repeated!r} in cache"
+
+    def test_loaded_cache_holds_few_bytes_per_id_beyond_its_rows_and_id_strings(self, tmp_path):
+        n = 20_000
+        path = tmp_path / "c.emb"
+        rows = np.random.default_rng(5).normal(size=(n, 8)).astype(np.float32)
+        # not in ascending order: ids shuffled as a corpus's may be
+        ids = [f"doc-{i:06d}" for i in np.random.default_rng(6).permutation(n).tolist()]
+        embed.save_cache(EmbeddingCache(ids=ids, matrix=rows), path, b"\0" * 32)
+        tracemalloc.start()
+        try:
+            cache = load_cache(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        beyond = held - cache.matrix.nbytes - sum(sys.getsizeof(doc_id) for doc_id in cache.ids)
+        # the ids list (8 bytes an id) and the int64 id order (8 more), about
+        # 16; with a dict of positions instead of the order it was 56
+        assert beyond / n < 24
+        assert cache.position(ids[123]) == 123
