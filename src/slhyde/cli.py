@@ -12,21 +12,23 @@ corpus file.
 
 Every command runs from one table in `build_parser` and writes through one
 staged step, `staged_outputs`, which writes the resolved config and prompt
-templates first, so every run directory holds them. `evaluate` scores each
-run and writes its trec file into staging as soon as the run completes, so
-memory holds one run, not all of them.
+templates first, so every run directory holds them. `search`, `hyde-search`
+and `evaluate` consume one stream of (query id, hits) pairs, chunk by chunk:
+each pair's trec lines (and trace line, or metric values) are written or
+added up as it arrives, so memory holds one chunk of hits, never a run.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import logging
 import os
 import shutil
 import statistics
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from .benchkit import run_pipeline
@@ -42,7 +44,7 @@ from .embed import cache_embeddings, embed_texts
 from .errors import ParseError, SlhydeError, ValidationError
 from .hyde import FusionConfig, hypothesize, search_hypothesized
 from .metrics import build_report, ndcg_at_k, recall_at_k, render_report_text, report_to_dict, write_trec_run
-from .retrieval import DenseIndex, search_many
+from .retrieval import DenseIndex, iter_search
 from .selflearn import (
     build_generator_dataset,
     build_retriever_dataset,
@@ -53,7 +55,7 @@ from .selflearn import (
     save_sft_rows,
 )
 from .textgen import SamplingConfig
-from .util import atomic_write_text, derive_seed, dump_json, run_chunked, write_jsonl
+from .util import atomic_write_text, derive_seed, dump_json, jsonl_line, replacing, run_chunked
 
 logger = logging.getLogger(__name__)
 
@@ -133,40 +135,43 @@ def cmd_embed_corpus(config: RunConfig, command: str) -> int:
     return EXIT_OK
 
 
-def _dense_run(index, queries, rows, k: int) -> dict:
-    """{query_id: RankedHits} for the queries, whose embedding rows are
-    `rows`, searched in one search_many call."""
-    return dict(zip((q.id for q in queries), search_many(index, rows, k)))
+def _dense_run(index, queries, rows, k: int):
+    """(query id, RankedHits) for each of the queries, whose embedding rows
+    are `rows`, from one iter_search pass: yielded block by block."""
+    return zip((q.id for q in queries), iter_search(index, rows, k))
 
 
 def _run_queries(config: RunConfig, emb, index, queries, k: int, gen, fusion, seed_parts, known_rows=None):
-    """Yield one HyDE {query_id: RankedHits} run per entry of `seed_parts`,
-    each as soon as its last chunk is searched.
+    """(query id, RankedHits) for each HyDE task in task order: the run of
+    each entry of `seed_parts` in turn, a pair per query, yielded as each
+    chunk's search_hypothesized call returns them.
 
     Query q of the run for seed parts p samples with derive_seed(config.seed,
-    *p, q.id). The (p, q) tasks go through `run_chunked`: a chunk is
-    generated for, then one search_hypothesized call embeds the chunk's
-    distinct texts (those not in `known_rows`, text -> row) with one
-    embed_texts call and searches the chunk with one search_many call. So when
-    the embedder fails, the generator has already been called for the whole
-    chunk.
+    *p, q.id). The (p, q) tasks go through `run_chunked`, drawn as they are
+    needed: a chunk is generated for, then one search_hypothesized call embeds
+    the chunk's distinct texts (those not in `known_rows`, text -> row) with
+    one embed_texts call and searches the chunk with one search_many call. So
+    when the embedder fails, the generator has already been called for the
+    whole chunk.
     """
-    tasks = [(parts, q) for parts in seed_parts for q in queries]
 
     def plan(task):
         parts, q = task
-        return hypothesize(q, gen, fusion, _sampling(config, derive_seed(config.seed, *parts, q.id)))
+        return q.id, hypothesize(q, gen, fusion, _sampling(config, derive_seed(config.seed, *parts, q.id)))
 
     def finish(planned):
-        return search_hypothesized(planned, emb, index, k, known_rows)
+        ids, plans = zip(*planned)
+        return zip(ids, search_hypothesized(list(plans), emb, index, k, known_rows))
 
-    results = run_chunked(tasks, plan, finish, config.parallelism)
-    for _ in seed_parts:
-        yield {q.id: next(results) for q in queries}
+    tasks = ((parts, q) for parts in seed_parts for q in queries)
+    return run_chunked(tasks, plan, finish, config.parallelism)
 
 
-def _degraded(run: dict) -> bool:
-    return any(hits.meta.get("degraded") for hits in run.values())
+def _tap(pairs, see):
+    """The (query id, hits) pairs, each handed to see(query_id, hits) as it passes."""
+    for query_id, hits in pairs:
+        see(query_id, hits)
+        yield query_id, hits
 
 
 def _search_k(config: RunConfig, k: int | None) -> int:
@@ -179,7 +184,8 @@ def _search_k(config: RunConfig, k: int | None) -> int:
 
 def cmd_search(config: RunConfig, command: str, k: int | None = None, trace: bool = False) -> int:
     """search (dense) and hyde-search: one trec run per dataset, and with
-    --trace each query's hypothetical texts and hits."""
+    --trace each query's hypothetical texts and hits, both written as each
+    query's hits arrive."""
     hyde = command == "hyde-search"
     k = _search_k(config, k)
     gen = build_generator_client(config) if hyde else None
@@ -192,40 +198,48 @@ def cmd_search(config: RunConfig, command: str, k: int | None = None, trace: boo
             index = DenseIndex(_dataset_cache(config, emb, dataset)[1])
             if hyde:
                 fusion = _fusion_for(config, dataset)
-                [run] = _run_queries(config, emb, index, queries, k, gen, fusion, [("hyde", dataset.name)])
+                pairs = _run_queries(config, emb, index, queries, k, gen, fusion, [("hyde", dataset.name)])
             elif queries:
-                run = _dense_run(index, queries, embed_texts(emb, [q.text for q in queries]), k)
+                pairs = _dense_run(index, queries, embed_texts(emb, [q.text for q in queries]), k)
             else:
-                run = {}
-            degraded = degraded or _degraded(run)
-            write_trec_run(run, staging / f"run_{dataset.name}.trec", tag="hyde" if hyde else "dense")
-            if trace:
-                records = (
-                    {
-                        "query_id": query_id,
-                        "hypothetical_texts": hits.meta.get("hypothetical_texts", []),
-                        "hits": [[doc_id, score] for doc_id, score in hits],
-                    }
-                    for query_id, hits in run.items()
-                )
-                write_jsonl(staging / f"trace_{dataset.name}.jsonl", records)
+                pairs = ()
+            trace_path = staging / f"trace_{dataset.name}.jsonl"
+            with replacing(trace_path, "x", encoding="utf-8", newline="") if trace else nullcontext() as trace_file:
+
+                def see(query_id, hits):
+                    nonlocal degraded
+                    degraded = degraded or bool(hits.meta.get("degraded"))
+                    if trace_file:
+                        record = {
+                            "query_id": query_id,
+                            "hypothetical_texts": hits.meta.get("hypothetical_texts", []),
+                            "hits": [[doc_id, score] for doc_id, score in hits],
+                        }
+                        trace_file.write(jsonl_line(record))
+
+                tag = "hyde" if hyde else "dense"
+                write_trec_run(_tap(pairs, see), staging / f"run_{dataset.name}.trec", tag=tag)
     return EXIT_DEGRADED if degraded else EXIT_OK
 
 
 def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str], staging: Path, tag: str):
-    """Search one dataset's judged queries, and score each run and write it to
-    `staging` as run_<dataset>_r<i>.trec as soon as it completes, so memory
-    holds one run, not all of them.
+    """Search one dataset's judged queries and take each (query id, hits)
+    pair as it arrives: its trec lines go to staging/run_<dataset>_r<i>.trec
+    and its metric values into running sums, so memory holds one chunk of
+    hits and the per-query values, never a run.
 
     The queries are embedded once, in one embed_texts call. The runs are the
     dense run itself when `gen` is None, else one HyDE run per repeat, which
-    reuses those rows. Returns (table, baseline, count, degraded): table maps
-    each metric to one {query_id: value} per run; baseline maps it to the
-    dense run's values when a HyDE evaluation compares against dense
-    (`eval.compare_to_dense`), and is None otherwise, when no dense run beside
-    the runs is searched; count is the number of judged queries; degraded
-    says whether any run fell back. Queries without a positive judgment have
-    no value (they are skipped).
+    reuses those rows. Returns (sums, baseline, count, degraded): sums maps
+    each metric to ([sum, count] of its values in each run, {query_id: sum of
+    its values over the runs}), every sum added from 0 in query or run order
+    as sum() adds them (before Python 3.12, whose sum() compensates);
+    baseline maps each metric to the dense run's {query_id: value} when a
+    HyDE evaluation compares against dense (`eval.compare_to_dense`), and is
+    None otherwise, when no dense run beside the runs is searched; count is
+    the number of judged queries; degraded says whether any run fell back.
+    Queries without a positive judgment have no value (they are skipped), so
+    every run scores the same queries: skips depend on qrels only.
     """
     queries = load_queries(_path(dataset, "queries"))
     qrels = load_qrels(_path(dataset, "qrels"))
@@ -245,11 +259,18 @@ def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str], 
     if not eval_queries:
         raise ValidationError(f"dataset {dataset.name!r} has no judged queries to evaluate")
 
-    def scored(run: dict, metric: str) -> dict[str, float]:
+    scorers = []
+    for metric in metrics:
         kind, _, k = metric.partition("@")
-        fn = ndcg_at_k if kind == "ndcg" else recall_at_k
-        values = {qid: fn(hits, qrels.grades_for(qid), int(k)) for qid, hits in run.items()}
-        return {qid: value for qid, value in values.items() if value is not None}
+        scorers.append((metric, ndcg_at_k if kind == "ndcg" else recall_at_k, int(k)))
+
+    def values(query_id, hits):
+        """(metric, value) for each metric that has a value for the query."""
+        grades = qrels.grades_for(query_id)
+        for metric, fn, k in scorers:
+            value = fn(hits, grades, k)
+            if value is not None:
+                yield metric, value
 
     max_k = max(list(config.eval.k_values) + [config.eval.primary_k])
     rows = embed_texts(emb, [q.text for q in eval_queries])
@@ -258,25 +279,33 @@ def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str], 
         runs = [_dense_run(index, eval_queries, rows, max_k)]
     else:
         if config.eval.compare_to_dense:
-            dense = _dense_run(index, eval_queries, rows, max_k)
-            baseline = {metric: scored(dense, metric) for metric in metrics}
-            del dense  # scored; the HyDE repeats need only the query rows
+            baseline = {metric: {} for metric in metrics}
+            for query_id, hits in _dense_run(index, eval_queries, rows, max_k):
+                for metric, value in values(query_id, hits):
+                    baseline[metric][query_id] = value
         seed_parts = [("eval", dataset.name, run_index) for run_index in range(config.eval.repeats)]
         fusion = _fusion_for(config, dataset)
         # the query rows stand in for every repeat's query embeddings
         query_rows = dict(zip((q.text for q in eval_queries), rows))
-        runs = _run_queries(config, emb, index, eval_queries, max_k, gen, fusion, seed_parts, query_rows)
-    table = {metric: [] for metric in metrics}
-    degraded, run_index = False, 0
-    # not enumerate(runs): its reused result tuple would hold each run while the next one is searched
-    for run in runs:
-        for metric in metrics:
-            table[metric].append(scored(run, metric))
-        degraded = degraded or _degraded(run)
-        write_trec_run(run, staging / f"run_{dataset.name}_r{run_index}.trec", tag=tag)
-        del run
-        run_index += 1
-    return table, baseline, len(eval_queries), degraded
+        pairs = _run_queries(config, emb, index, eval_queries, max_k, gen, fusion, seed_parts, query_rows)
+        runs = (itertools.islice(pairs, len(eval_queries)) for _ in seed_parts)
+    sums = {metric: ([], {}) for metric in metrics}
+    degraded = False
+
+    def see(query_id, hits):
+        nonlocal degraded
+        for metric, value in values(query_id, hits):
+            per_run, per_query = sums[metric]
+            per_run[-1][0] += value
+            per_run[-1][1] += 1
+            per_query[query_id] = per_query.get(query_id, 0) + value
+        degraded = degraded or bool(hits.meta.get("degraded"))
+
+    for run_index, run in enumerate(runs):
+        for per_run, _ in sums.values():
+            per_run.append([0, 0])
+        write_trec_run(_tap(run, see), staging / f"run_{dataset.name}_r{run_index}.trec", tag=tag)
+    return sums, baseline, len(eval_queries), degraded
 
 
 def _mean(values: dict[str, float]) -> float:
@@ -288,13 +317,13 @@ def cmd_evaluate(config: RunConfig, command: str, mode: str = "hyde") -> int:
     emb = build_embedder_client(config)
     primary = f"ndcg@{config.eval.primary_k}"
     metrics = list(dict.fromkeys([primary] + [f"recall@{k}" for k in config.eval.k_values]))
-    tables: dict[str, dict] = {}
+    sums: dict[str, dict] = {}
     baselines: dict[str, dict | None] = {}
     counts: dict[str, int] = {}
     degraded = False
     with staged_outputs(config) as staging:
         for dataset in config.all_datasets():
-            tables[dataset.name], baselines[dataset.name], counts[dataset.name], dataset_degraded = (
+            sums[dataset.name], baselines[dataset.name], counts[dataset.name], dataset_degraded = (
                 _evaluate_dataset(config, gen, emb, dataset, metrics, staging, mode)
             )
             degraded = degraded or dataset_degraded
@@ -302,12 +331,13 @@ def cmd_evaluate(config: RunConfig, command: str, mode: str = "hyde") -> int:
         run_pairing = mode == "hyde" and config.eval.pairing == "run"
         compare = mode == "hyde" and config.eval.compare_to_dense
         reports = {}
-        per_run: dict[str, dict] = {name: {} for name in tables}
+        per_run: dict[str, dict] = {name: {} for name in sums}
         for metric in metrics:
-            system, baseline = {}, {}
-            for name, table in tables.items():
-                runs = table[metric]
-                run_means = [_mean(values) for values in runs if values]
+            system, baseline, skipped = {}, {}, {}
+            for name, dataset_sums in sums.items():
+                runs, per_query = dataset_sums[metric]
+                skipped[name] = counts[name] - runs[0][1]  # every run scores the same queries
+                run_means = [total / count for total, count in runs if count]
                 per_run[name][metric] = {
                     "run_means": run_means,
                     "spread": statistics.stdev(run_means) if len(run_means) > 1 else 0.0,
@@ -315,10 +345,7 @@ def cmd_evaluate(config: RunConfig, command: str, mode: str = "hyde") -> int:
                 if run_pairing:
                     system[name] = run_means
                 else:
-                    # every run scores the same queries: skips depend on qrels only
-                    system[name] = {
-                        qid: sum(run[qid] for run in runs) / len(runs) for qid in sorted(runs[0])
-                    }
+                    system[name] = {qid: total / len(runs) for qid, total in sorted(per_query.items())}
                 if compare:
                     # no run mean (nothing scored) leaves the dense mean uncomputed:
                     # build_report then names the empty dataset
@@ -327,8 +354,8 @@ def cmd_evaluate(config: RunConfig, command: str, mode: str = "hyde") -> int:
             report = build_report(
                 system, baseline if compare else None, metric=metric, pairing=config.eval.pairing
             )
-            for name, table in tables.items():
-                report.datasets[name].skipped = counts[name] - len(table[metric][0])
+            for name, count in skipped.items():
+                report.datasets[name].skipped = count
             reports[metric] = report
 
         payload = {

@@ -15,8 +15,10 @@ is None.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -75,19 +77,40 @@ class RelevanceJudgments:
         return sum(len(v) for v in self.entries.values())
 
 
+def sort_ids(ids: list[str], duplicate: str) -> np.ndarray:
+    """The rows of `ids` in ascending-id order, sorted once: a read-only int64
+    array and the only lookup structure `find_id` needs (8 bytes an id, no
+    dict). Equal ids are neighbours in that order, which is how a duplicate
+    is found: a ValidationError, `duplicate` formatted with the first id to
+    repeat in row order."""
+    # stable, so equal ids sit in row order and a repeat is order[j + 1]
+    order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+    ranked = np.array(ids, dtype=object)[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    if len(repeats):
+        raise ValidationError(duplicate.format(ids[repeats.min()]))
+    order.setflags(write=False)
+    return order
+
+
+def find_id(ids: list[str], order: np.ndarray, doc_id: str) -> int:
+    """The row of `doc_id` in `ids`, by binary search over their `sort_ids`
+    order in O(log n) string comparisons; -1 when `ids` does not hold it."""
+    rows = order.data  # a memoryview: indexing it gives Python ints
+    at = bisect_left(rows, doc_id, key=ids.__getitem__)
+    return rows[at] if at < len(rows) and ids[rows[at]] == doc_id else -1
+
+
 class CorpusStore:
     """Immutable ordered document collection with id lookup. `ids` is one
     list, built with the store and shared by whoever reads it (the BM25
-    index keeps it as its own)."""
+    index keeps it as its own); `in`, `position` and `get` binary-search its
+    `sort_ids` order, so the store holds no per-id dict."""
 
     def __init__(self, documents: Iterable[Document]):
         self._documents: list[Document] = list(documents)
         self.ids: list[str] = [d.id for d in self._documents]
-        self._by_id: dict[str, int] = {}
-        for pos, doc in enumerate(self._documents):
-            if doc.id in self._by_id:
-                raise ValidationError(f"duplicate document id {doc.id!r}")
-            self._by_id[doc.id] = pos
+        self._order = sort_ids(self.ids, "duplicate document id {!r}")
 
     def __len__(self) -> int:
         return len(self._documents)
@@ -99,16 +122,16 @@ class CorpusStore:
         return self._documents[pos]
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._by_id
+        return find_id(self.ids, self._order, doc_id) >= 0
 
     def get(self, doc_id: str) -> Document:
         return self._documents[self.position(doc_id)]
 
     def position(self, doc_id: str) -> int:
-        try:
-            return self._by_id[doc_id]
-        except KeyError:
-            raise ValidationError(f"unknown document id {doc_id!r}") from None
+        pos = find_id(self.ids, self._order, doc_id)
+        if pos < 0:
+            raise ValidationError(f"unknown document id {doc_id!r}")
+        return pos
 
 
 def corpus_file_digest(path: str | Path) -> bytes:
@@ -237,11 +260,10 @@ def write_queries(queries: Iterable[Query], path: str | Path) -> None:
 
 
 def write_qrels(qrels: RelevanceJudgments, path: str | Path) -> None:
-    lines = ["query-id\tcorpus-id\tscore\n"]
-    for qid in qrels.entries:
-        for doc_id, grade in qrels.entries[qid].items():
-            lines.append(f"{qid}\t{doc_id}\t{grade}\n")
-    atomic_write_text(path, "".join(lines))
+    """Write qrels.tsv, a header then one line per (query, doc) grade, line
+    by line: the file is never held whole."""
+    lines = (f"{qid}\t{doc_id}\t{grade}\n" for qid, grades in qrels.entries.items() for doc_id, grade in grades.items())
+    atomic_write_text(path, itertools.chain(["query-id\tcorpus-id\tscore\n"], lines))
 
 
 def sample_documents(store: CorpusStore, n: int, seed: int) -> list[Document]:

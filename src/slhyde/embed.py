@@ -44,14 +44,13 @@ import math
 import os
 import struct
 import threading
-from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import CorpusStore, corpus_file_digest, load_corpus
+from .corpus import CorpusStore, corpus_file_digest, find_id, load_corpus, sort_ids
 from .errors import FormatError, ProtocolError, TransportError, ValidationError
 from .util import JsonEndpoint, replacing, retry_or_raise
 
@@ -304,11 +303,12 @@ class EmbeddingCache:
     """Ordered (ids, matrix) pair; rows are unit float32 vectors.
 
     The ids are sorted once, when the cache is built: `id_order` holds the
-    rows in ascending-id order, an int64 array and the only lookup structure
-    (8 bytes an id, no dict). `position`, `in` and `row` binary-search it in
-    O(log n) string comparisons, and `DenseIndex` ranks ties by its inverse.
-    Two equal ids are neighbours in that order, which is how a duplicate is
-    found; the one named is the first id to repeat in row order.
+    rows in ascending-id order (`corpus.sort_ids`), an int64 array and the
+    only lookup structure (8 bytes an id, no dict). `position`, `in` and
+    `row` binary-search it in O(log n) string comparisons, and `DenseIndex`
+    ranks ties by its inverse. Two equal ids are neighbours in that order,
+    which is how a duplicate is found; the one named is the first id to
+    repeat in row order.
     """
 
     ids: list[str]
@@ -322,14 +322,7 @@ class EmbeddingCache:
             raise ValidationError(
                 f"id count {len(self.ids)} does not match matrix rows {self.matrix.shape[0]}"
             )
-        # stable, so equal ids sit in row order and a repeat is order[j + 1]
-        order = np.array(sorted(range(len(self.ids)), key=self.ids.__getitem__), dtype=np.int64)
-        ranked = np.array(self.ids, dtype=object)[order]
-        repeats = order[1:][ranked[1:] == ranked[:-1]]
-        if len(repeats):
-            raise ValidationError(f"duplicate id {self.ids[repeats.min()]!r} in cache")
-        order.setflags(write=False)
-        self.id_order = order
+        self.id_order = sort_ids(self.ids, "duplicate id {!r} in cache")
 
     @property
     def dim(self) -> int:
@@ -338,17 +331,11 @@ class EmbeddingCache:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def _find(self, doc_id: str) -> int:
-        """The row of `doc_id`, or -1 when the cache does not hold it."""
-        order = self.id_order.data  # a memoryview: indexing it gives Python ints
-        at = bisect_left(order, doc_id, key=self.ids.__getitem__)
-        return order[at] if at < len(order) and self.ids[order[at]] == doc_id else -1
-
     def __contains__(self, doc_id: str) -> bool:
-        return self._find(doc_id) >= 0
+        return find_id(self.ids, self.id_order, doc_id) >= 0
 
     def position(self, doc_id: str) -> int:
-        pos = self._find(doc_id)
+        pos = find_id(self.ids, self.id_order, doc_id)
         if pos < 0:
             raise ValidationError(f"unknown id {doc_id!r}")
         return pos

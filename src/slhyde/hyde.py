@@ -4,9 +4,10 @@
 argument, one definition for both: `FUSION_STRATEGIES` maps each strategy to
 its default N, and the section checks the strategy, N and template itself.
 
-`fuse_rows` is the one fusion rule, the unnormalized mean of a plan's own rows;
-HyDE applies it to each query's texts, and self-learning to each (query,
-pseudo-document) pair of its chunk's rows.
+`fuse_rows` is the one fusion rule, the unnormalized mean of a plan's own rows
+(one reshape and mean per run of equal-size plans); HyDE applies it to each
+query's texts, and self-learning to each (query, pseudo-document) pair of its
+chunk's rows.
 
 HyDE runs in two halves. `hypothesize` generates a query's hypothetical
 documents and returns the texts its fusion strategy averages.
@@ -16,7 +17,9 @@ triplet builder shares) in one embed_texts call, fuses each query as the mean
 of its own rows,
 and searches all fused vectors with one search_many call. The CLI runs its
 queries in chunks of 64, so a chunk costs one embed_texts call (one request
-per embedder batch_size texts) and one search. `hyde_search` is the
+per embedder batch_size texts) and one search, and it consumes each chunk's
+hits as they come (`cli._run_queries` yields them as a stream of (query id,
+hits) pairs), so it holds one chunk of hits at a time. `hyde_search` is the
 one-query form of the two. Rows of a batch equal the rows of single calls, so
 a query's vector, and its hits, do not depend on which queries share its
 batch.
@@ -28,6 +31,7 @@ property).
 """
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -88,8 +92,18 @@ class FusionConfig:
 
 
 def fuse_rows(rows: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """Row i is the unnormalized mean of the next sizes[i] rows of `rows`."""
-    return np.vstack([np.mean(part, axis=0) for part in np.split(rows, np.cumsum(sizes)[:-1])])
+    """Row i is the unnormalized mean of the next sizes[i] rows of `rows`.
+
+    Each run of consecutive plans of one size is fused by one reshape and
+    mean, bit for bit np.mean of each plan's own rows; mixed sizes are
+    several runs."""
+    fused, start = [], 0
+    for size, run in itertools.groupby(sizes):
+        count = len(list(run))
+        stop = start + count * size
+        fused.append(rows[start:stop].reshape(count, size, -1).mean(axis=1))
+        start = stop
+    return np.vstack(fused)
 
 
 def hypothesize(

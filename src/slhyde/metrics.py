@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from scipy.special import stdtr
 
@@ -228,11 +228,12 @@ def render_report_text(report: EvalReport) -> str:
 
 # --- trec run files --------------------------------------------------------
 
-def write_trec_run(runs: Mapping[str, RankedHits], path: str | Path, tag: str = "slhyde") -> None:
-    """Write runs as trec lines: qid Q0 docid rank score tag. The file is
-    written as it is formatted, one query's lines at a time, each query's
-    lines by one `%` format of its (doc id, score) values over a template
-    with the qid, ranks and tag baked in."""
+def write_trec_run(pairs: Iterable[tuple[str, RankedHits]], path: str | Path, tag: str = "slhyde") -> None:
+    """Write the (qid, hits) pairs of the iterable `pairs` as trec lines: qid
+    Q0 docid rank score tag. The file is written as the pairs arrive, one
+    query's lines at a time, so a stream of pairs is never held whole; each
+    query's lines are one `%` format of its (doc id, score) values over a
+    template with the qid, ranks and tag baked in."""
     tag = tag.replace("%", "%%")
     pieces: list[str] = []  # pieces[r]: rank r + 1's line after its qid
 
@@ -247,4 +248,4 @@ def write_trec_run(runs: Mapping[str, RankedHits], path: str | Path, tag: str = 
         qid = qid.replace("%", "%%")
         return (qid + qid.join(pieces[:n])) % tuple(flat)
 
-    atomic_write_text(path, (lines(qid, hits) for qid, hits in runs.items()))
+    atomic_write_text(path, (lines(qid, hits) for qid, hits in pairs))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -76,16 +77,17 @@ def jsonl_line(obj) -> str:
 
 
 def run_chunked(items, plan, finish, parallelism: int):
-    """Map `plan` over each chunk of CHUNK `items` (on one thread pool for the
-    whole run when parallelism > 1), call `finish` once per chunk with the
-    planned list in input order, and yield the items of the lists `finish`
-    returns. A chunk is planned only once the caller has taken every result
-    of the one before, so a caller that consumes each result as it comes
-    (`evaluate` scores and writes each run as it completes) holds one chunk's
-    results, not all of them."""
+    """Map `plan` over each chunk of CHUNK items of the iterable `items` (on
+    one thread pool for the whole run when parallelism > 1), call `finish`
+    once per chunk with the planned list in input order, and yield the items
+    of the lists `finish` returns. A chunk is drawn from `items` and planned
+    only once the caller has taken every result of the one before, so a
+    caller that consumes each result as it comes (`evaluate` and `search`
+    score and write each query's hits as they arrive) holds one chunk's
+    results, not all of them, and a generator of items is never held whole."""
+    items = iter(items)
     with ThreadPoolExecutor(parallelism) if parallelism > 1 else nullcontext() as pool:
-        for start in range(0, len(items), CHUNK):
-            part = items[start : start + CHUNK]
+        while part := list(itertools.islice(items, CHUNK)):
             yield from finish(list(pool.map(plan, part) if pool else map(plan, part)))
 
 

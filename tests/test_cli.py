@@ -552,6 +552,38 @@ class TestSearchCommands:
         assert record["hypothetical_texts"] and record["hits"]
 
 
+# The sha256 of every file test_multi_chunk_outputs_are_pinned writes, but
+# resolved_config.yaml, at --parallelism 1 and 4 alike.
+MULTI_CHUNK_DIGESTS = {
+    "query/prompt_templates.json": "d2c4b1a32a12bd245090cfd330ceb995ea9eb2a5a0316cf5f9326e66adad73fe",
+    "query/report.json": "fb402fdff0d4f24848c1eddeabc88d16e2b110899e62a9f2442f209907149199",
+    "query/report.txt": "16978bb1fa56627713cb8ca8df6ba2d6655a864384bfbb674c2e4b6c09ce46f2",
+    "query/run_synthetic_r0.trec": "1a36dabca9663e41956a40f20ba14155ff62d01523eb55f14047b72ab8894d96",
+    "query/run_synthetic_r1.trec": "6a23a23ea57667a77bba197735bdd2e3af16b27457ccde62825761d46b21eedd",
+    "query/run_synthetic_r2.trec": "e11c43b561012c0f9cff3acbdb6c812dea4f6972954c3ca1195db04989b4e320",
+    "query/synthetic.emb": "e29471687c6afceec337b447ed247d2d7c7579339562216b4579dd0b27a09625",
+    "run/prompt_templates.json": "d2c4b1a32a12bd245090cfd330ceb995ea9eb2a5a0316cf5f9326e66adad73fe",
+    "run/report.json": "0d47fe88c70734786911650eb381c8eda5007e1e5d612b311dc6df3330c4a56b",
+    "run/report.txt": "8e1b7bfea5c77cd1a82b2d227851ef1a0d3e7b841cd8b43b077148ce8af4a7af",
+    "run/run_synthetic_r0.trec": "1a36dabca9663e41956a40f20ba14155ff62d01523eb55f14047b72ab8894d96",
+    "run/run_synthetic_r1.trec": "6a23a23ea57667a77bba197735bdd2e3af16b27457ccde62825761d46b21eedd",
+    "run/run_synthetic_r2.trec": "e11c43b561012c0f9cff3acbdb6c812dea4f6972954c3ca1195db04989b4e320",
+    "run/synthetic.emb": "e29471687c6afceec337b447ed247d2d7c7579339562216b4579dd0b27a09625",
+    "retriever/prompt_templates.json": "d2c4b1a32a12bd245090cfd330ceb995ea9eb2a5a0316cf5f9326e66adad73fe",
+    "retriever/report.json": "46f440499a615d68098caf09b7663bcd45c76f40f2d7f822a72522b229b314d2",
+    "retriever/report.txt": "7ead93795a9272d72d322afe56136aa905e2a17d74fadda9e7a321f2c0bdf1e5",
+    "retriever/run_synthetic_r0.trec": "5a26ae833f4e3428767af0243ea9f12cdef33de3ab67786fdbad4c7a6576a70b",
+    "retriever/synthetic.emb": "e29471687c6afceec337b447ed247d2d7c7579339562216b4579dd0b27a09625",
+    "hyde-search/prompt_templates.json": "d2c4b1a32a12bd245090cfd330ceb995ea9eb2a5a0316cf5f9326e66adad73fe",
+    "hyde-search/run_synthetic.trec": "5827e5fefa506058c7268fb7e45831e764a35e04e1aef5ad3aafe01c7e80df5f",
+    "hyde-search/synthetic.emb": "e29471687c6afceec337b447ed247d2d7c7579339562216b4579dd0b27a09625",
+    "hyde-search/trace_synthetic.jsonl": "d6e17ee2191bf6dbae7bbe8ff18aab33a07a9a2e6cbfd86d2428178aadb6a648",
+    "search/prompt_templates.json": "d2c4b1a32a12bd245090cfd330ceb995ea9eb2a5a0316cf5f9326e66adad73fe",
+    "search/run_synthetic.trec": "cc7a8b70229f67ecab175b33a0a89ebcbd4c9c3fa1bf0fad50b656d6dde50e89",
+    "search/synthetic.emb": "e29471687c6afceec337b447ed247d2d7c7579339562216b4579dd0b27a09625",
+}
+
+
 class TestEvaluateCommand:
     def test_retriever_mode_equals_direct_dense_metrics(self, tmp_path):
         dataset = tmp_path / "data"
@@ -673,12 +705,12 @@ class TestEvaluateCommand:
     def test_without_dense_comparison_no_dense_search_is_made(self, tmp_path, monkeypatch):
         dataset = tmp_path / "data"
         make_dataset(dataset, n_docs=30, seed=3)
-        searched = []  # the query-row count of every search_many call
-        for module in (cli, hyde):
-            original = module.search_many
+        searched = []  # the query-row count of every search pass: cli's dense one, hyde's per chunk
+        for module, name in ((cli, "iter_search"), (hyde, "search_many")):
+            original = getattr(module, name)
             monkeypatch.setattr(
                 module,
-                "search_many",
+                name,
                 lambda index, rows, k, original=original: searched.append(len(rows)) or original(index, rows, k),
             )
         calls, digests = {}, {}
@@ -727,17 +759,51 @@ class TestEvaluateCommand:
         index = DenseIndex(load_cache(tmp_path / "run" / "synthetic.emb"))
         queries = load_queries(dataset / "queries.jsonl")
         args = (config, emb, index, queries, 100, gen, config.fusion, [("eval", "synthetic", 0)])
-        [run] = cli._run_queries(*args)
+        run = dict(cli._run_queries(*args))
         del run
         tracemalloc.start()
         try:
-            [run] = cli._run_queries(*args)
+            run = dict(cli._run_queries(*args))
             run_size, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(run) == 200
         # three more runs cost their metric values, never a run each
         assert peaks[4] - peaks[1] < run_size
+
+    def test_memory_grows_with_queries_by_their_rows_and_sums_only(self, tmp_path, monkeypatch, capsys):
+        dataset = tmp_path / "data"
+        _, queries, qrels = make_dataset(dataset, n_docs=1024)
+        dim = 128
+        peaks = {}
+        for count in (256, 1024):
+            judged = queries[:count]
+            write_queries(judged, dataset / "queries.jsonl")
+            write_qrels(RelevanceJudgments(entries={q.id: qrels.entries[q.id] for q in judged}), dataset / "qrels.tsv")
+            config_path = make_config(
+                tmp_path,
+                dataset,
+                tmp_path / "run",
+                embedder={"dim": dim},
+                eval={"k_values": [200], "primary_k": 10, "repeats": 2},
+            )
+            # one embedder, warmed by an untraced run, so that its memo no longer grows
+            emb = MockEmbedderClient(dim=dim)
+            monkeypatch.setattr(cli, "build_embedder_client", lambda config: emb)
+            assert main(["evaluate", "--mode", "hyde", "--config", str(config_path)]) == 0
+            tracemalloc.start()
+            try:
+                assert main(["evaluate", "--mode", "hyde", "--config", str(config_path)]) == 0
+                _, peaks[count] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        # A query's floor: its embedding row as the embedder's float64 batch
+        # and the float32 batch and matrix hold it (16 bytes a dimension), and
+        # 1 KiB for its Query, its qrels entry and its values and running sums.
+        # A run of 200 hits a query (ids and float64 scores) would not fit.
+        floor = 16 * dim + 1024
+        assert peaks[1024] - peaks[256] < (1024 - 256) * floor
 
     def test_late_validation_error_leaves_no_run_file(self, tmp_path, monkeypatch):
         for name in ("alpha", "beta"):
@@ -779,6 +845,53 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--mode", "hyde", "--config", str(config_path)]) == 2
         assert {path.name for path in staged_runs} == {"run_synthetic_r0.trec"}
         self._assert_no_outputs(tmp_path)
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_multi_chunk_outputs_are_pinned(self, tmp_path, monkeypatch, parallelism):
+        # 140 queries, 130 judged, 3 repeats: 390 tasks in chunks of 64, so
+        # each run ends inside a chunk; the dense passes cover three blocks
+        docs = synthetic_docs(140, seed=5)
+        queries = queries_for_docs(docs, seed=6)
+        entries = {}
+        for i, (query, doc) in enumerate(zip(queries, docs)):
+            if i % 13 == 12:
+                continue  # unjudged
+            entries[query.id] = {doc.id: 0 if i % 11 == 10 else 1}  # a zero grade only: skipped
+            if i % 7 == 3:
+                entries[query.id][docs[(i + 1) % len(docs)].id] = 2
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        write_corpus(docs, dataset / "corpus.jsonl")
+        write_queries(queries, dataset / "queries.jsonl")
+        write_qrels(RelevanceJudgments(entries=entries), dataset / "qrels.tsv")
+
+        def generator(config):
+            # an empty completion for about one (query, repeat) seed in nine:
+            # those fall back to the query alone, so a chunk fuses mixed sizes
+            return MockGeneratorClient(
+                seed=derive_seed(config.seed, "generator"), responder=lambda prompt, cfg: "" if cfg.seed % 9 == 0 else None
+            )
+
+        monkeypatch.setattr(cli, "build_generator_client", generator)
+        commands = {
+            "query": (["evaluate", "--mode", "hyde"], "query"),
+            "run": (["evaluate", "--mode", "hyde"], "run"),
+            "retriever": (["evaluate", "--mode", "retriever"], "query"),
+            "hyde-search": (["hyde-search", "--trace"], "query"),
+            "search": (["search"], "query"),
+        }
+        digests, codes = {}, {}
+        for name, (argv, pairing) in commands.items():
+            eval_settings = {"k_values": [10, 100], "primary_k": 10, "repeats": 3, "pairing": pairing}
+            config_path = make_config(
+                tmp_path, dataset, tmp_path / name, eval=eval_settings, fusion={"strategy": "mean_pool_k", "n": 3}
+            )
+            codes[name] = main([*argv, "--config", str(config_path), "--parallelism", str(parallelism)])
+            for path in sorted((tmp_path / name).iterdir()):
+                if path.name != "resolved_config.yaml":  # it holds the parallelism and tmp_path
+                    digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert codes == {"query": 3, "run": 3, "retriever": 0, "hyde-search": 3, "search": 0}
+        assert digests == MULTI_CHUNK_DIGESTS
 
     @staticmethod
     def _assert_no_outputs(tmp_path):

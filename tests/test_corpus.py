@@ -3,7 +3,9 @@ import json
 import logging
 import os
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from slhyde.corpus import (
     CorpusStore,
     Document,
+    RelevanceJudgments,
     corpus_file_digest,
     load_corpus,
     load_qrels,
@@ -23,6 +26,12 @@ from slhyde.corpus import (
 from slhyde.errors import ParseError, ValidationError
 
 from conftest import synthetic_docs
+
+
+# ids with shared prefixes, digit runs, non-ASCII and non-BMP characters, no whitespace
+_ID = st.lists(st.sampled_from(["d", "doc", "1", "10", "9", "é", "文", "\U0001f600", "-"]), min_size=1, max_size=4).map(
+    "".join
+) | st.text(alphabet=st.characters(exclude_categories=("Cs", "Zs", "Cc", "Zl", "Zp")), min_size=1, max_size=5)
 
 
 def _write_jsonl(path, records):
@@ -81,6 +90,53 @@ class TestLoadCorpus:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError):
             load_corpus(tmp_path / "nope.jsonl")
+
+
+class TestCorpusStore:
+    @given(ids=st.lists(_ID, unique=True, max_size=40), probes=st.lists(_ID, max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_lookups_match_a_dict_of_positions(self, ids, probes):
+        store = CorpusStore(Document(id=doc_id, text=f"text {i}") for i, doc_id in enumerate(ids))
+        positions = {doc_id: pos for pos, doc_id in enumerate(ids)}
+        for doc_id in ids + probes:
+            assert (doc_id in store) == (doc_id in positions)
+            if doc_id in positions:
+                assert store.position(doc_id) == positions[doc_id]
+                assert store.get(doc_id) is store[positions[doc_id]]
+            else:
+                for lookup in (store.position, store.get):
+                    with pytest.raises(ValidationError) as err:
+                        lookup(doc_id)
+                    assert str(err.value) == f"unknown document id {doc_id!r}"
+
+    @given(ids=st.lists(_ID, min_size=1, max_size=30), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_duplicate_is_named_as_a_dict_of_positions_names_it(self, ids, data):
+        ids = data.draw(st.permutations(ids + [data.draw(st.sampled_from(ids))]))
+        seen, repeated = set(), None
+        for doc_id in ids:
+            if doc_id in seen:
+                repeated = doc_id  # the first id to repeat, in row order
+                break
+            seen.add(doc_id)
+        with pytest.raises(ValidationError) as err:
+            CorpusStore(Document(id=doc_id, text="text") for doc_id in ids)
+        assert str(err.value) == f"duplicate document id {repeated!r}"
+
+    def test_store_holds_few_bytes_per_document_beyond_them(self):
+        n = 20_000
+        # not in ascending order: ids shuffled as a corpus's may be
+        docs = [Document(id=f"doc-{i:06d}", text="text") for i in np.random.default_rng(6).permutation(n).tolist()]
+        tracemalloc.start()
+        try:
+            store = CorpusStore(docs)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the documents and ids lists (8 bytes a document each) and the int64
+        # id order (8 more), about 24; with a dict of positions it was 83
+        assert held / n < 32
+        assert store.get(docs[123].id) is docs[123]
 
 
 class TestLoadQueries:
@@ -297,6 +353,35 @@ class TestRoundTrip:
         out = tmp_path / "out.tsv"
         write_qrels(qrels, out)
         assert load_qrels(out).entries == qrels.entries
+
+    @given(
+        st.dictionaries(
+            _ID,
+            st.dictionaries(_ID, st.integers(0, 3), max_size=4),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_qrels_bytes_are_the_header_and_one_line_per_grade(self, tmp_path_factory, entries):
+        path = tmp_path_factory.mktemp("qrels") / "qrels.tsv"
+        write_qrels(RelevanceJudgments(entries=entries), path)
+        lines = ["query-id\tcorpus-id\tscore\n"]
+        lines += [f"{qid}\t{doc_id}\t{grade}\n" for qid, grades in entries.items() for doc_id, grade in grades.items()]
+        assert path.read_bytes() == "".join(lines).encode("utf-8")
+
+    def test_qrels_are_written_line_by_line(self, tmp_path):
+        entries = {f"q{i:05d}": {f"d{i:05d}": 1, f"d{i + 1:05d}": 0} for i in range(10_000)}
+        qrels = RelevanceJudgments(entries=entries)
+        path = tmp_path / "qrels.tsv"
+        tracemalloc.start()
+        try:
+            write_qrels(qrels, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a list of the lines and their joined copy held 1.8 MB for this 0.3 MB file
+        assert path.stat().st_size > 300_000
+        assert peak < 100_000
 
     @given(
         st.lists(

@@ -64,6 +64,21 @@ class TestFuse:
         rows = embed_texts(emb, ["q", "p"])
         assert rows.mean(axis=0).tobytes() == fuse_rows(rows, [2])[0].tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 7), min_size=1, max_size=70),
+        dim=st.integers(1, 40),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fuse_rows_equals_each_plans_np_mean_bitwise(self, sizes, dim, dtype, seed):
+        rng = np.random.default_rng(seed)
+        rows = (rng.normal(size=(sum(sizes), dim)) * rng.uniform(0.1, 10)).astype(dtype)
+        reference = np.vstack([np.mean(part, axis=0) for part in np.split(rows, np.cumsum(sizes)[:-1])])
+        fused = fuse_rows(rows, sizes)
+        assert fused.dtype == reference.dtype and fused.shape == reference.shape
+        assert fused.tobytes() == reference.tobytes()
+
 
 class TestFusionConfig:
     def test_defaults_per_strategy(self):
@@ -300,8 +315,9 @@ class TestBatchedMatchesPerQuery:
 
 
 class TestRunQueriesChunks:
-    """cli._run_queries: chunks of 64 tasks, each one embedder request, with
-    the hits, meta and seeds of per-query hyde_search."""
+    """cli._run_queries: a stream of (query id, hits) pairs in task order,
+    from chunks of 64 tasks, each one embedder request, with the hits, meta
+    and seeds of per-query hyde_search."""
 
     @pytest.mark.parametrize("strategy,n", FUSION_SETTINGS)
     @pytest.mark.parametrize("parallelism,fail_times", [(1, 5), (2, 0)])
@@ -328,7 +344,10 @@ class TestRunQueriesChunks:
         known = dict(zip((q.text for q in queries), embed_texts(emb, [q.text for q in queries])))
         gen = MockGeneratorClient(fail_times=fail_times, max_retries=2)
         emb.calls = 0
-        runs = list(cli._run_queries(config, emb, index, queries, 10, gen, fusion, seed_parts, known))
+        pairs = list(cli._run_queries(config, emb, index, queries, 10, gen, fusion, seed_parts, known))
+        # one pair per task, in task order: each run's queries in turn
+        assert [qid for qid, _ in pairs] == [q.id for q in queries] * len(seed_parts)
+        runs = [dict(pairs[i : i + len(queries)]) for i in range(0, len(pairs), len(queries))]
         assert [{qid: _bits(h) for qid, h in run.items()} for run in runs] == [
             {qid: _bits(h) for qid, h in run.items()} for run in expected
         ]

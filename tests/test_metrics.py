@@ -269,7 +269,7 @@ class TestTrecRunIO:
             "q2": RankedHits(ids=["d3"], scores=[1.5]),
         }
         path = tmp_path / "run.trec"
-        write_trec_run(runs, path, tag="test")
+        write_trec_run(runs.items(), path, tag="test")
         assert path.read_text() == (
             "q1 Q0 d1 1 0.900000 test\n"
             "q1 Q0 d2 2 0.500000 test\n"
@@ -280,9 +280,9 @@ class TestTrecRunIO:
         empty = RankedHits(ids=[], scores=[])
         runs = {"q0": empty, "q1": RankedHits(ids=["d1", "d2"], scores=[0.5, 0.25]), "q2": empty}
         path = tmp_path / "run.trec"
-        write_trec_run(runs, path, tag="t")
+        write_trec_run(runs.items(), path, tag="t")
         assert path.read_text() == "q1 Q0 d1 1 0.500000 t\nq1 Q0 d2 2 0.250000 t\n"
-        write_trec_run({"q0": empty, "%s": empty}, path, tag="t")
+        write_trec_run({"q0": empty, "%s": empty}.items(), path, tag="t")
         assert path.read_text() == ""
 
     def test_percent_signs_are_written_as_they_are(self, tmp_path):
@@ -292,7 +292,7 @@ class TestTrecRunIO:
             "%s": RankedHits(ids=[], scores=[]),
         }
         path = tmp_path / "run.trec"
-        write_trec_run(runs, path, tag="t%(x)s")
+        write_trec_run(runs.items(), path, tag="t%(x)s")
         assert path.read_text() == (
             "q%1 Q0 d%s 1 0.250000 t%(x)s\n"
             "%%d Q0 d1 1 1.000000 t%(x)s\n"

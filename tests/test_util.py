@@ -102,7 +102,7 @@ HITS = st.lists(st.tuples(TEXT, SCORE), max_size=4).map(
 @given(runs=st.dictionaries(TEXT, HITS, max_size=5), tag=st.sampled_from(["hyde", "dense", "标签"]))
 def test_streamed_trec_run_is_the_joined_bytes(tmp_path_factory, runs, tag):
     root = tmp_path_factory.mktemp("trec")
-    write_trec_run(runs, root / "streamed.trec", tag=tag)
+    write_trec_run(runs.items(), root / "streamed.trec", tag=tag)
     _joined_trec_run(runs, root / "joined.trec", tag)
     assert (root / "streamed.trec").read_bytes() == (root / "joined.trec").read_bytes()
 
