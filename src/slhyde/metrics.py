@@ -5,7 +5,9 @@ discount, normalized by the ideal DCG over the judged set; for binary qrels
 the gain reduces to 0/1. Queries without a positive judgment are undefined
 for both metrics and are reported as skipped, excluded from dataset means.
 
-All internal math is float64; rounding happens only when rendering.
+All internal math is float64; rounding happens only when rendering. The
+paired t-test's two-sided tail is computed here (`_t_tail`, a continued
+fraction of the incomplete beta function), so the package needs no scipy.
 """
 from __future__ import annotations
 
@@ -13,8 +15,6 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-
-from scipy.special import stdtr
 
 from .errors import ValidationError
 from .retrieval import RankedHits
@@ -49,12 +49,76 @@ def recall_at_k(hits: RankedHits, judged: Mapping[str, int], k: int) -> float | 
     return len(relevant & retrieved) / len(relevant)
 
 
-def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
-    """Two-sided paired t-test.
+def _ln_beta_half(a: float) -> float:
+    """ln B(a, 1/2) for a >= 1/2, within 1e-14.
 
-    Conventions for degenerate inputs (scipy returns nan there): all
-    differences zero -> (0.0, 1.0); zero-variance nonzero shift ->
-    (signed inf, 0.0).
+    From a = 12 on it is the difference of two Stirling series, not
+    lgamma(a) - lgamma(a + 1/2): that difference of two large numbers keeps
+    their rounding error (1.5e-11 at a = 10,000), which the tail would take
+    as a relative error.
+    """
+    if a < 12.0:
+        return math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+
+    def series(z: float) -> float:
+        w = 1.0 / (z * z)
+        return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w / 1188)))) / z
+
+    return 0.5 * math.log(math.pi / a) + 0.5 - a * math.log1p(0.5 / a) + series(a) - series(a + 0.5)
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b), by modified Lentz; it converges
+    fast for x < (a + 1) / (a + b + 2): under 70 terms for b = 1/2 and any
+    a up to 5e11."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 1000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            return h
+    raise ArithmeticError(f"incomplete beta continued fraction did not converge: a={a} b={b} x={x}")
+
+
+def _t_tail(k: float, t: float) -> float:
+    """P(|T_k| > |t|) for Student's t with k degrees of freedom.
+
+    That is I_x(k/2, 1/2) with x = k / (k + t^2), or 1 - I_y(1/2, k/2) with
+    y = 1 - x where the fraction in x would converge slowly. x, y and their
+    logarithms come from r = t^2/k without forming t^2, so a |t| past 1e154
+    gives 0.0 and not nan.
+    """
+    if math.isnan(t):
+        return math.nan
+    r = abs(t) / k * abs(t)
+    if r == 0.0:
+        return 1.0
+    x, y = 1.0 / (1.0 + r), 1.0 / (1.0 + 1.0 / r)
+    a = 0.5 * k
+    front = math.exp(-a * math.log1p(r) - 0.5 * math.log1p(1.0 / r) - _ln_beta_half(a))
+    if x < (a + 1.0) / (a + 2.5):
+        return front * _beta_cf(a, 0.5, x) / a
+    return 1.0 - 2.0 * front * _beta_cf(0.5, a, y)
+
+
+def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
+    """Two-sided paired t-test: (t, p) with n - 1 degrees of freedom.
+
+    p is `_t_tail(n - 1, t)`, within 1e-11 relative of scipy 1.17's
+    2 * stdtr(n - 1, -|t|) for n - 1 up to 20,000 and p down to 1e-300
+    (tests/golden/t_tail_reference.json). Past that its relative error grows
+    about as n, where the continued fraction's terms cancel: 4e-11 at
+    n = 1e6 and 3e-10 at n = 1e7, against a 40-digit reference.
+    Conventions for degenerate inputs, where t is undefined: all differences
+    zero -> (0.0, 1.0); zero-variance nonzero shift -> (signed inf, 0.0).
     """
     if len(a) != len(b):
         raise ValidationError(f"paired samples differ in length: {len(a)} vs {len(b)}")
@@ -69,8 +133,7 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
             return 0.0, 1.0
         return math.copysign(math.inf, mean), 0.0
     t_stat = mean / math.sqrt(var / n)
-    p_value = 2.0 * float(stdtr(n - 1, -abs(t_stat)))
-    return t_stat, p_value
+    return t_stat, _t_tail(n - 1, t_stat)
 
 
 @dataclass

@@ -556,14 +556,14 @@ class TestSearchCommands:
 # resolved_config.yaml, at --parallelism 1 and 4 alike.
 MULTI_CHUNK_DIGESTS = {
     "query/prompt_templates.json": "d2c4b1a32a12bd245090cfd330ceb995ea9eb2a5a0316cf5f9326e66adad73fe",
-    "query/report.json": "fb402fdff0d4f24848c1eddeabc88d16e2b110899e62a9f2442f209907149199",
+    "query/report.json": "110e9201b21babbdddf92b5ce90d5fb27bd8b27c015612ab279188e8fbc6f1f5",
     "query/report.txt": "16978bb1fa56627713cb8ca8df6ba2d6655a864384bfbb674c2e4b6c09ce46f2",
     "query/run_synthetic_r0.trec": "1a36dabca9663e41956a40f20ba14155ff62d01523eb55f14047b72ab8894d96",
     "query/run_synthetic_r1.trec": "6a23a23ea57667a77bba197735bdd2e3af16b27457ccde62825761d46b21eedd",
     "query/run_synthetic_r2.trec": "e11c43b561012c0f9cff3acbdb6c812dea4f6972954c3ca1195db04989b4e320",
     "query/synthetic.emb": "e29471687c6afceec337b447ed247d2d7c7579339562216b4579dd0b27a09625",
     "run/prompt_templates.json": "d2c4b1a32a12bd245090cfd330ceb995ea9eb2a5a0316cf5f9326e66adad73fe",
-    "run/report.json": "0d47fe88c70734786911650eb381c8eda5007e1e5d612b311dc6df3330c4a56b",
+    "run/report.json": "770ace18ac2a7c7b7b08e0bd7c5aa80e6254304e68fc606744d7bbfa85ae1d68",
     "run/report.txt": "8e1b7bfea5c77cd1a82b2d227851ef1a0d3e7b841cd8b43b077148ce8af4a7af",
     "run/run_synthetic_r0.trec": "1a36dabca9663e41956a40f20ba14155ff62d01523eb55f14047b72ab8894d96",
     "run/run_synthetic_r1.trec": "6a23a23ea57667a77bba197735bdd2e3af16b27457ccde62825761d46b21eedd",
@@ -1492,6 +1492,28 @@ def test_requests_is_imported_only_by_a_remote_client_without_a_session():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["False", "False", "True"]
+
+
+def test_importing_the_cli_loads_only_numpy_yaml_and_the_standard_library():
+    # Compared with what the bare interpreter loaded at start-up (site .pth
+    # files may load packages such as certifi there). A module without a
+    # __spec__ was made by an extension (Cython's runtime modules), not imported.
+    script = "\n".join(
+        [
+            "import sys",
+            "before = set(sys.modules)",
+            "import slhyde.cli",
+            "added = {name.split('.')[0] for name, module in sys.modules.items()",
+            "         if name not in before and getattr(module, '__spec__', None) is not None}",
+            "print(' '.join(sorted(added - set(sys.stdlib_module_names))))",
+        ]
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    added = set(done.stdout.split())
+    assert "scipy" not in added and "requests" not in added
+    assert added <= {"numpy", "yaml", "slhyde"}
 
 
 def test_no_loader_imports_jsonschema(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.stats
 
 from slhyde.errors import ValidationError
 from slhyde.metrics import (
+    _t_tail,
     build_report,
     ndcg_at_k,
     paired_t_test,
@@ -16,6 +18,8 @@ from slhyde.metrics import (
     write_trec_run,
 )
 from slhyde.retrieval import RankedHits
+
+T_TAIL_TABLE = Path(__file__).resolve().parent / "golden" / "t_tail_reference.json"
 
 
 def _hits(ids):
@@ -145,6 +149,23 @@ class TestPairedTTest:
             ref = scipy.stats.ttest_rel(a, b)
             assert t == pytest.approx(float(ref.statistic), abs=1e-6)
             assert p == pytest.approx(float(ref.pvalue), abs=1e-6)
+
+    def test_tail_matches_the_scipy_table(self):
+        # 2 * scipy.special.stdtr(k, -|t|) from scipy 1.17.1 for k up to 20,000,
+        # |t| from 1e-4 to 316, tails down to 1e-300 and rows where it is 0.0
+        table = json.loads(T_TAIL_TABLE.read_text())
+        assert len(table["rows"]) > 1000
+        for k, t, expected in table["rows"]:
+            assert abs(_t_tail(k, t) - expected) <= 1e-11 * expected, (k, t)
+            assert _t_tail(k, -t) == _t_tail(k, t)
+
+    @pytest.mark.parametrize("t", [1e160, -1e160, 1e300, math.inf])
+    def test_tail_past_the_square_overflow_is_zero(self, t):
+        assert _t_tail(10, t) == 0.0
+
+    def test_tail_of_zero_and_nan(self):
+        assert _t_tail(3, 0.0) == 1.0 and _t_tail(3, 1e-300) == 1.0
+        assert math.isnan(_t_tail(3, math.nan))
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
