@@ -15,7 +15,9 @@ staged step, `staged_outputs`, which writes the resolved config and prompt
 templates first, so every run directory holds them. `search`, `hyde-search`
 and `evaluate` consume one stream of (query id, hits) pairs, chunk by chunk:
 each pair's trec lines (and trace line, or metric values) are written or
-added up as it arrives, so memory holds one chunk of hits, never a run.
+added up as it arrives, so memory holds one chunk of hits, never a run. One
+function, `_run_queries`, makes every such stream; a dense run is HyDE's
+query-only plan (N = 0) over rows embedded up front.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from .embed import cache_embeddings, embed_texts
 from .errors import ParseError, SlhydeError, ValidationError
 from .hyde import FusionConfig, hypothesize, search_hypothesized
 from .metrics import build_report, ndcg_at_k, recall_at_k, render_report_text, report_to_dict, write_trec_run
-from .retrieval import DenseIndex, iter_search
+from .retrieval import DenseIndex
 from .selflearn import (
     build_generator_dataset,
     build_retriever_dataset,
@@ -64,30 +66,32 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_DEGRADED = 3
 
+# HyDE without a hypothetical document: the plan of every dense run.
+QUERY_ONLY = FusionConfig(strategy="mean_pool", n=0)
+
 
 @contextmanager
 def staged_outputs(config: RunConfig):
     """Write into a unique sibling staging dir of config.out_dir (concurrent
     runs never share one) that starts with the resolved config; promote
-    per-file on success only."""
+    per-file on success only. The staging dir is removed whatever happens,
+    a failed promotion included."""
     out_dir = Path(config.out_dir)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(dir=out_dir.parent, prefix=out_dir.name + ".staging-"))
     try:
         write_resolved_config(config, staging)
         yield staging
-    except BaseException:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for item in sorted(staging.rglob("*")):
+            target = out_dir / item.relative_to(staging)
+            if item.is_dir():
+                target.mkdir(parents=True, exist_ok=True)
+            else:
+                target.parent.mkdir(parents=True, exist_ok=True)
+                os.replace(item, target)
+    finally:
         shutil.rmtree(staging, ignore_errors=True)
-        raise
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for item in sorted(staging.rglob("*")):
-        target = out_dir / item.relative_to(staging)
-        if item.is_dir():
-            target.mkdir(parents=True, exist_ok=True)
-        else:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(item, target)
-    shutil.rmtree(staging, ignore_errors=True)
 
 
 def _sampling(config: RunConfig, seed: int | None = None) -> SamplingConfig:
@@ -135,16 +139,20 @@ def cmd_embed_corpus(config: RunConfig, command: str) -> int:
     return EXIT_OK
 
 
-def _dense_run(index, queries, rows, k: int):
-    """(query id, RankedHits) for each of the queries, whose embedding rows
-    are `rows`, from one iter_search pass: yielded block by block."""
-    return zip((q.id for q in queries), iter_search(index, rows, k))
+def _query_rows(emb, queries) -> dict:
+    """Each query's text -> its embedding row, from one embed_texts call (none
+    for no queries): the known rows of a dense run and of every HyDE repeat."""
+    texts = [q.text for q in queries]
+    return dict(zip(texts, embed_texts(emb, texts))) if texts else {}
 
 
 def _run_queries(config: RunConfig, emb, index, queries, k: int, gen, fusion, seed_parts, known_rows=None):
     """(query id, RankedHits) for each HyDE task in task order: the run of
     each entry of `seed_parts` in turn, a pair per query, yielded as each
-    chunk's search_hypothesized call returns them.
+    chunk's search_hypothesized call returns them. This is every command's
+    one source of such pairs: a dense run is the query-only plan
+    (`QUERY_ONLY`, gen None) over the queries' `known_rows`, so it makes no
+    request here and its hits are bit for bit a dense search's.
 
     Query q of the run for seed parts p samples with derive_seed(config.seed,
     *p, q.id). The (p, q) tasks go through `run_chunked`, drawn as they are
@@ -190,6 +198,7 @@ def cmd_search(config: RunConfig, command: str, k: int | None = None, trace: boo
     k = _search_k(config, k)
     gen = build_generator_client(config) if hyde else None
     emb = build_embedder_client(config)
+    tag = "hyde" if hyde else "dense"
     degraded = False
     with staged_outputs(config) as staging:
         for dataset in config.all_datasets():
@@ -197,12 +206,10 @@ def cmd_search(config: RunConfig, command: str, k: int | None = None, trace: boo
             queries = load_queries(_path(dataset, "queries"))
             index = DenseIndex(_dataset_cache(config, emb, dataset)[1])
             if hyde:
-                fusion = _fusion_for(config, dataset)
-                pairs = _run_queries(config, emb, index, queries, k, gen, fusion, [("hyde", dataset.name)])
-            elif queries:
-                pairs = _dense_run(index, queries, embed_texts(emb, [q.text for q in queries]), k)
+                fusion, known_rows = _fusion_for(config, dataset), None
             else:
-                pairs = ()
+                fusion, known_rows = QUERY_ONLY, _query_rows(emb, queries)
+            pairs = _run_queries(config, emb, index, queries, k, gen, fusion, [(tag, dataset.name)], known_rows)
             trace_path = staging / f"trace_{dataset.name}.jsonl"
             with replacing(trace_path, "x", encoding="utf-8", newline="") if trace else nullcontext() as trace_file:
 
@@ -217,7 +224,6 @@ def cmd_search(config: RunConfig, command: str, k: int | None = None, trace: boo
                         }
                         trace_file.write(jsonl_line(record))
 
-                tag = "hyde" if hyde else "dense"
                 write_trec_run(_tap(pairs, see), staging / f"run_{dataset.name}.trec", tag=tag)
     return EXIT_DEGRADED if degraded else EXIT_OK
 
@@ -228,12 +234,13 @@ def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str], 
     and its metric values into running sums, so memory holds one chunk of
     hits and the per-query values, never a run.
 
-    The queries are embedded once, in one embed_texts call. The runs are the
-    dense run itself when `gen` is None, else one HyDE run per repeat, which
-    reuses those rows. Returns (sums, baseline, count, degraded): sums maps
-    each metric to ([sum, count] of its values in each run, {query_id: sum of
-    its values over the runs}), every sum added from 0 in query or run order
-    as sum() adds them (before Python 3.12, whose sum() compensates);
+    The queries are embedded once, in one embed_texts call, which every run
+    reuses: the runs are the dense run itself (the query-only plan) when `gen`
+    is None, else one HyDE run per repeat. Returns (sums, baseline, count,
+    degraded): sums maps each metric to ([sum, count] of its values in each
+    run, {query_id: sum of its values over the runs}), every sum added from 0
+    in query or run order as sum() adds them (before Python 3.12, whose sum()
+    compensates);
     baseline maps each metric to the dense run's {query_id: value} when a
     HyDE evaluation compares against dense (`eval.compare_to_dense`), and is
     None otherwise, when no dense run beside the runs is searched; count is
@@ -273,20 +280,20 @@ def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str], 
                 yield metric, value
 
     max_k = max(list(config.eval.k_values) + [config.eval.primary_k])
-    rows = embed_texts(emb, [q.text for q in eval_queries])
+    query_rows = _query_rows(emb, eval_queries)
+    # a generator: nothing is searched unless it is consumed
+    dense = _run_queries(config, emb, index, eval_queries, max_k, None, QUERY_ONLY, [("dense",)], query_rows)
     baseline = None
     if gen is None:
-        runs = [_dense_run(index, eval_queries, rows, max_k)]
+        runs = [dense]
     else:
         if config.eval.compare_to_dense:
             baseline = {metric: {} for metric in metrics}
-            for query_id, hits in _dense_run(index, eval_queries, rows, max_k):
+            for query_id, hits in dense:
                 for metric, value in values(query_id, hits):
                     baseline[metric][query_id] = value
         seed_parts = [("eval", dataset.name, run_index) for run_index in range(config.eval.repeats)]
         fusion = _fusion_for(config, dataset)
-        # the query rows stand in for every repeat's query embeddings
-        query_rows = dict(zip((q.text for q in eval_queries), rows))
         pairs = _run_queries(config, emb, index, eval_queries, max_k, gen, fusion, seed_parts, query_rows)
         runs = (itertools.islice(pairs, len(eval_queries)) for _ in seed_parts)
     sums = {metric: ([], {}) for metric in metrics}

@@ -11,8 +11,8 @@ them, checking every YAML value against its field's annotation (an int is
 accepted where a float is expected; a bool is not a number), so an unknown key
 or a bad value is a ValidationError naming `<section>.<key>` at load.
 `RunConfig.validate` checks only what spans the top level: `clients`,
-`parallelism`, the endpoints a remote run needs, and that no two `datasets`
-share a name.
+`parallelism`, the endpoints a remote run needs, that no two `datasets`
+share a name, and that `out_dir` is neither an existing file nor under one.
 """
 from __future__ import annotations
 
@@ -167,6 +167,11 @@ class RunConfig:
         names = [dataset.name for dataset in self.datasets]
         if len(set(names)) < len(names):
             raise ValidationError(f"datasets lists the name {max(names, key=names.count)!r} more than once")
+        # refused before any work, not when the first output is written
+        out_dir = Path(self.out_dir)
+        existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+        if not existing.is_dir():
+            raise ValidationError(f"out_dir {self.out_dir} cannot be a directory: {existing} is a file")
 
 
 def load_config(path: str | Path | None, **overrides) -> RunConfig:

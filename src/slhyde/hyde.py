@@ -14,8 +14,10 @@ documents and returns the texts its fusion strategy averages.
 `search_hypothesized` takes a batch of such plans: it embeds every distinct
 text it is not given a row for (`embed.embed_rows`, the helper self-learning's
 triplet builder shares) in one embed_texts call, fuses each query as the mean
-of its own rows,
-and searches all fused vectors with one search_many call. The CLI runs its
+of its own rows, and searches all fused vectors with one search_many call.
+HyDE with N = 0 (`mean_pool`, the query-only plan) is the dense baseline: its
+plan is the query alone, whose mean is its own row, so its hits are bit for
+bit a dense search's, and the CLI's dense runs are that plan. The CLI runs its
 queries in chunks of 64, so a chunk costs one embed_texts call (one request
 per embedder batch_size texts) and one search, and it consumes each chunk's
 hits as they come (`cli._run_queries` yields them as a stream of (query id,
@@ -110,30 +112,24 @@ def hypothesize(
     query: Query, gen, cfg: FusionConfig, sampling: SamplingConfig | None = None
 ) -> tuple[list[str], dict]:
     """The texts whose embeddings the fusion strategy averages for `query`, and
-    the meta of its result.
-
-    Generation failures degrade to the query alone; the meta then carries
-    degraded=True so callers can flag the run.
+    the meta of its result: the `hypothetical_texts`, or degraded=True when
+    generation fails and the plan falls back to the query alone, so callers
+    can flag the run. With N = 0, the query-only plan (a dense search), the
+    texts are the query alone, the meta is empty and `gen` is not called.
     """
-    meta = {"strategy": cfg.strategy, "n": cfg.count}
-    texts = [query.text]
     if cfg.count == 0:
-        meta["mode"] = "query_only"
-    else:
-        try:
-            hypothetical = generate_hypothetical(gen, query.text, cfg.template, cfg.count, sampling)
-        except (TransportError, DegenerateOutputError) as exc:
-            logger.warning("generation failed for query %s (%s); falling back to query-only", query.id, exc)
-            meta.update(degraded=True, mode="query_only")
-        else:
-            meta["hypothetical_texts"] = hypothetical
-            if cfg.strategy == "concat":
-                texts = [query.text + " " + hypothetical[0]]
-            elif cfg.strategy == "doc_only":
-                texts = hypothetical
-            else:
-                texts = [query.text, *hypothetical]
-    return texts, meta
+        return [query.text], {}
+    try:
+        hypothetical = generate_hypothetical(gen, query.text, cfg.template, cfg.count, sampling)
+    except (TransportError, DegenerateOutputError) as exc:
+        logger.warning("generation failed for query %s (%s); falling back to query-only", query.id, exc)
+        return [query.text], {"degraded": True}
+    meta = {"hypothetical_texts": hypothetical}
+    if cfg.strategy == "concat":
+        return [query.text + " " + hypothetical[0]], meta
+    if cfg.strategy == "doc_only":
+        return hypothetical, meta
+    return [query.text, *hypothetical], meta
 
 
 def search_hypothesized(

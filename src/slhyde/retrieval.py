@@ -12,9 +12,7 @@ vector by any positive scalar never changes the result, which is what
 permits searching with unnormalized fused vectors.
 
 The index holds one matrix, the cache's own float32 rows; no float64 copy is
-made. `search_many` is the one search primitive, the list form of
-`iter_search`, which hands its results out block by block; it works in two
-passes:
+made. `search_many` is the one search primitive; it works in two passes:
 
 1. Coarse: blocks of 64 queries, each scaled to unit length, are scored in
    float32 against fixed tiles of rows, one matrix product per tile
@@ -56,8 +54,9 @@ coarse scores are written. The first tile's τ_t is selected 8 score rows per
 np.partition call, so that copy is of 8 rows; a later tile partitions only
 the rows that clear the floor. Beside these, a search holds a block's
 candidates (at most about k per query per tile) and ranks_of its bands. The
-hits themselves are k per query: search_many holds all of them, a caller
-that consumes iter_search's results as they come one block's.
+hits themselves are k per query, and the query matrix is copied to float64
+whole: callers search a chunk of 64 queries at a time (the CLI's dense runs
+too), so that copy is of 64 rows.
 
 A float64 score is computed by one BLAS matrix-vector product over a block of
 four rows (zero-padded), so a row's score never depends on how many or which
@@ -203,25 +202,9 @@ def _top_k(index: DenseIndex, rows: np.ndarray, scores: np.ndarray, k: int) -> R
     return RankedHits(ids=[ids[row] for row in rows[order].tolist()], scores=scores[order])
 
 
-def iter_search(index: DenseIndex, vectors, k: int) -> Iterator[RankedHits]:
-    """search_many's results in order, yielded block by block: a block of up
-    to 64 queries is searched when its first result is asked for, so a caller
-    that consumes each result as it comes holds one block's hits, not all of
-    them. The arguments are checked when the first result is asked for."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    queries = _as_query_matrix(index, vectors)
-    if len(index) == 0:
-        yield from (RankedHits(ids=[], scores=np.empty(0)) for _ in queries)
-        return
-    for block, _, tiles in _coarse_rows(index, queries):
-        yield from search_block(index, block, tiles, min(k, len(index)))
-
-
-def search_block(index: DenseIndex, block: np.ndarray, tiles, k: int) -> list[RankedHits]:
+def _search_block(index: DenseIndex, block: np.ndarray, tiles, k: int) -> list[RankedHits]:
     """The exact top k (k <= n) of each query of one `_coarse_rows` block,
-    from its `tiles`. A function of its own, so that a profile charges the
-    search to retrieval whichever caller pulls iter_search's results."""
+    from its `tiles`."""
     found = [[] for _ in block]  # per query: (rows, coarse scores) kept from each tile
     floors = np.full(len(block), -np.inf)  # per query: the highest τ_t − margin so far
     for first, scores in tiles:
@@ -249,8 +232,15 @@ def search_block(index: DenseIndex, block: np.ndarray, tiles, k: int) -> list[Ra
 
 def search_many(index: DenseIndex, vectors, k: int) -> list[RankedHits]:
     """Exact top-k for each row of the (queries, dim) matrix `vectors`; ties
-    broken by ascending doc id. The list form of iter_search."""
-    return list(iter_search(index, vectors, k))
+    broken by ascending doc id. An empty index gives every query no hits."""
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    queries = _as_query_matrix(index, vectors)
+    if len(index) == 0:
+        return [RankedHits(ids=[], scores=np.empty(0)) for _ in queries]
+    k = min(k, len(index))
+    blocks = _coarse_rows(index, queries)
+    return [hits for block, _, tiles in blocks for hits in _search_block(index, block, tiles, k)]
 
 
 def dense_search(index: DenseIndex, vector, k: int) -> RankedHits:

@@ -551,6 +551,55 @@ class TestSearchCommands:
         record = json.loads(trace_lines[0])
         assert record["hypothetical_texts"] and record["hits"]
 
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_search_is_hyde_search_without_a_hypothetical_document(self, tmp_path, monkeypatch, parallelism):
+        # 140 queries: three chunks of the query-only plan
+        dataset = tmp_path / "data"
+        make_dataset(dataset, n_docs=140, seed=8)
+        requests = _count_gen_requests(monkeypatch)
+        runs = {}
+        for command in ("search", "hyde-search"):
+            out = tmp_path / command
+            config_path = make_config(tmp_path, dataset, out, fusion={"strategy": "mean_pool", "n": 0})
+            assert main([command, "--config", str(config_path), "--parallelism", str(parallelism)]) == 0
+            runs[command] = [line.split() for line in (out / "run_synthetic.trec").read_text().splitlines()]
+        assert requests == []
+        # the same lines but the tag column
+        assert {line.pop() for line in runs["search"]} == {"dense"}
+        assert {line.pop() for line in runs["hyde-search"]} == {"hyde"}
+        assert len(runs["search"]) == 140 * 10
+        assert runs["search"] == runs["hyde-search"]
+
+    def test_dense_and_hyde_runs_keep_their_request_counts(self, tmp_path, monkeypatch):
+        # 140 queries in batches of 16: the queries are embedded once, up
+        # front (9 requests), and a dense run makes no request beyond that;
+        # each chunk of the 280 HyDE tasks embeds its own hypothetical
+        # documents (4 chunks of 64 and one of 24: 18 requests).
+        dataset = tmp_path / "data"
+        make_dataset(dataset, n_docs=140, seed=8)
+        config_path = make_config(tmp_path, dataset, tmp_path / "run", eval={"k_values": [10], "repeats": 2})
+        assert main(["embed-corpus", "--config", str(config_path)]) == 0
+
+        def embedder(config):
+            emb = MockEmbedderClient(dim=config.embedder.dim)
+            emb.batch_size = 16
+            return emb
+
+        monkeypatch.setattr(cli, "build_embedder_client", embedder)
+        batches, requests = _record_embed_batches(monkeypatch), _count_gen_requests(monkeypatch)
+        counts = {}
+        for argv in (["search"], ["evaluate", "--mode", "retriever"], ["evaluate", "--mode", "hyde"]):
+            batches.clear()
+            requests.clear()
+            assert main([*argv, "--config", str(config_path)]) == 0
+            counts[" ".join(argv)] = (len(batches), sum(map(len, batches)), len(requests))
+        # (embedder requests, texts embedded, generator requests)
+        assert counts == {
+            "search": (9, 140, 0),
+            "evaluate --mode retriever": (9, 140, 0),
+            "evaluate --mode hyde": (27, 420, 280),
+        }
+
 
 # The sha256 of every file test_multi_chunk_outputs_are_pinned writes, but
 # resolved_config.yaml, at --parallelism 1 and 4 alike.
@@ -705,14 +754,11 @@ class TestEvaluateCommand:
     def test_without_dense_comparison_no_dense_search_is_made(self, tmp_path, monkeypatch):
         dataset = tmp_path / "data"
         make_dataset(dataset, n_docs=30, seed=3)
-        searched = []  # the query-row count of every search pass: cli's dense one, hyde's per chunk
-        for module, name in ((cli, "iter_search"), (hyde, "search_many")):
-            original = getattr(module, name)
-            monkeypatch.setattr(
-                module,
-                name,
-                lambda index, rows, k, original=original: searched.append(len(rows)) or original(index, rows, k),
-            )
+        searched = []  # the query-row count of every chunk's search, dense and HyDE alike
+        original = hyde.search_many
+        monkeypatch.setattr(
+            hyde, "search_many", lambda index, rows, k: searched.append(len(rows)) or original(index, rows, k)
+        )
         calls, digests = {}, {}
         for compare in (True, False):
             out = tmp_path / f"run-{compare}"
@@ -725,7 +771,9 @@ class TestEvaluateCommand:
                 name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
                 for name in ("report.json", "report.txt", "run_synthetic_r0.trec", "run_synthetic_r1.trec")
             }
-        # the dense search of the 30 judged queries is the one call the comparison adds
+        # the dense run of the 30 judged queries, one chunk, is the one call
+        # the comparison adds; the two repeats' 60 tasks are another chunk
+        assert calls[False] == [60]
         assert calls[True] == [30] + calls[False]
         for name in ("run_synthetic_r0.trec", "run_synthetic_r1.trec"):
             assert digests[False][name] == digests[True][name]
@@ -798,11 +846,13 @@ class TestEvaluateCommand:
             finally:
                 tracemalloc.stop()
         capsys.readouterr()
-        # A query's floor: its embedding row as the embedder's float64 batch
-        # and the float32 batch and matrix hold it (16 bytes a dimension), and
-        # 1 KiB for its Query, its qrels entry and its values and running sums.
-        # A run of 200 hits a query (ids and float64 scores) would not fit.
-        floor = 16 * dim + 1024
+        # A query's floor: its embedding row as the embedder's float32 batch
+        # and the float32 matrix hold it (8 bytes a dimension), and 1 KiB for
+        # its Query, its qrels entry, its known row and its values and running
+        # sums. The dense run searches a chunk's rows at a time, so no float64
+        # copy of every query's row fits, nor a run of 200 hits a query (ids
+        # and float64 scores).
+        floor = 8 * dim + 1024
         assert peaks[1024] - peaks[256] < (1024 - 256) * floor
 
     def test_late_validation_error_leaves_no_run_file(self, tmp_path, monkeypatch):
@@ -1544,6 +1594,32 @@ def test_no_loader_imports_jsonschema(tmp_path):
 class TestExitCodes:
     def test_missing_config_file(self):
         assert main(["search", "--config", "/does/not/exist.yaml"]) == 1
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under_a_file"])
+    @pytest.mark.parametrize("command", ["construct-benchmark", "evaluate"])
+    def test_out_naming_a_file_exits_before_any_request(self, tmp_path, monkeypatch, capsys, command, below):
+        dataset = tmp_path / "data"
+        make_dataset(dataset)
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        config_path = make_config(tmp_path, dataset, tmp_path / "run")
+        argv = [command, "--config", str(config_path), "--out", str(taken / "run" if below else taken)]
+        if command == "construct-benchmark":
+            argv += ["--texts", str(dataset / "corpus.jsonl"), "--queries", str(dataset / "queries.jsonl")]
+        batches, requests = _record_embed_batches(monkeypatch), _count_gen_requests(monkeypatch)
+        assert main(argv) == 1
+        assert f"{taken} is a file" in capsys.readouterr().err
+        assert batches == [] and requests == []
+        assert taken.read_text() == "a file\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.yaml", "data", "taken"]
+
+    def test_failed_promotion_removes_the_staging_dir(self, tmp_path):
+        out = tmp_path / "run"
+        with pytest.raises(FileExistsError):
+            with cli.staged_outputs(load_config(None, out_dir=str(out))) as staging:
+                (staging / "report.txt").write_text("done\n")
+                out.write_text("a file made while the run was staged\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["run"]
 
     def test_bad_config_value(self, tmp_path):
         path = tmp_path / "c.yaml"

@@ -368,6 +368,15 @@ class TestExactAgainstFullScan:
             assert search_many(index, np.empty((0, 3)), 2) == []
             assert ranks_of(index, np.empty((0, 3)), []) == []
 
+    def test_empty_index_gives_each_query_no_hits(self):
+        index = _index_from_rows(np.empty((0, 3)))
+        hits = search_many(index, np.eye(3)[:2], 5)
+        assert [(hits.ids, hits.scores.tolist()) for hits in hits] == [([], []), ([], [])]
+        with pytest.raises(ValidationError):
+            search_many(index, np.eye(3)[:2], 0)
+        with pytest.raises(ValidationError, match="dim"):
+            search_many(index, np.eye(2), 5)
+
     def test_non_finite_query_rejected(self):
         index = _index_from_rows(np.eye(3, dtype=np.float32))
         with pytest.raises(ValidationError, match="non-finite"):
