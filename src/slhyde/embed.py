@@ -44,6 +44,7 @@ import math
 import os
 import struct
 import threading
+from collections import ChainMap
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -269,20 +270,23 @@ def _write_unit_rows(rows: np.ndarray, out: np.ndarray) -> None:
 
 def embed_rows(client, texts: list[str], known_rows: dict[str, np.ndarray] | None = None) -> np.ndarray:
     """The (len(texts), dim) rows of `texts`, embedding only what `known_rows`
-    (text -> a row embed_texts returned for it) lacks.
+    lacks.
 
     The embedder sees a text's first client.truncate_chars characters only, so
-    texts are told apart by those. Every distinct one that is not known is
-    embedded in one embed_texts call; when all are known, no call is made.
+    texts are told apart by those, and `known_rows` maps such a truncation to
+    a row embed_texts returned for it: its builders key it once, so a call only
+    looks each text up and never iterates it, O(len(texts)) however many rows
+    are known. Every distinct truncation that is not known is embedded in one
+    embed_texts call; when all are known, no call is made.
     """
     cut = client.truncate_chars
-    rows = {text[:cut]: row for text, row in (known_rows or {}).items()}
+    rows = known_rows or {}
     missing = {}
     for text in texts:
         if text[:cut] not in rows:
             missing.setdefault(text[:cut], text)
     if missing:
-        rows.update(zip(missing, embed_texts(client, list(missing.values()))))
+        rows = ChainMap(dict(zip(missing, embed_texts(client, list(missing.values())))), rows)
     return np.vstack([rows[text[:cut]] for text in texts])
 
 

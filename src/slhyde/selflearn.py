@@ -268,10 +268,11 @@ def save_sft_rows(result: SftBuildResult, emb, sft_path: str | Path) -> None:
 
 
 def load_sft_rows(emb, sft_path: str | Path, examples: list[SftExample]) -> dict[str, np.ndarray]:
-    """text -> row for each query and response of `examples`, the records of
-    `sft_path`, from its rows file; {} when that file is missing, was written
-    for other bytes or another embedder setting, or lists other examples (the
-    reason is logged)."""
+    """text[:emb.truncate_chars] -> row (the `known_rows` of
+    `embed.embed_rows`) for each query and response of `examples`, the
+    records of `sft_path`, from its rows file; {} when that file is missing,
+    was written for other bytes or another embedder setting, or lists other
+    examples (the reason is logged)."""
     path = _rows_path(sft_path)
     try:
         rows = load_cache(path, fingerprint=cache_fingerprint(emb, corpus_file_digest(sft_path)))
@@ -281,7 +282,8 @@ def load_sft_rows(emb, sft_path: str | Path, examples: list[SftExample]) -> dict
         logger.info("embedding the SFT texts again: %s", exc)
         return {}
     logger.info("reusing SFT rows %s (%d vectors)", path, len(rows))
-    return dict(zip((text for example in examples for text in (example.query, example.response)), rows.matrix))
+    texts = (text for example in examples for text in (example.query, example.response))
+    return dict(zip((text[: emb.truncate_chars] for text in texts), rows.matrix))
 
 
 def mine_hard_negatives(
@@ -320,11 +322,11 @@ def build_retriever_dataset(
     With settings.reuse_pseudo (offline mode) the selected response is reused
     as the pseudo-document; otherwise the generator rewrites the query fresh
     from `template`, which is the deployment-form path for a tuned generator.
-    A chunk's (query, pseudo) texts that `known_rows` (text -> row, e.g. from
-    `load_sft_rows`) lacks are embedded in one call (none when all are known);
-    each pair's fused vector (`hyde.fuse_rows`) mines the negatives (one
-    search_many call per chunk) and scores the reference loss against the
-    cached document rows.
+    A chunk's (query, pseudo) texts that `known_rows` (truncated text -> row,
+    e.g. from `load_sft_rows`) lacks are embedded in one call (none when all
+    are known); each pair's fused vector (`hyde.fuse_rows`) mines the
+    negatives (one search_many call per chunk) and scores the reference loss
+    against the cached document rows.
     """
     base = sampling or SamplingConfig()
     cache = index.cache

@@ -165,8 +165,10 @@ class TestMockEmbedder:
             embed_texts(mock_emb, [])
 
     def test_embed_rows_embeds_each_unknown_truncation_once(self):
+        # known rows are keyed by the truncation the embedder sees ("known te"),
+        # as their builders (cli._query_rows, selflearn.load_sft_rows) key them
         client = MockEmbedderClient(dim=64, truncate_chars=8)
-        known = {"known text": embed_text(client, "known text")}
+        known = {"known text"[:8]: embed_text(client, "known text")}
         client.calls = 0
         texts = ["known text", "alpha beta", "alpha beta gamma", "known tex!", "delta"]
         batches = []
@@ -177,8 +179,27 @@ class TestMockEmbedder:
         assert batches == [["alpha be", "delta"]]
         assert rows.tobytes() == embed_texts(client, texts).tobytes()
         batches.clear()
-        assert embed_rows(client, ["known text", "known tex?"], known).tobytes() == np.vstack([known["known text"]] * 2).tobytes()
+        both = embed_rows(client, ["known text", "known tex?"], known)
+        assert both.tobytes() == np.vstack([known["known te"]] * 2).tobytes()
         assert batches == []
+
+    def test_embed_rows_looks_known_rows_up_without_iterating_them(self):
+        class LookupOnly(dict):
+            def _iterated(self, *args):
+                raise AssertionError("the known rows were iterated")
+
+            __iter__ = keys = values = items = copy = _iterated
+
+        client = MockEmbedderClient(dim=32, truncate_chars=16)
+        texts = [f"query number {i}" for i in range(200)]
+        known = LookupOnly(zip(texts[:150], embed_texts(client, texts[:150])))
+        batches = []
+        original = client.embed_batch
+        client.embed_batch = lambda batch: batches.append(batch) or original(batch)
+        chunk = texts[140:160] + texts[:3]
+        rows = embed_rows(client, chunk, known)
+        assert [text for batch in batches for text in batch] == texts[150:160]
+        assert rows.tobytes() == embed_texts(client, chunk).tobytes()
 
     def test_inner_product_equals_cosine_for_unit_vectors(self, mock_emb):
         vecs = embed_texts(mock_emb, [f"text {i}" for i in range(20)])

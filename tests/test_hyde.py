@@ -297,7 +297,8 @@ class TestBatchedMatchesPerQuery:
         expected = [hyde_search(q, gen, emb, index, cfg, k=len(index), sampling=s) for q, s in queries]
 
         texts = [q.text for q, _ in queries]
-        known = dict(zip(texts, embed_texts(emb, texts))) if seeded else None
+        # known rows are keyed by what the embedder sees of a text, as cli._query_rows keys them
+        known = dict(zip((text[:cut] for text in texts), embed_texts(emb, texts))) if seeded else None
         gen = MockGeneratorClient(fail_times=fail_times, max_retries=2)
         planned = [hypothesize(q, gen, cfg, s) for q, s in queries]
         emb.calls = 0
