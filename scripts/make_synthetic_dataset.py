@@ -5,15 +5,6 @@ Each document gets a few unique random anchor tokens plus shared filler; each
 query quotes one anchor of its target document plus noise, so retrieval is
 solvable but not trivial. Useful for smoke runs of every CLI command without
 any real data.
-
-    python scripts/make_synthetic_dataset.py OUT_DIR [--docs N] [--queries N] [--seed N] [--script ascii|cjk]
-
-`--script ascii` (the default) writes random 8-letter ASCII tokens, so a
-query term occurs in about one document. `--script cjk` writes space-separated words of CJK ideographs, the
-script of CMIRB's Chinese text: the anchors are unique 4-character words, and
-the filler and query noise are 2-character words drawn with Zipf frequencies
-from a seeded vocabulary, so that common terms (and the unigrams and bigrams
-`bm25.tokenize` cuts them into) occur in many documents.
 """
 from __future__ import annotations
 
@@ -26,95 +17,39 @@ import numpy as np
 from slhyde.corpus import Document, Query, RelevanceJudgments, write_corpus, write_qrels, write_queries
 
 LETTERS = np.array(list(string.ascii_lowercase))
-IDEOGRAPHS = np.array([chr(code) for code in range(0x4E00, 0xA000)])  # CJK Unified Ideographs
-CJK_CHARACTERS = 3500  # characters in use, about a common-character list
-CJK_VOCABULARY = 2000  # 2-character words the CJK filler is drawn from
-ZIPF_EXPONENT = 1.1    # the i-th commonest character or word has frequency ∝ i^-1.1
-
-
-def zipf_weights(count: int) -> np.ndarray:
-    weights = np.arange(1, count + 1, dtype=np.float64) ** -ZIPF_EXPONENT
-    return weights / weights.sum()
 
 
 def token(rng: np.random.Generator, length: int = 8) -> str:
     return "".join(rng.choice(LETTERS, size=length))
 
 
-def judged_queries(docs: list[Document], n_queries: int, noise) -> tuple[list, dict]:
-    """(queries, qrels entries): query i quotes the first word of document i,
-    its first anchor, then the words noise() returns, and judges that
-    document relevant."""
-    queries = []
-    entries = {}
-    for i in range(n_queries):
-        target = docs[i]
-        query = Query(id=f"q{i:05d}", text=" ".join([target.text.split()[0]] + noise()))
-        queries.append(query)
-        entries[query.id] = {target.id: 1}
-    return queries, entries
-
-
-def ascii_dataset(rng: np.random.Generator, n_docs: int, n_queries: int) -> tuple[list, list, dict]:
-    """(documents, queries, qrels entries) of 8-letter ASCII tokens."""
-    filler = [token(rng) for _ in range(12)]
-
-    docs = []
-    for i in range(n_docs):
-        anchors = [token(rng) for _ in range(3)]
-        body = anchors * 2 + list(rng.permutation(filler)) + [token(rng) for _ in range(6)]
-        docs.append(Document(id=f"d{i:05d}", text=" ".join(body)))
-
-    return docs, *judged_queries(docs, n_queries, lambda: [token(rng) for _ in range(3)])
-
-
-def cjk_dataset(rng: np.random.Generator, n_docs: int, n_queries: int) -> tuple[list, list, dict]:
-    """(documents, queries, qrels entries) of CJK words. A vocabulary of
-    2-character words is drawn from a seeded choice of ideographs with Zipf
-    character frequencies. A document is three anchors, each two vocabulary
-    words drawn uniformly and written as one 4-character word that no other
-    document has, each anchor twice, then 18 words drawn from the vocabulary
-    with Zipf frequencies; a query is its target's first anchor and 3 such
-    words."""
-    characters = rng.permutation(IDEOGRAPHS)[:CJK_CHARACTERS]
-    character_weights = zipf_weights(CJK_CHARACTERS)
-    vocabulary = np.array(
-        ["".join(rng.choice(characters, size=2, p=character_weights)) for _ in range(CJK_VOCABULARY)]
-    )
-    word_weights = zipf_weights(CJK_VOCABULARY)
-    anchors_used = set()
-
-    def anchor() -> str:
-        while (text := "".join(rng.choice(vocabulary, size=2))) in anchors_used:
-            pass
-        anchors_used.add(text)
-        return text
-
-    def common(count: int) -> list[str]:
-        return rng.choice(vocabulary, size=count, p=word_weights).tolist()
-
-    docs = []
-    for i in range(n_docs):
-        anchors = [anchor() for _ in range(3)]
-        docs.append(Document(id=f"d{i:05d}", text=" ".join(anchors * 2 + common(18))))
-
-    return docs, *judged_queries(docs, n_queries, lambda: common(3))
-
-
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("out_dir", type=Path)
     parser.add_argument("--docs", type=int, default=100)
     parser.add_argument("--queries", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--script", choices=("ascii", "cjk"), default="ascii", help="the words' script (see above)")
     args = parser.parse_args()
 
     if args.queries > args.docs:
         parser.error("--queries cannot exceed --docs")
     rng = np.random.default_rng(args.seed)
-    make = cjk_dataset if args.script == "cjk" else ascii_dataset
-    docs, queries, entries = make(rng, args.docs, args.queries)
+    filler = [token(rng) for _ in range(12)]
+
+    docs = []
+    for i in range(args.docs):
+        anchors = [token(rng) for _ in range(3)]
+        body = anchors * 2 + list(rng.permutation(filler)) + [token(rng) for _ in range(6)]
+        docs.append(Document(id=f"d{i:05d}", text=" ".join(body)))
+
+    queries = []
+    entries = {}
+    for i in range(args.queries):
+        target = docs[i]
+        text = " ".join([target.text.split()[0]] + [token(rng) for _ in range(3)])
+        query = Query(id=f"q{i:05d}", text=text)
+        queries.append(query)
+        entries[query.id] = {target.id: 1}
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_corpus(docs, args.out_dir / "corpus.jsonl")

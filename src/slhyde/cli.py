@@ -42,7 +42,7 @@ from .config import (
     write_resolved_config,
 )
 from .corpus import load_corpus, load_qrels, load_queries, sample_documents
-from .embed import cache_embeddings, embed_texts
+from .embed import cache_embeddings, embed_texts, keyed_rows
 from .errors import ParseError, SlhydeError, ValidationError
 from .hyde import FusionConfig, hypothesize, search_hypothesized
 from .metrics import build_report, ndcg_at_k, recall_at_k, render_report_text, report_to_dict, write_trec_run
@@ -140,11 +140,11 @@ def cmd_embed_corpus(config: RunConfig, command: str) -> int:
 
 
 def _query_rows(emb, queries) -> dict:
-    """Each query's text, cut to emb.truncate_chars -> its embedding row, from
-    one embed_texts call (none for no queries): the known rows (as
-    `embed.embed_rows` keys them) of a dense run and of every HyDE repeat."""
+    """Each query's embedding row, from one embed_texts call (none for no
+    queries), as `embed.keyed_rows`: the known rows of a dense run and of every
+    HyDE repeat."""
     texts = [q.text for q in queries]
-    return dict(zip((text[: emb.truncate_chars] for text in texts), embed_texts(emb, texts))) if texts else {}
+    return keyed_rows(emb, texts, embed_texts(emb, texts)) if texts else {}
 
 
 def _run_queries(config: RunConfig, emb, index, queries, k: int, gen, fusion, seed_parts, known_rows=None):
@@ -158,8 +158,8 @@ def _run_queries(config: RunConfig, emb, index, queries, k: int, gen, fusion, se
     Query q of the run for seed parts p samples with derive_seed(config.seed,
     *p, q.id). The (p, q) tasks go through `run_chunked`, drawn as they are
     needed: a chunk is generated for, then one search_hypothesized call embeds
-    the chunk's distinct texts (those not in `known_rows`, truncated text ->
-    row) with one embed_texts call and searches the chunk with one search_many
+    the chunk's distinct texts (those not in `known_rows`, an
+    `embed.keyed_rows` mapping) with one embed_texts call and searches the chunk with one search_many
     call. So when the embedder fails, the generator has already been called
     for the whole chunk.
     """

@@ -268,16 +268,24 @@ def _write_unit_rows(rows: np.ndarray, out: np.ndarray) -> None:
         out[bad] = _rescaled_unit_rows(rows[bad])
 
 
+def keyed_rows(client, texts, rows) -> dict[str, np.ndarray]:
+    """The `known_rows` of `embed_rows` for `texts` and their `rows` (rows[i]
+    is what embed_texts returned for texts[i]): each text's first
+    client.truncate_chars characters, all the embedder sees of it, -> its row."""
+    cut = client.truncate_chars
+    return dict(zip((text[:cut] for text in texts), rows))
+
+
 def embed_rows(client, texts: list[str], known_rows: dict[str, np.ndarray] | None = None) -> np.ndarray:
     """The (len(texts), dim) rows of `texts`, embedding only what `known_rows`
-    lacks.
+    (built by `keyed_rows`) lacks.
 
     The embedder sees a text's first client.truncate_chars characters only, so
-    texts are told apart by those, and `known_rows` maps such a truncation to
-    a row embed_texts returned for it: its builders key it once, so a call only
-    looks each text up and never iterates it, O(len(texts)) however many rows
-    are known. Every distinct truncation that is not known is embedded in one
-    embed_texts call; when all are known, no call is made.
+    texts are told apart by those, and `known_rows` is keyed by them once,
+    where it is built: a call only looks each text up and never iterates it,
+    O(len(texts)) however many rows are known. Every distinct truncation that
+    is not known is embedded in one embed_texts call; when all are known, no
+    call is made.
     """
     cut = client.truncate_chars
     rows = known_rows or {}

@@ -142,9 +142,9 @@ def search_hypothesized(
     """Top-k hits for each (texts, meta) plan of `hypothesize`, with its meta.
 
     The plans' texts are embedded by one `embed_rows` call (one embed_texts
-    call for the distinct texts that `known_rows`, keyed by truncated text,
-    lacks); each plan is fused as the mean of its own rows, and all fused
-    vectors are searched with one search_many call.
+    call for the distinct texts that `known_rows`, an `embed.keyed_rows`
+    mapping, lacks); each plan is fused as the mean of its own rows, and all
+    fused vectors are searched with one search_many call.
     """
     if not planned:
         return []

@@ -32,10 +32,12 @@ made. `search_many` is the one search primitive; it works in two passes:
    floor: one comparison of the tile, then `flatnonzero`, then a grouping by
    query. T is then updated by one np.partition per tile, of each query's k
    best so far beside the tile's kept scores (padded to the longest query).
-   Candidates below the risen floor are dropped whenever more than 2·k a query
-   are held, and at the end. Every row seen with a coarse score of at least T
-   was at or above each earlier floor, so it is still a candidate, and T is
-   also the k-th largest of the candidates. After the last tile T is τ, so the
+   Candidates below the risen floor are dropped at the end, and whenever the
+   block holds twice as many as after the last drop (and over 2·k a query),
+   so the drops cost time linear in the rows kept, also for a zero query that
+   keeps every row. Every row seen with a coarse score of at least T was at
+   or above each earlier floor, so it is still a candidate, and T is also the
+   k-th largest of the candidates. After the last tile T is τ, so the
    candidates hold every row scoring at least τ − 2·eps, and little else. They
    are rescored in float64 with the original query and ordered by score
    descending, then id ascending, so the result equals a full float64 scan. A
@@ -67,7 +69,7 @@ scores are written. A search compares a tile with one boolean mask of its
 shape (a quarter of the buffer), and `ranks_of` 2^14 scores at a time. The
 first tile's T is selected 8 score columns per np.partition call, so that copy
 is of 8 columns. Beside these, a search holds a block's candidates (about k
-per query, 12 bytes each, at most twice that between compactions) and the k
+per query, 12 bytes each, at most twice that between drops) and the k
 best coarse scores per query, and `ranks_of` its bands. The float64 phase
 copies at most 4,096 rows to float64 at a time. The hits themselves are k per
 query, and the query matrix is copied to float64 whole: callers search a chunk
@@ -265,13 +267,14 @@ def _search_block(index: DenseIndex, block: np.ndarray, tiles, k: int) -> list[R
     A candidate is kept as its key, row · width + query (so tile order and
     `flatnonzero` order keep the keys ascending), beside its coarse score;
     `best` holds each query's k largest coarse scores so far, −inf padded.
-    Candidates under a risen floor are dropped once more than 2·k·width are
-    held, and at the end.
+    Candidates under a risen floor are dropped at the end, and whenever twice
+    as many are held as after the last such drop (or twice k·width), so the
+    drops cost O(held) in all even where a zero query keeps every row.
     """
     width = len(block)
     floors = np.full(width, -np.inf)  # per query: T − margin, T the k-th best coarse score so far
     best = np.full((width, k), -np.inf, dtype=np.float32)
-    pieces, held = [], 0
+    pieces, held, limit = [], 0, 2 * k * width
     for first, scores in tiles:
         if first == 0 and len(scores) >= k:  # the first floor: T of the whole first tile
             floors = _kth_largest(scores, k) - index._margin
@@ -291,9 +294,10 @@ def _search_block(index: DenseIndex, block: np.ndarray, tiles, k: int) -> list[R
         padded.partition(spread, axis=1)
         best = padded[:, spread:]
         floors = best[:, 0].astype(np.float64) - index._margin
-        if held > 2 * k * width:
+        if held > limit:
             pieces = [_above_floors(pieces, floors, width)]
             held = len(pieces[0][0])
+            limit = 2 * max(k * width, held)
     keys, _ = _above_floors(pieces, floors, width)
     return [
         _top_k(index, shortlist, _exact_scores(index.cache.matrix, shortlist, query), k)

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Document, corpus_file_digest
-from .embed import EmbeddingCache, cache_fingerprint, embed_rows, embed_texts, load_cache, save_cache
+from .embed import EmbeddingCache, cache_fingerprint, embed_rows, embed_texts, keyed_rows, load_cache, save_cache
 from .errors import FormatError, ProtocolError, RunError, SlhydeError, ValidationError
 from .hyde import fuse_rows
 from .retrieval import DenseIndex, ranks_of, search_many
@@ -268,11 +268,10 @@ def save_sft_rows(result: SftBuildResult, emb, sft_path: str | Path) -> None:
 
 
 def load_sft_rows(emb, sft_path: str | Path, examples: list[SftExample]) -> dict[str, np.ndarray]:
-    """text[:emb.truncate_chars] -> row (the `known_rows` of
-    `embed.embed_rows`) for each query and response of `examples`, the
-    records of `sft_path`, from its rows file; {} when that file is missing,
-    was written for other bytes or another embedder setting, or lists other
-    examples (the reason is logged)."""
+    """The row of each query and response of `examples`, the records of
+    `sft_path`, from its rows file, as `embed.keyed_rows`; {} when that file
+    is missing, was written for other bytes or another embedder setting, or
+    lists other examples (the reason is logged)."""
     path = _rows_path(sft_path)
     try:
         rows = load_cache(path, fingerprint=cache_fingerprint(emb, corpus_file_digest(sft_path)))
@@ -283,7 +282,7 @@ def load_sft_rows(emb, sft_path: str | Path, examples: list[SftExample]) -> dict
         return {}
     logger.info("reusing SFT rows %s (%d vectors)", path, len(rows))
     texts = (text for example in examples for text in (example.query, example.response))
-    return dict(zip((text[: emb.truncate_chars] for text in texts), rows.matrix))
+    return keyed_rows(emb, texts, rows.matrix)
 
 
 def mine_hard_negatives(
@@ -322,9 +321,9 @@ def build_retriever_dataset(
     With settings.reuse_pseudo (offline mode) the selected response is reused
     as the pseudo-document; otherwise the generator rewrites the query fresh
     from `template`, which is the deployment-form path for a tuned generator.
-    A chunk's (query, pseudo) texts that `known_rows` (truncated text -> row,
-    e.g. from `load_sft_rows`) lacks are embedded in one call (none when all
-    are known); each pair's fused vector (`hyde.fuse_rows`) mines the
+    A chunk's (query, pseudo) texts that `known_rows` (an `embed.keyed_rows`
+    mapping, e.g. from `load_sft_rows`) lacks are embedded in one call (none
+    when all are known); each pair's fused vector (`hyde.fuse_rows`) mines the
     negatives (one search_many call per chunk) and scores the reference loss
     against the cached document rows.
     """

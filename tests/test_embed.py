@@ -27,6 +27,7 @@ from slhyde.embed import (
     embed_rows,
     embed_text,
     embed_texts,
+    keyed_rows,
     load_cache,
     normalize,
 )
@@ -165,10 +166,10 @@ class TestMockEmbedder:
             embed_texts(mock_emb, [])
 
     def test_embed_rows_embeds_each_unknown_truncation_once(self):
-        # known rows are keyed by the truncation the embedder sees ("known te"),
-        # as their builders (cli._query_rows, selflearn.load_sft_rows) key them
+        # known rows are keyed by the truncation the embedder sees ("known te")
         client = MockEmbedderClient(dim=64, truncate_chars=8)
-        known = {"known text"[:8]: embed_text(client, "known text")}
+        known = keyed_rows(client, ["known text"], [embed_text(client, "known text")])
+        assert list(known) == ["known te"]
         client.calls = 0
         texts = ["known text", "alpha beta", "alpha beta gamma", "known tex!", "delta"]
         batches = []
@@ -192,7 +193,7 @@ class TestMockEmbedder:
 
         client = MockEmbedderClient(dim=32, truncate_chars=16)
         texts = [f"query number {i}" for i in range(200)]
-        known = LookupOnly(zip(texts[:150], embed_texts(client, texts[:150])))
+        known = LookupOnly(keyed_rows(client, texts[:150], embed_texts(client, texts[:150])))
         batches = []
         original = client.embed_batch
         client.embed_batch = lambda batch: batches.append(batch) or original(batch)

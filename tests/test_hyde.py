@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from slhyde import cli
 from slhyde.config import RunConfig
 from slhyde.corpus import CorpusStore, Query
-from slhyde.embed import EmbeddingCache, MockEmbedderClient, embed_text, embed_texts
+from slhyde.embed import EmbeddingCache, MockEmbedderClient, embed_text, embed_texts, keyed_rows
 from slhyde.errors import ValidationError
 from slhyde.hyde import FusionConfig, fuse_rows, hyde_search, hypothesize, search_hypothesized
 from slhyde.retrieval import DenseIndex, dense_search, ranks_of
@@ -297,8 +297,7 @@ class TestBatchedMatchesPerQuery:
         expected = [hyde_search(q, gen, emb, index, cfg, k=len(index), sampling=s) for q, s in queries]
 
         texts = [q.text for q, _ in queries]
-        # known rows are keyed by what the embedder sees of a text, as cli._query_rows keys them
-        known = dict(zip((text[:cut] for text in texts), embed_texts(emb, texts))) if seeded else None
+        known = keyed_rows(emb, texts, embed_texts(emb, texts)) if seeded else None
         gen = MockGeneratorClient(fail_times=fail_times, max_retries=2)
         planned = [hypothesize(q, gen, cfg, s) for q, s in queries]
         emb.calls = 0

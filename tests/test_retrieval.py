@@ -519,6 +519,32 @@ def test_k_above_a_tiles_rows_equals_the_full_scan_in_order_k_memory():
         assert _traced_peak(lambda: ranks_of(index, queries, targets[: len(queries)])) <= 425_007
 
 
+def test_a_zero_query_keeps_the_candidate_drops_linear():
+    # A zero query scores 0 on every row and keeps all 3,000. Over 47 tiles of
+    # 64 rows, dropping candidates after every tile once the block holds over
+    # 2·k·width refilters about 101,000 of them; dropping only when twice as
+    # many are held as after the last drop refilters about 8,000, within four
+    # times what the block may keep.
+    rng = np.random.default_rng(21)
+    n, d, k = 3000, 16, 10
+    ids = [f"d{i:04d}" for i in range(n)]
+    rows = rng.normal(size=(n, d)).astype(np.float32)
+    index = _index_from_rows(rows, ids)
+    queries = rng.normal(size=(64, d))
+    queries[5] = 0.0
+    filtered = []
+    above_floors = retrieval._above_floors
+
+    def counted(pieces, floors, width):
+        filtered.append(sum(len(keys) for keys, _ in pieces))
+        return above_floors(pieces, floors, width)
+
+    with _tile_budget(64 * 64), mock.patch.object(retrieval, "_above_floors", counted):
+        hits = search_many(index, queries, k)
+    assert [_bits(found) for found in hits] == [_full_scan_search(rows, ids, query, k) for query in queries]
+    assert sum(filtered[:-1]) <= 4 * (n + 2 * k * len(queries))
+
+
 def test_exact_scores_are_sliced_without_changing_a_bit():
     # 10,007 rows in shuffled order: slices of 4,096 rows, the last one ragged
     rng = np.random.default_rng(19)

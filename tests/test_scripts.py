@@ -15,10 +15,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from slhyde.bm25 import Bm25Index, Bm25Settings, tokenize
-from slhyde.corpus import CorpusStore, load_corpus, load_queries
+from slhyde.corpus import load_corpus, load_queries
 from slhyde.selflearn import load_sft_jsonl, load_triplets_jsonl
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -126,61 +124,6 @@ def test_compare_fusion_strategies_is_deterministic():
     assert first.returncode == 0, first.stderr
     assert second.returncode == 0, second.stderr
     assert first.stdout and first.stdout == second.stdout
-
-
-# The default (ASCII) output's sha256 per file, as the script wrote it before
-# --script existed.
-SYNTHETIC_DIGESTS = {
-    ("--docs", "50", "--queries", "10", "--seed", "3"): {
-        "corpus.jsonl": "3659a0b5a1cc394cf5a92dda7e557515118c5d3d785adce1429422706829825b",
-        "qrels.tsv": "f524e5642ae4e6f2e3acaf7f99f5df977b0a8fb851980a3ff1db510050cd8720",
-        "queries.jsonl": "31e62c2184e553e82a37acd9bb29612291915ec25b9763853edb4467f9c33e73",
-    },
-    (): {
-        "corpus.jsonl": "9119f1b5f2ad68633446f620bcb4d241a4e5bf5fe110525945189b3c529c2fa5",
-        "qrels.tsv": "9b993680ed4066457fb0ed1395b9b4df83a48876cb165d8dfa22fb4ee7eaf7ca",
-        "queries.jsonl": "bed9671720fb95f9f62697a2665118012b4ff3eea68b0e7fdf2f24f7ff3a2114",
-    },
-}
-
-
-@pytest.mark.parametrize("args", list(SYNTHETIC_DIGESTS), ids=["small", "defaults"])
-def test_synthetic_dataset_default_bytes_are_pinned(tmp_path, args):
-    for out, flags in ((tmp_path / "default", ()), (tmp_path / "ascii", ("--script", "ascii"))):
-        result = _run("make_synthetic_dataset.py", str(out), *args, *flags)
-        assert result.returncode == 0, result.stderr
-        assert _digests(_tree(out)) == SYNTHETIC_DIGESTS[args]
-
-
-def _postings_per_matched_query_term(data: Path) -> np.ndarray:
-    """For every token of every query, as bm25_search walks them, the number
-    of documents holding it (BM25's postings), where that is not 0."""
-    queries = [query.text for query in load_queries(data / "queries.jsonl")]
-    index = Bm25Index.build(CorpusStore(load_corpus(data / "corpus.jsonl")), Bm25Settings(), queries)
-    postings = np.diff(index.offsets)[[slot for text in queries for slot in index.query_slots[text]]]
-    return postings[postings > 0]
-
-
-def test_cjk_dataset_has_long_postings_and_keeps_the_anchors(tmp_path):
-    cjk, again, ascii_ = tmp_path / "cjk", tmp_path / "again", tmp_path / "ascii"
-    for out, flags in ((cjk, ("--script", "cjk")), (again, ("--script", "cjk")), (ascii_, ())):
-        result = _run("make_synthetic_dataset.py", str(out), "--docs", "300", "--queries", "60", "--seed", "2", *flags)
-        assert result.returncode == 0, result.stderr
-    assert _tree(again) == _tree(cjk)
-    docs = load_corpus(cjk / "corpus.jsonl")
-    assert all(tokenize(doc.text, "cjk") != tokenize(doc.text, "simple") for doc in docs)  # CJK runs are expanded
-    # each query's first word is an anchor of its judged document and of no other
-    holders = {}
-    for doc in docs:
-        for word in set(doc.text.split()):
-            holders.setdefault(word, []).append(doc.id)
-    judged = dict(line.split("\t")[:2] for line in (cjk / "qrels.tsv").read_text("utf-8").splitlines()[1:])
-    for query in load_queries(cjk / "queries.jsonl"):
-        assert holders[query.text.split()[0]] == [judged[query.id]]
-    # Zipf-frequent characters and words: most query terms hit many documents,
-    # where every matched ASCII query term is in one
-    assert np.median(_postings_per_matched_query_term(cjk)) >= 10
-    assert np.median(_postings_per_matched_query_term(ascii_)) == 1
 
 
 if __name__ == "__main__":
