@@ -82,19 +82,17 @@ def main() -> int:
         responses[prompt] = variants
     gen = MockGeneratorClient(responses=responses)
 
+    # Per-query values are lists in query order, which is query-id order below
+    # 100,000 queries: the ids are zero-padded to five digits.
     query_hits = search_many(index, embed_texts(emb, [q.text for q in queries]), args.k)
-    baseline = {q.id: ndcg_at_k(hits, qrels[q.id], args.k) for q, hits in zip(queries, query_hits)}
+    baseline = [ndcg_at_k(hits, qrels[q.id], args.k) for q, hits in zip(queries, query_hits)]
 
     for strategy in FUSION_STRATEGIES:
         cfg = FusionConfig(strategy=strategy)
         planned = [hypothesize(query, gen, cfg) for query in queries]
         fused_hits = search_hypothesized(planned, emb, index, args.k)
-        per_query = {q.id: ndcg_at_k(hits, qrels[q.id], args.k) for q, hits in zip(queries, fused_hits)}
-        report = build_report(
-            {strategy: per_query},
-            baseline={strategy: baseline},
-            metric=f"ndcg@{args.k}",
-        )
+        per_query = [ndcg_at_k(hits, qrels[q.id], args.k) for q, hits in zip(queries, fused_hits)]
+        report = build_report({strategy: per_query}, baseline={strategy: baseline}, metric=f"ndcg@{args.k}")
         print(render_report_text(report))
     return 0
 

@@ -20,14 +20,16 @@ quality calls are one step function driven by `_STEPS`, a table keyed by
 review stage: each entry names the template, the key the verdict must carry,
 how its value is read, and the two review reasons. A response that is not
 JSON or lacks the key gets exactly one repair retry (the prompt re-asked with
-a format reminder); a present value that does not read goes to review with
-no retry. The medical filter retries whenever neither `label` nor `score`
-reads. An item that fails goes to the review bucket instead of being dropped
-silently; so does one whose judge call fails after its retries. A
-ProtocolError (a client status such as a bad key's 401) would fail every
-item alike, so it ends the command (exit 2). Every kept or removed decision
-carries the judge rationale, and each stage's counts satisfy kept + removed +
-review = input.
+a format reminder); a present value that does not read, or lies outside its
+template's contract, goes to review with no retry. The contracts: a `label`
+is 0 or 1, a `score` or `similarity_score` is in [0, 1], a `quality_score` is
+an integer from 1 to 5. The medical filter retries whenever neither `label`
+nor `score` reads within its contract. An item that fails goes to the review
+bucket instead of being dropped silently; so does one whose judge call fails
+after its retries. A ProtocolError (a client status such as a bad key's 401)
+would fail every item alike, so it ends the command (exit 2). Every kept or
+removed decision carries the judge rationale, and each stage's counts satisfy
+kept + removed + review = input.
 
 Each stage is a per-item function that returns its result and its own
 review items, mapped over the stage's items by `_each` on the stage runner
@@ -166,29 +168,34 @@ def _as_list(value) -> list:
     return value
 
 
-def _finite_float(value) -> float:
-    """float(value); ValueError when it is NaN or infinite (json.loads reads
-    `NaN` and `Infinity`)."""
+def _finite_float(value, low: float = -math.inf, high: float = math.inf) -> float:
+    """float(value); ValueError when it is a bool, NaN or infinite (json.loads
+    reads `NaN` and `Infinity`), or outside [low, high]."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
     number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"non-finite number {value!r}")
+    if not (math.isfinite(number) and low <= number <= high):
+        raise ValueError(f"{value!r} is not a finite number in [{low}, {high}]")
     return number
 
 
-def _finite_int(value) -> int:
-    """int(value); ValueError, not OverflowError, when it is infinite."""
-    try:
-        return int(value)
-    except OverflowError as exc:
-        raise ValueError(f"non-finite number {value!r}") from exc
+def _finite_int(value, low: float = -math.inf, high: float = math.inf) -> int:
+    """int(value); ValueError when it is a bool, a number with a fraction, NaN
+    or infinity (4.0 reads, 4.7 does not), or outside [low, high]."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    number = int(value)
+    if not low <= number <= high:
+        raise ValueError(f"{number} is outside [{low}, {high}]")
+    return number
 
 
 class _Step(NamedTuple):
     template: str
     key: str  # the verdict must carry it, or the judge is asked once more
-    read: Callable  # raises TypeError or ValueError on a wrong-typed value
+    read: Callable  # raises TypeError or ValueError on a wrong-typed or out-of-range value
     unparseable: str  # review reason: no JSON or no key, after the repair retry
-    wrong_type: str  # review reason: the key's value does not read (no retry)
+    wrong_type: str  # review reason: the key's value does not read or is out of range (no retry)
 
 
 # Every judge step of pair matching and relevance filtering, keyed by review stage.
@@ -201,12 +208,16 @@ _STEPS = {
     "validate": _Step(
         "VALIDATE_ANSWER",
         "similarity_score",
-        _finite_float,
+        lambda value: _finite_float(value, 0.0, 1.0),
         "unparseable validation verdict",
         "non-numeric similarity score",
     ),
     "relevance_filter": _Step(
-        "QD_RELEVANCE", "quality_score", _finite_int, "unparseable quality verdict", "non-integer quality score"
+        "QD_RELEVANCE",
+        "quality_score",
+        lambda value: _finite_int(value, 1, 5),
+        "unparseable quality verdict",
+        "non-integer quality score",
     ),
 }
 
@@ -228,9 +239,10 @@ def _judge_step(judge, stage: str, item_id: str, slots: dict, review: list[Revie
 
 
 def _med_score(parsed: dict) -> float | None:
-    """The verdict's `label` as 0/1 when it has one, else its `score`; None when that does not read."""
+    """The verdict's `label` (0 or 1) as a float when it has one, else its
+    `score` (in [0, 1]); None when that does not read or is out of range."""
     try:
-        return float(_finite_int(parsed["label"])) if "label" in parsed else _finite_float(parsed["score"])
+        return float(_finite_int(parsed["label"], 0, 1)) if "label" in parsed else _finite_float(parsed["score"], 0, 1)
     except (KeyError, TypeError, ValueError):
         return None
 
@@ -268,7 +280,7 @@ def medical_relevance_filter(
         score = _med_score(parsed) if parsed is not None else None
         if score is None:
             return None, [ReviewItem(stage, item_id, "unparseable judge verdict", raw)]
-        return JudgedText(item_id, max(0.0, min(1.0, score)), str(parsed.get("reason", ""))), []
+        return JudgedText(item_id, score, str(parsed.get("reason", ""))), []
 
     judged, review = _each(items, judge_one, parallelism)
     kept = [j for j in judged if j.med_score >= threshold]

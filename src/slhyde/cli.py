@@ -32,6 +32,7 @@ import sys
 import tempfile
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
+from typing import NamedTuple
 
 from .benchkit import run_pipeline
 from .config import (
@@ -229,6 +230,13 @@ def cmd_search(config: RunConfig, command: str, k: int | None = None, trace: boo
     return EXIT_DEGRADED if degraded else EXIT_OK
 
 
+class _Scores(NamedTuple):  # one metric's report inputs for one dataset
+    values: list[float]  # each query's mean over the runs in query-id order, or the run means
+    dense: list[float] | None  # the dense run's values, paired with them entry for entry
+    per_run: dict  # the run means and their spread
+    skipped: int  # judged queries without a value
+
+
 def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str], staging: Path, tag: str):
     """Search one dataset's judged queries and take each (query id, hits)
     pair as it arrives: its trec lines go to staging/run_<dataset>_r<i>.trec
@@ -237,15 +245,14 @@ def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str], 
 
     The queries are embedded once, in one embed_texts call, which every run
     reuses: the runs are the dense run itself (the query-only plan) when `gen`
-    is None, else one HyDE run per repeat. Returns (sums, baseline, count,
-    degraded): sums maps each metric to ([sum, count] of its values in each
-    run, {query_id: sum of its values over the runs}), every sum added from 0
-    in query or run order as sum() adds them (before Python 3.12, whose sum()
-    compensates);
-    baseline maps each metric to the dense run's {query_id: value} when a
-    HyDE evaluation compares against dense (`eval.compare_to_dense`), and is
-    None otherwise, when no dense run beside the runs is searched; count is
-    the number of judged queries; degraded says whether any run fell back.
+    is None, else one HyDE run per repeat. Returns ({metric: _Scores},
+    degraded). The values are run means when a HyDE evaluation pairs runs
+    (`eval.pairing: run`). dense is None, and no dense run beside the runs is
+    searched, unless a HyDE evaluation compares against dense
+    (`eval.compare_to_dense`).
+    Every sum is added from 0 in query or run order as sum() adds them
+    (before Python 3.12, whose sum() compensates); degraded says whether any
+    run fell back.
     Queries without a positive judgment have no value (they are skipped), so
     every run scores the same queries: skips depend on qrels only.
     """
@@ -284,7 +291,7 @@ def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str], 
     query_rows = _query_rows(emb, eval_queries)
     # a generator: nothing is searched unless it is consumed
     dense = _run_queries(config, emb, index, eval_queries, max_k, None, QUERY_ONLY, [("dense",)], query_rows)
-    baseline = None
+    baseline = None  # or {metric: {query_id: the dense run's value}}
     if gen is None:
         runs = [dense]
     else:
@@ -297,7 +304,7 @@ def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str], 
         fusion = _fusion_for(config, dataset)
         pairs = _run_queries(config, emb, index, eval_queries, max_k, gen, fusion, seed_parts, query_rows)
         runs = (itertools.islice(pairs, len(eval_queries)) for _ in seed_parts)
-    sums = {metric: ([], {}) for metric in metrics}
+    sums = {metric: ([], {}) for metric in metrics}  # ([sum, count] in each run, {query_id: sum over the runs})
     degraded = False
 
     def see(query_id, hits):
@@ -313,11 +320,24 @@ def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str], 
         for per_run, _ in sums.values():
             per_run.append([0, 0])
         write_trec_run(_tap(run, see), staging / f"run_{dataset.name}_r{run_index}.trec", tag=tag)
-    return sums, baseline, len(eval_queries), degraded
 
-
-def _mean(values: dict[str, float]) -> float:
-    return sum(values.values()) / len(values)
+    run_pairing = gen is not None and config.eval.pairing == "run"
+    scores = {}
+    for metric in metrics:
+        totals, per_query = sums[metric]
+        run_means = [total / count for total, count in totals if count]
+        ids = sorted(per_query)  # the same in every run, the dense one too
+        if run_pairing:
+            system = run_means
+            # no run mean (nothing scored) leaves the dense mean uncomputed: build_report names the dataset
+            dense_values = baseline and [sum(baseline[metric].values()) / len(baseline[metric]) for _ in run_means]
+        else:
+            system = [per_query[qid] / len(totals) for qid in ids]
+            dense_values = baseline and [baseline[metric][qid] for qid in ids]
+        spread = statistics.stdev(run_means) if len(run_means) > 1 else 0.0
+        skipped = len(eval_queries) - totals[0][1]  # every run scores the same queries
+        scores[metric] = _Scores(system, dense_values, {"run_means": run_means, "spread": spread}, skipped)
+    return scores, degraded
 
 
 def cmd_evaluate(config: RunConfig, command: str, mode: str = "hyde") -> int:
@@ -325,52 +345,28 @@ def cmd_evaluate(config: RunConfig, command: str, mode: str = "hyde") -> int:
     emb = build_embedder_client(config)
     primary = f"ndcg@{config.eval.primary_k}"
     metrics = list(dict.fromkeys([primary] + [f"recall@{k}" for k in config.eval.k_values]))
-    sums: dict[str, dict] = {}
-    baselines: dict[str, dict | None] = {}
-    counts: dict[str, int] = {}
+    scores: dict[str, dict[str, _Scores]] = {}
     degraded = False
     with staged_outputs(config) as staging:
         for dataset in config.all_datasets():
-            sums[dataset.name], baselines[dataset.name], counts[dataset.name], dataset_degraded = (
-                _evaluate_dataset(config, gen, emb, dataset, metrics, staging, mode)
-            )
-            degraded = degraded or dataset_degraded
+            scores[dataset.name], fell_back = _evaluate_dataset(config, gen, emb, dataset, metrics, staging, mode)
+            degraded = degraded or fell_back
 
-        run_pairing = mode == "hyde" and config.eval.pairing == "run"
-        compare = mode == "hyde" and config.eval.compare_to_dense
         reports = {}
-        per_run: dict[str, dict] = {name: {} for name in sums}
         for metric in metrics:
-            system, baseline, skipped = {}, {}, {}
-            for name, dataset_sums in sums.items():
-                runs, per_query = dataset_sums[metric]
-                skipped[name] = counts[name] - runs[0][1]  # every run scores the same queries
-                run_means = [total / count for total, count in runs if count]
-                per_run[name][metric] = {
-                    "run_means": run_means,
-                    "spread": statistics.stdev(run_means) if len(run_means) > 1 else 0.0,
-                }
-                if run_pairing:
-                    system[name] = run_means
-                else:
-                    system[name] = {qid: total / len(runs) for qid, total in sorted(per_query.items())}
-                if compare:
-                    # no run mean (nothing scored) leaves the dense mean uncomputed:
-                    # build_report then names the empty dataset
-                    dense = baselines[name][metric]
-                    baseline[name] = [_mean(dense) for _ in run_means] if run_pairing else dense
-            report = build_report(
-                system, baseline if compare else None, metric=metric, pairing=config.eval.pairing
+            by_name = {name: by_metric[metric] for name, by_metric in scores.items()}
+            reports[metric] = build_report(
+                {name: s.values for name, s in by_name.items()},
+                {name: s.dense for name, s in by_name.items() if s.dense is not None} or None,  # None: no comparison
+                metric=metric, pairing=config.eval.pairing,
+                skipped={name: s.skipped for name, s in by_name.items()},
             )
-            for name, count in skipped.items():
-                report.datasets[name].skipped = count
-            reports[metric] = report
 
         payload = {
             "mode": mode,
             "repeats": config.eval.repeats if mode == "hyde" else 1,
             "reports": {name: report_to_dict(report) for name, report in reports.items()},
-            "per_run": per_run,
+            "per_run": {name: {m: s.per_run for m, s in by_metric.items()} for name, by_metric in scores.items()},
             "degraded": degraded,
         }
         atomic_write_text(staging / "report.json", dump_json(payload))

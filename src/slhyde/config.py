@@ -69,6 +69,12 @@ class DatasetPaths:
     template: str | None = None  # per-dataset override of fusion.template
 
     def __post_init__(self):
+        # the name is a file name in out_dir: <name>.emb, run_<name>[_r<i>].trec, trace_<name>.jsonl
+        if self.name in ("", ".", "..") or any(sep and sep in self.name for sep in ("/", os.sep, os.altsep, "\0")):
+            raise ValidationError(
+                f"dataset.name {self.name!r} is not a file name: it is empty, '.' or '..', or holds a path"
+                " separator or NUL"
+            )
         if self.template is not None and self.template not in HYPOTHETICAL_TEMPLATES:
             raise ValidationError(
                 f"dataset.template {self.template!r} for dataset {self.name!r} is not one of"

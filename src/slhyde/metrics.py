@@ -4,6 +4,8 @@ nDCG uses the trec gain convention (2^grade - 1) with a 1/log2(pos+1)
 discount, normalized by the ideal DCG over the judged set; for binary qrels
 the gain reduces to 0/1. Queries without a positive judgment are undefined
 for both metrics and are reported as skipped, excluded from dataset means.
+A report is built from aligned lists: a dataset's per-query values in
+query-id order (or its run means) and a baseline's values, entry for entry.
 
 All internal math is float64; rounding happens only when rendering. The
 paired t-test's two-sided tail is computed here (`_t_tail`, a continued
@@ -138,8 +140,7 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
 
 @dataclass
 class DatasetResult:
-    values: list[float]               # per-query metric values, skips excluded
-    keys: list[str] | None = None     # optional query ids aligned with values
+    values: list[float]  # per-query values in query-id order, or run means; skips excluded
     skipped: int = 0
 
     @property
@@ -171,50 +172,48 @@ class EvalReport:
     comparison: Comparison | None = None
 
 
-def _as_result(values: Mapping[str, float] | Sequence[float]) -> DatasetResult:
-    """A {query_id: value} map, in id order and keyed for pairing, or a list of run means."""
-    if isinstance(values, Mapping):
-        keys = sorted(values)
-        return DatasetResult(values=[float(values[key]) for key in keys], keys=keys)
-    return DatasetResult(values=[float(v) for v in values])
-
-
 def build_report(
-    runs: Mapping[str, Mapping[str, float] | Sequence[float]],
-    baseline: Mapping[str, Mapping[str, float] | Sequence[float]] | None = None,
+    runs: Mapping[str, Sequence[float]],
+    baseline: Mapping[str, Sequence[float]] | None = None,
     metric: str = "ndcg@10",
     pairing: str = "query",
+    skipped: Mapping[str, int] | None = None,
 ) -> EvalReport:
     """Aggregate per-dataset metric values, optionally against a baseline.
 
-    Each dataset's values are a {query_id: value} map or a list of run means.
+    Each dataset's values are its per-query values in query-id order, or its
+    run means; its baseline values are paired with them entry for entry, and
+    `skipped` counts its queries without a value.
 
     The cross-dataset average is the unweighted mean of dataset means; the
     average improvement is computed on the two averages, and per-dataset
     improvement is (system - baseline) / baseline * 100 (unrounded here), or
     None where the baseline is 0 and it is undefined.
-    Significance is a paired t-test where >= 2 aligned values exist per
-    dataset; a dataset with one value gets no p-value.
+    Significance is the paired t-test of a dataset's values against its
+    baseline's where it has >= 2 values (a baseline of another length is a
+    ValidationError); a dataset with one value gets no p-value.
     """
     if not runs:
         raise ValidationError("no datasets to report")
-    results = {name: _as_result(values) for name, values in runs.items()}
+    skipped = skipped or {}
+    results = {name: DatasetResult([float(v) for v in values], skipped.get(name, 0)) for name, values in runs.items()}
     average = sum(r.mean for r in results.values()) / len(results)
     comparison = None
     if baseline is not None:
-        base_results = {name: _as_result(values) for name, values in baseline.items()}
-        if set(base_results) != set(results):
+        if set(baseline) != set(results):
             raise ValidationError(
-                f"baseline datasets {sorted(base_results)} do not match system datasets {sorted(results)}"
+                f"baseline datasets {sorted(baseline)} do not match system datasets {sorted(results)}"
             )
-        baseline_means = {name: base_results[name].mean for name in results}
+        base_values = {name: [float(v) for v in baseline[name]] for name in results}
+        baseline_means = {name: DatasetResult(values).mean for name, values in base_values.items()}
         baseline_average = sum(baseline_means.values()) / len(baseline_means)
         comparison = Comparison(
             baseline_means=baseline_means,
             improvement_pct={name: _improvement_pct(results[name].mean, base) for name, base in baseline_means.items()},
             baseline_average=baseline_average,
             average_improvement_pct=_improvement_pct(average, baseline_average),
-            p_values={name: _paired_p(result, base_results[name]) for name, result in results.items()},
+            p_values={name: paired_t_test(r.values, base_values[name])[1] if len(r.values) >= 2 else None
+                      for name, r in results.items()},
             pairing=pairing,
         )
     return EvalReport(metric=metric, datasets=results, average=average, comparison=comparison)
@@ -222,22 +221,6 @@ def build_report(
 
 def _improvement_pct(system: float, base: float) -> float | None:
     return (system - base) / base * 100.0 if base != 0 else None
-
-
-def _paired_p(system: DatasetResult, base: DatasetResult) -> float | None:
-    if system.keys is not None and base.keys is not None:
-        base_keys = set(base.keys)
-        shared = [key for key in system.keys if key in base_keys]
-        if len(shared) < 2:
-            return None
-        sys_map = dict(zip(system.keys, system.values))
-        base_map = dict(zip(base.keys, base.values))
-        _, p = paired_t_test([sys_map[k] for k in shared], [base_map[k] for k in shared])
-        return p
-    if len(system.values) != len(base.values) or len(system.values) < 2:
-        return None
-    _, p = paired_t_test(system.values, base.values)
-    return p
 
 
 def report_to_dict(report: EvalReport) -> dict:

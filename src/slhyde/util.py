@@ -255,11 +255,13 @@ def from_mapping(cls, data, label: str):
 
 def text_lines(path: Path):
     """(line number, line) for each line of the UTF-8 text file `path`, split
-    as text-mode reading splits them. A byte that is not UTF-8 is a
-    ParseError naming the file and its line, raised when that line is read."""
+    as text-mode reading splits them; a leading byte order mark is dropped
+    (RFC 8259 section 8.1 lets a JSON parser ignore it). A byte that is not
+    UTF-8 is a ParseError naming the file and its line, raised when that line
+    is read."""
     # surrogateescape turns each such byte into a lone surrogate, which the
     # strict encoder refuses; an ASCII line cannot hold one.
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+    with path.open("r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
                 try:

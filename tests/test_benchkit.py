@@ -555,9 +555,11 @@ class TestStageOrderAtParallelism:
 
 class TestNonFiniteVerdicts:
     """json.loads reads NaN and Infinity; a non-finite number does not read as
-    a verdict value. A judge step sends the item to review with its wrong-type
-    reason and no repair request; MED_RELEVANCE repairs once, then reviews; a
-    ranking skips the entry."""
+    a verdict value, and neither does a bool or a value outside its template's
+    contract (a label other than 0 or 1, a score or similarity score outside
+    [0, 1], a quality score that is not an integer from 1 to 5). A judge step
+    sends the item to review with its wrong-type reason and no repair request;
+    MED_RELEVANCE repairs once, then reviews; a ranking skips the entry."""
 
     @staticmethod
     def _answers(verdict, calls):
@@ -571,7 +573,8 @@ class TestNonFiniteVerdicts:
 
     @pytest.mark.parametrize(
         "verdict",
-        [{"score": float("nan")}, {"score": float("inf")}, {"label": float("inf")}, {"label": float("-inf")}],
+        [{"score": float("nan")}, {"score": float("inf")}, {"label": float("inf")}, {"label": float("-inf")}]
+        + [{"label": 0.9}, {"label": 5}, {"label": -1}, {"label": True}, {"score": 7.0}, {"score": -0.1}],
     )
     def test_medical_filter_repairs_then_reviews(self, verdict):
         calls = []
@@ -583,7 +586,7 @@ class TestNonFiniteVerdicts:
         ]
         assert calls == [False, True]
 
-    @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf"), 7.0, 1.5, -0.5, True])
     def test_similarity_score_goes_to_review(self, score):
         store, bm25, query, _ = _matching_fixture()
         calls = []
@@ -601,7 +604,7 @@ class TestNonFiniteVerdicts:
         assert review[0].item_id.startswith("q1:")
         assert calls == [False]
 
-    @pytest.mark.parametrize("score", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("score", [float("inf"), float("-inf"), float("nan"), 4.7, 9, 0, 6, True, False])
     def test_quality_score_goes_to_review(self, score):
         calls = []
         judge = judge_with([(QD_PREFIX, self._answers({"quality_score": score}, calls))])
@@ -617,7 +620,7 @@ class TestNonFiniteVerdicts:
         store, bm25, query, _ = _matching_fixture()
         judge = judge_with(
             [
-                (RERANK_PREFIX, lambda p: _json({"ranking": [float("inf"), 2, float("nan"), 1, 3]})),
+                (RERANK_PREFIX, lambda p: _json({"ranking": [float("inf"), 1.5, True, 2, float("nan"), 0.5, 1, 3]})),
                 (EVIDENCE_PREFIX, lambda p: _json({"evidence_spans": ["alpha condition"]})),
                 (ANSWER_PREFIX, lambda p: _json({"answer": "a"})),
                 (VALIDATE_PREFIX, lambda p: _json({"similarity_score": 0.9})),
@@ -627,6 +630,27 @@ class TestNonFiniteVerdicts:
         assert not review
         ranked = bm25_search(bm25, query.text, 3).ids
         assert [pair.doc_id for pair in pairs] == [ranked[1], ranked[0]]
+
+
+class TestVerdictBounds:
+    """The ends of each template's contract read: a 0/1 label, a score in
+    [0, 1], an integer quality score from 1 to 5 (an integral float too)."""
+
+    @pytest.mark.parametrize(
+        "verdict, med_score", [({"label": 0}, 0.0), ({"label": 1.0}, 1.0), ({"score": 0.0}, 0.0), ({"score": 1}, 1.0)]
+    )
+    def test_medical_filter(self, verdict, med_score):
+        judge = judge_with([(MED_PREFIX, lambda p: _json(verdict))])
+        kept, removed, review = medical_relevance_filter([("t1", "text")], judge, threshold=0.5)
+        assert not review
+        assert [j.med_score for j in kept + removed] == [med_score]
+
+    @pytest.mark.parametrize("score, rel_score", [(1, 0.2), (4.0, 0.8), (5, 1.0)])
+    def test_quality_score(self, score, rel_score):
+        judge = judge_with([(QD_PREFIX, lambda p: _json({"quality_score": score}))])
+        kept, review = filter_pseudo_relevant([TestFilterPseudoRelevant()._pair()], judge, threshold=0.0)
+        assert not review
+        assert [pair.rel_score for pair in kept] == [rel_score]
 
 
 class TestRawLoaders:

@@ -100,8 +100,8 @@ def _direct_hyde_report(config_path, metric, cache_dir):
             system[ds.name] = [sum(run.values()) / len(run) for run in runs]
             baseline[ds.name] = [sum(dense.values()) / len(dense)] * len(runs)
         else:
-            system[ds.name] = {qid: sum(run[qid] for run in runs) / len(runs) for qid in dense}
-            baseline[ds.name] = dense
+            system[ds.name] = [sum(run[qid] for run in runs) / len(runs) for qid in sorted(dense)]
+            baseline[ds.name] = [dense[qid] for qid in sorted(dense)]
     compare = baseline if config.eval.compare_to_dense else None
     return report_to_dict(build_report(system, compare, metric=metric, pairing=config.eval.pairing))
 
@@ -118,6 +118,11 @@ def _assert_same_report(actual, expected):
         for key in ("baseline_means", "improvement_pct", "p_values"):
             assert actual["comparison"][key] == pytest.approx(expected["comparison"][key], abs=1e-12)
         assert actual["comparison"]["pairing"] == expected["comparison"]["pairing"]
+
+
+def _report_digests(out) -> dict:
+    """The first 16 hex digits of the sha256 of out's report.json and report.txt."""
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16] for name in ("report.json", "report.txt")}
 
 
 def _count_gen_requests(monkeypatch) -> list:
@@ -750,6 +755,10 @@ class TestEvaluateCommand:
         assert sorted(p.name for p in out.glob("*.trec")) == [
             f"run_{name}_r{r}.trec" for name in ("alpha", "beta") for r in range(2)
         ]
+        assert _report_digests(out) == {
+            "report.json": "9e18124c4faee4a9",
+            "report.txt": "456c535ea923cf94",
+        }
 
     def test_without_dense_comparison_no_dense_search_is_made(self, tmp_path, monkeypatch):
         dataset = tmp_path / "data"
@@ -1521,6 +1530,10 @@ class TestMultiDatasetAndTemplates:
         assert set(report["datasets"]) == {"alpha", "beta"}
         means = [report["datasets"][n]["mean"] for n in ("alpha", "beta")]
         assert report["average"] == pytest.approx(sum(means) / 2)
+        assert _report_digests(out) == {
+            "report.json": "9d1d8deb50063865",
+            "report.txt": "67c7ee22f0cb7291",
+        }
 
 
 def test_requests_is_imported_only_by_a_remote_client_without_a_session():
@@ -1612,6 +1625,19 @@ class TestExitCodes:
         assert batches == [] and requests == []
         assert taken.read_text() == "a file\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["config.yaml", "data", "taken"]
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "/abs", "..", ".", "", "nul\0"])
+    def test_a_dataset_name_that_is_not_a_file_name_writes_nothing(self, tmp_path, capsys, name):
+        dataset = tmp_path / "data"
+        make_dataset(dataset)
+        files = {"corpus": "corpus.jsonl", "queries": "queries.jsonl", "qrels": "qrels.tsv"}
+        entry = {"name": name, **{key: str(dataset / file) for key, file in files.items()}}
+        config_path = make_config(tmp_path, dataset, tmp_path / "out", dataset=entry)
+        for command in ("embed-corpus", "evaluate"):
+            assert main([command, "--config", str(config_path)]) == 1
+            assert f"dataset.name {name!r} is not a file name" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.yaml", "data"]
+        assert sorted(path.name for path in dataset.iterdir()) == sorted(files.values())
 
     def test_failed_promotion_removes_the_staging_dir(self, tmp_path):
         out = tmp_path / "run"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slhyde.config import load_config
 from slhyde.corpus import (
     CorpusStore,
     Document,
@@ -25,7 +26,7 @@ from slhyde.corpus import (
 )
 from slhyde.errors import ParseError, ValidationError
 
-from conftest import synthetic_docs
+from conftest import queries_for_docs, synthetic_docs
 
 
 # ids with shared prefixes, digit runs, non-ASCII and non-BMP characters, no whitespace
@@ -228,6 +229,31 @@ def test_corpus_file_digest_is_the_sha256_of_the_bytes(tmp_path, size):
     data = os.urandom(size)
     path.write_bytes(data)
     assert corpus_file_digest(path) == hashlib.sha256(data).digest()
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.mkdir()
+    marked.mkdir()
+    docs = synthetic_docs(4)
+    queries = queries_for_docs(docs)
+    write_corpus(docs, plain / "corpus.jsonl")
+    write_queries(queries, plain / "queries.jsonl")
+    write_qrels(RelevanceJudgments(entries={q.id: {d.id: 1} for q, d in zip(queries, docs)}), plain / "qrels.tsv")
+    (plain / "config.yaml").write_text("seed: 3\nembedder:\n  dim: 64\n", encoding="utf-8")
+    for path in plain.iterdir():
+        (marked / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+    def loaded(root):
+        return (
+            list(load_corpus(root / "corpus.jsonl")),
+            load_queries(root / "queries.jsonl"),
+            load_qrels(root / "qrels.tsv").entries,
+            load_config(root / "config.yaml"),
+        )
+
+    assert loaded(marked) == loaded(plain)
+    assert loaded(plain)[3].embedder.dim == 64
 
 
 class TestLoadQrels:

@@ -227,23 +227,20 @@ class TestBuildReport:
         with pytest.raises(ValidationError, match="match"):
             build_report({"a": [1.0]}, baseline={"b": [1.0]})
 
-    def test_per_query_maps_get_p_values(self):
-        system = {"ds": {"q1": 0.9, "q2": 0.8, "q3": 0.95}}
-        baseline = {"ds": {"q1": 0.5, "q2": 0.6, "q3": 0.55}}
+    def test_per_query_lists_get_p_values(self):
+        system = {"ds": [0.9, 0.8, 0.95]}
+        baseline = {"ds": [0.5, 0.6, 0.55]}
         report = build_report(system, baseline=baseline)
         assert report.comparison.p_values["ds"] is not None
         assert 0.0 <= report.comparison.p_values["ds"] <= 1.0
-
-    def test_partially_overlapping_ids_pair_on_the_shared_ones(self):
-        system = {"ds": {"q1": 0.9, "q2": 0.8, "q3": 0.95, "q5": 0.1}}
-        baseline = {"ds": {"q0": 0.3, "q1": 0.5, "q2": 0.6, "q3": 0.7}}
-        report = build_report(system, baseline=baseline)
-        shared = ["q1", "q2", "q3"]
-        _, expected = paired_t_test([system["ds"][q] for q in shared], [baseline["ds"][q] for q in shared])
+        _, expected = paired_t_test(system["ds"], baseline["ds"])
         assert report.comparison.p_values["ds"] == expected
-        # one shared id is too few to pair
-        report = build_report({"ds": {"q1": 0.9, "q2": 0.8}}, baseline={"ds": {"q2": 0.5, "q3": 0.6}})
-        assert report.comparison.p_values["ds"] is None
+
+    def test_a_baseline_of_another_length_is_rejected(self):
+        with pytest.raises(ValidationError, match="differ in length: 4 vs 3"):
+            build_report({"ds": [0.9, 0.8, 0.95, 0.1]}, baseline={"ds": [0.5, 0.6, 0.7]})
+        with pytest.raises(ValidationError, match="differ in length: 2 vs 3"):
+            build_report({"ds": [0.9, 0.8]}, baseline={"ds": [0.5, 0.6, 0.7]})
 
     def test_one_value_entries_have_no_p_value(self):
         report = build_report({"ds": [1.0]}, baseline={"ds": [0.9]})

@@ -124,6 +124,7 @@ def test_compare_fusion_strategies_is_deterministic():
     assert first.returncode == 0, first.stderr
     assert second.returncode == 0, second.stderr
     assert first.stdout and first.stdout == second.stdout
+    assert hashlib.sha256(first.stdout.encode()).hexdigest()[:16] == "0a1377bd7c812cd0"
 
 
 if __name__ == "__main__":
