@@ -210,14 +210,14 @@ _STEPS = {
         "similarity_score",
         lambda value: _finite_float(value, 0.0, 1.0),
         "unparseable validation verdict",
-        "non-numeric similarity score",
+        "similarity score is not a number in [0, 1]",
     ),
     "relevance_filter": _Step(
         "QD_RELEVANCE",
         "quality_score",
         lambda value: _finite_int(value, 1, 5),
         "unparseable quality verdict",
-        "non-integer quality score",
+        "quality score is not an integer from 1 to 5",
     ),
 }
 

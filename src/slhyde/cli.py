@@ -75,8 +75,8 @@ QUERY_ONLY = FusionConfig(strategy="mean_pool", n=0)
 def staged_outputs(config: RunConfig):
     """Write into a unique sibling staging dir of config.out_dir (concurrent
     runs never share one) that starts with the resolved config; promote
-    per-file on success only. The staging dir is removed whatever happens,
-    a failed promotion included."""
+    per-file on success only. A command stages files, never a directory.
+    The staging dir is removed whatever happens, a failed promotion included."""
     out_dir = Path(config.out_dir)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(dir=out_dir.parent, prefix=out_dir.name + ".staging-"))
@@ -84,13 +84,8 @@ def staged_outputs(config: RunConfig):
         write_resolved_config(config, staging)
         yield staging
         out_dir.mkdir(parents=True, exist_ok=True)
-        for item in sorted(staging.rglob("*")):
-            target = out_dir / item.relative_to(staging)
-            if item.is_dir():
-                target.mkdir(parents=True, exist_ok=True)
-            else:
-                target.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(item, target)
+        for item in sorted(staging.iterdir()):
+            os.replace(item, out_dir / item.name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 

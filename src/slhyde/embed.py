@@ -11,10 +11,10 @@ A finite, nonzero row whose squared norm over- or underflows is scaled by its
 largest magnitude before it is normalized; every other row is row / norm.
 
 Building a cache holds one embedder batch of texts and rows, never every
-text nor the matrix: the file is written in one pass (header, then each
-batch's unit rows as the batch arrives, in input order, then the ids), and
-`embed_texts` stops at the first batch that is non-finite or holds a zero
-row, before the next request.
+text nor the matrix: `cache_embeddings` calls `embed_texts` once per batch
+and writes the file in one pass (header, then each batch's unit rows as the
+batch arrives, in input order, then the ids), so a batch that is non-finite
+or holds a zero row stops the build before the next request.
 Reading one goes block by block (`_read_cache`): `load_cache` reads each
 block straight into the matrix it returns, and the warm check of
 `embed-corpus` reads every block into one small buffer and keeps nothing.
@@ -224,31 +224,26 @@ class RemoteEmbedderClient(JsonEndpoint):
         return np.asarray([row["embedding"] for row in data["data"]], dtype=np.float32)
 
 
-def embed_texts(client, texts: list[str], sink=None) -> np.ndarray | None:
+def embed_texts(client, texts: list[str]) -> np.ndarray:
     """Embed texts in order; returns a (len(texts), client.dim) float32 unit-row matrix.
 
     Inputs are truncated to the client's character budget before the request,
     and sent client.batch_size at a time. Each batch must be (len(batch),
     client.dim), else ProtocolError; it is normalized into the result as it
-    arrives. Given a binary file `sink`, each batch's unit rows are written to
-    it instead, as little-endian float32 in input order, and None is returned:
-    the call then holds one batch, never the matrix.
+    arrives.
     """
     if not texts:
         raise ValidationError("embed_texts requires at least one text")
     for i, text in enumerate(texts):
         if not text.strip():
             raise ValidationError(f"text at position {i} is empty after trimming")
-    matrix = np.empty((len(texts), client.dim), dtype=np.float32) if sink is None else None
+    matrix = np.empty((len(texts), client.dim), dtype=np.float32)
     for start in range(0, len(texts), client.batch_size):
         batch = [t[: client.truncate_chars] for t in texts[start : start + client.batch_size]]
         rows = _embed_batch_with_retry(client, batch)
         if rows.shape != (len(batch), client.dim):
             raise ProtocolError(f"expected {len(batch)} embeddings of dim {client.dim}, got {rows.shape}")
-        out = matrix[start : start + len(batch)] if sink is None else np.empty(rows.shape, dtype="<f4")
-        _write_unit_rows(rows, out)
-        if sink is not None:
-            sink.write(out)
+        _write_unit_rows(rows, matrix[start : start + len(batch)])
     return matrix
 
 
@@ -481,6 +476,7 @@ def cache_embeddings(
         # one batch's texts at a time: a titled document's text is a new string
         docs = iter(store)
         for _ in range(0, len(store), client.batch_size):
-            embed_texts(client, [doc.indexed_text for doc in itertools.islice(docs, client.batch_size)], fh)
+            texts = [doc.indexed_text for doc in itertools.islice(docs, client.batch_size)]
+            fh.write(embed_texts(client, texts).astype("<f4", copy=False))  # not held while the next batch embeds
     logger.info("embedded %d documents into %s", len(store), path)
     return store, load_cache(path, fingerprint=fingerprint) if load else None

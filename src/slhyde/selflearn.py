@@ -2,8 +2,9 @@
 
 Two datasets come out of this module:
   - the generator SFT set: for each corpus document, synthesize a query,
-    generate several candidate pseudo-documents, score each candidate by the
-    full-corpus rank it gives the true document, and keep the best candidate;
+    generate several candidate pseudo-documents, rank the true document under
+    each candidate over the full corpus, and keep the candidate with the
+    lowest rank (the first of any tie);
   - the retriever triplet set: (query, pseudo-document; positive) triples
     whose hard negatives are the exact top-m corpus documents around the
     fused (query, pseudo) embedding, found by the one exact search
@@ -26,6 +27,7 @@ computes reference InfoNCE loss values on given embeddings.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -45,16 +47,6 @@ logger = logging.getLogger(__name__)
 # Instruction the emitted SFT records carry; matches the inference-time task
 # so the tuned generator sees the same framing in training and deployment.
 DEFAULT_SFT_INSTRUCTION = "Please generate a medical content paragraph to answer this question."
-
-
-@dataclass(frozen=True)
-class HypotheticalCandidate:
-    text: str
-    rank: int  # 1-based full-corpus rank of the true target under this candidate
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValidationError("rank must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -130,23 +122,21 @@ class SelfLearnSettings:
             raise ValidationError("selflearn.max_skip_fraction must be in [0, 1]")
 
 
-def _score_many(
-    planned, emb, index: DenseIndex, rank_scoring: str
-) -> list[tuple[list[HypotheticalCandidate], np.ndarray]]:
+def _score_many(planned, emb, index: DenseIndex, rank_scoring: str) -> list[tuple[list[int], np.ndarray]]:
     """For each (target_id, query, candidates) of `planned`: the true target's
-    rank under each candidate's retrieval vector, and the plan's rows (the
-    query's first, then each candidate's).
+    1-based full-corpus rank under each candidate's retrieval vector, in
+    candidate order, and the plan's rows (the query's first, then each
+    candidate's).
 
-    rank_scoring="candidate" retrieves with the candidate embedding alone
-    (the literal reading); "fused" averages in the query embedding, matching
+    rank_scoring is one of RANK_SCORINGS, as SelfLearnSettings checks:
+    "candidate" retrieves with the candidate embedding alone (the literal
+    reading); "fused" averages in the query embedding, matching
     the inference-time fusion. Both are exposed because the source procedure
     is ambiguous on this point. Every query and candidate of `planned` is
     embedded in one embed_texts call, and all candidates are ranked in one
     ranks_of call. build_generator_dataset keeps the query's row and the
     selected candidate's, so the triplet builder need not embed them again.
     """
-    if rank_scoring not in RANK_SCORINGS:
-        raise ValidationError(f"unknown rank_scoring {rank_scoring!r}")
     if not planned:
         return []
     rows = embed_texts(emb, [text for _, query, candidates in planned for text in (query, *candidates)])
@@ -154,18 +144,7 @@ def _score_many(
     vectors = [block[1:] if rank_scoring == "candidate" else (block[1:] + block[0]) / 2.0 for block in blocks]
     targets = [target_id for target_id, _, candidates in planned for _ in candidates]
     ranks = iter(ranks_of(index, np.vstack(vectors), targets))
-    return [
-        ([HypotheticalCandidate(text, next(ranks)) for text in candidates], block)
-        for (_, _, candidates), block in zip(planned, blocks)
-    ]
-
-
-def select_best(candidates: list[HypotheticalCandidate]) -> tuple[int, HypotheticalCandidate]:
-    """Argmin over candidate ranks; ties go to the lowest candidate index."""
-    if not candidates:
-        raise ValidationError("no candidates to select from")
-    best_index = min(range(len(candidates)), key=lambda i: candidates[i].rank)
-    return best_index, candidates[best_index]
+    return [(list(itertools.islice(ranks, len(block) - 1)), block) for block in blocks]
 
 
 def build_generator_dataset(
@@ -181,7 +160,8 @@ def build_generator_dataset(
     """Construct the generator SFT dataset from unlabeled documents.
 
     Each document gets settings.candidates_per_query candidates, ranked per
-    settings.rank_scoring. Per-document generation or embedding errors skip
+    settings.rank_scoring, and keeps the one of lowest rank, the lowest
+    candidate index on a tie. Per-document generation or embedding errors skip
     the document; a skip rate above settings.max_skip_fraction fails the run.
     A ProtocolError for one document (a client status such as a bad key's
     401) would fail every document alike, so it propagates.
@@ -223,12 +203,12 @@ def build_generator_dataset(
         except SlhydeError:
             scored = [score_alone(p) for p in live]
         examples = []
-        for (doc_id, query, _), outcome in zip(live, scored):
+        for (doc_id, query, candidates), outcome in zip(live, scored):
             if outcome is not None:
-                candidates, block = outcome
-                best_index, best = select_best(candidates)
-                example = SftExample(query, best.text, doc_id, best.rank, num_candidates)
-                examples.append((example, block[[0, 1 + best_index]]))
+                ranks, block = outcome
+                best = ranks.index(min(ranks))  # a tie goes to the lowest candidate index
+                example = SftExample(query, candidates[best], doc_id, ranks[best], num_candidates)
+                examples.append((example, block[[0, 1 + best]]))
         return examples
 
     scored_examples = list(run_chunked(docs, plan, finish, parallelism))
@@ -325,8 +305,11 @@ def build_retriever_dataset(
     mapping, e.g. from `load_sft_rows`) lacks are embedded in one call (none
     when all are known); each pair's fused vector (`hyde.fuse_rows`) mines the
     negatives (one search_many call per chunk) and scores the reference loss
-    against the cached document rows.
+    against the cached document rows. A corpus of no more than
+    settings.negatives documents is refused before any request.
     """
+    if len(index) <= settings.negatives:
+        raise ValidationError(f"corpus of {len(index)} is too small to mine {settings.negatives} negatives")
     base = sampling or SamplingConfig()
     cache = index.cache
 

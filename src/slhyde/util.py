@@ -307,8 +307,7 @@ def read_jsonl(path: str | Path, cls, label: str, make) -> list:
 
 
 def write_jsonl(path: str | Path, records) -> None:
-    """Write one JSONL line per record of the iterable `records` to `path`,
-    atomically: a dataclass record as its fields (as `read_jsonl` reads it
-    back), a plain mapping as it is. A record that raises while `records` is
-    iterated leaves no file."""
-    atomic_write_text(path, (jsonl_line(_plan(type(r)).dump(r) if dataclasses.is_dataclass(r) else r) for r in records))
+    """Write one JSONL line per record dataclass of the iterable `records` to
+    `path`, atomically, each as its fields (as `read_jsonl` reads it back). A
+    record that raises while `records` is iterated leaves no file."""
+    atomic_write_text(path, (jsonl_line(_plan(type(r)).dump(r)) for r in records))

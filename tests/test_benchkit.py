@@ -466,9 +466,9 @@ class TestJudgeFailures:
             ("evidence", "qp:dE2", "unparseable evidence verdict", _json({"evidence_spans": "x"})),
             ("answer", "qp:dA", "unparseable answer", self.LACKS_KEY),
             ("validate", "qp:dV1", "unparseable validation verdict", self.LACKS_KEY),
-            ("validate", "qp:dV2", "non-numeric similarity score", _json({"similarity_score": "high"})),
+            ("validate", "qp:dV2", "similarity score is not a number in [0, 1]", _json({"similarity_score": "high"})),
             ("relevance_filter", "qp:dQ1", "unparseable quality verdict", self.LACKS_KEY),
-            ("relevance_filter", "qp:dQ2", "non-integer quality score", _json({"quality_score": "x"})),
+            ("relevance_filter", "qp:dQ2", "quality score is not an integer from 1 to 5", _json({"quality_score": "x"})),
         ]
         assert [(r.stage, r.item_id, r.reason, r.raw_response) for r in report.review_bucket] == review
         expected = {
@@ -547,7 +547,7 @@ class TestStageOrderAtParallelism:
         )
         assert [p.doc_id for p in kept] == self._ids(0)
         assert [(r.item_id, r.reason) for r in review] == [
-            (f"q:i{i}", "unparseable quality verdict" if i % 4 == 2 else "non-integer quality score")
+            (f"q:i{i}", "unparseable quality verdict" if i % 4 == 2 else "quality score is not an integer from 1 to 5")
             for i in range(self.N)
             if i % 4 >= 2
         ]
@@ -600,7 +600,7 @@ class TestNonFiniteVerdicts:
         )
         pairs, review = match_positive_pairs(query, bm25, judge, BenchmarkSettings(rerank_top_m=1), store)
         assert pairs == []
-        assert [(r.stage, r.reason) for r in review] == [("validate", "non-numeric similarity score")]
+        assert [(r.stage, r.reason) for r in review] == [("validate", "similarity score is not a number in [0, 1]")]
         assert review[0].item_id.startswith("q1:")
         assert calls == [False]
 
@@ -612,7 +612,7 @@ class TestNonFiniteVerdicts:
         kept, review = filter_pseudo_relevant([pair], judge, threshold=0.6)
         assert kept == []
         assert [(r.stage, r.item_id, r.reason) for r in review] == [
-            ("relevance_filter", "q1:d1", "non-integer quality score")
+            ("relevance_filter", "q1:d1", "quality score is not an integer from 1 to 5")
         ]
         assert calls == [False]
 

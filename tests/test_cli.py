@@ -638,6 +638,22 @@ MULTI_CHUNK_DIGESTS = {
 }
 
 
+# The sha256 of the SFT and triplet files test_multi_chunk_sft_outputs_are_pinned
+# writes, at --parallelism 1 and 4 alike.
+SFT_MULTI_CHUNK_DIGESTS = {
+    "candidate/sft.jsonl": "4a02153fde3a267688d29ba55541c8b2f8eb8d11f4fcf2ea94ec9e5305cfa115",
+    "candidate/sft.jsonl.rows": "d9eb9950b49c170bfbc7d64db5c258af2c217ff9e81de0a7ed97a97d709e0eeb",
+    "candidate/sft_stats.json": "d3a8cba6646efd5c7217c30ab2f16868b602faa78b57793bb79789499e3b8e40",
+    "candidate/triplets.jsonl": "169547711a164eaa89fe80504b962f6dc77ced84804502840b5d7d8f93bfc9c3",
+    "candidate/triplets_stats.json": "bc6aeeff523350781afca82bcf84135132906427290f9e52860a9d2ec066b6fa",
+    "fused/sft.jsonl": "3333741eb864ae1258c0328e93fd44d388dc047d4210bda1c581b866c14fb9d4",
+    "fused/sft.jsonl.rows": "8a2b9c9c5b9e120dd0777874a30dd81dacf32352458a83a9eeb4e4f4e81ee948",
+    "fused/sft_stats.json": "d3a8cba6646efd5c7217c30ab2f16868b602faa78b57793bb79789499e3b8e40",
+    "fused/triplets.jsonl": "cd3b39c95d7f32570fb9223067f7fd74c69b13d596e789317ba394c20b78f3aa",
+    "fused/triplets_stats.json": "1095d43f0af427e687a7e46597b66ebc0ab7b1698248b73b7c3ff9f92715dc75",
+}
+
+
 class TestEvaluateCommand:
     def test_retriever_mode_equals_direct_dense_metrics(self, tmp_path):
         dataset = tmp_path / "data"
@@ -1073,6 +1089,20 @@ class TestBuildDataCommands:
         assert requests == [] and batches == []
         assert not (out / "triplets.jsonl").exists()
 
+    def test_corpus_too_small_to_mine_exits_before_any_request(self, tmp_path, monkeypatch, capsys):
+        dataset = tmp_path / "data"
+        make_dataset(dataset, n_docs=6)
+        out = tmp_path / "run"
+        selflearn = {"candidates_per_query": 2, "negatives": 7, "reuse_pseudo": False}
+        config_path = make_config(tmp_path, dataset, out, selflearn=selflearn)
+        assert main(["build-sft-data", "--config", str(config_path)]) == 0
+        requests = _count_gen_requests(monkeypatch)
+        batches = _record_embed_batches(monkeypatch)
+        assert main(["build-retriever-data", "--config", str(config_path)]) == 1
+        assert "corpus of 6 is too small to mine 7 negatives" in capsys.readouterr().err
+        assert requests == [] and batches == []
+        assert not (out / "triplets.jsonl").exists()
+
     def test_deterministic_rerun(self, tmp_path):
         dataset = tmp_path / "data"
         make_dataset(dataset)
@@ -1082,6 +1112,46 @@ class TestBuildDataCommands:
         first = (out / "sft.jsonl").read_bytes()
         main(["build-sft-data", "--config", str(config_path)])
         assert (out / "sft.jsonl").read_bytes() == first
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_multi_chunk_sft_outputs_are_pinned(self, tmp_path, monkeypatch, parallelism):
+        # 130 of 160 documents sampled: SFT chunks of 64, 64 and 2, and more
+        # than 64 triplets. About one document in two gets candidates made of
+        # the shared filler and 0 to 2 of its own extra tokens, so their ranks
+        # spread and tie, and some best ranks pass the cutoff.
+        dataset = tmp_path / "data"
+        make_dataset(dataset, n_docs=160, seed=11)
+
+        def responder(prompt, cfg):
+            if "Document: " not in prompt or cfg.seed % 2:
+                return None
+            tokens = prompt.split("Document: ")[1].split("\n")[0].split()
+            if cfg.num_samples == 1:
+                return " ".join(tokens[6:10])
+            return [" ".join(tokens[6:18] + tokens[18 : 18 + (cfg.seed >> i) % 3]) for i in range(cfg.num_samples)]
+
+        monkeypatch.setattr(
+            cli,
+            "build_generator_client",
+            lambda config: MockGeneratorClient(seed=derive_seed(config.seed, "generator"), responder=responder),
+        )
+        digests, stats = {}, {}
+        for rank_scoring, reuse_pseudo in (("candidate", True), ("fused", False)):
+            out = tmp_path / rank_scoring
+            selflearn = {
+                "candidates_per_query": 3, "negatives": 5, "rank_cutoff": 3, "rank_scoring": rank_scoring,
+                "reuse_pseudo": reuse_pseudo, "sample_docs": 130,
+            }
+            config_path = make_config(tmp_path, dataset, out, selflearn=selflearn)
+            for command in ("build-sft-data", "build-retriever-data"):
+                assert main([command, "--config", str(config_path), "--parallelism", str(parallelism)]) == 0
+            stats[rank_scoring] = json.loads((out / "sft_stats.json").read_text())
+            for name in ("sft.jsonl", "sft.jsonl.rows", "sft_stats.json", "triplets.jsonl", "triplets_stats.json"):
+                digests[f"{rank_scoring}/{name}"] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for s in stats.values():
+            assert s["total_documents"] == 130 and s["skipped_errors"] == 0
+            assert s["dropped_by_cutoff"] > 0 and s["emitted"] > 64
+        assert digests == SFT_MULTI_CHUNK_DIGESTS
 
 
 class TestSftRowsReuse:

@@ -11,7 +11,6 @@ from slhyde.embed import MockEmbedderClient, embed_text, embed_texts
 from slhyde.errors import ParseError, ProtocolError, RunError, SlhydeError, TransportError, ValidationError
 from slhyde.retrieval import DenseIndex, dense_search, ranks_of
 from slhyde.selflearn import (
-    HypotheticalCandidate,
     RetrieverTriplet,
     SelfLearnSettings,
     SftExample,
@@ -27,7 +26,6 @@ from slhyde.selflearn import (
     load_triplets_jsonl,
     mine_hard_negatives,
     save_sft_rows,
-    select_best,
     validate_sft_file,
 )
 from slhyde.textgen import MockGeneratorClient, SamplingConfig, generate_query_for_doc, load_template, render_prompt
@@ -46,63 +44,60 @@ def _query_prompt(doc):
     return render_prompt(load_template("QUERY_GEN"), {"DOCUMENT": doc.indexed_text})
 
 
-class TestSelectBest:
-    def test_degenerate_single_candidate(self):
-        index, best = select_best([HypotheticalCandidate(text="only", rank=9)])
-        assert index == 0 and best.rank == 9
+class TestSelectionControlledGeometry:
+    """One-hot corpus of ten documents; each candidate's vector is pinned by
+    the mock's overrides, so it dictates the rank of the target, d0."""
 
-    def test_argmin_with_ranks_5_2_9(self):
-        candidates = [
-            HypotheticalCandidate(text="a", rank=5),
-            HypotheticalCandidate(text="b", rank=2),
-            HypotheticalCandidate(text="c", rank=9),
-        ]
-        index, best = select_best(candidates)
-        assert index == 1 and best.rank == 2
+    dim = 10
 
-    def test_tie_goes_to_lowest_index(self):
-        candidates = [
-            HypotheticalCandidate(text="a", rank=3),
-            HypotheticalCandidate(text="b", rank=3),
-        ]
-        index, _ = select_best(candidates)
-        assert index == 0
+    def _controlled(self, tmp_path):
+        eye = np.eye(self.dim, dtype=np.float32)
+        overrides = {f"doc text {i}": eye[i] for i in range(self.dim)}
 
-
-class TestScoreCandidatesControlledGeometry:
-    def _controlled(self):
-        """One-hot corpus; candidate vectors directly dictate target ranks."""
-        dim = 8
-        n = 8
-        eye = np.eye(dim, dtype=np.float32)
-        overrides = {f"doc text {i}": eye[i] for i in range(n)}
-        # Candidate similarity vectors: target is doc 0.
-        # rank 5: four docs score above doc 0; rank 2: one above; rank 8: all above.
+        # `above` documents score higher than d0: rank above + 1
         def cand_vec(above):
-            vec = np.full(dim, 0.0, dtype=np.float32)
+            vec = np.zeros(self.dim, dtype=np.float32)
             vec[0] = 0.5
-            for j in range(1, above + 1):
-                vec[j] = 0.9
+            vec[1 : above + 1] = 0.9
             return vec
 
-        overrides["cand rank5"] = cand_vec(4)
-        overrides["cand rank2"] = cand_vec(1)
-        overrides["cand rank8"] = cand_vec(7)
-        emb = MockEmbedderClient(dim=dim, overrides=overrides)
-        docs = [Document(id=f"d{i}", text=f"doc text {i}") for i in range(n)]
-        store = CorpusStore(docs)
-        return emb, store, docs
+        for rank in (2, 5, 8, 9):
+            overrides[f"cand rank{rank}"] = cand_vec(rank - 1)
+        overrides["cand tie a"] = overrides["cand tie b"] = cand_vec(2)
+        emb = MockEmbedderClient(dim=self.dim, overrides=overrides)
+        docs = [Document(id=f"d{i}", text=f"doc text {i}") for i in range(self.dim)]
+        return emb, docs, DenseIndex(cache_docs(emb, CorpusStore(docs), tmp_path / "ctrl.emb"))
+
+    def _select(self, tmp_path, candidates):
+        """build_generator_dataset over d0 alone, its candidates `candidates`."""
+        emb, docs, index = self._controlled(tmp_path)
+        # the candidate prompt (PSEUDO_GEN) is the one that quotes a "Reference Document"
+        gen = MockGeneratorClient(responder=lambda prompt, cfg: candidates if "Reference Document:" in prompt else None)
+        settings = SelfLearnSettings(candidates_per_query=len(candidates))
+        result = build_generator_dataset(docs[:1], gen, emb, index, settings)
+        [example] = result.examples
+        assert example.num_candidates == len(candidates)
+        assert result.rows.tobytes() == embed_texts(emb, [example.query, example.response]).tobytes()
+        return example
 
     def test_ranks_follow_constructed_geometry(self, tmp_path):
-        emb, store, docs = self._controlled()
-        cache = cache_docs(emb, store, tmp_path / "ctrl.emb")
-        index = DenseIndex(cache)
-        [(scored, _)] = _score_many(
+        emb, _, index = self._controlled(tmp_path)
+        [(ranks, _)] = _score_many(
             [("d0", "doc text 0", ["cand rank5", "cand rank2", "cand rank8"])], emb, index, "candidate"
         )
-        assert [c.rank for c in scored] == [5, 2, 8]
-        best_index, best = select_best(scored)
-        assert best_index == 1 and best.rank == 2
+        assert ranks == [5, 2, 8]
+
+    def test_argmin_with_ranks_5_2_9(self, tmp_path):
+        example = self._select(tmp_path, ["cand rank5", "cand rank2", "cand rank9"])
+        assert (example.response, example.rank) == ("cand rank2", 2)
+
+    def test_tie_goes_to_lowest_index(self, tmp_path):
+        example = self._select(tmp_path, ["cand rank5", "cand tie a", "cand tie b"])
+        assert (example.response, example.rank) == ("cand tie a", 3)
+
+    def test_degenerate_single_candidate(self, tmp_path):
+        example = self._select(tmp_path, ["cand rank9"])
+        assert (example.response, example.rank) == ("cand rank9", 9)
 
 
 class TestScoreCandidatesMatchesPerTextPath:
@@ -123,10 +118,10 @@ class TestScoreCandidatesMatchesPerTextPath:
             vec = embed_text(emb, text)
             if rank_scoring == "fused":
                 vec = (vec + query_vec) / 2.0
-            expected.append(HypotheticalCandidate(text=text, rank=ranks_of(small_index, [vec], [target_id])[0]))
+            expected.append(ranks_of(small_index, [vec], [target_id])[0])
         emb.calls = 0
-        [(scored, _)] = _score_many([(target_id, query, candidates)], emb, small_index, rank_scoring)
-        assert scored == expected
+        [(ranks, _)] = _score_many([(target_id, query, candidates)], emb, small_index, rank_scoring)
+        assert ranks == expected
         assert emb.calls == 1
         rows = embed_texts(emb, [query, *candidates])
         assert all(np.array_equal(row, embed_text(emb, t)) for row, t in zip(rows, [query, *candidates]))

@@ -1,4 +1,3 @@
-import dataclasses
 import threading
 import time
 
@@ -12,6 +11,7 @@ from slhyde.embed import RemoteEmbedderClient, embed_texts
 from slhyde.errors import ProtocolError, TransportError
 from slhyde.metrics import write_trec_run
 from slhyde.retrieval import RankedHits
+from slhyde.selflearn import _TripletRecord
 from slhyde.textgen import RemoteGeneratorClient, generate
 from slhyde.util import atomic_write_text, jsonl_line, replacing, write_jsonl
 
@@ -87,11 +87,12 @@ def _joined_trec_run(runs, path, tag):
 
 
 def _joined_jsonl(records, path):
-    lines = (jsonl_line(util._plan(type(r)).dump(r) if dataclasses.is_dataclass(r) else r) for r in records)
+    lines = (jsonl_line(util._plan(type(r)).dump(r)) for r in records)
     path.write_bytes("".join(lines).encode("utf-8"))
 
 
 TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=8)  # any text UTF-8 can hold
+NONEMPTY = TEXT.filter(bool)
 SCORE = st.one_of(st.sampled_from([0.0, -0.0, -1.5, -1e-7, 1e-7, 2.5e6]), st.floats(-1e3, 1e3))
 HITS = st.lists(st.tuples(TEXT, SCORE), max_size=4).map(
     lambda hits: RankedHits(ids=[doc_id for doc_id, _ in hits], scores=[score for _, score in hits])
@@ -110,7 +111,15 @@ def test_streamed_trec_run_is_the_joined_bytes(tmp_path_factory, runs, tag):
 RECORDS = st.lists(
     st.one_of(
         st.builds(_CorpusRecord, TEXT, TEXT, st.one_of(st.none(), TEXT)),
-        st.dictionaries(TEXT, st.one_of(TEXT, SCORE, st.lists(SCORE, max_size=2)), max_size=3),
+        # a triplet's free-form meta is written as it is
+        st.builds(
+            _TripletRecord,
+            NONEMPTY,
+            NONEMPTY,
+            NONEMPTY,
+            st.lists(NONEMPTY, max_size=2),
+            st.dictionaries(TEXT, st.one_of(TEXT, SCORE, st.lists(SCORE, max_size=2)), max_size=3),
+        ),
     ),
     max_size=5,
 )
