@@ -17,7 +17,9 @@ and `evaluate` consume one stream of (query id, hits) pairs, chunk by chunk:
 each pair's trec lines (and trace line, or metric values) are written or
 added up as it arrives, so memory holds one chunk of hits, never a run. One
 function, `_run_queries`, makes every such stream; a dense run is HyDE's
-query-only plan (N = 0) over rows embedded up front.
+query-only plan (N = 0) over rows embedded up front. `build-sft-data` and
+`build-retriever-data` likewise write each chunk's SFT lines and rows, or
+triplet lines, into staging as the chunk is scored or mined.
 """
 from __future__ import annotations
 
@@ -48,15 +50,7 @@ from .errors import ParseError, SlhydeError, ValidationError
 from .hyde import FusionConfig, hypothesize, search_hypothesized
 from .metrics import build_report, ndcg_at_k, recall_at_k, render_report_text, report_to_dict, write_trec_run
 from .retrieval import DenseIndex
-from .selflearn import (
-    build_generator_dataset,
-    build_retriever_dataset,
-    emit_sft_jsonl,
-    emit_triplets_jsonl,
-    load_sft_jsonl,
-    load_sft_rows,
-    save_sft_rows,
-)
+from .selflearn import build_generator_dataset, build_retriever_dataset, emit_triplets_jsonl
 from .textgen import SamplingConfig
 from .util import atomic_write_text, derive_seed, dump_json, jsonl_line, replacing, run_chunked
 
@@ -113,9 +107,7 @@ def _path(dataset, key: str) -> str:
 
 
 def _dataset_cache(config: RunConfig, emb, dataset, load: bool = True):
-    """`cache_embeddings` for one dataset: (store, cache), where store is None
-    when the cache was reused without parsing the corpus, and cache is None
-    unless `load`."""
+    """`cache_embeddings` for one dataset: its cache, or None unless `load`."""
     return cache_embeddings(emb, _path(dataset, "corpus"), Path(config.out_dir) / f"{dataset.name}.emb", load)
 
 
@@ -201,7 +193,7 @@ def cmd_search(config: RunConfig, command: str, k: int | None = None, trace: boo
         for dataset in config.all_datasets():
             # the queries are read (and so checked) before the corpus is embedded
             queries = load_queries(_path(dataset, "queries"))
-            index = DenseIndex(_dataset_cache(config, emb, dataset)[1])
+            index = DenseIndex(_dataset_cache(config, emb, dataset))
             if hyde:
                 fusion, known_rows = _fusion_for(config, dataset), None
             else:
@@ -253,7 +245,7 @@ def _evaluate_dataset(config: RunConfig, gen, emb, dataset, metrics: list[str], 
     """
     queries = load_queries(_path(dataset, "queries"))
     qrels = load_qrels(_path(dataset, "qrels"))
-    _, cache = _dataset_cache(config, emb, dataset)
+    cache = _dataset_cache(config, emb, dataset)
     index = DenseIndex(cache)
     judged_ids = set(qrels.entries)
     eval_queries = [q for q in queries if q.id in judged_ids]
@@ -371,46 +363,37 @@ def cmd_evaluate(config: RunConfig, command: str, mode: str = "hyde") -> int:
 
 
 def cmd_build_sft(config: RunConfig, command: str) -> int:
+    """Sample documents and write each chunk's SFT lines and rows into
+    staging as it is scored: memory holds the sampled documents and one
+    chunk, and the corpus is read once to keep the sampled ones."""
     gen = build_generator_client(config)
     emb = build_embedder_client(config)
     dataset = _single_dataset(config, command)
-    store, cache = _dataset_cache(config, emb, dataset)
-    if store is None:  # the cache was reused; sampling still needs the documents
-        store = load_corpus(dataset.corpus)
-    index = DenseIndex(cache)
-    sample_n = config.selflearn.sample_docs or len(store)
-    docs = sample_documents(store, min(sample_n, len(store)), derive_seed(config.seed, "sample"))
-    result = build_generator_dataset(
-        docs, gen, emb, index, config.selflearn, config.seed, _sampling(config), config.parallelism
-    )
+    cache = _dataset_cache(config, emb, dataset)
+    sample_n = min(config.selflearn.sample_docs or len(cache), len(cache))
+    docs = sample_documents(_path(dataset, "corpus"), cache.ids, sample_n, derive_seed(config.seed, "sample"))
     with staged_outputs(config) as staging:
-        emit_sft_jsonl(result.examples, staging / "sft.jsonl")
-        save_sft_rows(result, emb, staging / "sft.jsonl")
-        atomic_write_text(
-            staging / "sft_stats.json",
-            dump_json(
-                {
-                    "total_documents": result.total,
-                    "emitted": len(result.examples),
-                    "dropped_by_cutoff": result.dropped_by_cutoff,
-                    "skipped_errors": result.skipped_errors,
-                }
-            ),
+        stats = build_generator_dataset(
+            docs, gen, emb, DenseIndex(cache), config.selflearn, staging / "sft.jsonl", config.seed,
+            _sampling(config), config.parallelism,
         )
+        atomic_write_text(staging / "sft_stats.json", dump_json(dataclasses.asdict(stats)))
     return EXIT_OK
 
 
 def cmd_build_triplets(config: RunConfig, command: str, sft: str | None = None) -> int:
+    """Write each chunk's triplet lines into staging as it is mined, and add
+    its reference losses into a running sum from 0 in file order (the
+    additions sum() makes before Python 3.12): memory holds one chunk."""
     gen = build_generator_client(config)
     emb = build_embedder_client(config)
     dataset = _single_dataset(config, command)
     sft_file = Path(sft) if sft else Path(config.out_dir) / "sft.jsonl"
-    if not sft_file.exists():
+    if not sft_file.is_file():
         raise ValidationError(f"SFT dataset not found: {sft_file} (run build-sft-data first)")
-    _, cache = _dataset_cache(config, emb, dataset)
-    examples = load_sft_jsonl(sft_file, cache)  # every doc_id is checked before any SFT text is embedded
-    result = build_retriever_dataset(
-        examples,
+    cache = _dataset_cache(config, emb, dataset)
+    pairs = build_retriever_dataset(
+        sft_file,
         gen,
         emb,
         DenseIndex(cache),
@@ -419,19 +402,25 @@ def cmd_build_triplets(config: RunConfig, command: str, sft: str | None = None) 
         config.seed,
         _sampling(config),
         config.parallelism,
-        load_sft_rows(emb, sft_file, examples),
     )
-    losses = result.reference_losses
+    count, loss_sum = 0, 0
+
+    def triplets():
+        nonlocal count, loss_sum
+        for triplet, loss in pairs:
+            count, loss_sum = count + 1, loss_sum + loss
+            yield triplet
+
     with staged_outputs(config) as staging:
-        emit_triplets_jsonl(result.triplets, staging / "triplets.jsonl")
+        emit_triplets_jsonl(triplets(), staging / "triplets.jsonl")
         atomic_write_text(
             staging / "triplets_stats.json",
             dump_json(
                 {
-                    "count": len(result.triplets),
+                    "count": count,
                     "negatives_per_triplet": config.selflearn.negatives,
                     "tau": config.selflearn.tau,
-                    "mean_reference_loss": (sum(losses) / len(losses)) if losses else None,
+                    "mean_reference_loss": loss_sum / count if count else None,
                 }
             ),
         )

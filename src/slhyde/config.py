@@ -188,7 +188,7 @@ def load_config(path: str | Path | None, **overrides) -> RunConfig:
     data = None
     if path is not None:
         path = Path(path)
-        if not path.exists():
+        if not path.is_file():
             raise ValidationError(f"config file not found: {path}")
         text = "".join(line for _, line in text_lines(path))
         try:

@@ -187,16 +187,20 @@ def _read_records(path: str | Path, kind: str, record_cls, make) -> list:
         seen.add(doc_id)
         return made
 
-    items = read_jsonl(path, record_cls, f"{kind} record", item)
+    items = list(read_jsonl(path, record_cls, f"{kind} record", item))
     if not items:
         logger.warning("%s file %s is empty", kind, path)
     return items
 
 
+def _document(doc_id: str, record: _CorpusRecord) -> Document:
+    return Document(doc_id, record.text, record.title or None)  # an empty title is no title
+
+
 def load_corpus(path: str | Path) -> CorpusStore:
     """Load corpus.jsonl into a CorpusStore. Duplicate _id values are rejected;
     an empty title is no title."""
-    return CorpusStore(_read_records(path, "corpus", _CorpusRecord, lambda i, r: Document(i, r.text, r.title or None)))
+    return CorpusStore(_read_records(path, "corpus", _CorpusRecord, _document))
 
 
 def load_queries(path: str | Path) -> list[Query]:
@@ -266,12 +270,38 @@ def write_qrels(qrels: RelevanceJudgments, path: str | Path) -> None:
     atomic_write_text(path, itertools.chain(["query-id\tcorpus-id\tscore\n"], lines))
 
 
-def sample_documents(store: CorpusStore, n: int, seed: int) -> list[Document]:
-    """Draw n distinct documents, deterministically for a fixed seed."""
+def sample_documents(path: str | Path, ids: list[str], n: int, seed: int) -> list[Document]:
+    """Draw n distinct documents of the corpus file `path`, deterministically
+    for a fixed seed, reading the file once and keeping only the documents
+    drawn. `ids` are the file's record ids in order (its embedding cache's
+    ids), so the draw needs only their count: a record whose _id is not
+    ids[row] is a ValidationError naming the file and line, and so is a
+    file that holds another number of records."""
     if n < 0:
         raise ValidationError("sample size must be non-negative")
-    if n > len(store):
-        raise ValidationError(f"cannot sample {n} documents from a corpus of {len(store)}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(store))[:n]
-    return [store[int(i)] for i in order]
+    if n > len(ids):
+        raise ValidationError(f"cannot sample {n} documents from a corpus of {len(ids)}")
+    path = Path(path)
+    if not path.is_file():
+        raise ValidationError(f"corpus file not found: {path}")
+    order = np.random.default_rng(seed).permutation(len(ids))[:n]
+    slot = dict(zip(order.tolist(), range(n)))  # row -> its place in the sample
+    sample: list = [None] * n
+    rows = 0
+
+    def keep(record: _CorpusRecord) -> None:
+        nonlocal rows
+        doc_id, row = str(record._id), rows
+        if row >= len(ids):
+            raise ValidationError(f"_id {doc_id!r} is past the {len(ids)} rows of the corpus's embedding cache")
+        if doc_id != ids[row]:
+            raise ValidationError(f"_id {doc_id!r} is not {ids[row]!r}, row {row} of the corpus's embedding cache")
+        if row in slot:
+            sample[slot[row]] = _document(doc_id, record)
+        rows += 1
+
+    for _ in read_jsonl(path, _CorpusRecord, "corpus record", keep):
+        pass
+    if rows != len(ids):
+        raise ValidationError(f"corpus file {path} holds {rows} records, its embedding cache {len(ids)} rows")
+    return sample

@@ -12,12 +12,17 @@ largest magnitude before it is normalized; every other row is row / norm.
 
 Building a cache holds one embedder batch of texts and rows, never every
 text nor the matrix: `cache_embeddings` calls `embed_texts` once per batch
-and writes the file in one pass (header, then each batch's unit rows as the
-batch arrives, in input order, then the ids), so a batch that is non-finite
-or holds a zero row stops the build before the next request.
-Reading one goes block by block (`_read_cache`): `load_cache` reads each
-block straight into the matrix it returns, and the warm check of
-`embed-corpus` reads every block into one small buffer and keeps nothing.
+and writes the file in one pass through the one writer, `cache_file` (each
+batch's unit rows as the batch arrives, in input order, then the ids, then
+the header, written last over the space left for it), so a batch that is
+non-finite or holds a zero row stops the build before the next request. The
+SFT rows file (`selflearn`) is written the same way, a chunk at a time: its
+count, ids digest and fingerprint are known only at the end.
+Reading one goes block by block through the one reader, `open_cache`:
+`load_cache` reads each block straight into the matrix it returns, and the
+warm check of `embed-corpus` and the SFT rows check read every block into one
+small buffer and keep nothing; the triplet builder then reads the slices of
+rows it asks for from the same open file.
 
 Cache file format (little-endian), one file:
     magic "SLHE3" | u32 dim | u64 count | 32-byte fingerprint
@@ -51,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CorpusStore, corpus_file_digest, find_id, load_corpus, sort_ids
+from .corpus import corpus_file_digest, find_id, load_corpus, sort_ids
 from .errors import FormatError, ProtocolError, TransportError, ValidationError
 from .util import JsonEndpoint, replacing, retry_or_raise
 
@@ -369,36 +374,62 @@ def cache_fingerprint(client, corpus_digest: bytes) -> bytes:
     return hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).digest()
 
 
+class _CacheWriter:
+    """What `cache_file` yields: `add(ids, rows)` appends rows, in order, and
+    their ids. `fingerprint` is the header's, which the block may set last."""
+
+    def __init__(self, fh, dim: int, fingerprint: bytes | None):
+        self._fh, self.dim, self.fingerprint = fh, dim, fingerprint
+        self.count, self.ids = 0, bytearray()  # the ids block, written after the rows
+
+    def add(self, ids: list[str], rows: np.ndarray) -> None:
+        for doc_id in ids:
+            if "\n" in doc_id or "\r" in doc_id:
+                raise ValidationError(f"id {doc_id!r} contains a newline; cannot serialize")
+        if rows.shape != (len(ids), self.dim):
+            raise ValidationError(f"expected {len(ids)} rows of dim {self.dim}, got {rows.shape}")
+        self._fh.write(np.ascontiguousarray(rows, dtype="<f4"))  # no copy of float32 rows
+        self.ids += "".join(f"{i}\n" for i in ids).encode("utf-8")
+        self.count += len(ids)
+
+
 @contextmanager
-def _cache_file(path: str | Path, fingerprint: bytes, ids: list[str], dim: int):
-    """The one SLHE3 writer: a file holding the header, into which the block
-    writes the len(ids) × dim little-endian float32 rows in order; the ids
-    block follows, and one atomic replace commits the file. A block that
-    raises leaves the old file and no temp file."""
-    for doc_id in ids:
-        if "\n" in doc_id or "\r" in doc_id:
-            raise ValidationError(f"id {doc_id!r} contains a newline; cannot serialize")
-    block = "".join(f"{i}\n" for i in ids).encode("utf-8")
+def cache_file(path: str | Path, dim: int, fingerprint: bytes | None = None):
+    """The one SLHE3 writer: yields a writer whose `add(ids, rows)` appends
+    (len(ids), dim) rows, as little-endian float32, and their ids. When the
+    block ends, the ids block follows the rows and the header is written
+    last, seeking back over the space left for it, so the count, the ids
+    digest and the fingerprint (the writer's `fingerprint`, which the block
+    may set once it knows it) need not be known up front; one atomic replace
+    commits the file. A block that raises leaves the old file and no temp
+    file."""
     with replacing(path, "xb") as fh:
-        fh.write(_HEADER.pack(CACHE_MAGIC, dim, len(ids), fingerprint, hashlib.sha256(block).digest()))
-        yield fh
-        fh.write(block)
+        fh.write(bytes(_HEADER.size))
+        writer = _CacheWriter(fh, dim, fingerprint)
+        yield writer
+        fh.write(writer.ids)
+        fh.seek(0)
+        ids_digest = hashlib.sha256(writer.ids).digest()
+        fh.write(_HEADER.pack(CACHE_MAGIC, dim, writer.count, writer.fingerprint, ids_digest))
     Path(f"{path}.ids").unlink(missing_ok=True)  # an SLHE1/SLHE2 sidecar, stale once this file is written
 
 
 def save_cache(cache: EmbeddingCache, path: str | Path, fingerprint: bytes) -> None:
-    with _cache_file(path, fingerprint, cache.ids, cache.dim) as fh:
-        fh.write(np.ascontiguousarray(cache.matrix, dtype="<f4"))  # no copy of a float32 cache
+    with cache_file(path, cache.dim, fingerprint) as out:
+        out.add(cache.ids, cache.matrix)
 
 
-def _read_cache(path: str | Path, fingerprint: bytes | None, keep: bool) -> tuple[str, np.ndarray | None]:
-    """The one SLHE3 reader: (ids block, rows) of the cache file at `path`,
-    every check of `load_cache` made. The rows are read _BLOCK values at a
-    time, each block checked finite as it is read: into the (count, dim)
-    matrix that is returned when `keep`, else into one buffer of a block,
-    and None is returned."""
+@contextmanager
+def open_cache(path: str | Path, fingerprint: bytes | None = None, keep: bool = False):
+    """The one SLHE3 reader: yields (ids block, rows, read) of the cache file
+    at `path`, open, once every check of `load_cache` is made. The rows are
+    read _BLOCK values at a time, each block checked finite as it is read:
+    into the (count, dim) matrix `rows` when `keep`, else into one buffer of
+    a block, and `rows` is None. read(start, stop) reads rows [start, stop)
+    when asked for, from the same open file, so never from a file that
+    replaced it."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FormatError(f"cache file not found: {path}")
     with path.open("rb") as fh:
         header = fh.read(_HEADER.size)
@@ -421,16 +452,27 @@ def _read_cache(path: str | Path, fingerprint: bytes | None, keep: bool) -> tupl
             if not np.isfinite(block).all():
                 raise FormatError(f"cache file {path} contains non-finite values")
         raw = fh.read()
-    if hashlib.sha256(raw).digest() != ids_digest:
-        raise FormatError(f"cache file {path} is truncated, padded or corrupt (ids digest mismatch)")
-    try:
-        ids = raw.decode("utf-8")
-    except UnicodeDecodeError:
-        raise FormatError(f"cache file {path} holds ids that are not UTF-8") from None
-    held = ids.count("\n")
-    if held != count:
-        raise FormatError(f"cache file {path} holds {held} ids, header says {count}")
-    return ids, rows.reshape(count, dim) if keep else None
+        if hashlib.sha256(raw).digest() != ids_digest:
+            raise FormatError(f"cache file {path} is truncated, padded or corrupt (ids digest mismatch)")
+        try:
+            ids = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"cache file {path} holds ids that are not UTF-8") from None
+        held = ids.count("\n")
+        if held != count:
+            raise FormatError(f"cache file {path} holds {held} ids, header says {count}")
+        matrix = rows.reshape(count, dim) if keep else None
+        raw = rows = block = None  # while the caller's block runs: the matrix, when kept, and the ids
+
+        def read(start: int, stop: int) -> np.ndarray:
+            if not 0 <= start <= stop <= count:
+                raise FormatError(f"cache file {path} holds {count} rows, not rows {start} to {stop}")
+            fh.seek(_HEADER.size + start * dim * 4)
+            out = np.empty((stop - start, dim), dtype="<f4")
+            fh.readinto(out)  # the file's size was checked
+            return out
+
+        yield ids, matrix, read
 
 
 def load_cache(path: str | Path, fingerprint: bytes | None = None) -> EmbeddingCache:
@@ -439,44 +481,45 @@ def load_cache(path: str | Path, fingerprint: bytes | None = None) -> EmbeddingC
     header's digest or are not UTF-8, or `fingerprint` is given and differs
     from the stored one (checked before the rows are read). The rows are read
     straight into the matrix that is returned."""
-    block, matrix = _read_cache(path, fingerprint, keep=True)
-    ids = block.split("\n")
+    with open_cache(path, fingerprint, keep=True) as (block, matrix, _):
+        ids = block.split("\n")
     del block  # the cache sorts its ids next: the block is not held beside them
     ids.pop()  # the "" after the last newline
     return EmbeddingCache(ids=ids, matrix=matrix)
 
 
-def cache_embeddings(
-    client, corpus_path: str | Path, path: str | Path, load: bool = True
-) -> tuple[CorpusStore | None, EmbeddingCache | None]:
+def cache_embeddings(client, corpus_path: str | Path, path: str | Path, load: bool = True) -> EmbeddingCache | None:
     """The one reuse-or-build path for a corpus file's embedding cache.
 
     The cache at `path` is reused when its fingerprint matches the client and
     the sha256 of the corpus file's bytes and it passes every check of
-    `load_cache`; the corpus is then not parsed and the result is (None,
-    cache). Anything else (no file, an unreadable or stale one, with the
-    reason logged) parses the corpus, embeds it into a new file batch by
-    batch and returns (store, cache), the cache read back from that file.
-    With `load` false (`embed-corpus`, which only makes the file current)
-    cache is None and a reused file is only checked, so neither path holds
-    the matrix.
+    `load_cache`; the corpus is then not parsed. Anything else (no file, an
+    unreadable or stale one, with the reason logged) parses the corpus and
+    embeds it into a new file batch by batch; the cache returned is then read
+    back from that file. With `load` false (`embed-corpus`, which only makes
+    the file current) None is returned and a reused file is only checked, so
+    neither path holds the matrix.
     """
     path = Path(path)
     fingerprint = cache_fingerprint(client, corpus_file_digest(corpus_path))
     if path.exists():
         try:
-            cache = load_cache(path, fingerprint=fingerprint) if load else _read_cache(path, fingerprint, keep=False)[1]
+            if load:
+                cache = load_cache(path, fingerprint=fingerprint)
+            else:
+                with open_cache(path, fingerprint):  # checked block by block, nothing kept
+                    cache = None
         except FormatError as exc:
             logger.warning("rebuilding embedding cache: %s", exc)
         else:
             logger.info("reusing embedding cache %s", path)
-            return None, cache
+            return cache
     store = load_corpus(corpus_path)
-    with _cache_file(path, fingerprint, store.ids, client.dim) as fh:
+    with cache_file(path, client.dim, fingerprint) as out:
         # one batch's texts at a time: a titled document's text is a new string
         docs = iter(store)
         for _ in range(0, len(store), client.batch_size):
-            texts = [doc.indexed_text for doc in itertools.islice(docs, client.batch_size)]
-            fh.write(embed_texts(client, texts).astype("<f4", copy=False))  # not held while the next batch embeds
+            batch = list(itertools.islice(docs, client.batch_size))
+            out.add([doc.id for doc in batch], embed_texts(client, [doc.indexed_text for doc in batch]))
     logger.info("embedded %d documents into %s", len(store), path)
-    return store, load_cache(path, fingerprint=fingerprint) if load else None
+    return load_cache(path, fingerprint=fingerprint) if load else None

@@ -12,13 +12,18 @@ Two datasets come out of this module:
     reference InfoNCE loss.
 Both builders go through `util.run_chunked`: a chunk costs one embed_texts call and
 one ranks_of or search_many call. Neither depends on the batch, so the datasets do not.
-The SFT builder keeps the rows it scored each emitted example with, its query's
-and its selected candidate's; `save_sft_rows` writes them next to the SFT file
-as `<sft file>.rows`, one SLHE3 cache file (`embed.save_cache`) whose fingerprint
-covers the embedder and the SFT file's bytes. `load_sft_rows` hands them to
-the triplet builder only on a fingerprint match, and the triplet builder embeds
-only the texts those rows lack (`embed.embed_rows`): with `reuse_pseudo`, no
-text at all.
+Both stream: memory holds one chunk of 64, never the dataset.
+`build_generator_dataset` writes each chunk's SFT lines and, beside them, the
+rows it scored each emitted example with, its query's and its selected
+candidate's, as `<sft file>.rows`: one SLHE3 cache file (`embed.cache_file`)
+whose header, written last, holds a fingerprint over the embedder and the SFT
+file's sha256, hashed as its lines are written. `build_retriever_dataset`
+reads the SFT file twice: once to check every doc_id and hash the ids its rows
+file should list, then a chunk at a time, yielding each triplet and its loss.
+Example i's rows are rows 2i and 2i + 1, so a chunk reads one slice of the
+rows file, and only when that file is current; the chunk then embeds only the
+texts those rows lack (`embed.embed_rows`): with `reuse_pseudo`, no text at
+all.
 Both take `SelfLearnSettings`, the `selflearn` config section, which checks
 itself when built.
 
@@ -27,15 +32,17 @@ computes reference InfoNCE loss values on given embeddings.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import logging
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import Document, corpus_file_digest
-from .embed import EmbeddingCache, cache_fingerprint, embed_rows, embed_texts, keyed_rows, load_cache, save_cache
+from .embed import cache_file, cache_fingerprint, embed_rows, embed_texts, keyed_rows, open_cache
 from .errors import FormatError, ProtocolError, RunError, SlhydeError, ValidationError
 from .hyde import fuse_rows
 from .retrieval import DenseIndex, ranks_of, search_many
@@ -75,21 +82,14 @@ class RetrieverTriplet:
 
 
 @dataclass
-class SftBuildResult:
-    examples: list[SftExample]
-    total: int = 0
+class SftStats:
+    """The counts `build-sft-data` writes to `sft_stats.json`, kept running
+    as the documents are scored."""
+
+    total_documents: int
+    emitted: int = 0
     dropped_by_cutoff: int = 0
     skipped_errors: int = 0
-    # (2 * len(examples), dim): each example's query row, then its response's,
-    # as scoring embedded them; arrays do not compare with ==, so rows do not
-    rows: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass
-class TripletBuildResult:
-    triplets: list[RetrieverTriplet]
-    # reference InfoNCE per triplet, the fused (query, pseudo) vector as the query side
-    reference_losses: list[float]
 
 
 RANK_SCORINGS = ("candidate", "fused")
@@ -153,27 +153,33 @@ def build_generator_dataset(
     emb,
     index: DenseIndex,
     settings: SelfLearnSettings,
+    path: str | Path,
     seed: int = 0,
     sampling: SamplingConfig | None = None,
     parallelism: int = 1,
-) -> SftBuildResult:
-    """Construct the generator SFT dataset from unlabeled documents.
+) -> SftStats:
+    """Construct the generator SFT dataset from unlabeled documents: write
+    it to the SFT file `path`, and each emitted example's query row and
+    selected candidate row, from whichever call scored it, to its rows file
+    (`<path>.rows`), chunk by chunk as the chunks are scored.
 
     Each document gets settings.candidates_per_query candidates, ranked per
     settings.rank_scoring, and keeps the one of lowest rank, the lowest
     candidate index on a tie. Per-document generation or embedding errors skip
-    the document; a skip rate above settings.max_skip_fraction fails the run.
+    the document; a skip rate above settings.max_skip_fraction fails the run
+    once every chunk is scored, and neither file is written.
     A ProtocolError for one document (a client status such as a bad key's
     401) would fail every document alike, so it propagates.
     Documents whose best candidate rank exceeds settings.rank_cutoff are
     dropped and counted. If a chunk's one embed_texts or ranks_of call fails,
     its documents are scored again one at a time, so only the failing
     documents are skipped. settings.sample_docs is the caller's to apply.
-    The result's rows are each emitted example's query row and selected
-    candidate row, from whichever call scored it.
+    The rows file's fingerprint covers `emb` and the SFT file's sha256,
+    hashed as its lines are written.
     """
     base = sampling or SamplingConfig()
     num_candidates, rank_scoring = settings.candidates_per_query, settings.rank_scoring
+    stats = SftStats(total_documents=len(docs))
 
     def plan(doc: Document):
         query_cfg = replace(base, seed=derive_seed(seed, "query", doc.id))
@@ -209,26 +215,30 @@ def build_generator_dataset(
                 best = ranks.index(min(ranks))  # a tie goes to the lowest candidate index
                 example = SftExample(query, candidates[best], doc_id, ranks[best], num_candidates)
                 examples.append((example, block[[0, 1 + best]]))
+        stats.skipped_errors += len(planned) - len(examples)
         return examples
 
-    scored_examples = list(run_chunked(docs, plan, finish, parallelism))
-    skipped = len(docs) - len(scored_examples)
-    kept = [(example, rows) for example, rows in scored_examples if example.rank <= settings.rank_cutoff]
-    examples = [example for example, _ in kept]
-    dropped = len(scored_examples) - len(examples)
-    if docs and skipped / len(docs) > settings.max_skip_fraction:
-        raise RunError(
-            f"{skipped}/{len(docs)} documents failed; exceeds allowed fraction {settings.max_skip_fraction}"
-        )
-    if dropped:
-        logger.info("dropped %d documents whose best rank exceeded %d", dropped, settings.rank_cutoff)
-    return SftBuildResult(
-        examples=examples,
-        total=len(docs),
-        dropped_by_cutoff=dropped,
-        skipped_errors=skipped,
-        rows=np.vstack([rows for _, rows in kept]) if kept else np.zeros((0, emb.dim), dtype=np.float32),
-    )
+    def kept(rows_file):
+        """Each example within the cutoff, its rows added to `rows_file`;
+        the skip rate is checked once the last chunk is scored."""
+        for example, rows in run_chunked(docs, plan, finish, parallelism):
+            if example.rank > settings.rank_cutoff:
+                stats.dropped_by_cutoff += 1
+                continue
+            stats.emitted += 1
+            rows_file.add(_row_ids(example.doc_id), rows)
+            yield example
+        if docs and stats.skipped_errors / len(docs) > settings.max_skip_fraction:
+            raise RunError(
+                f"{stats.skipped_errors}/{len(docs)} documents failed; "
+                f"exceeds allowed fraction {settings.max_skip_fraction}"
+            )
+
+    with cache_file(_rows_path(path), emb.dim) as rows_file:
+        rows_file.fingerprint = cache_fingerprint(emb, emit_sft_jsonl(kept(rows_file), path))
+    if stats.dropped_by_cutoff:
+        logger.info("dropped %d documents whose best rank exceeded %d", stats.dropped_by_cutoff, settings.rank_cutoff)
+    return stats
 
 
 def _rows_path(sft_path: str | Path) -> Path:
@@ -236,33 +246,27 @@ def _rows_path(sft_path: str | Path) -> Path:
     return Path(str(sft_path) + ".rows")
 
 
-def _row_ids(examples: list[SftExample]) -> list[str]:
-    return [f"{field_name}:{example.doc_id}" for example in examples for field_name in ("input", "output")]
+def _row_ids(doc_id: str) -> list[str]:
+    """The rows file's ids of one example: its query's row, then its response's."""
+    return [f"input:{doc_id}", f"output:{doc_id}"]
 
 
-def save_sft_rows(result: SftBuildResult, emb, sft_path: str | Path) -> None:
-    """Write result.rows to `<sft_path>.rows`, once `sft_path` holds
-    result.examples, fingerprinted with `emb` and the SFT file's sha256."""
-    fingerprint = cache_fingerprint(emb, corpus_file_digest(sft_path))
-    save_cache(EmbeddingCache(_row_ids(result.examples), result.rows), _rows_path(sft_path), fingerprint)
-
-
-def load_sft_rows(emb, sft_path: str | Path, examples: list[SftExample]) -> dict[str, np.ndarray]:
-    """The row of each query and response of `examples`, the records of
-    `sft_path`, from its rows file, as `embed.keyed_rows`; {} when that file
-    is missing, was written for other bytes or another embedder setting, or
-    lists other examples (the reason is logged)."""
+def _sft_rows(stack: ExitStack, emb, sft_path: Path, ids_digest: bytes):
+    """read(start, stop), the rows [start, stop) of the rows file of the SFT
+    file `sft_path`, held open by `stack`; None when that file is missing,
+    was written for other bytes or another embedder setting, or lists other
+    examples than those whose ids block has the sha256 `ids_digest` (the
+    reason is logged)."""
     path = _rows_path(sft_path)
     try:
-        rows = load_cache(path, fingerprint=cache_fingerprint(emb, corpus_file_digest(sft_path)))
-        if rows.ids != _row_ids(examples):
+        ids, _, read = stack.enter_context(open_cache(path, cache_fingerprint(emb, corpus_file_digest(sft_path))))
+        if hashlib.sha256(ids.encode("utf-8")).digest() != ids_digest:
             raise FormatError(f"{path} does not list the examples of {sft_path}")
     except FormatError as exc:
         logger.info("embedding the SFT texts again: %s", exc)
-        return {}
-    logger.info("reusing SFT rows %s (%d vectors)", path, len(rows))
-    texts = (text for example in examples for text in (example.query, example.response))
-    return keyed_rows(emb, texts, rows.matrix)
+        return None
+    logger.info("reusing SFT rows %s (%d vectors)", path, ids.count("\n"))
+    return read
 
 
 def mine_hard_negatives(
@@ -284,7 +288,7 @@ def mine_hard_negatives(
 
 
 def build_retriever_dataset(
-    sft_examples: list[SftExample],
+    sft_path: str | Path,
     gen,
     emb,
     index: DenseIndex,
@@ -293,39 +297,51 @@ def build_retriever_dataset(
     seed: int = 0,
     sampling: SamplingConfig | None = None,
     parallelism: int = 1,
-    known_rows: dict[str, np.ndarray] | None = None,
-) -> TripletBuildResult:
-    """One triplet with settings.negatives hard negatives, and its reference
-    loss at temperature settings.tau, per SFT example.
+):
+    """Yield one triplet with settings.negatives hard negatives, and its
+    reference loss at temperature settings.tau, per example of the SFT file
+    `sft_path`, chunk by chunk.
 
+    The file is read twice, and never held. The first pass checks every
+    meta.doc_id against the corpus (a ValidationError naming the file and
+    line) and hashes the ids its rows file should list, all before any
+    request; a corpus of no more than settings.negatives documents is refused
+    before that. The second pass reads the examples a chunk at a time.
     With settings.reuse_pseudo (offline mode) the selected response is reused
     as the pseudo-document; otherwise the generator rewrites the query fresh
     from `template`, which is the deployment-form path for a tuned generator.
-    A chunk's (query, pseudo) texts that `known_rows` (an `embed.keyed_rows`
-    mapping, e.g. from `load_sft_rows`) lacks are embedded in one call (none
-    when all are known); each pair's fused vector (`hyde.fuse_rows`) mines the
-    negatives (one search_many call per chunk) and scores the reference loss
-    against the cached document rows. A corpus of no more than
-    settings.negatives documents is refused before any request.
+    Example i's rows are rows 2i and 2i + 1 of the SFT file's rows file, when
+    it is current (`_sft_rows`), so a chunk reads one slice of them; the
+    chunk's (query, pseudo) texts those rows lack are embedded in one call
+    (none when all are known). Each pair's fused vector (`hyde.fuse_rows`)
+    mines the negatives (one search_many call per chunk) and scores the
+    reference loss against the cached document rows.
     """
     if len(index) <= settings.negatives:
         raise ValidationError(f"corpus of {len(index)} is too small to mine {settings.negatives} negatives")
-    base = sampling or SamplingConfig()
-    cache = index.cache
+    sft_path, base, cache = Path(sft_path), sampling or SamplingConfig(), index.cache
+    ids_digest = hashlib.sha256()
+    for example in _read_sft(sft_path, cache):
+        ids_digest.update("".join(f"{i}\n" for i in _row_ids(example.doc_id)).encode("utf-8"))
 
-    def plan(example: SftExample) -> tuple[SftExample, str]:
+    def plan(item: tuple[int, SftExample]) -> tuple[int, SftExample, str]:
+        position, example = item
         if settings.reuse_pseudo:
-            return example, example.response
+            return position, example, example.response
         cfg = replace(base, seed=derive_seed(seed, "pseudo", example.doc_id))
-        return example, generate_hypothetical(gen, example.query, template, 1, cfg)[0]
+        return position, example, generate_hypothetical(gen, example.query, template, 1, cfg)[0]
 
-    def finish(planned: list[tuple[SftExample, str]]) -> list[tuple[RetrieverTriplet, float]]:
-        texts = [text for example, pseudo in planned for text in (example.query, pseudo)]
+    def finish(planned: list[tuple[int, SftExample, str]]) -> list[tuple[RetrieverTriplet, float]]:
+        known_rows = None
+        if read is not None:  # a chunk is a run of the file's examples, so its rows are one slice
+            known = (text for _, example, _ in planned for text in (example.query, example.response))
+            known_rows = keyed_rows(emb, known, read(2 * planned[0][0], 2 * planned[-1][0] + 2))
+        texts = [text for _, example, pseudo in planned for text in (example.query, pseudo)]
         fused = fuse_rows(embed_rows(emb, texts, known_rows), [2] * len(planned))
-        positives = [example.doc_id for example, _ in planned]
+        positives = [example.doc_id for _, example, _ in planned]
         mined = mine_hard_negatives(index, fused, positives, settings.negatives)
         results = []
-        for (example, pseudo), vector, negatives in zip(planned, fused, mined):
+        for (_, example, pseudo), vector, negatives in zip(planned, fused, mined):
             triplet = RetrieverTriplet(
                 query=example.query,
                 pseudo=pseudo,
@@ -338,11 +354,9 @@ def build_retriever_dataset(
             results.append((triplet, loss))
         return results
 
-    results = list(run_chunked(sft_examples, plan, finish, parallelism))
-    return TripletBuildResult(
-        triplets=[triplet for triplet, _ in results],
-        reference_losses=[value for _, value in results],
-    )
+    with ExitStack() as stack:
+        read = _sft_rows(stack, emb, sft_path, ids_digest.digest())
+        yield from run_chunked(enumerate(_read_sft(sft_path, cache)), plan, finish, parallelism)
 
 
 def infonce_from_scores(positive_score: float, negative_scores, tau: float) -> float:
@@ -430,21 +444,19 @@ class _TripletRecord:  # RetrieverTriplet checks that neg is distinct and lacks 
         return RetrieverTriplet(self.query, self.pseudo, self.pos, tuple(self.neg), self.meta.get("scores", {}))
 
 
-def emit_sft_jsonl(
-    examples: list[SftExample],
-    path: str | Path,
-    instruction: str = DEFAULT_SFT_INSTRUCTION,
-) -> None:
+def emit_sft_jsonl(examples, path: str | Path, instruction: str = DEFAULT_SFT_INSTRUCTION) -> bytes:
+    """Write the SFT examples of the iterable `examples` to `path` as they
+    come; returns the sha256 of the file's bytes."""
     records = (
         _SftRecord(instruction, e.query, e.response, _SftMeta(e.doc_id, e.rank, e.num_candidates)) for e in examples
     )
-    write_jsonl(path, records)
+    return write_jsonl(path, records)
 
 
-def load_sft_jsonl(path: str | Path, doc_ids=None) -> list[SftExample]:
-    """The examples of the SFT file `path`. With `doc_ids` (a container, such
-    as the corpus's embedding cache), a meta.doc_id that it lacks is a
-    ValidationError naming the file and line."""
+def _read_sft(path: str | Path, doc_ids=None):
+    """The examples of the SFT file `path`, yielded as it is read. With
+    `doc_ids` (a container, such as the corpus's embedding cache), a
+    meta.doc_id that it lacks is a ValidationError naming the file and line."""
 
     def example(record: _SftRecord) -> SftExample:
         if doc_ids is not None and record.meta.doc_id not in doc_ids:
@@ -454,13 +466,19 @@ def load_sft_jsonl(path: str | Path, doc_ids=None) -> list[SftExample]:
     return read_jsonl(path, _SftRecord, "SFT record", example)
 
 
-def emit_triplets_jsonl(triplets: list[RetrieverTriplet], path: str | Path) -> None:
+def load_sft_jsonl(path: str | Path) -> list[SftExample]:
+    """The examples of the SFT file `path`."""
+    return list(_read_sft(path))
+
+
+def emit_triplets_jsonl(triplets, path: str | Path) -> None:
+    """Write the triplets of the iterable `triplets` to `path` as they come."""
     records = (_TripletRecord(t.query, t.pseudo, t.positive, list(t.negatives), {"scores": t.scores}) for t in triplets)
     write_jsonl(path, records)
 
 
 def load_triplets_jsonl(path: str | Path) -> list[RetrieverTriplet]:
-    return read_jsonl(path, _TripletRecord, "triplet record", _TripletRecord.triplet)
+    return list(read_jsonl(path, _TripletRecord, "triplet record", _TripletRecord.triplet))
 
 
 def validate_sft_file(path: str | Path) -> int:

@@ -284,13 +284,14 @@ def _refuse_lone_surrogates(data) -> None:
         raise ParseError(f"lone surrogate \\u{ord(exc.object[exc.start]):04x} is not text") from None
 
 
-def read_jsonl(path: str | Path, cls, label: str, make) -> list:
+def read_jsonl(path: str | Path, cls, label: str, make):
     """`make(record)` for each non-blank line of the JSONL file `path`, the
-    line's JSON object built into the dataclass `cls` as by `from_mapping`.
-    Every ParseError and ValidationError from a line, `make`'s, a byte that
-    is not UTF-8 and a `\\u` escape of a lone surrogate included, ends
-    `in <file> (line N)`."""
-    path, plan, items = Path(path), _plan(cls), []
+    line's JSON object built into the dataclass `cls` as by `from_mapping`,
+    yielded as the file is read, so a caller that takes each item as it comes
+    never holds the file's records. Every ParseError and ValidationError from
+    a line, `make`'s, a byte that is not UTF-8 and a `\\u` escape of a lone
+    surrogate included, ends `in <file> (line N)`."""
+    path, plan = Path(path), _plan(cls)
     for lineno, line in text_lines(path):
         if not line.strip():
             continue
@@ -298,16 +299,26 @@ def read_jsonl(path: str | Path, cls, label: str, make) -> list:
             data = json.loads(line)
             if _SURROGATE_ESCAPE.search(line):
                 _refuse_lone_surrogates(data)
-            items.append(make(plan.build(data, label)))
+            item = make(plan.build(data, label))
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg} in {path.name}", line=lineno) from None
         except (ParseError, ValidationError) as exc:
             raise type(exc)(f"{exc} in {path.name} (line {lineno})") from None
-    return items
+        yield item
 
 
-def write_jsonl(path: str | Path, records) -> None:
+def write_jsonl(path: str | Path, records) -> bytes:
     """Write one JSONL line per record dataclass of the iterable `records` to
-    `path`, atomically, each as its fields (as `read_jsonl` reads it back). A
-    record that raises while `records` is iterated leaves no file."""
-    atomic_write_text(path, (jsonl_line(_plan(type(r)).dump(r)) for r in records))
+    `path`, atomically, each as its fields (as `read_jsonl` reads it back),
+    and return the sha256 of the bytes written, hashed line by line. A record
+    that raises while `records` is iterated leaves no file."""
+    digest = hashlib.sha256()
+
+    def lines():
+        for record in records:
+            line = jsonl_line(_plan(type(record)).dump(record))
+            digest.update(line.encode("utf-8"))
+            yield line
+
+    atomic_write_text(path, lines())
+    return digest.digest()

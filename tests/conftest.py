@@ -70,7 +70,7 @@ def cache_docs(client, docs, path) -> EmbeddingCache:
     next to `path`: the same reuse-or-build path every CLI command takes."""
     corpus = Path(f"{path}.corpus.jsonl")
     write_corpus(docs, corpus)
-    return cache_embeddings(client, corpus, path)[1]
+    return cache_embeddings(client, corpus, path)
 
 
 @pytest.fixture

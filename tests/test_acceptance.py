@@ -34,6 +34,7 @@ from slhyde.selflearn import (
     SelfLearnSettings,
     build_generator_dataset,
     infonce_from_scores,
+    load_sft_jsonl,
     mine_hard_negatives,
 )
 from slhyde.textgen import (
@@ -181,13 +182,13 @@ def test_c4_selection_optimality(tmp_path):
     index = DenseIndex(cache)
     gen = MockGeneratorClient(seed=7)
     seed = 43
-    result = build_generator_dataset(
-        docs, gen, emb, index, SelfLearnSettings(candidates_per_query=5, rank_cutoff=500), seed=seed
-    )
-    assert result.examples, "expected examples from the paraphraser corpus"
+    settings = SelfLearnSettings(candidates_per_query=5, rank_cutoff=500)
+    build_generator_dataset(docs, gen, emb, index, settings, tmp_path / "sft.jsonl", seed=seed)
+    examples = load_sft_jsonl(tmp_path / "sft.jsonl")
+    assert examples, "expected examples from the paraphraser corpus"
 
     violations = 0
-    for example in result.examples:
+    for example in examples:
         doc = store.get(example.doc_id)
         q_cfg = SamplingConfig(seed=derive_seed(seed, "query", doc.id))
         c_cfg = SamplingConfig(seed=derive_seed(seed, "candidates", doc.id))
@@ -197,7 +198,7 @@ def test_c4_selection_optimality(tmp_path):
         if example.rank != recomputed:
             violations += 1
     assert violations == 0
-    _report("4 selection-optimality", f"{len(result.examples)} examples, zero violations")
+    _report("4 selection-optimality", f"{len(examples)} examples, zero violations")
 
 
 # --- 5. mining consistency ----------------------------------------------------

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -16,10 +18,11 @@ import yaml
 from slhyde import cli, embed, hyde, selflearn, textgen
 from slhyde.cli import build_parser, main
 from slhyde.config import build_embedder_client, build_generator_client, load_config, write_resolved_config
-from slhyde.corpus import CorpusStore, Document, load_qrels, write_corpus, write_qrels, write_queries
+from slhyde.corpus import CorpusStore, Document, corpus_file_digest, load_qrels, write_corpus, write_qrels
+from slhyde.corpus import write_queries
 from slhyde.corpus import RelevanceJudgments, load_corpus, load_queries
 from slhyde.embed import MockEmbedderClient, cache_embeddings, embed_text, embed_texts, load_cache
-from slhyde.errors import ParseError, TransportError, ValidationError
+from slhyde.errors import ParseError, SlhydeError, TransportError, ValidationError
 from slhyde.hyde import FusionConfig, hyde_search
 from slhyde.metrics import build_report, ndcg_at_k, recall_at_k, report_to_dict, write_trec_run
 from slhyde.retrieval import DenseIndex, dense_search
@@ -77,7 +80,7 @@ def _direct_hyde_report(config_path, metric, cache_dir):
     max_k = max(config.eval.k_values + [config.eval.primary_k])
     system, baseline = {}, {}
     for ds in config.all_datasets():
-        index = DenseIndex(cache_embeddings(emb, ds.corpus, cache_dir / f"{ds.name}.emb")[1])
+        index = DenseIndex(cache_embeddings(emb, ds.corpus, cache_dir / f"{ds.name}.emb"))
         qrels = load_qrels(ds.qrels)
         queries = load_queries(ds.queries)
         dense = {}
@@ -473,25 +476,28 @@ class TestWarmCache:
         dataset = tmp_path / "data"
         docs, _, _ = make_dataset(dataset)
         config_path = make_config(tmp_path, dataset, tmp_path / "run")
-        loads, batches = [], []
+        loads, samples, batches = [], [], []
         probe = lambda path: loads.append(path) or load_corpus(path)  # noqa: E731
         monkeypatch.setattr(cli, "load_corpus", probe)
         monkeypatch.setattr(embed, "load_corpus", probe)
+        sample = cli.sample_documents
+        monkeypatch.setattr(cli, "sample_documents", lambda path, *args: samples.append(path) or sample(path, *args))
         original = MockEmbedderClient.embed_batch
         monkeypatch.setattr(
             MockEmbedderClient, "embed_batch", lambda client, texts: batches.append(texts) or original(client, texts)
         )
         flags = ["--config", str(config_path)]
-        assert main(["build-sft-data", *flags]) == 0  # cold: parsed once, to embed and to sample
-        assert len(loads) == 1
+        assert main(["build-sft-data", *flags]) == 0  # cold: parsed once to embed, then read once to sample
+        assert (len(loads), len(samples)) == (1, 1)
         loads.clear()
-        assert main(["build-sft-data", *flags]) == 0  # warm: parsed once, to sample
-        assert len(loads) == 1
-        loads.clear()
+        samples.clear()
+        assert main(["build-sft-data", *flags]) == 0  # warm: never parsed whole, read once to sample
+        assert (len(loads), len(samples)) == (0, 1)
+        samples.clear()
         batches.clear()
         for command in (["embed-corpus"], ["search"], ["hyde-search"], ["evaluate"], ["build-retriever-data"]):
             assert main([*command, *flags]) == 0
-        assert loads == []
+        assert loads == samples == []
         corpus_texts = {doc.indexed_text for doc in docs}
         assert batches and not any(corpus_texts & set(batch) for batch in batches)
 
@@ -1089,6 +1095,51 @@ class TestBuildDataCommands:
         assert requests == [] and batches == []
         assert not (out / "triplets.jsonl").exists()
 
+    def test_unknown_doc_id_in_the_third_chunk_exits_before_any_request(self, tmp_path, monkeypatch, capsys):
+        dataset = tmp_path / "data"
+        docs, _, _ = make_dataset(dataset)
+        out = tmp_path / "run"
+        settings = {"candidates_per_query": 2, "negatives": 3, "reuse_pseudo": False}
+        config_path = make_config(tmp_path, dataset, out, selflearn=settings)
+        assert main(["embed-corpus", "--config", str(config_path)]) == 0
+        # 150 examples: chunks of 64, 64 and 22; record 141 names no corpus document
+        examples = [
+            selflearn.SftExample(f"query {i}", f"response {i}", docs[i % len(docs)].id, 1, 2) for i in range(150)
+        ]
+        examples[140] = dataclasses.replace(examples[140], doc_id="nosuchdoc")
+        sft = tmp_path / "sft.jsonl"
+        selflearn.emit_sft_jsonl(examples, sft)
+        requests = _count_gen_requests(monkeypatch)
+        batches = _record_embed_batches(monkeypatch)
+        assert main(["build-retriever-data", "--config", str(config_path), "--sft", str(sft)]) == 1
+        assert "meta.doc_id 'nosuchdoc' is not in the corpus in sft.jsonl (line 141)" in capsys.readouterr().err
+        assert requests == [] and batches == []
+        assert not (out / "triplets.jsonl").exists()
+
+    def test_a_run_failed_by_max_skip_fraction_promotes_nothing(self, tmp_path, monkeypatch, capsys):
+        dataset = tmp_path / "data"
+        make_dataset(dataset, n_docs=140)
+        out = tmp_path / "run"
+        selflearn = {"candidates_per_query": 2, "negatives": 3, "sample_docs": 130}
+        config_path = make_config(tmp_path, dataset, out, selflearn=selflearn)
+        assert main(["embed-corpus", "--config", str(config_path)]) == 0
+        staged = []
+
+        def refuse_most(prompt, cfg):
+            # each request's seed decides: about one document in nine gets both its requests answered
+            staged.extend(tmp_path.glob("run.staging-*/sft.jsonl.*.part"))
+            if cfg.seed % 3:
+                raise SlhydeError("refused")
+            return None
+
+        monkeypatch.setattr(cli, "build_generator_client", lambda config: MockGeneratorClient(responder=refuse_most))
+        assert main(["build-sft-data", "--config", str(config_path)]) == 2
+        assert "documents failed; exceeds allowed fraction 0.5" in capsys.readouterr().err
+        assert staged  # the first chunks' lines were written into staging before the check
+        for name in ("sft.jsonl", "sft.jsonl.rows", "sft_stats.json"):
+            assert not (out / name).exists()
+        TestEvaluateCommand._assert_no_outputs(tmp_path)
+
     def test_corpus_too_small_to_mine_exits_before_any_request(self, tmp_path, monkeypatch, capsys):
         dataset = tmp_path / "data"
         make_dataset(dataset, n_docs=6)
@@ -1112,6 +1163,41 @@ class TestBuildDataCommands:
         first = (out / "sft.jsonl").read_bytes()
         main(["build-sft-data", "--config", str(config_path)])
         assert (out / "sft.jsonl").read_bytes() == first
+
+    def test_memory_grows_with_the_sample_by_its_documents_only(self, tmp_path, monkeypatch):
+        dataset = tmp_path / "data"
+        make_dataset(dataset, n_docs=600)
+        dim = 64
+        # one embedder, warmed by untraced runs of the larger sample (whose
+        # draw starts with the smaller one), so that its memo no longer grows
+        emb = MockEmbedderClient(dim=dim)
+        monkeypatch.setattr(cli, "build_embedder_client", lambda config: emb)
+        commands = ("build-sft-data", "build-retriever-data")
+        configs = {}
+        for count in (576, 192):  # 9 and 3 chunks of 64
+            (tmp_path / str(count)).mkdir()
+            selflearn = {"candidates_per_query": 2, "negatives": 3, "sample_docs": count}
+            configs[count] = make_config(
+                tmp_path / str(count), dataset, tmp_path / f"run{count}", embedder={"dim": dim}, selflearn=selflearn
+            )
+        for command in commands:
+            assert main([command, "--config", str(configs[576])]) == 0
+        peaks = {}
+        for count, command in itertools.product((192, 576), commands):
+            tracemalloc.start()
+            try:
+                assert main([command, "--config", str(configs[count])]) == 0
+                _, peaks[command, count] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert json.loads((tmp_path / "run576" / "triplets_stats.json").read_text())["count"] > 128
+        # A sampled document's floor: build-sft-data keeps its Document (a
+        # 215-character text here) and the two ids of its rows until the end,
+        # and build-retriever-data nothing. Holding every example with its
+        # rows, and every triplet, grew them by 1.5 and 2.1 KB a document.
+        floor = 512
+        for command in commands:
+            assert peaks[command, 576] - peaks[command, 192] < (576 - 192) * floor
 
     @pytest.mark.parametrize("parallelism", [1, 4])
     def test_multi_chunk_sft_outputs_are_pinned(self, tmp_path, monkeypatch, parallelism):
@@ -1210,6 +1296,24 @@ class TestSftRowsReuse:
         cut = 60 if stale == "truncate_chars" else 1024
         assert batches == [[text[:cut] for text in chunk] for chunk in self._all_texts(out)]
         assert self._without_rows(config_path, out, out / "sft.jsonl") == stale_rows
+
+    def test_rows_listing_other_examples_are_not_used(self, tmp_path, monkeypatch, caplog):
+        config_path, out = self._sft(tmp_path)
+        with_rows = self._triplets(config_path, out)
+        rows_file = out / "sft.jsonl.rows"
+        rows = load_cache(rows_file)
+        # the same count and fingerprint, but the examples' ids in reverse order
+        doc_ids = [row_id.split(":", 1)[1] for row_id in rows.ids[::2]]
+        ids = [f"{key}:{doc_id}" for doc_id in reversed(doc_ids) for key in ("input", "output")]
+        fingerprint = embed.cache_fingerprint(
+            build_embedder_client(load_config(config_path)), corpus_file_digest(out / "sft.jsonl")
+        )
+        embed.save_cache(embed.EmbeddingCache(ids, rows.matrix), rows_file, fingerprint)
+        batches = _record_embed_batches(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="slhyde.selflearn"):
+            assert self._triplets(config_path, out) == with_rows
+        assert "embedding the SFT texts again" in caplog.text and "does not list the examples" in caplog.text
+        assert batches == self._all_texts(out)
 
     @pytest.mark.parametrize("where", ["deleted", "copy"])
     def test_missing_rows_embed_as_before(self, tmp_path, monkeypatch, caplog, where):
@@ -1677,6 +1781,22 @@ def test_no_loader_imports_jsonschema(tmp_path):
 class TestExitCodes:
     def test_missing_config_file(self):
         assert main(["search", "--config", "/does/not/exist.yaml"]) == 1
+
+    def test_a_config_path_that_is_a_directory_exits_1_naming_it(self, tmp_path, capsys, caplog):
+        (tmp_path / "out").mkdir()
+        assert main(["embed-corpus", "--config", str(tmp_path / "out")]) == 1
+        assert f"config file not found: {tmp_path / 'out'}" in capsys.readouterr().err
+        assert "unexpected failure" not in caplog.text
+
+    def test_an_sft_path_that_is_a_directory_exits_1_naming_it(self, tmp_path, monkeypatch, capsys, caplog):
+        dataset = tmp_path / "data"
+        make_dataset(dataset)
+        (tmp_path / "out").mkdir()
+        config_path = make_config(tmp_path, dataset, tmp_path / "run")
+        batches = _record_embed_batches(monkeypatch)
+        assert main(["build-retriever-data", "--config", str(config_path), "--sft", str(tmp_path / "out")]) == 1
+        assert f"SFT dataset not found: {tmp_path / 'out'}" in capsys.readouterr().err
+        assert "unexpected failure" not in caplog.text and batches == []
 
     @pytest.mark.parametrize("below", [False, True], ids=["file", "under_a_file"])
     @pytest.mark.parametrize("command", ["construct-benchmark", "evaluate"])

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from slhyde.config import load_config
@@ -307,39 +307,63 @@ class TestLoadQrels:
         assert any("no positive" in record.message for record in caplog.records)
 
 
+def _sample(tmp_path, docs, n, seed, ids=None):
+    """sample_documents over `docs` written as a corpus file, its ids `ids`
+    (the documents' own by default)."""
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(docs, path)
+    return sample_documents(path, [d.id for d in docs] if ids is None else ids, n, seed)
+
+
 class TestSampleDocuments:
-    def test_full_sample_is_shuffled_permutation(self):
+    def test_full_sample_is_shuffled_permutation(self, tmp_path):
         store = CorpusStore(synthetic_docs(50, seed=3))
-        sample = sample_documents(store, 50, seed=11)
+        sample = _sample(tmp_path, list(store), 50, seed=11)
         assert sorted(d.id for d in sample) == sorted(store.ids)
         assert [d.id for d in sample] != store.ids
 
-    def test_same_seed_is_deterministic(self):
+    def test_same_seed_is_deterministic(self, tmp_path):
         store = CorpusStore(synthetic_docs(40, seed=3))
-        first = [d.id for d in sample_documents(store, 10, seed=5)]
-        second = [d.id for d in sample_documents(store, 10, seed=5)]
+        first = [d.id for d in _sample(tmp_path, list(store), 10, seed=5)]
+        second = [d.id for d in _sample(tmp_path, list(store), 10, seed=5)]
         assert first == second
 
-    def test_100_from_10000_all_distinct(self):
+    def test_the_draw_is_the_first_n_of_a_seeded_permutation(self, tmp_path):
+        # the draw every earlier release made, so a seed keeps its documents and their order
+        docs = synthetic_docs(30, seed=4) + [Document(id="titled", text="body", title="a title")]
+        for n, seed in ((31, 0), (12, 7), (1, 2**40)):
+            expected = [docs[int(i)] for i in np.random.default_rng(seed).permutation(len(docs))[:n]]
+            assert _sample(tmp_path, docs, n, seed) == expected
+
+    def test_100_from_10000_all_distinct(self, tmp_path):
         docs = [Document(id=f"d{i}", text=f"text {i}") for i in range(10_000)]
-        store = CorpusStore(docs)
-        sample = sample_documents(store, 100, seed=0)
+        sample = _sample(tmp_path, docs, 100, seed=0)
         # set-size oracle: distinctness means the id set has full cardinality
         assert len({d.id for d in sample}) == 100
 
-    def test_oversample_rejected(self):
-        store = CorpusStore(synthetic_docs(5))
+    def test_oversample_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
-            sample_documents(store, 6, seed=0)
+            _sample(tmp_path, synthetic_docs(5), 6, seed=0)
 
     @given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_sample_ids_subset_and_distinct(self, n, seed):
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_sample_ids_subset_and_distinct(self, tmp_path, n, seed):
         store = CorpusStore(synthetic_docs(30, seed=1))
-        sample = sample_documents(store, n, seed=seed)
+        sample = _sample(tmp_path, list(store), n, seed=seed)
         ids = [d.id for d in sample]
         assert len(set(ids)) == len(ids) == n
         assert set(ids) <= set(store.ids)
+
+    def test_a_corpus_that_no_longer_matches_its_cache_names_the_file_and_line(self, tmp_path):
+        docs = synthetic_docs(6, seed=2)
+        ids = [d.id for d in docs]
+        moved = ids[:3] + ["elsewhere"] + ids[4:]
+        with pytest.raises(ValidationError, match=r"is not 'elsewhere', row 3 .* in corpus\.jsonl \(line 4\)$"):
+            _sample(tmp_path, docs, 2, seed=0, ids=moved)
+        with pytest.raises(ValidationError, match=r"past the 5 rows .* in corpus\.jsonl \(line 6\)$"):
+            _sample(tmp_path, docs, 2, seed=0, ids=ids[:5])
+        with pytest.raises(ValidationError, match=r"corpus\.jsonl holds 6 records, its embedding cache 7 rows$"):
+            _sample(tmp_path, docs, 2, seed=0, ids=ids + ["extra"])
 
 
 class TestRoundTrip:

@@ -418,7 +418,7 @@ class TestCache:
             _, corpus_peak = tracemalloc.get_traced_memory()
             del store, texts
             tracemalloc.reset_peak()
-            _, built = cache_embeddings(client, corpus, tmp_path / "c.emb")
+            built = cache_embeddings(client, corpus, tmp_path / "c.emb")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -435,15 +435,15 @@ class TestCache:
         write_corpus(docs, corpus)
         client = MockEmbedderClient(dim=32)
         client.batch_size = batch_size
-        store, cache = cache_embeddings(client, corpus, tmp_path / "c.emb", load=False)
-        assert store.ids == [d.id for d in docs] and cache is None
+        cache = cache_embeddings(client, corpus, tmp_path / "c.emb", load=False)
+        assert load_cache(tmp_path / "c.emb").ids == [d.id for d in docs] and cache is None
         assert client.calls == -(-n // batch_size)
         if docs:
             matrix = embed_texts(MockEmbedderClient(dim=32), [d.indexed_text for d in docs])
         else:
             matrix = np.zeros((0, 32), dtype=np.float32)
         fingerprint = cache_fingerprint(client, corpus_file_digest(corpus))
-        embed.save_cache(EmbeddingCache(ids=store.ids, matrix=matrix), tmp_path / "saved.emb", fingerprint)
+        embed.save_cache(EmbeddingCache(ids=[d.id for d in docs], matrix=matrix), tmp_path / "saved.emb", fingerprint)
         assert (tmp_path / "c.emb").read_bytes() == (tmp_path / "saved.emb").read_bytes()
 
     @pytest.mark.parametrize("error", [ProtocolError, TransportError])
@@ -492,11 +492,11 @@ class TestCache:
                 return embed_batch(texts)
 
             client.embed_batch = first_batch_waits
-            return cache_embeddings(client, corpus, path, load=load)
+            return client, cache_embeddings(client, corpus, path, load=load)
 
         with ThreadPoolExecutor(2) as pool:
             results = list(pool.map(build, [True, False]))
-        assert all(store is not None for store, _ in results)  # both built: neither found the other's file
+        assert all(client.calls > 0 for client, _ in results)  # both built: neither found the other's file
         expected = embed_texts(MockEmbedderClient(dim=32), [d.indexed_text for d in docs])
         assert results[0][1].matrix.tobytes() == expected.tobytes()
         assert load_cache(path).matrix.tobytes() == expected.tobytes()
@@ -517,11 +517,11 @@ class TestCache:
             del store, texts
             tracemalloc.reset_peak()
             base, _ = tracemalloc.get_traced_memory()
-            store, cache = cache_embeddings(client, corpus, tmp_path / "c.emb", load=False)
+            cache = cache_embeddings(client, corpus, tmp_path / "c.emb", load=False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert cache is None and len(store) == n
+        assert cache is None and len(load_cache(tmp_path / "c.emb")) == n
         expected = (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
         assert load_cache(tmp_path / "c.emb").matrix.tobytes() == expected.tobytes()
         # a batch, its temporaries and the ids block; holding the matrix took it past 4 MB
@@ -578,7 +578,7 @@ class TestCache:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result == (None, None)
+        assert result is None
         assert "reusing embedding cache" in caplog.text
         # the corpus digest's buffer, one block of rows and the ids; loading the rows took it past 4 MB
         assert peak - base < rows.nbytes / 2
@@ -590,8 +590,10 @@ class TestCache:
         client.embed_batch = lambda texts: rows
         caplog.clear()
         with caplog.at_level(logging.WARNING):
-            store, _ = cache_embeddings(client, corpus, path, load=False)
-        assert store is not None and "contains non-finite values" in caplog.text
+            cache_embeddings(client, corpus, path, load=False)
+        assert "rebuilding embedding cache" in caplog.text and "contains non-finite values" in caplog.text
+        expected = (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
+        assert load_cache(path).matrix.tobytes() == expected.tobytes()  # the rebuilt file
 
     def test_finiteness_check_needs_no_mask_of_the_rows(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -789,8 +791,9 @@ class TestCache:
             load_cache(path)
         for load in (False, True):
             with caplog.at_level(logging.WARNING):
-                store, _ = cache_embeddings(client, corpus, path, load=load)
-            assert store is not None and "not UTF-8" in caplog.text
+                cache_embeddings(client, corpus, path, load=load)
+            assert "rebuilding embedding cache" in caplog.text and "not UTF-8" in caplog.text
+            assert load_cache(path).ids == [synthetic_docs(1)[0].id]  # the rebuilt file
             path.write_bytes(header + np.ones(4, dtype="<f4").tobytes() + ids)
 
     @pytest.mark.parametrize("corpus", ["warm", "failed"])
@@ -854,16 +857,15 @@ class TestCache:
         assert read[0].ids == old.ids and read[0].matrix.tobytes() == old.matrix.tobytes()
         assert load_cache(path).ids == new.ids == [d.id for d in new_docs]
 
-    def test_store_is_returned_only_when_the_corpus_was_parsed(self, tmp_path, monkeypatch):
+    def test_a_warm_cache_is_reused_without_parsing_the_corpus(self, tmp_path, monkeypatch):
         docs = synthetic_docs(5)
         corpus = tmp_path / "corpus.jsonl"
         write_corpus(docs, corpus)
         path = tmp_path / "c.emb"
-        store, built = cache_embeddings(MockEmbedderClient(dim=32), corpus, path)
-        assert store.ids == built.ids == [d.id for d in docs]
+        built = cache_embeddings(MockEmbedderClient(dim=32), corpus, path)
+        assert built.ids == [d.id for d in docs]
         monkeypatch.setattr(embed, "load_corpus", lambda _: pytest.fail("a warm cache parsed the corpus"))
-        store, reused = cache_embeddings(MockEmbedderClient(dim=32), corpus, path)
-        assert store is None
+        reused = cache_embeddings(MockEmbedderClient(dim=32), corpus, path)
         assert reused.ids == built.ids and reused.matrix.tobytes() == built.matrix.tobytes()
 
     @pytest.mark.parametrize("magic", [b"SLHE1", b"SLHE2"])
@@ -884,7 +886,7 @@ class TestCache:
             load_cache(path)
         fresh = MockEmbedderClient(dim=32)
         with caplog.at_level(logging.WARNING):
-            _, cache = cache_embeddings(fresh, corpus, path)
+            cache = cache_embeddings(fresh, corpus, path)
         assert fresh.calls > 0
         assert repr(magic) in caplog.text
         assert path.read_bytes()[:5] == b"SLHE3"

@@ -1,13 +1,16 @@
+import itertools
 import json
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from slhyde.corpus import CorpusStore, Document
-from slhyde.embed import MockEmbedderClient, embed_text, embed_texts
+from slhyde.corpus import CorpusStore, Document, corpus_file_digest
+from slhyde.embed import EmbeddingCache, MockEmbedderClient, cache_fingerprint, embed_text, embed_texts, load_cache
+from slhyde.embed import save_cache
 from slhyde.errors import ParseError, ProtocolError, RunError, SlhydeError, TransportError, ValidationError
 from slhyde.retrieval import DenseIndex, dense_search, ranks_of
 from slhyde.selflearn import (
@@ -22,16 +25,59 @@ from slhyde.selflearn import (
     emit_triplets_jsonl,
     infonce_from_scores,
     load_sft_jsonl,
-    load_sft_rows,
     load_triplets_jsonl,
     mine_hard_negatives,
-    save_sft_rows,
     validate_sft_file,
 )
 from slhyde.textgen import MockGeneratorClient, SamplingConfig, generate_query_for_doc, load_template, render_prompt
 from slhyde.util import derive_seed
 
 from conftest import WORDS, cache_docs, synthetic_docs
+
+_RUNS = itertools.count()  # a fresh file name for each build in a test's tmp_path
+
+
+@dataclass
+class Generated:
+    """What build_generator_dataset wrote, read back: the SFT file's
+    examples, the counts it returned and its rows file's matrix."""
+
+    examples: list[SftExample]
+    total: int
+    dropped_by_cutoff: int
+    skipped_errors: int
+    rows: np.ndarray = field(compare=False, repr=False)
+
+
+def _generate(tmp_path, docs, gen, emb, index, settings, **kwargs) -> Generated:
+    """build_generator_dataset into a new SFT file in tmp_path, read back."""
+    path = tmp_path / f"sft{next(_RUNS)}.jsonl"
+    stats = build_generator_dataset(docs, gen, emb, index, settings, path, **kwargs)
+    examples = load_sft_jsonl(path)
+    assert stats.emitted == len(examples)
+    rows = load_cache(f"{path}.rows", cache_fingerprint(emb, corpus_file_digest(path)))
+    assert rows.ids == [f"{key}:{e.doc_id}" for e in examples for key in ("input", "output")]
+    return Generated(examples, stats.total_documents, stats.dropped_by_cutoff, stats.skipped_errors, rows.matrix)
+
+
+@dataclass
+class Mined:
+    """build_retriever_dataset's triplets and their reference losses, in order."""
+
+    triplets: list[RetrieverTriplet]
+    reference_losses: list[float]
+
+
+def _mined(pairs) -> Mined:
+    pairs = list(pairs)
+    return Mined([triplet for triplet, _ in pairs], [loss for _, loss in pairs])
+
+
+def _mine(tmp_path, sft, gen, emb, index, settings, **kwargs) -> Mined:
+    """build_retriever_dataset over the examples `sft`, written as an SFT file with no rows file."""
+    path = tmp_path / f"sft{next(_RUNS)}.jsonl"
+    emit_sft_jsonl(sft, path)
+    return _mined(build_retriever_dataset(path, gen, emb, index, settings, **kwargs))
 
 
 def _pseudo_prompt(query, doc):
@@ -74,7 +120,7 @@ class TestSelectionControlledGeometry:
         # the candidate prompt (PSEUDO_GEN) is the one that quotes a "Reference Document"
         gen = MockGeneratorClient(responder=lambda prompt, cfg: candidates if "Reference Document:" in prompt else None)
         settings = SelfLearnSettings(candidates_per_query=len(candidates))
-        result = build_generator_dataset(docs[:1], gen, emb, index, settings)
+        result = _generate(tmp_path, docs[:1], gen, emb, index, settings)
         [example] = result.examples
         assert example.num_candidates == len(candidates)
         assert result.rows.tobytes() == embed_texts(emb, [example.query, example.response]).tobytes()
@@ -134,7 +180,7 @@ class TestBuildGeneratorDataset:
         store = CorpusStore(docs)
         cache = cache_docs(emb, store, tmp_path / "c.emb")
         index = DenseIndex(cache)
-        result = build_generator_dataset(docs, MockGeneratorClient(), emb, index, SelfLearnSettings(candidates_per_query=1))
+        result = _generate(tmp_path, docs, MockGeneratorClient(), emb, index, SelfLearnSettings(candidates_per_query=1))
         assert all(e.num_candidates == 1 for e in result.examples)
 
     def test_selection_optimality_on_synthetic_corpus(self, tmp_path):
@@ -144,8 +190,8 @@ class TestBuildGeneratorDataset:
         cache = cache_docs(emb, store, tmp_path / "c.emb")
         index = DenseIndex(cache)
         gen = MockGeneratorClient(seed=4)
-        result = build_generator_dataset(
-            docs, gen, emb, index, SelfLearnSettings(candidates_per_query=5, rank_cutoff=100), seed=17
+        result = _generate(
+            tmp_path, docs, gen, emb, index, SelfLearnSettings(candidates_per_query=5, rank_cutoff=100), seed=17
         )
         assert result.examples, "paraphraser corpus should produce examples"
         # Independent recomputation: regenerate candidates, re-rank each, compare minima.
@@ -173,8 +219,8 @@ class TestBuildGeneratorDataset:
         store = CorpusStore(docs + twins)
         cache = cache_docs(emb, store, tmp_path / "c.emb")
         index = DenseIndex(cache)
-        result = build_generator_dataset(
-            docs, MockGeneratorClient(), emb, index, SelfLearnSettings(candidates_per_query=1, rank_cutoff=1)
+        result = _generate(
+            tmp_path, docs, MockGeneratorClient(), emb, index, SelfLearnSettings(candidates_per_query=1, rank_cutoff=1)
         )
         assert result.dropped_by_cutoff == len(docs)
         assert result.examples == []
@@ -190,8 +236,13 @@ class TestBuildGeneratorDataset:
             def request_completions(self, prompt, cfg):
                 raise SlhydeError("boom")
 
+        path = tmp_path / "sft.jsonl"
         with pytest.raises(RunError):
-            build_generator_dataset(docs, AlwaysFailing(max_retries=0), emb, index, SelfLearnSettings(candidates_per_query=1))
+            build_generator_dataset(
+                docs, AlwaysFailing(max_retries=0), emb, index, SelfLearnSettings(candidates_per_query=1), path
+            )
+        # the run fails once every chunk is scored, and neither file is left
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("sft")) == []
 
     def test_parallel_matches_serial(self, tmp_path):
         emb = MockEmbedderClient(dim=128)
@@ -200,8 +251,8 @@ class TestBuildGeneratorDataset:
         cache = cache_docs(emb, store, tmp_path / "c.emb")
         index = DenseIndex(cache)
         two = SelfLearnSettings(candidates_per_query=2)
-        serial = build_generator_dataset(docs, MockGeneratorClient(seed=1), emb, index, two, seed=3)
-        parallel = build_generator_dataset(docs, MockGeneratorClient(seed=1), emb, index, two, seed=3, parallelism=4)
+        serial = _generate(tmp_path, docs, MockGeneratorClient(seed=1), emb, index, two, seed=3)
+        parallel = _generate(tmp_path, docs, MockGeneratorClient(seed=1), emb, index, two, seed=3, parallelism=4)
         assert serial.examples == parallel.examples
 
     @pytest.mark.parametrize("rank_scoring", ["candidate", "fused"])
@@ -210,8 +261,9 @@ class TestBuildGeneratorDataset:
         docs = synthetic_docs(8, seed=26)
         index = DenseIndex(cache_docs(emb, CorpusStore(docs), tmp_path / "c.emb"))
         emb.calls = 0
-        result = build_generator_dataset(
-            docs, MockGeneratorClient(), emb, index, SelfLearnSettings(candidates_per_query=3, rank_scoring=rank_scoring)
+        result = _generate(
+            tmp_path, docs, MockGeneratorClient(), emb, index,
+            SelfLearnSettings(candidates_per_query=3, rank_scoring=rank_scoring),
         )
         assert result.skipped_errors == 0
         # one request per chunk of 64 documents: all 8 documents share one
@@ -225,9 +277,9 @@ class TestBuildGeneratorDataset:
         for parallelism in (1, 4):
             emb.calls = 0
             results.append(
-                build_generator_dataset(
-                    docs, MockGeneratorClient(), emb, index, SelfLearnSettings(candidates_per_query=2), seed=3,
-                    parallelism=parallelism,
+                _generate(
+                    tmp_path, docs, MockGeneratorClient(), emb, index, SelfLearnSettings(candidates_per_query=2),
+                    seed=3, parallelism=parallelism,
                 )
             )
             assert emb.calls == 2
@@ -266,14 +318,14 @@ class TestBuildGeneratorDataset:
 
         # what one request per document gives: only the generation failure is skipped
         settings_l = SelfLearnSettings(candidates_per_query=L)
-        reference = build_generator_dataset(docs, FailingGenerator(), plain, index, settings_l, seed=3)
+        reference = _generate(tmp_path, docs, FailingGenerator(), plain, index, settings_l, seed=3)
         assert reference.skipped_errors == 1
         assert embed_fails.id in [e.doc_id for e in reference.examples]
 
         emb = ChunkRefusingEmbedder(dim=128)
         emb.batches = []
         caplog.clear()
-        result = build_generator_dataset(docs, FailingGenerator(), emb, index, settings_l, seed=3)
+        result = _generate(tmp_path, docs, FailingGenerator(), emb, index, settings_l, seed=3)
         assert result.examples == [e for e in reference.examples if e.doc_id != embed_fails.id]
         assert (result.skipped_errors, result.dropped_by_cutoff) == (2, 0)
         skips = [r.getMessage().split(":")[0] for r in caplog.records if r.getMessage().startswith("skipping")]
@@ -297,7 +349,7 @@ class TestBuildGeneratorDataset:
 
         gen = MockGeneratorClient(responder=reject)
         with pytest.raises(ProtocolError, match="HTTP 401"):
-            build_generator_dataset(docs, gen, emb, index, SelfLearnSettings(candidates_per_query=2))
+            build_generator_dataset(docs, gen, emb, index, SelfLearnSettings(candidates_per_query=2), tmp_path / "s")
         assert gen.calls == 1
 
     def test_embedder_client_error_in_the_one_document_fallback_ends_the_run(self, tmp_path):
@@ -311,7 +363,9 @@ class TestBuildGeneratorDataset:
 
         emb = RejectingEmbedder(dim=128)
         with pytest.raises(ProtocolError, match="HTTP 401"):
-            build_generator_dataset(docs, MockGeneratorClient(), emb, index, SelfLearnSettings(candidates_per_query=2))
+            build_generator_dataset(
+                docs, MockGeneratorClient(), emb, index, SelfLearnSettings(candidates_per_query=2), tmp_path / "s"
+            )
         # the chunk's one request, then the first document's own
         assert emb.calls == 2
 
@@ -397,8 +451,8 @@ class TestBuildRetrieverDataset:
         store = CorpusStore(docs)
         cache = cache_docs(emb, store, tmp_path / "t.emb")
         sft = self._sft(docs[:5])
-        triplets = build_retriever_dataset(
-            sft, MockGeneratorClient(), emb, DenseIndex(cache), SelfLearnSettings(reuse_pseudo=True)
+        triplets = _mine(
+            tmp_path, sft, MockGeneratorClient(), emb, DenseIndex(cache), SelfLearnSettings(reuse_pseudo=True)
         ).triplets
         assert [t.pseudo for t in triplets] == [e.response for e in sft]
 
@@ -410,9 +464,9 @@ class TestBuildRetrieverDataset:
         index = DenseIndex(cache)
         sft = self._sft(docs[:3])
         online = SelfLearnSettings(reuse_pseudo=False)
-        result = build_retriever_dataset(sft, MockGeneratorClient(seed=5), emb, index, online, seed=9)
+        result = _mine(tmp_path, sft, MockGeneratorClient(seed=5), emb, index, online, seed=9)
         assert all(t.pseudo != e.response for t, e in zip(result.triplets, sft))
-        again = build_retriever_dataset(sft, MockGeneratorClient(seed=5), emb, index, online, seed=9)
+        again = _mine(tmp_path, sft, MockGeneratorClient(seed=5), emb, index, online, seed=9)
         assert result == again
 
     def test_invariants_hold_for_every_triplet(self, tmp_path):
@@ -420,8 +474,9 @@ class TestBuildRetrieverDataset:
         docs = synthetic_docs(30, seed=43)
         store = CorpusStore(docs)
         cache = cache_docs(emb, store, tmp_path / "t.emb")
-        triplets = build_retriever_dataset(
-            self._sft(docs[:10]), MockGeneratorClient(), emb, DenseIndex(cache), SelfLearnSettings(negatives=7)
+        triplets = _mine(
+            tmp_path, self._sft(docs[:10]), MockGeneratorClient(), emb, DenseIndex(cache),
+            SelfLearnSettings(negatives=7),
         ).triplets
         for triplet in triplets:
             assert triplet.positive not in triplet.negatives
@@ -433,8 +488,9 @@ class TestBuildRetrieverDataset:
         docs = synthetic_docs(120, seed=44)
         store = CorpusStore(docs)
         cache = cache_docs(emb, store, tmp_path / "t.emb")
-        triplets = build_retriever_dataset(
-            self._sft(docs[:100]), MockGeneratorClient(), emb, DenseIndex(cache), SelfLearnSettings(negatives=7)
+        triplets = _mine(
+            tmp_path, self._sft(docs[:100]), MockGeneratorClient(), emb, DenseIndex(cache),
+            SelfLearnSettings(negatives=7),
         ).triplets
         path = tmp_path / "triplets.jsonl"
         emit_triplets_jsonl(triplets, path)
@@ -448,8 +504,8 @@ class TestBuildRetrieverDataset:
         index = DenseIndex(cache_docs(emb, CorpusStore(docs), tmp_path / "t.emb"))
         sft = self._sft(docs[:6])
         emb.calls = 0
-        result = build_retriever_dataset(
-            sft, MockGeneratorClient(), emb, index, SelfLearnSettings(negatives=7, reuse_pseudo=reuse_pseudo)
+        result = _mine(
+            tmp_path, sft, MockGeneratorClient(), emb, index, SelfLearnSettings(negatives=7, reuse_pseudo=reuse_pseudo)
         )
         # one request per chunk of 64 examples: all 6 triplets share one
         assert emb.calls == 1
@@ -466,9 +522,9 @@ class TestBuildRetrieverDataset:
         for parallelism in (1, 4):
             emb.calls = 0
             results.append(
-                build_retriever_dataset(
-                    sft, MockGeneratorClient(), emb, index, SelfLearnSettings(negatives=7, reuse_pseudo=reuse_pseudo),
-                    seed=9, parallelism=parallelism,
+                _mine(
+                    tmp_path, sft, MockGeneratorClient(), emb, index,
+                    SelfLearnSettings(negatives=7, reuse_pseudo=reuse_pseudo), seed=9, parallelism=parallelism,
                 )
             )
             assert emb.calls == 2
@@ -488,24 +544,30 @@ class TestSftRows:
         docs = synthetic_docs(30, seed=47)
         index = DenseIndex(cache_docs(emb, CorpusStore(docs), tmp_path / "t.emb"))
         settings = SelfLearnSettings(candidates_per_query=2, negatives=3)
-        built = build_generator_dataset(docs[:12], MockGeneratorClient(), emb, index, settings, seed=2)
-        sft = tmp_path / "sft.jsonl"
-        emit_sft_jsonl(built.examples, sft)
+        sft, rows_file = tmp_path / "sft.jsonl", tmp_path / "sft.jsonl.rows"
         sidecar = tmp_path / "sft.jsonl.rows.ids"  # an SLHE2 rows file's ids, stale once the file is rewritten
         sidecar.write_text("input:old\n")
-        save_sft_rows(built, emb, sft)
+        build_generator_dataset(docs[:12], MockGeneratorClient(), emb, index, settings, sft, seed=2)
         assert not sidecar.exists()
         examples = load_sft_jsonl(sft)
-        known = load_sft_rows(emb, sft, examples)
-        assert len(known) == 2 * len(examples)
+        rows = load_cache(rows_file)
+        assert len(rows) == 2 * len(examples)
         emb.calls = 0
-        reused = build_retriever_dataset(examples, MockGeneratorClient(), emb, index, settings, known_rows=known)
-        assert emb.calls == 0
-        assert reused == build_retriever_dataset(examples, MockGeneratorClient(), emb, index, settings)
-        # rows written for other examples than the file's are not used
         with caplog.at_level("INFO", logger="slhyde.selflearn"):
-            assert load_sft_rows(emb, sft, examples[:-1]) == {}
+            reused = _mined(build_retriever_dataset(sft, MockGeneratorClient(), emb, index, settings))
+        assert emb.calls == 0
+        assert "reusing SFT rows" in caplog.text
+        rows_file.unlink()
+        assert reused == _mined(build_retriever_dataset(sft, MockGeneratorClient(), emb, index, settings))
+        # rows written for other examples than the file's are not used
+        fingerprint = cache_fingerprint(emb, corpus_file_digest(sft))
+        save_cache(EmbeddingCache(rows.ids[:-2], rows.matrix[:-2]), rows_file, fingerprint)
+        caplog.clear()
+        emb.calls = 0
+        with caplog.at_level("INFO", logger="slhyde.selflearn"):
+            assert _mined(build_retriever_dataset(sft, MockGeneratorClient(), emb, index, settings)) == reused
         assert "does not list the examples" in caplog.text
+        assert emb.calls == 1
 
 
 class TestContrastiveLoss:
@@ -575,8 +637,8 @@ class TestContrastiveLoss:
         store = CorpusStore(docs)
         cache = cache_docs(emb, store, tmp_path / "l.emb")
         sft = [SftExample(query="q text", response=docs[0].text, doc_id=docs[0].id, rank=1, num_candidates=5)]
-        result = build_retriever_dataset(
-            sft, MockGeneratorClient(), emb, DenseIndex(cache), SelfLearnSettings(negatives=7, tau=0.02)
+        result = _mine(
+            tmp_path, sft, MockGeneratorClient(), emb, DenseIndex(cache), SelfLearnSettings(negatives=7, tau=0.02)
         )
         [triplet] = result.triplets
         # the loss of the fused (query, pseudo) vector against the cached rows
@@ -598,7 +660,7 @@ class TestContrastiveLoss:
             for i in range(4)
         ]
         emb.calls = 0
-        result = build_retriever_dataset(sft, MockGeneratorClient(), emb, index, SelfLearnSettings(negatives=7))
+        result = _mine(tmp_path, sft, MockGeneratorClient(), emb, index, SelfLearnSettings(negatives=7))
         assert len(result.reference_losses) == len(sft)
         # one request per chunk of 64 examples: all 4 triplets share one
         assert emb.calls == 1
@@ -728,8 +790,7 @@ class TestEmission:
 
         def run(out):
             gen = MockGeneratorClient(seed=2)
-            result = build_generator_dataset(docs, gen, emb, index, SelfLearnSettings(candidates_per_query=3), seed=5)
-            emit_sft_jsonl(result.examples, out)
+            build_generator_dataset(docs, gen, emb, index, SelfLearnSettings(candidates_per_query=3), out, seed=5)
             return out.read_bytes()
 
         assert run(tmp_path / "a.jsonl") == run(tmp_path / "b.jsonl")
