@@ -378,16 +378,14 @@ class _CacheWriter:
     """What `cache_file` yields: `add(ids, rows)` appends rows, in order, and
     their ids. `fingerprint` is the header's, which the block may set last."""
 
-    def __init__(self, fh, dim: int, fingerprint: bytes | None):
-        self._fh, self.dim, self.fingerprint = fh, dim, fingerprint
+    def __init__(self, fh, fingerprint: bytes | None):
+        self._fh, self.fingerprint = fh, fingerprint
         self.count, self.ids = 0, bytearray()  # the ids block, written after the rows
 
     def add(self, ids: list[str], rows: np.ndarray) -> None:
         for doc_id in ids:
             if "\n" in doc_id or "\r" in doc_id:
                 raise ValidationError(f"id {doc_id!r} contains a newline; cannot serialize")
-        if rows.shape != (len(ids), self.dim):
-            raise ValidationError(f"expected {len(ids)} rows of dim {self.dim}, got {rows.shape}")
         self._fh.write(np.ascontiguousarray(rows, dtype="<f4"))  # no copy of float32 rows
         self.ids += "".join(f"{i}\n" for i in ids).encode("utf-8")
         self.count += len(ids)
@@ -405,7 +403,7 @@ def cache_file(path: str | Path, dim: int, fingerprint: bytes | None = None):
     file."""
     with replacing(path, "xb") as fh:
         fh.write(bytes(_HEADER.size))
-        writer = _CacheWriter(fh, dim, fingerprint)
+        writer = _CacheWriter(fh, fingerprint)
         yield writer
         fh.write(writer.ids)
         fh.seek(0)
