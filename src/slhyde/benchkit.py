@@ -1,10 +1,12 @@
 """LLM-judged benchmark construction.
 
-Raw texts are (id, text) pairs and raw queries are `corpus.Query`s, whose
+Raw texts are `corpus.Document`s and raw queries are `corpus.Query`s, whose
 optional `answer` is a reference answer. construct-benchmark reads them from a
-corpus file (a title is not judged) and a queries file with `load_corpus` and
-`load_queries`, so a repeated _id or a blank text is exit 1 with the file and
-line before any judge request.
+corpus file (its titles dropped as it is read, so a title is neither judged
+nor written) and a queries file with `load_corpus` and `load_queries`, so a
+repeated _id or a blank text is exit 1 with the file and line before any
+judge request. Each record is held once: the stages judge the loaded records
+themselves, and the kept texts' store holds the loaded Documents.
 
 Three stages over raw texts and raw queries:
   1. medical-relevance filtering of both sides,
@@ -53,7 +55,7 @@ import math
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .bm25 import Bm25Index, Bm25Settings, bm25_search
 from .corpus import CorpusStore, Document, Query, RelevanceJudgments, write_corpus, write_qrels, write_queries
@@ -264,7 +266,8 @@ def _each(items: list, judge_one, parallelism: int) -> tuple[list, list[ReviewIt
 def medical_relevance_filter(
     items: list, judge, threshold: float, stage: str = "medical_filter", parallelism: int = 1
 ) -> tuple[list[JudgedText], list[JudgedText], list[ReviewItem]]:
-    """Split (id, text[, answer]) items into (kept, removed, review).
+    """Split items (Documents or Queries) into (kept, removed, review), each
+    judged by its `.text` and, when it has one, its `.answer`.
 
     Keeps items whose judged score is >= threshold (boundary keeps). Items
     whose judge output stays unparseable after one repair retry land in the
@@ -273,14 +276,13 @@ def medical_relevance_filter(
     template = load_template("MED_RELEVANCE")
 
     def judge_one(item):
-        item_id, text = item[0], item[1]
-        answer = item[2] if len(item) > 2 and item[2] is not None else ""
-        prompt = render_prompt(template, {"QUESTION": text, "ANSWER": answer})
+        answer = getattr(item, "answer", None) or ""
+        prompt = render_prompt(template, {"QUESTION": item.text, "ANSWER": answer})
         parsed, raw = _ask_judge(judge, prompt, lambda p: _med_score(p) is not None)
         score = _med_score(parsed) if parsed is not None else None
         if score is None:
-            return None, [ReviewItem(stage, item_id, "unparseable judge verdict", raw)]
-        return JudgedText(item_id, score, str(parsed.get("reason", ""))), []
+            return None, [ReviewItem(stage, item.id, "unparseable judge verdict", raw)]
+        return JudgedText(item.id, score, str(parsed.get("reason", ""))), []
 
     judged, review = _each(items, judge_one, parallelism)
     kept = [j for j in judged if j.med_score >= threshold]
@@ -398,7 +400,7 @@ def _medical_stage(report: QcReport, stage: str, items: list, judge, threshold: 
 
 
 def run_pipeline(
-    texts: list[tuple[str, str]],
+    texts: Sequence[Document],
     queries: list[Query],
     judge,
     settings: BenchmarkSettings,
@@ -407,22 +409,25 @@ def run_pipeline(
     parallelism: int = 1,
 ) -> QcReport:
     """Full construction pipeline; emits the dataset files plus the QC report.
-    Each stage maps its items through `_each`, `parallelism` at a time."""
+    Each stage maps its items through `_each`, `parallelism` at a time.
+    `texts` (a list or a `CorpusStore`) are judged by their text; the store
+    of kept texts holds those same Documents, so a title a text carries is
+    indexed, shown to the judge and written (construct-benchmark loads its
+    raw texts without titles)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = QcReport()
     med_threshold, rel_threshold = settings.thresholds()
 
     kept_texts = _medical_stage(report, "medical_filter_texts", texts, judge, med_threshold, parallelism)
-    query_items = [(q.id, q.text, q.answer) for q in queries]
-    kept_query_judged = _medical_stage(report, "medical_filter_queries", query_items, judge, med_threshold, parallelism)
+    kept_query_judged = _medical_stage(report, "medical_filter_queries", queries, judge, med_threshold, parallelism)
 
-    text_by_id = dict(texts)
-    store = CorpusStore(Document(id=j.text_id, text=text_by_id[j.text_id]) for j in kept_texts)
+    kept_text_ids = {j.text_id for j in kept_texts}
+    store = CorpusStore(doc for doc in texts if doc.id in kept_text_ids)
     kept_query_ids = {j.text_id for j in kept_query_judged}
     kept_queries = [q for q in queries if q.id in kept_query_ids]
     # the report holds what stage 1 removed; the rest of it is in store and kept_queries
-    del kept_texts, kept_query_judged, query_items, text_by_id, kept_query_ids
+    del kept_texts, kept_query_judged, kept_text_ids, kept_query_ids
 
     # with no text kept there is nothing to match, and no query counts as unmatched
     pairs_per_query: list[list[CandidatePair]] = []

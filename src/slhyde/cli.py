@@ -440,8 +440,8 @@ def cmd_construct_benchmark(
             "med_threshold and rel_threshold must be set explicitly for remote (production) runs"
         )
     judge = build_generator_client(config)
-    # Raw inputs are corpus and queries files; a title is not judged.
-    texts = [(doc.id, doc.text) for doc in load_corpus(texts_file)]
+    # Raw inputs are corpus and queries files; a title is neither judged nor written.
+    texts = load_corpus(texts_file, titles=False)
     queries = load_queries(queries_file)
     with staged_outputs(config) as staging:
         report = run_pipeline(texts, queries, judge, config.benchmark, config.bm25, staging, config.parallelism)

@@ -11,6 +11,14 @@ Each JSONL format is one record dataclass, `_CorpusRecord` or `_QueryRecord`:
 whitespace, text a string, title or answer a string or null; other keys are
 ignored), and `util.write_jsonl` writes it, leaving out a title or answer that
 is None.
+
+`read_corpus` is the one corpus reader: it yields each `Document` as its line
+is read, checked either as `load_corpus` checks it (an _id with no whitespace,
+seen once; a text that is not blank) or against the _ids an earlier read
+listed, row by row. `load_corpus` keeps every Document in a `CorpusStore`;
+`embed.cache_embeddings` reads the file twice, keeping only the ids and then
+one batch; `sample_documents` keeps only the documents it draws. `Document`
+and `Query` are slotted, so a record holds its fields and no instance dict.
 """
 from __future__ import annotations
 
@@ -31,7 +39,7 @@ from .util import atomic_write_text, read_jsonl, text_lines, write_jsonl
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     id: str
     text: str
@@ -51,7 +59,7 @@ class Document:
         return self.text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Query:
     id: str
     text: str
@@ -167,46 +175,78 @@ class _QueryRecord:  # one queries.jsonl line
 _WHITESPACE = re.compile(r"\s")
 
 
-def _read_records(path: str | Path, kind: str, record_cls, make) -> list:
+def _read_records(path: str | Path, kind: str, record_cls, make, ids: list[str] | None = None, source: str = ""):
     """`make(id, record)` for each `record_cls` record of a `kind` ("corpus" or
-    "queries") JSONL file. An integer _id is read as its digits; an _id holds
-    no whitespace (trec runs and qrels.tsv split their fields on it) and may
-    appear once. Each error names the file and line."""
+    "queries") JSONL file, yielded as the file is read. An integer _id is read
+    as its digits. Without `ids`, an _id holds no whitespace (trec runs and
+    qrels.tsv split their fields on it) and may appear once. With `ids`, the
+    _ids the corpus's `source` (say, its embedding cache) lists in file order,
+    a record's _id must be ids[row], and the file must hold len(ids) records.
+    Each error names the file; a record's names its line too."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"{kind} file not found: {path}")
     seen: set[str] = set()
+    rows = 0
 
     def item(record):
-        doc_id = str(record._id)
-        if _WHITESPACE.search(doc_id):
-            raise ParseError(f"_id {doc_id!r} contains whitespace")
-        made = make(doc_id, record)
-        if doc_id in seen:
-            raise ValidationError(f"duplicate _id {doc_id!r}")
-        seen.add(doc_id)
+        nonlocal rows
+        doc_id, row = str(record._id), rows
+        if ids is None:
+            if _WHITESPACE.search(doc_id):
+                raise ParseError(f"_id {doc_id!r} contains whitespace")
+            made = make(doc_id, record)
+            if doc_id in seen:
+                raise ValidationError(f"duplicate _id {doc_id!r}")
+            seen.add(doc_id)
+        else:
+            if row >= len(ids):
+                raise ValidationError(f"_id {doc_id!r} is past the {len(ids)} rows of the corpus's {source}")
+            if doc_id != ids[row]:
+                raise ValidationError(f"_id {doc_id!r} is not {ids[row]!r}, row {row} of the corpus's {source}")
+            made = make(doc_id, record)
+        rows += 1
         return made
 
-    items = list(read_jsonl(path, record_cls, f"{kind} record", item))
-    if not items:
+    yield from read_jsonl(path, record_cls, f"{kind} record", item)
+    if ids is not None and rows != len(ids):
+        raise ValidationError(f"corpus file {path} holds {rows} records, its {source} {len(ids)} rows")
+    if ids is None and not rows:
         logger.warning("%s file %s is empty", kind, path)
-    return items
 
 
 def _document(doc_id: str, record: _CorpusRecord) -> Document:
     return Document(doc_id, record.text, record.title or None)  # an empty title is no title
 
 
-def load_corpus(path: str | Path) -> CorpusStore:
+def _body(doc_id: str, record: _CorpusRecord) -> Document:
+    return Document(doc_id, record.text)
+
+
+def read_corpus(
+    path: str | Path, ids: list[str] | None = None, source: str = "", titles: bool = True
+) -> Iterator[Document]:
+    """Each Document of corpus.jsonl, in file order, yielded as its line is
+    read, so a caller that takes each as it comes holds one. Without `ids`
+    every record is checked as `load_corpus` checks it; with `ids` (the _ids
+    the corpus's `source` lists, in order) a record whose _id is not ids[row]
+    is a ValidationError naming the file and line, and so is a file that
+    holds another number of records. With `titles` false a record's title is
+    read and dropped."""
+    return _read_records(path, "corpus", _CorpusRecord, _document if titles else _body, ids, source)
+
+
+def load_corpus(path: str | Path, titles: bool = True) -> CorpusStore:
     """Load corpus.jsonl into a CorpusStore. Duplicate _id values are rejected;
-    an empty title is no title."""
-    return CorpusStore(_read_records(path, "corpus", _CorpusRecord, _document))
+    an empty title is no title, and with `titles` false every title is dropped
+    (construct-benchmark judges, indexes and writes a raw text's body only)."""
+    return CorpusStore(read_corpus(path, titles=titles))
 
 
 def load_queries(path: str | Path) -> list[Query]:
     """Load queries.jsonl; a record may carry a reference `answer` (an empty
     one is none)."""
-    return _read_records(path, "queries", _QueryRecord, lambda i, r: Query(i, r.text, r.answer or None))
+    return list(_read_records(path, "queries", _QueryRecord, lambda i, r: Query(i, r.text, r.answer or None)))
 
 
 _QRELS_HEADERS = {"query-id", "query_id", "qid"}
@@ -272,36 +312,19 @@ def write_qrels(qrels: RelevanceJudgments, path: str | Path) -> None:
 
 def sample_documents(path: str | Path, ids: list[str], n: int, seed: int) -> list[Document]:
     """Draw n distinct documents of the corpus file `path`, deterministically
-    for a fixed seed, reading the file once and keeping only the documents
-    drawn. `ids` are the file's record ids in order (its embedding cache's
-    ids), so the draw needs only their count: a record whose _id is not
-    ids[row] is a ValidationError naming the file and line, and so is a
-    file that holds another number of records."""
+    for a fixed seed, reading the file once through `read_corpus` and keeping
+    only the documents drawn. `ids` are the file's record ids in order (its
+    embedding cache's ids), so the draw needs only their count: a record
+    whose _id is not ids[row] is a ValidationError naming the file and line,
+    and so is a file that holds another number of records."""
     if n < 0:
         raise ValidationError("sample size must be non-negative")
     if n > len(ids):
         raise ValidationError(f"cannot sample {n} documents from a corpus of {len(ids)}")
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"corpus file not found: {path}")
     order = np.random.default_rng(seed).permutation(len(ids))[:n]
     slot = dict(zip(order.tolist(), range(n)))  # row -> its place in the sample
     sample: list = [None] * n
-    rows = 0
-
-    def keep(record: _CorpusRecord) -> None:
-        nonlocal rows
-        doc_id, row = str(record._id), rows
-        if row >= len(ids):
-            raise ValidationError(f"_id {doc_id!r} is past the {len(ids)} rows of the corpus's embedding cache")
-        if doc_id != ids[row]:
-            raise ValidationError(f"_id {doc_id!r} is not {ids[row]!r}, row {row} of the corpus's embedding cache")
+    for row, doc in enumerate(read_corpus(path, ids, "embedding cache")):
         if row in slot:
-            sample[slot[row]] = _document(doc_id, record)
-        rows += 1
-
-    for _ in read_jsonl(path, _CorpusRecord, "corpus record", keep):
-        pass
-    if rows != len(ids):
-        raise ValidationError(f"corpus file {path} holds {rows} records, its embedding cache {len(ids)} rows")
+            sample[slot[row]] = doc
     return sample

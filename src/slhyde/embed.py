@@ -10,12 +10,16 @@ the inner product used by the search indexes equal to cosine similarity.
 A finite, nonzero row whose squared norm over- or underflows is scaled by its
 largest magnitude before it is normalized; every other row is row / norm.
 
-Building a cache holds one embedder batch of texts and rows, never every
-text nor the matrix: `cache_embeddings` calls `embed_texts` once per batch
-and writes the file in one pass through the one writer, `cache_file` (each
-batch's unit rows as the batch arrives, in input order, then the ids, then
-the header, written last over the space left for it), so a batch that is
-non-finite or holds a zero row stops the build before the next request. The
+Building a cache holds the corpus's ids and one embedder batch of documents
+and rows, never every text nor the matrix: `cache_embeddings` reads the
+corpus once for its ids (every record checked, before any request), then
+again a batch at a time, calls `embed_texts` once per batch and writes the
+file in one pass through the one writer, `cache_file` (each batch's unit
+rows as the batch arrives, in input order, then the ids, then the header,
+written last over the space left for it), so a batch that is non-finite or
+holds a zero row stops the build before the next request; the corpus file is
+hashed again after the last batch, so one edited during the build commits
+nothing. The
 SFT rows file (`selflearn`) is written the same way, a chunk at a time: its
 count, ids digest and fingerprint are known only at the end.
 Reading one goes block by block through the one reader, `open_cache`:
@@ -56,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import corpus_file_digest, find_id, load_corpus, sort_ids
+from .corpus import corpus_file_digest, find_id, read_corpus, sort_ids
 from .errors import FormatError, ProtocolError, TransportError, ValidationError
 from .util import JsonEndpoint, replacing, retry_or_raise
 
@@ -492,14 +496,24 @@ def cache_embeddings(client, corpus_path: str | Path, path: str | Path, load: bo
     The cache at `path` is reused when its fingerprint matches the client and
     the sha256 of the corpus file's bytes and it passes every check of
     `load_cache`; the corpus is then not parsed. Anything else (no file, an
-    unreadable or stale one, with the reason logged) parses the corpus and
-    embeds it into a new file batch by batch; the cache returned is then read
-    back from that file. With `load` false (`embed-corpus`, which only makes
-    the file current) None is returned and a reused file is only checked, so
-    neither path holds the matrix.
+    unreadable or stale one, with the reason logged) builds a new file from
+    two reads of the corpus through `corpus.read_corpus`: the first checks
+    every record and keeps only the ids, so a bad record stops the build
+    before any request; the second embeds the records a batch at a time,
+    each record's _id checked against the first read's. The file is hashed
+    once more after the last batch, and a corpus edited during the build
+    (its bytes no longer those the fingerprint names) is a ValidationError
+    that commits nothing. The cache returned is then read back from the new
+    file. With `load` false (`embed-corpus`, which only makes the file
+    current) None is returned and a reused file is only checked, so neither
+    path holds the matrix. A `path` that is there but is not a regular file
+    is a ValidationError, before any request.
     """
     path = Path(path)
-    fingerprint = cache_fingerprint(client, corpus_file_digest(corpus_path))
+    if path.exists() and not path.is_file():
+        raise ValidationError(f"embedding cache path {path} is not a regular file")
+    digest = corpus_file_digest(corpus_path)
+    fingerprint = cache_fingerprint(client, digest)
     if path.exists():
         try:
             if load:
@@ -512,12 +526,13 @@ def cache_embeddings(client, corpus_path: str | Path, path: str | Path, load: bo
         else:
             logger.info("reusing embedding cache %s", path)
             return cache
-    store = load_corpus(corpus_path)
+    ids = [doc.id for doc in read_corpus(corpus_path)]
+    docs = read_corpus(corpus_path, ids, "first read")
     with cache_file(path, client.dim, fingerprint) as out:
-        # one batch's texts at a time: a titled document's text is a new string
-        docs = iter(store)
-        for _ in range(0, len(store), client.batch_size):
-            batch = list(itertools.islice(docs, client.batch_size))
+        # one batch of documents at a time: a titled document's text is a new string
+        while batch := list(itertools.islice(docs, client.batch_size)):
             out.add([doc.id for doc in batch], embed_texts(client, [doc.indexed_text for doc in batch]))
-    logger.info("embedded %d documents into %s", len(store), path)
+        if corpus_file_digest(corpus_path) != digest:
+            raise ValidationError(f"corpus file {corpus_path} changed while its embedding cache was built")
+    logger.info("embedded %d documents into %s", len(ids), path)
     return load_cache(path, fingerprint=fingerprint) if load else None

@@ -18,6 +18,7 @@ from slhyde.bm25 import Bm25Settings
 from slhyde.cli import main
 from slhyde.corpus import (
     CorpusStore,
+    Document,
     Query,
     RelevanceJudgments,
     load_qrels,
@@ -392,7 +393,7 @@ def _trace_fixture():
     Quality: (qa, t01)=5 kept; (qb, t02)=2 removed at threshold 0.6.
     Expected outcome: qrels == {qa: {t01: 1}}.
     """
-    texts = [(f"t{i:02d}", f"[t{i:02d}] shared medical filler body {i}") for i in range(1, 21)]
+    texts = [Document(f"t{i:02d}", f"[t{i:02d}] shared medical filler body {i}") for i in range(1, 21)]
     queries = [
         Query(id="qa", text="[qa] shared question alpha"),
         Query(id="qb", text="[qb] shared question beta"),

@@ -49,7 +49,7 @@ QD_PREFIX = "You will be given a medical search query and its associated passage
 class TestMedicalRelevanceFilter:
     def test_below_threshold_removed(self):
         judge = judge_with([(MED_PREFIX, lambda p: _json({"score": 0.4, "reason": "weak"}))])
-        kept, removed, review = medical_relevance_filter([("t1", "text")], judge, threshold=0.5)
+        kept, removed, review = medical_relevance_filter([Document("t1", "text")], judge, threshold=0.5)
         assert not kept and not review
         assert removed[0].text_id == "t1"
         assert removed[0].med_score == pytest.approx(0.4)
@@ -57,12 +57,12 @@ class TestMedicalRelevanceFilter:
 
     def test_exactly_at_threshold_kept(self):
         judge = judge_with([(MED_PREFIX, lambda p: _json({"score": 0.5, "reason": "edge"}))])
-        kept, removed, review = medical_relevance_filter([("t1", "text")], judge, threshold=0.5)
+        kept, removed, review = medical_relevance_filter([Document("t1", "text")], judge, threshold=0.5)
         assert kept and not removed and not review
 
     def test_label_field_maps_to_binary_score(self):
         judge = judge_with([(MED_PREFIX, lambda p: _json({"label": 1, "reason": "medical"}))])
-        kept, _, _ = medical_relevance_filter([("t1", "text")], judge, threshold=0.5)
+        kept, _, _ = medical_relevance_filter([Document("t1", "text")], judge, threshold=0.5)
         assert kept[0].med_score == 1.0
 
     def test_malformed_json_goes_to_review_and_continues(self):
@@ -74,7 +74,7 @@ class TestMedicalRelevanceFilter:
 
         judge = judge_with([(MED_PREFIX, broken)])
         kept, removed, review = medical_relevance_filter(
-            [("bad", "text"), ("bad2", "text2")], judge, threshold=0.5
+            [Document("bad", "text"), Document("bad2", "text2")], judge, threshold=0.5
         )
         assert not kept and not removed
         assert [r.item_id for r in review] == ["bad", "bad2"]
@@ -87,7 +87,7 @@ class TestMedicalRelevanceFilter:
             return "<<garbage>>"
 
         judge = judge_with([(MED_PREFIX, flaky)])
-        kept, removed, review = medical_relevance_filter([("t1", "text")], judge, threshold=0.5)
+        kept, removed, review = medical_relevance_filter([Document("t1", "text")], judge, threshold=0.5)
         assert kept and not review
 
 
@@ -277,9 +277,9 @@ def _pipeline_judge(med_labels, validated_docs, quality_scores):
 
 def _pipeline_inputs():
     texts = [
-        ("t1", "[t1] alpha treatment basics shared"),
-        ("t2", "[t2] alpha treatment advanced shared"),
-        ("t3", "[t3] cooking recipes nothing medical"),
+        Document("t1", "[t1] alpha treatment basics shared"),
+        Document("t2", "[t2] alpha treatment advanced shared"),
+        Document("t3", "[t3] cooking recipes nothing medical"),
     ]
     queries = [
         Query(id="qa", text="[qa] alpha treatment question"),
@@ -431,8 +431,8 @@ class TestJudgeFailures:
         self._check(tmp_path, parallelism=4)
 
     def _check(self, tmp_path, parallelism):
-        texts = [("tm1", "[tm1] garbled text"), ("tm2", "[tm2] wrong-typed text")]
-        texts += [(doc, f"[{doc}] alpha shared") for doc in self.DOCS]
+        texts = [Document("tm1", "[tm1] garbled text"), Document("tm2", "[tm2] wrong-typed text")]
+        texts += [Document(doc, f"[{doc}] alpha shared") for doc in self.DOCS]
         queries = [Query(id=qid, text=f"[{qid}] alpha shared") for qid in ("qm1", "qm2", "qr1", "qr2", "qp")]
         calls = []
         report = run_pipeline(
@@ -522,7 +522,7 @@ class TestStageOrderAtParallelism:
         return [f"i{i}" for i in range(self.N) if i % 4 in remainders]
 
     def test_medical_filter(self):
-        items = [(f"i{i}", f"[i{i}] text") for i in range(self.N)]
+        items = [Document(f"i{i}", f"[i{i}] text") for i in range(self.N)]
         verdicts = [_json({"label": 1}), _json({"label": 0}), "garbage", _json({"label": "x"})]
         kept, removed, review = self._runs(
             lambda judge, parallelism: medical_relevance_filter(items, judge, 0.5, parallelism=parallelism),
@@ -579,7 +579,7 @@ class TestNonFiniteVerdicts:
     def test_medical_filter_repairs_then_reviews(self, verdict):
         calls = []
         judge = judge_with([(MED_PREFIX, self._answers(verdict, calls))])
-        kept, removed, review = medical_relevance_filter([("t1", "text")], judge, threshold=0.5)
+        kept, removed, review = medical_relevance_filter([Document("t1", "text")], judge, threshold=0.5)
         assert not kept and not removed
         assert [(r.item_id, r.reason, r.raw_response) for r in review] == [
             ("t1", "unparseable judge verdict", _json(verdict))
@@ -641,7 +641,7 @@ class TestVerdictBounds:
     )
     def test_medical_filter(self, verdict, med_score):
         judge = judge_with([(MED_PREFIX, lambda p: _json(verdict))])
-        kept, removed, review = medical_relevance_filter([("t1", "text")], judge, threshold=0.5)
+        kept, removed, review = medical_relevance_filter([Document("t1", "text")], judge, threshold=0.5)
         assert not review
         assert [j.med_score for j in kept + removed] == [med_score]
 

@@ -20,7 +20,7 @@ from slhyde.cli import build_parser, main
 from slhyde.config import build_embedder_client, build_generator_client, load_config, write_resolved_config
 from slhyde.corpus import CorpusStore, Document, corpus_file_digest, load_qrels, write_corpus, write_qrels
 from slhyde.corpus import write_queries
-from slhyde.corpus import RelevanceJudgments, load_corpus, load_queries
+from slhyde.corpus import RelevanceJudgments, load_corpus, load_queries, read_corpus
 from slhyde.embed import MockEmbedderClient, cache_embeddings, embed_text, embed_texts, load_cache
 from slhyde.errors import ParseError, SlhydeError, TransportError, ValidationError
 from slhyde.hyde import FusionConfig, hyde_search
@@ -477,9 +477,8 @@ class TestWarmCache:
         docs, _, _ = make_dataset(dataset)
         config_path = make_config(tmp_path, dataset, tmp_path / "run")
         loads, samples, batches = [], [], []
-        probe = lambda path: loads.append(path) or load_corpus(path)  # noqa: E731
-        monkeypatch.setattr(cli, "load_corpus", probe)
-        monkeypatch.setattr(embed, "load_corpus", probe)
+        monkeypatch.setattr(cli, "load_corpus", lambda path, **kw: loads.append(path) or load_corpus(path, **kw))
+        monkeypatch.setattr(embed, "read_corpus", lambda path, *args: loads.append(path) or read_corpus(path, *args))
         sample = cli.sample_documents
         monkeypatch.setattr(cli, "sample_documents", lambda path, *args: samples.append(path) or sample(path, *args))
         original = MockEmbedderClient.embed_batch
@@ -487,8 +486,9 @@ class TestWarmCache:
             MockEmbedderClient, "embed_batch", lambda client, texts: batches.append(texts) or original(client, texts)
         )
         flags = ["--config", str(config_path)]
-        assert main(["build-sft-data", *flags]) == 0  # cold: parsed once to embed, then read once to sample
-        assert (len(loads), len(samples)) == (1, 1)
+        # cold: read once for the ids and once to embed, then once to sample
+        assert main(["build-sft-data", *flags]) == 0
+        assert (len(loads), len(samples)) == (2, 1)
         loads.clear()
         samples.clear()
         assert main(["build-sft-data", *flags]) == 0  # warm: never parsed whole, read once to sample
@@ -1503,6 +1503,68 @@ class TestConstructBenchmarkCommand:
         )
         assert code == 1  # thresholds are mandatory for production runs
 
+    # sha256 (first 16 hex digits) of each file construct-benchmark writes for
+    # the titled raw texts below: the bytes it wrote when it judged (id, text)
+    # pairs, before it judged the loaded Documents
+    TITLED_DIGESTS = {
+        "corpus.jsonl": "b448dde7b0132799",
+        "qc_report.json": "c098e4e156d32139",
+        "qc_report.txt": "e1e23c7cd4f5542a",
+        "qrels.tsv": "2b61354332b58a79",
+        "queries.jsonl": "675680b75f6bfd0d",
+    }
+
+    def test_a_titled_raw_text_is_judged_indexed_and_written_without_its_title(self, tmp_path):
+        root = tmp_path / "raw"
+        root.mkdir()
+        # titles that would move the BM25 ranking and the judge prompts if they were kept
+        texts = [
+            {"_id": f"t{i}", "title": f"how to treat condition {5 - i}", "text": f"condition {i} symptoms and treatment"}
+            for i in range(6)
+        ]
+        queries = [{"_id": f"q{i}", "text": f"how to treat condition {i}"} for i in range(3)]
+        (root / "titled.jsonl").write_text("".join(json.dumps(t) + "\n" for t in texts))
+        (root / "untitled.jsonl").write_text(
+            "".join(json.dumps({key: t[key] for key in ("_id", "text")}) + "\n" for t in texts)
+        )
+        (root / "queries.jsonl").write_text("".join(json.dumps(q) + "\n" for q in queries))
+        outputs = {}
+        for name in ("titled", "untitled"):
+            out = tmp_path / name
+            config_path = make_config(tmp_path, root, out)
+            argv = ["construct-benchmark", "--config", str(config_path)]
+            assert main(argv + ["--texts", str(root / f"{name}.jsonl"), "--queries", str(root / "queries.jsonl")]) == 0
+            outputs[name] = {key: (out / key).read_bytes() for key in self.TITLED_DIGESTS}
+        assert outputs["titled"] == outputs["untitled"]
+        corpus = [json.loads(line) for line in outputs["titled"]["corpus.jsonl"].splitlines()]
+        assert corpus and all(set(record) == {"_id", "text"} for record in corpus)
+        assert outputs["titled"]["qrels.tsv"].count(b"\n") > 1  # pairs were matched, not just a header
+        digests = {key: hashlib.sha256(data).hexdigest()[:16] for key, data in outputs["titled"].items()}
+        assert digests == self.TITLED_DIGESTS
+
+    def test_memory_grows_with_the_raw_inputs_by_their_records_only(self, tmp_path, capsys):
+        peaks = {}
+        for n in (500, 2000):  # n texts and n queries
+            dataset = tmp_path / f"data{n}"
+            make_dataset(dataset, n_docs=n)
+            config_path = make_config(tmp_path, dataset, tmp_path / f"bench{n}")
+            argv = ["construct-benchmark", "--config", str(config_path)]
+            argv += ["--texts", str(dataset / "corpus.jsonl"), "--queries", str(dataset / "queries.jsonl")]
+            assert main(argv) == 0  # untraced, so that what a first run caches is not counted
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                _, peaks[n] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        # The loaded text and query (their Documents, strings and ids), their
+        # stage-1 verdicts and BM25 postings make up most of the growth
+        # (measured 1,277 bytes a pair). The same texts also held as (id, text)
+        # tuples, in an id -> text dict and as a second Document a kept text
+        # took it to 1,344.
+        assert (peaks[2000] - peaks[500]) / 1500 < 1320
+
 
 class TestCorpusOnlyDataset:
     """The label-free commands run from a corpus alone; each command that
@@ -1797,6 +1859,22 @@ class TestExitCodes:
         assert main(["build-retriever-data", "--config", str(config_path), "--sft", str(tmp_path / "out")]) == 1
         assert f"SFT dataset not found: {tmp_path / 'out'}" in capsys.readouterr().err
         assert "unexpected failure" not in caplog.text and batches == []
+
+    @pytest.mark.parametrize("command", ["embed-corpus", "evaluate"])
+    def test_a_cache_path_that_is_a_directory_exits_1_before_any_request(
+        self, tmp_path, monkeypatch, capsys, caplog, command
+    ):
+        dataset = tmp_path / "data"
+        make_dataset(dataset)
+        cache_path = tmp_path / "run" / "synthetic.emb"
+        cache_path.mkdir(parents=True)
+        config_path = make_config(tmp_path, dataset, tmp_path / "run")
+        batches, requests = _record_embed_batches(monkeypatch), _count_gen_requests(monkeypatch)
+        assert main([command, "--config", str(config_path)]) == 1
+        assert f"embedding cache path {cache_path} is not a regular file" in capsys.readouterr().err
+        assert "unexpected failure" not in caplog.text and "rebuilding" not in caplog.text
+        assert batches == [] and requests == []
+        assert cache_path.is_dir() and not list(cache_path.iterdir())
 
     @pytest.mark.parametrize("below", [False, True], ids=["file", "under_a_file"])
     @pytest.mark.parametrize("command", ["construct-benchmark", "evaluate"])

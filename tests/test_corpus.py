@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import logging
 import os
+import pickle
 import re
 import tracemalloc
 
@@ -14,6 +16,7 @@ from slhyde.config import load_config
 from slhyde.corpus import (
     CorpusStore,
     Document,
+    Query,
     RelevanceJudgments,
     corpus_file_digest,
     load_corpus,
@@ -41,6 +44,22 @@ def _write_jsonl(path, records):
         for record in records:
             fh.write(record if isinstance(record, bytes) else json.dumps(record, ensure_ascii=False).encode())
             fh.write(b"\n")
+
+
+@pytest.mark.parametrize(
+    "record", [Document("d1", "body", "a title"), Document("d2", "body"), Query("q1", "text", "an answer")]
+)
+def test_records_are_slotted_and_behave_as_frozen_dataclasses(record):
+    assert not hasattr(record, "__dict__")  # a corpus holds each record's fields only
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert hash(dataclasses.replace(record)) == hash(record)
+    assert dataclasses.replace(record, text="other").text == "other"
+    with pytest.raises(ValidationError, match="empty text"):
+        dataclasses.replace(record, text="  ")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.text = "other"
+    if isinstance(record, Document):
+        assert record.indexed_text == (f"{record.title}\n{record.text}" if record.title else record.text)
 
 
 class TestLoadCorpus:

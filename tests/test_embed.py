@@ -475,6 +475,94 @@ class TestCache:
             assert path.read_bytes() == before
             assert not list(tmp_path.glob("*.part"))
 
+    def test_a_corpus_edited_during_the_build_commits_nothing(self, tmp_path):
+        docs = synthetic_docs(6, seed=3)
+        edited = docs[:2] + [Document(docs[2].id, "an edited text")] + docs[3:]
+        corpus, path = tmp_path / "corpus.jsonl", tmp_path / "c.emb"
+        client = MockEmbedderClient(dim=32)
+        client.batch_size = 2
+        embed_batch = client.embed_batch
+
+        def edit_on_the_first_batch(texts):
+            if client.calls == 0:
+                write_corpus(edited, corpus)  # a new file: the open second read still sees the old bytes
+            return embed_batch(texts)
+
+        client.embed_batch = edit_on_the_first_batch
+        for load in (True, False):
+            write_corpus(docs, corpus)
+            client.calls = 0
+            with pytest.raises(ValidationError, match=r"corpus file .*corpus\.jsonl changed while its embedding cache"):
+                cache_embeddings(client, corpus, path, load=load)
+            assert client.calls == 3  # every batch was embedded before the file was hashed again
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]  # no cache, no .part
+        # a rerun builds a cache whose fingerprint names the edited bytes
+        fresh = MockEmbedderClient(dim=32)
+        rebuilt = cache_embeddings(fresh, corpus, path)
+        fingerprint = cache_fingerprint(fresh, corpus_file_digest(corpus))
+        assert load_cache(path, fingerprint=fingerprint).ids == rebuilt.ids == [d.id for d in edited]
+        assert rebuilt.row(docs[2].id).tobytes() == embed_text(fresh, "an edited text").tobytes()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda docs: docs[:3] + [Document("elsewhere", docs[3].text)] + docs[4:],
+             r"_id 'elsewhere' is not 'd0003', row 3 of the corpus's first read in corpus\.jsonl \(line 4\)$"),
+            (lambda docs: docs + [Document("extra", "one more record")],
+             r"_id 'extra' is past the 6 rows of the corpus's first read in corpus\.jsonl \(line 7\)$"),
+            (lambda docs: docs[:5], r"corpus\.jsonl holds 5 records, its first read 6 rows$"),
+        ],
+        ids=["moved_id", "added_record", "removed_record"],
+    )
+    def test_a_record_that_changed_between_the_reads_names_the_file_and_line(self, tmp_path, monkeypatch, edit, message):
+        docs = synthetic_docs(6, seed=3)
+        corpus, path = tmp_path / "corpus.jsonl", tmp_path / "c.emb"
+        write_corpus(docs, corpus)
+        read_corpus = embed.read_corpus
+
+        def edit_before_the_second_read(corpus_path, *args):
+            if args:  # the second read, checked against the first read's ids
+                write_corpus(edit(docs), corpus)
+            return read_corpus(corpus_path, *args)
+
+        monkeypatch.setattr(embed, "read_corpus", edit_before_the_second_read)
+        client = MockEmbedderClient(dim=32)
+        client.batch_size = 2
+        with pytest.raises(ValidationError, match=message):
+            cache_embeddings(client, corpus, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+    def test_a_bad_record_stops_a_cold_build_before_any_request(self, tmp_path):
+        corpus, path = tmp_path / "corpus.jsonl", tmp_path / "c.emb"
+        write_corpus(synthetic_docs(6, seed=3), corpus)
+        with corpus.open("a", encoding="utf-8") as fh:
+            fh.write('{"_id": "d0001", "text": "a repeated id"}\n')
+        client = MockEmbedderClient(dim=32)
+        client.batch_size = 2
+        with pytest.raises(ValidationError, match=r"duplicate _id 'd0001' in corpus\.jsonl \(line 7\)$"):
+            cache_embeddings(client, corpus, path)
+        assert client.calls == 0 and not path.exists()
+
+    def test_memory_of_a_cold_build_grows_with_the_corpus_by_its_ids_only(self, tmp_path):
+        client = MockEmbedderClient(dim=64)
+        client.batch_size = 500
+        peaks = {}
+        for n in (2000, 8000):  # 4 and 16 batches
+            corpus = tmp_path / f"corpus{n}.jsonl"
+            write_corpus(synthetic_docs(n, seed=n), corpus)
+            cache_embeddings(client, corpus, tmp_path / "warm.emb", load=False)  # warms the memo: it no longer grows
+            tracemalloc.start()
+            try:
+                cache_embeddings(client, corpus, tmp_path / f"c{n}.emb", load=False)
+                _, peaks[n] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # A document's ids: its id string, its slot in the ids list, its line
+        # in the ids block and, while the first read checks for repeats, its
+        # entry in the set of ids seen. Parsing the corpus into a store first
+        # held every text and Document: 447 bytes a document.
+        assert (peaks[8000] - peaks[2000]) / 6000 < 128
+
     def test_concurrent_cold_builders_both_commit_the_same_bytes(self, tmp_path):
         docs = synthetic_docs(40)
         corpus, path = tmp_path / "corpus.jsonl", tmp_path / "c.emb"
@@ -862,9 +950,13 @@ class TestCache:
         corpus = tmp_path / "corpus.jsonl"
         write_corpus(docs, corpus)
         path = tmp_path / "c.emb"
+        reads = []
+        read_corpus = embed.read_corpus
+        monkeypatch.setattr(embed, "read_corpus", lambda *args: reads.append(args) or read_corpus(*args))
         built = cache_embeddings(MockEmbedderClient(dim=32), corpus, path)
         assert built.ids == [d.id for d in docs]
-        monkeypatch.setattr(embed, "load_corpus", lambda _: pytest.fail("a warm cache parsed the corpus"))
+        assert len(reads) == 2  # cold: once for the ids, once more to embed
+        monkeypatch.setattr(embed, "read_corpus", lambda *args: pytest.fail("a warm cache parsed the corpus"))
         reused = cache_embeddings(MockEmbedderClient(dim=32), corpus, path)
         assert reused.ids == built.ids and reused.matrix.tobytes() == built.matrix.tobytes()
 
