@@ -58,7 +58,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .bm25 import Bm25Index, Bm25Settings, bm25_search
-from .corpus import CorpusStore, Document, Query, RelevanceJudgments, write_corpus, write_qrels, write_queries
+from .corpus import CorpusStore, Document, Query, write_corpus, write_qrel_rows, write_queries
 from .errors import DegenerateOutputError, TransportError, ValidationError
 from .textgen import SamplingConfig, generate, load_template, render_prompt
 from .util import atomic_write_text, dump_json, run_chunked
@@ -457,15 +457,13 @@ def run_pipeline(
         "review": len(filter_review),
     }
 
-    qrels = RelevanceJudgments()
-    for pair in final_pairs:
-        qrels.entries.setdefault(pair.query_id, {})[pair.doc_id] = 1
-    final_query_ids = set(qrels.entries)
+    final_query_ids = {pair.query_id for pair in final_pairs}
     final_queries = [q for q in kept_queries if q.id in final_query_ids]
 
     write_corpus(list(store), out_dir / "corpus.jsonl")
     write_queries(final_queries, out_dir / "queries.jsonl")
-    write_qrels(qrels, out_dir / "qrels.tsv")
+    # a query's pairs are neighbours in final_pairs and name distinct documents
+    write_qrel_rows(((pair.query_id, pair.doc_id, 1) for pair in final_pairs), out_dir / "qrels.tsv")
 
     if not final_pairs:
         message = "pipeline produced ZERO validated query-document pairs; dataset is empty"

@@ -17,6 +17,7 @@ share a name, and that `out_dir` is neither an existing file nor under one.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -98,11 +99,11 @@ class GeneratorSettings:
     section = "generator"  # names keys in errors; not a field
 
     def __post_init__(self):
-        if not self.timeout > 0:
-            raise ValidationError(f"{self.section}.timeout must be > 0, got {self.timeout}")
+        if not 0 < self.timeout < math.inf:
+            raise ValidationError(f"{self.section}.timeout must be finite and > 0, got {self.timeout}")
         for key in ("max_retries", "backoff"):
-            if getattr(self, key) < 0:
-                raise ValidationError(f"{self.section}.{key} must be >= 0, got {getattr(self, key)}")
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ValidationError(f"{self.section}.{key} must be finite and >= 0, got {getattr(self, key)}")
 
 
 @dataclass

@@ -304,9 +304,15 @@ def write_queries(queries: Iterable[Query], path: str | Path) -> None:
 
 
 def write_qrels(qrels: RelevanceJudgments, path: str | Path) -> None:
-    """Write qrels.tsv, a header then one line per (query, doc) grade, line
-    by line: the file is never held whole."""
-    lines = (f"{qid}\t{doc_id}\t{grade}\n" for qid, grades in qrels.entries.items() for doc_id, grade in grades.items())
+    """Write qrels.tsv, a header then one line per (query, doc) grade."""
+    rows = ((qid, doc_id, grade) for qid, grades in qrels.entries.items() for doc_id, grade in grades.items())
+    write_qrel_rows(rows, path)
+
+
+def write_qrel_rows(rows: Iterable[tuple[str, str, int]], path: str | Path) -> None:
+    """Write qrels.tsv, a header then one line per (query id, doc id, grade)
+    row, line by line: the file is never held whole."""
+    lines = (f"{qid}\t{doc_id}\t{grade}\n" for qid, doc_id, grade in rows)
     atomic_write_text(path, itertools.chain(["query-id\tcorpus-id\tscore\n"], lines))
 
 

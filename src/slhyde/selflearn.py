@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import logging
+import math
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -107,8 +108,8 @@ class SelfLearnSettings:
     max_skip_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValidationError("selflearn.tau must be > 0")
+        if not 0 < self.tau < math.inf:
+            raise ValidationError(f"selflearn.tau must be finite and > 0, got {self.tau}")
         if self.rank_scoring not in RANK_SCORINGS:
             raise ValidationError(
                 f"selflearn.rank_scoring {self.rank_scoring!r} is not one of {RANK_SCORINGS}"

@@ -17,6 +17,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import re
 import threading
 from dataclasses import dataclass
@@ -96,8 +97,8 @@ class SamplingSettings:
     max_output_tokens: int = 512
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValidationError("sampling.temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ValidationError(f"sampling.temperature must be finite and >= 0, got {self.temperature}")
         if self.max_output_tokens < 1:
             raise ValidationError("sampling.max_output_tokens must be >= 1")
 

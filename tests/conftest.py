@@ -65,6 +65,59 @@ def queries_for_docs(
     return queries
 
 
+# CJK Unified Ideographs; the i-th commonest character or word of the CJK
+# generator below has frequency proportional to i ** -ZIPF_EXPONENT.
+IDEOGRAPHS = np.array([chr(code) for code in range(0x4E00, 0xA000)])
+ZIPF_EXPONENT = 1.1
+
+
+def zipf_weights(count: int) -> np.ndarray:
+    weights = np.arange(1, count + 1, dtype=np.float64) ** -ZIPF_EXPONENT
+    return weights / weights.sum()
+
+
+def cjk_dataset(
+    n: int,
+    seed: int = 0,
+    characters: int = 1000,
+    vocabulary: int = 400,
+    common_words: int = 18,
+    noise_words: int = 3,
+) -> tuple[list[Document], list[Query]]:
+    """(documents, one query per document) of space-separated CJK words, the
+    script of CMIRB's Chinese text, so that common terms (and the unigrams and
+    bigrams `bm25.tokenize` cuts them into) occur in many documents.
+
+    A vocabulary of 2-character words is drawn from `characters` seeded
+    ideographs with Zipf character frequencies. A document is three anchors,
+    each two vocabulary words drawn uniformly and written as one 4-character
+    word that no other document has, each anchor twice, then `common_words`
+    words drawn from the vocabulary with Zipf frequencies; its query is its
+    first anchor and `noise_words` such words.
+    """
+    rng = np.random.default_rng(seed)
+    chars = rng.permutation(IDEOGRAPHS)[:characters]
+    char_weights = zipf_weights(characters)
+    words = np.array(["".join(rng.choice(chars, size=2, p=char_weights)) for _ in range(vocabulary)])
+    word_weights = zipf_weights(vocabulary)
+    anchors: set[str] = set()
+
+    def anchor() -> str:
+        while (text := "".join(rng.choice(words, size=2))) in anchors:
+            pass
+        anchors.add(text)
+        return text
+
+    docs, queries = [], []
+    for i in range(n):
+        doc_anchors = [anchor() for _ in range(3)]
+        body = doc_anchors * 2 + rng.choice(words, size=common_words, p=word_weights).tolist()
+        docs.append(Document(id=f"d{i:04d}", text=" ".join(body)))
+        noise = rng.choice(words, size=noise_words, p=word_weights).tolist()
+        queries.append(Query(id=f"q{i:04d}", text=" ".join([doc_anchors[0]] + noise)))
+    return docs, queries
+
+
 def cache_docs(client, docs, path) -> EmbeddingCache:
     """The cache `cache_embeddings` gives for `docs` written as a corpus file
     next to `path`: the same reuse-or-build path every CLI command takes."""

@@ -1,17 +1,19 @@
 import math
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slhyde.bm25 import _CJK_RE, _WORD_RE, Bm25Index, Bm25Settings, bm25_search, tokenize
+from slhyde import bm25 as bm25_module
+from slhyde.bm25 import _CJK_RE, _WORD_RE, DENSE_POSTINGS, Bm25Index, Bm25Settings, bm25_search, tokenize
 from slhyde.corpus import CorpusStore, Document
 from slhyde.errors import ValidationError
 
-from conftest import queries_for_docs, synthetic_docs
+from conftest import cjk_dataset, queries_for_docs, synthetic_docs
 
 
 def _store(texts):
@@ -104,7 +106,16 @@ class TestBm25Settings:
             assert Bm25Settings(k1=k1, b=b).b == b
 
     @pytest.mark.parametrize(
-        "field, value", [("k1", -1), ("k1", float("nan")), ("b", 7), ("b", -0.1), ("tokenizer", "bogus")]
+        "field, value",
+        [
+            ("k1", -1),
+            ("k1", float("nan")),
+            ("k1", float("inf")),
+            ("b", 7),
+            ("b", -0.1),
+            ("b", float("nan")),
+            ("tokenizer", "bogus"),
+        ],
     )
     def test_bad_value_names_its_key(self, field, value):
         with pytest.raises(ValidationError, match=f"bm25.{field}"):
@@ -242,10 +253,11 @@ class TestColumnarIndex:
         b=st.sampled_from([0.0, 0.4, 1.0]),
         tokenizer=st.sampled_from(["cjk", "simple"]),
         extra_k=st.integers(min_value=-12, max_value=3),
+        dense_postings=st.sampled_from([0, DENSE_POSTINGS]),
     )
     @settings(max_examples=300, deadline=None)
     def test_scores_are_bitwise_those_of_per_term_tuple_lists(
-        self, texts, query, absent, other, k1, b, tokenizer, extra_k
+        self, texts, query, absent, other, k1, b, tokenizer, extra_k, dense_postings
     ):
         # ids in descending order, so the id tie rule is not position order
         store = CorpusStore([Document(id=f"d{len(texts) - i:02d}", text=t) for i, t in enumerate(texts)])
@@ -258,7 +270,9 @@ class TestColumnarIndex:
             hit_count = len(_dict_of_tuples_search(store, bm25, text, len(store))[0])
             k = max(1, hit_count + extra_k)  # below and above the hit count
             expected_ids, expected_scores = _dict_of_tuples_search(store, bm25, text, k)
-            hits = bm25_search(index, text, k)
+            # at 0 every query is scored into the dense array
+            with mock.patch.object(bm25_module, "DENSE_POSTINGS", dense_postings):
+                hits = bm25_search(index, text, k)
             assert hits.ids == expected_ids
             assert hits.scores.tobytes() == expected_scores.tobytes()
 
@@ -271,11 +285,19 @@ class TestColumnarIndex:
             bm25_search(index, "Alpha omega", k=2)
 
     def test_built_query_term_no_document_holds_scores_the_others(self):
-        index = Bm25Index.build(_store(["alpha beta", "gamma"]), Bm25Settings(tokenizer="simple"), ["omega alpha"])
-        omega = index.query_slots["omega alpha"][0]
-        lo, hi = index.offsets[omega : omega + 2]
-        assert lo == hi  # a slot, but no document holds it
-        assert bm25_search(index, "omega alpha", k=2).ids == ["d0"]
+        store = _store(["alpha beta", "gamma", "alpha alpha gamma"])
+        index = Bm25Index.build(store, Bm25Settings(tokenizer="simple"), ["omega alpha omega", "alpha"])
+        # omega gets no slot: the text's slots are alpha's alone, and every slot has postings
+        assert index.query_slots["omega alpha omega"] == index.query_slots["alpha"]
+        assert (np.diff(index.offsets) > 0).all()
+        with_omega, without = bm25_search(index, "omega alpha omega", k=3), bm25_search(index, "alpha", k=3)
+        assert with_omega.ids == without.ids == ["d2", "d0"]
+        assert with_omega.scores.tobytes() == without.scores.tobytes()
+
+    def test_a_text_whose_terms_no_document_holds_has_no_slots_and_no_hits(self):
+        index = Bm25Index.build(_store(["alpha beta"]), Bm25Settings(), ["omega", "alpha"])
+        assert index.query_slots["omega"] == ()
+        assert list(bm25_search(index, "omega", k=3)) == []
 
     def test_index_retains_few_bytes_per_posting(self):
         store = CorpusStore(synthetic_docs(2000))
@@ -308,6 +330,68 @@ class TestColumnarIndex:
         index, retained = _build_retaining(store, queries)
         assert not hasattr(index, "vocab")
         assert bm25_search(index, queries[5], k=1).ids == ["d0005"]
-        # 8,000 slots, 6,000 of them empty; measured 0.53 MB, where an index
-        # that kept their terms as a vocabulary retained 1.02 MB
+        # 2,000 slots, one a query: the noise terms get none; measured 0.25 MB,
+        # 0.53 MB when the 6,000 noise terms kept empty slots, and 1.02 MB when
+        # an index kept its terms as a vocabulary
+        assert len(index.offsets) == 2001
         assert retained < 650_000
+
+    def test_build_holds_the_query_terms_only_while_it_reads_the_documents(self):
+        docs = synthetic_docs(2000)
+        store = CorpusStore(docs)
+        queries = [query.text for query in queries_for_docs(docs)]
+        tracemalloc.start()
+        try:
+            Bm25Index.build(store, Bm25Settings(), queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The peak is reached as the last document is read: the 8,000 query
+        # terms, their 2,000 slots, the queries' texts and the postings.
+        # Measured 0.90 MB; 1.27 MB when the query terms got slots and
+        # tuples before the documents were read and kept them all after.
+        assert peak < 1_100_000
+
+
+def _postings(index, text):
+    return sum(int(index.offsets[slot + 1] - index.offsets[slot]) for slot in index.query_slots[text])
+
+
+class TestCjkText:
+    """CJK words with Zipf character and word frequencies, where a query's
+    terms have long postings: ids and score bits are those of the scalar
+    oracle on both sides of the dense-array switch."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        docs, queries = cjk_dataset(200)
+        # every 20th text again under another id, so that scores tie at the cut
+        twins = [Document(id=f"{doc.id}b", text=doc.text) for doc in docs[::20]]
+        texts = []
+        for query in queries[::5]:
+            words = query.text.split()
+            texts.append(query.text)
+            # a repeated word, and terms no document holds (an ideograph outside
+            # the generator's block, a Latin word)
+            texts.append(f"{query.text} {words[1]} {words[1]} \uf900 zzzq")
+            texts.extend(words)  # single words: short postings for the rare ones
+        return CorpusStore(docs + twins), list(dict.fromkeys(texts))
+
+    @pytest.mark.parametrize("tokenizer", ["cjk", "simple"])
+    def test_ids_and_score_bits_are_the_oracles(self, corpus, tokenizer):
+        store, texts = corpus
+        bm25 = Bm25Settings(tokenizer=tokenizer)
+        index = Bm25Index.build(store, bm25, texts)
+        sides, ties = set(), 0
+        for text in texts:
+            # the oracle ranks every hit; its top-k is a prefix of that
+            all_ids, all_scores = _dict_of_tuples_search(store, bm25, text, len(store))
+            cuts = [i + 1 for i in range(len(all_scores) - 1) if all_scores[i] == all_scores[i + 1]]
+            ties += bool(cuts)
+            for k in {1, 10, *cuts[:2], max(1, len(all_ids)), len(all_ids) + 5}:
+                hits = bm25_search(index, text, k)
+                assert hits.ids == all_ids[:k]
+                assert hits.scores.tobytes() == all_scores[:k].tobytes()
+            sides.add(_postings(index, text) > DENSE_POSTINGS)
+        assert sides == {False, True}
+        assert ties > 10

@@ -16,11 +16,12 @@ import pytest
 import yaml
 
 from slhyde import cli, embed, hyde, selflearn, textgen
+from slhyde.bm25 import DENSE_POSTINGS, Bm25Index, Bm25Settings
 from slhyde.cli import build_parser, main
 from slhyde.config import build_embedder_client, build_generator_client, load_config, write_resolved_config
 from slhyde.corpus import CorpusStore, Document, corpus_file_digest, load_qrels, write_corpus, write_qrels
 from slhyde.corpus import write_queries
-from slhyde.corpus import RelevanceJudgments, load_corpus, load_queries, read_corpus
+from slhyde.corpus import Query, RelevanceJudgments, load_corpus, load_queries, read_corpus
 from slhyde.embed import MockEmbedderClient, cache_embeddings, embed_text, embed_texts, load_cache
 from slhyde.errors import ParseError, SlhydeError, TransportError, ValidationError
 from slhyde.hyde import FusionConfig, hyde_search
@@ -30,7 +31,7 @@ from slhyde.selflearn import contrastive_loss, load_sft_jsonl, load_triplets_jso
 from slhyde.textgen import MockGeneratorClient, SamplingConfig, load_template, render_prompt
 from slhyde.util import derive_seed
 
-from conftest import StubEndpoint, cache_docs, queries_for_docs, synthetic_docs
+from conftest import StubEndpoint, cache_docs, cjk_dataset, queries_for_docs, synthetic_docs
 
 
 def make_dataset(root, n_docs=20, seed=0):
@@ -1950,8 +1951,13 @@ class TestExitCodes:
             ("build-sft-data", "selflearn", "max_skip_fraction", 2),
             ("build-sft-data", "selflearn", "max_skip_fraction", -0.1),
             ("build-sft-data", "sampling", "temperature", -1),
+            ("build-sft-data", "sampling", "temperature", float("nan")),
+            ("build-sft-data", "sampling", "temperature", float("inf")),
+            ("build-sft-data", "selflearn", "tau", float("nan")),
+            ("build-retriever-data", "selflearn", "tau", float("inf")),
             ("evaluate", "sampling", "max_output_tokens", 0),
             ("embed-corpus", "bm25", "k1", -1),
+            ("construct-benchmark", "bm25", "k1", float("inf")),
             ("embed-corpus", "bm25", "b", 7),
             ("embed-corpus", "bm25", "tokenizer", "bogus"),
             ("embed-corpus", "benchmark", "max_review_fraction", 5),
@@ -1959,9 +1965,14 @@ class TestExitCodes:
             ("build-sft-data", "generator", "max_retries", -1),
             ("evaluate", "generator", "timeout", 0),
             ("hyde-search", "generator", "backoff", -1),
+            ("hyde-search", "generator", "backoff", float("inf")),
+            ("construct-benchmark", "generator", "backoff", float("nan")),
+            ("evaluate", "generator", "timeout", float("inf")),
             ("embed-corpus", "embedder", "max_retries", -1),
             ("embed-corpus", "embedder", "timeout", -5),
             ("search", "embedder", "backoff", -0.5),
+            ("embed-corpus", "embedder", "backoff", float("inf")),
+            ("search", "embedder", "backoff", float("nan")),
             ("embed-corpus", "embedder", "dim", 1),
         ],
     )
@@ -2290,3 +2301,33 @@ class TestParallelismDeterminism:
         # every stage (medical filter, pair matching, relevance filter) runs on more than one thread at 4
         for template in ("MED_RELEVANCE", "RERANK", "EVIDENCE", "QD_RELEVANCE"):
             assert len(threads_4[template]) > 1, template
+
+    def test_construct_benchmark_on_cjk_text_identical_at_parallelism_1_and_4(self, tmp_path):
+        # CJK words with Zipf frequencies: the generated queries' terms have
+        # long postings, and a query of one common word alone has short ones
+        docs, queries = cjk_dataset(60)
+        queries += [Query(id=f"{query.id}w", text=query.text.split()[-1]) for query in queries[:20]]
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        write_corpus(docs, dataset / "corpus.jsonl")
+        write_queries(queries, dataset / "queries.jsonl")
+        # the mock judge keeps every text and query, so this is the run's index
+        index = Bm25Index.build(CorpusStore(docs), Bm25Settings(), [query.text for query in queries])
+        postings = [
+            sum(int(index.offsets[slot + 1] - index.offsets[slot]) for slot in index.query_slots[query.text])
+            for query in queries
+        ]
+        assert min(postings) <= DENSE_POSTINGS < max(postings)
+        out = tmp_path / "bench"
+        config_path = make_config(tmp_path, dataset, out)
+        trees = []
+        for parallelism in ("1", "4"):
+            argv = ["construct-benchmark", "--config", str(config_path), "--parallelism", parallelism]
+            argv += ["--texts", str(dataset / "corpus.jsonl"), "--queries", str(dataset / "queries.jsonl")]
+            assert main(argv) == 0
+            tree = _tree_bytes(out)
+            del tree["resolved_config.yaml"]  # it records the parallelism
+            trees.append(tree)
+            shutil.rmtree(out)
+        assert trees[0] == trees[1]
+        assert trees[0]["qrels.tsv"].count(b"\n") > len(queries)  # pairs matched for the queries
